@@ -19,6 +19,7 @@ from .errors import ConfigError, IrtrLabError
 from .experiments import (
     FIGURES,
     RUNNERS,
+    ExperimentConfig,
     inclusive_grid,
 )
 from .psf_core import QuadratureSpec
@@ -108,7 +109,7 @@ def _converted_setting(key: str, raw: str, context: str) -> dict:
     if key == "sigma":
         return {"sigma": _parse_float(raw, context)}
     if key == "out":
-        return {"output_dir": raw.strip()}
+        return {"output_dir": raw}
     if key == "n_random":
         return {"n_random": _parse_int(raw, context)}
     if key in ("grid", "theta1_grid", "theta2_grid", "panels"):
@@ -129,29 +130,13 @@ def _converted_setting(key: str, raw: str, context: str) -> dict:
 
 
 def _apply_flags(settings: dict, args: argparse.Namespace) -> None:
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    if args.sigma is not None:
-        settings["sigma"] = args.sigma
-    if args.out is not None:
-        settings["output_dir"] = args.out
-    if args.n_random is not None:
-        settings["n_random"] = args.n_random
-    if args.grid is not None:
-        settings["grid"] = _parse_grid_text(args.grid)
-    if args.mode_cutoff is not None:
-        settings["mode_cutoff"] = _parse_mode_cutoff(args.mode_cutoff)
-    if getattr(args, "theta1_grid", None) is not None:
-        settings["theta1_grid"] = _parse_grid_text(args.theta1_grid)
-    if getattr(args, "theta2_grid", None) is not None:
-        settings["theta2_grid"] = _parse_grid_text(args.theta2_grid)
-    if getattr(args, "measurements", None) is not None:
-        settings["measurements"] = _parse_measurements(args.measurements)
+    for key, raw in vars(args).items():
+        if key not in ("figure", "config") and raw is not None:
+            flag = "--" + key.replace("_", "-")
+            settings.update(_converted_setting(key, raw, flag))
 
 
-def _build_config(figure: str, settings: dict):
-    from .experiments import ExperimentConfig
-
+def _build_config(figure: str, settings: dict) -> ExperimentConfig:
     settings = dict(settings)
     quad_kwargs = {key: settings.pop(key) for key in _QUAD_KEYS if key in settings}
     try:
@@ -188,12 +173,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in FIGURES:
         sub = subparsers.add_parser(name, help=summaries[name])
         sub.add_argument("--config", type=Path, help="INI config file")
-        sub.add_argument("--seed", type=int, help="RNG seed (default 0)")
-        sub.add_argument("--sigma", type=float, help="PSF width (default 1.0)")
+        sub.add_argument("--seed", help="RNG seed (default 0)")
+        sub.add_argument("--sigma", help="PSF width (default 1.0)")
         sub.add_argument("--out", help="output directory (default .)")
-        sub.add_argument(
-            "--n-random", dest="n_random", type=int, help="random measurement draws"
-        )
+        sub.add_argument("--n-random", dest="n_random", help="random measurement draws")
         sub.add_argument(
             "--grid", help="primary sweep as START:STOP:STEP or comma-separated values"
         )

@@ -5,8 +5,9 @@ Each ``run_figN`` function sweeps one scenario, writes one CSV per dataset
 header), and finishes with a JSON manifest carrying the resolved
 configuration and a checksum per file.  Identical configuration and seed
 give byte-identical CSVs: randomness flows through a spawned SeedSequence
-per sample, so results do not depend on how many worker threads run the
-sweep (capped by the IRTR_LAB_THREADS environment variable, default 1).
+per sample.  Every runner evaluates its points through one kernel:
+``_context`` (overlaps, QFIM, c_tilde per geometry) feeding ``_regret_rows``
+(probability model, FIM, regrets and checked IRTR residual per measurement).
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -138,27 +138,6 @@ class RunManifest:
     extras: dict
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("IRTR_LAB_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"IRTR_LAB_THREADS = {raw!r} is not an integer") from None
-    if count < 1:
-        raise ConfigError("IRTR_LAB_THREADS must be at least 1")
-    return count
-
-
-def _map_ordered(function, items):
-    """Map preserving input order; thread count never changes the result."""
-    items = list(items)
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [function(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(function, items))
-
-
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -231,6 +210,53 @@ def _checked_residual(report, c_tilde: float) -> float:
     return residual
 
 
+# What every measurement at one separation shares.
+_Context = namedtuple("_Context", ("overlaps", "quantum", "c_tilde"))
+
+
+def _context(psf, geometry: SourceGeometry, quad: QuadratureSpec) -> _Context:
+    overlaps = overlap_integrals(psf, geometry, quad)
+    c_tilde = incompatibility(overlaps).c_tilde
+    return _Context(overlaps, qfim(overlaps), c_tilde)
+
+
+def _regret_rows(psf, geometry, config, context, measurements, streams=()):
+    """Yield (measurement, sample_index, delta1, delta2, irtr_residual) rows.
+
+    ``direct`` and ``spade`` give one row each with sample index -1, in that
+    order; ``random`` gives one row per SeedSequence in ``streams``, sample k
+    drawn from stream k.  Every residual is checked against the floor.
+    """
+
+    def row(name, sample_index, model):
+        report = regret_report(fim(model), context.quantum)
+        residual = _checked_residual(report, context.c_tilde)
+        return name, sample_index, report.delta1, report.delta2, residual
+
+    if "direct" in measurements:
+        yield row("direct", -1, direct_imaging_model(psf, geometry, config.quad))
+    if "spade" in measurements:
+        yield row("spade", -1, spade_model(config.sigma, geometry, config.mode_cutoff))
+    if "random" in measurements:
+        state = build_state_model(context.overlaps)
+        for sample_index, stream in enumerate(streams):
+            measurement = haar_random_orthogonal(
+                np.random.default_rng(stream), dim=4, seed=sample_index
+            )
+            yield row("random", sample_index, projective_model(state, measurement))
+
+
+def _write_frontier(path, metadata, coefficient, samples):
+    no_constraint = coefficient <= _NO_CONSTRAINT_THRESHOLD
+    frontier = [] if no_constraint else irtr_frontier(coefficient, samples)
+    _write_csv(
+        path,
+        [*metadata, ("no_constraint", no_constraint)],
+        ("delta1", "delta2"),
+        [(point.delta1, point.delta2) for point in frontier],
+    )
+
+
 def run_fig1(config: ExperimentConfig) -> list[Path]:
     """Incompatibility coefficient versus separation, both computation routes."""
     _require(config, "fig1")
@@ -239,15 +265,12 @@ def run_fig1(config: ExperimentConfig) -> list[Path]:
     started = time.perf_counter()
     out_dir = _prepare_output(config)
     psf = gaussian_psf(config.sigma)
-
-    def evaluate(ratio):
+    rows = []
+    for ratio in grid:
         separation = ratio * config.sigma
         closed = gaussian_incompatibility(config.sigma, separation)
-        geometry = SourceGeometry(theta1=0.0, theta2=separation)
-        overlaps = overlap_integrals(psf, geometry, config.quad)
-        return ratio, closed, incompatibility(overlaps).c_tilde
-
-    rows = _map_ordered(evaluate, grid)
+        context = _context(psf, SourceGeometry(0.0, separation), config.quad)
+        rows.append((ratio, closed, context.c_tilde))
     path = out_dir / "fig1.csv"
     _write_csv(
         path,
@@ -266,17 +289,14 @@ def run_fig2(config: ExperimentConfig) -> list[Path]:
     started = time.perf_counter()
     out_dir = _prepare_output(config)
     psf = gaussian_psf(config.sigma)
-
-    def evaluate(ratio):
-        geometry = SourceGeometry(theta1=0.0, theta2=ratio * config.sigma)
-        overlaps = overlap_integrals(psf, geometry, config.quad)
-        report = regret_report(
-            fim(direct_imaging_model(psf, geometry, config.quad)), qfim(overlaps)
-        )
-        _checked_residual(report, incompatibility(overlaps).c_tilde)
-        return ratio, report.delta1, report.delta2
-
-    rows = _map_ordered(evaluate, grid)
+    rows = []
+    for ratio in grid:
+        geometry = SourceGeometry(0.0, ratio * config.sigma)
+        context = _context(psf, geometry, config.quad)
+        for _, _, delta1, delta2, _ in _regret_rows(
+            psf, geometry, config, context, ("direct",)
+        ):
+            rows.append((ratio, delta1, delta2))
     path = out_dir / "fig2.csv"
     _write_csv(
         path,
@@ -293,44 +313,25 @@ def run_fig3(config: ExperimentConfig) -> list[Path]:
     started = time.perf_counter()
     out_dir = _prepare_output(config)
     psf = gaussian_psf(config.sigma)
-
-    def evaluate(ratio):
-        geometry = SourceGeometry(theta1=0.0, theta2=ratio * config.sigma)
-        overlaps = overlap_integrals(psf, geometry, config.quad)
-        coefficient = incompatibility(overlaps).c_tilde
-        report = regret_report(
-            fim(direct_imaging_model(psf, geometry, config.quad)), qfim(overlaps)
-        )
-        return coefficient, report, _checked_residual(report, coefficient)
-
-    results = _map_ordered(evaluate, config.panels)
     paths = []
-    for index, (ratio, (coefficient, report, residual)) in enumerate(
-        zip(config.panels, results), start=1
-    ):
-        no_constraint = coefficient <= _NO_CONSTRAINT_THRESHOLD
-        frontier = (
-            []
-            if no_constraint
-            else irtr_frontier(coefficient, config.frontier_samples)
+    for index, ratio in enumerate(config.panels, start=1):
+        geometry = SourceGeometry(0.0, ratio * config.sigma)
+        context = _context(psf, geometry, config.quad)
+        ((_, _, delta1, delta2, residual),) = _regret_rows(
+            psf, geometry, config, context, ("direct",)
         )
         path = out_dir / f"fig3_panel_{index}.csv"
-        _write_csv(
-            path,
-            [
-                ("figure", "fig3"),
-                ("panel", index),
-                ("sigma", config.sigma),
-                ("theta2_over_sigma", ratio),
-                ("c_tilde", coefficient),
-                ("di_delta1", report.delta1),
-                ("di_delta2", report.delta2),
-                ("irtr_residual", residual),
-                ("no_constraint", no_constraint),
-            ],
-            ("delta1", "delta2"),
-            [(point.delta1, point.delta2) for point in frontier],
-        )
+        metadata = [
+            ("figure", "fig3"),
+            ("panel", index),
+            ("sigma", config.sigma),
+            ("theta2_over_sigma", ratio),
+            ("c_tilde", context.c_tilde),
+            ("di_delta1", delta1),
+            ("di_delta2", delta2),
+            ("irtr_residual", residual),
+        ]
+        _write_frontier(path, metadata, context.c_tilde, config.frontier_samples)
         paths.append(path)
     return _finish_run(config, "fig3", out_dir, paths, {}, started)
 
@@ -348,29 +349,26 @@ def run_fig4(config: ExperimentConfig) -> list[Path]:
     separation = config.theta2_over_sigma * config.sigma
     # The overlaps depend only on the separation, so one evaluation covers
     # the whole misalignment sweep.
-    overlaps = overlap_integrals(psf, SourceGeometry(0.0, separation), config.quad)
-    quantum = qfim(overlaps)
-    coefficient = incompatibility(overlaps).c_tilde
-
-    def evaluate(ratio):
-        geometry = SourceGeometry(theta1=ratio * config.sigma, theta2=separation)
-        report = regret_report(
-            fim(spade_model(config.sigma, geometry, config.mode_cutoff)), quantum
-        )
-        _checked_residual(report, coefficient)
-        return ratio, report.delta1, report.delta2
-
-    rows = _map_ordered(evaluate, grid)
+    context = _context(psf, SourceGeometry(0.0, separation), config.quad)
+    rows = []
+    for ratio in grid:
+        geometry = SourceGeometry(ratio * config.sigma, separation)
+        for _, _, delta1, delta2, _ in _regret_rows(
+            psf, geometry, config, context, ("spade",)
+        ):
+            rows.append((ratio, delta1, delta2))
     shared_metadata = [
         ("figure", "fig4"),
         ("sigma", config.sigma),
         ("theta2_over_sigma", config.theta2_over_sigma),
-        ("c_tilde", coefficient),
+        ("c_tilde", context.c_tilde),
     ]
     data_path = out_dir / "fig4.csv"
     _write_csv(data_path, shared_metadata, ("theta1_over_sigma", "delta1", "delta2"), rows)
     frontier_path = out_dir / "fig4_frontier.csv"
-    _write_frontier(frontier_path, shared_metadata, coefficient, config.frontier_samples)
+    _write_frontier(
+        frontier_path, shared_metadata, context.c_tilde, config.frontier_samples
+    )
     return _finish_run(config, "fig4", out_dir, [data_path, frontier_path], {}, started)
 
 
@@ -380,29 +378,19 @@ def run_fig5(config: ExperimentConfig) -> list[Path]:
     started = time.perf_counter()
     out_dir = _prepare_output(config)
     psf = gaussian_psf(config.sigma)
-    separation = config.theta2_over_sigma * config.sigma
-    overlaps = overlap_integrals(psf, SourceGeometry(0.0, separation), config.quad)
-    state = build_state_model(overlaps)
-    quantum = qfim(overlaps)
-    coefficient = incompatibility(overlaps).c_tilde
-    children = np.random.SeedSequence(config.seed).spawn(config.n_random)
-
-    def evaluate(index):
-        # One spawned stream per sample: the draw is identical no matter
-        # which worker runs it.
-        rng = np.random.default_rng(children[index])
-        measurement = haar_random_orthogonal(rng, dim=4, seed=index)
-        report = regret_report(fim(projective_model(state, measurement)), quantum)
-        residual = _checked_residual(report, coefficient)
-        return index, report.delta1, report.delta2, residual
-
-    rows = _map_ordered(evaluate, range(config.n_random))
+    geometry = SourceGeometry(0.0, config.theta2_over_sigma * config.sigma)
+    context = _context(psf, geometry, config.quad)
+    streams = np.random.SeedSequence(config.seed).spawn(config.n_random)
+    rows = [
+        row[1:]
+        for row in _regret_rows(psf, geometry, config, context, ("random",), streams)
+    ]
     shared_metadata = [
         ("figure", "fig5"),
         ("sigma", config.sigma),
         ("theta1_over_sigma", 0.0),
         ("theta2_over_sigma", config.theta2_over_sigma),
-        ("c_tilde", coefficient),
+        ("c_tilde", context.c_tilde),
         ("seed", config.seed),
         ("n_random", config.n_random),
     ]
@@ -414,7 +402,9 @@ def run_fig5(config: ExperimentConfig) -> list[Path]:
         rows,
     )
     frontier_path = out_dir / "fig5_frontier.csv"
-    _write_frontier(frontier_path, shared_metadata[:5], coefficient, config.frontier_samples)
+    _write_frontier(
+        frontier_path, shared_metadata[:5], context.c_tilde, config.frontier_samples
+    )
     residuals = [row[3] for row in rows]
     extras = {
         "min_irtr_residual": min(residuals),
@@ -423,17 +413,6 @@ def run_fig5(config: ExperimentConfig) -> list[Path]:
     }
     return _finish_run(
         config, "fig5", out_dir, [samples_path, frontier_path], extras, started
-    )
-
-
-def _write_frontier(path, metadata, coefficient, samples):
-    no_constraint = coefficient <= _NO_CONSTRAINT_THRESHOLD
-    frontier = [] if no_constraint else irtr_frontier(coefficient, samples)
-    _write_csv(
-        path,
-        [*metadata, ("no_constraint", no_constraint)],
-        ("delta1", "delta2"),
-        [(point.delta1, point.delta2) for point in frontier],
     )
 
 
@@ -451,46 +430,15 @@ def run_custom(config: ExperimentConfig) -> list[Path]:
         for ratio2 in config.theta2_grid
     ]
     children = np.random.SeedSequence(config.seed).spawn(len(points))
-
-    def evaluate(indexed_point):
-        index, (ratio1, ratio2) = indexed_point
-        geometry = SourceGeometry(
-            theta1=ratio1 * config.sigma, theta2=ratio2 * config.sigma
-        )
-        overlaps = overlap_integrals(psf, geometry, config.quad)
-        quantum = qfim(overlaps)
-        coefficient = incompatibility(overlaps).c_tilde
-        rows = []
-
-        def emit(name, sample_index, report):
-            residual = _checked_residual(report, coefficient)
-            rows.append(
-                (ratio1, ratio2, name, sample_index, report.delta1, report.delta2, residual)
-            )
-
-        if "direct" in config.measurements:
-            report = regret_report(
-                fim(direct_imaging_model(psf, geometry, config.quad)), quantum
-            )
-            emit("direct", -1, report)
-        if "spade" in config.measurements:
-            report = regret_report(
-                fim(spade_model(config.sigma, geometry, config.mode_cutoff)), quantum
-            )
-            emit("spade", -1, report)
-        if "random" in config.measurements:
-            state = build_state_model(overlaps)
-            for sample_index, sequence in enumerate(
-                children[index].spawn(config.n_random)
-            ):
-                measurement = haar_random_orthogonal(
-                    np.random.default_rng(sequence), dim=4, seed=sample_index
-                )
-                report = regret_report(fim(projective_model(state, measurement)), quantum)
-                emit("random", sample_index, report)
-        return rows
-
-    row_groups = _map_ordered(evaluate, enumerate(points))
+    rows = []
+    for (ratio1, ratio2), child in zip(points, children):
+        geometry = SourceGeometry(ratio1 * config.sigma, ratio2 * config.sigma)
+        context = _context(psf, geometry, config.quad)
+        streams = child.spawn(config.n_random) if "random" in config.measurements else ()
+        for row in _regret_rows(
+            psf, geometry, config, context, config.measurements, streams
+        ):
+            rows.append((ratio1, ratio2, *row))
     path = out_dir / "custom.csv"
     _write_csv(
         path,
@@ -510,7 +458,7 @@ def run_custom(config: ExperimentConfig) -> list[Path]:
             "delta2",
             "irtr_residual",
         ),
-        [row for group in row_groups for row in group],
+        rows,
     )
     return _finish_run(config, "custom", out_dir, [path], {}, started)
 

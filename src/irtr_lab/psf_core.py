@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
 
 from .errors import ConvergenceError, NormalizationError
 
@@ -130,16 +129,6 @@ def gaussian_psf(sigma: float = 1.0) -> PointSpreadFunction:
         return -x * inv_2s2 * norm * np.exp(-(x**2) * inv_4s2)
 
     return PointSpreadFunction(GAUSSIAN, float(sigma), amplitude, derivative)
-
-
-def eval_psf(psf: PointSpreadFunction, x) -> np.ndarray:
-    """Evaluate psi at ``x`` (scalar or array)."""
-    return psf.amplitude(np.asarray(x, dtype=float))
-
-
-def eval_psf_derivative(psf: PointSpreadFunction, x) -> np.ndarray:
-    """Evaluate psi' at ``x`` (scalar or array)."""
-    return psf.amplitude_derivative(np.asarray(x, dtype=float))
 
 
 def quadrature_grid(lo: float, hi: float, panel_count: int, nodes_per_panel: int):
@@ -281,6 +270,10 @@ def _finite_difference_derivative(values: np.ndarray, step: float) -> np.ndarray
 
 def _clamped_spline(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Cubic interpolant that returns 0 outside the sample window."""
+    # Imported here: scipy.interpolate dominates the package's import time,
+    # and only user-defined PSFs need it.
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(x, y, extrapolate=False)
     lo, hi = x[0], x[-1]
 

@@ -15,10 +15,9 @@ with
     eta3^2 = kappa + beta - gamma^2 / (1 - delta)
     eta4^2 = kappa - beta - gamma^2 / (1 + delta).
 
-The QFIM is diag(4 kappa - 4 gamma^2, kappa).  Three incompatibility
-coefficients are exposed: c_tilde (from the off-diagonal SLD overlap beta),
-c (from the expectation of the SLD commutator), and the mean Uhlmann
-curvature measure, which coincides with c for a two-parameter diagonal QFIM.
+The QFIM is diag(4 kappa - 4 gamma^2, kappa).  Two incompatibility
+coefficients are exposed: c_tilde (from the off-diagonal SLD overlap beta)
+and c (from the expectation of the SLD commutator).
 """
 
 from __future__ import annotations
@@ -81,21 +80,18 @@ class Qfim:
 
 @dataclass(frozen=True)
 class IncompatibilityCoefficients:
-    """The three incompatibility coefficients, all dimensionless in [0, 1]."""
+    """The two incompatibility coefficients, both dimensionless in [0, 1]."""
 
     c_tilde: float
     c: float
-    gamma_measure: float
 
     def __post_init__(self):
-        for name in ("c_tilde", "c", "gamma_measure"):
+        for name in ("c_tilde", "c"):
             value = getattr(self, name)
             if not (-1e-12 <= value <= 1.0 + 1e-9):
                 raise ValueError(f"{name} = {value!r} is outside [0, 1]")
         if self.c > self.c_tilde + 1e-12:
             raise ValueError("c cannot exceed c_tilde")
-        if abs(self.gamma_measure - self.c) > 1e-12:
-            raise ValueError("gamma_measure must equal c for this model")
 
 
 @dataclass(frozen=True)
@@ -163,12 +159,11 @@ def qfim(overlaps: OverlapIntegrals) -> Qfim:
 
 
 def incompatibility(overlaps: OverlapIntegrals) -> IncompatibilityCoefficients:
-    """Compute c_tilde, c, and the mean Uhlmann curvature measure.
+    """Compute c_tilde and c.
 
-    The three coefficients follow independent routes: c_tilde from the
-    overlap scalars directly, c from the expectation of the SLD commutator,
-    and gamma_measure from the determinant ratio of the curvature matrix
-    against the QFIM.  For a real PSF both c and gamma_measure vanish.
+    The two coefficients follow independent routes: c_tilde from the overlap
+    scalars directly, c from the expectation of the SLD commutator.  For a
+    real PSF c vanishes.
     """
     centroid_quarter = overlaps.kappa - overlaps.gamma**2
     if centroid_quarter <= 0.0:
@@ -188,14 +183,7 @@ def incompatibility(overlaps: OverlapIntegrals) -> IncompatibilityCoefficients:
 
     commutator = model.L1 @ model.L2 - model.L2 @ model.L1
     c = float(abs(np.trace(commutator @ model.rho))) / scale
-
-    # Curvature matrix U_jk = -(i/4) tr(rho [L_j, L_k]) is antisymmetric with
-    # real off-diagonal u = Im tr(rho L1 L2) / 2, so det(2U) = 4 u^2.
-    u = 0.5 * float(np.imag(np.trace(model.rho @ model.L1 @ model.L2)))
-    det_ratio = 4.0 * u * u / (fisher[0, 0] * fisher[1, 1])
-    gamma_measure = math.sqrt(det_ratio)
-
-    return IncompatibilityCoefficients(c_tilde=c_tilde, c=c, gamma_measure=gamma_measure)
+    return IncompatibilityCoefficients(c_tilde=c_tilde, c=c)
 
 
 def gaussian_incompatibility(sigma: float, theta2: float) -> float:

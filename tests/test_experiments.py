@@ -1,8 +1,8 @@
 """Tests for the figure runners, their file formats, and the CLI.
 
 Determinism is the load-bearing property here: identical seeds must give
-byte-identical CSVs regardless of thread count, and the frontier files must
-not depend on the seed at all.
+byte-identical CSVs, the frontier files must not depend on the seed at all,
+and every runner row must equal the scalar reference route bit for bit.
 """
 
 import hashlib
@@ -198,12 +198,7 @@ class TestRunFig4:
 
 
 class TestRunFig5:
-    def run(self, tmp_path, name, seed, threads=None, monkeypatch=None):
-        if monkeypatch is not None:
-            if threads is None:
-                monkeypatch.delenv("IRTR_LAB_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("IRTR_LAB_THREADS", str(threads))
+    def run(self, tmp_path, name, seed):
         out = tmp_path / name
         config = lab.ExperimentConfig(
             figure_id="fig5",
@@ -226,13 +221,6 @@ class TestRunFig5:
         assert first[0].read_bytes() != second[0].read_bytes()
         assert first[1].read_bytes() == second[1].read_bytes()
 
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        serial = self.run(tmp_path, "serial", seed=3, threads=1, monkeypatch=monkeypatch)
-        threaded = self.run(
-            tmp_path, "threaded", seed=3, threads=4, monkeypatch=monkeypatch
-        )
-        assert serial[0].read_bytes() == threaded[0].read_bytes()
-
     def test_sample_rows_and_extras(self, tmp_path):
         samples_path, _, manifest_path = self.run(tmp_path, "a", seed=11)
         metadata, header, rows = read_table(samples_path)
@@ -245,11 +233,6 @@ class TestRunFig5:
         extras = manifest["extras"]
         assert extras["min_irtr_residual"] >= -1e-9
         assert 0.0 <= extras["fraction_irtr_residual_below_0.1"] <= 1.0
-
-    def test_invalid_thread_count_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("IRTR_LAB_THREADS", "many")
-        with pytest.raises(lab.ConfigError):
-            self.run(tmp_path, "a", seed=0)
 
 
 class TestRunCustom:
@@ -302,6 +285,94 @@ class TestRunCustom:
             lab.run_custom(config)
 
 
+def scalar_row(model, overlaps):
+    """(delta1, delta2, irtr_residual) through the public scalar API."""
+    report = lab.regret_report(lab.fim(model), lab.qfim(overlaps))
+    point = lab.TradeoffPoint(delta1=report.delta1, delta2=report.delta2)
+    c_tilde = lab.incompatibility(overlaps).c_tilde
+    return report.delta1, report.delta2, lab.irtr_residual(point, c_tilde)
+
+
+class TestRunnersMatchScalarRoute:
+    """Runner rows equal the scalar reference route exactly (17-digit CSVs)."""
+
+    psf = lab.gaussian_psf(1.0)
+    quad = lab.QuadratureSpec()
+
+    def overlaps(self, theta1, theta2):
+        geometry = lab.SourceGeometry(theta1, theta2)
+        return lab.overlap_integrals(self.psf, geometry, self.quad)
+
+    def random_model(self, overlaps, stream, sample_index):
+        rng = np.random.default_rng(stream)
+        measurement = lab.haar_random_orthogonal(rng, dim=4, seed=sample_index)
+        return lab.projective_model(lab.build_state_model(overlaps), measurement)
+
+    def test_fig2_direct_rows(self, tmp_path):
+        config = lab.ExperimentConfig(
+            figure_id="fig2", theta2_grid=(0.3, 1.7), output_dir=str(tmp_path)
+        )
+        _, _, rows = read_table(lab.run_fig2(config)[0])
+        for row in rows:
+            ratio = float(row[0])
+            geometry = lab.SourceGeometry(0.0, ratio)
+            model = lab.direct_imaging_model(self.psf, geometry, self.quad)
+            expected = scalar_row(model, self.overlaps(0.0, ratio))
+            assert (float(row[1]), float(row[2])) == expected[:2]
+
+    def test_fig4_spade_rows(self, tmp_path):
+        config = lab.ExperimentConfig(
+            figure_id="fig4",
+            theta1_grid=(0.0, 0.37, 2.5),
+            theta2_over_sigma=0.1,
+            output_dir=str(tmp_path),
+        )
+        _, _, rows = read_table(lab.run_fig4(config)[0])
+        overlaps = self.overlaps(0.0, 0.1)
+        for row in rows:
+            model = lab.spade_model(1.0, lab.SourceGeometry(float(row[0]), 0.1), None)
+            expected = scalar_row(model, overlaps)
+            assert (float(row[1]), float(row[2])) == expected[:2]
+
+    def test_fig5_sample_k_uses_spawned_stream_k(self, tmp_path):
+        config = lab.ExperimentConfig(
+            figure_id="fig5", n_random=6, seed=3, output_dir=str(tmp_path)
+        )
+        _, _, rows = read_table(lab.run_fig5(config)[0])
+        overlaps = self.overlaps(0.0, 0.1)
+        streams = np.random.SeedSequence(3).spawn(6)
+        for k in (0, 4):
+            expected = scalar_row(self.random_model(overlaps, streams[k], k), overlaps)
+            assert int(rows[k][0]) == k
+            assert tuple(float(cell) for cell in rows[k][1:]) == expected
+
+    def test_custom_direct_spade_and_random_rows(self, tmp_path):
+        config = lab.ExperimentConfig(
+            figure_id="custom",
+            theta1_grid=(0.0, 0.4),
+            theta2_grid=(0.7,),
+            n_random=3,
+            seed=5,
+            output_dir=str(tmp_path),
+        )
+        _, _, rows = read_table(lab.run_custom(config)[0])
+        # Second grid point: theta1 = 0.4, theta2 = 0.7, spawned child 1.
+        direct, spade, *randoms = rows[5:]
+        geometry = lab.SourceGeometry(0.4, 0.7)
+        overlaps = self.overlaps(0.4, 0.7)
+        stream = np.random.SeedSequence(5).spawn(2)[1].spawn(3)[2]
+        direct_model = lab.direct_imaging_model(self.psf, geometry, self.quad)
+        cases = [
+            (direct, "direct", -1, direct_model),
+            (spade, "spade", -1, lab.spade_model(1.0, geometry, None)),
+            (randoms[2], "random", 2, self.random_model(overlaps, stream, 2)),
+        ]
+        for row, name, sample_index, model in cases:
+            assert (float(row[0]), float(row[1]), row[2]) == (0.4, 0.7, name)
+            assert int(row[3]) == sample_index
+            assert tuple(float(cell) for cell in row[4:]) == scalar_row(model, overlaps)
+
+
 class TestCli:
     def test_successful_run_prints_paths(self, tmp_path, capsys):
         code = cli.main(
@@ -325,6 +396,11 @@ class TestCli:
         code = cli.main(["fig1", "--out", str(tmp_path), "--grid", "a:b"])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_malformed_number_flag_is_config_error(self, tmp_path, capsys):
+        code = cli.main(["fig1", "--out", str(tmp_path), "--seed", "x"])
+        assert code == 2
+        assert "config error: --seed: 'x' is not an integer" in capsys.readouterr().err
 
     def test_grid_rejected_for_fig5(self, tmp_path, capsys):
         code = cli.main(["fig5", "--out", str(tmp_path), "--grid", "0.5:1:0.5"])

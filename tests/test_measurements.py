@@ -232,7 +232,7 @@ class TestHermiteGaussianModes:
         x = np.linspace(-4.0, 4.0, 33)
         np.testing.assert_allclose(
             lab.hermite_gaussian_wavefunction(0, 1.3, x),
-            lab.eval_psf(lab.gaussian_psf(1.3), x),
+            lab.gaussian_psf(1.3).amplitude(x),
             rtol=1e-14,
         )
 
@@ -243,7 +243,7 @@ class TestHermiteGaussianModes:
         a = shift / (2.0 * sigma)
         x, w = quadrature_grid(-14.0, 15.0, 40, 32)
         phi = lab.hermite_gaussian_wavefunction(q, sigma, x)
-        psi = lab.eval_psf(lab.gaussian_psf(sigma), x - shift)
+        psi = lab.gaussian_psf(sigma).amplitude(x - shift)
         expected = math.exp(-0.5 * a * a) * a**q / math.sqrt(math.factorial(q))
         np.testing.assert_allclose((phi * psi) @ w, expected, atol=1e-12)
 

@@ -33,13 +33,13 @@ class TestGaussianPsf:
         psf = lab.gaussian_psf(0.7)
         x = np.linspace(-2.0, 2.0, 41)
         h = 1e-6
-        fd = (lab.eval_psf(psf, x + h) - lab.eval_psf(psf, x - h)) / (2.0 * h)
-        np.testing.assert_allclose(lab.eval_psf_derivative(psf, x), fd, atol=1e-8)
+        fd = (psf.amplitude(x + h) - psf.amplitude(x - h)) / (2.0 * h)
+        np.testing.assert_allclose(psf.amplitude_derivative(x), fd, atol=1e-8)
 
     def test_peak_value(self):
         psf = lab.gaussian_psf(1.0)
         expected = (2.0 * math.pi) ** -0.25
-        np.testing.assert_allclose(lab.eval_psf(psf, 0.0), expected, rtol=1e-15)
+        np.testing.assert_allclose(psf.amplitude(0.0), expected, rtol=1e-15)
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -238,7 +238,7 @@ class TestDisplacedOverlaps:
 class TestUserDefinedPsf:
     def _gaussian_samples(self, step=0.01, half_width=10.0):
         x = np.arange(-half_width, half_width + step / 2, step)
-        return x, lab.eval_psf(lab.gaussian_psf(1.0), x)
+        return x, lab.gaussian_psf(1.0).amplitude(x)
 
     def test_round_trip_overlaps(self):
         x, y = self._gaussian_samples()
@@ -259,12 +259,12 @@ class TestUserDefinedPsf:
 
     def test_explicit_derivative_samples(self):
         x, y = self._gaussian_samples()
-        dy = lab.eval_psf_derivative(lab.gaussian_psf(1.0), x)
+        dy = lab.gaussian_psf(1.0).amplitude_derivative(x)
         user = lab.user_psf_from_samples(x, y, derivative=dy)
         probe = np.linspace(-3.0, 3.0, 17)
         np.testing.assert_allclose(
-            lab.eval_psf_derivative(user, probe),
-            lab.eval_psf_derivative(lab.gaussian_psf(1.0), probe),
+            user.amplitude_derivative(probe),
+            lab.gaussian_psf(1.0).amplitude_derivative(probe),
             atol=1e-9,
         )
 
@@ -273,17 +273,17 @@ class TestUserDefinedPsf:
         user = lab.user_psf_from_samples(x, y)
         probe = np.linspace(-3.0, 3.0, 17)
         np.testing.assert_allclose(
-            lab.eval_psf_derivative(user, probe),
-            lab.eval_psf_derivative(lab.gaussian_psf(1.0), probe),
+            user.amplitude_derivative(probe),
+            lab.gaussian_psf(1.0).amplitude_derivative(probe),
             atol=1e-7,
         )
 
     def test_zero_outside_sample_window(self):
         x, y = self._gaussian_samples(half_width=5.0)
         user = lab.user_psf_from_samples(x, y)
-        np.testing.assert_allclose(lab.eval_psf(user, [-7.0, 6.0, 100.0]), 0.0)
+        np.testing.assert_allclose(user.amplitude([-7.0, 6.0, 100.0]), 0.0)
         np.testing.assert_allclose(
-            lab.eval_psf_derivative(user, [-7.0, 6.0, 100.0]), 0.0
+            user.amplitude_derivative([-7.0, 6.0, 100.0]), 0.0
         )
 
     @pytest.mark.parametrize(
@@ -314,8 +314,8 @@ class TestUserDefinedPsf:
         np.testing.assert_allclose(user.sigma, 1.0, atol=1e-5)
         probe = np.linspace(-2.0, 2.0, 9)
         np.testing.assert_allclose(
-            lab.eval_psf(user, probe),
-            lab.eval_psf(lab.gaussian_psf(1.0), probe),
+            user.amplitude(probe),
+            lab.gaussian_psf(1.0).amplitude(probe),
             atol=1e-9,
         )
 

@@ -168,7 +168,6 @@ class TestIncompatibility:
         for theta2 in rng.uniform(0.05, 8.0, size=20):
             coeffs = lab.incompatibility(lab.gaussian_overlap_integrals(1.0, theta2))
             assert coeffs.c == 0.0
-            assert coeffs.gamma_measure == coeffs.c
 
     def test_degenerate_centroid_information_raises(self):
         overlaps = lab.OverlapIntegrals(kappa=0.25, gamma=0.5, beta=0.0, delta=0.3)
@@ -177,11 +176,9 @@ class TestIncompatibility:
 
     def test_container_enforces_ordering(self):
         with pytest.raises(ValueError):
-            lab.IncompatibilityCoefficients(c_tilde=0.2, c=0.5, gamma_measure=0.5)
+            lab.IncompatibilityCoefficients(c_tilde=0.2, c=0.5)
         with pytest.raises(ValueError):
-            lab.IncompatibilityCoefficients(c_tilde=0.9, c=0.1, gamma_measure=0.4)
-        with pytest.raises(ValueError):
-            lab.IncompatibilityCoefficients(c_tilde=1.5, c=0.0, gamma_measure=0.0)
+            lab.IncompatibilityCoefficients(c_tilde=1.5, c=0.0)
 
 
 class TestGaussianIncompatibility:
