@@ -81,13 +81,14 @@ class ProbabilityModel:
         if np.any(arrays["probabilities"] < 0.0):
             raise ValueError("probabilities must be nonnegative")
         weights = self.weights if self.weights is not None else 1.0
+        # Written as `not ... <= tol` so that a NaN or inf anywhere fails the check.
         total = float(np.sum(weights * arrays["probabilities"])) + self.truncated_mass
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"total probability {total!r} deviates from 1")
         for name in ("dp_dtheta1", "dp_dtheta2"):
             drift = float(np.sum(weights * arrays[name]))
             scale = max(1.0, float(np.max(np.abs(arrays[name]), initial=0.0)))
-            if abs(drift) > 1e-8 * scale:
+            if not abs(drift) <= 1e-8 * scale < math.inf:
                 raise ValueError(f"sum of {name} = {drift!r} is not 0")
 
 

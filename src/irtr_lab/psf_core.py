@@ -20,7 +20,9 @@ agree to ``abs_tolerance`` or a ConvergenceError is raised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -54,6 +56,9 @@ class SourceGeometry:
     theta2: float
 
     def __post_init__(self):
+        for name, value in (("theta1", self.theta1), ("theta2", self.theta2)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.theta2 > 0.0:
             # theta2 = 0 makes the state rank-1 and the 4D basis degenerate.
             raise ValueError("separation theta2 must be strictly positive")
@@ -131,9 +136,24 @@ def gaussian_psf(sigma: float = 1.0) -> PointSpreadFunction:
     return PointSpreadFunction(GAUSSIAN, float(sigma), amplitude, derivative)
 
 
+# Bounded because nodes_per_panel is user input; a run uses a single rule.
+_GAUSS_LEGENDRE_CACHE_SIZE = 8
+
+
+# leggauss solves an eigenproblem on every call; a sweep reuses one rule thousands of times.
+# typed=True keeps 32.0 from being served the rule cached for 32: leggauss rejects it.
+@lru_cache(maxsize=_GAUSS_LEGENDRE_CACHE_SIZE, typed=True)
+def _gauss_legendre(nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only by all callers."""
+    nodes, weights = leggauss(nodes_per_panel)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def quadrature_grid(lo: float, hi: float, panel_count: int, nodes_per_panel: int):
     """Nodes and weights of composite Gauss-Legendre quadrature on [lo, hi]."""
-    base_x, base_w = leggauss(nodes_per_panel)
+    base_x, base_w = _gauss_legendre(nodes_per_panel)
     edges = np.linspace(lo, hi, panel_count + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])

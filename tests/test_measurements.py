@@ -70,6 +70,27 @@ class TestProbabilityModelContainer:
                 dp_dtheta2=[0.0, 0.0],
             )
 
+    @pytest.mark.parametrize(
+        "probabilities, dp_dtheta1, weights",
+        [
+            ([math.nan, math.nan], [0.0, 0.0], None),
+            ([0.5, math.nan], [0.0, 0.0], None),
+            ([0.5, math.inf], [0.0, 0.0], None),
+            ([0.5, 0.5], [math.nan, 0.0], None),
+            ([0.5, 0.5], [math.inf, 0.0], None),
+            ([0.5, 0.5], [0.0, 0.0], [1.0, math.nan]),
+        ],
+    )
+    def test_rejects_non_finite_entries(self, probabilities, dp_dtheta1, weights):
+        with pytest.raises(ValueError):
+            lab.ProbabilityModel(
+                outcome_kind=CONTINUUM_GRID if weights else DISCRETE_MODES,
+                probabilities=probabilities,
+                dp_dtheta1=dp_dtheta1,
+                dp_dtheta2=[0.0, 0.0],
+                weights=weights,
+            )
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             lab.ProbabilityModel(

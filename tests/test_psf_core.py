@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import irtr_lab as lab
+from irtr_lab import psf_core
 from irtr_lab.psf_core import displaced_overlaps, quadrature_grid
 
 # Closed-form references for sigma = 1 (kappa = 1/4 regardless of theta2).
@@ -73,6 +74,20 @@ class TestSourceGeometry:
         with pytest.raises(ValueError):
             lab.SourceGeometry(0.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "theta1, theta2, field",
+        [
+            (0.0, math.inf, "theta2"),
+            (0.0, math.nan, "theta2"),
+            (math.inf, 1.0, "theta1"),
+            (-math.inf, 1.0, "theta1"),
+            (math.nan, 1.0, "theta1"),
+        ],
+    )
+    def test_coordinates_must_be_finite(self, theta1, theta2, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            lab.SourceGeometry(theta1, theta2)
+
 
 class TestQuadratureSpec:
     def test_defaults(self):
@@ -105,6 +120,54 @@ class TestQuadratureSpec:
         # Degree 2n-1 = 31 polynomials are exact per panel; check x^8.
         x, w = quadrature_grid(0.0, 2.0, 2, 16)
         np.testing.assert_allclose((x**8) @ w, 2.0**9 / 9.0, rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "lo, hi, panel_count, nodes_per_panel",
+        [(-3.0, 5.0, 4, 16), (-12.5, 12.5, 32, 32), (-12.0, 13.7, 64, 32), (0.0, 1e-3, 1, 5)],
+    )
+    def test_grid_matches_fresh_leggauss_bitwise(self, lo, hi, panel_count, nodes_per_panel):
+        base_x, base_w = np.polynomial.legendre.leggauss(nodes_per_panel)
+        edges = np.linspace(lo, hi, panel_count + 1)
+        half = 0.5 * np.diff(edges)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        for _ in range(2):  # the second call is served from the cached rule
+            x, w = quadrature_grid(lo, hi, panel_count, nodes_per_panel)
+            assert np.array_equal(x, (mid[:, None] + half[:, None] * base_x).ravel())
+            assert np.array_equal(w, (half[:, None] * base_w).ravel())
+
+    def test_cached_rule_is_read_only(self):
+        nodes, weights = psf_core._gauss_legendre(32)
+        for array in (nodes, weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        x, w = quadrature_grid(-1.0, 1.0, 1, 32)
+        assert x.flags.writeable and w.flags.writeable
+
+    def test_float_node_count_is_rejected_after_int_rule_is_cached(self):
+        quadrature_grid(-1.0, 1.0, 1, 32)
+        with pytest.raises(TypeError):
+            quadrature_grid(-1.0, 1.0, 1, 32.0)
+
+    def test_sweep_builds_each_rule_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_leggauss(n):
+            calls.append(n)
+            return np.polynomial.legendre.leggauss(n)
+
+        monkeypatch.setattr(psf_core, "leggauss", counting_leggauss)
+        psf_core._gauss_legendre.cache_clear()
+        try:
+            config = lab.ExperimentConfig(
+                figure_id="fig2",
+                theta2_grid=tuple(np.linspace(0.1, 8.0, 20)),
+                output_dir=str(tmp_path),
+            )
+            lab.run_fig2(config)
+        finally:
+            psf_core._gauss_legendre.cache_clear()
+        assert calls == [config.quad.nodes_per_panel]
 
 
 class TestOverlapIntegralsContainer:
