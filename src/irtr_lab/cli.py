@@ -16,20 +16,8 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, IrtrLabError
-from .experiments import (
-    FIGURES,
-    RUNNERS,
-    ExperimentConfig,
-    inclusive_grid,
-)
+from .experiments import FIGURES, RUNNERS, SWEEPS, ExperimentConfig, inclusive_grid
 from .psf_core import QuadratureSpec
-
-_GRID_TARGET = {
-    "fig1": "theta2_grid",
-    "fig2": "theta2_grid",
-    "fig3": "panels",
-    "fig4": "theta1_grid",
-}
 
 _QUAD_KEYS = ("truncation_radius", "panel_count", "nodes_per_panel", "abs_tolerance")
 
@@ -144,15 +132,14 @@ def _build_config(figure: str, settings: dict) -> ExperimentConfig:
     except ValueError as error:
         raise ConfigError(str(error)) from None
     if "grid" in settings:
-        target = _GRID_TARGET.get(figure)
-        if target is None:
+        if figure not in SWEEPS:
             hint = (
                 "use --theta1-grid/--theta2-grid"
                 if figure == "custom"
                 else "it sweeps random samples, not a grid"
             )
             raise ConfigError(f"--grid does not apply to {figure}: {hint}")
-        settings[target] = settings.pop("grid")
+        settings[SWEEPS[figure][0]] = settings.pop("grid")
     return ExperimentConfig(figure_id=figure, quad=quad, **settings)
 
 

@@ -1,13 +1,16 @@
 """Deterministic experiment runners producing the figure datasets.
 
-Each ``run_figN`` function sweeps one scenario, writes one CSV per dataset
-(17 significant digits, '#'-prefixed key=value metadata lines before the
+Each ``run_figN`` function sweeps one scenario and returns its tables; one
+scaffold does the rest of every run.  It checks the figure, fills in the
+figure's default sweep from ``SWEEPS``, writes one CSV per table (17
+significant digits, '#'-prefixed key=value metadata lines before the
 header), and finishes with a JSON manifest carrying the resolved
-configuration and a checksum per file.  Identical configuration and seed
-give byte-identical CSVs: randomness flows through a spawned SeedSequence
-per sample.  Every runner evaluates its points through one kernel:
-``_context`` (overlaps, QFIM, c_tilde per geometry) feeding ``_regret_rows``
-(probability model, FIM, regrets and checked IRTR residual per measurement).
+configuration and the checksum and size of the bytes it wrote.  Identical
+configuration and seed give byte-identical CSVs: randomness flows through a
+spawned SeedSequence per sample.  Every runner evaluates its points through
+one kernel: ``_context`` (overlaps, QFIM, c_tilde per geometry) feeding
+``_regret_rows`` (probability model, FIM, regrets and checked IRTR residual
+per measurement).
 """
 
 from __future__ import annotations
@@ -62,6 +65,15 @@ DEFAULT_SEPARATION_GRID = inclusive_grid(0.05, 8.0, 0.05)
 DEFAULT_MISALIGNMENT_GRID = inclusive_grid(0.0, 5.0, 0.05)
 DEFAULT_PANELS = (0.2, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
 
+# Figure -> (config field its primary sweep sets, value when left unset).
+# The CLI's --grid addresses the same field.
+SWEEPS = {
+    "fig1": ("theta2_grid", DEFAULT_SEPARATION_GRID),
+    "fig2": ("theta2_grid", DEFAULT_SEPARATION_GRID),
+    "fig3": ("panels", DEFAULT_PANELS),
+    "fig4": ("theta1_grid", DEFAULT_MISALIGNMENT_GRID),
+}
+
 
 def _validated_grid(name: str, values, positive: bool) -> tuple[float, ...]:
     grid = tuple(float(v) for v in values)
@@ -97,8 +109,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.figure_id not in FIGURES:
             raise ConfigError(f"unknown figure_id {self.figure_id!r}")
-        if not self.sigma > 0.0:
-            raise ConfigError("sigma must be positive")
+        if not 0.0 < self.sigma < np.inf:
+            raise ConfigError("sigma must be positive and finite")
         if self.theta1_grid is not None:
             object.__setattr__(
                 self, "theta1_grid", _validated_grid("theta1_grid", self.theta1_grid, False)
@@ -108,6 +120,11 @@ class ExperimentConfig:
                 self, "theta2_grid", _validated_grid("theta2_grid", self.theta2_grid, True)
             )
         object.__setattr__(self, "panels", _validated_grid("panels", self.panels, True))
+        for name in ("n_random", "seed", "frontier_samples", "mode_cutoff"):
+            value = getattr(self, name)
+            adaptive = name == "mode_cutoff" and value is None
+            if not (adaptive or np.issubdtype(type(value), np.integer)):
+                raise ConfigError(f"{name} must be an integer")
         if self.n_random < 1:
             raise ConfigError("n_random must be at least 1")
         if not (0 <= self.seed < 2**64):
@@ -120,8 +137,8 @@ class ExperimentConfig:
         object.__setattr__(self, "measurements", chosen)
         if self.frontier_samples < 2:
             raise ConfigError("frontier_samples must be at least 2")
-        if not self.theta2_over_sigma > 0.0:
-            raise ConfigError("theta2_over_sigma must be positive")
+        if not 0.0 < self.theta2_over_sigma < np.inf:
+            raise ConfigError("theta2_over_sigma must be positive and finite")
         object.__setattr__(self, "output_dir", str(self.output_dir))
 
 
@@ -148,11 +165,11 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, metadata, header, rows) -> None:
+def _encode_csv(metadata, header, rows) -> bytes:
     lines = [f"# {key}={_format_cell(value)}" for key, value in metadata]
     lines.append(",".join(header))
     lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -161,14 +178,53 @@ def _config_echo(config: ExperimentConfig) -> dict:
     return echo
 
 
-def _finish_run(config, figure, out_dir, csv_paths, extras, started) -> list[Path]:
-    files = {}
-    for path in csv_paths:
-        data = path.read_bytes()
-        files[path.name] = {
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "bytes": len(data),
-        }
+RUNNERS = {}
+
+
+def _runner(figure: str):
+    """Register ``compute(config, psf) -> (tables, extras)`` as ``figure``'s runner.
+
+    The public runner keeps the name and docstring of ``compute`` and the
+    signature ``(config) -> list[Path]``; ``_run`` does the rest of the run.
+    """
+
+    def register(compute):
+        def run(config: ExperimentConfig) -> list[Path]:
+            return _run(figure, compute, config)
+
+        run.__name__ = run.__qualname__ = compute.__name__
+        run.__doc__ = compute.__doc__
+        RUNNERS[figure] = run
+        return run
+
+    return register
+
+
+def _run(figure: str, compute, config: ExperimentConfig) -> list[Path]:
+    """Compute ``figure``'s tables, write them and the manifest, return the paths.
+
+    Each table is ``(file name, metadata, header, rows)``; the CSVs come back
+    in table order, then ``manifest.json``.  Checksums are taken of the bytes
+    as they are written.  Nothing is written, and the output directory is
+    not created, until every table has been computed.
+    """
+    if config.figure_id != figure:
+        raise ConfigError(f"config names figure {config.figure_id!r}, expected {figure!r}")
+    if figure in SWEEPS:
+        field, default = SWEEPS[figure]
+        if getattr(config, field) is None:
+            config = dataclasses.replace(config, **{field: default})
+    started = time.perf_counter()
+    tables, extras = compute(config, gaussian_psf(config.sigma))
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths, files = [], {}
+    for name, metadata, header, rows in tables:
+        data = _encode_csv([("figure", figure), *metadata], header, rows)
+        path = out_dir / name
+        path.write_bytes(data)
+        paths.append(path)
+        files[name] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
     from . import __version__
 
     manifest = RunManifest(
@@ -185,18 +241,7 @@ def _finish_run(config, figure, out_dir, csv_paths, extras, started) -> list[Pat
         json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    return [*csv_paths, manifest_path]
-
-
-def _prepare_output(config: ExperimentConfig) -> Path:
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
-def _require(config: ExperimentConfig, figure: str) -> None:
-    if config.figure_id != figure:
-        raise ConfigError(f"config names figure {config.figure_id!r}, expected {figure!r}")
+    return [*paths, manifest_path]
 
 
 def _checked_residual(report, c_tilde: float) -> float:
@@ -246,83 +291,52 @@ def _regret_rows(psf, geometry, config, context, measurements, streams=()):
             yield row("random", sample_index, projective_model(state, measurement))
 
 
-def _write_frontier(path, metadata, coefficient, samples):
+def _frontier_table(name, metadata, coefficient, samples):
     no_constraint = coefficient <= _NO_CONSTRAINT_THRESHOLD
     frontier = [] if no_constraint else irtr_frontier(coefficient, samples)
-    _write_csv(
-        path,
-        [*metadata, ("no_constraint", no_constraint)],
-        ("delta1", "delta2"),
-        [(point.delta1, point.delta2) for point in frontier],
-    )
+    rows = [(point.delta1, point.delta2) for point in frontier]
+    return name, [*metadata, ("no_constraint", no_constraint)], ("delta1", "delta2"), rows
 
 
-def run_fig1(config: ExperimentConfig) -> list[Path]:
+@_runner("fig1")
+def run_fig1(config, psf):
     """Incompatibility coefficient versus separation, both computation routes."""
-    _require(config, "fig1")
-    grid = config.theta2_grid if config.theta2_grid is not None else DEFAULT_SEPARATION_GRID
-    config = dataclasses.replace(config, theta2_grid=grid)
-    started = time.perf_counter()
-    out_dir = _prepare_output(config)
-    psf = gaussian_psf(config.sigma)
     rows = []
-    for ratio in grid:
+    for ratio in config.theta2_grid:
         separation = ratio * config.sigma
         closed = gaussian_incompatibility(config.sigma, separation)
         context = _context(psf, SourceGeometry(0.0, separation), config.quad)
         rows.append((ratio, closed, context.c_tilde))
-    path = out_dir / "fig1.csv"
-    _write_csv(
-        path,
-        [("figure", "fig1"), ("sigma", config.sigma)],
-        ("theta2_over_sigma", "c_tilde_closed_form", "c_tilde_quadrature"),
-        rows,
-    )
-    return _finish_run(config, "fig1", out_dir, [path], {}, started)
+    header = ("theta2_over_sigma", "c_tilde_closed_form", "c_tilde_quadrature")
+    return [("fig1.csv", [("sigma", config.sigma)], header, rows)], {}
 
 
-def run_fig2(config: ExperimentConfig) -> list[Path]:
+@_runner("fig2")
+def run_fig2(config, psf):
     """Direct-imaging information regrets versus separation at zero misalignment."""
-    _require(config, "fig2")
-    grid = config.theta2_grid if config.theta2_grid is not None else DEFAULT_SEPARATION_GRID
-    config = dataclasses.replace(config, theta2_grid=grid)
-    started = time.perf_counter()
-    out_dir = _prepare_output(config)
-    psf = gaussian_psf(config.sigma)
     rows = []
-    for ratio in grid:
+    for ratio in config.theta2_grid:
         geometry = SourceGeometry(0.0, ratio * config.sigma)
         context = _context(psf, geometry, config.quad)
         for _, _, delta1, delta2, _ in _regret_rows(
             psf, geometry, config, context, ("direct",)
         ):
             rows.append((ratio, delta1, delta2))
-    path = out_dir / "fig2.csv"
-    _write_csv(
-        path,
-        [("figure", "fig2"), ("sigma", config.sigma), ("theta1_over_sigma", 0.0)],
-        ("theta2_over_sigma", "delta1", "delta2"),
-        rows,
-    )
-    return _finish_run(config, "fig2", out_dir, [path], {}, started)
+    metadata = [("sigma", config.sigma), ("theta1_over_sigma", 0.0)]
+    return [("fig2.csv", metadata, ("theta2_over_sigma", "delta1", "delta2"), rows)], {}
 
 
-def run_fig3(config: ExperimentConfig) -> list[Path]:
+@_runner("fig3")
+def run_fig3(config, psf):
     """Per-separation panels: direct-imaging point against the IRTR frontier."""
-    _require(config, "fig3")
-    started = time.perf_counter()
-    out_dir = _prepare_output(config)
-    psf = gaussian_psf(config.sigma)
-    paths = []
+    tables = []
     for index, ratio in enumerate(config.panels, start=1):
         geometry = SourceGeometry(0.0, ratio * config.sigma)
         context = _context(psf, geometry, config.quad)
         ((_, _, delta1, delta2, residual),) = _regret_rows(
             psf, geometry, config, context, ("direct",)
         )
-        path = out_dir / f"fig3_panel_{index}.csv"
         metadata = [
-            ("figure", "fig3"),
             ("panel", index),
             ("sigma", config.sigma),
             ("theta2_over_sigma", ratio),
@@ -331,53 +345,45 @@ def run_fig3(config: ExperimentConfig) -> list[Path]:
             ("di_delta2", delta2),
             ("irtr_residual", residual),
         ]
-        _write_frontier(path, metadata, context.c_tilde, config.frontier_samples)
-        paths.append(path)
-    return _finish_run(config, "fig3", out_dir, paths, {}, started)
+        tables.append(
+            _frontier_table(
+                f"fig3_panel_{index}.csv", metadata, context.c_tilde, config.frontier_samples
+            )
+        )
+    return tables, {}
 
 
-def run_fig4(config: ExperimentConfig) -> list[Path]:
+@_runner("fig4")
+def run_fig4(config, psf):
     """SPADE information regrets versus misalignment at fixed separation."""
-    _require(config, "fig4")
-    grid = (
-        config.theta1_grid if config.theta1_grid is not None else DEFAULT_MISALIGNMENT_GRID
-    )
-    config = dataclasses.replace(config, theta1_grid=grid)
-    started = time.perf_counter()
-    out_dir = _prepare_output(config)
-    psf = gaussian_psf(config.sigma)
     separation = config.theta2_over_sigma * config.sigma
     # The overlaps depend only on the separation, so one evaluation covers
     # the whole misalignment sweep.
     context = _context(psf, SourceGeometry(0.0, separation), config.quad)
     rows = []
-    for ratio in grid:
+    for ratio in config.theta1_grid:
         geometry = SourceGeometry(ratio * config.sigma, separation)
         for _, _, delta1, delta2, _ in _regret_rows(
             psf, geometry, config, context, ("spade",)
         ):
             rows.append((ratio, delta1, delta2))
-    shared_metadata = [
-        ("figure", "fig4"),
+    metadata = [
         ("sigma", config.sigma),
         ("theta2_over_sigma", config.theta2_over_sigma),
         ("c_tilde", context.c_tilde),
     ]
-    data_path = out_dir / "fig4.csv"
-    _write_csv(data_path, shared_metadata, ("theta1_over_sigma", "delta1", "delta2"), rows)
-    frontier_path = out_dir / "fig4_frontier.csv"
-    _write_frontier(
-        frontier_path, shared_metadata, context.c_tilde, config.frontier_samples
-    )
-    return _finish_run(config, "fig4", out_dir, [data_path, frontier_path], {}, started)
+    tables = [
+        ("fig4.csv", metadata, ("theta1_over_sigma", "delta1", "delta2"), rows),
+        _frontier_table(
+            "fig4_frontier.csv", metadata, context.c_tilde, config.frontier_samples
+        ),
+    ]
+    return tables, {}
 
 
-def run_fig5(config: ExperimentConfig) -> list[Path]:
+@_runner("fig5")
+def run_fig5(config, psf):
     """Haar-random projective measurements at fixed geometry."""
-    _require(config, "fig5")
-    started = time.perf_counter()
-    out_dir = _prepare_output(config)
-    psf = gaussian_psf(config.sigma)
     geometry = SourceGeometry(0.0, config.theta2_over_sigma * config.sigma)
     context = _context(psf, geometry, config.quad)
     streams = np.random.SeedSequence(config.seed).spawn(config.n_random)
@@ -385,8 +391,7 @@ def run_fig5(config: ExperimentConfig) -> list[Path]:
         row[1:]
         for row in _regret_rows(psf, geometry, config, context, ("random",), streams)
     ]
-    shared_metadata = [
-        ("figure", "fig5"),
+    metadata = [
         ("sigma", config.sigma),
         ("theta1_over_sigma", 0.0),
         ("theta2_over_sigma", config.theta2_over_sigma),
@@ -394,36 +399,31 @@ def run_fig5(config: ExperimentConfig) -> list[Path]:
         ("seed", config.seed),
         ("n_random", config.n_random),
     ]
-    samples_path = out_dir / "fig5_samples.csv"
-    _write_csv(
-        samples_path,
-        shared_metadata,
-        ("sample_index", "delta1", "delta2", "irtr_residual"),
-        rows,
-    )
-    frontier_path = out_dir / "fig5_frontier.csv"
-    _write_frontier(
-        frontier_path, shared_metadata[:5], context.c_tilde, config.frontier_samples
-    )
+    tables = [
+        (
+            "fig5_samples.csv",
+            metadata,
+            ("sample_index", "delta1", "delta2", "irtr_residual"),
+            rows,
+        ),
+        _frontier_table(
+            "fig5_frontier.csv", metadata[:4], context.c_tilde, config.frontier_samples
+        ),
+    ]
     residuals = [row[3] for row in rows]
     extras = {
         "min_irtr_residual": min(residuals),
         "fraction_irtr_residual_below_0.1": sum(r < 0.1 for r in residuals)
         / len(residuals),
     }
-    return _finish_run(
-        config, "fig5", out_dir, [samples_path, frontier_path], extras, started
-    )
+    return tables, extras
 
 
-def run_custom(config: ExperimentConfig) -> list[Path]:
+@_runner("custom")
+def run_custom(config, psf):
     """Generic sweep over a (theta1, theta2) grid and measurement selection."""
-    _require(config, "custom")
     if config.theta1_grid is None or config.theta2_grid is None:
         raise ConfigError("custom runs require explicit theta1_grid and theta2_grid")
-    started = time.perf_counter()
-    out_dir = _prepare_output(config)
-    psf = gaussian_psf(config.sigma)
     points = [
         (ratio1, ratio2)
         for ratio1 in config.theta1_grid
@@ -439,35 +439,19 @@ def run_custom(config: ExperimentConfig) -> list[Path]:
             psf, geometry, config, context, config.measurements, streams
         ):
             rows.append((ratio1, ratio2, *row))
-    path = out_dir / "custom.csv"
-    _write_csv(
-        path,
-        [
-            ("figure", "custom"),
-            ("sigma", config.sigma),
-            ("seed", config.seed),
-            ("n_random", config.n_random),
-            ("measurements", "+".join(config.measurements)),
-        ],
-        (
-            "theta1_over_sigma",
-            "theta2_over_sigma",
-            "measurement",
-            "sample_index",
-            "delta1",
-            "delta2",
-            "irtr_residual",
-        ),
-        rows,
+    metadata = [
+        ("sigma", config.sigma),
+        ("seed", config.seed),
+        ("n_random", config.n_random),
+        ("measurements", "+".join(config.measurements)),
+    ]
+    header = (
+        "theta1_over_sigma",
+        "theta2_over_sigma",
+        "measurement",
+        "sample_index",
+        "delta1",
+        "delta2",
+        "irtr_residual",
     )
-    return _finish_run(config, "custom", out_dir, [path], {}, started)
-
-
-RUNNERS = {
-    "fig1": run_fig1,
-    "fig2": run_fig2,
-    "fig3": run_fig3,
-    "fig4": run_fig4,
-    "fig5": run_fig5,
-    "custom": run_custom,
-}
+    return [("custom.csv", metadata, header, rows)], {}

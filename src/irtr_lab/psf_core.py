@@ -88,8 +88,11 @@ class QuadratureSpec:
     abs_tolerance: float = 1e-12
 
     def __post_init__(self):
-        if self.truncation_radius < 8.0:
-            raise ValueError("truncation_radius must be at least 8 sigma")
+        if not 8.0 <= self.truncation_radius < math.inf:
+            raise ValueError("truncation_radius must be finite and at least 8 sigma")
+        counts = (self.panel_count, self.nodes_per_panel)
+        if not all(np.issubdtype(type(count), np.integer) for count in counts):
+            raise ValueError("panel_count and nodes_per_panel must be integers")
         if self.panel_count < 1 or self.nodes_per_panel < 1:
             raise ValueError("panel_count and nodes_per_panel must be positive")
         if not self.abs_tolerance > 0.0:

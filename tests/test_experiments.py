@@ -6,14 +6,20 @@ and every runner row must equal the scalar reference route bit for bit.
 """
 
 import hashlib
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 import irtr_lab as lab
-from irtr_lab import cli
-from irtr_lab.experiments import DEFAULT_PANELS, DEFAULT_SEPARATION_GRID, inclusive_grid
+from irtr_lab import cli, experiments
+from irtr_lab.experiments import (
+    DEFAULT_MISALIGNMENT_GRID,
+    DEFAULT_PANELS,
+    DEFAULT_SEPARATION_GRID,
+    inclusive_grid,
+)
 
 
 def read_table(path):
@@ -75,16 +81,98 @@ class TestExperimentConfig:
             {"figure_id": "fig1", "measurements": ()},
             {"figure_id": "fig1", "frontier_samples": 1},
             {"figure_id": "fig1", "theta2_over_sigma": 0.0},
+            {"figure_id": "fig1", "sigma": float("inf")},
+            {"figure_id": "fig1", "sigma": float("nan")},
+            {"figure_id": "fig1", "theta2_over_sigma": float("inf")},
+            {"figure_id": "fig1", "theta2_over_sigma": float("nan")},
+            {"figure_id": "fig5", "n_random": 2.5},
+            {"figure_id": "fig5", "n_random": True},
+            {"figure_id": "fig1", "seed": 1.0},
+            {"figure_id": "fig1", "frontier_samples": 32.0},
+            {"figure_id": "fig4", "mode_cutoff": 3.5},
         ],
     )
     def test_rejects_invalid_settings(self, kwargs):
         with pytest.raises(lab.ConfigError):
             lab.ExperimentConfig(**kwargs)
 
+    def test_accepts_numpy_integers(self):
+        config = lab.ExperimentConfig(
+            figure_id="fig5",
+            n_random=np.int64(3),
+            seed=np.uint64(2**63),
+            mode_cutoff=np.int32(4),
+        )
+        assert (config.n_random, config.mode_cutoff) == (3, 4)
+
     def test_runner_checks_figure_id(self):
         config = lab.ExperimentConfig(figure_id="fig2")
         with pytest.raises(lab.ConfigError):
             lab.run_fig1(config)
+
+
+SMALL_CONFIGS = {
+    "fig1": {"theta2_grid": (0.5, 1.0)},
+    "fig2": {"theta2_grid": (0.5, 1.0)},
+    "fig3": {"panels": (0.5, 2.0, 3.0), "frontier_samples": 8},
+    "fig4": {"theta1_grid": (0.0, 0.5), "frontier_samples": 8},
+    "fig5": {"n_random": 4, "frontier_samples": 8},
+    "custom": {"theta1_grid": (0.0,), "theta2_grid": (0.5, 1.0), "n_random": 2},
+}
+WRITE_ORDER = {
+    "fig1": ["fig1.csv"],
+    "fig2": ["fig2.csv"],
+    "fig3": ["fig3_panel_1.csv", "fig3_panel_2.csv", "fig3_panel_3.csv"],
+    "fig4": ["fig4.csv", "fig4_frontier.csv"],
+    "fig5": ["fig5_samples.csv", "fig5_frontier.csv"],
+    "custom": ["custom.csv"],
+}
+
+
+class TestRunScaffold:
+    """What every runner shares: registration, file order, manifest, sweeps."""
+
+    def test_runners_cover_every_figure_in_order(self):
+        assert tuple(experiments.RUNNERS) == experiments.FIGURES
+        for figure, runner in experiments.RUNNERS.items():
+            assert runner is getattr(lab, f"run_{figure}")
+            assert runner.__name__ == f"run_{figure}"
+            assert list(inspect.signature(runner).parameters) == ["config"]
+            assert runner.__doc__
+
+    @pytest.mark.parametrize("figure", experiments.FIGURES)
+    def test_paths_and_manifest_checksums(self, tmp_path, figure):
+        config = lab.ExperimentConfig(
+            figure_id=figure, output_dir=str(tmp_path), **SMALL_CONFIGS[figure]
+        )
+        paths = experiments.RUNNERS[figure](config)
+        assert [p.name for p in paths] == [*WRITE_ORDER[figure], "manifest.json"]
+        assert all(p.parent == tmp_path for p in paths)
+        manifest = json.loads(paths[-1].read_text(encoding="utf-8"))
+        assert manifest["figure"] == figure
+        assert sorted(manifest["files"]) == sorted(WRITE_ORDER[figure])
+        for path in paths[:-1]:
+            data = path.read_bytes()
+            assert data.startswith(f"# figure={figure}\n".encode())
+            entry = manifest["files"][path.name]
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+            assert entry["bytes"] == len(data)
+
+    @pytest.mark.parametrize(
+        "figure, field, default",
+        [
+            ("fig1", "theta2_grid", DEFAULT_SEPARATION_GRID),
+            ("fig2", "theta2_grid", DEFAULT_SEPARATION_GRID),
+            ("fig4", "theta1_grid", DEFAULT_MISALIGNMENT_GRID),
+        ],
+    )
+    def test_default_sweep_is_echoed(self, tmp_path, figure, field, default):
+        assert getattr(lab.ExperimentConfig(figure_id=figure), field) is None
+        config = lab.ExperimentConfig(
+            figure_id=figure, frontier_samples=8, output_dir=str(tmp_path)
+        )
+        manifest = json.loads(experiments.RUNNERS[figure](config)[-1].read_text("utf-8"))
+        assert manifest["config"][field] == list(default)
 
 
 class TestRunFig1:
@@ -402,10 +490,36 @@ class TestCli:
         assert code == 2
         assert "config error: --seed: 'x' is not an integer" in capsys.readouterr().err
 
-    def test_grid_rejected_for_fig5(self, tmp_path, capsys):
-        code = cli.main(["fig5", "--out", str(tmp_path), "--grid", "0.5:1:0.5"])
+    @pytest.mark.parametrize(
+        "figure, grid, field",
+        [
+            ("fig1", "0.5,1.5", "theta2_grid"),
+            ("fig2", "0.5,1.5", "theta2_grid"),
+            ("fig3", "0.5,1.5", "panels"),
+            ("fig4", "0,1.5", "theta1_grid"),
+        ],
+    )
+    def test_grid_sets_the_figures_sweep(self, tmp_path, figure, grid, field):
+        code = cli.main([figure, "--out", str(tmp_path), "--grid", grid])
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        expected = [float(value) for value in grid.split(",")]
+        assert manifest["config"][field] == expected
+
+    @pytest.mark.parametrize("figure", ["fig5", "custom"])
+    def test_grid_rejected_without_a_sweep(self, tmp_path, capsys, figure):
+        code = cli.main([figure, "--out", str(tmp_path), "--grid", "0.5:1:0.5"])
         assert code == 2
         assert "--grid does not apply" in capsys.readouterr().err
+        assert not tmp_path.joinpath("manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["fig1", "--sigma", "inf", "--grid", "1.0,"], ["fig5", "--sigma", "inf"]]
+    )
+    def test_non_finite_sigma_is_config_error(self, tmp_path, capsys, argv):
+        code = cli.main([*argv, "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error: sigma must be positive and finite" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(

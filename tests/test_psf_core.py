@@ -101,14 +101,23 @@ class TestQuadratureSpec:
         "kwargs",
         [
             {"truncation_radius": 7.9},
+            {"truncation_radius": float("nan")},
+            {"truncation_radius": float("inf")},
             {"panel_count": 0},
+            {"panel_count": 32.0},
+            {"panel_count": True},
             {"nodes_per_panel": 0},
+            {"nodes_per_panel": 2.5},
             {"abs_tolerance": 0.0},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             lab.QuadratureSpec(**kwargs)
+
+    def test_accepts_numpy_integer_counts(self):
+        quad = lab.QuadratureSpec(panel_count=np.int64(16), nodes_per_panel=np.int32(8))
+        assert (quad.panel_count, quad.nodes_per_panel) == (16, 8)
 
     def test_grid_weights_sum_to_length(self):
         x, w = quadrature_grid(-3.0, 5.0, 4, 16)
