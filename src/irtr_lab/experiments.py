@@ -29,26 +29,27 @@ from .errors import BoundViolationError, ConfigError
 from .measurements import (
     direct_imaging_model,
     fim,
-    haar_random_orthogonal,
-    projective_model,
+    haar_random_bases,
+    projective_regrets,
     regret_report,
     spade_model,
 )
 from .psf_core import QuadratureSpec, SourceGeometry, gaussian_psf, overlap_integrals
 from .state_model import (
     build_state_model,
+    c_tilde_from_overlaps,
     gaussian_incompatibility,
-    incompatibility,
     qfim,
 )
-from .tradeoff import TradeoffPoint, irtr_frontier, irtr_residual
+from .tradeoff import RESIDUAL_FLOOR, TradeoffPoint, irtr_frontier, irtr_residual
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "custom")
 MEASUREMENT_NAMES = ("direct", "spade", "random")
 
 # Flag-free below-threshold c_tilde means the inequality carries no content.
 _NO_CONSTRAINT_THRESHOLD = 1e-10
-_RESIDUAL_FLOOR = -1e-9
+# Random samples per batch, so batch memory does not grow with n_random.
+_SAMPLE_BLOCK = 512
 
 
 def inclusive_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -248,7 +249,7 @@ def _checked_residual(report, c_tilde: float) -> float:
     residual = irtr_residual(
         TradeoffPoint(delta1=report.delta1, delta2=report.delta2), c_tilde
     )
-    if residual < _RESIDUAL_FLOOR:
+    if residual < RESIDUAL_FLOOR:
         raise BoundViolationError(
             f"IRTR residual {residual:.3e} is negative beyond tolerance"
         )
@@ -261,8 +262,7 @@ _Context = namedtuple("_Context", ("overlaps", "quantum", "c_tilde"))
 
 def _context(psf, geometry: SourceGeometry, quad: QuadratureSpec) -> _Context:
     overlaps = overlap_integrals(psf, geometry, quad)
-    c_tilde = incompatibility(overlaps).c_tilde
-    return _Context(overlaps, qfim(overlaps), c_tilde)
+    return _Context(overlaps, qfim(overlaps), c_tilde_from_overlaps(overlaps))
 
 
 def _regret_rows(psf, geometry, config, context, measurements, streams=()):
@@ -270,7 +270,7 @@ def _regret_rows(psf, geometry, config, context, measurements, streams=()):
 
     ``direct`` and ``spade`` give one row each with sample index -1, in that
     order; ``random`` gives one row per SeedSequence in ``streams``, sample k
-    drawn from stream k.  Every residual is checked against the floor.
+    drawn from stream k, in batches.  Every residual is checked against the floor.
     """
 
     def row(name, sample_index, model):
@@ -284,11 +284,11 @@ def _regret_rows(psf, geometry, config, context, measurements, streams=()):
         yield row("spade", -1, spade_model(config.sigma, geometry, config.mode_cutoff))
     if "random" in measurements:
         state = build_state_model(context.overlaps)
-        for sample_index, stream in enumerate(streams):
-            measurement = haar_random_orthogonal(
-                np.random.default_rng(stream), dim=4, seed=sample_index
-            )
-            yield row("random", sample_index, projective_model(state, measurement))
+        for start in range(0, len(streams), _SAMPLE_BLOCK):
+            bases = haar_random_bases(streams[start : start + _SAMPLE_BLOCK])
+            columns = projective_regrets(state, bases, context.quantum, context.c_tilde, start)
+            for sample_index, cells in enumerate(zip(*columns.tolist()), start):
+                yield ("random", sample_index, *cells)
 
 
 def _frontier_table(name, metadata, coefficient, samples):

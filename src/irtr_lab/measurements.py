@@ -14,6 +14,8 @@ Each model carries the outcome probabilities together with their derivatives
 with respect to centroid and separation, from which ``fim`` computes the
 classical Fisher information matrix and ``regret_report`` the normalized
 square-root information regrets against the quantum bound.
+``projective_regrets`` does the same for a stack of projective measurements
+at once, bit for bit equal to that route.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .psf_core import (
     quadrature_grid,
 )
 from .state_model import Qfim, StateModel4
+from .tradeoff import RESIDUAL_FLOOR
 
 CONTINUUM_GRID = "continuum_grid"
 DISCRETE_MODES = "discrete_modes"
@@ -365,27 +368,41 @@ def haar_random_orthogonal(rng_stream, dim: int = 4, seed: int | None = None):
     return ProjectiveMeasurement4(matrix=oriented.T, seed=tag)
 
 
+def haar_random_bases(streams) -> np.ndarray:
+    """Haar-random 4x4 bases stacked along axis 0, basis k drawn from ``streams[k]``.
+
+    Basis k equals ``haar_random_orthogonal(np.random.default_rng(streams[k]))``
+    bit for bit: the normals fill one buffer stream by stream, and the stacked
+    QR factors it one matrix at a time.
+    """
+    normal = np.empty((len(streams), 4, 4))
+    for sample, stream in zip(normal, streams):
+        np.random.default_rng(stream).standard_normal(out=sample)
+    q_factor, r_factor = np.linalg.qr(normal)
+    q_factor *= np.sign(np.diagonal(r_factor, axis1=1, axis2=2))[:, np.newaxis, :]
+    return q_factor.transpose(0, 2, 1)
+
+
 def projective_model(
     state: StateModel4, meas: ProjectiveMeasurement4
 ) -> ProbabilityModel:
     """Born-rule probabilities of an orthogonal measurement on the subspace."""
-    basis = meas.matrix
-    if basis.shape != state.rho.shape:
+    if meas.matrix.shape != state.rho.shape:
         raise ValueError("measurement dimension does not match the state")
+    return ProbabilityModel(SUBSPACE_PROJECTORS, *_born_rule(state, meas.matrix))
+
+
+def _born_rule(state, basis):
+    """Probabilities and their two derivatives for one basis or a stack of them."""
     # rho is diagonal, so p(k) = sum_m O[k,m]^2 rho[m,m] is a sum of
     # nonnegative terms and never goes negative by roundoff.
     probabilities = basis**2 @ np.diag(state.rho)
 
     def derivative(sld):
         d_rho = 0.5 * (sld @ state.rho + state.rho @ sld)
-        return ((basis @ d_rho) * basis).sum(axis=1)
+        return ((basis @ d_rho) * basis).sum(axis=-1)
 
-    return ProbabilityModel(
-        outcome_kind=SUBSPACE_PROJECTORS,
-        probabilities=probabilities,
-        dp_dtheta1=derivative(state.L1),
-        dp_dtheta2=derivative(state.L2),
-    )
+    return probabilities, derivative(state.L1), derivative(state.L2)
 
 
 def fim(model: ProbabilityModel) -> np.ndarray:
@@ -425,16 +442,20 @@ def fim(model: ProbabilityModel) -> np.ndarray:
     inverse_p = np.divide(
         weights, probabilities, out=np.zeros_like(probabilities), where=keep
     )
-    d1, d2 = derivatives
-    scaled = inverse_p * d1
-    products = np.stack([scaled * d1, scaled * d2, inverse_p * d2 * d2]).reshape(3, -1)
-    count = products.shape[1]
-    half = count // 2
-    totals = (products[:, :half] + products[:, ::-1][:, :half]).sum(axis=1)
-    if count % 2:
-        totals += products[:, half]
-    f11, f12, f22 = totals
+    f11, f12, f22 = _fisher_entries(inverse_p.ravel(), *(d.ravel() for d in derivatives))
     return np.array([[f11, f12], [f12, f22]])
+
+
+def _fisher_entries(inverse_p, d1, d2):
+    """F11, F12, F22 summed over the last (outcome) axis in mirror pairs."""
+    scaled = inverse_p * d1
+    products = np.stack([scaled * d1, scaled * d2, inverse_p * d2 * d2])
+    count = products.shape[-1]
+    half = count // 2
+    totals = (products[..., :half] + products[..., ::-1][..., :half]).sum(axis=-1)
+    if count % 2:
+        totals += products[..., half]
+    return totals
 
 
 def regret_report(fim_matrix, qfim_value) -> RegretReport:
@@ -481,3 +502,62 @@ def regret_report(fim_matrix, qfim_value) -> RegretReport:
         delta1=deltas[0],
         delta2=deltas[1],
     )
+
+
+def projective_regrets(
+    state: StateModel4, bases, quantum: Qfim, c_tilde: float, first_sample: int = 0
+) -> np.ndarray:
+    """Rows (delta1, delta2, irtr_residual) of stacked projective measurements.
+
+    Column k of the (3, n) result equals, bit for bit, ``projective_model`` ->
+    ``fim`` -> ``regret_report`` -> ``irtr_residual`` for basis k.  Every check
+    of that route is kept; a failure raises the error the route would raise
+    first, naming the sample ``first_sample + k``.
+    """
+    bases = np.asarray(bases, dtype=float)
+    skew = np.max(np.abs(bases.transpose(0, 2, 1) @ bases - np.eye(4)), axis=(1, 2))
+    probabilities, *derivatives = _born_rule(state, bases)
+    total = probabilities.sum(axis=1)
+    keep = probabilities > 1e-15 * np.max(probabilities, axis=1, keepdims=True)
+    inverse_p = np.divide(1.0, probabilities, out=np.zeros_like(probabilities), where=keep)
+    fisher = _fisher_entries(inverse_p, *derivatives)
+    regret = quantum.matrix - fisher[[0, 1, 1, 2]].T.reshape(-1, 2, 2)
+    diagonals = regret[:, [0, 1], [0, 1]].T
+    clamped = np.where(diagonals < 0.0, 0.0, diagonals)
+    delta1, delta2 = deltas = np.sqrt(clamped / np.diag(quantum.matrix)[:, np.newaxis])
+    cross = 2.0 * math.sqrt(max(1.0 - c_tilde**2, 0.0))  # as in irtr_residual
+    residual = delta1 * delta1 + delta2 * delta2 + cross * delta1 * delta2 - c_tilde**2
+
+    magnitude = np.abs(derivatives)
+    peak, scale = np.max(magnitude, axis=2), max(1.0, np.max(np.abs(quantum.matrix)))
+    worst = np.max(magnitude, axis=2, where=~keep, initial=0.0)
+    # The route's checks in the order one sample meets them.  A check of both
+    # derivatives or both regrets flags one row each, numbered into its text.
+    checks = [
+        (ValueError, "basis is not orthogonal", skew > 1e-12),
+        (ValueError, "negative probability", np.min(probabilities, axis=1) < 0.0),
+        (ValueError, "total probability is not 1", ~(abs(total - 1.0) <= 1e-10)),
+        (ValueError, "dp_dtheta{} does not sum to 0",
+         ~(abs(np.sum(derivatives, axis=2)) <= 1e-8 * np.maximum(1.0, peak))),
+        (DegenerateOutcomeError, "an outcome of vanishing probability has dp_dtheta{}",
+         worst > 1e-9 * peak),
+        (BoundViolationError, "negative regret eigenvalue",
+         np.linalg.eigvalsh(regret)[:, 0] < -1e-6 * scale),
+        (BoundViolationError, "regret diagonal {} is negative", diagonals < -1e-9 * scale),
+        (ValueError, "delta{} is outside [0, 1]",
+         ~((-1e-12 <= deltas) & (deltas <= 1.0 + 1e-12))),
+        (ValueError, "c_tilde is outside [0, 1]",
+         np.full(len(bases), not 0.0 <= c_tilde <= 1.0)),
+        (BoundViolationError, "IRTR residual below the floor", residual < RESIDUAL_FLOOR),
+    ]
+    flag_rows = [
+        (error, text.format(number), flags_row)
+        for error, text, flags in checks
+        for number, flags_row in enumerate(np.atleast_2d(flags), 1)
+    ]
+    failed = np.array([flags_row for _, _, flags_row in flag_rows])
+    if failed.any():
+        sample = int(failed.any(axis=0).argmax())
+        error, text, _ = flag_rows[int(failed[:, sample].argmax())]
+        raise error(f"sample {first_sample + sample}: {text}")
+    return np.stack([delta1, delta2, residual])

@@ -158,13 +158,8 @@ def qfim(overlaps: OverlapIntegrals) -> Qfim:
     return Qfim(matrix=np.diag([centroid_info, overlaps.kappa]))
 
 
-def incompatibility(overlaps: OverlapIntegrals) -> IncompatibilityCoefficients:
-    """Compute c_tilde and c.
-
-    The two coefficients follow independent routes: c_tilde from the overlap
-    scalars directly, c from the expectation of the SLD commutator.  For a
-    real PSF c vanishes.
-    """
+def c_tilde_from_overlaps(overlaps: OverlapIntegrals) -> float:
+    """c_tilde = |beta| / sqrt(kappa (kappa - gamma^2)), without a state model."""
     centroid_quarter = overlaps.kappa - overlaps.gamma**2
     if centroid_quarter <= 0.0:
         raise DegenerateStateError(
@@ -175,8 +170,17 @@ def incompatibility(overlaps: OverlapIntegrals) -> IncompatibilityCoefficients:
         raise DegenerateStateError(
             f"c_tilde = {c_tilde!r} above 1: overlap scalars are inconsistent"
         )
-    c_tilde = min(c_tilde, 1.0)
+    return min(c_tilde, 1.0)
 
+
+def incompatibility(overlaps: OverlapIntegrals) -> IncompatibilityCoefficients:
+    """Compute c_tilde and c.
+
+    The two coefficients follow independent routes: c_tilde from the overlap
+    scalars directly, c from the expectation of the SLD commutator.  For a
+    real PSF c vanishes.
+    """
+    c_tilde = c_tilde_from_overlaps(overlaps)
     model = build_state_model(overlaps)
     fisher = qfim(overlaps).matrix
     scale = 2.0 * math.sqrt(fisher[0, 0] * fisher[1, 1])

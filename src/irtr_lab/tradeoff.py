@@ -18,6 +18,9 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleBudgetError
 
+# Residuals below this are bound violations, not roundoff.
+RESIDUAL_FLOOR = -1e-9
+
 
 @dataclass(frozen=True)
 class TradeoffPoint:
@@ -65,9 +68,10 @@ def irtr_residual(point: TradeoffPoint, c_tilde: float) -> float:
     """Slack of the regret tradeoff at ``point``; >= 0 means feasible."""
     _check_coefficient(c_tilde)
     cross = 2.0 * math.sqrt(max(1.0 - c_tilde**2, 0.0))
+    # x * x, not x**2: float ** goes through pow, which can be 1 ulp off.
     return (
-        point.delta1**2
-        + point.delta2**2
+        point.delta1 * point.delta1
+        + point.delta2 * point.delta2
         + cross * point.delta1 * point.delta2
         - c_tilde**2
     )

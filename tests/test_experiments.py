@@ -192,6 +192,19 @@ class TestRunFig1:
             # 17 significant digits round-trip doubles exactly.
             assert closed == lab.gaussian_incompatibility(1.0, ratio)
 
+    def test_small_separations_need_no_state_model(self, tmp_path):
+        # Down to 1 - delta ~ 1e-12, just above the coincidence floor; eta3^2
+        # cancels to a negative at 7 of these points, which c_tilde never uses.
+        grid = tuple(np.geomspace(3e-6, 1e-2, 66))
+        config = lab.ExperimentConfig(
+            figure_id="fig1", theta2_grid=grid, output_dir=str(tmp_path)
+        )
+        _, _, rows = read_table(lab.run_fig1(config)[0])
+        assert len(rows) == len(grid)
+        for ratio, closed, quad in ((float(cell) for cell in row) for row in rows):
+            assert closed == lab.gaussian_incompatibility(1.0, ratio)
+            assert abs(quad - closed) <= 1e-8
+
     def test_manifest_checksums(self, tmp_path):
         config = lab.ExperimentConfig(
             figure_id="fig1", theta2_grid=(1.0,), output_dir=str(tmp_path)
@@ -391,10 +404,20 @@ class TestRunnersMatchScalarRoute:
         geometry = lab.SourceGeometry(theta1, theta2)
         return lab.overlap_integrals(self.psf, geometry, self.quad)
 
-    def random_model(self, overlaps, stream, sample_index):
+    def random_model(self, overlaps, stream, sample_index, state=None):
         rng = np.random.default_rng(stream)
         measurement = lab.haar_random_orthogonal(rng, dim=4, seed=sample_index)
-        return lab.projective_model(lab.build_state_model(overlaps), measurement)
+        state = lab.build_state_model(overlaps) if state is None else state
+        return lab.projective_model(state, measurement)
+
+    def assert_random_rows(self, rows, overlaps, streams):
+        """Every row (sample_index, delta1, delta2, residual) is the scalar route's."""
+        state = lab.build_state_model(overlaps)
+        assert len(rows) == len(streams)
+        for k, (row, stream) in enumerate(zip(rows, streams)):
+            model = self.random_model(overlaps, stream, k, state)
+            assert int(row[0]) == k
+            assert tuple(float(cell) for cell in row[1:]) == scalar_row(model, overlaps)
 
     def test_fig2_direct_rows(self, tmp_path):
         config = lab.ExperimentConfig(
@@ -423,16 +446,13 @@ class TestRunnersMatchScalarRoute:
             assert (float(row[1]), float(row[2])) == expected[:2]
 
     def test_fig5_sample_k_uses_spawned_stream_k(self, tmp_path):
+        # 2000 samples span several batches; every row is checked.
         config = lab.ExperimentConfig(
-            figure_id="fig5", n_random=6, seed=3, output_dir=str(tmp_path)
+            figure_id="fig5", n_random=2000, seed=3, output_dir=str(tmp_path)
         )
         _, _, rows = read_table(lab.run_fig5(config)[0])
-        overlaps = self.overlaps(0.0, 0.1)
-        streams = np.random.SeedSequence(3).spawn(6)
-        for k in (0, 4):
-            expected = scalar_row(self.random_model(overlaps, streams[k], k), overlaps)
-            assert int(rows[k][0]) == k
-            assert tuple(float(cell) for cell in rows[k][1:]) == expected
+        streams = np.random.SeedSequence(3).spawn(2000)
+        self.assert_random_rows(rows, self.overlaps(0.0, 0.1), streams)
 
     def test_custom_direct_spade_and_random_rows(self, tmp_path):
         config = lab.ExperimentConfig(
@@ -459,6 +479,30 @@ class TestRunnersMatchScalarRoute:
             assert (float(row[0]), float(row[1]), row[2]) == (0.4, 0.7, name)
             assert int(row[3]) == sample_index
             assert tuple(float(cell) for cell in row[4:]) == scalar_row(model, overlaps)
+
+
+    def test_custom_every_random_row(self, tmp_path):
+        config = lab.ExperimentConfig(
+            figure_id="custom",
+            theta1_grid=(0.0, 1.3),
+            theta2_grid=(0.15, 2.2),
+            measurements=("random",),
+            n_random=600,
+            seed=11,
+            output_dir=str(tmp_path),
+        )
+        _, _, rows = read_table(lab.run_custom(config)[0])
+        points = [(0.0, 0.15), (0.0, 2.2), (1.3, 0.15), (1.3, 2.2)]
+        children = np.random.SeedSequence(11).spawn(len(points))
+        for index, ((ratio1, ratio2), child) in enumerate(zip(points, children)):
+            point_rows = rows[600 * index : 600 * (index + 1)]
+            assert {(float(r[0]), float(r[1]), r[2]) for r in point_rows} == {
+                (ratio1, ratio2, "random")
+            }
+            overlaps = self.overlaps(ratio1, ratio2)
+            self.assert_random_rows(
+                [row[3:] for row in point_rows], overlaps, child.spawn(600)
+            )
 
 
 class TestCli:

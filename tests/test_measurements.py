@@ -12,7 +12,13 @@ import pytest
 from scipy.stats import poisson
 
 import irtr_lab as lab
-from irtr_lab.measurements import CONTINUUM_GRID, DISCRETE_MODES, SUBSPACE_PROJECTORS
+from irtr_lab.measurements import (
+    CONTINUUM_GRID,
+    DISCRETE_MODES,
+    SUBSPACE_PROJECTORS,
+    haar_random_bases,
+    projective_regrets,
+)
 from irtr_lab.psf_core import quadrature_grid
 
 
@@ -326,6 +332,18 @@ class TestHaarRandomOrthogonal:
             lab.ProjectiveMeasurement4(matrix=np.eye(4) * 1.001, seed=0)
 
 
+class TestHaarRandomBases:
+    def test_basis_k_is_the_scalar_draw_from_stream_k(self):
+        streams = np.random.SeedSequence(8).spawn(300)
+        bases = haar_random_bases(streams)
+        assert bases.shape == (300, 4, 4)
+        for basis, stream in zip(bases, streams):
+            expected = lab.haar_random_orthogonal(np.random.default_rng(stream)).matrix
+            np.testing.assert_array_equal(basis, expected)
+            # The layout fixes the summation order of everything downstream.
+            assert basis.strides == expected.strides
+
+
 class TestProjectiveModel:
     def test_identity_measurement_reads_rho_diagonal(self):
         overlaps = lab.gaussian_overlap_integrals(1.0, 1.0)
@@ -498,3 +516,94 @@ class TestRegretReport:
         np.testing.assert_allclose(
             [report.delta1, report.delta2], math.sqrt(0.5), rtol=1e-12
         )
+
+
+def givens(i, j, angle):
+    """Rotation by ``angle`` in the (i, j) plane of the 4-dimensional subspace."""
+    rotation = np.eye(4)
+    rotation[i, i] = rotation[j, j] = math.cos(angle)
+    rotation[i, j], rotation[j, i] = -math.sin(angle), math.sin(angle)
+    return rotation
+
+
+class TestProjectiveRegrets:
+    """The batch against the scalar route it must reproduce, at theta2 = sigma.
+
+    rho has rank 2, so G02(eps) G13(eps) turns outcomes 2 and 3 by eps into
+    its null space; that is where ``fim``'s drop-or-raise rule decides.
+    """
+
+    overlaps = lab.overlap_integrals(
+        lab.gaussian_psf(1.0), lab.SourceGeometry(0.0, 1.0), lab.QuadratureSpec()
+    )
+    state = lab.build_state_model(overlaps)
+    quantum = lab.qfim(overlaps)
+    c_tilde = lab.incompatibility(overlaps).c_tilde
+
+    def scalar(self, basis):
+        model = lab.projective_model(self.state, lab.ProjectiveMeasurement4(basis, 0))
+        report = lab.regret_report(lab.fim(model), self.quantum)
+        point = lab.TradeoffPoint(report.delta1, report.delta2)
+        return report.delta1, report.delta2, lab.irtr_residual(point, self.c_tilde)
+
+    def batch(self, *bases, c_tilde=None, first_sample=0):
+        c_tilde = self.c_tilde if c_tilde is None else c_tilde
+        return projective_regrets(
+            self.state, np.stack(bases), self.quantum, c_tilde, first_sample
+        )
+
+    @staticmethod
+    def near_null(eps):
+        return givens(0, 2, eps) @ givens(1, 3, eps)
+
+    def test_near_null_outcomes_are_bitwise_equal(self):
+        basis = self.near_null(1e-3)
+        assert tuple(self.batch(basis)[:, 0]) == self.scalar(basis)
+
+    def test_divergent_outcome_raises_on_both_routes(self):
+        basis = self.near_null(1e-8)
+        with pytest.raises(lab.DegenerateOutcomeError):
+            self.scalar(basis)
+        with pytest.raises(lab.DegenerateOutcomeError, match="sample 0: .*dp_dtheta2"):
+            self.batch(basis)
+
+    def test_dropped_outcome_agrees_with_the_scalar_route(self):
+        basis = self.near_null(1e-10)
+        model = lab.projective_model(self.state, lab.ProjectiveMeasurement4(basis, 0))
+        # Both routes drop outcomes 2 and 3 and so lose part of F22, which
+        # is 0.25 here (the QFIM value) in exact arithmetic.
+        assert lab.fim(model)[1, 1] == pytest.approx(0.220051, abs=1e-6)
+        assert tuple(self.batch(basis)[:, 0]) == self.scalar(basis)
+
+    def test_haar_bases_are_bitwise_equal(self):
+        bases = [lab.haar_random_orthogonal(seed).matrix for seed in range(40)]
+        rows = self.batch(*bases)
+        for k, basis in enumerate(bases):
+            assert tuple(rows[:, k]) == self.scalar(basis)
+
+    def test_error_names_the_first_failing_sample(self):
+        good = lab.haar_random_orthogonal(0).matrix
+        skewed = 1.001 * good
+        divergent = self.near_null(1e-8)
+        with pytest.raises(ValueError, match="sample 1: basis is not orthogonal"):
+            self.batch(good, skewed, divergent)
+        with pytest.raises(lab.DegenerateOutcomeError, match="sample 1: "):
+            self.batch(good, divergent, skewed)
+        with pytest.raises(lab.DegenerateOutcomeError, match="sample 12: "):
+            self.batch(good, divergent, first_sample=11)
+
+    def test_coefficient_outside_the_unit_interval_raises(self):
+        basis = lab.haar_random_orthogonal(0).matrix
+        with pytest.raises(ValueError):
+            lab.irtr_residual(lab.TradeoffPoint(*self.scalar(basis)[:2]), 1.1)
+        with pytest.raises(ValueError, match="sample 0: c_tilde"):
+            self.batch(basis, c_tilde=1.1)
+
+    def test_an_earlier_sample_fails_first_whatever_its_check(self):
+        # At c_tilde = 1 the first Haar basis (delta1^2 + delta2^2 = 0.90)
+        # falls below the residual floor, its last check; sample 1 fails
+        # fim's drop rule, an earlier check.  The scalar route meets sample 0
+        # first.
+        good = lab.haar_random_orthogonal(0).matrix
+        with pytest.raises(lab.BoundViolationError, match="sample 0: IRTR residual"):
+            self.batch(good, self.near_null(1e-8), c_tilde=1.0)

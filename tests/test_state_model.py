@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import irtr_lab as lab
+from irtr_lab.state_model import c_tilde_from_overlaps
 
 DELTA_SIGMA1_SEP2 = 0.6065306597126334
 F11_SIGMA1_SEP2 = 0.6321205588285577  # 1 - exp(-1)
@@ -162,6 +163,19 @@ class TestIncompatibility:
         np.testing.assert_allclose(
             lab.gaussian_incompatibility(1.0, 8.0), C_TILDE_SEP_8, rtol=1e-13
         )
+
+    def test_c_tilde_needs_no_state_model(self):
+        for theta2 in (0.1, 1.0, 2.8, 5.0):
+            overlaps = lab.gaussian_overlap_integrals(1.0, theta2)
+            direct = c_tilde_from_overlaps(overlaps)
+            assert direct == lab.incompatibility(overlaps).c_tilde
+        # eta3^2 cancels to a negative here, so no state model can be built;
+        # c_tilde never needed one.
+        overlaps = lab.gaussian_overlap_integrals(1.0, 1e-3)
+        with pytest.raises(lab.DegenerateStateError):
+            lab.build_state_model(overlaps)
+        expected = lab.gaussian_incompatibility(1.0, 1e-3)
+        assert abs(c_tilde_from_overlaps(overlaps) - expected) <= 1e-12
 
     def test_commutator_expectation_vanishes_for_real_psf(self):
         rng = np.random.default_rng(20240817)

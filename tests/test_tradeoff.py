@@ -70,6 +70,13 @@ class TestIrtrResidual:
         with pytest.raises(ValueError):
             lab.irtr_residual(lab.TradeoffPoint(0.5, 0.5), c_tilde)
 
+    def test_squares_are_correctly_rounded(self):
+        # Python's float ** 2 goes through pow, 1 ulp off x * x at this value;
+        # numpy arrays square exactly, and the batched rows must match.
+        x = 0.5402238995537649
+        assert lab.irtr_residual(lab.TradeoffPoint(x, 0.0), 0.0) == x * x
+        assert lab.irtr_residual(lab.TradeoffPoint(0.0, x), 0.0) == x * x
+
 
 class TestIrtrFrontier:
     @pytest.mark.parametrize("c_tilde", [0.2, 0.5, 0.9, 1.0])
