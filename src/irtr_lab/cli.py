@@ -41,6 +41,15 @@ def _parse_grid_text(text: str) -> tuple[float, ...]:
         ) from None
 
 
+def _attach_grid_values(argv) -> list[str]:
+    """Join grid flags to their values; argparse reads a value such as '-1:0' as a flag."""
+    tokens = list(argv)
+    for index in reversed(range(len(tokens) - 1)):
+        if tokens[index] in ("--grid", "--theta1-grid", "--theta2-grid"):
+            tokens[index : index + 2] = [f"{tokens[index]}={tokens[index + 1]}"]
+    return tokens
+
+
 def _parse_mode_cutoff(text: str) -> int | None:
     text = text.strip().lower()
     if text == "adaptive":
@@ -187,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
     try:
         settings: dict = {}
         if args.config is not None:

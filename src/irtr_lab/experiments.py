@@ -10,7 +10,8 @@ configuration and seed give byte-identical CSVs: randomness flows through a
 spawned SeedSequence per sample.  Every runner evaluates its points through
 one kernel: ``_context`` (overlaps, QFIM, c_tilde per geometry) feeding
 ``_regret_rows`` (probability model, FIM, regrets and checked IRTR residual
-per measurement).
+per measurement).  Direct-imaging FIMs come from stacked models built over
+the sweep a block at a time, each bit for bit its own geometry's FIM.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ MEASUREMENT_NAMES = ("direct", "spade", "random")
 _NO_CONSTRAINT_THRESHOLD = 1e-10
 # Random samples per batch, so batch memory does not grow with n_random.
 _SAMPLE_BLOCK = 512
+# Direct-imaging outcome samples per stacked model: 4 geometries at the default 1024.
+_DIRECT_BLOCK_OUTCOMES = 4096
 
 
 def inclusive_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -245,15 +248,17 @@ def _run(figure: str, compute, config: ExperimentConfig) -> list[Path]:
     return [*paths, manifest_path]
 
 
-def _checked_residual(report, c_tilde: float) -> float:
+def _checked_regrets(fisher, context) -> tuple[float, float, float]:
+    """(delta1, delta2, irtr_residual) of one FIM, the residual checked against the floor."""
+    report = regret_report(fisher, context.quantum)
     residual = irtr_residual(
-        TradeoffPoint(delta1=report.delta1, delta2=report.delta2), c_tilde
+        TradeoffPoint(delta1=report.delta1, delta2=report.delta2), context.c_tilde
     )
     if residual < RESIDUAL_FLOOR:
         raise BoundViolationError(
             f"IRTR residual {residual:.3e} is negative beyond tolerance"
         )
-    return residual
+    return report.delta1, report.delta2, residual
 
 
 # What every measurement at one separation shares.
@@ -265,23 +270,19 @@ def _context(psf, geometry: SourceGeometry, quad: QuadratureSpec) -> _Context:
     return _Context(overlaps, qfim(overlaps), c_tilde_from_overlaps(overlaps))
 
 
-def _regret_rows(psf, geometry, config, context, measurements, streams=()):
+def _regret_rows(geometry, config, context, measurements, streams=(), direct_fim=None):
     """Yield (measurement, sample_index, delta1, delta2, irtr_residual) rows.
 
-    ``direct`` and ``spade`` give one row each with sample index -1, in that
-    order; ``random`` gives one row per SeedSequence in ``streams``, sample k
-    drawn from stream k, in batches.  Every residual is checked against the floor.
+    ``direct`` (FIM ``direct_fim``) and ``spade`` give one row each with sample
+    index -1, in that order; ``random`` gives one row per SeedSequence in
+    ``streams``, sample k drawn from stream k, in batches.  Every residual is
+    checked against the floor.
     """
-
-    def row(name, sample_index, model):
-        report = regret_report(fim(model), context.quantum)
-        residual = _checked_residual(report, context.c_tilde)
-        return name, sample_index, report.delta1, report.delta2, residual
-
     if "direct" in measurements:
-        yield row("direct", -1, direct_imaging_model(psf, geometry, config.quad))
+        yield ("direct", -1, *_checked_regrets(direct_fim, context))
     if "spade" in measurements:
-        yield row("spade", -1, spade_model(config.sigma, geometry, config.mode_cutoff))
+        model = spade_model(config.sigma, geometry, config.mode_cutoff)
+        yield ("spade", -1, *_checked_regrets(fim(model), context))
     if "random" in measurements:
         state = build_state_model(context.overlaps)
         for start in range(0, len(streams), _SAMPLE_BLOCK):
@@ -289,6 +290,20 @@ def _regret_rows(psf, geometry, config, context, measurements, streams=()):
             columns = projective_regrets(state, bases, context.quantum, context.c_tilde, start)
             for sample_index, cells in enumerate(zip(*columns.tolist()), start):
                 yield ("random", sample_index, *cells)
+
+
+def _direct_fims(psf, geometries, quad):
+    """Direct-imaging FIM of each geometry, bit for bit its own, from stacked models."""
+    size = max(1, _DIRECT_BLOCK_OUTCOMES // (quad.panel_count * quad.nodes_per_panel))
+    blocks = [geometries[start : start + size] for start in range(0, len(geometries), size)]
+    return np.concatenate([fim(direct_imaging_model(psf, block, quad)) for block in blocks])
+
+
+def _direct_rows(psf, geometries, config):
+    """Yield (context, delta1, delta2, irtr_residual) of each geometry's direct imaging."""
+    contexts = [_context(psf, geometry, config.quad) for geometry in geometries]
+    for context, fisher in zip(contexts, _direct_fims(psf, geometries, config.quad)):
+        yield context, *_checked_regrets(fisher, context)
 
 
 def _frontier_table(name, metadata, coefficient, samples):
@@ -314,14 +329,9 @@ def run_fig1(config, psf):
 @_runner("fig2")
 def run_fig2(config, psf):
     """Direct-imaging information regrets versus separation at zero misalignment."""
-    rows = []
-    for ratio in config.theta2_grid:
-        geometry = SourceGeometry(0.0, ratio * config.sigma)
-        context = _context(psf, geometry, config.quad)
-        for _, _, delta1, delta2, _ in _regret_rows(
-            psf, geometry, config, context, ("direct",)
-        ):
-            rows.append((ratio, delta1, delta2))
+    geometries = [SourceGeometry(0.0, ratio * config.sigma) for ratio in config.theta2_grid]
+    direct = zip(config.theta2_grid, _direct_rows(psf, geometries, config))
+    rows = [(ratio, delta1, delta2) for ratio, (_, delta1, delta2, _) in direct]
     metadata = [("sigma", config.sigma), ("theta1_over_sigma", 0.0)]
     return [("fig2.csv", metadata, ("theta2_over_sigma", "delta1", "delta2"), rows)], {}
 
@@ -329,13 +339,11 @@ def run_fig2(config, psf):
 @_runner("fig3")
 def run_fig3(config, psf):
     """Per-separation panels: direct-imaging point against the IRTR frontier."""
+    geometries = [SourceGeometry(0.0, ratio * config.sigma) for ratio in config.panels]
     tables = []
-    for index, ratio in enumerate(config.panels, start=1):
-        geometry = SourceGeometry(0.0, ratio * config.sigma)
-        context = _context(psf, geometry, config.quad)
-        ((_, _, delta1, delta2, residual),) = _regret_rows(
-            psf, geometry, config, context, ("direct",)
-        )
+    for index, (ratio, (context, delta1, delta2, residual)) in enumerate(
+        zip(config.panels, _direct_rows(psf, geometries, config)), start=1
+    ):
         metadata = [
             ("panel", index),
             ("sigma", config.sigma),
@@ -363,9 +371,7 @@ def run_fig4(config, psf):
     rows = []
     for ratio in config.theta1_grid:
         geometry = SourceGeometry(ratio * config.sigma, separation)
-        for _, _, delta1, delta2, _ in _regret_rows(
-            psf, geometry, config, context, ("spade",)
-        ):
+        for _, _, delta1, delta2, _ in _regret_rows(geometry, config, context, ("spade",)):
             rows.append((ratio, delta1, delta2))
     metadata = [
         ("sigma", config.sigma),
@@ -389,7 +395,7 @@ def run_fig5(config, psf):
     streams = np.random.SeedSequence(config.seed).spawn(config.n_random)
     rows = [
         row[1:]
-        for row in _regret_rows(psf, geometry, config, context, ("random",), streams)
+        for row in _regret_rows(geometry, config, context, ("random",), streams)
     ]
     metadata = [
         ("sigma", config.sigma),
@@ -429,16 +435,20 @@ def run_custom(config, psf):
         for ratio1 in config.theta1_grid
         for ratio2 in config.theta2_grid
     ]
+    geometries = [SourceGeometry(r1 * config.sigma, r2 * config.sigma) for r1, r2 in points]
+    contexts = [_context(psf, geometry, config.quad) for geometry in geometries]
+    direct = "direct" in config.measurements
+    fims = _direct_fims(psf, geometries, config.quad) if direct else [None] * len(points)
     children = np.random.SeedSequence(config.seed).spawn(len(points))
     rows = []
-    for (ratio1, ratio2), child in zip(points, children):
-        geometry = SourceGeometry(ratio1 * config.sigma, ratio2 * config.sigma)
-        context = _context(psf, geometry, config.quad)
+    for point, geometry, context, fisher, child in zip(
+        points, geometries, contexts, fims, children
+    ):
         streams = child.spawn(config.n_random) if "random" in config.measurements else ()
         for row in _regret_rows(
-            psf, geometry, config, context, config.measurements, streams
+            geometry, config, context, config.measurements, streams, fisher
         ):
-            rows.append((ratio1, ratio2, *row))
+            rows.append((*point, *row))
     metadata = [
         ("sigma", config.sigma),
         ("seed", config.seed),

@@ -56,6 +56,8 @@ class ProbabilityModel:
     weighted sums.  Discrete models leave ``weights`` as None.
     ``truncated_mass`` and ``fisher_tail_bound`` report upper bounds on what
     a mode cutoff discarded (zero where no truncation happens).
+    Arrays of shape (m, n) stack m models of n outcomes, each row checked on
+    its own; an error names the first failing row.
     """
 
     outcome_kind: str
@@ -81,18 +83,36 @@ class ProbabilityModel:
             if weights.shape != shape:
                 raise ValueError("weights must match the probability shape")
             object.__setattr__(self, "weights", weights)
-        if np.any(arrays["probabilities"] < 0.0):
-            raise ValueError("probabilities must be nonnegative")
         weights = self.weights if self.weights is not None else 1.0
-        # Written as `not ... <= tol` so that a NaN or inf anywhere fails the check.
-        total = float(np.sum(weights * arrays["probabilities"])) + self.truncated_mass
-        if not abs(total - 1.0) <= 1e-10:
-            raise ValueError(f"total probability {total!r} deviates from 1")
+        probabilities = arrays["probabilities"]
+        # Written as `~(... <= tol)` so that a NaN or inf anywhere fails the check.
+        total = np.sum(weights * probabilities, axis=-1) + self.truncated_mass
+        negative, off = np.any(probabilities < 0.0, axis=-1), ~(abs(total - 1.0) <= 1e-10)
+        checks = [
+            (ValueError, "probabilities must be nonnegative", negative),
+            (ValueError, "total probability {!r} deviates from 1", off, total),
+        ]
         for name in ("dp_dtheta1", "dp_dtheta2"):
-            drift = float(np.sum(weights * arrays[name]))
-            scale = max(1.0, float(np.max(np.abs(arrays[name]), initial=0.0)))
-            if not abs(drift) <= 1e-8 * scale < math.inf:
-                raise ValueError(f"sum of {name} = {drift!r} is not 0")
+            drift = np.sum(weights * arrays[name], axis=-1)
+            scale = np.max(np.abs(arrays[name]), axis=-1, initial=1.0)
+            bounded = (abs(drift) <= 1e-8 * scale) & (scale < math.inf)
+            checks.append((ValueError, f"sum of {name} = {{!r}} is not 0", ~bounded, drift))
+        _raise_first_failure(checks, "row {}: " if probabilities.ndim > 1 else "")
+
+
+def _raise_first_failure(checks, label, first=0):
+    """Raise the error of the first failing row's first failing check.
+
+    ``checks`` lists (error type, message, flags[, values]) in the order one
+    row meets them, with a flag (and a value, which fills the message) per row;
+    ``label``, given the row number plus ``first``, prefixes the message.
+    """
+    failed = np.array([check[2] for check in checks]).reshape(len(checks), -1)
+    if failed.any():
+        row = int(failed.any(axis=0).argmax())
+        error, message, _, *values = checks[int(failed[:, row].argmax())]
+        cells = (float(np.atleast_1d(value)[row]) for value in values)
+        raise error(label.format(first + row) + message.format(*cells))
 
 
 @dataclass(frozen=True)
@@ -129,7 +149,7 @@ class RegretReport:
 
 def direct_imaging_model(
     psf: PointSpreadFunction,
-    geometry: SourceGeometry,
+    geometry: SourceGeometry | list[SourceGeometry],
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ProbabilityModel:
     """Continuum position-measurement model on a quadrature grid.
@@ -139,20 +159,21 @@ def direct_imaging_model(
     grid is a composite Gauss-Legendre half-grid on [0, theta2/2 + R sigma]
     (``ceil(panel_count / 2)`` panels) whose nodes and weights are reflected
     bitwise, so outcome i and outcome n-1-i are mirror images.
+    A sequence of geometries gives a stacked model, row i equal bit for bit
+    to the model of ``geometry[i]`` alone.
     """
+    stacked = not isinstance(geometry, SourceGeometry)
+    theta2 = np.array([g.theta2 for g in geometry]) if stacked else geometry.theta2
     positions, weights = _reflected(
         *quadrature_grid(
             0.0,
-            _half_window(psf, geometry, quad),
+            _half_window(psf, theta2, quad),
             (quad.panel_count + 1) // 2,
             quad.nodes_per_panel,
         )
     )
-    return ProbabilityModel(
-        outcome_kind=CONTINUUM_GRID,
-        weights=weights,
-        **_intensity_and_derivatives(psf, geometry, positions),
-    )
+    fields = _intensity_and_derivatives(psf, theta2, positions)
+    return ProbabilityModel(outcome_kind=CONTINUUM_GRID, weights=weights, **fields)
 
 
 def direct_imaging_pixelated_model(
@@ -173,41 +194,39 @@ def direct_imaging_pixelated_model(
     """
     if not bin_width > 0.0:
         raise ValueError("bin_width must be positive")
-    half_count = math.ceil(_half_window(psf, geometry, quad) / bin_width)
+    half_count = math.ceil(_half_window(psf, geometry.theta2, quad) / bin_width)
     half_x, half_w = quadrature_grid(
         0.0, half_count * bin_width, half_count, quad.nodes_per_panel
     )
     rows = (half_count, quad.nodes_per_panel)
-    positions, weights = _reflected(half_x.reshape(rows), half_w.reshape(rows))
-    fields = _intensity_and_derivatives(psf, geometry, positions)
+    positions, weights = _reflected(half_x.reshape(rows), half_w.reshape(rows), axis=0)
+    fields = _intensity_and_derivatives(psf, geometry.theta2, positions)
     per_bin = {name: (weights * values).sum(axis=1) for name, values in fields.items()}
     return ProbabilityModel(outcome_kind=DISCRETE_MODES, **per_bin)
 
 
-def _half_window(psf, geometry, quad):
-    return 0.5 * geometry.theta2 + quad.truncation_radius * psf.sigma
+def _half_window(psf, theta2, quad):
+    return 0.5 * theta2 + quad.truncation_radius * psf.sigma
 
 
-def _reflected(nodes, weights):
+def _reflected(nodes, weights, axis=-1):
     """Extend a half-grid on [0, w] to [-w, w] by a bitwise reflection.
 
-    Rows are reversed and nodes negated, so entry i of the result mirrors
-    entry n-1-i; within a 2-D row the node order is mirrored as well.
+    Entries along ``axis`` are reversed and nodes negated, so entry i of the
+    result mirrors entry n-1-i; with ``axis=0`` the order within each row is mirrored too.
     """
     return (
-        np.concatenate([-nodes[::-1], nodes]),
-        np.concatenate([weights[::-1], weights]),
+        np.concatenate([-np.flip(nodes, axis), nodes], axis),
+        np.concatenate([np.flip(weights, axis), weights], axis),
     )
 
 
-def _intensity_and_derivatives(psf, geometry, offsets):
-    # Offsets from the centroid: source j sits at -+theta2/2, so for an even
-    # PSF p is even and dp/dtheta1 odd in the offset, bit for bit.
-    half = 0.5 * geometry.theta2
-    amp1 = psf.amplitude(offsets + half)
-    amp2 = psf.amplitude(offsets - half)
-    damp1 = psf.amplitude_derivative(offsets + half)
-    damp2 = psf.amplitude_derivative(offsets - half)
+def _intensity_and_derivatives(psf, theta2, offsets):
+    # Offsets from the centroid (a row per stacked theta2): source j sits at
+    # -+theta2/2, so for an even PSF p is even and dp/dtheta1 odd, bit for bit.
+    half = 0.5 * np.expand_dims(theta2, -1)
+    amp1, damp1 = psf.amplitude_and_derivative(offsets + half)
+    amp2, damp2 = psf.amplitude_and_derivative(offsets - half)
     return {
         "probabilities": 0.5 * (amp1**2 + amp2**2),
         # d(x - X_j)/dtheta1 = -1 for both sources; for theta2 the two
@@ -412,7 +431,8 @@ def fim(model: ProbabilityModel) -> np.ndarray:
     the sum; such an outcome must also carry a negligible derivative
     (below 1e-9 of the maximum derivative magnitude), otherwise the model
     sits at a formally divergent point and a DegenerateOutcomeError is
-    raised rather than returning something arbitrary.
+    raised rather than returning something arbitrary.  A stacked model gives
+    one matrix per row, and an error names the first failing row.
 
     The sum adds outcome i to outcome n-1-i before adding the pairs up.  For
     the mirror-symmetric direct-imaging models this makes every term that
@@ -421,29 +441,34 @@ def fim(model: ProbabilityModel) -> np.ndarray:
     """
     probabilities = model.probabilities
     weights = model.weights if model.weights is not None else 1.0
-    peak = float(np.max(probabilities, initial=0.0))
+    peak = np.max(probabilities, axis=-1, keepdims=True, initial=0.0)
     keep = probabilities > 1e-15 * peak
 
     derivatives = (model.dp_dtheta1, model.dp_dtheta2)
     if not np.all(keep):
+        checks = []
         for index, derivative in enumerate(derivatives, start=1):
-            scale = float(np.max(np.abs(derivative), initial=0.0))
-            worst = float(np.max(np.abs(derivative[~keep]), initial=0.0))
-            if worst > 1e-9 * scale:
-                raise DegenerateOutcomeError(
-                    f"an outcome with vanishing probability has dp_dtheta{index} "
-                    f"= {worst:.3e}; the Fisher information diverges there"
-                )
-    if not np.any(keep):
-        return np.zeros((2, 2))
+            magnitude = np.abs(derivative)
+            worst = np.max(magnitude, axis=-1, where=~keep, initial=0.0)
+            checks.append((
+                DegenerateOutcomeError,
+                f"an outcome with vanishing probability has dp_dtheta{index} "
+                "= {:.3e}; the Fisher information diverges there",
+                worst > 1e-9 * np.max(magnitude, axis=-1, initial=0.0),
+                worst,
+            ))
+        _raise_first_failure(checks, "row {}: " if probabilities.ndim > 1 else "")
 
     # Dropped outcomes get a zero weight in place, which keeps the mirror
     # positions of the kept ones.
     inverse_p = np.divide(
         weights, probabilities, out=np.zeros_like(probabilities), where=keep
     )
-    f11, f12, f22 = _fisher_entries(inverse_p.ravel(), *(d.ravel() for d in derivatives))
-    return np.array([[f11, f12], [f12, f22]])
+    totals = _fisher_entries(inverse_p, *derivatives)
+    matrices = totals[[0, 1, 1, 2]].T.reshape(*totals.shape[1:], 2, 2)
+    # A row without any kept outcome is exactly zero (not -0.0).
+    matrices[~keep.any(axis=-1)] = 0.0
+    return matrices
 
 
 def _fisher_entries(inverse_p, d1, d2):
@@ -555,9 +580,5 @@ def projective_regrets(
         for error, text, flags in checks
         for number, flags_row in enumerate(np.atleast_2d(flags), 1)
     ]
-    failed = np.array([flags_row for _, _, flags_row in flag_rows])
-    if failed.any():
-        sample = int(failed.any(axis=0).argmax())
-        error, text, _ = flag_rows[int(failed[:, sample].argmax())]
-        raise error(f"sample {first_sample + sample}: {text}")
+    _raise_first_failure(flag_rows, "sample {}: ", first_sample)
     return np.stack([delta1, delta2, residual])

@@ -40,12 +40,20 @@ class PointSpreadFunction:
 
     ``sigma`` is the characteristic length of the PSF and serves as the unit
     of all lengths (quadrature windows, mode scales, default grids).
+    ``joint``, if given, returns both callables' values from one call, sharing work.
     """
 
     kind: str
     sigma: float
     amplitude: Callable[[np.ndarray], np.ndarray]
     amplitude_derivative: Callable[[np.ndarray], np.ndarray]
+    joint: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+
+    def amplitude_and_derivative(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(psi(x), psi'(x)), from ``joint`` when the PSF has one."""
+        if self.joint is None:
+            return self.amplitude(x), self.amplitude_derivative(x)
+        return self.joint(x)
 
 
 @dataclass(frozen=True)
@@ -132,11 +140,15 @@ def gaussian_psf(sigma: float = 1.0) -> PointSpreadFunction:
         x = np.asarray(x, dtype=float)
         return norm * np.exp(-(x**2) * inv_4s2)
 
-    def derivative(x):
+    def joint(x):
         x = np.asarray(x, dtype=float)
-        return -x * inv_2s2 * norm * np.exp(-(x**2) * inv_4s2)
+        envelope = np.exp(-(x**2) * inv_4s2)
+        return norm * envelope, -x * inv_2s2 * norm * envelope
 
-    return PointSpreadFunction(GAUSSIAN, float(sigma), amplitude, derivative)
+    def derivative(x):
+        return joint(x)[1]
+
+    return PointSpreadFunction(GAUSSIAN, float(sigma), amplitude, derivative, joint)
 
 
 # Bounded because nodes_per_panel is user input; a run uses a single rule.
@@ -154,14 +166,17 @@ def _gauss_legendre(nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def quadrature_grid(lo: float, hi: float, panel_count: int, nodes_per_panel: int):
-    """Nodes and weights of composite Gauss-Legendre quadrature on [lo, hi]."""
+def quadrature_grid(lo, hi, panel_count: int, nodes_per_panel: int):
+    """Nodes and weights of composite Gauss-Legendre quadrature on [lo, hi].
+
+    1-D arrays ``lo``, ``hi`` stack one grid per interval, each bit for bit its own.
+    """
     base_x, base_w = _gauss_legendre(nodes_per_panel)
-    edges = np.linspace(lo, hi, panel_count + 1)
+    edges = np.linspace(lo, hi, panel_count + 1).T
     half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    x = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    w = (half[:, None] * base_w[None, :]).ravel()
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    x = (mid[..., None] + half[..., None] * base_x).reshape(*mid.shape[:-1], -1)
+    w = (half[..., None] * base_w).reshape(x.shape)
     return x, w
 
 
@@ -202,11 +217,12 @@ def overlap_integrals(
     hi = geometry.x2 + quad.truncation_radius * psf.sigma
 
     def evaluate(x):
-        a1 = psf.amplitude(x - geometry.x1)
-        a2 = psf.amplitude(x - geometry.x2)
-        d1 = psf.amplitude_derivative(x - geometry.x1)
-        d2 = psf.amplitude_derivative(x - geometry.x2)
-        return np.stack([a1 * a1, d1 * d1, d1 * a2, d1 * d2, a1 * a2])
+        a1, d1 = psf.amplitude_and_derivative(x - geometry.x1)
+        a2, d2 = psf.amplitude_and_derivative(x - geometry.x2)
+        products = np.empty((5, x.size))
+        for out, left, right in zip(products, (a1, d1, d1, d1, a1), (a1, d1, a2, d2, a2)):
+            np.multiply(left, right, out=out)
+        return products
 
     norm, kappa, gamma, beta, delta = _refined_batch(evaluate, lo, hi, quad)
     if abs(norm - 1.0) > 10.0 * quad.abs_tolerance:
@@ -233,10 +249,8 @@ def displaced_overlaps(
     hi = max(0.0, shift) + quad.truncation_radius * psf.sigma
 
     def evaluate(x):
-        a0 = psf.amplitude(x)
-        d0 = psf.amplitude_derivative(x)
-        a_s = psf.amplitude(x - shift)
-        d_s = psf.amplitude_derivative(x - shift)
+        a0, d0 = psf.amplitude_and_derivative(x)
+        a_s, d_s = psf.amplitude_and_derivative(x - shift)
         return np.stack([a0 * a_s, d0 * a_s, d0 * d_s])
 
     a, b, c = _refined_batch(evaluate, lo, hi, quad)

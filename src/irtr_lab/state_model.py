@@ -327,14 +327,9 @@ def subspace_basis_wavefunctions(
     lo = geometry.x1 - quad.truncation_radius * psf.sigma
     hi = geometry.x2 + quad.truncation_radius * psf.sigma
     positions, weights = quadrature_grid(lo, hi, quad.panel_count, quad.nodes_per_panel)
-    generators = np.stack(
-        [
-            psf.amplitude(positions - geometry.x1),
-            psf.amplitude(positions - geometry.x2),
-            -psf.amplitude_derivative(positions - geometry.x1),
-            -psf.amplitude_derivative(positions - geometry.x2),
-        ]
-    )
+    a1, d1 = psf.amplitude_and_derivative(positions - geometry.x1)
+    a2, d2 = psf.amplitude_and_derivative(positions - geometry.x2)
+    generators = np.stack([a1, a2, -d1, -d2])
     return SubspaceBasisGrid(
         positions=positions, weights=weights, functions=coeffs @ generators
     )

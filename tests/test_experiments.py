@@ -419,17 +419,23 @@ class TestRunnersMatchScalarRoute:
             assert int(row[0]) == k
             assert tuple(float(cell) for cell in row[1:]) == scalar_row(model, overlaps)
 
-    def test_fig2_direct_rows(self, tmp_path):
+    @pytest.mark.parametrize("sigma", [1.0, 0.6])
+    def test_fig2_direct_rows(self, tmp_path, sigma):
+        # Eleven separations, not a multiple of the direct-imaging block, from
+        # near coincidence to far apart; the FIMs come from stacked models.
+        grid = tuple(float(ratio) for ratio in np.geomspace(3e-6, 60.0, 11))
         config = lab.ExperimentConfig(
-            figure_id="fig2", theta2_grid=(0.3, 1.7), output_dir=str(tmp_path)
+            figure_id="fig2", sigma=sigma, theta2_grid=grid, output_dir=str(tmp_path)
         )
         _, _, rows = read_table(lab.run_fig2(config)[0])
+        assert tuple(float(row[0]) for row in rows) == grid
+        psf = lab.gaussian_psf(sigma)
         for row in rows:
-            ratio = float(row[0])
-            geometry = lab.SourceGeometry(0.0, ratio)
-            model = lab.direct_imaging_model(self.psf, geometry, self.quad)
-            expected = scalar_row(model, self.overlaps(0.0, ratio))
-            assert (float(row[1]), float(row[2])) == expected[:2]
+            geometry = lab.SourceGeometry(0.0, float(row[0]) * sigma)
+            model = lab.direct_imaging_model(psf, geometry, self.quad)
+            quantum = lab.qfim(lab.overlap_integrals(psf, geometry, self.quad))
+            report = lab.regret_report(lab.fim(model), quantum)
+            assert (float(row[1]), float(row[2])) == (report.delta1, report.delta2)
 
     def test_fig4_spade_rows(self, tmp_path):
         config = lab.ExperimentConfig(
@@ -480,6 +486,25 @@ class TestRunnersMatchScalarRoute:
             assert int(row[3]) == sample_index
             assert tuple(float(cell) for cell in row[4:]) == scalar_row(model, overlaps)
 
+
+    def test_custom_every_direct_row(self, tmp_path):
+        # Nine geometries: two full direct-imaging blocks and a partial one.
+        config = lab.ExperimentConfig(
+            figure_id="custom",
+            theta1_grid=(-0.8, 0.0, 1.9),
+            theta2_grid=(0.04, 0.6, 5.5),
+            measurements=("direct",),
+            output_dir=str(tmp_path),
+        )
+        _, _, rows = read_table(lab.run_custom(config)[0])
+        assert len(rows) == 9
+        for row in rows:
+            ratio1, ratio2 = float(row[0]), float(row[1])
+            geometry = lab.SourceGeometry(ratio1, ratio2)
+            model = lab.direct_imaging_model(self.psf, geometry, self.quad)
+            assert row[2:4] == ["direct", "-1"]
+            expected = scalar_row(model, self.overlaps(ratio1, ratio2))
+            assert tuple(float(cell) for cell in row[4:]) == expected
 
     def test_custom_every_random_row(self, tmp_path):
         config = lab.ExperimentConfig(
@@ -549,6 +574,28 @@ class TestCli:
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         expected = [float(value) for value in grid.split(",")]
         assert manifest["config"][field] == expected
+
+    @pytest.mark.parametrize(
+        "argv, field, expected",
+        [
+            (["fig4", "--grid", "-1:1:0.5"], "theta1_grid", [-1.0, -0.5, 0.0, 0.5, 1.0]),
+            (
+                ["custom", "--theta1-grid", "-2,0", "--theta2-grid", "0.5", "--n-random", "3"],
+                "theta1_grid",
+                [-2.0, 0.0],
+            ),
+        ],
+    )
+    def test_grid_may_start_with_a_negative_value(self, tmp_path, argv, field, expected):
+        code = cli.main([*argv, "--out", str(tmp_path)])
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"][field] == expected
+
+    def test_negative_separation_grid_is_config_error(self, tmp_path, capsys):
+        code = cli.main(["fig2", "--grid", "-1,1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "theta2_grid values must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("figure", ["fig5", "custom"])
     def test_grid_rejected_without_a_sweep(self, tmp_path, capsys, figure):

@@ -5,6 +5,7 @@ probabilities, the Gaussian closed-form QFIM for regret baselines, and
 direct Gauss-Legendre sums for mode orthonormality.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -142,6 +143,60 @@ class TestDirectImaging:
             np.testing.assert_allclose(
                 matrix[j, j], fisher.matrix[j, j], rtol=0.05
             )
+
+
+class TestStackedModels:
+    """A stack of models is checked and reduced row by row, like single models."""
+
+    psf = lab.gaussian_psf(1.0)
+    geometries = [lab.SourceGeometry(*pair) for pair in ((0.0, 0.2), (0.7, 1.1), (0.0, 4.0))]
+    # Two outcomes carry the mass; the third has probability 0.
+    good = ([0.5, 0.5, 0.0], [0.05, -0.05, 0.0], [0.1, -0.1, 0.0])
+    divergent = ([0.5, 0.5, 0.0], [0.05, -0.1, 0.05], [0.1, -0.1, 0.0])
+
+    def discrete_stack(self, *rows):
+        return lab.ProbabilityModel(DISCRETE_MODES, *(np.array(field) for field in zip(*rows)))
+
+    def test_direct_imaging_rows_equal_the_single_models(self):
+        stacked = lab.direct_imaging_model(self.psf, self.geometries)
+        fisher = lab.fim(stacked)
+        assert fisher.shape == (3, 2, 2)
+        for row, geometry in enumerate(self.geometries):
+            single = lab.direct_imaging_model(self.psf, geometry)
+            for name in ("probabilities", "dp_dtheta1", "dp_dtheta2", "weights"):
+                stacked_row = getattr(stacked, name)[row]
+                np.testing.assert_array_equal(stacked_row, getattr(single, name))
+            np.testing.assert_array_equal(fisher[row], lab.fim(single))
+
+    def test_bad_total_names_its_row(self):
+        stacked = lab.direct_imaging_model(self.psf, self.geometries)
+        probabilities = stacked.probabilities.copy()
+        probabilities[1] *= 1.01
+        with pytest.raises(ValueError, match=r"^row 1: total probability"):
+            dataclasses.replace(stacked, probabilities=probabilities)
+        single = lab.direct_imaging_model(self.psf, self.geometries[1])
+        with pytest.raises(ValueError, match=r"^total probability"):
+            dataclasses.replace(single, probabilities=probabilities[1])
+
+    def test_derivative_on_a_dropped_outcome_names_its_row(self):
+        stacked = self.discrete_stack(self.good, self.divergent, self.good)
+        with pytest.raises(lab.DegenerateOutcomeError, match=r"^row 1: .*dp_dtheta1"):
+            lab.fim(stacked)
+        with pytest.raises(lab.DegenerateOutcomeError, match=r"^an outcome .*dp_dtheta1"):
+            lab.fim(lab.ProbabilityModel(DISCRETE_MODES, *self.divergent))
+
+    def test_first_failing_row_wins_whatever_its_check(self):
+        drifting = ([0.5, 0.5, 0.0], [0.1, 0.1, 0.0], [0.0, 0.0, 0.0])
+        negative = ([1.1, -0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"^row 1: sum of dp_dtheta1"):
+            self.discrete_stack(self.good, drifting, negative)
+        with pytest.raises(ValueError, match=r"^row 1: probabilities must be nonnegative"):
+            self.discrete_stack(self.good, negative, drifting)
+
+    def test_discrete_rows_equal_the_single_models(self):
+        fisher = lab.fim(self.discrete_stack(self.good, self.good))
+        single = lab.fim(lab.ProbabilityModel(DISCRETE_MODES, *self.good))
+        np.testing.assert_array_equal(fisher, [single, single])
 
 
 class TestDirectImagingPixelated:

@@ -37,6 +37,21 @@ class TestGaussianPsf:
         fd = (psf.amplitude(x + h) - psf.amplitude(x - h)) / (2.0 * h)
         np.testing.assert_allclose(psf.amplitude_derivative(x), fd, atol=1e-8)
 
+    @pytest.mark.parametrize("sigma", [0.6, 1.0, 2.3])
+    def test_joint_evaluation_is_bitwise_the_separate_one(self, sigma):
+        # Out to 40 sigma, where products such as psi * psi' underflow to zero.
+        psf = lab.gaussian_psf(sigma)
+        x = np.linspace(-40.0 * sigma, 40.0 * sigma, 200_001)
+        amplitude, derivative = psf.amplitude_and_derivative(x)
+        # psi' with its own exponential, as the PSF computed it before the joint form.
+        norm = (2.0 * np.pi * sigma**2) ** -0.25
+        inv_2s2, inv_4s2 = 1.0 / (2.0 * sigma**2), 1.0 / (4.0 * sigma**2)
+        separate = -x * inv_2s2 * norm * np.exp(-(x**2) * inv_4s2)
+        np.testing.assert_array_equal(amplitude, psf.amplitude(x))
+        np.testing.assert_array_equal(derivative, separate)
+        np.testing.assert_array_equal(psf.amplitude_derivative(x), separate)
+        assert amplitude[0] * derivative[0] == 0.0 < amplitude[0]
+
     def test_peak_value(self):
         psf = lab.gaussian_psf(1.0)
         expected = (2.0 * math.pi) ** -0.25
@@ -269,6 +284,17 @@ class TestOverlapQuadrature:
         with pytest.raises(lab.ConvergenceError):
             lab.overlap_integrals(psf, lab.SourceGeometry(0.0, 1.0), coarse)
 
+    def test_psf_from_four_fields_evaluates_separately_to_the_same_overlaps(self):
+        psf = lab.gaussian_psf(0.8)
+        fields = lab.PointSpreadFunction(
+            psf.kind, psf.sigma, psf.amplitude, psf.amplitude_derivative
+        )
+        assert fields.joint is None
+        for geometry in (lab.SourceGeometry(0.0, 0.05), lab.SourceGeometry(-0.4, 2.9)):
+            assert lab.overlap_integrals(fields, geometry) == lab.overlap_integrals(
+                psf, geometry
+            )
+
     def test_unnormalized_psf_raises(self):
         base = lab.gaussian_psf(1.0)
         scaled = lab.PointSpreadFunction(
@@ -322,6 +348,21 @@ class TestUserDefinedPsf:
         np.testing.assert_allclose(ov.gamma, closed.gamma, atol=1e-8)
         np.testing.assert_allclose(ov.beta, closed.beta, atol=1e-8)
         np.testing.assert_allclose(ov.delta, closed.delta, atol=1e-8)
+
+    def test_spline_overlaps_are_pinned(self):
+        # Values from the two-spline evaluation; a spline PSF has no joint form.
+        x, y = self._gaussian_samples()
+        user = lab.user_psf_from_samples(x, y)
+        assert user.joint is None
+        quad = lab.QuadratureSpec(abs_tolerance=1e-8)
+        assert lab.overlap_integrals(user, lab.SourceGeometry(0.3, 1.7), quad) == (
+            lab.OverlapIntegrals(
+                kappa=0.24999999983775467,
+                gamma=-0.2961420295309079,
+                beta=0.04834083137533297,
+                delta=0.6968047754974769,
+            )
+        )
 
     def test_default_sigma_is_rms_width(self):
         x, y = self._gaussian_samples()
