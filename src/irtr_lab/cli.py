@@ -41,12 +41,19 @@ def _parse_grid_text(text: str) -> tuple[float, ...]:
         ) from None
 
 
-def _attach_grid_values(argv) -> list[str]:
-    """Join grid flags to their values; argparse reads a value such as '-1:0' as a flag."""
-    tokens = list(argv)
+def _attach_grid_values(argv, figures) -> list[str]:
+    """Join grid flags to their values; argparse reads a value such as '-1:0' as a flag.
+
+    A grid flag is a token ``figures[argv[0]]`` resolves to a grid option (``--gri``).
+    """
+    tokens = list(sys.argv[1:] if argv is None else argv)
+    sub = figures.get(tokens[0]) if tokens else None
+    options = sub._option_string_actions if sub is not None else {}
     for index in reversed(range(len(tokens) - 1)):
-        if tokens[index] in ("--grid", "--theta1-grid", "--theta2-grid"):
-            tokens[index : index + 2] = [f"{tokens[index]}={tokens[index + 1]}"]
+        token = tokens[index]
+        matches = [token] if token in options else [o for o in options if o.startswith(token)]
+        if matches in (["--grid"], ["--theta1-grid"], ["--theta2-grid"]):
+            tokens[index : index + 2] = [f"{token}={tokens[index + 1]}"]
     return tokens
 
 
@@ -152,7 +159,7 @@ def _build_config(figure: str, settings: dict) -> ExperimentConfig:
     return ExperimentConfig(figure_id=figure, quad=quad, **settings)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="irtr-lab",
         description="Reproduce the two-source information-regret datasets.",
@@ -191,12 +198,12 @@ def _build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--measurements", help="comma-separated subset of direct,spade,random"
             )
-    return parser
+    return parser, subparsers.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
+    parser, figures = _build_parser()
+    args = parser.parse_args(_attach_grid_values(argv, figures))
     try:
         settings: dict = {}
         if args.config is not None:

@@ -8,16 +8,17 @@ header), and finishes with a JSON manifest carrying the resolved
 configuration and the checksum and size of the bytes it wrote.  Identical
 configuration and seed give byte-identical CSVs: randomness flows through a
 spawned SeedSequence per sample.  Every runner evaluates its points through
-one kernel: ``_context`` (overlaps, QFIM, c_tilde per geometry) feeding
-``_regret_rows`` (probability model, FIM, regrets and checked IRTR residual
-per measurement).  Direct-imaging FIMs come from stacked models built over
-the sweep a block at a time, each bit for bit its own geometry's FIM.
+one kernel: ``_context`` (overlaps, QFIM, c_tilde per geometry), then one
+stacked regret step per measurement: ``regret_rows`` over the direct-imaging
+FIMs (from stacked models, a block of the sweep at a time) or SPADE FIMs of
+a whole sweep, ``projective_regrets`` over a block of Haar-random bases.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import time
 from collections import namedtuple
@@ -26,13 +27,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BoundViolationError, ConfigError
+from .errors import ConfigError
 from .measurements import (
     direct_imaging_model,
     fim,
     haar_random_bases,
     projective_regrets,
-    regret_report,
+    regret_rows,
     spade_model,
 )
 from .psf_core import QuadratureSpec, SourceGeometry, gaussian_psf, overlap_integrals
@@ -42,7 +43,7 @@ from .state_model import (
     gaussian_incompatibility,
     qfim,
 )
-from .tradeoff import RESIDUAL_FLOOR, TradeoffPoint, irtr_frontier, irtr_residual
+from .tradeoff import irtr_frontier
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "custom")
 MEASUREMENT_NAMES = ("direct", "spade", "random")
@@ -248,19 +249,6 @@ def _run(figure: str, compute, config: ExperimentConfig) -> list[Path]:
     return [*paths, manifest_path]
 
 
-def _checked_regrets(fisher, context) -> tuple[float, float, float]:
-    """(delta1, delta2, irtr_residual) of one FIM, the residual checked against the floor."""
-    report = regret_report(fisher, context.quantum)
-    residual = irtr_residual(
-        TradeoffPoint(delta1=report.delta1, delta2=report.delta2), context.c_tilde
-    )
-    if residual < RESIDUAL_FLOOR:
-        raise BoundViolationError(
-            f"IRTR residual {residual:.3e} is negative beyond tolerance"
-        )
-    return report.delta1, report.delta2, residual
-
-
 # What every measurement at one separation shares.
 _Context = namedtuple("_Context", ("overlaps", "quantum", "c_tilde"))
 
@@ -270,26 +258,10 @@ def _context(psf, geometry: SourceGeometry, quad: QuadratureSpec) -> _Context:
     return _Context(overlaps, qfim(overlaps), c_tilde_from_overlaps(overlaps))
 
 
-def _regret_rows(geometry, config, context, measurements, streams=(), direct_fim=None):
-    """Yield (measurement, sample_index, delta1, delta2, irtr_residual) rows.
-
-    ``direct`` (FIM ``direct_fim``) and ``spade`` give one row each with sample
-    index -1, in that order; ``random`` gives one row per SeedSequence in
-    ``streams``, sample k drawn from stream k, in batches.  Every residual is
-    checked against the floor.
-    """
-    if "direct" in measurements:
-        yield ("direct", -1, *_checked_regrets(direct_fim, context))
-    if "spade" in measurements:
-        model = spade_model(config.sigma, geometry, config.mode_cutoff)
-        yield ("spade", -1, *_checked_regrets(fim(model), context))
-    if "random" in measurements:
-        state = build_state_model(context.overlaps)
-        for start in range(0, len(streams), _SAMPLE_BLOCK):
-            bases = haar_random_bases(streams[start : start + _SAMPLE_BLOCK])
-            columns = projective_regrets(state, bases, context.quantum, context.c_tilde, start)
-            for sample_index, cells in enumerate(zip(*columns.tolist()), start):
-                yield ("random", sample_index, *cells)
+def _regrets(fishers, contexts) -> np.ndarray:
+    """``regret_rows`` of one FIM per context, against its own QFIM and c_tilde."""
+    quantum = np.array([context.quantum.matrix for context in contexts])
+    return regret_rows(fishers, quantum, [context.c_tilde for context in contexts])
 
 
 def _direct_fims(psf, geometries, quad):
@@ -299,11 +271,18 @@ def _direct_fims(psf, geometries, quad):
     return np.concatenate([fim(direct_imaging_model(psf, block, quad)) for block in blocks])
 
 
-def _direct_rows(psf, geometries, config):
-    """Yield (context, delta1, delta2, irtr_residual) of each geometry's direct imaging."""
-    contexts = [_context(psf, geometry, config.quad) for geometry in geometries]
-    for context, fisher in zip(contexts, _direct_fims(psf, geometries, config.quad)):
-        yield context, *_checked_regrets(fisher, context)
+def _spade_fims(config, geometries):
+    return [fim(spade_model(config.sigma, g, config.mode_cutoff)) for g in geometries]
+
+
+def _random_rows(context, streams):
+    """Yield (sample_index, delta1, delta2, irtr_residual); sample k uses ``streams[k]``."""
+    state = build_state_model(context.overlaps)
+    for start in range(0, len(streams), _SAMPLE_BLOCK):
+        bases = haar_random_bases(streams[start : start + _SAMPLE_BLOCK])
+        columns = projective_regrets(state, bases, context.quantum, context.c_tilde, start)
+        for sample_index, cells in enumerate(zip(*columns.tolist()), start):
+            yield sample_index, *cells
 
 
 def _frontier_table(name, metadata, coefficient, samples):
@@ -330,8 +309,9 @@ def run_fig1(config, psf):
 def run_fig2(config, psf):
     """Direct-imaging information regrets versus separation at zero misalignment."""
     geometries = [SourceGeometry(0.0, ratio * config.sigma) for ratio in config.theta2_grid]
-    direct = zip(config.theta2_grid, _direct_rows(psf, geometries, config))
-    rows = [(ratio, delta1, delta2) for ratio, (_, delta1, delta2, _) in direct]
+    contexts = [_context(psf, geometry, config.quad) for geometry in geometries]
+    delta1, delta2, _ = _regrets(_direct_fims(psf, geometries, config.quad), contexts).tolist()
+    rows = list(zip(config.theta2_grid, delta1, delta2))
     metadata = [("sigma", config.sigma), ("theta1_over_sigma", 0.0)]
     return [("fig2.csv", metadata, ("theta2_over_sigma", "delta1", "delta2"), rows)], {}
 
@@ -340,10 +320,11 @@ def run_fig2(config, psf):
 def run_fig3(config, psf):
     """Per-separation panels: direct-imaging point against the IRTR frontier."""
     geometries = [SourceGeometry(0.0, ratio * config.sigma) for ratio in config.panels]
+    contexts = [_context(psf, geometry, config.quad) for geometry in geometries]
+    direct = _regrets(_direct_fims(psf, geometries, config.quad), contexts).T.tolist()
     tables = []
-    for index, (ratio, (context, delta1, delta2, residual)) in enumerate(
-        zip(config.panels, _direct_rows(psf, geometries, config)), start=1
-    ):
+    for index, (ratio, context, cells) in enumerate(zip(config.panels, contexts, direct), 1):
+        delta1, delta2, residual = cells
         metadata = [
             ("panel", index),
             ("sigma", config.sigma),
@@ -353,11 +334,9 @@ def run_fig3(config, psf):
             ("di_delta2", delta2),
             ("irtr_residual", residual),
         ]
-        tables.append(
-            _frontier_table(
-                f"fig3_panel_{index}.csv", metadata, context.c_tilde, config.frontier_samples
-            )
-        )
+        name = f"fig3_panel_{index}.csv"
+        frontier = _frontier_table(name, metadata, context.c_tilde, config.frontier_samples)
+        tables.append(frontier)
     return tables, {}
 
 
@@ -368,11 +347,10 @@ def run_fig4(config, psf):
     # The overlaps depend only on the separation, so one evaluation covers
     # the whole misalignment sweep.
     context = _context(psf, SourceGeometry(0.0, separation), config.quad)
-    rows = []
-    for ratio in config.theta1_grid:
-        geometry = SourceGeometry(ratio * config.sigma, separation)
-        for _, _, delta1, delta2, _ in _regret_rows(geometry, config, context, ("spade",)):
-            rows.append((ratio, delta1, delta2))
+    geometries = [SourceGeometry(r * config.sigma, separation) for r in config.theta1_grid]
+    fishers = _spade_fims(config, geometries)
+    delta1, delta2, _ = regret_rows(fishers, context.quantum, context.c_tilde).tolist()
+    rows = list(zip(config.theta1_grid, delta1, delta2))
     metadata = [
         ("sigma", config.sigma),
         ("theta2_over_sigma", config.theta2_over_sigma),
@@ -393,10 +371,7 @@ def run_fig5(config, psf):
     geometry = SourceGeometry(0.0, config.theta2_over_sigma * config.sigma)
     context = _context(psf, geometry, config.quad)
     streams = np.random.SeedSequence(config.seed).spawn(config.n_random)
-    rows = [
-        row[1:]
-        for row in _regret_rows(geometry, config, context, ("random",), streams)
-    ]
+    rows = list(_random_rows(context, streams))
     metadata = [
         ("sigma", config.sigma),
         ("theta1_over_sigma", 0.0),
@@ -430,25 +405,23 @@ def run_custom(config, psf):
     """Generic sweep over a (theta1, theta2) grid and measurement selection."""
     if config.theta1_grid is None or config.theta2_grid is None:
         raise ConfigError("custom runs require explicit theta1_grid and theta2_grid")
-    points = [
-        (ratio1, ratio2)
-        for ratio1 in config.theta1_grid
-        for ratio2 in config.theta2_grid
-    ]
+    points = list(itertools.product(config.theta1_grid, config.theta2_grid))
     geometries = [SourceGeometry(r1 * config.sigma, r2 * config.sigma) for r1, r2 in points]
     contexts = [_context(psf, geometry, config.quad) for geometry in geometries]
-    direct = "direct" in config.measurements
-    fims = _direct_fims(psf, geometries, config.quad) if direct else [None] * len(points)
+    # Regret rows of the measurements with one row per point, direct first.
+    single = {}
+    if "direct" in config.measurements:
+        single["direct"] = _regrets(_direct_fims(psf, geometries, config.quad), contexts)
+    if "spade" in config.measurements:
+        single["spade"] = _regrets(_spade_fims(config, geometries), contexts)
     children = np.random.SeedSequence(config.seed).spawn(len(points))
     rows = []
-    for point, geometry, context, fisher, child in zip(
-        points, geometries, contexts, fims, children
-    ):
-        streams = child.spawn(config.n_random) if "random" in config.measurements else ()
-        for row in _regret_rows(
-            geometry, config, context, config.measurements, streams, fisher
-        ):
-            rows.append((*point, *row))
+    for index, (point, context, child) in enumerate(zip(points, contexts, children)):
+        for name, columns in single.items():
+            rows.append((*point, name, -1, *columns[:, index].tolist()))
+        if "random" in config.measurements:
+            random = _random_rows(context, child.spawn(config.n_random))
+            rows.extend((*point, "random", *row) for row in random)
     metadata = [
         ("sigma", config.sigma),
         ("seed", config.seed),

@@ -13,9 +13,9 @@ Three measurement families are covered:
 Each model carries the outcome probabilities together with their derivatives
 with respect to centroid and separation, from which ``fim`` computes the
 classical Fisher information matrix and ``regret_report`` the normalized
-square-root information regrets against the quantum bound.
-``projective_regrets`` does the same for a stack of projective measurements
-at once, bit for bit equal to that route.
+square-root information regrets against the quantum bound.  ``regret_rows``
+does the same for a stack of FIMs, and ``projective_regrets`` for a stack of
+projective measurements, bit for bit equal to that route and with its checks.
 """
 
 from __future__ import annotations
@@ -71,12 +71,10 @@ class ProbabilityModel:
     def __post_init__(self):
         if self.outcome_kind not in _OUTCOME_KINDS:
             raise ValueError(f"unknown outcome_kind {self.outcome_kind!r}")
-        arrays = {}
         for name in ("probabilities", "dp_dtheta1", "dp_dtheta2"):
-            arrays[name] = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arrays[name])
-        shape = arrays["probabilities"].shape
-        if any(a.shape != shape for a in arrays.values()):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        shape = self.probabilities.shape
+        if self.dp_dtheta1.shape != shape or self.dp_dtheta2.shape != shape:
             raise ValueError("probabilities and derivatives must share one shape")
         if self.weights is not None:
             weights = np.asarray(self.weights, dtype=float)
@@ -84,20 +82,26 @@ class ProbabilityModel:
                 raise ValueError("weights must match the probability shape")
             object.__setattr__(self, "weights", weights)
         weights = self.weights if self.weights is not None else 1.0
-        probabilities = arrays["probabilities"]
-        # Written as `~(... <= tol)` so that a NaN or inf anywhere fails the check.
-        total = np.sum(weights * probabilities, axis=-1) + self.truncated_mass
-        negative, off = np.any(probabilities < 0.0, axis=-1), ~(abs(total - 1.0) <= 1e-10)
-        checks = [
-            (ValueError, "probabilities must be nonnegative", negative),
-            (ValueError, "total probability {!r} deviates from 1", off, total),
-        ]
-        for name in ("dp_dtheta1", "dp_dtheta2"):
-            drift = np.sum(weights * arrays[name], axis=-1)
-            scale = np.max(np.abs(arrays[name]), axis=-1, initial=1.0)
-            bounded = (abs(drift) <= 1e-8 * scale) & (scale < math.inf)
-            checks.append((ValueError, f"sum of {name} = {{!r}} is not 0", ~bounded, drift))
-        _raise_first_failure(checks, "row {}: " if probabilities.ndim > 1 else "")
+        derivatives = (self.dp_dtheta1, self.dp_dtheta2)
+        checks = _model_checks(self.probabilities, derivatives, weights, self.truncated_mass)
+        _raise_first_failure(checks, "row {}: " if self.probabilities.ndim > 1 else "")
+
+
+def _model_checks(probabilities, derivatives, weights=1.0, truncated_mass=0.0):
+    """``ProbabilityModel``'s checks of each row, in the order a row meets them."""
+    # Written as `~(... <= tol)` so that a NaN or inf anywhere fails the check.
+    total = np.sum(weights * probabilities, axis=-1) + truncated_mass
+    negative, off = np.any(probabilities < 0.0, axis=-1), ~(abs(total - 1.0) <= 1e-10)
+    checks = [
+        (ValueError, "probabilities must be nonnegative", negative),
+        (ValueError, "total probability {!r} deviates from 1", off, total),
+    ]
+    for name, derivative in zip(("dp_dtheta1", "dp_dtheta2"), derivatives):
+        drift = np.sum(weights * derivative, axis=-1)
+        scale = np.max(np.abs(derivative), axis=-1, initial=1.0)
+        bounded = (abs(drift) <= 1e-8 * scale) & (scale < math.inf)
+        checks.append((ValueError, f"sum of {name} = {{!r}} is not 0", ~bounded, drift))
+    return checks
 
 
 def _raise_first_failure(checks, label, first=0):
@@ -130,10 +134,15 @@ class ProjectiveMeasurement4:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
-        residual = matrix.T @ matrix - np.eye(matrix.shape[0])
-        if np.max(np.abs(residual)) > 1e-12:
-            raise ValueError("matrix is not orthogonal within 1e-12")
+        _raise_first_failure([_orthogonality_check(matrix)], "")
         object.__setattr__(self, "matrix", matrix)
+
+
+def _orthogonality_check(matrices):
+    """The check that each square matrix of a stack is orthogonal."""
+    product = np.swapaxes(matrices, -1, -2) @ matrices - np.eye(matrices.shape[-1])
+    skew = np.max(np.abs(product), axis=(-2, -1))
+    return ValueError, "basis is not orthogonal within 1e-12", skew > 1e-12
 
 
 @dataclass(frozen=True)
@@ -439,48 +448,42 @@ def fim(model: ProbabilityModel) -> np.ndarray:
     parity makes odd cancel exactly, so F12 of an even PSF is exactly 0.0;
     for any other model it is only a summation order.
     """
-    probabilities = model.probabilities
     weights = model.weights if model.weights is not None else 1.0
-    peak = np.max(probabilities, axis=-1, keepdims=True, initial=0.0)
-    keep = probabilities > 1e-15 * peak
-
     derivatives = (model.dp_dtheta1, model.dp_dtheta2)
-    if not np.all(keep):
-        checks = []
-        for index, derivative in enumerate(derivatives, start=1):
-            magnitude = np.abs(derivative)
-            worst = np.max(magnitude, axis=-1, where=~keep, initial=0.0)
-            checks.append((
-                DegenerateOutcomeError,
-                f"an outcome with vanishing probability has dp_dtheta{index} "
-                "= {:.3e}; the Fisher information diverges there",
-                worst > 1e-9 * np.max(magnitude, axis=-1, initial=0.0),
-                worst,
-            ))
-        _raise_first_failure(checks, "row {}: " if probabilities.ndim > 1 else "")
-
-    # Dropped outcomes get a zero weight in place, which keeps the mirror
-    # positions of the kept ones.
-    inverse_p = np.divide(
-        weights, probabilities, out=np.zeros_like(probabilities), where=keep
-    )
-    totals = _fisher_entries(inverse_p, *derivatives)
-    matrices = totals[[0, 1, 1, 2]].T.reshape(*totals.shape[1:], 2, 2)
-    # A row without any kept outcome is exactly zero (not -0.0).
-    matrices[~keep.any(axis=-1)] = 0.0
+    matrices, checks = _fisher_information(model.probabilities, derivatives, weights)
+    _raise_first_failure(checks, "row {}: " if model.probabilities.ndim > 1 else "")
     return matrices
 
 
-def _fisher_entries(inverse_p, d1, d2):
-    """F11, F12, F22 summed over the last (outcome) axis in mirror pairs."""
+def _fisher_information(probabilities, derivatives, weights=1.0):
+    """``fim``'s matrices of each row, and its drop-or-raise checks of each row."""
+    peak = np.max(probabilities, axis=-1, keepdims=True, initial=0.0)
+    keep = probabilities > 1e-15 * peak
+    checks = []
+    for index, derivative in enumerate(derivatives, start=1):
+        magnitude = np.abs(derivative)
+        worst = np.max(magnitude, axis=-1, where=~keep, initial=0.0)
+        checks.append((
+            DegenerateOutcomeError,
+            f"an outcome with vanishing probability has dp_dtheta{index} "
+            "= {:.3e}; the Fisher information diverges there",
+            worst > 1e-9 * np.max(magnitude, axis=-1, initial=0.0),
+            worst,
+        ))
+    # Dropped outcomes get a zero weight in place, which keeps the mirror
+    # positions of the kept ones.
+    inverse_p = np.divide(weights, probabilities, out=np.zeros_like(probabilities), where=keep)
+    d1, d2 = derivatives
     scaled = inverse_p * d1
     products = np.stack([scaled * d1, scaled * d2, inverse_p * d2 * d2])
-    count = products.shape[-1]
-    half = count // 2
+    half = products.shape[-1] // 2
     totals = (products[..., :half] + products[..., ::-1][..., :half]).sum(axis=-1)
-    if count % 2:
+    if products.shape[-1] % 2:
         totals += products[..., half]
-    return totals
+    matrices = totals[[0, 1, 1, 2]].T.reshape(*totals.shape[1:], 2, 2)
+    # A row without any kept outcome is exactly zero (not -0.0).
+    matrices[~keep.any(axis=-1)] = 0.0
+    return matrices, checks
 
 
 def regret_report(fim_matrix, qfim_value) -> RegretReport:
@@ -529,6 +532,57 @@ def regret_report(fim_matrix, qfim_value) -> RegretReport:
     )
 
 
+def regret_rows(fishers, quantum, c_tilde) -> np.ndarray:
+    """Rows (delta1, delta2, irtr_residual) of an (n, 2, 2) stack of FIMs.
+
+    ``quantum`` is one QFIM or one per row, ``c_tilde`` one coefficient or one
+    per row.  Column k equals, bit for bit, ``regret_report`` -> ``irtr_residual``
+    for row k.  Every check of that route is kept, plus ``RESIDUAL_FLOOR``; a
+    failure raises the route's error, naming the first failing row.
+    """
+    rows, checks = _regrets_and_checks(fishers, quantum, c_tilde)
+    _raise_first_failure(checks, "row {}: ")
+    return rows
+
+
+def _regrets_and_checks(fishers, quantum, c_tilde):
+    """The rows of ``regret_rows`` and its checks, in the order a row meets them."""
+    fishers = np.asarray(fishers, dtype=float)
+    quantum = np.asarray(quantum.matrix if isinstance(quantum, Qfim) else quantum, dtype=float)
+    if fishers.ndim != 3 or fishers.shape[1:] != (2, 2) or quantum.shape[-2:] != (2, 2):
+        raise ValueError("fishers and quantum must be 2x2 matrices, fishers a stack of them")
+    quantum = np.broadcast_to(quantum, fishers.shape)
+    c_tilde = np.broadcast_to(np.asarray(c_tilde, dtype=float), len(fishers))
+
+    regret = quantum - fishers
+    bound = quantum[:, [0, 1], [0, 1]].T
+    # Tolerances as in regret_report: absolute at unit scale, growing with the QFIM.
+    scale = np.maximum(1.0, np.max(np.abs(quantum), axis=(1, 2)))
+    lowest = np.linalg.eigvalsh(regret)[:, 0]
+    diagonals = regret[:, [0, 1], [0, 1]].T
+    delta1, delta2 = deltas = np.sqrt(np.where(diagonals < 0.0, 0.0, diagonals) / bound)
+    # Squared as irtr_residual squares it: a float's ** goes through pow,
+    # which can be 1 ulp away from numpy's x * x.
+    squares = np.array([value**2 for value in c_tilde.tolist()])
+    cross = 2.0 * np.sqrt(np.maximum(1.0 - squares, 0.0))
+    residual = delta1 * delta1 + delta2 * delta2 + cross * delta1 * delta2 - squares
+
+    checks = [
+        (ValueError, "qfim diagonal must be positive", ~np.all(bound > 0.0, axis=0)),
+        (BoundViolationError, "regret eigenvalue {:.3e} is negative beyond tolerance",
+         lowest < -1e-6 * scale, lowest),
+        *((BoundViolationError, "diagonal regret {:.3e} is negative beyond tolerance",
+           diagonal < -1e-9 * scale, diagonal) for diagonal in diagonals),
+        *((ValueError, f"delta{index} = {{!r}} is outside [0, 1]",
+           ~((-1e-12 <= delta) & (delta <= 1.0 + 1e-12)), delta)
+          for index, delta in enumerate(deltas, start=1)),
+        (ValueError, "c_tilde must lie in [0, 1]", ~((0.0 <= c_tilde) & (c_tilde <= 1.0))),
+        (BoundViolationError, "IRTR residual {:.3e} is negative beyond tolerance",
+         residual < RESIDUAL_FLOOR, residual),
+    ]
+    return np.stack([delta1, delta2, residual]), checks
+
+
 def projective_regrets(
     state: StateModel4, bases, quantum: Qfim, c_tilde: float, first_sample: int = 0
 ) -> np.ndarray:
@@ -540,45 +594,10 @@ def projective_regrets(
     first, naming the sample ``first_sample + k``.
     """
     bases = np.asarray(bases, dtype=float)
-    skew = np.max(np.abs(bases.transpose(0, 2, 1) @ bases - np.eye(4)), axis=(1, 2))
     probabilities, *derivatives = _born_rule(state, bases)
-    total = probabilities.sum(axis=1)
-    keep = probabilities > 1e-15 * np.max(probabilities, axis=1, keepdims=True)
-    inverse_p = np.divide(1.0, probabilities, out=np.zeros_like(probabilities), where=keep)
-    fisher = _fisher_entries(inverse_p, *derivatives)
-    regret = quantum.matrix - fisher[[0, 1, 1, 2]].T.reshape(-1, 2, 2)
-    diagonals = regret[:, [0, 1], [0, 1]].T
-    clamped = np.where(diagonals < 0.0, 0.0, diagonals)
-    delta1, delta2 = deltas = np.sqrt(clamped / np.diag(quantum.matrix)[:, np.newaxis])
-    cross = 2.0 * math.sqrt(max(1.0 - c_tilde**2, 0.0))  # as in irtr_residual
-    residual = delta1 * delta1 + delta2 * delta2 + cross * delta1 * delta2 - c_tilde**2
-
-    magnitude = np.abs(derivatives)
-    peak, scale = np.max(magnitude, axis=2), max(1.0, np.max(np.abs(quantum.matrix)))
-    worst = np.max(magnitude, axis=2, where=~keep, initial=0.0)
-    # The route's checks in the order one sample meets them.  A check of both
-    # derivatives or both regrets flags one row each, numbered into its text.
-    checks = [
-        (ValueError, "basis is not orthogonal", skew > 1e-12),
-        (ValueError, "negative probability", np.min(probabilities, axis=1) < 0.0),
-        (ValueError, "total probability is not 1", ~(abs(total - 1.0) <= 1e-10)),
-        (ValueError, "dp_dtheta{} does not sum to 0",
-         ~(abs(np.sum(derivatives, axis=2)) <= 1e-8 * np.maximum(1.0, peak))),
-        (DegenerateOutcomeError, "an outcome of vanishing probability has dp_dtheta{}",
-         worst > 1e-9 * peak),
-        (BoundViolationError, "negative regret eigenvalue",
-         np.linalg.eigvalsh(regret)[:, 0] < -1e-6 * scale),
-        (BoundViolationError, "regret diagonal {} is negative", diagonals < -1e-9 * scale),
-        (ValueError, "delta{} is outside [0, 1]",
-         ~((-1e-12 <= deltas) & (deltas <= 1.0 + 1e-12))),
-        (ValueError, "c_tilde is outside [0, 1]",
-         np.full(len(bases), not 0.0 <= c_tilde <= 1.0)),
-        (BoundViolationError, "IRTR residual below the floor", residual < RESIDUAL_FLOOR),
-    ]
-    flag_rows = [
-        (error, text.format(number), flags_row)
-        for error, text, flags in checks
-        for number, flags_row in enumerate(np.atleast_2d(flags), 1)
-    ]
-    _raise_first_failure(flag_rows, "sample {}: ", first_sample)
-    return np.stack([delta1, delta2, residual])
+    fishers, fisher_checks = _fisher_information(probabilities, derivatives)
+    rows, regret_checks = _regrets_and_checks(fishers, quantum, c_tilde)
+    # All stages' checks are raised together, so the first failing sample wins.
+    checks = [_orthogonality_check(bases), *_model_checks(probabilities, derivatives)]
+    _raise_first_failure(checks + fisher_checks + regret_checks, "sample {}: ", first_sample)
+    return rows

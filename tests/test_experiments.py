@@ -237,6 +237,23 @@ class TestRunFig2:
             assert 0.0 <= float(row[2]) <= 1.0
 
 
+    def test_fim_above_the_qfim_names_its_sweep_row(self, tmp_path, monkeypatch):
+        direct_fims = experiments._direct_fims
+
+        def inflated(psf, geometries, quad):
+            fishers = direct_fims(psf, geometries, quad)
+            fishers[2] = 10.0 * np.eye(2)
+            return fishers
+
+        monkeypatch.setattr(experiments, "_direct_fims", inflated)
+        config = lab.ExperimentConfig(
+            figure_id="fig2", theta2_grid=(0.5, 1.0, 2.0, 4.0), output_dir=str(tmp_path)
+        )
+        with pytest.raises(lab.BoundViolationError, match=r"^row 2: regret eigenvalue"):
+            lab.run_fig2(config)
+        assert not tmp_path.joinpath("fig2.csv").exists()
+
+
 class TestRunFig3:
     def test_panels_and_degenerate_marker(self, tmp_path):
         config = lab.ExperimentConfig(
@@ -437,6 +454,19 @@ class TestRunnersMatchScalarRoute:
             report = lab.regret_report(lab.fim(model), quantum)
             assert (float(row[1]), float(row[2])) == (report.delta1, report.delta2)
 
+    def test_fig3_panel_metadata(self, tmp_path):
+        panels = (0.05, 0.3, 1.0, 20.0)
+        config = lab.ExperimentConfig(
+            figure_id="fig3", panels=panels, frontier_samples=2, output_dir=str(tmp_path)
+        )
+        for path, ratio in zip(lab.run_fig3(config), panels):
+            metadata, _, _ = read_table(path)
+            geometry, overlaps = lab.SourceGeometry(0.0, ratio), self.overlaps(0.0, ratio)
+            model = lab.direct_imaging_model(self.psf, geometry, self.quad)
+            cells = ("c_tilde", "di_delta1", "di_delta2", "irtr_residual")
+            expected = (lab.incompatibility(overlaps).c_tilde, *scalar_row(model, overlaps))
+            assert tuple(float(metadata[name]) for name in cells) == expected
+
     def test_fig4_spade_rows(self, tmp_path):
         config = lab.ExperimentConfig(
             figure_id="fig4",
@@ -584,6 +614,12 @@ class TestCli:
                 "theta1_grid",
                 [-2.0, 0.0],
             ),
+            (["fig4", "--gri", "-1:1:0.5"], "theta1_grid", [-1.0, -0.5, 0.0, 0.5, 1.0]),
+            (
+                ["custom", "--theta1", "-2,0", "--theta2-grid", "1", "--n-random", "3"],
+                "theta1_grid",
+                [-2.0, 0.0],
+            ),
         ],
     )
     def test_grid_may_start_with_a_negative_value(self, tmp_path, argv, field, expected):
@@ -591,6 +627,13 @@ class TestCli:
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["config"][field] == expected
+
+    def test_ambiguous_grid_prefix_exits_two(self, tmp_path, capsys):
+        argv = ["custom", "--theta", "-2,0", "--theta2-grid", "1", "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert "ambiguous option: --theta" in capsys.readouterr().err
 
     def test_negative_separation_grid_is_config_error(self, tmp_path, capsys):
         code = cli.main(["fig2", "--grid", "-1,1", "--out", str(tmp_path)])

@@ -19,6 +19,7 @@ from irtr_lab.measurements import (
     SUBSPACE_PROJECTORS,
     haar_random_bases,
     projective_regrets,
+    regret_rows,
 )
 from irtr_lab.psf_core import quadrature_grid
 
@@ -573,6 +574,71 @@ class TestRegretReport:
         )
 
 
+class TestRegretRows:
+    """The stacked regret step against ``regret_report`` -> ``irtr_residual``."""
+
+    quanta = [
+        lab.qfim(lab.overlap_integrals(lab.gaussian_psf(1.0), lab.SourceGeometry(*pair)))
+        for pair in ((0.0, 0.05), (0.4, 1.0), (0.0, 3.0))
+    ]
+
+    @staticmethod
+    def scalar(fisher, quantum, c_tilde):
+        report = lab.regret_report(fisher, quantum)
+        point = lab.TradeoffPoint(report.delta1, report.delta2)
+        return report.delta1, report.delta2, lab.irtr_residual(point, c_tilde)
+
+    def assert_rows_are_the_scalar_route(self, fishers, quanta, c_tildes, **shared):
+        rows = regret_rows(fishers, **shared) if shared else regret_rows(
+            fishers, np.array([q.matrix for q in quanta]), c_tildes
+        )
+        assert rows.shape == (3, len(fishers))
+        for k, (fisher, quantum, c_tilde) in enumerate(zip(fishers, quanta, c_tildes)):
+            assert tuple(rows[:, k]) == self.scalar(fisher, quantum, c_tilde)
+
+    def test_one_qfim_and_c_tilde_per_row(self):
+        rng = np.random.default_rng(4)
+        quanta = self.quanta * 4
+        c_tildes = rng.uniform(0.0, 1.0, len(quanta)).tolist()
+        # Up to 36 % of each QFIM entry: delta1^2 + delta2^2 >= 1.28 >= c_tilde^2.
+        fishers = rng.uniform(0.0, 0.6, (len(quanta), 2, 2)) ** 2 * [q.matrix for q in quanta]
+        fishers = (fishers + fishers.transpose(0, 2, 1)) / 2
+        self.assert_rows_are_the_scalar_route(fishers, quanta, c_tildes)
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_c_tilde_is_squared_as_the_scalar_route_squares_it(self, per_row):
+        # Squaring this c_tilde as x * x instead of x**2 moves the residuals of
+        # f = 0.8, 0.85, 0.9 and 0.95 by 1 ulp; f = 0.95 falls below the floor.
+        c_tilde, quantum = 0.5402238995537649, self.quanta[1]
+        fishers = np.array([f * quantum.matrix for f in np.linspace(0.05, 0.95, 19)])
+        shared = {} if per_row else {"quantum": quantum, "c_tilde": c_tilde}
+        self.assert_rows_are_the_scalar_route(
+            fishers[:18], [quantum] * 18, [c_tilde] * 18, **shared
+        )
+        residual = self.scalar(fishers[18], quantum, c_tilde)[2]
+        text = f"row 18: IRTR residual {residual:.3e} is negative beyond tolerance"
+        with pytest.raises(lab.BoundViolationError, match=f"^{text}$"):
+            regret_rows(fishers, np.array([quantum.matrix] * 19), [c_tilde] * 19)
+
+    def test_shared_qfim_and_c_tilde(self):
+        quantum = self.quanta[0]
+        fishers = np.array([np.diag([f, 1.0 - f]) * quantum.matrix for f in (0.0, 0.3, 1.0)])
+        self.assert_rows_are_the_scalar_route(
+            fishers, [quantum] * 3, [0.9] * 3, quantum=quantum.matrix, c_tilde=0.9
+        )
+
+    def test_failing_row_in_the_middle_is_named(self):
+        fishers = np.array([0.5 * q.matrix for q in self.quanta * 2])
+        fishers[3] = 1.5 * fishers[3]
+        fishers[4] = 3.0 * fishers[4]
+        quanta = np.array([q.matrix for q in self.quanta * 2])
+        with pytest.raises(lab.BoundViolationError, match=r"^row 4: regret eigenvalue"):
+            regret_rows(fishers, quanta, 0.5)
+        fishers[2] = 2.5 * fishers[2]
+        with pytest.raises(lab.BoundViolationError, match=r"^row 2: regret eigenvalue"):
+            regret_rows(fishers, quanta, 0.5)
+
+
 def givens(i, j, angle):
     """Rotation by ``angle`` in the (i, j) plane of the 4-dimensional subspace."""
     rotation = np.eye(4)
@@ -653,6 +719,18 @@ class TestProjectiveRegrets:
             lab.irtr_residual(lab.TradeoffPoint(*self.scalar(basis)[:2]), 1.1)
         with pytest.raises(ValueError, match="sample 0: c_tilde"):
             self.batch(basis, c_tilde=1.1)
+
+    def test_errors_carry_the_scalar_routes_text(self):
+        good = lab.haar_random_orthogonal(0).matrix
+        cases = [(1.001 * good, self.c_tilde), (self.near_null(1e-8), self.c_tilde)]
+        for basis, c_tilde in [*cases, (good, 1.1)]:
+            with pytest.raises((ValueError, lab.IrtrLabError)) as scalar:
+                model = lab.projective_model(self.state, lab.ProjectiveMeasurement4(basis, 0))
+                report = lab.regret_report(lab.fim(model), self.quantum)
+                lab.irtr_residual(lab.TradeoffPoint(report.delta1, report.delta2), c_tilde)
+            with pytest.raises(scalar.type) as batch:
+                self.batch(basis, c_tilde=c_tilde, first_sample=5)
+            assert str(batch.value) == f"sample 5: {scalar.value}"
 
     def test_an_earlier_sample_fails_first_whatever_its_check(self):
         # At c_tilde = 1 the first Haar basis (delta1^2 + delta2^2 = 0.90)
