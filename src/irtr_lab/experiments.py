@@ -10,8 +10,9 @@ configuration and seed give byte-identical CSVs: randomness flows through a
 spawned SeedSequence per sample.  Every runner evaluates its points through
 one kernel: ``_context`` (overlaps, QFIM, c_tilde per geometry), then one
 stacked regret step per measurement: ``regret_rows`` over the direct-imaging
-FIMs (from stacked models, a block of the sweep at a time) or SPADE FIMs of
-a whole sweep, ``projective_regrets`` over a block of Haar-random bases.
+FIMs (from stacked models, a block of the sweep at a time) or the SPADE FIMs
+(from one stacked model per mode cutoff), ``projective_regrets`` over a block
+of Haar-random bases.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .measurements import (
     haar_random_bases,
     projective_regrets,
     regret_rows,
+    spade_cutoff,
     spade_model,
 )
 from .psf_core import QuadratureSpec, SourceGeometry, gaussian_psf, overlap_integrals
@@ -272,7 +274,22 @@ def _direct_fims(psf, geometries, quad):
 
 
 def _spade_fims(config, geometries):
-    return [fim(spade_model(config.sigma, g, config.mode_cutoff)) for g in geometries]
+    """SPADE FIM of each geometry, bit for bit its own, from one stacked model per cutoff.
+
+    A model or FIM error names its row within the cutoff group; with an
+    explicit ``mode_cutoff`` the group is the whole sweep.
+    """
+    groups = {}
+    for index, geometry in enumerate(geometries):
+        cutoff = config.mode_cutoff
+        if cutoff is None:
+            cutoff = spade_cutoff(config.sigma, geometry)
+        groups.setdefault(cutoff, []).append(index)
+    fishers = np.empty((len(geometries), 2, 2))
+    for cutoff, members in groups.items():
+        model = spade_model(config.sigma, [geometries[i] for i in members], cutoff)
+        fishers[members] = fim(model)
+    return fishers
 
 
 def _random_rows(context, streams):

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import BoundViolationError, CutoffError, DegenerateOutcomeError
 from .psf_core import (
@@ -57,7 +56,8 @@ class ProbabilityModel:
     ``truncated_mass`` and ``fisher_tail_bound`` report upper bounds on what
     a mode cutoff discarded (zero where no truncation happens).
     Arrays of shape (m, n) stack m models of n outcomes, each row checked on
-    its own; an error names the first failing row.
+    its own (with its own ``truncated_mass``, if that is an array of m);
+    an error names the first failing row.
     """
 
     outcome_kind: str
@@ -245,26 +245,34 @@ def _intensity_and_derivatives(psf, theta2, offsets):
     }
 
 
-def _mode_weights(modes: np.ndarray, alpha: float) -> np.ndarray:
-    """w(q, alpha) = alpha^(2q) exp(-alpha^2) / q!, stable in logs."""
-    if alpha == 0.0:
-        return (modes == 0).astype(float)
-    log_w = (
-        2.0 * modes * math.log(abs(alpha))
-        - alpha * alpha
-        - gammaln(modes + 1.0)
-    )
-    return np.exp(log_w)
+def _gammaln(x):
+    """``scipy.special.gammaln``, imported on the first call.
+
+    scipy.special dominates the package's import time and only SPADE needs
+    it.  The first call rebinds this module's ``_gammaln`` to the ufunc
+    itself, so later calls cost no more than calling it directly.
+    """
+    global _gammaln
+    from scipy.special import gammaln as _gammaln
+
+    return _gammaln(x)
 
 
-def _mode_weight_alpha_derivative(
-    modes: np.ndarray, alpha: float, weights: np.ndarray
-) -> np.ndarray:
-    # d/dalpha [alpha^(2q) e^(-alpha^2)/q!] = w * 2 (q/alpha - alpha); the
-    # q/alpha term is absent at alpha = 0 where every derivative vanishes.
-    if alpha == 0.0:
-        return np.zeros_like(weights)
-    return weights * 2.0 * (modes / alpha - alpha)
+def _mode_weights(modes: np.ndarray, alpha: np.ndarray):
+    """w(q, alpha) = alpha^(2q) exp(-alpha^2) / q! and dw/dalpha for a column of alphas.
+
+    The weights are computed in logs for stability, a row per alpha.  A row
+    with alpha = 0 is the point mass at q = 0 with every derivative 0.
+    """
+    # math.log, one alpha at a time: numpy's SIMD log can differ from it in the
+    # last bit on some CPUs, which would move the last digits of the CSVs.
+    log_alpha = [[math.log(abs(a)) if a else 0.0] for a in alpha[:, 0].tolist()]
+    weights = np.exp(2.0 * modes * np.array(log_alpha) - alpha * alpha - _gammaln(modes + 1.0))
+    # d/dalpha [alpha^(2q) e^(-alpha^2)/q!] = w * 2 (q/alpha - alpha).
+    zero = alpha[:, 0] == 0.0
+    slopes = weights * 2.0 * (modes / np.where(zero[:, None], 1.0, alpha) - alpha)
+    weights[zero], slopes[zero] = modes == 0, 0.0
+    return weights, slopes
 
 
 def _poisson_tail_bound(mean: float, cutoff: int) -> float:
@@ -273,7 +281,7 @@ def _poisson_tail_bound(mean: float, cutoff: int) -> float:
         return 0.0
     if cutoff < 0 or mean / (cutoff + 2.0) >= 1.0:
         return 1.0
-    log_first = (cutoff + 1.0) * math.log(mean) - mean - gammaln(cutoff + 2.0)
+    log_first = (cutoff + 1.0) * math.log(mean) - mean - _gammaln(cutoff + 2.0)
     # Geometric comparison: successive terms shrink by at least mean/(Q+2).
     return math.exp(log_first) / (1.0 - mean / (cutoff + 2.0))
 
@@ -295,60 +303,93 @@ def _fisher_tail_bound(sigma: float, means: tuple[float, float], cutoff: int) ->
     return total / sigma**2
 
 
+def _tail_bounds(sigma, means, cutoff):
+    """(truncated mass bound, Fisher tail bound) of a SPADE model cut at ``cutoff``."""
+    mass = 0.5 * sum(_poisson_tail_bound(mean, cutoff) for mean in means)
+    return mass, _fisher_tail_bound(sigma, means, cutoff)
+
+
+def _source_alphas(sigma, geometries):
+    """alpha_j = X_j / 2 sigma of each geometry's two sources, a row per geometry."""
+    if not sigma > 0.0:
+        raise ValueError("sigma must be positive")
+    return np.array([(g.x1, g.x2) for g in geometries], dtype=float) / (2.0 * sigma)
+
+
+def spade_cutoff(sigma: float, geometry: SourceGeometry) -> int:
+    """The adaptive SPADE cutoff of ``spade_model(sigma, geometry)``.
+
+    It is the smallest cutoff Q >= 2 whose truncated mass bound is below
+    1e-14 and whose Fisher tail bound is at most 1e-13/sigma^2; a
+    CutoffError is raised when no Q up to 512 meets both.  Each Poisson tail
+    bound is 1 while the mean is at least Q + 2 and only shrinks after that,
+    so every cutoff above one that meets both criteria meets them too, and
+    bisection finds the smallest.
+    """
+    alphas = _source_alphas(sigma, [geometry])
+    means = (alphas * alphas)[0].tolist()
+    low, high = 2, _MODE_CAP + 1
+    while low < high:
+        middle = (low + high) // 2
+        mass, fisher = _tail_bounds(sigma, means, middle)
+        if mass < _MASS_TOLERANCE and fisher <= 1e-13 / sigma**2:
+            high = middle
+        else:
+            low = middle + 1
+    if low > _MODE_CAP:
+        raise CutoffError(f"no cutoff up to {_MODE_CAP} meets the truncation criteria")
+    return low
+
+
 def spade_model(
     sigma: float,
-    geometry: SourceGeometry,
+    geometry: SourceGeometry | list[SourceGeometry],
     mode_cutoff: int | None = None,
 ) -> ProbabilityModel:
     """Hermite-Gaussian mode-sorting model for a Gaussian PSF of width sigma.
 
     The outcome is the mode index q = 0..Q.  With ``mode_cutoff=None`` the
-    cutoff Q grows until the discarded mass is below 1e-14 and the discarded
-    Fisher information is below 1e-13/sigma^2; an explicit cutoff must
-    satisfy the mass criterion or a CutoffError is raised.
+    cutoff Q is the smallest one whose discarded mass is below 1e-14 and
+    whose discarded Fisher information is at most 1e-13/sigma^2
+    (``spade_cutoff``); an explicit cutoff must satisfy the mass criterion
+    or a CutoffError is raised.  The model reports both tail bounds.
+    A sequence of geometries and an explicit cutoff give a stacked model,
+    row i equal bit for bit to the model of ``geometry[i]`` alone, with its
+    own tail bounds; an error names the first failing row.
     """
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    alphas = (geometry.x1 / (2.0 * sigma), geometry.x2 / (2.0 * sigma))
-    means = tuple(a * a for a in alphas)
-
-    def bounds(cutoff):
-        mass = 0.5 * sum(_poisson_tail_bound(mean, cutoff) for mean in means)
-        return mass, _fisher_tail_bound(sigma, means, cutoff)
-
+    stacked = not isinstance(geometry, SourceGeometry)
+    alphas = _source_alphas(sigma, geometry if stacked else [geometry])
     if mode_cutoff is None:
-        for cutoff in range(2, _MODE_CAP + 1):
-            mass_tail, fisher_tail = bounds(cutoff)
-            if mass_tail < _MASS_TOLERANCE and fisher_tail <= 1e-13 / sigma**2:
-                break
-        else:
-            raise CutoffError(
-                f"no cutoff up to {_MODE_CAP} meets the truncation criteria"
-            )
-    else:
-        cutoff = int(mode_cutoff)
-        if cutoff < 0:
-            raise ValueError("mode_cutoff must be nonnegative")
-        mass_tail, fisher_tail = bounds(cutoff)
-        if not mass_tail < _MASS_TOLERANCE:
-            raise CutoffError(
-                f"cutoff {cutoff} leaves truncated mass bound {mass_tail:.3e}"
-            )
+        if stacked:
+            raise ValueError("a stacked SPADE model needs an explicit mode_cutoff")
+        mode_cutoff = spade_cutoff(sigma, geometry)
+    cutoff = int(mode_cutoff)
+    if cutoff < 0:
+        raise ValueError("mode_cutoff must be nonnegative")
+    bounds = [_tail_bounds(sigma, pair, cutoff) for pair in (alphas * alphas).tolist()]
+    mass_tail, fisher_tail = np.array(bounds).T
+    message = f"cutoff {cutoff} leaves truncated mass bound {{:.3e}}"
+    checks = [(CutoffError, message, ~(mass_tail < _MASS_TOLERANCE), mass_tail)]
+    _raise_first_failure(checks, "row {}: " if stacked else "")
 
     modes = np.arange(cutoff + 1)
-    weights_1 = _mode_weights(modes, alphas[0])
-    weights_2 = _mode_weights(modes, alphas[1])
-    slope_1 = _mode_weight_alpha_derivative(modes, alphas[0], weights_1)
-    slope_2 = _mode_weight_alpha_derivative(modes, alphas[1], weights_2)
-    return ProbabilityModel(
-        outcome_kind=DISCRETE_MODES,
-        probabilities=0.5 * (weights_1 + weights_2),
+    weights_1, slope_1 = _mode_weights(modes, alphas[:, :1])
+    weights_2, slope_2 = _mode_weights(modes, alphas[:, 1:])
+    fields = {
+        "probabilities": 0.5 * (weights_1 + weights_2),
         # alpha_j = X_j / 2 sigma, so dalpha/dtheta1 = 1/2sigma for both and
         # dalpha/dtheta2 = -+ 1/4sigma.
-        dp_dtheta1=(slope_1 + slope_2) / (4.0 * sigma),
-        dp_dtheta2=(slope_2 - slope_1) / (8.0 * sigma),
+        "dp_dtheta1": (slope_1 + slope_2) / (4.0 * sigma),
+        "dp_dtheta2": (slope_2 - slope_1) / (8.0 * sigma),
+    }
+    if not stacked:
+        fields = {name: values[0] for name, values in fields.items()}
+        mass_tail, fisher_tail = float(mass_tail[0]), float(fisher_tail[0])
+    return ProbabilityModel(
+        outcome_kind=DISCRETE_MODES,
         truncated_mass=mass_tail,
         fisher_tail_bound=fisher_tail,
+        **fields,
     )
 
 

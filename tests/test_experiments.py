@@ -20,6 +20,7 @@ from irtr_lab.experiments import (
     DEFAULT_SEPARATION_GRID,
     inclusive_grid,
 )
+from irtr_lab.measurements import spade_cutoff
 
 
 def read_table(path):
@@ -468,18 +469,58 @@ class TestRunnersMatchScalarRoute:
             assert tuple(float(metadata[name]) for name in cells) == expected
 
     def test_fig4_spade_rows(self, tmp_path):
+        # About 400 misalignments over [-20, 20] sigma span many cutoff groups;
+        # theta1 = 0.05 puts a source on the axis (alpha = 0).
+        grid = tuple(sorted({*np.linspace(-20.0, 20.0, 399).tolist(), -0.05, 0.05}))
         config = lab.ExperimentConfig(
-            figure_id="fig4",
-            theta1_grid=(0.0, 0.37, 2.5),
-            theta2_over_sigma=0.1,
-            output_dir=str(tmp_path),
+            figure_id="fig4", theta1_grid=grid, theta2_over_sigma=0.1, output_dir=str(tmp_path)
         )
         _, _, rows = read_table(lab.run_fig4(config)[0])
+        assert tuple(float(row[0]) for row in rows) == grid
         overlaps = self.overlaps(0.0, 0.1)
-        for row in rows:
-            model = lab.spade_model(1.0, lab.SourceGeometry(float(row[0]), 0.1), None)
-            expected = scalar_row(model, overlaps)
+        geometries = [lab.SourceGeometry(float(row[0]), 0.1) for row in rows]
+        assert any(0.0 in (geometry.x1, geometry.x2) for geometry in geometries)
+        assert len({spade_cutoff(1.0, g) for g in geometries}) > 30
+        for row, geometry in zip(rows, geometries):
+            expected = scalar_row(lab.spade_model(1.0, geometry, None), overlaps)
             assert (float(row[1]), float(row[2])) == expected[:2]
+
+    @pytest.mark.parametrize("mode_cutoff", [None, 120])
+    def test_custom_every_spade_row(self, tmp_path, mode_cutoff):
+        config = lab.ExperimentConfig(
+            figure_id="custom",
+            sigma=0.37,
+            theta1_grid=(-9.0, -0.025, 0.0, 0.8, 4.4),
+            theta2_grid=(0.05, 1.3, 6.0),
+            measurements=("spade",),
+            mode_cutoff=mode_cutoff,
+            output_dir=str(tmp_path),
+        )
+        _, _, rows = read_table(lab.run_custom(config)[0])
+        assert len(rows) == 15
+        psf = lab.gaussian_psf(0.37)
+        for row in rows:
+            geometry = lab.SourceGeometry(float(row[0]) * 0.37, float(row[1]) * 0.37)
+            overlaps = lab.overlap_integrals(psf, geometry, self.quad)
+            model = lab.spade_model(0.37, geometry, mode_cutoff)
+            assert row[2:4] == ["spade", "-1"]
+            assert tuple(float(cell) for cell in row[4:]) == scalar_row(model, overlaps)
+
+    @pytest.mark.parametrize(
+        "mode_cutoff, theta1, label", [(30, 8.0, "row 2: "), (None, 60.0, "")]
+    )
+    def test_spade_failure_is_the_first_in_sweep_order(self, tmp_path, mode_cutoff, theta1, label):
+        # Both far geometries fail and the first in the sweep raises: an explicit
+        # cutoff's model names its sweep row, the adaptive search raises its own text.
+        grid = (0.0, 1.0, theta1, theta1 + 1.0)
+        config = lab.ExperimentConfig(
+            figure_id="fig4", theta1_grid=grid, mode_cutoff=mode_cutoff, output_dir=str(tmp_path)
+        )
+        with pytest.raises(lab.CutoffError) as expected:
+            lab.spade_model(1.0, lab.SourceGeometry(theta1, 0.1), mode_cutoff)
+        with pytest.raises(lab.CutoffError) as raised:
+            lab.run_fig4(config)
+        assert str(raised.value) == label + str(expected.value)
 
     def test_fig5_sample_k_uses_spawned_stream_k(self, tmp_path):
         # 2000 samples span several batches; every row is checked.

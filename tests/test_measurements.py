@@ -7,12 +7,17 @@ direct Gauss-Legendre sums for mode orthonormality.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import poisson
 
 import irtr_lab as lab
+from irtr_lab import measurements
 from irtr_lab.measurements import (
     CONTINUUM_GRID,
     DISCRETE_MODES,
@@ -20,6 +25,7 @@ from irtr_lab.measurements import (
     haar_random_bases,
     projective_regrets,
     regret_rows,
+    spade_cutoff,
 )
 from irtr_lab.psf_core import quadrature_grid
 
@@ -194,6 +200,34 @@ class TestStackedModels:
         with pytest.raises(ValueError, match=r"^row 1: probabilities must be nonnegative"):
             self.discrete_stack(self.good, negative, drifting)
 
+    def test_spade_rows_equal_the_single_models(self):
+        # theta1 = -+0.15 at theta2 = 0.3 has a source on the axis (alpha = 0).
+        geometries = [lab.SourceGeometry(t1, 0.3) for t1 in (-2.0, -0.15, 0.0, 0.15, 3.1)]
+        for sigma, cutoff in ((1.0, 40), (0.37, 300)):
+            stacked = lab.spade_model(sigma, geometries, cutoff)
+            fisher = lab.fim(stacked)
+            assert fisher.shape == (5, 2, 2)
+            for row, geometry in enumerate(geometries):
+                single = lab.spade_model(sigma, geometry, cutoff)
+                for name in ("probabilities", "dp_dtheta1", "dp_dtheta2"):
+                    stacked_row = getattr(stacked, name)[row]
+                    np.testing.assert_array_equal(stacked_row, getattr(single, name))
+                assert stacked.truncated_mass[row] == single.truncated_mass
+                assert stacked.fisher_tail_bound[row] == single.fisher_tail_bound
+                np.testing.assert_array_equal(fisher[row], lab.fim(single))
+
+    def test_stacked_spade_model_needs_an_explicit_cutoff(self):
+        pair = [lab.SourceGeometry(-0.8, 0.5), lab.SourceGeometry(0.8, 0.5)]
+        with pytest.raises(ValueError, match="needs an explicit mode_cutoff"):
+            lab.spade_model(1.0, pair)
+
+    def test_failing_spade_row_names_its_row(self):
+        near, far = lab.SourceGeometry(0.0, 0.5), lab.SourceGeometry(10.0, 0.5)
+        cutoff = spade_cutoff(1.0, near)
+        message = rf"^row 1: cutoff {cutoff} leaves truncated mass"
+        with pytest.raises(lab.CutoffError, match=message):
+            lab.spade_model(1.0, [near, far, far], mode_cutoff=cutoff)
+
     def test_discrete_rows_equal_the_single_models(self):
         fisher = lab.fim(self.discrete_stack(self.good, self.good))
         single = lab.fim(lab.ProbabilityModel(DISCRETE_MODES, *self.good))
@@ -299,6 +333,75 @@ class TestSpadeModel:
     def test_outcome_kind(self):
         model = lab.spade_model(1.0, lab.SourceGeometry(0.0, 0.5))
         assert model.outcome_kind == DISCRETE_MODES
+
+
+def linear_scan_cutoff(sigma, geometry):
+    """(cutoff, mass bound, Fisher bound) of the adaptive rule by a scan from Q = 2 up.
+
+    This is the rule as first written, the reference for its bisection.
+    """
+    alphas = (geometry.x1 / (2.0 * sigma), geometry.x2 / (2.0 * sigma))
+    means = tuple(a * a for a in alphas)
+    for cutoff in range(2, 513):
+        mass = 0.5 * sum(measurements._poisson_tail_bound(mean, cutoff) for mean in means)
+        fisher = measurements._fisher_tail_bound(sigma, means, cutoff)
+        if mass < 1e-14 and fisher <= 1e-13 / sigma**2:
+            return cutoff, mass, fisher
+    raise lab.CutoffError("no cutoff up to 512 meets the truncation criteria")
+
+
+class TestAdaptiveCutoff:
+    """The bisected cutoff rule against the linear scan it replaced."""
+
+    @pytest.mark.parametrize("sigma", [0.37, 1.0, 2.3])
+    def test_bisection_is_the_linear_scan(self, sigma):
+        checked = 0
+        for ratio2 in np.geomspace(1e-4, 8.0, 9):
+            theta2 = float(ratio2) * sigma
+            # theta1 = -+theta2/2 puts one source on the axis, where alpha = 0.
+            theta1s = [float(r) * sigma for r in np.linspace(-30.0, 30.0, 121)]
+            for theta1 in [*theta1s, -0.5 * theta2, 0.5 * theta2]:
+                geometry = lab.SourceGeometry(theta1, theta2)
+                cutoff, mass, fisher = linear_scan_cutoff(sigma, geometry)
+                model = lab.spade_model(sigma, geometry)
+                assert spade_cutoff(sigma, geometry) == cutoff
+                assert model.probabilities.size == cutoff + 1
+                assert (model.truncated_mass, model.fisher_tail_bound) == (mass, fisher)
+                checked += 1
+        assert checked == 9 * 123
+
+    def test_no_cutoff_raises_as_the_linear_scan(self):
+        geometry = lab.SourceGeometry(60.0, 0.5)
+        with pytest.raises(lab.CutoffError) as scanned:
+            linear_scan_cutoff(1.0, geometry)
+        for route in (spade_cutoff, lab.spade_model):
+            with pytest.raises(lab.CutoffError) as bisected:
+                route(1.0, geometry)
+            assert str(bisected.value) == str(scanned.value)
+
+    def test_explicit_cutoff_below_the_mass_criterion_raises(self):
+        geometry = lab.SourceGeometry(3.0, 0.5)
+        cutoff = spade_cutoff(1.0, geometry)
+        lab.spade_model(1.0, geometry, mode_cutoff=cutoff)
+        with pytest.raises(lab.CutoffError, match=r"^cutoff 6 leaves truncated mass bound"):
+            lab.spade_model(1.0, geometry, mode_cutoff=6)
+
+    def test_cli_import_leaves_scipy_special_unloaded(self):
+        # scipy.special is imported on first SPADE use, not with the package.
+        source = str(Path(lab.__file__).resolve().parents[1])
+        code = (
+            "import sys, irtr_lab.cli; print('scipy.special' in sys.modules); "
+            "irtr_lab.spade_model(1.0, irtr_lab.SourceGeometry(0.0, 1.0)); "
+            "print('scipy.special' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": source},
+        )
+        assert result.stdout.split() == ["False", "True"]
 
 
 class TestHermiteGaussianModes:
