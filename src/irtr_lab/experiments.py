@@ -276,19 +276,19 @@ def _direct_fims(psf, geometries, quad):
 def _spade_fims(config, geometries):
     """SPADE FIM of each geometry, bit for bit its own, from one stacked model per cutoff.
 
-    A model or FIM error names its row within the cutoff group; with an
-    explicit ``mode_cutoff`` the group is the whole sweep.
+    The adaptive cutoffs of the sweep are bisected together.  A model or FIM
+    error names its row within the cutoff group; with an explicit
+    ``mode_cutoff`` the group is the whole sweep.
     """
-    groups = {}
-    for index, geometry in enumerate(geometries):
-        cutoff = config.mode_cutoff
-        if cutoff is None:
-            cutoff = spade_cutoff(config.sigma, geometry)
-        groups.setdefault(cutoff, []).append(index)
+    cutoffs = config.mode_cutoff
+    if cutoffs is None:
+        cutoffs = spade_cutoff(config.sigma, geometries)
+    cutoffs = np.broadcast_to(cutoffs, len(geometries))
+    sweep = np.array(geometries, dtype=object)
     fishers = np.empty((len(geometries), 2, 2))
-    for cutoff, members in groups.items():
-        model = spade_model(config.sigma, [geometries[i] for i in members], cutoff)
-        fishers[members] = fim(model)
+    for cutoff in np.unique(cutoffs):
+        members = cutoffs == cutoff
+        fishers[members] = fim(spade_model(config.sigma, sweep[members], int(cutoff)))
     return fishers
 
 

@@ -246,16 +246,13 @@ def _intensity_and_derivatives(psf, theta2, offsets):
 
 
 def _gammaln(x):
-    """``scipy.special.gammaln``, imported on the first call.
+    """``scipy.special.gammaln``, imported on use.
 
-    scipy.special dominates the package's import time and only SPADE needs
-    it.  The first call rebinds this module's ``_gammaln`` to the ufunc
-    itself, so later calls cost no more than calling it directly.
+    scipy.special dominates the package's import time and only SPADE needs it.
     """
-    global _gammaln
-    from scipy.special import gammaln as _gammaln
+    from scipy.special import gammaln
 
-    return _gammaln(x)
+    return gammaln(x)
 
 
 def _mode_weights(modes: np.ndarray, alpha: np.ndarray):
@@ -275,38 +272,28 @@ def _mode_weights(modes: np.ndarray, alpha: np.ndarray):
     return weights, slopes
 
 
-def _poisson_tail_bound(mean: float, cutoff: int) -> float:
-    """Upper bound on the Poisson(mean) mass beyond ``cutoff``."""
-    if mean == 0.0:
-        return 0.0
-    if cutoff < 0 or mean / (cutoff + 2.0) >= 1.0:
-        return 1.0
-    log_first = (cutoff + 1.0) * math.log(mean) - mean - _gammaln(cutoff + 2.0)
-    # Geometric comparison: successive terms shrink by at least mean/(Q+2).
-    return math.exp(log_first) / (1.0 - mean / (cutoff + 2.0))
+def _tail_bounds(sigma, means, cutoffs):
+    """(truncated mass bound, Fisher tail bound) of SPADE models cut at ``cutoffs``.
 
-
-def _fisher_tail_bound(sigma: float, means: tuple[float, float], cutoff: int) -> float:
-    """Upper bound on any FIM entry's truncation error beyond ``cutoff``.
-
-    Per mode, every entry is bounded by sum_i w_i (q - mu_i)^2 / (mu_i sigma^2);
-    the tail of that series has the closed-form bound below via the Poisson
-    factorial moments.
+    ``means`` holds the two Poisson means alpha_j^2 of a model along its last
+    axis; its other axes broadcast against ``cutoffs``.  The Poisson(mean)
+    mass beyond Q is bounded by a geometric series whose terms shrink by at
+    least mean/(Q+2), and 1 where that ratio is not below 1.  Per mode, every
+    FIM entry is bounded by sum_j w_j (q - mu_j)^2 / (mu_j sigma^2); the tail
+    of that series is bounded by mu_j times the mass beyond Q-2 plus the mass
+    beyond Q-1 (the Poisson factorial moments).
     """
-    total = 0.0
-    for mean in means:
-        if mean == 0.0:
-            continue
-        total += mean * _poisson_tail_bound(mean, cutoff - 2) + _poisson_tail_bound(
-            mean, cutoff - 1
-        )
-    return total / sigma**2
-
-
-def _tail_bounds(sigma, means, cutoff):
-    """(truncated mass bound, Fisher tail bound) of a SPADE model cut at ``cutoff``."""
-    mass = 0.5 * sum(_poisson_tail_bound(mean, cutoff) for mean in means)
-    return mass, _fisher_tail_bound(sigma, means, cutoff)
+    means = np.asarray(means, dtype=float)[..., np.newaxis, :]
+    # Poisson tails beyond Q, Q-2 and Q-1 for both means: shape (..., 3, 2).
+    beyond = np.asarray(cutoffs)[..., np.newaxis, np.newaxis] + np.array([[0], [-2], [-1]])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = means / (beyond + 2.0)
+        log_first = (beyond + 1.0) * np.log(means) - means - _gammaln(beyond + 2.0)
+        tails = np.exp(log_first) / (1.0 - ratio)
+    tails = np.where(means == 0.0, 0.0, np.where((beyond < 0) | (ratio >= 1.0), 1.0, tails))
+    mass, below_2, below_1 = tails[..., 0, :], tails[..., 1, :], tails[..., 2, :]
+    fisher = means[..., 0, :] * below_2 + below_1
+    return 0.5 * (mass[..., 0] + mass[..., 1]), (fisher[..., 0] + fisher[..., 1]) / sigma**2
 
 
 def _source_alphas(sigma, geometries):
@@ -316,7 +303,9 @@ def _source_alphas(sigma, geometries):
     return np.array([(g.x1, g.x2) for g in geometries], dtype=float) / (2.0 * sigma)
 
 
-def spade_cutoff(sigma: float, geometry: SourceGeometry) -> int:
+def spade_cutoff(
+    sigma: float, geometry: SourceGeometry | list[SourceGeometry]
+) -> int | np.ndarray:
     """The adaptive SPADE cutoff of ``spade_model(sigma, geometry)``.
 
     It is the smallest cutoff Q >= 2 whose truncated mass bound is below
@@ -324,21 +313,24 @@ def spade_cutoff(sigma: float, geometry: SourceGeometry) -> int:
     CutoffError is raised when no Q up to 512 meets both.  Each Poisson tail
     bound is 1 while the mean is at least Q + 2 and only shrinks after that,
     so every cutoff above one that meets both criteria meets them too, and
-    bisection finds the smallest.
+    bisection finds the smallest.  A sequence of geometries gives an array
+    of their cutoffs, bisected together: each row takes the midpoints its
+    own bisection would, and one without a cutoff raises the same error.
     """
-    alphas = _source_alphas(sigma, [geometry])
-    means = (alphas * alphas)[0].tolist()
-    low, high = 2, _MODE_CAP + 1
-    while low < high:
-        middle = (low + high) // 2
+    stacked = not isinstance(geometry, SourceGeometry)
+    alphas = _source_alphas(sigma, geometry if stacked else [geometry])
+    means = alphas * alphas
+    low, high = np.full(len(means), 2), np.full(len(means), _MODE_CAP + 1)
+    while (low < high).any():
+        # A converged row evaluates its accepted cutoff again and keeps it.
+        active, middle = low < high, (low + high) // 2
         mass, fisher = _tail_bounds(sigma, means, middle)
-        if mass < _MASS_TOLERANCE and fisher <= 1e-13 / sigma**2:
-            high = middle
-        else:
-            low = middle + 1
-    if low > _MODE_CAP:
+        met = (mass < _MASS_TOLERANCE) & (fisher <= 1e-13 / sigma**2)
+        high = np.where(active & met, middle, high)
+        low = np.where(active & ~met, middle + 1, low)
+    if (low > _MODE_CAP).any():
         raise CutoffError(f"no cutoff up to {_MODE_CAP} meets the truncation criteria")
-    return low
+    return low if stacked else int(low[0])
 
 
 def spade_model(
@@ -354,8 +346,9 @@ def spade_model(
     (``spade_cutoff``); an explicit cutoff must satisfy the mass criterion
     or a CutoffError is raised.  The model reports both tail bounds.
     A sequence of geometries and an explicit cutoff give a stacked model,
-    row i equal bit for bit to the model of ``geometry[i]`` alone, with its
-    own tail bounds; an error names the first failing row.
+    row i equal bit for bit to the model of ``geometry[i]`` alone; the tail
+    bounds of all rows are evaluated together, one pair per row, and an
+    error names the first failing row.
     """
     stacked = not isinstance(geometry, SourceGeometry)
     alphas = _source_alphas(sigma, geometry if stacked else [geometry])
@@ -366,8 +359,7 @@ def spade_model(
     cutoff = int(mode_cutoff)
     if cutoff < 0:
         raise ValueError("mode_cutoff must be nonnegative")
-    bounds = [_tail_bounds(sigma, pair, cutoff) for pair in (alphas * alphas).tolist()]
-    mass_tail, fisher_tail = np.array(bounds).T
+    mass_tail, fisher_tail = _tail_bounds(sigma, alphas * alphas, cutoff)
     message = f"cutoff {cutoff} leaves truncated mass bound {{:.3e}}"
     checks = [(CutoffError, message, ~(mass_tail < _MASS_TOLERANCE), mass_tail)]
     _raise_first_failure(checks, "row {}: " if stacked else "")

@@ -480,7 +480,7 @@ class TestRunnersMatchScalarRoute:
         overlaps = self.overlaps(0.0, 0.1)
         geometries = [lab.SourceGeometry(float(row[0]), 0.1) for row in rows]
         assert any(0.0 in (geometry.x1, geometry.x2) for geometry in geometries)
-        assert len({spade_cutoff(1.0, g) for g in geometries}) > 30
+        assert len(set(spade_cutoff(1.0, geometries).tolist())) > 30
         for row, geometry in zip(rows, geometries):
             expected = scalar_row(lab.spade_model(1.0, geometry, None), overlaps)
             assert (float(row[1]), float(row[2])) == expected[:2]
@@ -695,6 +695,42 @@ class TestCli:
         code = cli.main([*argv, "--out", str(tmp_path)])
         assert code == 2
         assert "config error: sigma must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ini, argv, message",
+        [
+            ("", ["--sigma", "abc"], "--sigma: 'abc' is not a number"),
+            ("seed = 1\n", [], "File contains no section headers"),
+            ("[common]\npanel_count = 0\n", [], "panel_count and nodes_per_panel must be"),
+        ],
+    )
+    def test_bad_setting_exits_two(self, tmp_path, capsys, ini, argv, message):
+        path = tmp_path / "settings.ini"
+        path.write_text(ini, encoding="utf-8")
+        code = cli.main(["fig4", "--config", str(path), *argv, "--out", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not tmp_path.joinpath("manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "ini, argv, keys, expected",
+        [
+            ("frontier_samples = 9", [], ["frontier_samples"], 9),
+            ("theta2_over_sigma = 0.3", [], ["theta2_over_sigma"], 0.3),
+            ("truncation_radius = 11.5", [], ["quad", "truncation_radius"], 11.5),
+            ("abs_tolerance = 2e-12", [], ["quad", "abs_tolerance"], 2e-12),
+            ("mode_cutoff = 17", ["--mode-cutoff", "adaptive"], ["mode_cutoff"], "adaptive"),
+        ],
+    )
+    def test_setting_reaches_the_manifest(self, tmp_path, ini, argv, keys, expected):
+        path = tmp_path / "settings.ini"
+        path.write_text(f"[fig4]\n{ini}\n", encoding="utf-8")
+        argv = ["fig4", "--config", str(path), "--grid", "0.0,", *argv, "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        echo = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["config"]
+        for key in keys:
+            echo = echo[key]
+        assert echo == expected
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(

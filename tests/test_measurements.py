@@ -322,6 +322,17 @@ class TestSpadeModel:
         assert 0.0 < model.truncated_mass < 1e-14
         assert 0.0 < model.fisher_tail_bound <= 1e-13
 
+    @pytest.mark.parametrize("mean", [1e-9, 0.3, 40.0])
+    def test_tail_bounds_of_a_source_on_the_axis(self, mean):
+        # alpha = 0 is the point mass at q = 0, so it adds no tail at any cutoff,
+        # even where Q-2 or Q-1 is negative and the tail of a source off the axis is 1.
+        cutoffs = np.arange(6)
+        on_axis = measurements._tail_bounds(1.0, [0.0, mean], cutoffs)
+        both = measurements._tail_bounds(1.0, [mean, mean], cutoffs)
+        for half, full in zip(on_axis, both):
+            np.testing.assert_array_equal(half, 0.5 * full)
+        assert both[1][0] == 2.0 * (mean + 1.0)
+
     def test_undersized_cutoff_raises(self):
         with pytest.raises(lab.CutoffError):
             lab.spade_model(1.0, lab.SourceGeometry(10.0, 0.5), mode_cutoff=5)
@@ -329,6 +340,10 @@ class TestSpadeModel:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             lab.spade_model(0.0, lab.SourceGeometry(0.0, 1.0))
+
+    def test_rejects_a_negative_cutoff(self):
+        with pytest.raises(ValueError, match="^mode_cutoff must be nonnegative$"):
+            lab.spade_model(1.0, lab.SourceGeometry(0.0, 1.0), mode_cutoff=-1)
 
     def test_outcome_kind(self):
         model = lab.spade_model(1.0, lab.SourceGeometry(0.0, 0.5))
@@ -338,16 +353,19 @@ class TestSpadeModel:
 def linear_scan_cutoff(sigma, geometry):
     """(cutoff, mass bound, Fisher bound) of the adaptive rule by a scan from Q = 2 up.
 
-    This is the rule as first written, the reference for its bisection.
+    This is the rule as first written, the reference for its bisection: the
+    bounds of every Q up to 512 come from one call, and the first Q that meets
+    both criteria wins.
     """
-    alphas = (geometry.x1 / (2.0 * sigma), geometry.x2 / (2.0 * sigma))
-    means = tuple(a * a for a in alphas)
-    for cutoff in range(2, 513):
-        mass = 0.5 * sum(measurements._poisson_tail_bound(mean, cutoff) for mean in means)
-        fisher = measurements._fisher_tail_bound(sigma, means, cutoff)
-        if mass < 1e-14 and fisher <= 1e-13 / sigma**2:
-            return cutoff, mass, fisher
-    raise lab.CutoffError("no cutoff up to 512 meets the truncation criteria")
+    alphas = np.array([geometry.x1, geometry.x2]) / (2.0 * sigma)
+    means = alphas * alphas
+    cutoffs = np.arange(2, 513)
+    mass, fisher = measurements._tail_bounds(sigma, means, cutoffs)
+    met = (mass < 1e-14) & (fisher <= 1e-13 / sigma**2)
+    if not met.any():
+        raise lab.CutoffError("no cutoff up to 512 meets the truncation criteria")
+    first = int(met.argmax())
+    return int(cutoffs[first]), mass[first], fisher[first]
 
 
 class TestAdaptiveCutoff:
@@ -355,26 +373,44 @@ class TestAdaptiveCutoff:
 
     @pytest.mark.parametrize("sigma", [0.37, 1.0, 2.3])
     def test_bisection_is_the_linear_scan(self, sigma):
-        checked = 0
+        # The sweep's cutoffs are bisected together; each model bisects its own.
+        geometries = []
         for ratio2 in np.geomspace(1e-4, 8.0, 9):
             theta2 = float(ratio2) * sigma
             # theta1 = -+theta2/2 puts one source on the axis, where alpha = 0.
             theta1s = [float(r) * sigma for r in np.linspace(-30.0, 30.0, 121)]
             for theta1 in [*theta1s, -0.5 * theta2, 0.5 * theta2]:
-                geometry = lab.SourceGeometry(theta1, theta2)
-                cutoff, mass, fisher = linear_scan_cutoff(sigma, geometry)
-                model = lab.spade_model(sigma, geometry)
-                assert spade_cutoff(sigma, geometry) == cutoff
-                assert model.probabilities.size == cutoff + 1
-                assert (model.truncated_mass, model.fisher_tail_bound) == (mass, fisher)
-                checked += 1
-        assert checked == 9 * 123
+                geometries.append(lab.SourceGeometry(theta1, theta2))
+        assert len(geometries) == 9 * 123
+        for geometry, stacked in zip(geometries, spade_cutoff(sigma, geometries).tolist()):
+            cutoff, mass, fisher = linear_scan_cutoff(sigma, geometry)
+            model = lab.spade_model(sigma, geometry)
+            assert stacked == cutoff
+            assert model.probabilities.size == cutoff + 1
+            assert (model.truncated_mass, model.fisher_tail_bound) == (mass, fisher)
+
+    def test_stacked_cutoffs_are_the_single_ones(self):
+        # A 500-point misalignment sweep at theta2 = 0.1 sigma.
+        sweep = [lab.SourceGeometry(r, 0.1) for r in np.linspace(-20.0, 20.0, 500).tolist()]
+        assert spade_cutoff(1.0, sweep).tolist() == [spade_cutoff(1.0, g) for g in sweep]
+
+    @pytest.mark.parametrize("sigma", [0.37, 1.0, 2.3])
+    def test_stacked_cutoffs_with_a_source_on_the_axis(self, sigma):
+        # theta1 = -+theta2/2 puts one source at alpha = 0.
+        theta2s = [float(r) * sigma for r in np.geomspace(1e-4, 8.0, 9)]
+        sweep = [lab.SourceGeometry(s * 0.5 * t, t) for t in theta2s for s in (-1.0, 1.0)]
+        assert all(0.0 in (geometry.x1, geometry.x2) for geometry in sweep)
+        assert spade_cutoff(sigma, sweep).tolist() == [spade_cutoff(sigma, g) for g in sweep]
 
     def test_no_cutoff_raises_as_the_linear_scan(self):
         geometry = lab.SourceGeometry(60.0, 0.5)
         with pytest.raises(lab.CutoffError) as scanned:
             linear_scan_cutoff(1.0, geometry)
-        for route in (spade_cutoff, lab.spade_model):
+        def in_a_sweep(sigma, far):
+            near = lab.SourceGeometry(1.0, 0.5)
+            return spade_cutoff(sigma, [near, far, near])
+
+        for route in (spade_cutoff, lab.spade_model, in_a_sweep):
             with pytest.raises(lab.CutoffError) as bisected:
                 route(1.0, geometry)
             assert str(bisected.value) == str(scanned.value)
@@ -729,6 +765,11 @@ class TestRegretRows:
         self.assert_rows_are_the_scalar_route(
             fishers, [quantum] * 3, [0.9] * 3, quantum=quantum.matrix, c_tilde=0.9
         )
+
+    def test_rejects_a_single_matrix(self):
+        quantum = self.quanta[0].matrix
+        with pytest.raises(ValueError, match="fishers a stack of them"):
+            regret_rows(0.5 * quantum, quantum, 0.5)
 
     def test_failing_row_in_the_middle_is_named(self):
         fishers = np.array([0.5 * q.matrix for q in self.quanta * 2])
