@@ -8,11 +8,13 @@ header), and finishes with a JSON manifest carrying the resolved
 configuration and the checksum and size of the bytes it wrote.  Identical
 configuration and seed give byte-identical CSVs: randomness flows through a
 spawned SeedSequence per sample.  Every runner evaluates its points through
-one kernel: ``_context`` (overlaps, QFIM, c_tilde per geometry), then one
-stacked regret step per measurement: ``regret_rows`` over the direct-imaging
-FIMs (from stacked models, a block of the sweep at a time) or the SPADE FIMs
-(from one stacked model per mode cutoff), ``projective_regrets`` over a block
-of Haar-random bases.
+one kernel: ``_contexts`` (the sweep's overlaps, QFIM stack and c_tilde
+values), then one stacked regret step per measurement: ``regret_rows`` over
+the direct-imaging FIMs (from stacked models, a block of the sweep at a time)
+or the SPADE FIMs (from one stacked model per mode cutoff),
+``projective_regrets`` over a block of Haar-random bases.  Tables stay
+columns of sweep-wide arrays up to the CSV writer, which formats each column
+by its dtype.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import hashlib
 import itertools
 import json
 import time
-from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -139,8 +140,8 @@ class ExperimentConfig:
         if self.mode_cutoff is not None and self.mode_cutoff < 0:
             raise ConfigError("mode_cutoff must be nonnegative or adaptive")
         chosen = tuple(self.measurements)
-        if not chosen or any(name not in MEASUREMENT_NAMES for name in chosen):
-            raise ConfigError(f"measurements must be a nonempty subset of {MEASUREMENT_NAMES}")
+        if not 0 < len(chosen) == len(set(MEASUREMENT_NAMES).intersection(chosen)):
+            raise ConfigError(f"measurements must be distinct names from {MEASUREMENT_NAMES}")
         object.__setattr__(self, "measurements", chosen)
         if self.frontier_samples < 2:
             raise ConfigError("frontier_samples must be at least 2")
@@ -172,10 +173,13 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _encode_csv(metadata, header, rows) -> bytes:
+def _encode_csv(metadata, columns) -> bytes:
+    arrays = [np.asarray(column) for column in columns.values()]
+    # One cell format per column, by its dtype; "%.17g" % x == format(x, ".17g").
+    template = ",".join({"f": "%.17g", "i": "%d", "U": "%s"}[array.dtype.kind] for array in arrays)
     lines = [f"# {key}={_format_cell(value)}" for key, value in metadata]
-    lines.append(",".join(header))
-    lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
+    lines.append(",".join(columns))
+    lines.extend(template % row for row in zip(*(array.tolist() for array in arrays)))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -210,10 +214,11 @@ def _runner(figure: str):
 def _run(figure: str, compute, config: ExperimentConfig) -> list[Path]:
     """Compute ``figure``'s tables, write them and the manifest, return the paths.
 
-    Each table is ``(file name, metadata, header, rows)``; the CSVs come back
-    in table order, then ``manifest.json``.  Checksums are taken of the bytes
-    as they are written.  Nothing is written, and the output directory is
-    not created, until every table has been computed.
+    Each table is ``(file name, metadata, columns)``, ``columns`` a dict from
+    header name to that column's values (a 1-d array or sequence), in order.
+    The CSVs come back in table order, then ``manifest.json``.  Checksums are
+    taken of the bytes as they are written.  Nothing is written, and the
+    output directory is not created, until every table has been computed.
     """
     if config.figure_id != figure:
         raise ConfigError(f"config names figure {config.figure_id!r}, expected {figure!r}")
@@ -226,8 +231,8 @@ def _run(figure: str, compute, config: ExperimentConfig) -> list[Path]:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths, files = [], {}
-    for name, metadata, header, rows in tables:
-        data = _encode_csv([("figure", figure), *metadata], header, rows)
+    for name, metadata, columns in tables:
+        data = _encode_csv([("figure", figure), *metadata], columns)
         path = out_dir / name
         path.write_bytes(data)
         paths.append(path)
@@ -251,19 +256,15 @@ def _run(figure: str, compute, config: ExperimentConfig) -> list[Path]:
     return [*paths, manifest_path]
 
 
-# What every measurement at one separation shares.
-_Context = namedtuple("_Context", ("overlaps", "quantum", "c_tilde"))
-
-
-def _context(psf, geometry: SourceGeometry, quad: QuadratureSpec) -> _Context:
-    overlaps = overlap_integrals(psf, geometry, quad)
-    return _Context(overlaps, qfim(overlaps), c_tilde_from_overlaps(overlaps))
-
-
-def _regrets(fishers, contexts) -> np.ndarray:
-    """``regret_rows`` of one FIM per context, against its own QFIM and c_tilde."""
-    quantum = np.array([context.quantum.matrix for context in contexts])
-    return regret_rows(fishers, quantum, [context.c_tilde for context in contexts])
+def _contexts(psf, geometries, quad):
+    """Overlaps, (n, 2, 2) QFIM stack and c_tilde floats of a sweep, geometry by geometry."""
+    # One geometry at a time, so the first failing geometry of the sweep raises.
+    contexts = [
+        (overlaps, qfim(overlaps).matrix, c_tilde_from_overlaps(overlaps))
+        for overlaps in (overlap_integrals(psf, geometry, quad) for geometry in geometries)
+    ]
+    overlaps, quantum, c_tilde = zip(*contexts)
+    return list(overlaps), np.array(quantum), list(c_tilde)
 
 
 def _direct_fims(psf, geometries, quad):
@@ -292,68 +293,70 @@ def _spade_fims(config, geometries):
     return fishers
 
 
-def _random_rows(context, streams):
-    """Yield (sample_index, delta1, delta2, irtr_residual); sample k uses ``streams[k]``."""
-    state = build_state_model(context.overlaps)
-    for start in range(0, len(streams), _SAMPLE_BLOCK):
-        bases = haar_random_bases(streams[start : start + _SAMPLE_BLOCK])
-        columns = projective_regrets(state, bases, context.quantum, context.c_tilde, start)
-        for sample_index, cells in enumerate(zip(*columns.tolist()), start):
-            yield sample_index, *cells
+def _random_regrets(overlaps, quantum, c_tilde, streams) -> np.ndarray:
+    """(3, n) delta1, delta2, irtr_residual of Haar-random bases; sample k uses ``streams[k]``."""
+    state = build_state_model(overlaps)
+    blocks = [
+        projective_regrets(
+            state, haar_random_bases(streams[k : k + _SAMPLE_BLOCK]), quantum, c_tilde, k
+        )
+        for k in range(0, len(streams), _SAMPLE_BLOCK)
+    ]
+    return np.concatenate(blocks, axis=1)
 
 
 def _frontier_table(name, metadata, coefficient, samples):
     no_constraint = coefficient <= _NO_CONSTRAINT_THRESHOLD
     frontier = [] if no_constraint else irtr_frontier(coefficient, samples)
-    rows = [(point.delta1, point.delta2) for point in frontier]
-    return name, [*metadata, ("no_constraint", no_constraint)], ("delta1", "delta2"), rows
+    columns = dict(delta1=[p.delta1 for p in frontier], delta2=[p.delta2 for p in frontier])
+    return name, [*metadata, ("no_constraint", no_constraint)], columns
 
 
 @_runner("fig1")
 def run_fig1(config, psf):
     """Incompatibility coefficient versus separation, both computation routes."""
-    rows = []
-    for ratio in config.theta2_grid:
-        separation = ratio * config.sigma
-        closed = gaussian_incompatibility(config.sigma, separation)
-        context = _context(psf, SourceGeometry(0.0, separation), config.quad)
-        rows.append((ratio, closed, context.c_tilde))
-    header = ("theta2_over_sigma", "c_tilde_closed_form", "c_tilde_quadrature")
-    return [("fig1.csv", [("sigma", config.sigma)], header, rows)], {}
+    separations = [ratio * config.sigma for ratio in config.theta2_grid]
+    geometries = [SourceGeometry(0.0, separation) for separation in separations]
+    columns = dict(
+        theta2_over_sigma=config.theta2_grid,
+        c_tilde_closed_form=[gaussian_incompatibility(config.sigma, s) for s in separations],
+        c_tilde_quadrature=_contexts(psf, geometries, config.quad)[2],
+    )
+    return [("fig1.csv", [("sigma", config.sigma)], columns)], {}
 
 
 @_runner("fig2")
 def run_fig2(config, psf):
     """Direct-imaging information regrets versus separation at zero misalignment."""
     geometries = [SourceGeometry(0.0, ratio * config.sigma) for ratio in config.theta2_grid]
-    contexts = [_context(psf, geometry, config.quad) for geometry in geometries]
-    delta1, delta2, _ = _regrets(_direct_fims(psf, geometries, config.quad), contexts).tolist()
-    rows = list(zip(config.theta2_grid, delta1, delta2))
+    _, quantum, c_tilde = _contexts(psf, geometries, config.quad)
+    delta1, delta2, _ = regret_rows(_direct_fims(psf, geometries, config.quad), quantum, c_tilde)
+    columns = dict(theta2_over_sigma=config.theta2_grid, delta1=delta1, delta2=delta2)
     metadata = [("sigma", config.sigma), ("theta1_over_sigma", 0.0)]
-    return [("fig2.csv", metadata, ("theta2_over_sigma", "delta1", "delta2"), rows)], {}
+    return [("fig2.csv", metadata, columns)], {}
 
 
 @_runner("fig3")
 def run_fig3(config, psf):
     """Per-separation panels: direct-imaging point against the IRTR frontier."""
     geometries = [SourceGeometry(0.0, ratio * config.sigma) for ratio in config.panels]
-    contexts = [_context(psf, geometry, config.quad) for geometry in geometries]
-    direct = _regrets(_direct_fims(psf, geometries, config.quad), contexts).T.tolist()
+    _, quantum, c_tilde = _contexts(psf, geometries, config.quad)
+    fishers = _direct_fims(psf, geometries, config.quad)
+    direct = regret_rows(fishers, quantum, c_tilde).T.tolist()
     tables = []
-    for index, (ratio, context, cells) in enumerate(zip(config.panels, contexts, direct), 1):
+    for index, (ratio, coefficient, cells) in enumerate(zip(config.panels, c_tilde, direct), 1):
         delta1, delta2, residual = cells
         metadata = [
             ("panel", index),
             ("sigma", config.sigma),
             ("theta2_over_sigma", ratio),
-            ("c_tilde", context.c_tilde),
+            ("c_tilde", coefficient),
             ("di_delta1", delta1),
             ("di_delta2", delta2),
             ("irtr_residual", residual),
         ]
         name = f"fig3_panel_{index}.csv"
-        frontier = _frontier_table(name, metadata, context.c_tilde, config.frontier_samples)
-        tables.append(frontier)
+        tables.append(_frontier_table(name, metadata, coefficient, config.frontier_samples))
     return tables, {}
 
 
@@ -363,58 +366,44 @@ def run_fig4(config, psf):
     separation = config.theta2_over_sigma * config.sigma
     # The overlaps depend only on the separation, so one evaluation covers
     # the whole misalignment sweep.
-    context = _context(psf, SourceGeometry(0.0, separation), config.quad)
+    _, quantum, (c_tilde,) = _contexts(psf, [SourceGeometry(0.0, separation)], config.quad)
     geometries = [SourceGeometry(r * config.sigma, separation) for r in config.theta1_grid]
-    fishers = _spade_fims(config, geometries)
-    delta1, delta2, _ = regret_rows(fishers, context.quantum, context.c_tilde).tolist()
-    rows = list(zip(config.theta1_grid, delta1, delta2))
+    delta1, delta2, _ = regret_rows(_spade_fims(config, geometries), quantum, c_tilde)
+    columns = dict(theta1_over_sigma=config.theta1_grid, delta1=delta1, delta2=delta2)
     metadata = [
         ("sigma", config.sigma),
         ("theta2_over_sigma", config.theta2_over_sigma),
-        ("c_tilde", context.c_tilde),
+        ("c_tilde", c_tilde),
     ]
-    tables = [
-        ("fig4.csv", metadata, ("theta1_over_sigma", "delta1", "delta2"), rows),
-        _frontier_table(
-            "fig4_frontier.csv", metadata, context.c_tilde, config.frontier_samples
-        ),
-    ]
-    return tables, {}
+    frontier = _frontier_table("fig4_frontier.csv", metadata, c_tilde, config.frontier_samples)
+    return [("fig4.csv", metadata, columns), frontier], {}
 
 
 @_runner("fig5")
 def run_fig5(config, psf):
     """Haar-random projective measurements at fixed geometry."""
     geometry = SourceGeometry(0.0, config.theta2_over_sigma * config.sigma)
-    context = _context(psf, geometry, config.quad)
+    (overlaps,), (quantum,), (c_tilde,) = _contexts(psf, [geometry], config.quad)
     streams = np.random.SeedSequence(config.seed).spawn(config.n_random)
-    rows = list(_random_rows(context, streams))
+    delta1, delta2, residual = _random_regrets(overlaps, quantum, c_tilde, streams)
     metadata = [
         ("sigma", config.sigma),
         ("theta1_over_sigma", 0.0),
         ("theta2_over_sigma", config.theta2_over_sigma),
-        ("c_tilde", context.c_tilde),
+        ("c_tilde", c_tilde),
         ("seed", config.seed),
         ("n_random", config.n_random),
     ]
-    tables = [
-        (
-            "fig5_samples.csv",
-            metadata,
-            ("sample_index", "delta1", "delta2", "irtr_residual"),
-            rows,
-        ),
-        _frontier_table(
-            "fig5_frontier.csv", metadata[:4], context.c_tilde, config.frontier_samples
-        ),
-    ]
-    residuals = [row[3] for row in rows]
+    indices = np.arange(config.n_random)
+    columns = dict(sample_index=indices, delta1=delta1, delta2=delta2, irtr_residual=residual)
+    frontier = _frontier_table(
+        "fig5_frontier.csv", metadata[:4], c_tilde, config.frontier_samples
+    )
     extras = {
-        "min_irtr_residual": min(residuals),
-        "fraction_irtr_residual_below_0.1": sum(r < 0.1 for r in residuals)
-        / len(residuals),
+        "min_irtr_residual": float(residual.min()),
+        "fraction_irtr_residual_below_0.1": np.count_nonzero(residual < 0.1) / residual.size,
     }
-    return tables, extras
+    return [("fig5_samples.csv", metadata, columns), frontier], extras
 
 
 @_runner("custom")
@@ -424,34 +413,41 @@ def run_custom(config, psf):
         raise ConfigError("custom runs require explicit theta1_grid and theta2_grid")
     points = list(itertools.product(config.theta1_grid, config.theta2_grid))
     geometries = [SourceGeometry(r1 * config.sigma, r2 * config.sigma) for r1, r2 in points]
-    contexts = [_context(psf, geometry, config.quad) for geometry in geometries]
-    # Regret rows of the measurements with one row per point, direct first.
+    overlaps, quantum, c_tilde = _contexts(psf, geometries, config.quad)
+    # (3, points) regrets of the measurements with one row per point, direct first.
     single = {}
     if "direct" in config.measurements:
-        single["direct"] = _regrets(_direct_fims(psf, geometries, config.quad), contexts)
+        fishers = _direct_fims(psf, geometries, config.quad)
+        single["direct"] = regret_rows(fishers, quantum, c_tilde)
     if "spade" in config.measurements:
-        single["spade"] = _regrets(_spade_fims(config, geometries), contexts)
-    children = np.random.SeedSequence(config.seed).spawn(len(points))
-    rows = []
-    for index, (point, context, child) in enumerate(zip(points, contexts, children)):
-        for name, columns in single.items():
-            rows.append((*point, name, -1, *columns[:, index].tolist()))
-        if "random" in config.measurements:
-            random = _random_rows(context, child.spawn(config.n_random))
-            rows.extend((*point, "random", *row) for row in random)
+        single["spade"] = regret_rows(_spade_fims(config, geometries), quantum, c_tilde)
+    # (3, points, rows per point): the single measurements, then the random samples.
+    blocks = [regrets[..., None] for regrets in single.values()]
+    names, indices = [*single], [-1] * len(single)
+    if "random" in config.measurements:
+        children = np.random.SeedSequence(config.seed).spawn(len(points))
+        randoms = [
+            _random_regrets(*context, child.spawn(config.n_random))
+            for *context, child in zip(overlaps, quantum, c_tilde, children)
+        ]
+        blocks.append(np.stack(randoms, axis=1))
+        names += ["random"] * config.n_random
+        indices += range(config.n_random)
+    delta1, delta2, residual = np.concatenate(blocks, axis=-1).reshape(3, -1)
+    theta1, theta2 = np.repeat(points, len(names), axis=0).T
+    columns = dict(
+        theta1_over_sigma=theta1,
+        theta2_over_sigma=theta2,
+        measurement=np.tile(names, len(points)),
+        sample_index=np.tile(indices, len(points)),
+        delta1=delta1,
+        delta2=delta2,
+        irtr_residual=residual,
+    )
     metadata = [
         ("sigma", config.sigma),
         ("seed", config.seed),
         ("n_random", config.n_random),
         ("measurements", "+".join(config.measurements)),
     ]
-    header = (
-        "theta1_over_sigma",
-        "theta2_over_sigma",
-        "measurement",
-        "sample_index",
-        "delta1",
-        "delta2",
-        "irtr_residual",
-    )
-    return [("custom.csv", metadata, header, rows)], {}
+    return [("custom.csv", metadata, columns)], {}

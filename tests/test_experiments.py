@@ -80,6 +80,8 @@ class TestExperimentConfig:
             {"figure_id": "fig1", "mode_cutoff": -3},
             {"figure_id": "fig1", "measurements": ("direct", "heterodyne")},
             {"figure_id": "fig1", "measurements": ()},
+            {"figure_id": "custom", "measurements": ("direct", "direct")},
+            {"figure_id": "custom", "measurements": ("direct", "direct", "spade", "spade")},
             {"figure_id": "fig1", "frontier_samples": 1},
             {"figure_id": "fig1", "theta2_over_sigma": 0.0},
             {"figure_id": "fig1", "sigma": float("inf")},
@@ -120,6 +122,24 @@ SMALL_CONFIGS = {
     "fig5": {"n_random": 4, "frontier_samples": 8},
     "custom": {"theta1_grid": (0.0,), "theta2_grid": (0.5, 1.0), "n_random": 2},
 }
+HEADERS = {
+    "fig1.csv": ["theta2_over_sigma", "c_tilde_closed_form", "c_tilde_quadrature"],
+    "fig2.csv": ["theta2_over_sigma", "delta1", "delta2"],
+    "fig4.csv": ["theta1_over_sigma", "delta1", "delta2"],
+    "fig5_samples.csv": ["sample_index", "delta1", "delta2", "irtr_residual"],
+    "custom.csv": [
+        "theta1_over_sigma",
+        "theta2_over_sigma",
+        "measurement",
+        "sample_index",
+        "delta1",
+        "delta2",
+        "irtr_residual",
+    ],
+}
+FRONTIER_HEADER = ["delta1", "delta2"]
+INTEGER_CELLS = {"sample_index", "panel", "seed", "n_random"}
+TEXT_CELLS = {"figure", "measurement", "measurements", "no_constraint"}
 WRITE_ORDER = {
     "fig1": ["fig1.csv"],
     "fig2": ["fig2.csv"],
@@ -158,6 +178,25 @@ class TestRunScaffold:
             entry = manifest["files"][path.name]
             assert entry["sha256"] == hashlib.sha256(data).hexdigest()
             assert entry["bytes"] == len(data)
+
+    @pytest.mark.parametrize("figure", experiments.FIGURES)
+    def test_every_cell_round_trips(self, tmp_path, figure):
+        # Floats are written with 17 significant digits, integers plainly; the
+        # small custom run lists every measurement (direct, spade, random).
+        config = lab.ExperimentConfig(
+            figure_id=figure, output_dir=str(tmp_path), **SMALL_CONFIGS[figure]
+        )
+        assert config.measurements == ("direct", "spade", "random")
+        for path in experiments.RUNNERS[figure](config)[:-1]:
+            metadata, header, rows = read_table(path)
+            assert header == HEADERS.get(path.name, FRONTIER_HEADER)
+            assert all(len(row) == len(header) for row in rows)
+            cells = [*metadata.items(), *(cell for row in rows for cell in zip(header, row))]
+            for name, text in cells:
+                if name in INTEGER_CELLS:
+                    assert str(int(text)) == text
+                elif name not in TEXT_CELLS:
+                    assert format(float(text), ".17g") == text
 
     @pytest.mark.parametrize(
         "figure, field, default",
@@ -352,6 +391,10 @@ class TestRunFig5:
         extras = manifest["extras"]
         assert extras["min_irtr_residual"] >= -1e-9
         assert 0.0 <= extras["fraction_irtr_residual_below_0.1"] <= 1.0
+        residuals = [float(row[3]) for row in rows]
+        assert extras["min_irtr_residual"] == min(residuals)
+        below = sum(residual < 0.1 for residual in residuals)
+        assert extras["fraction_irtr_residual_below_0.1"] == below / len(residuals)
 
 
 class TestRunCustom:
@@ -395,6 +438,30 @@ class TestRunCustom:
 
         assert run("a", seed=4) == run("b", seed=4)
         assert run("c", seed=4) != run("d", seed=5)
+
+    def test_random_listed_first_keeps_point_major_order(self, tmp_path):
+        # Per point the SPADE row comes first, then samples 0..599, which span
+        # two sample blocks; each row is the one a single-measurement run writes.
+        def rows(name, measurements):
+            config = lab.ExperimentConfig(
+                figure_id="custom",
+                theta1_grid=(0.0, 1.3),
+                theta2_grid=(0.15, 2.2),
+                measurements=measurements,
+                n_random=600,
+                seed=11,
+                output_dir=str(tmp_path / name),
+            )
+            return read_table(lab.run_custom(config)[0])[2]
+
+        both = rows("both", ("random", "spade"))
+        spade, random = rows("spade", ("spade",)), rows("random", ("random",))
+        assert len(both) == 4 * 601
+        for index in range(4):
+            point_rows = both[601 * index : 601 * (index + 1)]
+            assert [int(row[3]) for row in point_rows] == [-1, *range(600)]
+            assert point_rows[0] == spade[index]
+            assert point_rows[1:] == random[600 * index : 600 * (index + 1)]
 
     def test_requires_explicit_grids(self, tmp_path):
         config = lab.ExperimentConfig(
@@ -813,6 +880,13 @@ class TestCli:
         )
         assert code == 2
         capsys.readouterr()
+
+    def test_repeated_measurement_exits_two(self, tmp_path, capsys):
+        argv = ["custom", "--theta1-grid", "0", "--theta2-grid", "1", "--out", str(tmp_path)]
+        code = cli.main([*argv, "--measurements", "direct,direct"])
+        assert code == 2
+        assert "config error: measurements must be distinct" in capsys.readouterr().err
+        assert not tmp_path.joinpath("custom.csv").exists()
 
     def test_custom_flags(self, tmp_path):
         code = cli.main(
