@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way stacked checks raise them."""
+
+import numpy as np
 
 
 class IrtrLabError(Exception):
@@ -43,3 +45,18 @@ class InfeasibleBudgetError(IrtrLabError):
 
 class ConfigError(IrtrLabError):
     """Invalid experiment configuration."""
+
+
+def raise_first_failure(checks, label, first=0):
+    """Raise the error of the first failing row's first failing check.
+
+    ``checks`` lists (error type, message, flags[, values]) in the order one
+    row meets them, with a flag (and a value, which fills the message) per row;
+    ``label``, given the row number plus ``first``, prefixes the message.
+    """
+    failed = np.array([check[2] for check in checks]).reshape(len(checks), -1)
+    if failed.any():
+        row = int(failed.any(axis=0).argmax())
+        error, message, _, *values = checks[int(failed[:, row].argmax())]
+        cells = (float(np.atleast_1d(value)[row]) for value in values)
+        raise error(label.format(first + row) + message.format(*cells))

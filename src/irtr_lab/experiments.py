@@ -8,11 +8,12 @@ header), and finishes with a JSON manifest carrying the resolved
 configuration and the checksum and size of the bytes it wrote.  Identical
 configuration and seed give byte-identical CSVs: randomness flows through a
 spawned SeedSequence per sample.  Every runner evaluates its points through
-one kernel: ``_contexts`` (the sweep's overlaps, QFIM stack and c_tilde
-values), then one stacked regret step per measurement: ``regret_rows`` over
-the direct-imaging FIMs (from stacked models, a block of the sweep at a time)
-or the SPADE FIMs (from one stacked model per mode cutoff),
-``projective_regrets`` over a block of Haar-random bases.  Tables stay
+one kernel: ``_contexts`` (the sweep's overlaps, from stacked blocks, its
+QFIM stack and c_tilde values), then one stacked regret step per
+measurement: ``regret_rows`` over the direct-imaging FIMs (from stacked
+models, a block of the sweep at a time) or the SPADE FIMs (from one stacked
+model per mode cutoff), ``projective_regrets`` over a block of Haar-random
+bases.  Tables stay
 columns of sweep-wide arrays up to the CSV writer, which formats each column
 by its dtype.
 """
@@ -39,7 +40,13 @@ from .measurements import (
     spade_cutoff,
     spade_model,
 )
-from .psf_core import QuadratureSpec, SourceGeometry, gaussian_psf, overlap_integrals
+from .psf_core import (
+    QuadratureSpec,
+    SourceGeometry,
+    block_size,
+    gaussian_psf,
+    overlap_integrals,
+)
 from .state_model import (
     build_state_model,
     c_tilde_from_overlaps,
@@ -55,8 +62,6 @@ MEASUREMENT_NAMES = ("direct", "spade", "random")
 _NO_CONSTRAINT_THRESHOLD = 1e-10
 # Random samples per batch, so batch memory does not grow with n_random.
 _SAMPLE_BLOCK = 512
-# Direct-imaging outcome samples per stacked model: 4 geometries at the default 1024.
-_DIRECT_BLOCK_OUTCOMES = 4096
 
 
 def inclusive_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -257,19 +262,15 @@ def _run(figure: str, compute, config: ExperimentConfig) -> list[Path]:
 
 
 def _contexts(psf, geometries, quad):
-    """Overlaps, (n, 2, 2) QFIM stack and c_tilde floats of a sweep, geometry by geometry."""
-    # One geometry at a time, so the first failing geometry of the sweep raises.
-    contexts = [
-        (overlaps, qfim(overlaps).matrix, c_tilde_from_overlaps(overlaps))
-        for overlaps in (overlap_integrals(psf, geometry, quad) for geometry in geometries)
-    ]
-    overlaps, quantum, c_tilde = zip(*contexts)
-    return list(overlaps), np.array(quantum), list(c_tilde)
+    """Overlaps, (n, 2, 2) QFIM stack and c_tilde floats of a sweep; overlaps in stacked blocks."""
+    overlaps = overlap_integrals(psf, geometries, quad)
+    quantum = np.array([qfim(overlap).matrix for overlap in overlaps])
+    return overlaps, quantum, [c_tilde_from_overlaps(overlap) for overlap in overlaps]
 
 
 def _direct_fims(psf, geometries, quad):
     """Direct-imaging FIM of each geometry, bit for bit its own, from stacked models."""
-    size = max(1, _DIRECT_BLOCK_OUTCOMES // (quad.panel_count * quad.nodes_per_panel))
+    size = block_size(quad)
     blocks = [geometries[start : start + size] for start in range(0, len(geometries), size)]
     return np.concatenate([fim(direct_imaging_model(psf, block, quad)) for block in blocks])
 
@@ -293,9 +294,8 @@ def _spade_fims(config, geometries):
     return fishers
 
 
-def _random_regrets(overlaps, quantum, c_tilde, streams) -> np.ndarray:
+def _random_regrets(state, quantum, c_tilde, streams) -> np.ndarray:
     """(3, n) delta1, delta2, irtr_residual of Haar-random bases; sample k uses ``streams[k]``."""
-    state = build_state_model(overlaps)
     blocks = [
         projective_regrets(
             state, haar_random_bases(streams[k : k + _SAMPLE_BLOCK]), quantum, c_tilde, k
@@ -385,7 +385,9 @@ def run_fig5(config, psf):
     geometry = SourceGeometry(0.0, config.theta2_over_sigma * config.sigma)
     (overlaps,), (quantum,), (c_tilde,) = _contexts(psf, [geometry], config.quad)
     streams = np.random.SeedSequence(config.seed).spawn(config.n_random)
-    delta1, delta2, residual = _random_regrets(overlaps, quantum, c_tilde, streams)
+    delta1, delta2, residual = _random_regrets(
+        build_state_model(overlaps), quantum, c_tilde, streams
+    )
     metadata = [
         ("sigma", config.sigma),
         ("theta1_over_sigma", 0.0),
@@ -413,11 +415,18 @@ def run_custom(config, psf):
         raise ConfigError("custom runs require explicit theta1_grid and theta2_grid")
     points = list(itertools.product(config.theta1_grid, config.theta2_grid))
     geometries = [SourceGeometry(r1 * config.sigma, r2 * config.sigma) for r1, r2 in points]
-    overlaps, quantum, c_tilde = _contexts(psf, geometries, config.quad)
+    # The overlaps, the state model and the direct-imaging FIM depend on theta2
+    # alone, bit for bit, so each distinct separation is evaluated once.
+    _, first, separation = np.unique(
+        [geometry.theta2 for geometry in geometries], return_index=True, return_inverse=True
+    )
+    distinct = [geometries[index] for index in first]
+    overlaps, quantum, c_tilde = _contexts(psf, distinct, config.quad)
+    quantum, c_tilde = quantum[separation], [c_tilde[index] for index in separation]
     # (3, points) regrets of the measurements with one row per point, direct first.
     single = {}
     if "direct" in config.measurements:
-        fishers = _direct_fims(psf, geometries, config.quad)
+        fishers = _direct_fims(psf, distinct, config.quad)[separation]
         single["direct"] = regret_rows(fishers, quantum, c_tilde)
     if "spade" in config.measurements:
         single["spade"] = regret_rows(_spade_fims(config, geometries), quantum, c_tilde)
@@ -426,9 +435,10 @@ def run_custom(config, psf):
     names, indices = [*single], [-1] * len(single)
     if "random" in config.measurements:
         children = np.random.SeedSequence(config.seed).spawn(len(points))
+        states = [build_state_model(overlap) for overlap in overlaps]
         randoms = [
-            _random_regrets(*context, child.spawn(config.n_random))
-            for *context, child in zip(overlaps, quantum, c_tilde, children)
+            _random_regrets(states[index], *context, child.spawn(config.n_random))
+            for index, *context, child in zip(separation, quantum, c_tilde, children)
         ]
         blocks.append(np.stack(randoms, axis=1))
         names += ["random"] * config.n_random

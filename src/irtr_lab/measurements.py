@@ -25,11 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolationError, CutoffError, DegenerateOutcomeError
+from .errors import (
+    BoundViolationError,
+    CutoffError,
+    DegenerateOutcomeError,
+    raise_first_failure,
+)
 from .psf_core import (
     PointSpreadFunction,
     QuadratureSpec,
     SourceGeometry,
+    centroid_half_window,
     quadrature_grid,
 )
 from .state_model import Qfim, StateModel4
@@ -84,7 +90,7 @@ class ProbabilityModel:
         weights = self.weights if self.weights is not None else 1.0
         derivatives = (self.dp_dtheta1, self.dp_dtheta2)
         checks = _model_checks(self.probabilities, derivatives, weights, self.truncated_mass)
-        _raise_first_failure(checks, "row {}: " if self.probabilities.ndim > 1 else "")
+        raise_first_failure(checks, "row {}: " if self.probabilities.ndim > 1 else "")
 
 
 def _model_checks(probabilities, derivatives, weights=1.0, truncated_mass=0.0):
@@ -104,21 +110,6 @@ def _model_checks(probabilities, derivatives, weights=1.0, truncated_mass=0.0):
     return checks
 
 
-def _raise_first_failure(checks, label, first=0):
-    """Raise the error of the first failing row's first failing check.
-
-    ``checks`` lists (error type, message, flags[, values]) in the order one
-    row meets them, with a flag (and a value, which fills the message) per row;
-    ``label``, given the row number plus ``first``, prefixes the message.
-    """
-    failed = np.array([check[2] for check in checks]).reshape(len(checks), -1)
-    if failed.any():
-        row = int(failed.any(axis=0).argmax())
-        error, message, _, *values = checks[int(failed[:, row].argmax())]
-        cells = (float(np.atleast_1d(value)[row]) for value in values)
-        raise error(label.format(first + row) + message.format(*cells))
-
-
 @dataclass(frozen=True)
 class ProjectiveMeasurement4:
     """Orthogonal measurement on the 4-dimensional state subspace.
@@ -134,7 +125,7 @@ class ProjectiveMeasurement4:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
-        _raise_first_failure([_orthogonality_check(matrix)], "")
+        raise_first_failure([_orthogonality_check(matrix)], "")
         object.__setattr__(self, "matrix", matrix)
 
 
@@ -176,7 +167,7 @@ def direct_imaging_model(
     positions, weights = _reflected(
         *quadrature_grid(
             0.0,
-            _half_window(psf, theta2, quad),
+            centroid_half_window(psf, theta2, quad),
             (quad.panel_count + 1) // 2,
             quad.nodes_per_panel,
         )
@@ -203,7 +194,7 @@ def direct_imaging_pixelated_model(
     """
     if not bin_width > 0.0:
         raise ValueError("bin_width must be positive")
-    half_count = math.ceil(_half_window(psf, geometry.theta2, quad) / bin_width)
+    half_count = math.ceil(centroid_half_window(psf, geometry.theta2, quad) / bin_width)
     half_x, half_w = quadrature_grid(
         0.0, half_count * bin_width, half_count, quad.nodes_per_panel
     )
@@ -212,10 +203,6 @@ def direct_imaging_pixelated_model(
     fields = _intensity_and_derivatives(psf, geometry.theta2, positions)
     per_bin = {name: (weights * values).sum(axis=1) for name, values in fields.items()}
     return ProbabilityModel(outcome_kind=DISCRETE_MODES, **per_bin)
-
-
-def _half_window(psf, theta2, quad):
-    return 0.5 * theta2 + quad.truncation_radius * psf.sigma
 
 
 def _reflected(nodes, weights, axis=-1):
@@ -315,7 +302,8 @@ def spade_cutoff(
     so every cutoff above one that meets both criteria meets them too, and
     bisection finds the smallest.  A sequence of geometries gives an array
     of their cutoffs, bisected together: each row takes the midpoints its
-    own bisection would, and one without a cutoff raises the same error.
+    own bisection would, and the first row without a cutoff raises the same
+    error, naming that row.
     """
     stacked = not isinstance(geometry, SourceGeometry)
     alphas = _source_alphas(sigma, geometry if stacked else [geometry])
@@ -328,8 +316,8 @@ def spade_cutoff(
         met = (mass < _MASS_TOLERANCE) & (fisher <= 1e-13 / sigma**2)
         high = np.where(active & met, middle, high)
         low = np.where(active & ~met, middle + 1, low)
-    if (low > _MODE_CAP).any():
-        raise CutoffError(f"no cutoff up to {_MODE_CAP} meets the truncation criteria")
+    message = f"no cutoff up to {_MODE_CAP} meets the truncation criteria"
+    raise_first_failure([(CutoffError, message, low > _MODE_CAP)], "row {}: " if stacked else "")
     return low if stacked else int(low[0])
 
 
@@ -362,7 +350,7 @@ def spade_model(
     mass_tail, fisher_tail = _tail_bounds(sigma, alphas * alphas, cutoff)
     message = f"cutoff {cutoff} leaves truncated mass bound {{:.3e}}"
     checks = [(CutoffError, message, ~(mass_tail < _MASS_TOLERANCE), mass_tail)]
-    _raise_first_failure(checks, "row {}: " if stacked else "")
+    raise_first_failure(checks, "row {}: " if stacked else "")
 
     modes = np.arange(cutoff + 1)
     weights_1, slope_1 = _mode_weights(modes, alphas[:, :1])
@@ -484,7 +472,7 @@ def fim(model: ProbabilityModel) -> np.ndarray:
     weights = model.weights if model.weights is not None else 1.0
     derivatives = (model.dp_dtheta1, model.dp_dtheta2)
     matrices, checks = _fisher_information(model.probabilities, derivatives, weights)
-    _raise_first_failure(checks, "row {}: " if model.probabilities.ndim > 1 else "")
+    raise_first_failure(checks, "row {}: " if model.probabilities.ndim > 1 else "")
     return matrices
 
 
@@ -574,7 +562,7 @@ def regret_rows(fishers, quantum, c_tilde) -> np.ndarray:
     failure raises the route's error, naming the first failing row.
     """
     rows, checks = _regrets_and_checks(fishers, quantum, c_tilde)
-    _raise_first_failure(checks, "row {}: ")
+    raise_first_failure(checks, "row {}: ")
     return rows
 
 
@@ -632,5 +620,5 @@ def projective_regrets(
     rows, regret_checks = _regrets_and_checks(fishers, quantum, c_tilde)
     # All stages' checks are raised together, so the first failing sample wins.
     checks = [_orthogonality_check(bases), *_model_checks(probabilities, derivatives)]
-    _raise_first_failure(checks + fisher_checks + regret_checks, "sample {}: ", first_sample)
+    raise_first_failure(checks + fisher_checks + regret_checks, "sample {}: ", first_sample)
     return rows

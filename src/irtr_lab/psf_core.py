@@ -13,9 +13,20 @@ overlap integrals of the displaced PSFs:
     delta = int psi(x)  psi(x - theta2) dx
 
 Integrals are evaluated with composite Gauss-Legendre quadrature on a window
-covering both sources out to ``truncation_radius`` characteristic lengths.
-Each result is recomputed with the panel count doubled; the two values must
-agree to ``abs_tolerance`` or a ConvergenceError is raised.
+covering both sources out to ``truncation_radius`` (R) characteristic
+lengths: [-W, W] about the centroid, W = theta2/2 + R sigma.  For a PSF known
+to be even (``PointSpreadFunction.even``: the Gaussian) each integrand is
+folded onto the centroid half-window [0, W], with a_j, d_j = psi, psi' at
+u +- theta2/2 in centroid coordinates u:
+
+    int psi^2: a1^2 + a2^2      kappa: d1^2 + d2^2      gamma: d1 a2 - d2 a1
+    beta:      2 d1 d2          delta: 2 a1 a2
+
+on ceil(P/2) panels and again on 2 ceil(P/2), P = ``panel_count``, so the
+overlaps depend on theta2 alone, bit for bit, and a sweep is evaluated in
+stacked blocks of geometries.  Any other PSF is integrated over the full
+window on P and 2P panels.  Either way the two values must agree to
+``abs_tolerance`` or a ConvergenceError is raised.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConvergenceError, NormalizationError
+from .errors import ConvergenceError, NormalizationError, raise_first_failure
 
 GAUSSIAN = "gaussian"
 USER_DEFINED = "user_defined"
@@ -48,6 +59,11 @@ class PointSpreadFunction:
     amplitude: Callable[[np.ndarray], np.ndarray]
     amplitude_derivative: Callable[[np.ndarray], np.ndarray]
     joint: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+
+    @property
+    def even(self) -> bool:
+        """psi(-x) = psi(x) is known to hold; ``overlap_integrals`` then folds its integrals."""
+        return self.kind == GAUSSIAN
 
     def amplitude_and_derivative(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(psi(x), psi'(x)), from ``joint`` when the PSF has one."""
@@ -180,41 +196,86 @@ def quadrature_grid(lo, hi, panel_count: int, nodes_per_panel: int):
     return x, w
 
 
+def centroid_half_window(psf: PointSpreadFunction, theta2, quad: QuadratureSpec):
+    """Half-width theta2/2 + R sigma of the window about the centroid (per theta2)."""
+    return 0.5 * theta2 + quad.truncation_radius * psf.sigma
+
+
 def _refined_batch(evaluate, lo, hi, quad):
-    """Integrate a batch of products with a doubling-refinement check.
+    """Integrate a batch of products at the panel count and at twice it.
 
     ``evaluate(x)`` returns an (m, n) array of integrand samples; the result
-    is the length-m vector of integrals at doubled panel count, accepted only
-    if it agrees with the single-count value to ``abs_tolerance``.
+    is the length-m vector of integrals at doubled panel count and its
+    largest drift from the single-count values.
     """
     results = []
     for panels in (quad.panel_count, 2 * quad.panel_count):
         x, w = quadrature_grid(lo, hi, panels, quad.nodes_per_panel)
         results.append(np.asarray(evaluate(x)) @ w)
     coarse, fine = results
-    drift = np.max(np.abs(fine - coarse))
-    if drift > quad.abs_tolerance:
-        raise ConvergenceError(
-            f"quadrature drift {drift:.3e} exceeds tolerance {quad.abs_tolerance:.3e} "
-            f"on [{lo:g}, {hi:g}]"
-        )
-    return fine
+    return fine, np.max(np.abs(fine - coarse))
 
 
-def overlap_integrals(
-    psf: PointSpreadFunction,
-    geometry: SourceGeometry,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> OverlapIntegrals:
-    """Compute (kappa, gamma, beta, delta) by quadrature.
+def _drift_check(drift, lo, hi, quad):
+    """The refinement check of a drift (one per row) on its window [lo, hi]."""
+    message = (
+        f"quadrature drift {{:.3e}} exceeds tolerance {quad.abs_tolerance:.3e} on [{{:g}}, {{:g}}]"
+    )
+    return ConvergenceError, message, drift > quad.abs_tolerance, drift, lo, hi
 
-    The window covers [X1 - R sigma, X2 + R sigma]; the four integrals are
-    evaluated as products of the displaced PSFs, so translation invariance
-    (dependence on theta2 only) holds up to quadrature error and is
-    property-tested rather than assumed.
+
+# Samples per stacked (geometries, samples) array: the folded overlaps below
+# and the direct-imaging models of a sweep work in blocks of geometries this
+# size, 4 at the default quadrature.  Page faults, not flops, set it: in the
+# benchmark's separation sweep, blocks of 5 or 6 geometries made glibc trim and
+# fault in the heap top on every block (about 23,000 minor faults per
+# 800-point fig2 call) where 4 usually ran without, and fewer geometries pay
+# more per-block overhead.
+BLOCK_SAMPLES = 4096
+
+
+def block_size(quad: QuadratureSpec) -> int:
+    """Geometries per stacked block.
+
+    A geometry's largest array has 2 ceil(P/2) n samples: the folded overlaps'
+    refined rule, and the reflected direct-imaging grid.
     """
-    lo = geometry.x1 - quad.truncation_radius * psf.sigma
-    hi = geometry.x2 + quad.truncation_radius * psf.sigma
+    return max(1, BLOCK_SAMPLES // (2 * ((quad.panel_count + 1) // 2) * quad.nodes_per_panel))
+
+
+def _folded_integrals(psf, theta2, window, quad):
+    """Rows (int psi^2, kappa, gamma, beta, delta) of an even PSF, a column per theta2.
+
+    u -> -u maps a1 <-> a2 and d1 <-> -d2, which folds each integral over
+    [-W, W] onto [0, W], W = ``window``.  Returns the refined values and
+    each column's largest drift.
+    """
+    half = 0.5 * theta2[:, np.newaxis]
+    panels = (quad.panel_count + 1) // 2
+    results = []
+    for count in (panels, 2 * panels):
+        x, w = quadrature_grid(0.0, window, count, quad.nodes_per_panel)
+        a1, d1 = psf.amplitude_and_derivative(x + half)
+        a2, d2 = psf.amplitude_and_derivative(x - half)
+
+        # A dot product per row (BLAS where available): as accurate as the
+        # full-window route's matrix product, which a plain running sum is not.
+        def integral(u, v):
+            return np.vecdot(u * v, w)
+
+        results.append((
+            integral(a1, a1) + integral(a2, a2),
+            integral(d1, d1) + integral(d2, d2),
+            integral(d1, a2) - integral(d2, a1),
+            2.0 * integral(d1, d2),
+            2.0 * integral(a1, a2),
+        ))
+    coarse, fine = np.array(results)
+    return fine, np.max(np.abs(fine - coarse), axis=0)
+
+
+def _full_window_integrals(psf, geometry, lo, hi, quad):
+    """(int psi^2, kappa, gamma, beta, delta) of any PSF on [lo, hi], and the drift."""
 
     def evaluate(x):
         a1, d1 = psf.amplitude_and_derivative(x - geometry.x1)
@@ -224,14 +285,68 @@ def overlap_integrals(
             np.multiply(left, right, out=out)
         return products
 
-    norm, kappa, gamma, beta, delta = _refined_batch(evaluate, lo, hi, quad)
-    if abs(norm - 1.0) > 10.0 * quad.abs_tolerance:
-        raise NormalizationError(
-            f"int psi^2 = {norm!r} deviates from 1 beyond 10x quadrature tolerance"
+    return _refined_batch(evaluate, lo, hi, quad)
+
+
+def overlap_integrals(
+    psf: PointSpreadFunction,
+    geometry: SourceGeometry | list[SourceGeometry],
+    quad: QuadratureSpec = QuadratureSpec(),
+) -> OverlapIntegrals | list[OverlapIntegrals]:
+    """Compute (kappa, gamma, beta, delta) by quadrature.
+
+    For an even PSF (``psf.even``) the folded integrands of the module
+    docstring are integrated over the centroid half-window [0, W],
+    W = theta2/2 + R sigma, on ceil(P/2) panels and on 2 ceil(P/2)
+    (P = ``panel_count``), so the overlaps depend on theta2 alone, bit for
+    bit.  Any other PSF is integrated over the full window
+    [X1 - R sigma, X2 + R sigma] on P and 2P panels.  The two rules must
+    agree to ``abs_tolerance`` (ConvergenceError), and int psi^2 must be 1
+    within 10x that (NormalizationError).
+
+    A sequence of geometries gives a list, element i equal bit for bit to
+    ``overlap_integrals(psf, geometry[i], quad)``: an even PSF's geometries
+    are evaluated in stacked blocks of ``block_size(quad)``, and an error
+    names the first failing row.
+    """
+    stacked = not isinstance(geometry, SourceGeometry)
+    geometries = list(geometry) if stacked else [geometry]
+    label = "row {}: " if stacked else ""
+    size = block_size(quad) if psf.even else 1
+    overlaps = []
+    for first in range(0, len(geometries), size):
+        block = geometries[first : first + size]
+        if psf.even:
+            theta1, theta2 = np.array([(g.theta1, g.theta2) for g in block]).T
+            window = centroid_half_window(psf, theta2, quad)
+            integrals, drift = _folded_integrals(psf, theta2, window, quad)
+            lo, hi = theta1 - window, theta1 + window
+        else:
+            (single,) = block
+            lo = single.x1 - quad.truncation_radius * psf.sigma
+            hi = single.x2 + quad.truncation_radius * psf.sigma
+            integrals, drift = _full_window_integrals(psf, single, lo, hi, quad)
+            integrals, drift = integrals[:, np.newaxis], np.array([drift])
+        norm = integrals[0]
+        raise_first_failure(
+            [
+                _drift_check(drift, lo, hi, quad),
+                (
+                    NormalizationError,
+                    "int psi^2 = {!r} deviates from 1 beyond 10x quadrature tolerance",
+                    abs(norm - 1.0) > 10.0 * quad.abs_tolerance,
+                    norm,
+                ),
+            ],
+            label,
+            first,
         )
-    return OverlapIntegrals(
-        kappa=float(kappa), gamma=float(gamma), beta=float(beta), delta=float(delta)
-    )
+        for row, values in enumerate(integrals[1:].T.tolist(), first):
+            try:
+                overlaps.append(OverlapIntegrals(*values))
+            except ValueError as error:
+                raise ValueError(label.format(row) + str(error)) from None
+    return overlaps if stacked else overlaps[0]
 
 
 def displaced_overlaps(
@@ -253,7 +368,8 @@ def displaced_overlaps(
         a_s, d_s = psf.amplitude_and_derivative(x - shift)
         return np.stack([a0 * a_s, d0 * a_s, d0 * d_s])
 
-    a, b, c = _refined_batch(evaluate, lo, hi, quad)
+    (a, b, c), drift = _refined_batch(evaluate, lo, hi, quad)
+    raise_first_failure([_drift_check(drift, lo, hi, quad)], "")
     return float(a), float(b), float(c)
 
 

@@ -574,11 +574,11 @@ class TestRunnersMatchScalarRoute:
             assert tuple(float(cell) for cell in row[4:]) == scalar_row(model, overlaps)
 
     @pytest.mark.parametrize(
-        "mode_cutoff, theta1, label", [(30, 8.0, "row 2: "), (None, 60.0, "")]
+        "mode_cutoff, theta1, label", [(30, 8.0, "row 2: "), (None, 60.0, "row 2: ")]
     )
     def test_spade_failure_is_the_first_in_sweep_order(self, tmp_path, mode_cutoff, theta1, label):
-        # Both far geometries fail and the first in the sweep raises: an explicit
-        # cutoff's model names its sweep row, the adaptive search raises its own text.
+        # Both far geometries fail and the first in the sweep raises, naming its
+        # sweep row: an explicit cutoff's model and the adaptive search alike.
         grid = (0.0, 1.0, theta1, theta1 + 1.0)
         config = lab.ExperimentConfig(
             figure_id="fig4", theta1_grid=grid, mode_cutoff=mode_cutoff, output_dir=str(tmp_path)
@@ -830,6 +830,15 @@ class TestCli:
         )
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    def test_sweep_without_a_spade_cutoff_names_its_row(self, tmp_path, capsys):
+        # From theta1 = 37.27 sigma, row 3727 of 4001, no cutoff up to 512 exists.
+        out = tmp_path / "fig4"
+        code = cli.main(["fig4", "--grid", "0:40:0.01", "--out", str(out)])
+        assert code == 3
+        message = "row 3727: no cutoff up to 512 meets the truncation criteria"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_precedence_flag_wins(self, tmp_path):
         path = tmp_path / "layered.ini"

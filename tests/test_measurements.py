@@ -410,10 +410,11 @@ class TestAdaptiveCutoff:
             near = lab.SourceGeometry(1.0, 0.5)
             return spade_cutoff(sigma, [near, far, near])
 
-        for route in (spade_cutoff, lab.spade_model, in_a_sweep):
+        # A sweep names the failing row; the scalar routes keep the scan's text.
+        for route, label in ((spade_cutoff, ""), (lab.spade_model, ""), (in_a_sweep, "row 1: ")):
             with pytest.raises(lab.CutoffError) as bisected:
                 route(1.0, geometry)
-            assert str(bisected.value) == str(scanned.value)
+            assert str(bisected.value) == label + str(scanned.value)
 
     def test_explicit_cutoff_below_the_mass_criterion_raises(self):
         geometry = lab.SourceGeometry(3.0, 0.5)

@@ -6,6 +6,7 @@ frozen numeric values below were computed independently from the analytic
 expressions before these tests were written.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import irtr_lab as lab
 from irtr_lab import psf_core
-from irtr_lab.psf_core import displaced_overlaps, quadrature_grid
+from irtr_lab.psf_core import USER_DEFINED, block_size, displaced_overlaps, quadrature_grid
 
 # Closed-form references for sigma = 1 (kappa = 1/4 regardless of theta2).
 GAMMA_SIGMA1_SEP2 = -0.3032653298563167
@@ -267,6 +268,13 @@ class TestOverlapQuadrature:
                 getattr(moved, name), getattr(base, name), atol=1e-13
             )
 
+    def test_overlaps_depend_on_the_separation_alone(self):
+        psf = lab.gaussian_psf(1.0)
+        for theta2 in (0.05, 1.3, 9.0):
+            base = lab.overlap_integrals(psf, lab.SourceGeometry(0.0, theta2))
+            for theta1 in (-7.0, 1.0, 5.0, 40.0):
+                assert lab.overlap_integrals(psf, lab.SourceGeometry(theta1, theta2)) == base
+
     def test_nonunit_sigma(self):
         psf = lab.gaussian_psf(0.6)
         quad_ov = lab.overlap_integrals(psf, lab.SourceGeometry(0.2, 0.9))
@@ -305,6 +313,91 @@ class TestOverlapQuadrature:
         )
         with pytest.raises(lab.NormalizationError):
             lab.overlap_integrals(scaled, lab.SourceGeometry(0.0, 1.0))
+
+
+class TestFoldedOverlaps:
+    """Even PSFs fold the overlaps onto the centroid half-window, in stacked blocks."""
+
+    psf = lab.gaussian_psf(1.0)
+    separations = np.geomspace(3e-6, 60.0, 40)
+
+    def test_only_psfs_known_to_be_even_fold(self):
+        x = np.linspace(-10.0, 10.0, 2001)
+        user = lab.user_psf_from_samples(x, self.psf.amplitude(x))
+        fields = lab.PointSpreadFunction(
+            self.psf.kind, 1.0, self.psf.amplitude, self.psf.amplitude_derivative
+        )
+        assert self.psf.even and fields.even and not user.even
+        # Derived from the kind, not a field a caller could set.
+        assert "even" not in {field.name for field in dataclasses.fields(fields)}
+
+    @pytest.mark.parametrize(
+        "quad",
+        [
+            lab.QuadratureSpec(),
+            lab.QuadratureSpec(panel_count=7, nodes_per_panel=24, abs_tolerance=1e-10),
+        ],
+    )
+    def test_stacked_rows_equal_single_calls(self, quad):
+        geometries = [
+            lab.SourceGeometry(0.3 * index - 4.0, float(theta2))
+            for index, theta2 in enumerate(self.separations)
+        ]
+        lengths, size = (1, 2, 4, 6, len(geometries)), block_size(quad)
+        # Some call spans more than one block and ends in a ragged one.
+        assert any(length > size and length % size for length in lengths)
+        singles = [lab.overlap_integrals(self.psf, geometry, quad) for geometry in geometries]
+        for length in lengths:
+            for start in range(0, len(geometries), length):
+                chunk = slice(start, start + length)
+                assert lab.overlap_integrals(self.psf, geometries[chunk], quad) == singles[chunk]
+
+    def test_folded_and_full_window_routes_agree(self):
+        # The same Gaussian under a kind not known to be even is integrated
+        # over the full window [X1 - R sigma, X2 + R sigma].
+        full = lab.PointSpreadFunction(
+            USER_DEFINED, 1.0, self.psf.amplitude, self.psf.amplitude_derivative
+        )
+        for theta2 in self.separations:
+            geometry = lab.SourceGeometry(0.0, float(theta2))
+            folded = lab.overlap_integrals(self.psf, geometry)
+            window = lab.overlap_integrals(full, geometry)
+            for name in ("kappa", "gamma", "beta", "delta"):
+                assert abs(getattr(folded, name) - getattr(window, name)) <= 4e-15
+
+    @pytest.mark.parametrize(
+        "odd, nodes, converged, unconverged", [(1, 32, 1.0, 10.0), (3, 16, 1.0, 5.0)]
+    )
+    def test_odd_panel_count_is_refined_as_the_next_even_one(
+        self, odd, nodes, converged, unconverged
+    ):
+        # ceil(P/2) panels against 2 ceil(P/2): even P = 1 compares one panel
+        # with two, so a rule too coarse for a wide window raises.
+        odd_quad = lab.QuadratureSpec(panel_count=odd, nodes_per_panel=nodes)
+        even_quad = dataclasses.replace(odd_quad, panel_count=odd + 1)
+        geometry = lab.SourceGeometry(0.0, converged)
+        assert lab.overlap_integrals(self.psf, geometry, odd_quad) == lab.overlap_integrals(
+            self.psf, geometry, even_quad
+        )
+        messages = []
+        for quad in (odd_quad, even_quad):
+            with pytest.raises(lab.ConvergenceError, match="^quadrature drift") as raised:
+                lab.overlap_integrals(self.psf, lab.SourceGeometry(0.0, unconverged), quad)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
+    def test_stacked_drift_failure_names_its_sweep_row(self):
+        # 64 geometries per block with this rule: the first failing geometry,
+        # row 66, lies in the second block.
+        quad = lab.QuadratureSpec(panel_count=4, nodes_per_panel=16)
+        assert block_size(quad) == 64
+        separations = [*np.linspace(0.1, 1.0, 66).tolist(), 5.0, 10.0]
+        geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in separations]
+        with pytest.raises(lab.ConvergenceError) as single:
+            lab.overlap_integrals(self.psf, geometries[66], quad)
+        with pytest.raises(lab.ConvergenceError) as stacked:
+            lab.overlap_integrals(self.psf, geometries, quad)
+        assert str(stacked.value) == "row 66: " + str(single.value)
 
 
 class TestDisplacedOverlaps:
