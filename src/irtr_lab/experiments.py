@@ -10,12 +10,11 @@ configuration and seed give byte-identical CSVs: randomness flows through a
 spawned SeedSequence per sample.  Every runner evaluates its points through
 one kernel: ``_contexts`` (the sweep's overlaps, from stacked blocks, its
 QFIM stack and c_tilde values), then one stacked regret step per
-measurement: ``regret_rows`` over the direct-imaging FIMs (from stacked
-models, a block of the sweep at a time) or the SPADE FIMs (from one stacked
-model per mode cutoff), ``projective_regrets`` over a block of Haar-random
-bases.  Tables stay
-columns of sweep-wide arrays up to the CSV writer, which formats each column
-by its dtype.
+measurement: ``regret_rows`` over the direct-imaging FIMs (from
+``direct_imaging_fims``, a block of the sweep at a time) or the SPADE FIMs
+(from one stacked model per mode cutoff), ``projective_regrets`` over a
+block of Haar-random bases.  Tables stay columns of sweep-wide arrays up to
+the CSV writer, which formats each column by its dtype.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .measurements import (
-    direct_imaging_model,
+    direct_imaging_fims,
     fim,
     haar_random_bases,
     projective_regrets,
@@ -43,7 +42,6 @@ from .measurements import (
 from .psf_core import (
     QuadratureSpec,
     SourceGeometry,
-    block_size,
     gaussian_psf,
     overlap_integrals,
 )
@@ -269,10 +267,8 @@ def _contexts(psf, geometries, quad):
 
 
 def _direct_fims(psf, geometries, quad):
-    """Direct-imaging FIM of each geometry, bit for bit its own, from stacked models."""
-    size = block_size(quad)
-    blocks = [geometries[start : start + size] for start in range(0, len(geometries), size)]
-    return np.concatenate([fim(direct_imaging_model(psf, block, quad)) for block in blocks])
+    """Direct-imaging FIM of each geometry, bit for bit its own, from the stacked kernel."""
+    return direct_imaging_fims(psf, geometries, quad)
 
 
 def _spade_fims(config, geometries):

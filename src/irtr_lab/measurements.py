@@ -35,6 +35,7 @@ from .psf_core import (
     PointSpreadFunction,
     QuadratureSpec,
     SourceGeometry,
+    block_size,
     centroid_half_window,
     quadrature_grid,
 )
@@ -176,6 +177,50 @@ def direct_imaging_model(
     return ProbabilityModel(outcome_kind=CONTINUUM_GRID, weights=weights, **fields)
 
 
+def direct_imaging_fims(
+    psf: PointSpreadFunction,
+    geometries: list[SourceGeometry],
+    quad: QuadratureSpec = QuadratureSpec(),
+) -> np.ndarray:
+    """(n, 2, 2) direct-imaging Fisher information of each geometry of a sweep.
+
+    Row i equals ``fim(direct_imaging_model(psf, geometries[i], quad))`` bit
+    for bit, after the same model and FIM checks; a failed check names its
+    sweep row.  The sweep is evaluated in blocks of ``block_size(quad)``
+    geometries in arrays allocated once, as ``overlap_integrals`` folds its
+    integrals, so that no block-sized array comes and goes block by block.
+    """
+    theta2 = np.array([geometry.theta2 for geometry in geometries])
+    window = centroid_half_window(psf, theta2, quad)
+    size, nodes = min(block_size(quad), len(theta2)), quad.nodes_per_panel
+    panels = (quad.panel_count + 1) // 2
+    mirror = panels * nodes  # outcomes per half-grid
+    # Positions, weights, the model's seven field arrays and fim's three.
+    buffers = [np.empty(size * 2 * mirror) for _ in range(12)]
+    fishers = np.empty((len(theta2), 2, 2))
+    for first in range(0, len(theta2), size):
+        rows = slice(first, first + size)
+        count = len(theta2[rows])
+        positions, weights, *fields, inverse_p, scaled, product = (
+            buffer[: count * 2 * mirror].reshape(count, -1) for buffer in buffers
+        )
+        # The half-grid fills the right half and is reflected into the left,
+        # bit for bit as ``_reflected`` does.
+        quadrature_grid(
+            0.0, window[rows], panels, nodes, out=(positions[:, mirror:], weights[:, mirror:])
+        )
+        np.negative(np.flip(positions[:, mirror:], -1), out=positions[:, :mirror])
+        np.copyto(weights[:, :mirror], np.flip(weights[:, mirror:], -1))
+        model = _intensity_and_derivatives(psf, theta2[rows], positions, fields)
+        probabilities, *derivatives = model.values()
+        raise_first_failure(_model_checks(probabilities, derivatives, weights), "row {}: ", first)
+        fishers[rows], checks = _fisher_information(
+            probabilities, derivatives, weights, (inverse_p, scaled, product)
+        )
+        raise_first_failure(checks, "row {}: ", first)
+    return fishers
+
+
 def direct_imaging_pixelated_model(
     psf: PointSpreadFunction,
     geometry: SourceGeometry,
@@ -217,18 +262,32 @@ def _reflected(nodes, weights, axis=-1):
     )
 
 
-def _intensity_and_derivatives(psf, theta2, offsets):
+def _intensity_and_derivatives(psf, theta2, offsets, buffers=None):
+    """p = (a1^2 + a2^2) / 2, dp/dtheta1 and dp/dtheta2 at ``offsets``.
+
+    ``buffers``, seven arrays shaped like ``offsets`` (the three fields, then
+    a1, d1, a2, d2), hold the work; by default they are allocated.
+    """
     # Offsets from the centroid (a row per stacked theta2): source j sits at
     # -+theta2/2, so for an even PSF p is even and dp/dtheta1 odd, bit for bit.
+    if buffers is None:
+        buffers = [np.empty(offsets.shape) for _ in range(7)]
+    probabilities, dp_dtheta1, dp_dtheta2, amp1, damp1, amp2, damp2 = buffers
     half = 0.5 * np.expand_dims(theta2, -1)
-    amp1, damp1 = psf.amplitude_and_derivative(offsets + half)
-    amp2, damp2 = psf.amplitude_and_derivative(offsets - half)
+    psf.amplitude_and_derivative(np.add(offsets, half, out=probabilities), out=(amp1, damp1))
+    psf.amplitude_and_derivative(np.subtract(offsets, half, out=probabilities), out=(amp2, damp2))
+    np.add(np.square(amp1, out=probabilities), np.square(amp2, out=dp_dtheta1), out=probabilities)
+    np.multiply(probabilities, 0.5, out=probabilities)
+    # d(x - X_j)/dtheta1 = -1 for both sources; for theta2 the two sources
+    # move apart, so the signs split.
+    np.multiply(amp1, damp1, out=amp1)
+    np.multiply(amp2, damp2, out=amp2)
+    np.negative(np.add(amp1, amp2, out=dp_dtheta1), out=dp_dtheta1)
+    np.multiply(np.subtract(amp1, amp2, out=dp_dtheta2), 0.5, out=dp_dtheta2)
     return {
-        "probabilities": 0.5 * (amp1**2 + amp2**2),
-        # d(x - X_j)/dtheta1 = -1 for both sources; for theta2 the two
-        # sources move apart, so the signs split.
-        "dp_dtheta1": -(amp1 * damp1 + amp2 * damp2),
-        "dp_dtheta2": 0.5 * (amp1 * damp1 - amp2 * damp2),
+        "probabilities": probabilities,
+        "dp_dtheta1": dp_dtheta1,
+        "dp_dtheta2": dp_dtheta2,
     }
 
 
@@ -476,13 +535,20 @@ def fim(model: ProbabilityModel) -> np.ndarray:
     return matrices
 
 
-def _fisher_information(probabilities, derivatives, weights=1.0):
-    """``fim``'s matrices of each row, and its drop-or-raise checks of each row."""
+def _fisher_information(probabilities, derivatives, weights=1.0, buffers=None):
+    """``fim``'s matrices of each row, and its drop-or-raise checks of each row.
+
+    ``buffers``, three arrays shaped like ``probabilities``, hold the work;
+    by default they are allocated.
+    """
+    if buffers is None:
+        buffers = [np.empty(probabilities.shape) for _ in range(3)]
+    inverse_p, scaled, product = buffers
     peak = np.max(probabilities, axis=-1, keepdims=True, initial=0.0)
     keep = probabilities > 1e-15 * peak
     checks = []
     for index, derivative in enumerate(derivatives, start=1):
-        magnitude = np.abs(derivative)
+        magnitude = np.abs(derivative, out=product)
         worst = np.max(magnitude, axis=-1, where=~keep, initial=0.0)
         checks.append((
             DegenerateOutcomeError,
@@ -493,14 +559,22 @@ def _fisher_information(probabilities, derivatives, weights=1.0):
         ))
     # Dropped outcomes get a zero weight in place, which keeps the mirror
     # positions of the kept ones.
-    inverse_p = np.divide(weights, probabilities, out=np.zeros_like(probabilities), where=keep)
+    inverse_p.fill(0.0)
+    np.divide(weights, probabilities, out=inverse_p, where=keep)
     d1, d2 = derivatives
-    scaled = inverse_p * d1
-    products = np.stack([scaled * d1, scaled * d2, inverse_p * d2 * d2])
-    half = products.shape[-1] // 2
-    totals = (products[..., :half] + products[..., ::-1][..., :half]).sum(axis=-1)
-    if products.shape[-1] % 2:
-        totals += products[..., half]
+    np.multiply(inverse_p, d1, out=scaled)
+    half = probabilities.shape[-1] // 2
+
+    def total(left, right):
+        np.multiply(left, right, out=product)
+        mirrored = (product[..., :half] + product[..., ::-1][..., :half]).sum(axis=-1)
+        return mirrored + product[..., half] if probabilities.shape[-1] % 2 else mirrored
+
+    totals = np.array([
+        total(scaled, d1),
+        total(scaled, d2),
+        total(np.multiply(inverse_p, d2, out=scaled), d2),
+    ])
     matrices = totals[[0, 1, 1, 2]].T.reshape(*totals.shape[1:], 2, 2)
     # A row without any kept outcome is exactly zero (not -0.0).
     matrices[~keep.any(axis=-1)] = 0.0

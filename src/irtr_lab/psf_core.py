@@ -51,25 +51,34 @@ class PointSpreadFunction:
 
     ``sigma`` is the characteristic length of the PSF and serves as the unit
     of all lengths (quadrature windows, mode scales, default grids).
-    ``joint``, if given, returns both callables' values from one call, sharing work.
+    ``joint``, if given, returns both callables' values from one call, sharing
+    work; ``joint(x, out)`` writes them into the pair of arrays ``out`` instead.
     """
 
     kind: str
     sigma: float
     amplitude: Callable[[np.ndarray], np.ndarray]
     amplitude_derivative: Callable[[np.ndarray], np.ndarray]
-    joint: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    joint: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
 
     @property
     def even(self) -> bool:
         """psi(-x) = psi(x) is known to hold; ``overlap_integrals`` then folds its integrals."""
         return self.kind == GAUSSIAN
 
-    def amplitude_and_derivative(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(psi(x), psi'(x)), from ``joint`` when the PSF has one."""
-        if self.joint is None:
-            return self.amplitude(x), self.amplitude_derivative(x)
-        return self.joint(x)
+    def amplitude_and_derivative(self, x, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """(psi(x), psi'(x)), from ``joint`` when the PSF has one.
+
+        ``out``, a pair of arrays shaped like ``x``, receives the values and is returned.
+        """
+        if self.joint is not None:
+            return self.joint(x, out)
+        values = self.amplitude(x), self.amplitude_derivative(x)
+        if out is None:
+            return values
+        for target, value in zip(out, values):
+            target[...] = value
+        return out
 
 
 @dataclass(frozen=True)
@@ -156,10 +165,19 @@ def gaussian_psf(sigma: float = 1.0) -> PointSpreadFunction:
         x = np.asarray(x, dtype=float)
         return norm * np.exp(-(x**2) * inv_4s2)
 
-    def joint(x):
+    def joint(x, out=None):
         x = np.asarray(x, dtype=float)
-        envelope = np.exp(-(x**2) * inv_4s2)
-        return norm * envelope, -x * inv_2s2 * norm * envelope
+        if out is None:
+            out = np.empty_like(x), np.empty_like(x)
+        amplitude, slope = out
+        # psi' = -x / (2 sigma^2) * norm * e and psi = norm * e share the
+        # envelope e = exp(-x^2 / 4 sigma^2), held in the amplitude array until
+        # psi' has used it.
+        np.exp(np.multiply(np.square(x, out=amplitude), -inv_4s2, out=amplitude), out=amplitude)
+        np.multiply(np.multiply(x, -inv_2s2, out=slope), norm, out=slope)
+        np.multiply(slope, amplitude, out=slope)
+        np.multiply(amplitude, norm, out=amplitude)
+        return out
 
     def derivative(x):
         return joint(x)[1]
@@ -182,18 +200,25 @@ def _gauss_legendre(nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def quadrature_grid(lo, hi, panel_count: int, nodes_per_panel: int):
+def quadrature_grid(lo, hi, panel_count: int, nodes_per_panel: int, out=None):
     """Nodes and weights of composite Gauss-Legendre quadrature on [lo, hi].
 
     1-D arrays ``lo``, ``hi`` stack one grid per interval, each bit for bit its own.
+    ``out``, a pair of arrays of the result's shape with contiguous rows,
+    receives the nodes and weights and is returned.
     """
     base_x, base_w = _gauss_legendre(nodes_per_panel)
     edges = np.linspace(lo, hi, panel_count + 1).T
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
-    x = (mid[..., None] + half[..., None] * base_x).reshape(*mid.shape[:-1], -1)
-    w = (half[..., None] * base_w).reshape(x.shape)
-    return x, w
+    if out is None:
+        shape = (*mid.shape[:-1], mid.shape[-1] * nodes_per_panel)
+        out = np.empty(shape), np.empty(shape)
+    # Contiguous rows split into panels as views, so the writes land in ``out``.
+    x, w = (array.reshape(*mid.shape, nodes_per_panel) for array in out)
+    np.add(mid[..., None], np.multiply(half[..., None], base_x, out=x), out=x)
+    np.multiply(half[..., None], base_w, out=w)
+    return out
 
 
 def centroid_half_window(psf: PointSpreadFunction, theta2, quad: QuadratureSpec):
@@ -225,12 +250,13 @@ def _drift_check(drift, lo, hi, quad):
 
 
 # Samples per stacked (geometries, samples) array: the folded overlaps below
-# and the direct-imaging models of a sweep work in blocks of geometries this
-# size, 4 at the default quadrature.  Page faults, not flops, set it: in the
-# benchmark's separation sweep, blocks of 5 or 6 geometries made glibc trim and
-# fault in the heap top on every block (about 23,000 minor faults per
-# 800-point fig2 call) where 4 usually ran without, and fewer geometries pay
-# more per-block overhead.
+# and the direct-imaging FIMs of a sweep work in blocks of geometries this
+# size, 4 at the default quadrature, in arrays allocated once per sweep.
+# Blocks that allocated their own arrays peaked at 323 KB (overlaps) and
+# 472 KB (direct model and fim) above the heap's retained top, so glibc trimmed
+# the top after a block and the next block faulted it back: 10,000-33,000
+# minor faults per 800-point call or none, by the process's heap history.
+# Fewer geometries per block pay more per-block overhead.
 BLOCK_SAMPLES = 4096
 
 
@@ -243,49 +269,65 @@ def block_size(quad: QuadratureSpec) -> int:
     return max(1, BLOCK_SAMPLES // (2 * ((quad.panel_count + 1) // 2) * quad.nodes_per_panel))
 
 
-def _folded_integrals(psf, theta2, window, quad):
-    """Rows (int psi^2, kappa, gamma, beta, delta) of an even PSF, a column per theta2.
+def _folded_blocks(psf, theta2, window, quad):
+    """Yield (first row, integrals, drift) for each block of an even PSF's separations.
 
+    ``integrals`` has rows (int psi^2, kappa, gamma, beta, delta) and a
+    column per theta2 of the block, ``drift`` each column's largest drift.
     u -> -u maps a1 <-> a2 and d1 <-> -d2, which folds each integral over
-    [-W, W] onto [0, W], W = ``window``.  Returns the refined values and
-    each column's largest drift.
+    [-W, W] onto [0, W], W = ``window``.  Every block-sized array lives in
+    buffers allocated once per sweep: blocks that allocate their own leave
+    the heap top free after each block, and glibc then trims it and faults
+    it back in on the next block, at a cost set by the process's heap history.
     """
-    half = 0.5 * theta2[:, np.newaxis]
+    size, nodes = min(block_size(quad), len(theta2)), quad.nodes_per_panel
     panels = (quad.panel_count + 1) // 2
-    results = []
-    for count in (panels, 2 * panels):
-        x, w = quadrature_grid(0.0, window, count, quad.nodes_per_panel)
-        a1, d1 = psf.amplitude_and_derivative(x + half)
-        a2, d2 = psf.amplitude_and_derivative(x - half)
+    # Nodes, weights, shifted nodes, a1, d1, a2, d2 and one product.
+    buffers = [np.empty(size * 2 * panels * nodes) for _ in range(8)]
+    for first in range(0, len(theta2), size):
+        half = 0.5 * theta2[first : first + size, np.newaxis]
+        results = []
+        for count in (panels, 2 * panels):
+            x, w, shifted, a1, d1, a2, d2, product = (
+                buffer[: half.size * count * nodes].reshape(half.size, -1) for buffer in buffers
+            )
+            quadrature_grid(0.0, window[first : first + size], count, nodes, out=(x, w))
+            psf.amplitude_and_derivative(np.add(x, half, out=shifted), out=(a1, d1))
+            psf.amplitude_and_derivative(np.subtract(x, half, out=shifted), out=(a2, d2))
 
-        # A dot product per row (BLAS where available): as accurate as the
-        # full-window route's matrix product, which a plain running sum is not.
-        def integral(u, v):
-            return np.vecdot(u * v, w)
+            # A dot product per row (BLAS where available): as accurate as the
+            # full-window route's matrix product, which a plain running sum is not.
+            def integral(u, v):
+                return np.vecdot(np.multiply(u, v, out=product), w)
 
-        results.append((
-            integral(a1, a1) + integral(a2, a2),
-            integral(d1, d1) + integral(d2, d2),
-            integral(d1, a2) - integral(d2, a1),
-            2.0 * integral(d1, d2),
-            2.0 * integral(a1, a2),
-        ))
-    coarse, fine = np.array(results)
-    return fine, np.max(np.abs(fine - coarse), axis=0)
+            results.append((
+                integral(a1, a1) + integral(a2, a2),
+                integral(d1, d1) + integral(d2, d2),
+                integral(d1, a2) - integral(d2, a1),
+                2.0 * integral(d1, d2),
+                2.0 * integral(a1, a2),
+            ))
+        coarse, fine = np.array(results)
+        yield first, fine, np.max(np.abs(fine - coarse), axis=0)
 
 
-def _full_window_integrals(psf, geometry, lo, hi, quad):
-    """(int psi^2, kappa, gamma, beta, delta) of any PSF on [lo, hi], and the drift."""
+def _full_window_blocks(psf, geometries, lo, hi, quad):
+    """Yield (row, integrals, drift) for each geometry of any PSF, on [lo, hi] of its row.
 
-    def evaluate(x):
-        a1, d1 = psf.amplitude_and_derivative(x - geometry.x1)
-        a2, d2 = psf.amplitude_and_derivative(x - geometry.x2)
-        products = np.empty((5, x.size))
-        for out, left, right in zip(products, (a1, d1, d1, d1, a1), (a1, d1, a2, d2, a2)):
-            np.multiply(left, right, out=out)
-        return products
+    ``integrals`` is the column (int psi^2, kappa, gamma, beta, delta).
+    """
+    for row, geometry in enumerate(geometries):
 
-    return _refined_batch(evaluate, lo, hi, quad)
+        def evaluate(x):
+            a1, d1 = psf.amplitude_and_derivative(x - geometry.x1)
+            a2, d2 = psf.amplitude_and_derivative(x - geometry.x2)
+            products = np.empty((5, x.size))
+            for out, left, right in zip(products, (a1, d1, d1, d1, a1), (a1, d1, a2, d2, a2)):
+                np.multiply(left, right, out=out)
+            return products
+
+        integrals, drift = _refined_batch(evaluate, lo[row], hi[row], quad)
+        yield row, integrals[:, np.newaxis], np.array([drift])
 
 
 def overlap_integrals(
@@ -312,25 +354,23 @@ def overlap_integrals(
     stacked = not isinstance(geometry, SourceGeometry)
     geometries = list(geometry) if stacked else [geometry]
     label = "row {}: " if stacked else ""
-    size = block_size(quad) if psf.even else 1
+    if psf.even:
+        theta1, theta2 = np.array([(g.theta1, g.theta2) for g in geometries]).T
+        window = centroid_half_window(psf, theta2, quad)
+        lo, hi = theta1 - window, theta1 + window
+        blocks = _folded_blocks(psf, theta2, window, quad)
+    else:
+        radius = quad.truncation_radius * psf.sigma
+        lo = np.array([g.x1 - radius for g in geometries])
+        hi = np.array([g.x2 + radius for g in geometries])
+        blocks = _full_window_blocks(psf, geometries, lo, hi, quad)
     overlaps = []
-    for first in range(0, len(geometries), size):
-        block = geometries[first : first + size]
-        if psf.even:
-            theta1, theta2 = np.array([(g.theta1, g.theta2) for g in block]).T
-            window = centroid_half_window(psf, theta2, quad)
-            integrals, drift = _folded_integrals(psf, theta2, window, quad)
-            lo, hi = theta1 - window, theta1 + window
-        else:
-            (single,) = block
-            lo = single.x1 - quad.truncation_radius * psf.sigma
-            hi = single.x2 + quad.truncation_radius * psf.sigma
-            integrals, drift = _full_window_integrals(psf, single, lo, hi, quad)
-            integrals, drift = integrals[:, np.newaxis], np.array([drift])
+    for first, integrals, drift in blocks:
+        rows = slice(first, first + len(drift))
         norm = integrals[0]
         raise_first_failure(
             [
-                _drift_check(drift, lo, hi, quad),
+                _drift_check(drift, lo[rows], hi[rows], quad),
                 (
                     NormalizationError,
                     "int psi^2 = {!r} deviates from 1 beyond 10x quadrature tolerance",

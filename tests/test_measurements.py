@@ -27,7 +27,7 @@ from irtr_lab.measurements import (
     regret_rows,
     spade_cutoff,
 )
-from irtr_lab.psf_core import quadrature_grid
+from irtr_lab.psf_core import USER_DEFINED, quadrature_grid
 
 
 def gaussian_setup(theta1, theta2, sigma=1.0):
@@ -174,6 +174,44 @@ class TestStackedModels:
                 stacked_row = getattr(stacked, name)[row]
                 np.testing.assert_array_equal(stacked_row, getattr(single, name))
             np.testing.assert_array_equal(fisher[row], lab.fim(single))
+
+    @pytest.mark.parametrize(
+        "quad",
+        [
+            lab.QuadratureSpec(),
+            lab.QuadratureSpec(panel_count=7, nodes_per_panel=24, abs_tolerance=1e-10),
+        ],
+    )
+    def test_direct_imaging_fims_equal_the_single_models(self, quad):
+        geometries = [
+            lab.SourceGeometry(0.5 * index - 3.0, float(theta2))
+            for index, theta2 in enumerate(np.geomspace(1e-3, 40.0, 23))
+        ]
+        models = [lab.direct_imaging_model(self.psf, geometry, quad) for geometry in geometries]
+        singles = np.array([lab.fim(model) for model in models])
+        # Some call spans more than one block and ends in a ragged one.
+        for length in (1, 2, 4, 6, len(geometries)):
+            for start in range(0, len(geometries), length):
+                chunk = slice(start, start + length)
+                fishers = lab.direct_imaging_fims(self.psf, geometries[chunk], quad)
+                np.testing.assert_array_equal(fishers, singles[chunk])
+
+    def test_direct_imaging_fims_name_the_failing_sweep_row(self):
+        # A PSF that turns to NaN beyond 30 sigma: only the widest separation,
+        # row 5 in the second block of four, samples it.
+        def amplitude(x):
+            return np.where(abs(x) < 30.0, self.psf.amplitude(x), np.nan)
+
+        psf = lab.PointSpreadFunction(
+            USER_DEFINED, 1.0, amplitude, lambda x: np.zeros(np.shape(x))
+        )
+        geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in (0.5, 1, 2, 3, 4, 40, 50)]
+        with pytest.raises(ValueError) as single:
+            lab.direct_imaging_model(psf, geometries[5])
+        with pytest.raises(ValueError) as stacked:
+            lab.direct_imaging_fims(psf, geometries)
+        assert str(stacked.value) == "row 5: " + str(single.value)
+        assert str(single.value).startswith("total probability nan")
 
     def test_bad_total_names_its_row(self):
         stacked = lab.direct_imaging_model(self.psf, self.geometries)

@@ -53,6 +53,18 @@ class TestGaussianPsf:
         np.testing.assert_array_equal(psf.amplitude_derivative(x), separate)
         assert amplitude[0] * derivative[0] == 0.0 < amplitude[0]
 
+    def test_evaluation_into_given_arrays_is_bitwise_the_allocating_one(self):
+        gaussian = lab.gaussian_psf(0.8)
+        fields = lab.PointSpreadFunction(
+            gaussian.kind, gaussian.sigma, gaussian.amplitude, gaussian.amplitude_derivative
+        )
+        x = np.linspace(-40.0, 40.0, 3003).reshape(3, -1)
+        for psf in (gaussian, fields):
+            out = (np.full_like(x, np.nan), np.full_like(x, np.nan))
+            assert psf.amplitude_and_derivative(x, out=out) is out
+            for given, allocated in zip(out, psf.amplitude_and_derivative(x)):
+                np.testing.assert_array_equal(given, allocated)
+
     def test_peak_value(self):
         psf = lab.gaussian_psf(1.0)
         expected = (2.0 * math.pi) ** -0.25
@@ -159,6 +171,17 @@ class TestQuadratureSpec:
             x, w = quadrature_grid(lo, hi, panel_count, nodes_per_panel)
             assert np.array_equal(x, (mid[:, None] + half[:, None] * base_x).ravel())
             assert np.array_equal(w, (half[:, None] * base_w).ravel())
+
+    def test_grid_into_given_arrays_is_bitwise_the_allocating_one(self):
+        lo, hi = np.zeros(3), np.array([12.5, 13.0, 20.0])
+        x, w = quadrature_grid(lo, hi, 4, 8)
+        # Rows that are contiguous but not adjacent, as in a reflected grid.
+        buffers = np.full((2, 3, 2 * x.shape[1]), np.nan)
+        out = (buffers[0][:, x.shape[1] :], buffers[1][:, x.shape[1] :])
+        assert quadrature_grid(lo, hi, 4, 8, out=out) is out
+        np.testing.assert_array_equal(out[0], x)
+        np.testing.assert_array_equal(out[1], w)
+        assert np.isnan(buffers[:, :, : x.shape[1]]).all()
 
     def test_cached_rule_is_read_only(self):
         nodes, weights = psf_core._gauss_legendre(32)
