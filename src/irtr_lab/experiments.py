@@ -9,10 +9,10 @@ configuration and the checksum and size of the bytes it wrote.  Identical
 configuration and seed give byte-identical CSVs: randomness flows through a
 spawned SeedSequence per sample.  Every runner evaluates its points through
 one kernel: ``_contexts`` (the sweep's overlaps, from stacked blocks, its
-QFIM stack and c_tilde values), then one stacked regret step per
-measurement: ``regret_rows`` over the direct-imaging FIMs (from
-``direct_imaging_fims``, a block of the sweep at a time) or the SPADE FIMs
-(from one stacked model per mode cutoff), ``projective_regrets`` over a
+QFIM stack and c_tilde values, and its direct-imaging FIMs, formed from the
+overlaps' own samples by ``overlaps_and_direct_fims``), then one stacked
+regret step per measurement: ``regret_rows`` over the direct-imaging or
+SPADE FIMs (from one stacked model per mode cutoff), ``projective_regrets`` over a
 block of Haar-random bases.  Tables stay columns of sweep-wide arrays up to
 the CSV writer, which formats each column by its dtype.
 """
@@ -31,9 +31,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .measurements import (
-    direct_imaging_fims,
     fim,
     haar_random_bases,
+    overlaps_and_direct_fims,
     projective_regrets,
     regret_rows,
     spade_cutoff,
@@ -49,7 +49,6 @@ from .state_model import (
     build_state_model,
     c_tilde_from_overlaps,
     gaussian_incompatibility,
-    qfim,
 )
 from .tradeoff import irtr_frontier
 
@@ -259,16 +258,15 @@ def _run(figure: str, compute, config: ExperimentConfig) -> list[Path]:
     return [*paths, manifest_path]
 
 
-def _contexts(psf, geometries, quad):
-    """Overlaps, (n, 2, 2) QFIM stack and c_tilde floats of a sweep; overlaps in stacked blocks."""
-    overlaps = overlap_integrals(psf, geometries, quad)
-    quantum = np.array([qfim(overlap).matrix for overlap in overlaps])
-    return overlaps, quantum, [c_tilde_from_overlaps(overlap) for overlap in overlaps]
-
-
-def _direct_fims(psf, geometries, quad):
-    """Direct-imaging FIM of each geometry, bit for bit its own, from the stacked kernel."""
-    return direct_imaging_fims(psf, geometries, quad)
+def _contexts(psf, geometries, quad, direct=False):
+    """A sweep's overlaps, (n, 2, 2) QFIMs, c_tilde floats and direct FIMs if ``direct``."""
+    if direct:
+        overlaps, fishers = overlaps_and_direct_fims(psf, geometries, quad)
+    else:
+        overlaps, fishers = overlap_integrals(psf, geometries, quad), None
+    # qfim(overlap).matrix, bit for bit: a float's ** can be 1 ulp from numpy's x * x.
+    quantum = np.array([((4.0 * (o.kappa - o.gamma**2), 0.0), (0.0, o.kappa)) for o in overlaps])
+    return overlaps, quantum, [c_tilde_from_overlaps(o) for o in overlaps], fishers
 
 
 def _spade_fims(config, geometries):
@@ -312,11 +310,11 @@ def _frontier_table(name, metadata, coefficient, samples):
 def run_fig1(config, psf):
     """Incompatibility coefficient versus separation, both computation routes."""
     separations = [ratio * config.sigma for ratio in config.theta2_grid]
-    geometries = [SourceGeometry(0.0, separation) for separation in separations]
+    overlaps = overlap_integrals(psf, [SourceGeometry(0.0, s) for s in separations], config.quad)
     columns = dict(
         theta2_over_sigma=config.theta2_grid,
         c_tilde_closed_form=[gaussian_incompatibility(config.sigma, s) for s in separations],
-        c_tilde_quadrature=_contexts(psf, geometries, config.quad)[2],
+        c_tilde_quadrature=[c_tilde_from_overlaps(o) for o in overlaps],
     )
     return [("fig1.csv", [("sigma", config.sigma)], columns)], {}
 
@@ -325,8 +323,8 @@ def run_fig1(config, psf):
 def run_fig2(config, psf):
     """Direct-imaging information regrets versus separation at zero misalignment."""
     geometries = [SourceGeometry(0.0, ratio * config.sigma) for ratio in config.theta2_grid]
-    _, quantum, c_tilde = _contexts(psf, geometries, config.quad)
-    delta1, delta2, _ = regret_rows(_direct_fims(psf, geometries, config.quad), quantum, c_tilde)
+    _, quantum, c_tilde, fishers = _contexts(psf, geometries, config.quad, direct=True)
+    delta1, delta2, _ = regret_rows(fishers, quantum, c_tilde)
     columns = dict(theta2_over_sigma=config.theta2_grid, delta1=delta1, delta2=delta2)
     metadata = [("sigma", config.sigma), ("theta1_over_sigma", 0.0)]
     return [("fig2.csv", metadata, columns)], {}
@@ -336,8 +334,7 @@ def run_fig2(config, psf):
 def run_fig3(config, psf):
     """Per-separation panels: direct-imaging point against the IRTR frontier."""
     geometries = [SourceGeometry(0.0, ratio * config.sigma) for ratio in config.panels]
-    _, quantum, c_tilde = _contexts(psf, geometries, config.quad)
-    fishers = _direct_fims(psf, geometries, config.quad)
+    _, quantum, c_tilde, fishers = _contexts(psf, geometries, config.quad, direct=True)
     direct = regret_rows(fishers, quantum, c_tilde).T.tolist()
     tables = []
     for index, (ratio, coefficient, cells) in enumerate(zip(config.panels, c_tilde, direct), 1):
@@ -362,7 +359,7 @@ def run_fig4(config, psf):
     separation = config.theta2_over_sigma * config.sigma
     # The overlaps depend only on the separation, so one evaluation covers
     # the whole misalignment sweep.
-    _, quantum, (c_tilde,) = _contexts(psf, [SourceGeometry(0.0, separation)], config.quad)
+    _, quantum, (c_tilde,), _ = _contexts(psf, [SourceGeometry(0.0, separation)], config.quad)
     geometries = [SourceGeometry(r * config.sigma, separation) for r in config.theta1_grid]
     delta1, delta2, _ = regret_rows(_spade_fims(config, geometries), quantum, c_tilde)
     columns = dict(theta1_over_sigma=config.theta1_grid, delta1=delta1, delta2=delta2)
@@ -379,7 +376,7 @@ def run_fig4(config, psf):
 def run_fig5(config, psf):
     """Haar-random projective measurements at fixed geometry."""
     geometry = SourceGeometry(0.0, config.theta2_over_sigma * config.sigma)
-    (overlaps,), (quantum,), (c_tilde,) = _contexts(psf, [geometry], config.quad)
+    (overlaps,), (quantum,), (c_tilde,), _ = _contexts(psf, [geometry], config.quad)
     streams = np.random.SeedSequence(config.seed).spawn(config.n_random)
     delta1, delta2, residual = _random_regrets(
         build_state_model(overlaps), quantum, c_tilde, streams
@@ -417,13 +414,13 @@ def run_custom(config, psf):
         [geometry.theta2 for geometry in geometries], return_index=True, return_inverse=True
     )
     distinct = [geometries[index] for index in first]
-    overlaps, quantum, c_tilde = _contexts(psf, distinct, config.quad)
+    direct = "direct" in config.measurements
+    overlaps, quantum, c_tilde, fishers = _contexts(psf, distinct, config.quad, direct)
     quantum, c_tilde = quantum[separation], [c_tilde[index] for index in separation]
     # (3, points) regrets of the measurements with one row per point, direct first.
     single = {}
-    if "direct" in config.measurements:
-        fishers = _direct_fims(psf, distinct, config.quad)[separation]
-        single["direct"] = regret_rows(fishers, quantum, c_tilde)
+    if direct:
+        single["direct"] = regret_rows(fishers[separation], quantum, c_tilde)
     if "spade" in config.measurements:
         single["spade"] = regret_rows(_spade_fims(config, geometries), quantum, c_tilde)
     # (3, points, rows per point): the single measurements, then the random samples.

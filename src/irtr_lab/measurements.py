@@ -14,8 +14,10 @@ Each model carries the outcome probabilities together with their derivatives
 with respect to centroid and separation, from which ``fim`` computes the
 classical Fisher information matrix and ``regret_report`` the normalized
 square-root information regrets against the quantum bound.  ``regret_rows``
-does the same for a stack of FIMs, and ``projective_regrets`` for a stack of
-projective measurements, bit for bit equal to that route and with its checks.
+does the same for a stack of FIMs, ``projective_regrets`` for a stack of
+projective measurements, and ``overlaps_and_direct_fims`` for the direct
+imaging of a sweep, from its overlaps' own half-grid samples: bit for bit
+equal to that route and with its checks.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from .psf_core import (
     PointSpreadFunction,
     QuadratureSpec,
     SourceGeometry,
-    block_size,
     centroid_half_window,
+    overlap_blocks,
+    overlap_integrals,
     quadrature_grid,
 )
 from .state_model import Qfim, StateModel4
@@ -94,17 +97,20 @@ class ProbabilityModel:
         raise_first_failure(checks, "row {}: " if self.probabilities.ndim > 1 else "")
 
 
-def _model_checks(probabilities, derivatives, weights=1.0, truncated_mass=0.0):
+def _model_checks(probabilities, derivatives, weights=1.0, truncated_mass=0.0, mirrored=False):
     """``ProbabilityModel``'s checks of each row, in the order a row meets them."""
+    # A mirrored row is the left half of a mirror-symmetric one: its sums count each
+    # term twice, but odd dp_dtheta1's terms cancel in pairs (NaN stays NaN).
+    counts = (2.0, 0.0, 2.0) if mirrored else (1.0, 1.0, 1.0)
     # Written as `~(... <= tol)` so that a NaN or inf anywhere fails the check.
-    total = np.sum(weights * probabilities, axis=-1) + truncated_mass
+    total = counts[0] * np.sum(weights * probabilities, axis=-1) + truncated_mass
     negative, off = np.any(probabilities < 0.0, axis=-1), ~(abs(total - 1.0) <= 1e-10)
     checks = [
         (ValueError, "probabilities must be nonnegative", negative),
         (ValueError, "total probability {!r} deviates from 1", off, total),
     ]
-    for name, derivative in zip(("dp_dtheta1", "dp_dtheta2"), derivatives):
-        drift = np.sum(weights * derivative, axis=-1)
+    for name, derivative, count in zip(("dp_dtheta1", "dp_dtheta2"), derivatives, counts[1:]):
+        drift = count * np.sum(weights * derivative, axis=-1)
         scale = np.max(np.abs(derivative), axis=-1, initial=1.0)
         bounded = (abs(drift) <= 1e-8 * scale) & (scale < math.inf)
         checks.append((ValueError, f"sum of {name} = {{!r}} is not 0", ~bounded, drift))
@@ -174,7 +180,7 @@ def direct_imaging_model(
         )
     )
     fields = _intensity_and_derivatives(psf, theta2, positions)
-    return ProbabilityModel(outcome_kind=CONTINUUM_GRID, weights=weights, **fields)
+    return ProbabilityModel(CONTINUUM_GRID, *fields, weights=weights)
 
 
 def direct_imaging_fims(
@@ -185,40 +191,43 @@ def direct_imaging_fims(
     """(n, 2, 2) direct-imaging Fisher information of each geometry of a sweep.
 
     Row i equals ``fim(direct_imaging_model(psf, geometries[i], quad))`` bit
-    for bit, after the same model and FIM checks; a failed check names its
-    sweep row.  The sweep is evaluated in blocks of ``block_size(quad)``
-    geometries in arrays allocated once, as ``overlap_integrals`` folds its
-    integrals, so that no block-sized array comes and goes block by block.
+    for bit, and a failed check names its sweep row: by that route for a PSF
+    not even, else by ``overlaps_and_direct_fims``, which checks overlaps too.
     """
-    theta2 = np.array([geometry.theta2 for geometry in geometries])
-    window = centroid_half_window(psf, theta2, quad)
-    size, nodes = min(block_size(quad), len(theta2)), quad.nodes_per_panel
-    panels = (quad.panel_count + 1) // 2
-    mirror = panels * nodes  # outcomes per half-grid
-    # Positions, weights, the model's seven field arrays and fim's three.
-    buffers = [np.empty(size * 2 * mirror) for _ in range(12)]
-    fishers = np.empty((len(theta2), 2, 2))
-    for first in range(0, len(theta2), size):
-        rows = slice(first, first + size)
-        count = len(theta2[rows])
-        positions, weights, *fields, inverse_p, scaled, product = (
-            buffer[: count * 2 * mirror].reshape(count, -1) for buffer in buffers
-        )
-        # The half-grid fills the right half and is reflected into the left,
-        # bit for bit as ``_reflected`` does.
-        quadrature_grid(
-            0.0, window[rows], panels, nodes, out=(positions[:, mirror:], weights[:, mirror:])
-        )
-        np.negative(np.flip(positions[:, mirror:], -1), out=positions[:, :mirror])
-        np.copyto(weights[:, :mirror], np.flip(weights[:, mirror:], -1))
-        model = _intensity_and_derivatives(psf, theta2[rows], positions, fields)
-        probabilities, *derivatives = model.values()
-        raise_first_failure(_model_checks(probabilities, derivatives, weights), "row {}: ", first)
-        fishers[rows], checks = _fisher_information(
-            probabilities, derivatives, weights, (inverse_p, scaled, product)
-        )
-        raise_first_failure(checks, "row {}: ", first)
+    if psf.even:
+        return overlaps_and_direct_fims(psf, geometries, quad)[1]
+    fishers = np.empty((len(geometries), 2, 2))
+    for row, geometry in enumerate(geometries):
+        try:
+            fishers[row] = fim(direct_imaging_model(psf, geometry, quad))
+        except (ValueError, DegenerateOutcomeError) as error:
+            raise type(error)(f"row {row}: {error}") from None
     return fishers
+
+
+def overlaps_and_direct_fims(psf, geometries, quad=QuadratureSpec()):
+    """``overlap_integrals`` and ``direct_imaging_fims`` of one sweep, from one pass.
+
+    The direct-imaging grid is the reflected ceil(P/2)-panel half-grid, so an even
+    PSF's fields come from each block's overlap samples, in descending u (the
+    left half), each outcome standing for its mirror image too: F11 and F22 sum
+    doubled products and F12 is 0.0, bit for bit as ``fim`` pairs the reflected
+    grid; the model checks' sums equal its own to rounding.  Block by block,
+    the overlap checks run first, then the model and FIM checks of each row.
+    """
+    if not psf.even:
+        return overlap_integrals(psf, geometries, quad), direct_imaging_fims(psf, geometries, quad)
+    overlaps, fishers = [], np.empty((len(geometries), 2, 2))
+    for first, block, (w, *samples) in overlap_blocks(psf, geometries, quad):
+        work, weights = samples[4:], w[:, ::-1]  # The fields, then fim's work.
+        probabilities, *derivatives = _fields(*(a[:, ::-1] for a in samples[:4]), work[:5])
+        checks = _model_checks(probabilities, derivatives, weights, mirrored=True)
+        fishers[first : first + len(block)], fisher_checks = _fisher_information(
+            probabilities, derivatives, weights, work[3:], mirrored=True
+        )
+        raise_first_failure(checks + fisher_checks, "row {}: ", first)
+        overlaps += block
+    return overlaps, fishers
 
 
 def direct_imaging_pixelated_model(
@@ -246,8 +255,7 @@ def direct_imaging_pixelated_model(
     rows = (half_count, quad.nodes_per_panel)
     positions, weights = _reflected(half_x.reshape(rows), half_w.reshape(rows), axis=0)
     fields = _intensity_and_derivatives(psf, geometry.theta2, positions)
-    per_bin = {name: (weights * values).sum(axis=1) for name, values in fields.items()}
-    return ProbabilityModel(outcome_kind=DISCRETE_MODES, **per_bin)
+    return ProbabilityModel(DISCRETE_MODES, *((weights * values).sum(axis=1) for values in fields))
 
 
 def _reflected(nodes, weights, axis=-1):
@@ -262,33 +270,28 @@ def _reflected(nodes, weights, axis=-1):
     )
 
 
-def _intensity_and_derivatives(psf, theta2, offsets, buffers=None):
-    """p = (a1^2 + a2^2) / 2, dp/dtheta1 and dp/dtheta2 at ``offsets``.
-
-    ``buffers``, seven arrays shaped like ``offsets`` (the three fields, then
-    a1, d1, a2, d2), hold the work; by default they are allocated.
-    """
+def _intensity_and_derivatives(psf, theta2, offsets):
+    """p = (a1^2 + a2^2) / 2, dp/dtheta1 and dp/dtheta2 at ``offsets``."""
     # Offsets from the centroid (a row per stacked theta2): source j sits at
     # -+theta2/2, so for an even PSF p is even and dp/dtheta1 odd, bit for bit.
-    if buffers is None:
-        buffers = [np.empty(offsets.shape) for _ in range(7)]
-    probabilities, dp_dtheta1, dp_dtheta2, amp1, damp1, amp2, damp2 = buffers
     half = 0.5 * np.expand_dims(theta2, -1)
-    psf.amplitude_and_derivative(np.add(offsets, half, out=probabilities), out=(amp1, damp1))
-    psf.amplitude_and_derivative(np.subtract(offsets, half, out=probabilities), out=(amp2, damp2))
+    amplitudes = [*psf.amplitude_and_derivative(offsets + half)]
+    amplitudes += psf.amplitude_and_derivative(offsets - half)
+    return _fields(*amplitudes, [np.empty(offsets.shape) for _ in range(5)])
+
+
+def _fields(amp1, damp1, amp2, damp2, out):
+    """p, dp/dtheta1, dp/dtheta2 from psi, psi' of each source into out[:3]; out[3:] is work."""
+    probabilities, dp_dtheta1, dp_dtheta2, work1, work2 = out
     np.add(np.square(amp1, out=probabilities), np.square(amp2, out=dp_dtheta1), out=probabilities)
     np.multiply(probabilities, 0.5, out=probabilities)
     # d(x - X_j)/dtheta1 = -1 for both sources; for theta2 the two sources
     # move apart, so the signs split.
-    np.multiply(amp1, damp1, out=amp1)
-    np.multiply(amp2, damp2, out=amp2)
-    np.negative(np.add(amp1, amp2, out=dp_dtheta1), out=dp_dtheta1)
-    np.multiply(np.subtract(amp1, amp2, out=dp_dtheta2), 0.5, out=dp_dtheta2)
-    return {
-        "probabilities": probabilities,
-        "dp_dtheta1": dp_dtheta1,
-        "dp_dtheta2": dp_dtheta2,
-    }
+    np.multiply(amp1, damp1, out=work1)
+    np.multiply(amp2, damp2, out=work2)
+    np.negative(np.add(work1, work2, out=dp_dtheta1), out=dp_dtheta1)
+    np.multiply(np.subtract(work1, work2, out=dp_dtheta2), 0.5, out=dp_dtheta2)
+    return probabilities, dp_dtheta1, dp_dtheta2
 
 
 def _gammaln(x):
@@ -535,11 +538,11 @@ def fim(model: ProbabilityModel) -> np.ndarray:
     return matrices
 
 
-def _fisher_information(probabilities, derivatives, weights=1.0, buffers=None):
+def _fisher_information(probabilities, derivatives, weights=1.0, buffers=None, mirrored=False):
     """``fim``'s matrices of each row, and its drop-or-raise checks of each row.
 
     ``buffers``, three arrays shaped like ``probabilities``, hold the work;
-    by default they are allocated.
+    by default they are allocated.  ``mirrored`` is as in ``_model_checks``.
     """
     if buffers is None:
         buffers = [np.empty(probabilities.shape) for _ in range(3)]
@@ -567,12 +570,14 @@ def _fisher_information(probabilities, derivatives, weights=1.0, buffers=None):
 
     def total(left, right):
         np.multiply(left, right, out=product)
-        mirrored = (product[..., :half] + product[..., ::-1][..., :half]).sum(axis=-1)
-        return mirrored + product[..., half] if probabilities.shape[-1] % 2 else mirrored
+        if mirrored:  # The mirror image's product is the same: the pair doubles it.
+            return np.add(product, product, out=product).sum(axis=-1)
+        paired = (product[..., :half] + product[..., ::-1][..., :half]).sum(axis=-1)
+        return paired + product[..., half] if probabilities.shape[-1] % 2 else paired
 
     totals = np.array([
         total(scaled, d1),
-        total(scaled, d2),
+        np.zeros(probabilities.shape[:-1]) if mirrored else total(scaled, d2),  # Pairs cancel.
         total(np.multiply(inverse_p, d2, out=scaled), d2),
     ])
     matrices = totals[[0, 1, 1, 2]].T.reshape(*totals.shape[1:], 2, 2)

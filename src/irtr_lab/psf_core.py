@@ -22,10 +22,11 @@ u +- theta2/2 in centroid coordinates u:
     int psi^2: a1^2 + a2^2      kappa: d1^2 + d2^2      gamma: d1 a2 - d2 a1
     beta:      2 d1 d2          delta: 2 a1 a2
 
-on ceil(P/2) panels and again on 2 ceil(P/2), P = ``panel_count``, so the
+on 2 ceil(P/2) panels and again on ceil(P/2), P = ``panel_count``, so the
 overlaps depend on theta2 alone, bit for bit, and a sweep is evaluated in
-stacked blocks of geometries.  Any other PSF is integrated over the full
-window on P and 2P panels.  Either way the two values must agree to
+stacked blocks of geometries (``overlap_blocks``), whose ceil(P/2)-panel
+samples also give the direct-imaging FIMs.  Any other PSF is integrated over
+the full window on P and 2P panels.  Either way the two values must agree to
 ``abs_tolerance`` or a ConvergenceError is raised.
 """
 
@@ -249,56 +250,49 @@ def _drift_check(drift, lo, hi, quad):
     return ConvergenceError, message, drift > quad.abs_tolerance, drift, lo, hi
 
 
-# Samples per stacked (geometries, samples) array: the folded overlaps below
-# and the direct-imaging FIMs of a sweep work in blocks of geometries this
-# size, 4 at the default quadrature, in arrays allocated once per sweep.
-# Blocks that allocated their own arrays peaked at 323 KB (overlaps) and
-# 472 KB (direct model and fim) above the heap's retained top, so glibc trimmed
-# the top after a block and the next block faulted it back: 10,000-33,000
-# minor faults per 800-point call or none, by the process's heap history.
-# Fewer geometries per block pay more per-block overhead.
-BLOCK_SAMPLES = 4096
+# Samples per stacked (geometries, samples) array: a sweep's folded overlaps,
+# and the direct-imaging FIMs formed from their samples, work in blocks of this
+# many, 16 geometries at the default quadrature.  Smaller blocks pay more
+# overhead per block; larger ones hold more memory for little gain.
+BLOCK_SAMPLES = 16384
 
 
 def block_size(quad: QuadratureSpec) -> int:
-    """Geometries per stacked block.
-
-    A geometry's largest array has 2 ceil(P/2) n samples: the folded overlaps'
-    refined rule, and the reflected direct-imaging grid.
-    """
+    """Geometries per stacked block, each 2 ceil(P/2) n samples in the refined rule."""
     return max(1, BLOCK_SAMPLES // (2 * ((quad.panel_count + 1) // 2) * quad.nodes_per_panel))
 
 
 def _folded_blocks(psf, theta2, window, quad):
-    """Yield (first row, integrals, drift) for each block of an even PSF's separations.
+    """Yield (first row, integrals, drift, samples) for each block of an even PSF's separations.
 
     ``integrals`` has rows (int psi^2, kappa, gamma, beta, delta) and a
-    column per theta2 of the block, ``drift`` each column's largest drift.
-    u -> -u maps a1 <-> a2 and d1 <-> -d2, which folds each integral over
-    [-W, W] onto [0, W], W = ``window``.  Every block-sized array lives in
-    buffers allocated once per sweep: blocks that allocate their own leave
-    the heap top free after each block, and glibc then trims it and faults
-    it back in on the next block, at a cost set by the process's heap history.
+    column per theta2 of the block, ``drift`` each column's largest drift,
+    ``samples`` are as in ``overlap_blocks``.  u -> -u maps a1 <-> a2 and
+    d1 <-> -d2, which folds each integral over [-W, W] onto [0, W],
+    W = ``window``.  Every block-sized array lives in buffers allocated once
+    per sweep: blocks that allocate their own leave the heap top free after
+    each block, and glibc then trims it and faults it back in on the next
+    block, at a cost set by the process's heap history.
     """
     size, nodes = min(block_size(quad), len(theta2)), quad.nodes_per_panel
     panels = (quad.panel_count + 1) // 2
-    # Nodes, weights, shifted nodes, a1, d1, a2, d2 and one product.
-    buffers = [np.empty(size * 2 * panels * nodes) for _ in range(8)]
+    # Nodes (shifted in place, then products), weights, a1, d1, a2 (first u + theta2/2), d2.
+    buffers = [np.empty(size * 2 * panels * nodes) for _ in range(6)]
     for first in range(0, len(theta2), size):
         half = 0.5 * theta2[first : first + size, np.newaxis]
         results = []
-        for count in (panels, 2 * panels):
-            x, w, shifted, a1, d1, a2, d2, product = (
+        for count in (2 * panels, panels):
+            x, w, a1, d1, a2, d2 = (
                 buffer[: half.size * count * nodes].reshape(half.size, -1) for buffer in buffers
             )
             quadrature_grid(0.0, window[first : first + size], count, nodes, out=(x, w))
-            psf.amplitude_and_derivative(np.add(x, half, out=shifted), out=(a1, d1))
-            psf.amplitude_and_derivative(np.subtract(x, half, out=shifted), out=(a2, d2))
+            psf.amplitude_and_derivative(np.add(x, half, out=a2), out=(a1, d1))
+            psf.amplitude_and_derivative(np.subtract(x, half, out=x), out=(a2, d2))
 
             # A dot product per row (BLAS where available): as accurate as the
             # full-window route's matrix product, which a plain running sum is not.
             def integral(u, v):
-                return np.vecdot(np.multiply(u, v, out=product), w)
+                return np.vecdot(np.multiply(u, v, out=x), w)
 
             results.append((
                 integral(a1, a1) + integral(a2, a2),
@@ -307,12 +301,14 @@ def _folded_blocks(psf, theta2, window, quad):
                 2.0 * integral(d1, d2),
                 2.0 * integral(a1, a2),
             ))
-        coarse, fine = np.array(results)
-        yield first, fine, np.max(np.abs(fine - coarse), axis=0)
+        # The coarse rule ran last, in the first half of each buffer: the second halves are spare.
+        spare = (buffer[w.size : 2 * w.size].reshape(w.shape) for buffer in buffers)
+        fine, coarse = np.array(results)
+        yield first, fine, np.max(np.abs(fine - coarse), axis=0), (w, a1, d1, a2, d2, *spare)
 
 
 def _full_window_blocks(psf, geometries, lo, hi, quad):
-    """Yield (row, integrals, drift) for each geometry of any PSF, on [lo, hi] of its row.
+    """Yield (row, integrals, drift, None) for each geometry of any PSF, on [lo, hi] of its row.
 
     ``integrals`` is the column (int psi^2, kappa, gamma, beta, delta).
     """
@@ -327,33 +323,17 @@ def _full_window_blocks(psf, geometries, lo, hi, quad):
             return products
 
         integrals, drift = _refined_batch(evaluate, lo[row], hi[row], quad)
-        yield row, integrals[:, np.newaxis], np.array([drift])
+        yield row, integrals[:, np.newaxis], np.array([drift]), None
 
 
-def overlap_integrals(
-    psf: PointSpreadFunction,
-    geometry: SourceGeometry | list[SourceGeometry],
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> OverlapIntegrals | list[OverlapIntegrals]:
-    """Compute (kappa, gamma, beta, delta) by quadrature.
+def overlap_blocks(psf, geometries, quad=QuadratureSpec(), label="row {}: "):
+    """Yield (first row, overlaps, samples) for each block of a sweep, after its checks.
 
-    For an even PSF (``psf.even``) the folded integrands of the module
-    docstring are integrated over the centroid half-window [0, W],
-    W = theta2/2 + R sigma, on ceil(P/2) panels and on 2 ceil(P/2)
-    (P = ``panel_count``), so the overlaps depend on theta2 alone, bit for
-    bit.  Any other PSF is integrated over the full window
-    [X1 - R sigma, X2 + R sigma] on P and 2P panels.  The two rules must
-    agree to ``abs_tolerance`` (ConvergenceError), and int psi^2 must be 1
-    within 10x that (NormalizationError).
-
-    A sequence of geometries gives a list, element i equal bit for bit to
-    ``overlap_integrals(psf, geometry[i], quad)``: an even PSF's geometries
-    are evaluated in stacked blocks of ``block_size(quad)``, and an error
-    names the first failing row.
+    A failed check raises as in ``overlap_integrals``, ``label`` naming the row.
+    An even PSF's ``samples`` are the block's (w, a1, d1, a2, d2) of the
+    ceil(P/2)-panel rule, a row per geometry in ascending u, then six spare
+    arrays of their shape, all reused by the next block; other PSFs give None.
     """
-    stacked = not isinstance(geometry, SourceGeometry)
-    geometries = list(geometry) if stacked else [geometry]
-    label = "row {}: " if stacked else ""
     if psf.even:
         theta1, theta2 = np.array([(g.theta1, g.theta2) for g in geometries]).T
         window = centroid_half_window(psf, theta2, quad)
@@ -364,8 +344,7 @@ def overlap_integrals(
         lo = np.array([g.x1 - radius for g in geometries])
         hi = np.array([g.x2 + radius for g in geometries])
         blocks = _full_window_blocks(psf, geometries, lo, hi, quad)
-    overlaps = []
-    for first, integrals, drift in blocks:
+    for first, integrals, drift, samples in blocks:
         rows = slice(first, first + len(drift))
         norm = integrals[0]
         raise_first_failure(
@@ -381,11 +360,40 @@ def overlap_integrals(
             label,
             first,
         )
+        overlaps = []
         for row, values in enumerate(integrals[1:].T.tolist(), first):
             try:
                 overlaps.append(OverlapIntegrals(*values))
             except ValueError as error:
                 raise ValueError(label.format(row) + str(error)) from None
+        yield first, overlaps, samples
+
+
+def overlap_integrals(
+    psf: PointSpreadFunction,
+    geometry: SourceGeometry | list[SourceGeometry],
+    quad: QuadratureSpec = QuadratureSpec(),
+) -> OverlapIntegrals | list[OverlapIntegrals]:
+    """Compute (kappa, gamma, beta, delta) by quadrature.
+
+    For an even PSF (``psf.even``) the folded integrands of the module
+    docstring are integrated over the centroid half-window [0, W],
+    W = theta2/2 + R sigma, on 2 ceil(P/2) panels and on ceil(P/2)
+    (P = ``panel_count``), so the overlaps depend on theta2 alone, bit for
+    bit.  Any other PSF is integrated over the full window
+    [X1 - R sigma, X2 + R sigma] on P and 2P panels.  The two rules must
+    agree to ``abs_tolerance`` (ConvergenceError), and int psi^2 must be 1
+    within 10x that (NormalizationError).
+
+    A sequence of geometries gives a list, element i equal bit for bit to
+    ``overlap_integrals(psf, geometry[i], quad)``: an even PSF's geometries
+    are evaluated in stacked blocks of ``block_size(quad)``, and an error
+    names the first failing row.
+    """
+    stacked = not isinstance(geometry, SourceGeometry)
+    geometries = list(geometry) if stacked else [geometry]
+    blocks = overlap_blocks(psf, geometries, quad, "row {}: " if stacked else "")
+    overlaps = [overlap for _, block, _ in blocks for overlap in block]
     return overlaps if stacked else overlaps[0]
 
 

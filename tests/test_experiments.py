@@ -278,14 +278,14 @@ class TestRunFig2:
 
 
     def test_fim_above_the_qfim_names_its_sweep_row(self, tmp_path, monkeypatch):
-        direct_fims = experiments._direct_fims
+        fused = experiments.overlaps_and_direct_fims
 
         def inflated(psf, geometries, quad):
-            fishers = direct_fims(psf, geometries, quad)
+            overlaps, fishers = fused(psf, geometries, quad)
             fishers[2] = 10.0 * np.eye(2)
-            return fishers
+            return overlaps, fishers
 
-        monkeypatch.setattr(experiments, "_direct_fims", inflated)
+        monkeypatch.setattr(experiments, "overlaps_and_direct_fims", inflated)
         config = lab.ExperimentConfig(
             figure_id="fig2", theta2_grid=(0.5, 1.0, 2.0, 4.0), output_dir=str(tmp_path)
         )
@@ -503,6 +503,28 @@ class TestRunnersMatchScalarRoute:
             model = self.random_model(overlaps, stream, k, state)
             assert int(row[0]) == k
             assert tuple(float(cell) for cell in row[1:]) == scalar_row(model, overlaps)
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.6])
+    def test_context_qfims_equal_the_scalar_qfims(self, sigma):
+        psf = lab.gaussian_psf(sigma)
+        geometries = [lab.SourceGeometry(0.0, t) for t in np.geomspace(1e-3, 40.0, 400)]
+        overlaps, quantum, c_tilde, fishers = experiments._contexts(psf, geometries, self.quad)
+        scalar = np.array([lab.qfim(overlap).matrix for overlap in overlaps])
+        assert quantum.tobytes() == scalar.tobytes() and fishers is None
+        # The fused pass gives the same context, plus the direct-imaging FIMs.
+        fused = experiments._contexts(psf, geometries, self.quad, direct=True)
+        assert fused[0] == overlaps and fused[2] == c_tilde
+        assert fused[1].tobytes() == scalar.tobytes()
+        expected = lab.direct_imaging_fims(psf, geometries, self.quad)
+        assert fused[3].tobytes() == expected.tobytes()
+
+    def test_fig1_builds_no_qfim_stack(self, tmp_path, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("fig1 needs only c_tilde")
+
+        monkeypatch.setattr(experiments, "_contexts", unexpected)
+        config = lab.ExperimentConfig(figure_id="fig1", output_dir=str(tmp_path))
+        assert lab.run_fig1(config)[0].is_file()
 
     @pytest.mark.parametrize("sigma", [1.0, 0.6])
     def test_fig2_direct_rows(self, tmp_path, sigma):

@@ -17,7 +17,7 @@ import pytest
 from scipy.stats import poisson
 
 import irtr_lab as lab
-from irtr_lab import measurements
+from irtr_lab import measurements, psf_core
 from irtr_lab.measurements import (
     CONTINUUM_GRID,
     DISCRETE_MODES,
@@ -189,7 +189,7 @@ class TestStackedModels:
         ]
         models = [lab.direct_imaging_model(self.psf, geometry, quad) for geometry in geometries]
         singles = np.array([lab.fim(model) for model in models])
-        # Some call spans more than one block and ends in a ragged one.
+        # At the default rule, some call spans more than one block and ends in a ragged one.
         for length in (1, 2, 4, 6, len(geometries)):
             for start in range(0, len(geometries), length):
                 chunk = slice(start, start + length)
@@ -198,7 +198,7 @@ class TestStackedModels:
 
     def test_direct_imaging_fims_name_the_failing_sweep_row(self):
         # A PSF that turns to NaN beyond 30 sigma: only the widest separation,
-        # row 5 in the second block of four, samples it.
+        # row 5, samples it.
         def amplitude(x):
             return np.where(abs(x) < 30.0, self.psf.amplitude(x), np.nan)
 
@@ -270,6 +270,88 @@ class TestStackedModels:
         fisher = lab.fim(self.discrete_stack(self.good, self.good))
         single = lab.fim(lab.ProbabilityModel(DISCRETE_MODES, *self.good))
         np.testing.assert_array_equal(fisher, [single, single])
+
+
+class TestOverlapsAndDirectFims:
+    """An even PSF's direct-imaging FIMs come from its overlaps' own half-grid samples."""
+
+    psf = lab.gaussian_psf(1.0)
+    geometries = [
+        lab.SourceGeometry(0.3 * index - 4.0, float(theta2))
+        for index, theta2 in enumerate(np.geomspace(1e-3, 40.0, 100))
+    ]
+    quads = [
+        lab.QuadratureSpec(),
+        lab.QuadratureSpec(panel_count=7, nodes_per_panel=24, abs_tolerance=1e-10),
+    ]
+
+    @pytest.mark.parametrize("quad", quads)
+    @pytest.mark.parametrize("block_samples", [1, psf_core.BLOCK_SAMPLES])
+    def test_rows_equal_the_scalar_routes(self, quad, block_samples, monkeypatch):
+        monkeypatch.setattr(psf_core, "BLOCK_SAMPLES", block_samples)
+        size = psf_core.block_size(quad)
+        assert size == 1 or len(self.geometries) % size
+        singles = [lab.overlap_integrals(self.psf, geometry, quad) for geometry in self.geometries]
+        models = [lab.direct_imaging_model(self.psf, geometry, quad) for geometry in self.geometries]
+        fishers = np.array([lab.fim(model) for model in models])
+        # Calls of one geometry, of blocks and a ragged block, and of the whole sweep.
+        for length in (1, 7, 37, len(self.geometries)):
+            for start in range(0, len(self.geometries), length):
+                chunk = slice(start, start + length)
+                overlaps, fused = measurements.overlaps_and_direct_fims(
+                    self.psf, self.geometries[chunk], quad
+                )
+                assert overlaps == singles[chunk]
+                np.testing.assert_array_equal(fused, fishers[chunk])
+                # Bit for bit, down to the sign of each zero.
+                assert fused.tobytes() == fishers[chunk].tobytes()
+                fims = lab.direct_imaging_fims(self.psf, self.geometries[chunk], quad)
+                assert fims.tobytes() == fused.tobytes()
+
+    @pytest.mark.parametrize("quad", quads)
+    def test_f12_is_exactly_zero(self, quad):
+        _, fishers = measurements.overlaps_and_direct_fims(self.psf, self.geometries, quad)
+        assert np.all(fishers[:, 0, 1] == 0.0) and np.all(fishers[:, 1, 0] == 0.0)
+        assert not np.signbit(fishers[:, [0, 1], [1, 0]]).any()
+        assert np.all(fishers[:, [0, 1], [0, 1]] > 0.0)
+
+    def test_a_psf_not_known_to_be_even_takes_the_scalar_route(self):
+        psf = lab.PointSpreadFunction(
+            USER_DEFINED, 1.0, self.psf.amplitude, self.psf.amplitude_derivative
+        )
+        geometries = self.geometries[::9]
+        singles = np.array([lab.fim(lab.direct_imaging_model(psf, g)) for g in geometries])
+        assert lab.direct_imaging_fims(psf, geometries).tobytes() == singles.tobytes()
+        overlaps, fishers = measurements.overlaps_and_direct_fims(psf, geometries)
+        assert overlaps == lab.overlap_integrals(psf, geometries)
+        assert fishers.tobytes() == singles.tobytes()
+
+    def test_overlap_checks_run_first_within_a_block(self, monkeypatch):
+        # With this rule the direct-imaging total misses 1 by ~1e-7 for
+        # theta2 <= 1 while the overlaps pass; from theta2 = 2 on the overlap
+        # drift check fails.  Two geometries per block.
+        quad = lab.QuadratureSpec(panel_count=4, nodes_per_panel=10, abs_tolerance=1e-6)
+        monkeypatch.setattr(psf_core, "BLOCK_SAMPLES", 80)
+        assert psf_core.block_size(quad) == 2
+        geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in (0.1, 0.5, 1.0, 4.0)]
+        with pytest.raises(ValueError, match="^total probability") as single:
+            lab.fim(lab.direct_imaging_model(self.psf, geometries[2], quad))
+        with pytest.raises(lab.ConvergenceError) as drift:
+            lab.overlap_integrals(self.psf, geometries[3], quad)
+        # One block: row 1's overlap check wins over row 0's model check.
+        with pytest.raises(lab.ConvergenceError) as fused:
+            measurements.overlaps_and_direct_fims(self.psf, geometries[2:], quad)
+        assert str(fused.value) == "row 1: " + str(drift.value)
+        # An earlier block's model check wins over a later block's overlap check.
+        for call in (measurements.overlaps_and_direct_fims, lab.direct_imaging_fims):
+            with pytest.raises(ValueError, match=r"^row 0: total probability 0\.99999") as fused:
+                call(self.psf, geometries, quad)
+        with pytest.raises(ValueError, match=r"^row 0: total probability") as fused:
+            measurements.overlaps_and_direct_fims(self.psf, geometries[2:3], quad)
+        # The doubled half-grid sum equals the reflected grid's to rounding.
+        fused_total = float(str(fused.value).split()[4])
+        single_total = float(str(single.value).split()[2])
+        assert fused_total == pytest.approx(single_total, rel=1e-15, abs=0.0)
 
 
 class TestDirectImagingPixelated:

@@ -364,7 +364,7 @@ class TestFoldedOverlaps:
     def test_stacked_rows_equal_single_calls(self, quad):
         geometries = [
             lab.SourceGeometry(0.3 * index - 4.0, float(theta2))
-            for index, theta2 in enumerate(self.separations)
+            for index, theta2 in enumerate(np.geomspace(3e-6, 60.0, 100))
         ]
         lengths, size = (1, 2, 4, 6, len(geometries)), block_size(quad)
         # Some call spans more than one block and ends in a ragged one.
@@ -410,17 +410,18 @@ class TestFoldedOverlaps:
         assert messages[0] == messages[1]
 
     def test_stacked_drift_failure_names_its_sweep_row(self):
-        # 64 geometries per block with this rule: the first failing geometry,
-        # row 66, lies in the second block.
+        # 64 samples per geometry with this rule: the first failing geometry,
+        # two rows past the first block, lies in the second.
         quad = lab.QuadratureSpec(panel_count=4, nodes_per_panel=16)
-        assert block_size(quad) == 64
-        separations = [*np.linspace(0.1, 1.0, 66).tolist(), 5.0, 10.0]
+        size = block_size(quad)
+        assert size == psf_core.BLOCK_SAMPLES // 64
+        separations = [*np.linspace(0.1, 1.0, size + 2).tolist(), 5.0, 10.0]
         geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in separations]
         with pytest.raises(lab.ConvergenceError) as single:
-            lab.overlap_integrals(self.psf, geometries[66], quad)
+            lab.overlap_integrals(self.psf, geometries[size + 2], quad)
         with pytest.raises(lab.ConvergenceError) as stacked:
             lab.overlap_integrals(self.psf, geometries, quad)
-        assert str(stacked.value) == "row 66: " + str(single.value)
+        assert str(stacked.value) == f"row {size + 2}: " + str(single.value)
 
 
 class TestDisplacedOverlaps:
