@@ -35,6 +35,10 @@ class DegenerateOutcomeError(IrtrLabError):
     """
 
 
+class ConsistencyError(IrtrLabError, ValueError):
+    """A computed quantity fails a consistency check: a probability total, an overlap bound."""
+
+
 class BoundViolationError(IrtrLabError):
     """A classical Fisher information exceeded its quantum bound."""
 

@@ -152,19 +152,6 @@ class ExperimentConfig:
         object.__setattr__(self, "output_dir", str(self.output_dir))
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What was run, with what inputs, and the checksums of what it wrote."""
-
-    version: str
-    figure: str
-    seed: int
-    wall_time_seconds: float
-    config: dict
-    files: dict
-    extras: dict
-
-
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -186,9 +173,9 @@ def _encode_csv(metadata, columns) -> bytes:
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    echo = dataclasses.asdict(config)
-    echo["mode_cutoff"] = "adaptive" if config.mode_cutoff is None else config.mode_cutoff
-    return echo
+    """The config's fields, ``quad`` as a dict; shallow, so the grids are not copied."""
+    mode_cutoff = "adaptive" if config.mode_cutoff is None else config.mode_cutoff
+    return {**vars(config), "quad": vars(config.quad), "mode_cutoff": mode_cutoff}
 
 
 RUNNERS = {}
@@ -241,20 +228,18 @@ def _run(figure: str, compute, config: ExperimentConfig) -> list[Path]:
         files[name] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
     from . import __version__
 
-    manifest = RunManifest(
-        version=__version__,
-        figure=figure,
-        seed=config.seed,
-        wall_time_seconds=round(time.perf_counter() - started, 6),
-        config=_config_echo(config),
-        files=files,
-        extras=extras,
-    )
+    # What was run, with what inputs, and the checksums of what it wrote.
+    manifest = {
+        "version": __version__,
+        "figure": figure,
+        "seed": config.seed,
+        "wall_time_seconds": round(time.perf_counter() - started, 6),
+        "config": _config_echo(config),
+        "files": files,
+        "extras": extras,
+    }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
     return [*paths, manifest_path]
 
 

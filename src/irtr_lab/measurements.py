@@ -13,11 +13,12 @@ Three measurement families are covered:
 Each model carries the outcome probabilities together with their derivatives
 with respect to centroid and separation, from which ``fim`` computes the
 classical Fisher information matrix and ``regret_report`` the normalized
-square-root information regrets against the quantum bound.  ``regret_rows``
-does the same for a stack of FIMs, ``projective_regrets`` for a stack of
-projective measurements, and ``overlaps_and_direct_fims`` for the direct
-imaging of a sweep, from its overlaps' own half-grid samples: bit for bit
-equal to that route and with its checks.
+square-root information regrets against the quantum bound.  These single
+models are the reference route.  ``regret_rows`` does the same for a stack
+of FIMs and ``projective_regrets`` for a stack of projective measurements;
+``overlaps_and_direct_fims`` gives a sweep's overlaps and direct-imaging
+FIMs, for an even PSF from the overlaps' own half-grid samples.  Each is bit
+for bit equal to the reference route and keeps its checks.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from .errors import (
     BoundViolationError,
+    ConsistencyError,
     CutoffError,
     DegenerateOutcomeError,
     raise_first_failure,
@@ -106,14 +108,14 @@ def _model_checks(probabilities, derivatives, weights=1.0, truncated_mass=0.0, m
     total = counts[0] * np.sum(weights * probabilities, axis=-1) + truncated_mass
     negative, off = np.any(probabilities < 0.0, axis=-1), ~(abs(total - 1.0) <= 1e-10)
     checks = [
-        (ValueError, "probabilities must be nonnegative", negative),
-        (ValueError, "total probability {!r} deviates from 1", off, total),
+        (ConsistencyError, "probabilities must be nonnegative", negative),
+        (ConsistencyError, "total probability {!r} deviates from 1", off, total),
     ]
     for name, derivative, count in zip(("dp_dtheta1", "dp_dtheta2"), derivatives, counts[1:]):
         drift = count * np.sum(weights * derivative, axis=-1)
         scale = np.max(np.abs(derivative), axis=-1, initial=1.0)
         bounded = (abs(drift) <= 1e-8 * scale) & (scale < math.inf)
-        checks.append((ValueError, f"sum of {name} = {{!r}} is not 0", ~bounded, drift))
+        checks.append((ConsistencyError, f"sum of {name} = {{!r}} is not 0", ~bounded, drift))
     return checks
 
 
@@ -140,7 +142,7 @@ def _orthogonality_check(matrices):
     """The check that each square matrix of a stack is orthogonal."""
     product = np.swapaxes(matrices, -1, -2) @ matrices - np.eye(matrices.shape[-1])
     skew = np.max(np.abs(product), axis=(-2, -1))
-    return ValueError, "basis is not orthogonal within 1e-12", skew > 1e-12
+    return ConsistencyError, "basis is not orthogonal within 1e-12", skew > 1e-12
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ class RegretReport:
 
 def direct_imaging_model(
     psf: PointSpreadFunction,
-    geometry: SourceGeometry | list[SourceGeometry],
+    geometry: SourceGeometry,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ProbabilityModel:
     """Continuum position-measurement model on a quadrature grid.
@@ -166,58 +168,38 @@ def direct_imaging_model(
     grid is a composite Gauss-Legendre half-grid on [0, theta2/2 + R sigma]
     (``ceil(panel_count / 2)`` panels) whose nodes and weights are reflected
     bitwise, so outcome i and outcome n-1-i are mirror images.
-    A sequence of geometries gives a stacked model, row i equal bit for bit
-    to the model of ``geometry[i]`` alone.
     """
-    stacked = not isinstance(geometry, SourceGeometry)
-    theta2 = np.array([g.theta2 for g in geometry]) if stacked else geometry.theta2
-    positions, weights = _reflected(
-        *quadrature_grid(
-            0.0,
-            centroid_half_window(psf, theta2, quad),
-            (quad.panel_count + 1) // 2,
-            quad.nodes_per_panel,
-        )
-    )
-    fields = _intensity_and_derivatives(psf, theta2, positions)
+    window = centroid_half_window(psf, geometry.theta2, quad)
+    grid = quadrature_grid(0.0, window, (quad.panel_count + 1) // 2, quad.nodes_per_panel)
+    positions, weights = _reflected(*grid)
+    fields = _intensity_and_derivatives(psf, geometry.theta2, positions)
     return ProbabilityModel(CONTINUUM_GRID, *fields, weights=weights)
 
 
-def direct_imaging_fims(
-    psf: PointSpreadFunction,
-    geometries: list[SourceGeometry],
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> np.ndarray:
-    """(n, 2, 2) direct-imaging Fisher information of each geometry of a sweep.
-
-    Row i equals ``fim(direct_imaging_model(psf, geometries[i], quad))`` bit
-    for bit, and a failed check names its sweep row: by that route for a PSF
-    not even, else by ``overlaps_and_direct_fims``, which checks overlaps too.
-    """
-    if psf.even:
-        return overlaps_and_direct_fims(psf, geometries, quad)[1]
-    fishers = np.empty((len(geometries), 2, 2))
-    for row, geometry in enumerate(geometries):
-        try:
-            fishers[row] = fim(direct_imaging_model(psf, geometry, quad))
-        except (ValueError, DegenerateOutcomeError) as error:
-            raise type(error)(f"row {row}: {error}") from None
-    return fishers
-
-
 def overlaps_and_direct_fims(psf, geometries, quad=QuadratureSpec()):
-    """``overlap_integrals`` and ``direct_imaging_fims`` of one sweep, from one pass.
+    """A sweep's overlaps and (n, 2, 2) direct-imaging Fisher information, from one pass.
 
-    The direct-imaging grid is the reflected ceil(P/2)-panel half-grid, so an even
-    PSF's fields come from each block's overlap samples, in descending u (the
-    left half), each outcome standing for its mirror image too: F11 and F22 sum
-    doubled products and F12 is 0.0, bit for bit as ``fim`` pairs the reflected
-    grid; the model checks' sums equal its own to rounding.  Block by block,
-    the overlap checks run first, then the model and FIM checks of each row.
+    Entry i is ``overlap_integrals(psf, geometries[i], quad)`` and row i
+    ``fim(direct_imaging_model(psf, geometries[i], quad))``, bit for bit; a
+    failed check raises that route's error, naming its sweep row.  A PSF not
+    known to be even takes that route, overlaps first.  For an even PSF the
+    reflected ceil(P/2)-panel grid's fields come from each block's overlap
+    samples, in descending u (its left half), each outcome standing for its
+    mirror image too: F11 and F22 sum doubled products and F12 is 0.0, as
+    ``fim`` pairs the reflected grid; the model checks' sums equal its own to
+    rounding.  Block by block, the overlap checks run first, then the model
+    and FIM checks of each row.
     """
+    fishers = np.empty((len(geometries), 2, 2))
     if not psf.even:
-        return overlap_integrals(psf, geometries, quad), direct_imaging_fims(psf, geometries, quad)
-    overlaps, fishers = [], np.empty((len(geometries), 2, 2))
+        overlaps = overlap_integrals(psf, geometries, quad)
+        for row, geometry in enumerate(geometries):
+            try:
+                fishers[row] = fim(direct_imaging_model(psf, geometry, quad))
+            except (ConsistencyError, DegenerateOutcomeError) as error:
+                raise type(error)(f"row {row}: {error}") from None
+        return overlaps, fishers
+    overlaps = []
     for first, block, (w, *samples) in overlap_blocks(psf, geometries, quad):
         work, weights = samples[4:], w[:, ::-1]  # The fields, then fim's work.
         probabilities, *derivatives = _fields(*(a[:, ::-1] for a in samples[:4]), work[:5])
@@ -253,28 +235,29 @@ def direct_imaging_pixelated_model(
         0.0, half_count * bin_width, half_count, quad.nodes_per_panel
     )
     rows = (half_count, quad.nodes_per_panel)
-    positions, weights = _reflected(half_x.reshape(rows), half_w.reshape(rows), axis=0)
+    positions, weights = _reflected(half_x.reshape(rows), half_w.reshape(rows))
     fields = _intensity_and_derivatives(psf, geometry.theta2, positions)
     return ProbabilityModel(DISCRETE_MODES, *((weights * values).sum(axis=1) for values in fields))
 
 
-def _reflected(nodes, weights, axis=-1):
+def _reflected(nodes, weights):
     """Extend a half-grid on [0, w] to [-w, w] by a bitwise reflection.
 
-    Entries along ``axis`` are reversed and nodes negated, so entry i of the
-    result mirrors entry n-1-i; with ``axis=0`` the order within each row is mirrored too.
+    Entries along axis 0 (nodes, or a 2-D grid's rows) are reversed and nodes
+    negated, so entry i of the result mirrors entry n-1-i; a row's nodes keep
+    their order, so each mirrored row runs in the mirrored order of its twin.
     """
     return (
-        np.concatenate([-np.flip(nodes, axis), nodes], axis),
-        np.concatenate([np.flip(weights, axis), weights], axis),
+        np.concatenate([-np.flip(nodes, 0), nodes]),
+        np.concatenate([np.flip(weights, 0), weights]),
     )
 
 
 def _intensity_and_derivatives(psf, theta2, offsets):
     """p = (a1^2 + a2^2) / 2, dp/dtheta1 and dp/dtheta2 at ``offsets``."""
-    # Offsets from the centroid (a row per stacked theta2): source j sits at
-    # -+theta2/2, so for an even PSF p is even and dp/dtheta1 odd, bit for bit.
-    half = 0.5 * np.expand_dims(theta2, -1)
+    # Offsets from the centroid: source j sits at -+theta2/2, so for an even
+    # PSF p is even and dp/dtheta1 odd, bit for bit.
+    half = 0.5 * theta2
     amplitudes = [*psf.amplitude_and_derivative(offsets + half)]
     amplitudes += psf.amplitude_and_derivative(offsets - half)
     return _fields(*amplitudes, [np.empty(offsets.shape) for _ in range(5)])
@@ -668,15 +651,15 @@ def _regrets_and_checks(fishers, quantum, c_tilde):
     residual = delta1 * delta1 + delta2 * delta2 + cross * delta1 * delta2 - squares
 
     checks = [
-        (ValueError, "qfim diagonal must be positive", ~np.all(bound > 0.0, axis=0)),
+        (ConsistencyError, "qfim diagonal must be positive", ~np.all(bound > 0.0, axis=0)),
         (BoundViolationError, "regret eigenvalue {:.3e} is negative beyond tolerance",
          lowest < -1e-6 * scale, lowest),
         *((BoundViolationError, "diagonal regret {:.3e} is negative beyond tolerance",
            diagonal < -1e-9 * scale, diagonal) for diagonal in diagonals),
-        *((ValueError, f"delta{index} = {{!r}} is outside [0, 1]",
+        *((ConsistencyError, f"delta{index} = {{!r}} is outside [0, 1]",
            ~((-1e-12 <= delta) & (delta <= 1.0 + 1e-12)), delta)
           for index, delta in enumerate(deltas, start=1)),
-        (ValueError, "c_tilde must lie in [0, 1]", ~((0.0 <= c_tilde) & (c_tilde <= 1.0))),
+        (ConsistencyError, "c_tilde must lie in [0, 1]", ~((0.0 <= c_tilde) & (c_tilde <= 1.0))),
         (BoundViolationError, "IRTR residual {:.3e} is negative beyond tolerance",
          residual < RESIDUAL_FLOOR, residual),
     ]

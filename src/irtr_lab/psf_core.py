@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConvergenceError, NormalizationError, raise_first_failure
+from .errors import ConsistencyError, ConvergenceError, NormalizationError, raise_first_failure
 
 GAUSSIAN = "gaussian"
 USER_DEFINED = "user_defined"
@@ -143,15 +143,18 @@ class OverlapIntegrals:
     delta: float
 
     def __post_init__(self):
+        values = (self.kappa, self.gamma, self.beta, self.delta)
+        if not all(map(math.isfinite, values)):
+            raise ConsistencyError(f"overlap integrals must be finite, got {values!r}")
         if not self.kappa > 0.0:
-            raise ValueError("kappa must be positive")
+            raise ConsistencyError("kappa must be positive")
         if abs(self.delta) > 1.0 + 1e-12:
-            raise ValueError("|delta| cannot exceed 1")
+            raise ConsistencyError("|delta| cannot exceed 1")
         fisher_11 = self.kappa - self.gamma**2
         if fisher_11 < -1e-9 * self.kappa:
-            raise ValueError("kappa - gamma^2 must be nonnegative")
+            raise ConsistencyError("kappa - gamma^2 must be nonnegative")
         if self.beta**2 > self.kappa * max(fisher_11, 0.0) + 1e-9 * self.kappa**2:
-            raise ValueError("beta^2 cannot exceed kappa*(kappa - gamma^2)")
+            raise ConsistencyError("beta^2 cannot exceed kappa*(kappa - gamma^2)")
 
 
 def gaussian_psf(sigma: float = 1.0) -> PointSpreadFunction:
@@ -247,7 +250,8 @@ def _drift_check(drift, lo, hi, quad):
     message = (
         f"quadrature drift {{:.3e}} exceeds tolerance {quad.abs_tolerance:.3e} on [{{:g}}, {{:g}}]"
     )
-    return ConvergenceError, message, drift > quad.abs_tolerance, drift, lo, hi
+    # Written as `~(... <= tol)` so that a NaN drift fails the check.
+    return ConvergenceError, message, ~(drift <= quad.abs_tolerance), drift, lo, hi
 
 
 # Samples per stacked (geometries, samples) array: a sweep's folded overlaps,
@@ -334,6 +338,8 @@ def overlap_blocks(psf, geometries, quad=QuadratureSpec(), label="row {}: "):
     ceil(P/2)-panel rule, a row per geometry in ascending u, then six spare
     arrays of their shape, all reused by the next block; other PSFs give None.
     """
+    if not geometries:  # An empty sweep has no blocks.
+        return
     if psf.even:
         theta1, theta2 = np.array([(g.theta1, g.theta2) for g in geometries]).T
         window = centroid_half_window(psf, theta2, quad)
@@ -353,7 +359,7 @@ def overlap_blocks(psf, geometries, quad=QuadratureSpec(), label="row {}: "):
                 (
                     NormalizationError,
                     "int psi^2 = {!r} deviates from 1 beyond 10x quadrature tolerance",
-                    abs(norm - 1.0) > 10.0 * quad.abs_tolerance,
+                    ~(abs(norm - 1.0) <= 10.0 * quad.abs_tolerance),
                     norm,
                 ),
             ],
@@ -364,8 +370,8 @@ def overlap_blocks(psf, geometries, quad=QuadratureSpec(), label="row {}: "):
         for row, values in enumerate(integrals[1:].T.tolist(), first):
             try:
                 overlaps.append(OverlapIntegrals(*values))
-            except ValueError as error:
-                raise ValueError(label.format(row) + str(error)) from None
+            except ConsistencyError as error:
+                raise ConsistencyError(label.format(row) + str(error)) from None
         yield first, overlaps, samples
 
 

@@ -215,6 +215,34 @@ class TestRunScaffold:
         assert manifest["config"][field] == list(default)
 
 
+class TestManifest:
+    def test_keys_are_pinned(self, tmp_path):
+        config = lab.ExperimentConfig(
+            figure_id="fig1", theta2_grid=(1.0,), output_dir=str(tmp_path)
+        )
+        manifest = json.loads(lab.run_fig1(config)[-1].read_text(encoding="utf-8"))
+        assert sorted(manifest) == [
+            "config", "extras", "figure", "files", "seed", "version", "wall_time_seconds"
+        ]
+        assert sorted(manifest["config"]) == [
+            "figure_id", "frontier_samples", "measurements", "mode_cutoff", "n_random",
+            "output_dir", "panels", "quad", "seed", "sigma", "theta1_grid", "theta2_grid",
+            "theta2_over_sigma",
+        ]
+        assert manifest["config"]["quad"] == {
+            "truncation_radius": 12.0, "panel_count": 32, "nodes_per_panel": 32,
+            "abs_tolerance": 1e-12,
+        }
+        assert manifest["config"]["panels"] == list(DEFAULT_PANELS)
+        assert manifest["config"]["theta1_grid"] is None
+
+
+def test_every_public_name_resolves():
+    assert len(set(lab.__all__)) == len(lab.__all__)
+    for name in lab.__all__:
+        assert getattr(lab, name) is not None
+
+
 class TestRunFig1:
     def test_routes_agree_and_round_trip(self, tmp_path):
         config = lab.ExperimentConfig(
@@ -515,7 +543,8 @@ class TestRunnersMatchScalarRoute:
         fused = experiments._contexts(psf, geometries, self.quad, direct=True)
         assert fused[0] == overlaps and fused[2] == c_tilde
         assert fused[1].tobytes() == scalar.tobytes()
-        expected = lab.direct_imaging_fims(psf, geometries, self.quad)
+        models = (lab.direct_imaging_model(psf, g, self.quad) for g in geometries)
+        expected = np.array([lab.fim(model) for model in models])
         assert fused[3].tobytes() == expected.tobytes()
 
     def test_fig1_builds_no_qfim_stack(self, tmp_path, monkeypatch):
@@ -852,6 +881,19 @@ class TestCli:
         )
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    def test_failed_direct_imaging_check_exits_three(self, tmp_path, capsys):
+        # With this rule the overlaps pass, but the direct-imaging total misses 1 by ~1e-7.
+        path = tmp_path / "coarse.ini"
+        path.write_text(
+            "[common]\npanel_count = 4\nnodes_per_panel = 10\nabs_tolerance = 1e-6\n",
+            encoding="utf-8",
+        )
+        argv = ["fig2", "--config", str(path), "--grid", "0.1,0.5,1.0", "--out", str(tmp_path)]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 0: total probability 0.99999")
+        assert not tmp_path.joinpath("fig2.csv").exists()
 
     def test_sweep_without_a_spade_cutoff_names_its_row(self, tmp_path, capsys):
         # From theta1 = 37.27 sigma, row 3727 of 4001, no cutoff up to 512 exists.

@@ -6,6 +6,7 @@ direct Gauss-Legendre sums for mode orthonormality.
 """
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -164,64 +165,37 @@ class TestStackedModels:
     def discrete_stack(self, *rows):
         return lab.ProbabilityModel(DISCRETE_MODES, *(np.array(field) for field in zip(*rows)))
 
-    def test_direct_imaging_rows_equal_the_single_models(self):
-        stacked = lab.direct_imaging_model(self.psf, self.geometries)
-        fisher = lab.fim(stacked)
-        assert fisher.shape == (3, 2, 2)
-        for row, geometry in enumerate(self.geometries):
-            single = lab.direct_imaging_model(self.psf, geometry)
-            for name in ("probabilities", "dp_dtheta1", "dp_dtheta2", "weights"):
-                stacked_row = getattr(stacked, name)[row]
-                np.testing.assert_array_equal(stacked_row, getattr(single, name))
-            np.testing.assert_array_equal(fisher[row], lab.fim(single))
-
-    @pytest.mark.parametrize(
-        "quad",
-        [
-            lab.QuadratureSpec(),
-            lab.QuadratureSpec(panel_count=7, nodes_per_panel=24, abs_tolerance=1e-10),
-        ],
-    )
-    def test_direct_imaging_fims_equal_the_single_models(self, quad):
-        geometries = [
-            lab.SourceGeometry(0.5 * index - 3.0, float(theta2))
-            for index, theta2 in enumerate(np.geomspace(1e-3, 40.0, 23))
-        ]
-        models = [lab.direct_imaging_model(self.psf, geometry, quad) for geometry in geometries]
-        singles = np.array([lab.fim(model) for model in models])
-        # At the default rule, some call spans more than one block and ends in a ragged one.
-        for length in (1, 2, 4, 6, len(geometries)):
-            for start in range(0, len(geometries), length):
-                chunk = slice(start, start + length)
-                fishers = lab.direct_imaging_fims(self.psf, geometries[chunk], quad)
-                np.testing.assert_array_equal(fishers, singles[chunk])
-
     def test_direct_imaging_fims_name_the_failing_sweep_row(self):
-        # A PSF that turns to NaN beyond 30 sigma: only the widest separation,
-        # row 5, samples it.
-        def amplitude(x):
-            return np.where(abs(x) < 30.0, self.psf.amplitude(x), np.nan)
-
+        # A PSF not known to be even takes the scalar route.  With this rule its
+        # overlaps pass at every separation, but the direct-imaging total first
+        # misses 1 at theta2 = 8, row 6.
         psf = lab.PointSpreadFunction(
-            USER_DEFINED, 1.0, amplitude, lambda x: np.zeros(np.shape(x))
+            USER_DEFINED, 1.0, self.psf.amplitude, self.psf.amplitude_derivative
         )
-        geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in (0.5, 1, 2, 3, 4, 40, 50)]
+        quad = lab.QuadratureSpec(panel_count=6, nodes_per_panel=12, abs_tolerance=1e-6)
+        geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in (0.5, 1, 2, 3, 4, 6, 8, 12)]
+        assert len(lab.overlap_integrals(psf, geometries, quad)) == len(geometries)
+        for geometry in geometries[:6]:
+            lab.fim(lab.direct_imaging_model(psf, geometry, quad))
         with pytest.raises(ValueError) as single:
-            lab.direct_imaging_model(psf, geometries[5])
+            lab.direct_imaging_model(psf, geometries[6], quad)
         with pytest.raises(ValueError) as stacked:
-            lab.direct_imaging_fims(psf, geometries)
-        assert str(stacked.value) == "row 5: " + str(single.value)
-        assert str(single.value).startswith("total probability nan")
+            measurements.overlaps_and_direct_fims(psf, geometries, quad)
+        assert type(stacked.value) is type(single.value) is lab.ConsistencyError
+        assert str(stacked.value) == "row 6: " + str(single.value)
+        assert str(single.value).startswith("total probability 0.99999")
 
     def test_bad_total_names_its_row(self):
-        stacked = lab.direct_imaging_model(self.psf, self.geometries)
+        singles = [lab.direct_imaging_model(self.psf, geometry) for geometry in self.geometries]
+        names = ("probabilities", "dp_dtheta1", "dp_dtheta2", "weights")
+        fields = {name: np.stack([getattr(single, name) for single in singles]) for name in names}
+        stacked = lab.ProbabilityModel(CONTINUUM_GRID, **fields)
         probabilities = stacked.probabilities.copy()
         probabilities[1] *= 1.01
         with pytest.raises(ValueError, match=r"^row 1: total probability"):
             dataclasses.replace(stacked, probabilities=probabilities)
-        single = lab.direct_imaging_model(self.psf, self.geometries[1])
         with pytest.raises(ValueError, match=r"^total probability"):
-            dataclasses.replace(single, probabilities=probabilities[1])
+            dataclasses.replace(singles[1], probabilities=probabilities[1])
 
     def test_derivative_on_a_dropped_outcome_names_its_row(self):
         stacked = self.discrete_stack(self.good, self.divergent, self.good)
@@ -285,28 +259,38 @@ class TestOverlapsAndDirectFims:
         lab.QuadratureSpec(panel_count=7, nodes_per_panel=24, abs_tolerance=1e-10),
     ]
 
+    @staticmethod
+    def assert_rows_equal_the_scalar_routes(psf, quad, geometries, lengths):
+        singles = [lab.overlap_integrals(psf, geometry, quad) for geometry in geometries]
+        models = [lab.direct_imaging_model(psf, geometry, quad) for geometry in geometries]
+        fishers = np.array([lab.fim(model) for model in models])
+        # Calls of one geometry, of blocks and a ragged block, and of the whole sweep.
+        for length in (*lengths, len(geometries)):
+            for start in range(0, len(geometries), length):
+                chunk = slice(start, start + length)
+                overlaps, fused = measurements.overlaps_and_direct_fims(
+                    psf, geometries[chunk], quad
+                )
+                assert overlaps == singles[chunk]
+                np.testing.assert_array_equal(fused, fishers[chunk])
+                # Bit for bit, down to the sign of each zero.
+                assert fused.tobytes() == fishers[chunk].tobytes()
+
     @pytest.mark.parametrize("quad", quads)
     @pytest.mark.parametrize("block_samples", [1, psf_core.BLOCK_SAMPLES])
     def test_rows_equal_the_scalar_routes(self, quad, block_samples, monkeypatch):
         monkeypatch.setattr(psf_core, "BLOCK_SAMPLES", block_samples)
         size = psf_core.block_size(quad)
         assert size == 1 or len(self.geometries) % size
-        singles = [lab.overlap_integrals(self.psf, geometry, quad) for geometry in self.geometries]
-        models = [lab.direct_imaging_model(self.psf, geometry, quad) for geometry in self.geometries]
-        fishers = np.array([lab.fim(model) for model in models])
-        # Calls of one geometry, of blocks and a ragged block, and of the whole sweep.
-        for length in (1, 7, 37, len(self.geometries)):
-            for start in range(0, len(self.geometries), length):
-                chunk = slice(start, start + length)
-                overlaps, fused = measurements.overlaps_and_direct_fims(
-                    self.psf, self.geometries[chunk], quad
-                )
-                assert overlaps == singles[chunk]
-                np.testing.assert_array_equal(fused, fishers[chunk])
-                # Bit for bit, down to the sign of each zero.
-                assert fused.tobytes() == fishers[chunk].tobytes()
-                fims = lab.direct_imaging_fims(self.psf, self.geometries[chunk], quad)
-                assert fims.tobytes() == fused.tobytes()
+        self.assert_rows_equal_the_scalar_routes(self.psf, quad, self.geometries, (1, 7, 37))
+
+    def test_a_psf_not_known_to_be_even_takes_the_scalar_route(self, monkeypatch):
+        psf = lab.PointSpreadFunction(
+            USER_DEFINED, 1.0, self.psf.amplitude, self.psf.amplitude_derivative
+        )
+        for quad, block_samples in itertools.product(self.quads, (1, psf_core.BLOCK_SAMPLES)):
+            monkeypatch.setattr(psf_core, "BLOCK_SAMPLES", block_samples)
+            self.assert_rows_equal_the_scalar_routes(psf, quad, self.geometries[::9], (1, 5))
 
     @pytest.mark.parametrize("quad", quads)
     def test_f12_is_exactly_zero(self, quad):
@@ -315,16 +299,14 @@ class TestOverlapsAndDirectFims:
         assert not np.signbit(fishers[:, [0, 1], [1, 0]]).any()
         assert np.all(fishers[:, [0, 1], [0, 1]] > 0.0)
 
-    def test_a_psf_not_known_to_be_even_takes_the_scalar_route(self):
-        psf = lab.PointSpreadFunction(
+    def test_an_empty_sweep_has_no_rows(self):
+        user = lab.PointSpreadFunction(
             USER_DEFINED, 1.0, self.psf.amplitude, self.psf.amplitude_derivative
         )
-        geometries = self.geometries[::9]
-        singles = np.array([lab.fim(lab.direct_imaging_model(psf, g)) for g in geometries])
-        assert lab.direct_imaging_fims(psf, geometries).tobytes() == singles.tobytes()
-        overlaps, fishers = measurements.overlaps_and_direct_fims(psf, geometries)
-        assert overlaps == lab.overlap_integrals(psf, geometries)
-        assert fishers.tobytes() == singles.tobytes()
+        for psf in (self.psf, user):
+            assert lab.overlap_integrals(psf, []) == []
+            overlaps, fishers = measurements.overlaps_and_direct_fims(psf, [])
+            assert overlaps == [] and fishers.shape == (0, 2, 2)
 
     def test_overlap_checks_run_first_within_a_block(self, monkeypatch):
         # With this rule the direct-imaging total misses 1 by ~1e-7 for
@@ -343,9 +325,8 @@ class TestOverlapsAndDirectFims:
             measurements.overlaps_and_direct_fims(self.psf, geometries[2:], quad)
         assert str(fused.value) == "row 1: " + str(drift.value)
         # An earlier block's model check wins over a later block's overlap check.
-        for call in (measurements.overlaps_and_direct_fims, lab.direct_imaging_fims):
-            with pytest.raises(ValueError, match=r"^row 0: total probability 0\.99999") as fused:
-                call(self.psf, geometries, quad)
+        with pytest.raises(ValueError, match=r"^row 0: total probability 0\.99999"):
+            measurements.overlaps_and_direct_fims(self.psf, geometries, quad)
         with pytest.raises(ValueError, match=r"^row 0: total probability") as fused:
             measurements.overlaps_and_direct_fims(self.psf, geometries[2:3], quad)
         # The doubled half-grid sum equals the reflected grid's to rounding.

@@ -240,6 +240,42 @@ class TestOverlapIntegralsContainer:
         lab.OverlapIntegrals(kappa=0.25, gamma=0.0, beta=0.25, delta=1.0)
         lab.OverlapIntegrals(kappa=0.25, gamma=0.5, beta=0.0, delta=0.0)
 
+    @pytest.mark.parametrize("field", ["kappa", "gamma", "beta", "delta"])
+    def test_rejects_non_finite_values(self, field):
+        values = dict(kappa=0.25, gamma=0.0, beta=0.25, delta=1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(lab.ConsistencyError, match="must be finite"):
+                lab.OverlapIntegrals(**{**values, field: bad})
+
+
+class TestNonFiniteIntegrands:
+    """A PSF that turns to NaN beyond 30 sigma fails the checks instead of passing NaN on."""
+
+    gaussian = lab.gaussian_psf(1.0)
+
+    def psf(self, kind):
+        def masked(values):
+            return lambda x: np.where(abs(x) < 30.0, values(x), np.nan)
+
+        amplitude, derivative = self.gaussian.amplitude, self.gaussian.amplitude_derivative
+        return lab.PointSpreadFunction(kind, 1.0, masked(amplitude), masked(derivative))
+
+    @pytest.mark.parametrize("kind", [psf_core.GAUSSIAN, USER_DEFINED])
+    def test_overlaps_raise_a_nan_drift(self, kind):
+        psf = self.psf(kind)
+        with pytest.raises(lab.ConvergenceError, match="^quadrature drift nan"):
+            lab.overlap_integrals(psf, lab.SourceGeometry(0.0, 40.0))
+        # Only the widest separation samples the NaN region.
+        geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in (0.5, 4.0, 40.0, 1.0)]
+        with pytest.raises(lab.ConvergenceError, match="^row 2: quadrature drift nan"):
+            lab.overlap_integrals(psf, geometries)
+        with pytest.raises(lab.ConvergenceError, match="^row 2: quadrature drift nan"):
+            lab.overlaps_and_direct_fims(psf, geometries)
+
+    def test_displaced_overlaps_raise_a_nan_drift(self):
+        with pytest.raises(lab.ConvergenceError, match="^quadrature drift nan"):
+            displaced_overlaps(self.psf(USER_DEFINED), 40.0)
+
 
 class TestGaussianClosedForms:
     def test_kappa_quarter_inverse_sigma_squared(self):
