@@ -6,9 +6,10 @@ figure's default sweep from ``SWEEPS``, writes one CSV per table (17
 significant digits, '#'-prefixed key=value metadata lines before the
 header), and finishes with a JSON manifest carrying the resolved
 configuration and the checksum and size of the bytes it wrote.  Identical
-configuration and seed give byte-identical CSVs: randomness flows through a
-spawned SeedSequence per sample.  Every runner evaluates its points through
-one kernel: ``_contexts`` (the sweep's overlaps, from stacked blocks, its
+configuration and seed give byte-identical CSVs: every random sample draws
+from its own spawned SeedSequence child, the children's states computed in
+one vectorised pass per run.  Every runner evaluates its points through one
+kernel: ``_contexts`` (the sweep's overlaps, from stacked blocks, its
 QFIM stack and c_tilde values, and its direct-imaging FIMs, formed from the
 overlaps' own samples by ``overlaps_and_direct_fims``), then one stacked
 regret step per measurement: ``regret_rows`` over the direct-imaging or
@@ -38,6 +39,7 @@ from .measurements import (
     regret_rows,
     spade_cutoff,
     spade_model,
+    spawned_pools,
 )
 from .psf_core import (
     QuadratureSpec,
@@ -85,7 +87,12 @@ SWEEPS = {
 }
 
 
-def _validated_grid(name: str, values, positive: bool) -> tuple[float, ...]:
+# Products of two overlap moments (kappa**2, beta**2) scale as sigma**-4, so
+# sigma**4 and sigma**-4 must both be normal floats: about [1.2e-77, 1.2e77].
+_SIGMA_RANGE = (np.finfo(float).tiny ** 0.25, np.finfo(float).max ** 0.25)
+
+
+def _validated_grid(name: str, values, positive: bool, sigma: float) -> tuple[float, ...]:
     grid = tuple(float(v) for v in values)
     if not grid:
         raise ConfigError(f"{name} must not be empty")
@@ -95,7 +102,16 @@ def _validated_grid(name: str, values, positive: bool) -> tuple[float, ...]:
         raise ConfigError(f"{name} must be strictly increasing")
     if positive and grid[0] <= 0.0:
         raise ConfigError(f"{name} values must be positive")
+    _check_scaled(name, (grid[0], grid[-1]), positive, sigma)
     return grid
+
+
+def _check_scaled(name: str, ratios, positive: bool, sigma: float) -> None:
+    """The lengths ``ratios * sigma`` must be finite and, for separations, nonzero."""
+    lengths = [float(ratio) * float(sigma) for ratio in ratios]
+    if not np.isfinite(lengths).all() or (positive and 0.0 in lengths):
+        kind = "finite and nonzero" if positive else "finite"
+        raise ConfigError(f"{name} times sigma = {sigma!r} must be {kind}")
 
 
 @dataclass(frozen=True)
@@ -121,22 +137,21 @@ class ExperimentConfig:
             raise ConfigError(f"unknown figure_id {self.figure_id!r}")
         if not 0.0 < self.sigma < np.inf:
             raise ConfigError("sigma must be positive and finite")
-        if self.theta1_grid is not None:
-            object.__setattr__(
-                self, "theta1_grid", _validated_grid("theta1_grid", self.theta1_grid, False)
-            )
-        if self.theta2_grid is not None:
-            object.__setattr__(
-                self, "theta2_grid", _validated_grid("theta2_grid", self.theta2_grid, True)
-            )
-        object.__setattr__(self, "panels", _validated_grid("panels", self.panels, True))
+        if not _SIGMA_RANGE[0] <= self.sigma <= _SIGMA_RANGE[1]:
+            low, high = _SIGMA_RANGE
+            raise ConfigError(f"sigma must lie in [{low:.3g}, {high:.3g}]")
+        for name, positive in (("theta1_grid", False), ("theta2_grid", True), ("panels", True)):
+            if getattr(self, name) is not None:
+                grid = _validated_grid(name, getattr(self, name), positive, self.sigma)
+                object.__setattr__(self, name, grid)
         for name in ("n_random", "seed", "frontier_samples", "mode_cutoff"):
             value = getattr(self, name)
             adaptive = name == "mode_cutoff" and value is None
             if not (adaptive or np.issubdtype(type(value), np.integer)):
                 raise ConfigError(f"{name} must be an integer")
-        if self.n_random < 1:
-            raise ConfigError("n_random must be at least 1")
+        if not 1 <= self.n_random < 2**32:
+            # Sample k's spawn key word must fit 32 bits (``spawned_pools``).
+            raise ConfigError("n_random must be at least 1 and below 2**32")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit an unsigned 64-bit integer")
         if self.mode_cutoff is not None and self.mode_cutoff < 0:
@@ -149,6 +164,7 @@ class ExperimentConfig:
             raise ConfigError("frontier_samples must be at least 2")
         if not 0.0 < self.theta2_over_sigma < np.inf:
             raise ConfigError("theta2_over_sigma must be positive and finite")
+        _check_scaled("theta2_over_sigma", (self.theta2_over_sigma,), True, self.sigma)
         object.__setattr__(self, "output_dir", str(self.output_dir))
 
 
@@ -273,13 +289,13 @@ def _spade_fims(config, geometries):
     return fishers
 
 
-def _random_regrets(state, quantum, c_tilde, streams) -> np.ndarray:
-    """(3, n) delta1, delta2, irtr_residual of Haar-random bases; sample k uses ``streams[k]``."""
+def _random_regrets(state, quantum, c_tilde, pools) -> np.ndarray:
+    """(3, n) delta1, delta2, irtr_residual of Haar-random bases, sample k from ``pools[k]``."""
     blocks = [
         projective_regrets(
-            state, haar_random_bases(streams[k : k + _SAMPLE_BLOCK]), quantum, c_tilde, k
+            state, haar_random_bases(pools[k : k + _SAMPLE_BLOCK]), quantum, c_tilde, k
         )
-        for k in range(0, len(streams), _SAMPLE_BLOCK)
+        for k in range(0, len(pools), _SAMPLE_BLOCK)
     ]
     return np.concatenate(blocks, axis=1)
 
@@ -362,9 +378,10 @@ def run_fig5(config, psf):
     """Haar-random projective measurements at fixed geometry."""
     geometry = SourceGeometry(0.0, config.theta2_over_sigma * config.sigma)
     (overlaps,), (quantum,), (c_tilde,), _ = _contexts(psf, [geometry], config.quad)
-    streams = np.random.SeedSequence(config.seed).spawn(config.n_random)
+    # Sample k draws from SeedSequence(seed).spawn(n_random)[k].
+    pools = spawned_pools(config.seed, (), 0, config.n_random)
     delta1, delta2, residual = _random_regrets(
-        build_state_model(overlaps), quantum, c_tilde, streams
+        build_state_model(overlaps), quantum, c_tilde, pools
     )
     metadata = [
         ("sigma", config.sigma),
@@ -412,11 +429,13 @@ def run_custom(config, psf):
     blocks = [regrets[..., None] for regrets in single.values()]
     names, indices = [*single], [-1] * len(single)
     if "random" in config.measurements:
-        children = np.random.SeedSequence(config.seed).spawn(len(points))
+        # Sample k of point p draws from SeedSequence(seed).spawn(points)[p].spawn(n_random)[k].
+        prefixes = np.arange(len(points))[:, np.newaxis]
+        pools = spawned_pools(config.seed, prefixes, 0, config.n_random)
         states = [build_state_model(overlap) for overlap in overlaps]
         randoms = [
-            _random_regrets(states[index], *context, child.spawn(config.n_random))
-            for index, *context, child in zip(separation, quantum, c_tilde, children)
+            _random_regrets(states[index], *context, point_pools)
+            for index, *context, point_pools in zip(separation, quantum, c_tilde, pools)
         ]
         blocks.append(np.stack(randoms, axis=1))
         names += ["random"] * config.n_random

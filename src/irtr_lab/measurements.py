@@ -462,16 +462,100 @@ def haar_random_orthogonal(rng_stream, dim: int = 4, seed: int | None = None):
     return ProjectiveMeasurement4(matrix=oriented.T, seed=tag)
 
 
-def haar_random_bases(streams) -> np.ndarray:
-    """Haar-random 4x4 bases stacked along axis 0, basis k drawn from ``streams[k]``.
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants.
+_MASK32 = 0xFFFFFFFF
+_MIX_INIT, _MIX_MULT = 0x43B0D7E5, 0x931E8875
+_STATE_INIT, _STATE_MULT = 0x8B51F9DD, 0x58F38DED
+_MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
-    Basis k equals ``haar_random_orthogonal(np.random.default_rng(streams[k]))``
-    bit for bit: the normals fill one buffer stream by stream, and the stacked
-    QR factors it one matrix at a time.
+
+def _hashmix(constant, multiplier):
+    """SeedSequence's word hash; each call advances the shared hash constant."""
+
+    def hashmix(value):
+        nonlocal constant
+        value = value ^ constant
+        constant = constant * multiplier & _MASK32
+        value = value * constant & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = ((_MIX_LEFT * x & _MASK32) - (_MIX_RIGHT * y & _MASK32)) & _MASK32
+    return result ^ result >> 16
+
+
+def spawned_pools(seed: int, spawn_prefix, first: int, count: int) -> np.ndarray:
+    """Entropy pools of ``SeedSequence(seed, spawn_key=(*prefix, first + k))``, k < count.
+
+    Returns uint32 words of shape (..., count, 4), row k equal to that child's
+    ``pool``.  ``spawn_prefix`` is one prefix (a sequence of ints) or an array
+    (..., L) of prefixes; ``(p,)`` names the children of ``spawn()[p]``.
+    The seed's words are mixed once, as Python ints; each spawn-key word is
+    mixed into every child's pool by the same few numpy ops.  Each spawn-key
+    entry must fit one 32-bit word.
     """
-    normal = np.empty((len(streams), 4, 4))
-    for sample, stream in zip(normal, streams):
-        np.random.default_rng(stream).standard_normal(out=sample)
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError("seed must be a nonnegative integer")
+    prefix = np.asarray(spawn_prefix, dtype=object)
+    words = [entry for entry in prefix.flat if isinstance(entry, (int, np.integer))]
+    if len(words) < prefix.size or not all(0 <= word <= _MASK32 for word in words):
+        raise ValueError("spawn prefix entries must be integers below 2**32")
+    if not 0 <= first <= first + count <= _MASK32 + 1:
+        raise ValueError("spawn indices must lie in [0, 2**32)")
+    # The seed's 32-bit words, low first, padded to the pool size as numpy
+    # pads entropy followed by a spawn key.
+    seed, entropy = int(seed), []
+    while seed or not entropy:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+    entropy += [0] * (4 - len(entropy))
+    key = np.moveaxis(prefix.astype(np.uint32), -1, 0)[..., np.newaxis]
+    entropy += [*key, np.arange(first, first + count, dtype=np.uint32)]
+    hashmix = _hashmix(_MIX_INIT, _MIX_MULT)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                pool[target] = _mix(pool[target], hashmix(pool[source]))
+    for word in entropy[4:]:
+        for target in range(4):
+            pool[target] = _mix(pool[target], hashmix(word))
+    return np.stack(np.broadcast_arrays(*pool), axis=-1)
+
+
+def haar_random_bases(pools) -> np.ndarray:
+    """Haar-random 4x4 bases stacked along axis 0, basis k seeded by pool ``pools[k]``.
+
+    With ``pools = spawned_pools(seed, prefix, first, count)`` basis k equals
+    ``haar_random_orthogonal(np.random.default_rng(child))`` bit for bit, for
+    ``child = SeedSequence(seed, spawn_key=prefix).spawn(first + count)[first + k]``.
+    Each pool gives the PCG64 state the child would give, by
+    ``generate_state(4, np.uint64)`` on all pools at once and PCG64's 128-bit
+    seeding step; one Generator set to each state in turn fills one buffer,
+    and the stacked QR factors it one matrix at a time.
+    """
+    pools = np.asarray(pools, dtype=np.uint32)
+    hashmix = _hashmix(_STATE_INIT, _STATE_MULT)
+    halves = np.stack([hashmix(pools[:, i % 4]) for i in range(8)], axis=-1)
+    halves = halves.astype(np.uint64)
+    seeds = (halves[:, 0::2] | halves[:, 1::2] << 32).tolist()
+    generator = np.random.Generator(np.random.PCG64(0))
+    bits, pcg = generator.bit_generator, {}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    normal = np.empty((len(pools), 4, 4))
+    for sample, (state_high, state_low, sequence_high, sequence_low) in zip(normal, seeds):
+        # PCG64's seeding: the increment from the sequence words, then one
+        # LCG step from 0, the state words added, and one more step.
+        increment = ((sequence_high << 64 | sequence_low) << 1 | 1) & _MASK128
+        start = (state_high << 64 | state_low) + increment
+        pcg["state"], pcg["inc"] = (start * _PCG64_MULT + increment) & _MASK128, increment
+        bits.state = state
+        generator.standard_normal(out=sample)
     q_factor, r_factor = np.linalg.qr(normal)
     q_factor *= np.sign(np.diagonal(r_factor, axis1=1, axis2=2))[:, np.newaxis, :]
     return q_factor.transpose(0, 2, 1)

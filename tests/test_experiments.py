@@ -93,11 +93,25 @@ class TestExperimentConfig:
             {"figure_id": "fig1", "seed": 1.0},
             {"figure_id": "fig1", "frontier_samples": 32.0},
             {"figure_id": "fig4", "mode_cutoff": 3.5},
+            {"figure_id": "fig5", "n_random": 2**32},
+            {"figure_id": "fig1", "sigma": 1e-200},
+            {"figure_id": "fig1", "sigma": 1e300},
+            {"figure_id": "fig1", "sigma": 1e10, "theta2_grid": (1.0, 1e300)},
+            {"figure_id": "fig1", "sigma": 1e-70, "theta2_grid": (1e-300, 1.0)},
+            {"figure_id": "custom", "sigma": 1e70, "theta1_grid": (-1e300, 0.0)},
+            {"figure_id": "fig5", "sigma": 1e-70, "theta2_over_sigma": 1e-300},
         ],
     )
     def test_rejects_invalid_settings(self, kwargs):
         with pytest.raises(lab.ConfigError):
             lab.ExperimentConfig(**kwargs)
+
+    def test_accepts_the_edges_of_the_ranges(self):
+        low, high = experiments._SIGMA_RANGE
+        assert 1e-77 < low < 1e-76 and 1e76 < high < 1e78
+        for sigma in (low, high):
+            assert lab.ExperimentConfig(figure_id="fig2", sigma=sigma).sigma == sigma
+        assert lab.ExperimentConfig(figure_id="fig5", n_random=2**32 - 1).n_random == 2**32 - 1
 
     def test_accepts_numpy_integers(self):
         config = lab.ExperimentConfig(
@@ -813,6 +827,20 @@ class TestCli:
         code = cli.main([*argv, "--out", str(tmp_path)])
         assert code == 2
         assert "config error: sigma must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fig1", "--sigma", "1e-200", "--grid", "1,"], "sigma must lie in [1.22e-77"),
+            (["fig2", "--sigma", "1e300", "--grid", "1e10,"], "sigma must lie in [1.22e-77"),
+            (["fig2", "--sigma", "1e70", "--grid", "1e250,"], "theta2_grid times sigma"),
+        ],
+    )
+    def test_extreme_sigma_is_config_error(self, tmp_path, capsys, argv, message):
+        code = cli.main([*argv, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not tmp_path.joinpath("manifest.json").exists()
 
     @pytest.mark.parametrize(
         "ini, argv, message",

@@ -27,6 +27,7 @@ from irtr_lab.measurements import (
     projective_regrets,
     regret_rows,
     spade_cutoff,
+    spawned_pools,
 )
 from irtr_lab.psf_core import USER_DEFINED, quadrature_grid
 
@@ -632,13 +633,65 @@ class TestHaarRandomOrthogonal:
 class TestHaarRandomBases:
     def test_basis_k_is_the_scalar_draw_from_stream_k(self):
         streams = np.random.SeedSequence(8).spawn(300)
-        bases = haar_random_bases(streams)
+        bases = haar_random_bases(spawned_pools(8, (), 0, 300))
         assert bases.shape == (300, 4, 4)
         for basis, stream in zip(bases, streams):
             expected = lab.haar_random_orthogonal(np.random.default_rng(stream)).matrix
             np.testing.assert_array_equal(basis, expected)
             # The layout fixes the summation order of everything downstream.
             assert basis.strides == expected.strides
+
+    # One- and two-word seeds, each side of a word boundary, and the largest.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("prefix", [(), (0,), (7,)])
+    # Samples on each side of the runners' 512-sample block boundary.
+    @pytest.mark.parametrize("first", [0, 511, 512])
+    @pytest.mark.parametrize("count", [1, 513])
+    def test_bases_follow_numpy_seed_sequence(self, seed, prefix, first, count):
+        parent = np.random.SeedSequence(seed, spawn_key=prefix)
+        children = parent.spawn(first + count)[first:]
+        pools = spawned_pools(seed, prefix, first, count)
+        np.testing.assert_array_equal(pools, [child.pool for child in children])
+        bases = haar_random_bases(pools)
+        for basis, child in zip(bases, children):
+            expected = lab.haar_random_orthogonal(np.random.default_rng(child)).matrix
+            np.testing.assert_array_equal(basis, expected)
+            assert basis.strides == expected.strides
+
+    def test_prefix_array_gives_each_prefix_its_children(self):
+        # The custom runner's layout: point p's sample k is spawn(4)[p].spawn(5)[k].
+        pools = spawned_pools(11, np.arange(4)[:, np.newaxis], 0, 5)
+        assert pools.shape == (4, 5, 4) and pools.dtype == np.uint32
+        for point, parent in enumerate(np.random.SeedSequence(11).spawn(4)):
+            np.testing.assert_array_equal(pools[point], [c.pool for c in parent.spawn(5)])
+
+    def test_seed_wider_than_the_pool(self):
+        seed, prefix = 2**130 + 3, (2, 9)
+        children = np.random.SeedSequence(seed, spawn_key=prefix).spawn(3)
+        np.testing.assert_array_equal(
+            spawned_pools(seed, prefix, 0, 3), [child.pool for child in children]
+        )
+
+    @pytest.mark.parametrize(
+        "seed, prefix, first, count",
+        [
+            (0, (2**32,), 0, 1),
+            (0, (-1,), 0, 1),
+            (0, (1.5,), 0, 1),
+            (0, (), 2**32, 1),
+            (0, (), 2**32 - 1, 2),
+            (0, (), -1, 1),
+            (-1, (), 0, 1),
+            (1.0, (), 0, 1),
+        ],
+    )
+    def test_rejects_keys_beyond_one_word(self, seed, prefix, first, count):
+        with pytest.raises(ValueError):
+            spawned_pools(seed, prefix, first, count)
+
+    def test_last_one_word_index(self):
+        child = np.random.SeedSequence(5, spawn_key=(2**32 - 1,))
+        np.testing.assert_array_equal(spawned_pools(5, (), 2**32 - 1, 1), [child.pool])
 
 
 class TestProjectiveModel:
