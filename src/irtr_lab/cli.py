@@ -5,7 +5,7 @@ then the config file (INI-style, a ``[common]`` section plus one section per
 figure), then command-line flags.  ``--grid START:STOP:STEP`` addresses the
 primary sweep of the chosen figure (separation for fig1/fig2, panel
 separations for fig3, misalignment for fig4).  Exit codes: 0 success,
-2 configuration error, 3 numerical error.
+2 configuration error or unwritable output, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         sub = subparsers.add_parser(name, help=summaries[name])
         sub.add_argument("--config", type=Path, help="INI config file")
         sub.add_argument("--seed", help="RNG seed (default 0)")
-        sub.add_argument("--sigma", help="PSF width (default 1.0)")
+        sub.add_argument("--sigma", help="PSF width, only recorded (default 1.0)")
         sub.add_argument("--out", help="output directory (default .)")
         sub.add_argument("--n-random", dest="n_random", help="random measurement draws")
         sub.add_argument(
@@ -217,6 +217,9 @@ def main(argv=None) -> int:
     except IrtrLabError as error:
         print(f"error: {error}", file=sys.stderr)
         return 3
+    except OSError as error:
+        print(f"error: cannot write output: {error}", file=sys.stderr)
+        return 2
     for path in paths:
         print(path)
     return 0

@@ -16,6 +16,9 @@ regret step per measurement: ``regret_rows`` over the direct-imaging or
 SPADE FIMs (from one stacked model per mode cutoff), ``projective_regrets`` over a
 block of Haar-random bases.  Tables stay columns of sweep-wide arrays up to
 the CSV writer, which formats each column by its dtype.
+
+Runs compute in units of sigma, on ``gaussian_psf()`` and geometries at the
+grid ratios: ``sigma`` is a label, written to the CSVs and the manifest.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ _SAMPLE_BLOCK = 512
 
 def inclusive_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     """Uniform grid including both endpoints (stop adjusted to the step)."""
+    if not np.isfinite([start, stop, step]).all():
+        raise ConfigError("grid start, stop and step must be finite")
     if not step > 0.0:
         raise ConfigError("grid step must be positive")
     count = int(round((stop - start) / step))
@@ -87,12 +92,7 @@ SWEEPS = {
 }
 
 
-# Products of two overlap moments (kappa**2, beta**2) scale as sigma**-4, so
-# sigma**4 and sigma**-4 must both be normal floats: about [1.2e-77, 1.2e77].
-_SIGMA_RANGE = (np.finfo(float).tiny ** 0.25, np.finfo(float).max ** 0.25)
-
-
-def _validated_grid(name: str, values, positive: bool, sigma: float) -> tuple[float, ...]:
+def _validated_grid(name: str, values, positive: bool) -> tuple[float, ...]:
     grid = tuple(float(v) for v in values)
     if not grid:
         raise ConfigError(f"{name} must not be empty")
@@ -102,21 +102,12 @@ def _validated_grid(name: str, values, positive: bool, sigma: float) -> tuple[fl
         raise ConfigError(f"{name} must be strictly increasing")
     if positive and grid[0] <= 0.0:
         raise ConfigError(f"{name} values must be positive")
-    _check_scaled(name, (grid[0], grid[-1]), positive, sigma)
     return grid
-
-
-def _check_scaled(name: str, ratios, positive: bool, sigma: float) -> None:
-    """The lengths ``ratios * sigma`` must be finite and, for separations, nonzero."""
-    lengths = [float(ratio) * float(sigma) for ratio in ratios]
-    if not np.isfinite(lengths).all() or (positive and 0.0 in lengths):
-        kind = "finite and nonzero" if positive else "finite"
-        raise ConfigError(f"{name} times sigma = {sigma!r} must be {kind}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved inputs of one run; grids are in units of sigma."""
+    """Resolved inputs of one run, in units of sigma; ``sigma`` itself is only recorded."""
 
     figure_id: str
     sigma: float = 1.0
@@ -137,12 +128,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown figure_id {self.figure_id!r}")
         if not 0.0 < self.sigma < np.inf:
             raise ConfigError("sigma must be positive and finite")
-        if not _SIGMA_RANGE[0] <= self.sigma <= _SIGMA_RANGE[1]:
-            low, high = _SIGMA_RANGE
-            raise ConfigError(f"sigma must lie in [{low:.3g}, {high:.3g}]")
         for name, positive in (("theta1_grid", False), ("theta2_grid", True), ("panels", True)):
             if getattr(self, name) is not None:
-                grid = _validated_grid(name, getattr(self, name), positive, self.sigma)
+                grid = _validated_grid(name, getattr(self, name), positive)
                 object.__setattr__(self, name, grid)
         for name in ("n_random", "seed", "frontier_samples", "mode_cutoff"):
             value = getattr(self, name)
@@ -164,7 +152,6 @@ class ExperimentConfig:
             raise ConfigError("frontier_samples must be at least 2")
         if not 0.0 < self.theta2_over_sigma < np.inf:
             raise ConfigError("theta2_over_sigma must be positive and finite")
-        _check_scaled("theta2_over_sigma", (self.theta2_over_sigma,), True, self.sigma)
         object.__setattr__(self, "output_dir", str(self.output_dir))
 
 
@@ -232,7 +219,7 @@ def _run(figure: str, compute, config: ExperimentConfig) -> list[Path]:
         if getattr(config, field) is None:
             config = dataclasses.replace(config, **{field: default})
     started = time.perf_counter()
-    tables, extras = compute(config, gaussian_psf(config.sigma))
+    tables, extras = compute(config, gaussian_psf())
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths, files = [], {}
@@ -279,13 +266,13 @@ def _spade_fims(config, geometries):
     """
     cutoffs = config.mode_cutoff
     if cutoffs is None:
-        cutoffs = spade_cutoff(config.sigma, geometries)
+        cutoffs = spade_cutoff(1.0, geometries)
     cutoffs = np.broadcast_to(cutoffs, len(geometries))
     sweep = np.array(geometries, dtype=object)
     fishers = np.empty((len(geometries), 2, 2))
     for cutoff in np.unique(cutoffs):
         members = cutoffs == cutoff
-        fishers[members] = fim(spade_model(config.sigma, sweep[members], int(cutoff)))
+        fishers[members] = fim(spade_model(1.0, sweep[members], int(cutoff)))
     return fishers
 
 
@@ -310,11 +297,11 @@ def _frontier_table(name, metadata, coefficient, samples):
 @_runner("fig1")
 def run_fig1(config, psf):
     """Incompatibility coefficient versus separation, both computation routes."""
-    separations = [ratio * config.sigma for ratio in config.theta2_grid]
-    overlaps = overlap_integrals(psf, [SourceGeometry(0.0, s) for s in separations], config.quad)
+    ratios = config.theta2_grid
+    overlaps = overlap_integrals(psf, [SourceGeometry(0.0, r) for r in ratios], config.quad)
     columns = dict(
-        theta2_over_sigma=config.theta2_grid,
-        c_tilde_closed_form=[gaussian_incompatibility(config.sigma, s) for s in separations],
+        theta2_over_sigma=ratios,
+        c_tilde_closed_form=[gaussian_incompatibility(1.0, r) for r in ratios],
         c_tilde_quadrature=[c_tilde_from_overlaps(o) for o in overlaps],
     )
     return [("fig1.csv", [("sigma", config.sigma)], columns)], {}
@@ -323,7 +310,7 @@ def run_fig1(config, psf):
 @_runner("fig2")
 def run_fig2(config, psf):
     """Direct-imaging information regrets versus separation at zero misalignment."""
-    geometries = [SourceGeometry(0.0, ratio * config.sigma) for ratio in config.theta2_grid]
+    geometries = [SourceGeometry(0.0, ratio) for ratio in config.theta2_grid]
     _, quantum, c_tilde, fishers = _contexts(psf, geometries, config.quad, direct=True)
     delta1, delta2, _ = regret_rows(fishers, quantum, c_tilde)
     columns = dict(theta2_over_sigma=config.theta2_grid, delta1=delta1, delta2=delta2)
@@ -334,7 +321,7 @@ def run_fig2(config, psf):
 @_runner("fig3")
 def run_fig3(config, psf):
     """Per-separation panels: direct-imaging point against the IRTR frontier."""
-    geometries = [SourceGeometry(0.0, ratio * config.sigma) for ratio in config.panels]
+    geometries = [SourceGeometry(0.0, ratio) for ratio in config.panels]
     _, quantum, c_tilde, fishers = _contexts(psf, geometries, config.quad, direct=True)
     direct = regret_rows(fishers, quantum, c_tilde).T.tolist()
     tables = []
@@ -357,11 +344,11 @@ def run_fig3(config, psf):
 @_runner("fig4")
 def run_fig4(config, psf):
     """SPADE information regrets versus misalignment at fixed separation."""
-    separation = config.theta2_over_sigma * config.sigma
+    separation = config.theta2_over_sigma
     # The overlaps depend only on the separation, so one evaluation covers
     # the whole misalignment sweep.
     _, quantum, (c_tilde,), _ = _contexts(psf, [SourceGeometry(0.0, separation)], config.quad)
-    geometries = [SourceGeometry(r * config.sigma, separation) for r in config.theta1_grid]
+    geometries = [SourceGeometry(ratio, separation) for ratio in config.theta1_grid]
     delta1, delta2, _ = regret_rows(_spade_fims(config, geometries), quantum, c_tilde)
     columns = dict(theta1_over_sigma=config.theta1_grid, delta1=delta1, delta2=delta2)
     metadata = [
@@ -376,7 +363,7 @@ def run_fig4(config, psf):
 @_runner("fig5")
 def run_fig5(config, psf):
     """Haar-random projective measurements at fixed geometry."""
-    geometry = SourceGeometry(0.0, config.theta2_over_sigma * config.sigma)
+    geometry = SourceGeometry(0.0, config.theta2_over_sigma)
     (overlaps,), (quantum,), (c_tilde,), _ = _contexts(psf, [geometry], config.quad)
     # Sample k draws from SeedSequence(seed).spawn(n_random)[k].
     pools = spawned_pools(config.seed, (), 0, config.n_random)
@@ -409,7 +396,7 @@ def run_custom(config, psf):
     if config.theta1_grid is None or config.theta2_grid is None:
         raise ConfigError("custom runs require explicit theta1_grid and theta2_grid")
     points = list(itertools.product(config.theta1_grid, config.theta2_grid))
-    geometries = [SourceGeometry(r1 * config.sigma, r2 * config.sigma) for r1, r2 in points]
+    geometries = [SourceGeometry(r1, r2) for r1, r2 in points]
     # The overlaps, the state model and the direct-imaging FIM depend on theta2
     # alone, bit for bit, so each distinct separation is evaluated once.
     _, first, separation = np.unique(

@@ -8,6 +8,7 @@ and every runner row must equal the scalar reference route bit for bit.
 import hashlib
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,13 @@ class TestInclusiveGrid:
         with pytest.raises(lab.ConfigError):
             inclusive_grid(1.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize(
+        "bounds", [(0.0, np.inf, 1.0), (np.inf, 1.0, 1.0), (-np.inf, 0.0, 1.0), (0.0, 1.0, np.nan)]
+    )
+    def test_rejects_non_finite_bounds(self, bounds):
+        with pytest.raises(lab.ConfigError, match="grid start, stop and step must be finite"):
+            inclusive_grid(*bounds)
+
     def test_default_grids(self):
         assert DEFAULT_SEPARATION_GRID[0] == 0.05
         assert DEFAULT_PANELS == (0.2, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
@@ -94,6 +102,15 @@ class TestExperimentConfig:
             {"figure_id": "fig1", "frontier_samples": 32.0},
             {"figure_id": "fig4", "mode_cutoff": 3.5},
             {"figure_id": "fig5", "n_random": 2**32},
+        ],
+    )
+    def test_rejects_invalid_settings(self, kwargs):
+        with pytest.raises(lab.ConfigError):
+            lab.ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
             {"figure_id": "fig1", "sigma": 1e-200},
             {"figure_id": "fig1", "sigma": 1e300},
             {"figure_id": "fig1", "sigma": 1e10, "theta2_grid": (1.0, 1e300)},
@@ -102,15 +119,12 @@ class TestExperimentConfig:
             {"figure_id": "fig5", "sigma": 1e-70, "theta2_over_sigma": 1e-300},
         ],
     )
-    def test_rejects_invalid_settings(self, kwargs):
-        with pytest.raises(lab.ConfigError):
-            lab.ExperimentConfig(**kwargs)
+    def test_accepts_any_positive_finite_sigma(self, kwargs):
+        # sigma only labels the outputs, so no range of it or of grid * sigma is checked.
+        config = lab.ExperimentConfig(**kwargs)
+        assert {name: getattr(config, name) for name in kwargs} == kwargs
 
     def test_accepts_the_edges_of_the_ranges(self):
-        low, high = experiments._SIGMA_RANGE
-        assert 1e-77 < low < 1e-76 and 1e76 < high < 1e78
-        for sigma in (low, high):
-            assert lab.ExperimentConfig(figure_id="fig2", sigma=sigma).sigma == sigma
         assert lab.ExperimentConfig(figure_id="fig5", n_random=2**32 - 1).n_random == 2**32 - 1
 
     def test_accepts_numpy_integers(self):
@@ -211,6 +225,34 @@ class TestRunScaffold:
                     assert str(int(text)) == text
                 elif name not in TEXT_CELLS:
                     assert format(float(text), ".17g") == text
+
+    @pytest.mark.parametrize("figure", experiments.FIGURES)
+    def test_outputs_do_not_depend_on_sigma(self, tmp_path, figure):
+        # Runs compute in units of sigma: every CSV is the sigma = 1 file line
+        # for line, but for its '# sigma=' line.  custom runs direct, spade and
+        # random.
+        def tables(sigma):
+            config = lab.ExperimentConfig(
+                figure_id=figure,
+                sigma=sigma,
+                output_dir=str(tmp_path / repr(sigma)),
+                **SMALL_CONFIGS[figure],
+            )
+            paths = experiments.RUNNERS[figure](config)[:-1]
+            return {path.name: path.read_text("utf-8").splitlines() for path in paths}
+
+        reference = tables(1.0)
+        assert set(reference) == set(WRITE_ORDER[figure])
+        for sigma in (1e-200, 1e-3, 0.37, 2.0, 1e300):
+            scaled = tables(sigma)
+            assert scaled.keys() == reference.keys()
+            for name, lines in scaled.items():
+                assert len(lines) == len(reference[name])
+                for line, expected in zip(lines, reference[name]):
+                    if expected == "# sigma=1":
+                        assert line == f"# sigma={sigma:.17g}"
+                    else:
+                        assert line == expected
 
     @pytest.mark.parametrize(
         "figure, field, default",
@@ -573,17 +615,18 @@ class TestRunnersMatchScalarRoute:
     def test_fig2_direct_rows(self, tmp_path, sigma):
         # Eleven separations, not a multiple of the direct-imaging block, from
         # near coincidence to far apart; the FIMs come from stacked models.
+        # The runner computes in units of sigma: each row is the scalar route
+        # at sigma = 1 on the row's ratio, whatever sigma the config records.
         grid = tuple(float(ratio) for ratio in np.geomspace(3e-6, 60.0, 11))
         config = lab.ExperimentConfig(
             figure_id="fig2", sigma=sigma, theta2_grid=grid, output_dir=str(tmp_path)
         )
         _, _, rows = read_table(lab.run_fig2(config)[0])
         assert tuple(float(row[0]) for row in rows) == grid
-        psf = lab.gaussian_psf(sigma)
         for row in rows:
-            geometry = lab.SourceGeometry(0.0, float(row[0]) * sigma)
-            model = lab.direct_imaging_model(psf, geometry, self.quad)
-            quantum = lab.qfim(lab.overlap_integrals(psf, geometry, self.quad))
+            geometry = lab.SourceGeometry(0.0, float(row[0]))
+            model = lab.direct_imaging_model(self.psf, geometry, self.quad)
+            quantum = lab.qfim(lab.overlap_integrals(self.psf, geometry, self.quad))
             report = lab.regret_report(lab.fim(model), quantum)
             assert (float(row[1]), float(row[2])) == (report.delta1, report.delta2)
 
@@ -630,11 +673,11 @@ class TestRunnersMatchScalarRoute:
         )
         _, _, rows = read_table(lab.run_custom(config)[0])
         assert len(rows) == 15
-        psf = lab.gaussian_psf(0.37)
+        # Recorded as sigma = 0.37, computed in units of sigma.
         for row in rows:
-            geometry = lab.SourceGeometry(float(row[0]) * 0.37, float(row[1]) * 0.37)
-            overlaps = lab.overlap_integrals(psf, geometry, self.quad)
-            model = lab.spade_model(0.37, geometry, mode_cutoff)
+            geometry = lab.SourceGeometry(float(row[0]), float(row[1]))
+            overlaps = lab.overlap_integrals(self.psf, geometry, self.quad)
+            model = lab.spade_model(1.0, geometry, mode_cutoff)
             assert row[2:4] == ["spade", "-1"]
             assert tuple(float(cell) for cell in row[4:]) == scalar_row(model, overlaps)
 
@@ -829,18 +872,55 @@ class TestCli:
         assert "config error: sigma must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "sigma, grid, code", [("1e-200", "1,", 0), ("1e300", "1e10,", 3), ("1e70", "1e250,", 3)]
+    )
+    def test_extreme_sigma_runs_as_sigma_one(self, tmp_path, capsys, sigma, grid, code):
+        # The same exit code, warnings and message as at sigma = 1, and on
+        # success the same CSV bytes but for the '# sigma=' line.
+        outcomes = []
+        for label in (sigma, "1"):
+            out = tmp_path / label
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                exit_code = cli.main(["fig2", "--sigma", label, "--grid", grid, "--out", str(out)])
+            messages = [str(warning.message) for warning in caught]
+            csv = out / "fig2.csv"
+            lines = csv.read_text("utf-8").splitlines() if csv.exists() else None
+            outcomes.append((exit_code, messages, capsys.readouterr().err, lines))
+        (code_x, warned_x, err_x, lines_x), (code_1, warned_1, err_1, lines_1) = outcomes
+        assert code_x == code_1 == code and warned_x == warned_1 and err_x == err_1
+        if code:
+            assert err_1.startswith("error: row 0: ") and lines_x is lines_1 is None
+        else:
+            assert lines_x[1] == f"# sigma={float(sigma):.17g}"
+            assert [lines_x[0], *lines_x[2:]] == [lines_1[0], *lines_1[2:]]
+
+    def test_fig1_at_a_milli_sigma_exits_zero(self, tmp_path):
+        # abs_tolerance is in units of sigma, so a small sigma no longer fails.
+        assert cli.main(["fig1", "--sigma", "0.001", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
         [
-            (["fig1", "--sigma", "1e-200", "--grid", "1,"], "sigma must lie in [1.22e-77"),
-            (["fig2", "--sigma", "1e300", "--grid", "1e10,"], "sigma must lie in [1.22e-77"),
-            (["fig2", "--sigma", "1e70", "--grid", "1e250,"], "theta2_grid times sigma"),
+            ["fig2", "--grid", "0:inf:1"],
+            ["fig2", "--grid", "inf:1:1"],
+            ["fig4", "--grid", "-inf:0:1"],
         ],
     )
-    def test_extreme_sigma_is_config_error(self, tmp_path, capsys, argv, message):
-        code = cli.main([*argv, "--out", str(tmp_path)])
-        assert code == 2
-        assert f"config error: {message}" in capsys.readouterr().err
+    def test_non_finite_grid_bound_is_config_error(self, tmp_path, capsys, argv):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        message = "config error: grid start, stop and step must be finite\n"
+        assert capsys.readouterr().err == message
         assert not tmp_path.joinpath("manifest.json").exists()
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        assert cli.main(["fig3", "--grid", "0.5,", "--out", str(blocker)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and str(blocker) in err
+        assert blocker.read_text("utf-8") == "not a directory\n"
+        assert sorted(tmp_path.iterdir()) == [blocker]
 
     @pytest.mark.parametrize(
         "ini, argv, message",
