@@ -8,14 +8,15 @@ header), and finishes with a JSON manifest carrying the resolved
 configuration and the checksum and size of the bytes it wrote.  Identical
 configuration and seed give byte-identical CSVs: every random sample draws
 from its own spawned SeedSequence child, the children's states computed in
-one vectorised pass per run.  Every runner evaluates its points through one
-kernel: ``_contexts`` (the sweep's overlaps, from stacked blocks, its
-QFIM stack and c_tilde values, and its direct-imaging FIMs, formed from the
-overlaps' own samples by ``overlaps_and_direct_fims``), then one stacked
-regret step per measurement: ``regret_rows`` over the direct-imaging or
-SPADE FIMs (from one stacked model per mode cutoff), ``projective_regrets`` over a
-block of Haar-random bases.  Tables stay columns of sweep-wide arrays up to
-the CSV writer, which formats each column by its dtype.
+one vectorised pass per run.  fig2 to fig5 and custom name their (theta1,
+theta2) points and measurements, and one kernel, ``_sweep``, evaluates
+them: the overlaps of each distinct separation (with the direct-imaging
+FIMs from their own samples, by ``overlaps_and_direct_fims``), their QFIM
+stack and c_tilde values, then one stacked regret step per measurement:
+``regret_rows`` over the direct-imaging or SPADE FIMs (from one stacked
+model per mode cutoff), ``projective_regrets`` over blocks of Haar-random
+bases.  Tables stay columns of sweep-wide arrays up to the CSV writer,
+which formats each column by its dtype.
 
 Runs compute in units of sigma, on ``gaussian_psf()`` and geometries at the
 grid ratios: ``sigma`` is a label, written to the CSVs and the manifest.
@@ -246,15 +247,51 @@ def _run(figure: str, compute, config: ExperimentConfig) -> list[Path]:
     return [*paths, manifest_path]
 
 
-def _contexts(psf, geometries, quad, direct=False):
-    """A sweep's overlaps, (n, 2, 2) QFIMs, c_tilde floats and direct FIMs if ``direct``."""
-    if direct:
-        overlaps, fishers = overlaps_and_direct_fims(psf, geometries, quad)
+def _qfims(overlaps) -> np.ndarray:
+    """(n, 2, 2) QFIMs of a sweep's overlaps, row i ``qfim(overlaps[i]).matrix`` bit for bit."""
+    # A float's ** can be 1 ulp from numpy's x * x.
+    return np.array([((4.0 * (o.kappa - o.gamma**2), 0.0), (0.0, o.kappa)) for o in overlaps])
+
+
+def _sweep(config, psf, points, measurements, prefixes=None):
+    """c_tilde of each (theta1, theta2) point and its (3, points, rows) regrets.
+
+    The regrets are delta1, delta2 and irtr_residual; a point's rows are
+    direct imaging, SPADE, then the random samples, of those named in
+    ``measurements``.  Random sample k of point p draws from
+    ``SeedSequence(seed, spawn_key=(*prefixes[p], k))``.  The overlaps, the
+    QFIM, the state model and the direct-imaging FIM depend on theta2 alone,
+    bit for bit, so each distinct separation is evaluated once, at its first
+    point; an overlap or direct-imaging error names its row among them.
+    """
+    geometries = [SourceGeometry(r1, r2) for r1, r2 in points]
+    _, first, separation = np.unique(
+        [geometry.theta2 for geometry in geometries], return_index=True, return_inverse=True
+    )
+    distinct = [geometries[index] for index in first]
+    if "direct" in measurements:
+        overlaps, fishers = overlaps_and_direct_fims(psf, distinct, config.quad)
     else:
-        overlaps, fishers = overlap_integrals(psf, geometries, quad), None
-    # qfim(overlap).matrix, bit for bit: a float's ** can be 1 ulp from numpy's x * x.
-    quantum = np.array([((4.0 * (o.kappa - o.gamma**2), 0.0), (0.0, o.kappa)) for o in overlaps])
-    return overlaps, quantum, [c_tilde_from_overlaps(o) for o in overlaps], fishers
+        overlaps = overlap_integrals(psf, distinct, config.quad)
+    quantum = _qfims(overlaps)[separation]
+    c_tilde = np.array([c_tilde_from_overlaps(o) for o in overlaps])[separation].tolist()
+    blocks = []
+    if "direct" in measurements:
+        blocks.append(regret_rows(fishers[separation], quantum, c_tilde)[..., None])
+    if "spade" in measurements:
+        blocks.append(regret_rows(_spade_fims(config, geometries), quantum, c_tilde)[..., None])
+    if "random" in measurements:
+        pools = spawned_pools(config.seed, prefixes, 0, config.n_random)
+        states = [build_state_model(overlap) for overlap in overlaps]
+        randoms = np.empty((3, len(points), config.n_random))
+        for point, (index, point_pools) in enumerate(zip(separation, pools)):
+            for k in range(0, config.n_random, _SAMPLE_BLOCK):
+                bases = haar_random_bases(point_pools[k : k + _SAMPLE_BLOCK])
+                randoms[:, point, k : k + _SAMPLE_BLOCK] = projective_regrets(
+                    states[index], bases, quantum[point], c_tilde[point], k
+                )
+        blocks.append(randoms)
+    return c_tilde, np.concatenate(blocks, axis=-1)
 
 
 def _spade_fims(config, geometries):
@@ -274,17 +311,6 @@ def _spade_fims(config, geometries):
         members = cutoffs == cutoff
         fishers[members] = fim(spade_model(1.0, sweep[members], int(cutoff)))
     return fishers
-
-
-def _random_regrets(state, quantum, c_tilde, pools) -> np.ndarray:
-    """(3, n) delta1, delta2, irtr_residual of Haar-random bases, sample k from ``pools[k]``."""
-    blocks = [
-        projective_regrets(
-            state, haar_random_bases(pools[k : k + _SAMPLE_BLOCK]), quantum, c_tilde, k
-        )
-        for k in range(0, len(pools), _SAMPLE_BLOCK)
-    ]
-    return np.concatenate(blocks, axis=1)
 
 
 def _frontier_table(name, metadata, coefficient, samples):
@@ -310,9 +336,8 @@ def run_fig1(config, psf):
 @_runner("fig2")
 def run_fig2(config, psf):
     """Direct-imaging information regrets versus separation at zero misalignment."""
-    geometries = [SourceGeometry(0.0, ratio) for ratio in config.theta2_grid]
-    _, quantum, c_tilde, fishers = _contexts(psf, geometries, config.quad, direct=True)
-    delta1, delta2, _ = regret_rows(fishers, quantum, c_tilde)
+    _, regrets = _sweep(config, psf, [(0.0, r) for r in config.theta2_grid], ("direct",))
+    delta1, delta2, _ = regrets[..., 0]
     columns = dict(theta2_over_sigma=config.theta2_grid, delta1=delta1, delta2=delta2)
     metadata = [("sigma", config.sigma), ("theta1_over_sigma", 0.0)]
     return [("fig2.csv", metadata, columns)], {}
@@ -321,9 +346,8 @@ def run_fig2(config, psf):
 @_runner("fig3")
 def run_fig3(config, psf):
     """Per-separation panels: direct-imaging point against the IRTR frontier."""
-    geometries = [SourceGeometry(0.0, ratio) for ratio in config.panels]
-    _, quantum, c_tilde, fishers = _contexts(psf, geometries, config.quad, direct=True)
-    direct = regret_rows(fishers, quantum, c_tilde).T.tolist()
+    c_tilde, regrets = _sweep(config, psf, [(0.0, r) for r in config.panels], ("direct",))
+    direct = regrets[..., 0].T.tolist()
     tables = []
     for index, (ratio, coefficient, cells) in enumerate(zip(config.panels, c_tilde, direct), 1):
         delta1, delta2, residual = cells
@@ -344,12 +368,9 @@ def run_fig3(config, psf):
 @_runner("fig4")
 def run_fig4(config, psf):
     """SPADE information regrets versus misalignment at fixed separation."""
-    separation = config.theta2_over_sigma
-    # The overlaps depend only on the separation, so one evaluation covers
-    # the whole misalignment sweep.
-    _, quantum, (c_tilde,), _ = _contexts(psf, [SourceGeometry(0.0, separation)], config.quad)
-    geometries = [SourceGeometry(ratio, separation) for ratio in config.theta1_grid]
-    delta1, delta2, _ = regret_rows(_spade_fims(config, geometries), quantum, c_tilde)
+    points = [(ratio, config.theta2_over_sigma) for ratio in config.theta1_grid]
+    (c_tilde, *_), regrets = _sweep(config, psf, points, ("spade",))
+    delta1, delta2, _ = regrets[..., 0]
     columns = dict(theta1_over_sigma=config.theta1_grid, delta1=delta1, delta2=delta2)
     metadata = [
         ("sigma", config.sigma),
@@ -363,13 +384,9 @@ def run_fig4(config, psf):
 @_runner("fig5")
 def run_fig5(config, psf):
     """Haar-random projective measurements at fixed geometry."""
-    geometry = SourceGeometry(0.0, config.theta2_over_sigma)
-    (overlaps,), (quantum,), (c_tilde,), _ = _contexts(psf, [geometry], config.quad)
     # Sample k draws from SeedSequence(seed).spawn(n_random)[k].
-    pools = spawned_pools(config.seed, (), 0, config.n_random)
-    delta1, delta2, residual = _random_regrets(
-        build_state_model(overlaps), quantum, c_tilde, pools
-    )
+    (c_tilde,), regrets = _sweep(config, psf, [(0.0, config.theta2_over_sigma)], ("random",), [()])
+    delta1, delta2, residual = regrets[:, 0]
     metadata = [
         ("sigma", config.sigma),
         ("theta1_over_sigma", 0.0),
@@ -396,38 +413,15 @@ def run_custom(config, psf):
     if config.theta1_grid is None or config.theta2_grid is None:
         raise ConfigError("custom runs require explicit theta1_grid and theta2_grid")
     points = list(itertools.product(config.theta1_grid, config.theta2_grid))
-    geometries = [SourceGeometry(r1, r2) for r1, r2 in points]
-    # The overlaps, the state model and the direct-imaging FIM depend on theta2
-    # alone, bit for bit, so each distinct separation is evaluated once.
-    _, first, separation = np.unique(
-        [geometry.theta2 for geometry in geometries], return_index=True, return_inverse=True
-    )
-    distinct = [geometries[index] for index in first]
-    direct = "direct" in config.measurements
-    overlaps, quantum, c_tilde, fishers = _contexts(psf, distinct, config.quad, direct)
-    quantum, c_tilde = quantum[separation], [c_tilde[index] for index in separation]
-    # (3, points) regrets of the measurements with one row per point, direct first.
-    single = {}
-    if direct:
-        single["direct"] = regret_rows(fishers[separation], quantum, c_tilde)
-    if "spade" in config.measurements:
-        single["spade"] = regret_rows(_spade_fims(config, geometries), quantum, c_tilde)
-    # (3, points, rows per point): the single measurements, then the random samples.
-    blocks = [regrets[..., None] for regrets in single.values()]
-    names, indices = [*single], [-1] * len(single)
+    # Sample k of point p draws from SeedSequence(seed).spawn(points)[p].spawn(n_random)[k].
+    prefixes = np.arange(len(points))[:, np.newaxis]
+    _, regrets = _sweep(config, psf, points, config.measurements, prefixes)
+    names = [name for name in ("direct", "spade") if name in config.measurements]
+    indices = [-1] * len(names)
     if "random" in config.measurements:
-        # Sample k of point p draws from SeedSequence(seed).spawn(points)[p].spawn(n_random)[k].
-        prefixes = np.arange(len(points))[:, np.newaxis]
-        pools = spawned_pools(config.seed, prefixes, 0, config.n_random)
-        states = [build_state_model(overlap) for overlap in overlaps]
-        randoms = [
-            _random_regrets(states[index], *context, point_pools)
-            for index, *context, point_pools in zip(separation, quantum, c_tilde, pools)
-        ]
-        blocks.append(np.stack(randoms, axis=1))
         names += ["random"] * config.n_random
         indices += range(config.n_random)
-    delta1, delta2, residual = np.concatenate(blocks, axis=-1).reshape(3, -1)
+    delta1, delta2, residual = regrets.reshape(3, -1)
     theta1, theta2 = np.repeat(points, len(names), axis=0).T
     columns = dict(
         theta1_over_sigma=theta1,

@@ -352,7 +352,8 @@ def spade_cutoff(
     """
     stacked = not isinstance(geometry, SourceGeometry)
     alphas = _source_alphas(sigma, geometry if stacked else [geometry])
-    means = alphas * alphas
+    with np.errstate(over="ignore"):  # An inf mean has no cutoff, as a huge one has none.
+        means = alphas * alphas
     low, high = np.full(len(means), 2), np.full(len(means), _MODE_CAP + 1)
     while (low < high).any():
         # A converged row evaluates its accepted cutoff again and keeps it.
@@ -392,7 +393,9 @@ def spade_model(
     cutoff = int(mode_cutoff)
     if cutoff < 0:
         raise ValueError("mode_cutoff must be nonnegative")
-    mass_tail, fisher_tail = _tail_bounds(sigma, alphas * alphas, cutoff)
+    with np.errstate(over="ignore"):  # An inf mean's tail bounds are 1, as a huge one's.
+        means = alphas * alphas
+    mass_tail, fisher_tail = _tail_bounds(sigma, means, cutoff)
     message = f"cutoff {cutoff} leaves truncated mass bound {{:.3e}}"
     checks = [(CutoffError, message, ~(mass_tail < _MASS_TOLERANCE), mass_tail)]
     raise_first_failure(checks, "row {}: " if stacked else "")
@@ -525,7 +528,7 @@ def spawned_pools(seed: int, spawn_prefix, first: int, count: int) -> np.ndarray
     for word in entropy[4:]:
         for target in range(4):
             pool[target] = _mix(pool[target], hashmix(word))
-    return np.stack(np.broadcast_arrays(*pool), axis=-1)
+    return np.stack([np.broadcast_to(word, (*prefix.shape[:-1], count)) for word in pool], -1)
 
 
 def haar_random_bases(pools) -> np.ndarray:

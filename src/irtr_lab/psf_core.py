@@ -176,8 +176,9 @@ def gaussian_psf(sigma: float = 1.0) -> PointSpreadFunction:
         amplitude, slope = out
         # psi' = -x / (2 sigma^2) * norm * e and psi = norm * e share the
         # envelope e = exp(-x^2 / 4 sigma^2), held in the amplitude array until
-        # psi' has used it.
-        np.exp(np.multiply(np.square(x, out=amplitude), -inv_4s2, out=amplitude), out=amplitude)
+        # psi' has used it.  Far out, x^2 overflows to inf and e takes its limit 0.
+        with np.errstate(over="ignore"):
+            np.exp(np.multiply(np.square(x, out=amplitude), -inv_4s2, out=amplitude), out=amplitude)
         np.multiply(np.multiply(x, -inv_2s2, out=slope), norm, out=slope)
         np.multiply(slope, amplitude, out=slope)
         np.multiply(amplitude, norm, out=amplitude)
@@ -343,7 +344,8 @@ def overlap_blocks(psf, geometries, quad=QuadratureSpec(), label="row {}: "):
     if psf.even:
         theta1, theta2 = np.array([(g.theta1, g.theta2) for g in geometries]).T
         window = centroid_half_window(psf, theta2, quad)
-        lo, hi = theta1 - window, theta1 + window
+        with np.errstate(over="ignore"):  # The bounds only label errors: +-inf will do.
+            lo, hi = theta1 - window, theta1 + window
         blocks = _folded_blocks(psf, theta2, window, quad)
     else:
         radius = quad.truncation_radius * psf.sigma

@@ -21,7 +21,8 @@ from irtr_lab.experiments import (
     DEFAULT_SEPARATION_GRID,
     inclusive_grid,
 )
-from irtr_lab.measurements import spade_cutoff
+from irtr_lab.measurements import regret_rows, spade_cutoff
+from irtr_lab.state_model import c_tilde_from_overlaps
 
 
 def read_table(path):
@@ -591,23 +592,33 @@ class TestRunnersMatchScalarRoute:
     @pytest.mark.parametrize("sigma", [1.0, 0.6])
     def test_context_qfims_equal_the_scalar_qfims(self, sigma):
         psf = lab.gaussian_psf(sigma)
-        geometries = [lab.SourceGeometry(0.0, t) for t in np.geomspace(1e-3, 40.0, 400)]
-        overlaps, quantum, c_tilde, fishers = experiments._contexts(psf, geometries, self.quad)
+        points = [(0.0, t) for t in np.geomspace(1e-3, 40.0, 400)]
+        geometries = [lab.SourceGeometry(*point) for point in points]
+        overlaps = lab.overlap_integrals(psf, geometries, self.quad)
+        quantum = experiments._qfims(overlaps)
         scalar = np.array([lab.qfim(overlap).matrix for overlap in overlaps])
-        assert quantum.tobytes() == scalar.tobytes() and fishers is None
-        # The fused pass gives the same context, plus the direct-imaging FIMs.
-        fused = experiments._contexts(psf, geometries, self.quad, direct=True)
-        assert fused[0] == overlaps and fused[2] == c_tilde
-        assert fused[1].tobytes() == scalar.tobytes()
+        assert quantum.tobytes() == scalar.tobytes()
+        # The fused pass gives the same overlaps, plus the direct-imaging FIMs.
+        fused, fishers = lab.overlaps_and_direct_fims(psf, geometries, self.quad)
+        assert fused == overlaps
+        assert experiments._qfims(fused).tobytes() == scalar.tobytes()
         models = (lab.direct_imaging_model(psf, g, self.quad) for g in geometries)
         expected = np.array([lab.fim(model) for model in models])
-        assert fused[3].tobytes() == expected.tobytes()
+        assert fishers.tobytes() == expected.tobytes()
+        # The kernel's direct route is the fused pass: the c_tilde of the plain
+        # route's overlaps, and the regrets of the scalar QFIMs and FIMs.
+        c_tilde = [c_tilde_from_overlaps(overlap) for overlap in overlaps]
+        config = lab.ExperimentConfig(figure_id="custom", quad=self.quad)
+        kernel_c_tilde, regrets = experiments._sweep(config, psf, points, ("direct",))
+        assert kernel_c_tilde == c_tilde and regrets.shape == (3, len(points), 1)
+        direct = regret_rows(expected, scalar, c_tilde)
+        assert regrets[..., 0].tobytes() == direct.tobytes()
 
     def test_fig1_builds_no_qfim_stack(self, tmp_path, monkeypatch):
         def unexpected(*args, **kwargs):
             raise AssertionError("fig1 needs only c_tilde")
 
-        monkeypatch.setattr(experiments, "_contexts", unexpected)
+        monkeypatch.setattr(experiments, "_sweep", unexpected)
         config = lab.ExperimentConfig(figure_id="fig1", output_dir=str(tmp_path))
         assert lab.run_fig1(config)[0].is_file()
 
@@ -776,6 +787,70 @@ class TestRunnersMatchScalarRoute:
             )
 
 
+class TestRunnersShareTheKernel:
+    """Each figure's cells are the cells of the same points in the other runners."""
+
+    def tables(self, tmp_path, figure, **fields):
+        out = tmp_path / figure
+        config = lab.ExperimentConfig(figure_id=figure, output_dir=str(out), **fields)
+        return [read_table(path) for path in experiments.RUNNERS[figure](config)[:-1]]
+
+    def custom_rows(self, tmp_path, theta1_grid, theta2_grid, measurements):
+        ((_, _, rows),) = self.tables(
+            tmp_path, "custom", theta1_grid=theta1_grid, theta2_grid=theta2_grid,
+            measurements=measurements,
+        )
+        return rows
+
+    def test_fig2_is_custom_direct_at_zero_misalignment(self, tmp_path):
+        grid = (0.05, 0.3, 1.0, 2.5, 7.0)
+        ((_, _, fig2),) = self.tables(tmp_path, "fig2", theta2_grid=grid)
+        custom = self.custom_rows(tmp_path, (0.0,), grid, ("direct",))
+        assert [[row[1], *row[4:6]] for row in custom] == fig2
+
+    def test_fig4_is_custom_spade_at_its_separation(self, tmp_path):
+        grid = (-6.0, -0.15, 0.0, 0.15, 1.5, 9.0)
+        (_, _, fig4), _ = self.tables(tmp_path, "fig4", theta1_grid=grid, theta2_over_sigma=0.3)
+        custom = self.custom_rows(tmp_path, grid, (0.3,), ("spade", "direct"))
+        assert [[row[0], *row[4:6]] for row in custom if row[2] == "spade"] == fig4
+
+    def test_fig3_panels_are_the_other_runners_rows(self, tmp_path):
+        panels = (0.2, 1.0, 4.0)
+        fig3 = self.tables(tmp_path, "fig3", panels=panels, frontier_samples=2)
+        ((_, _, fig1),) = self.tables(tmp_path, "fig1", theta2_grid=panels)
+        ((_, _, fig2),) = self.tables(tmp_path, "fig2", theta2_grid=panels)
+        custom = self.custom_rows(tmp_path, (0.0,), panels, ("direct",))
+        for (metadata, _, _), fig1_row, fig2_row, custom_row in zip(fig3, fig1, fig2, custom):
+            assert metadata["theta2_over_sigma"] == fig1_row[0] == fig2_row[0]
+            assert metadata["c_tilde"] == fig1_row[2]
+            assert [metadata["di_delta1"], metadata["di_delta2"]] == fig2_row[1:]
+            assert metadata["irtr_residual"] == custom_row[6]
+
+    def test_custom_direct_rows_depend_on_theta2_alone(self, tmp_path):
+        rows = self.custom_rows(tmp_path, (-2.0, 0.0, 0.7), (0.1, 1.0, 3.0), ("spade", "direct"))
+        direct = {}
+        for row in rows:
+            if row[2] == "direct":
+                direct.setdefault(row[1], []).append(row[4:])
+        assert len(direct) == 3
+        for cells in direct.values():
+            assert cells == [cells[0]] * 3
+        # SPADE sorts about the axis, so its rows do move with theta1.
+        assert len({tuple(row[4:]) for row in rows if row[2] == "spade"}) == 9
+
+    @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4", "fig5", "custom"])
+    def test_each_sweep_runner_calls_the_kernel_once(self, tmp_path, monkeypatch, figure):
+        calls, kernel = [], experiments._sweep
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_sweep", counted)
+        self.tables(tmp_path, figure, **SMALL_CONFIGS[figure])
+        assert len(calls) == 1
+
+
 class TestCli:
     def test_successful_run_prints_paths(self, tmp_path, capsys):
         code = cli.main(
@@ -875,7 +950,7 @@ class TestCli:
         "sigma, grid, code", [("1e-200", "1,", 0), ("1e300", "1e10,", 3), ("1e70", "1e250,", 3)]
     )
     def test_extreme_sigma_runs_as_sigma_one(self, tmp_path, capsys, sigma, grid, code):
-        # The same exit code, warnings and message as at sigma = 1, and on
+        # The same exit code and message as at sigma = 1, no warnings, and on
         # success the same CSV bytes but for the '# sigma=' line.
         outcomes = []
         for label in (sigma, "1"):
@@ -888,12 +963,32 @@ class TestCli:
             lines = csv.read_text("utf-8").splitlines() if csv.exists() else None
             outcomes.append((exit_code, messages, capsys.readouterr().err, lines))
         (code_x, warned_x, err_x, lines_x), (code_1, warned_1, err_1, lines_1) = outcomes
-        assert code_x == code_1 == code and warned_x == warned_1 and err_x == err_1
+        assert code_x == code_1 == code and warned_x == warned_1 == [] and err_x == err_1
         if code:
             assert err_1.startswith("error: row 0: ") and lines_x is lines_1 is None
         else:
             assert lines_x[1] == f"# sigma={float(sigma):.17g}"
             assert [lines_x[0], *lines_x[2:]] == [lines_1[0], *lines_1[2:]]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fig2", "--grid", "1e250,"], "int psi^2 = 0.0 deviates from 1"),
+            (["fig4", "--grid", "1e300,"], "no cutoff up to 512 meets the truncation criteria"),
+            (["fig4", "--grid", "1e300,", "--mode-cutoff", "80"],
+             "cutoff 80 leaves truncated mass bound 1.000e+00"),
+            (["custom", "--theta1-grid", "-1.7e308", "--theta2-grid", "1e308",
+              "--measurements", "direct"], "int psi^2 = 0.0 deviates from 1"),
+        ],
+    )
+    def test_overflow_to_inf_exits_three_without_warnings(self, tmp_path, capsys, argv, message):
+        # Squares and window bounds that overflow take their limit, inf, on
+        # purpose: the typed error is the only report, also with warnings as errors.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: row 0: {message}")
+        assert not tmp_path.joinpath("manifest.json").exists()
 
     def test_fig1_at_a_milli_sigma_exits_zero(self, tmp_path):
         # abs_tolerance is in units of sigma, so a small sigma no longer fails.

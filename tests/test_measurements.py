@@ -665,6 +665,17 @@ class TestHaarRandomBases:
         for point, parent in enumerate(np.random.SeedSequence(11).spawn(4)):
             np.testing.assert_array_equal(pools[point], [c.pool for c in parent.spawn(5)])
 
+    @pytest.mark.parametrize("shape", [(0,), (1, 0), (3, 0), (2, 1), (2, 3, 1)])
+    def test_prefix_array_keeps_its_leading_axes(self, shape):
+        # Empty prefixes too: fig5's [()] is one prefix, the root's children.
+        prefixes = np.arange(np.prod(shape), dtype=np.int64).reshape(shape) + 4
+        pools = spawned_pools(9, prefixes, 2, 3)
+        assert pools.shape == (*shape[:-1], 3, 4) and pools.dtype == np.uint32
+        for index in np.ndindex(shape[:-1]):
+            prefix = tuple(prefixes[index].tolist())
+            children = [np.random.SeedSequence(9, spawn_key=(*prefix, k)) for k in (2, 3, 4)]
+            np.testing.assert_array_equal(pools[index], [child.pool for child in children])
+
     def test_seed_wider_than_the_pool(self):
         seed, prefix = 2**130 + 3, (2, 9)
         children = np.random.SeedSequence(seed, spawn_key=prefix).spawn(3)
