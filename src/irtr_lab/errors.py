@@ -56,11 +56,13 @@ def raise_first_failure(checks, label, first=0):
 
     ``checks`` lists (error type, message, flags[, values]) in the order one
     row meets them, with a flag (and a value, which fills the message) per row;
-    ``label``, given the row number plus ``first``, prefixes the message.
+    ``label``, given the row's number, prefixes the message.  Row i's number is
+    ``first + i``, or ``first[i]`` when ``first`` is an array of row numbers.
     """
     failed = np.array([check[2] for check in checks]).reshape(len(checks), -1)
     if failed.any():
         row = int(failed.any(axis=0).argmax())
         error, message, _, *values = checks[int(failed[:, row].argmax())]
         cells = (float(np.atleast_1d(value)[row]) for value in values)
-        raise error(label.format(first + row) + message.format(*cells))
+        number = int(first[row]) if np.ndim(first) else first + row
+        raise error(label.format(number) + message.format(*cells))

@@ -55,6 +55,7 @@ from .state_model import (
     build_state_model,
     c_tilde_from_overlaps,
     gaussian_incompatibility,
+    qfim_stack,
 )
 from .tradeoff import irtr_frontier
 
@@ -247,12 +248,6 @@ def _run(figure: str, compute, config: ExperimentConfig) -> list[Path]:
     return [*paths, manifest_path]
 
 
-def _qfims(overlaps) -> np.ndarray:
-    """(n, 2, 2) QFIMs of a sweep's overlaps, row i ``qfim(overlaps[i]).matrix`` bit for bit."""
-    # A float's ** can be 1 ulp from numpy's x * x.
-    return np.array([((4.0 * (o.kappa - o.gamma**2), 0.0), (0.0, o.kappa)) for o in overlaps])
-
-
 def _sweep(config, psf, points, measurements, prefixes=None):
     """c_tilde of each (theta1, theta2) point and its (3, points, rows) regrets.
 
@@ -273,7 +268,7 @@ def _sweep(config, psf, points, measurements, prefixes=None):
         overlaps, fishers = overlaps_and_direct_fims(psf, distinct, config.quad)
     else:
         overlaps = overlap_integrals(psf, distinct, config.quad)
-    quantum = _qfims(overlaps)[separation]
+    quantum = qfim_stack(overlaps)[separation]
     c_tilde = np.array([c_tilde_from_overlaps(o) for o in overlaps])[separation].tolist()
     blocks = []
     if "direct" in measurements:

@@ -17,7 +17,7 @@ square-root information regrets against the quantum bound.  These single
 models are the reference route.  ``regret_rows`` does the same for a stack
 of FIMs and ``projective_regrets`` for a stack of projective measurements;
 ``overlaps_and_direct_fims`` gives a sweep's overlaps and direct-imaging
-FIMs, for an even PSF from the overlaps' own half-grid samples.  Each is bit
+FIMs, for an even PSF from the same passes' half-grid samples.  Each is bit
 for bit equal to the reference route and keeps its checks.
 """
 
@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     BoundViolationError,
     ConsistencyError,
+    ConvergenceError,
     CutoffError,
     DegenerateOutcomeError,
     raise_first_failure,
@@ -40,11 +41,12 @@ from .psf_core import (
     QuadratureSpec,
     SourceGeometry,
     centroid_half_window,
-    overlap_blocks,
     overlap_integrals,
+    overlap_passes,
     quadrature_grid,
+    quadrature_ladder,
 )
-from .state_model import Qfim, StateModel4
+from .state_model import Qfim, StateModel4, qfim, qfim_stack
 from .tradeoff import RESIDUAL_FLOOR
 
 CONTINUUM_GRID = "continuum_grid"
@@ -104,16 +106,22 @@ def _model_checks(probabilities, derivatives, weights=1.0, truncated_mass=0.0, m
     # A mirrored row is the left half of a mirror-symmetric one: its sums count each
     # term twice, but odd dp_dtheta1's terms cancel in pairs (NaN stays NaN).
     counts = (2.0, 0.0, 2.0) if mirrored else (1.0, 1.0, 1.0)
+
+    # Weighted sums and the largest |derivative| without a block-sized temporary.
+    def total(values, count):
+        return count * (np.vecdot(weights, values) if np.ndim(weights) else values.sum(axis=-1))
+
     # Written as `~(... <= tol)` so that a NaN or inf anywhere fails the check.
-    total = counts[0] * np.sum(weights * probabilities, axis=-1) + truncated_mass
-    negative, off = np.any(probabilities < 0.0, axis=-1), ~(abs(total - 1.0) <= 1e-10)
+    mass = total(probabilities, counts[0]) + truncated_mass
+    negative, off = np.any(probabilities < 0.0, axis=-1), ~(abs(mass - 1.0) <= 1e-10)
     checks = [
         (ConsistencyError, "probabilities must be nonnegative", negative),
-        (ConsistencyError, "total probability {!r} deviates from 1", off, total),
+        (ConsistencyError, "total probability {!r} deviates from 1", off, mass),
     ]
     for name, derivative, count in zip(("dp_dtheta1", "dp_dtheta2"), derivatives, counts[1:]):
-        drift = count * np.sum(weights * derivative, axis=-1)
-        scale = np.max(np.abs(derivative), axis=-1, initial=1.0)
+        drift = total(derivative, count)
+        largest = np.max(derivative, axis=-1, initial=1.0)
+        scale = np.maximum(largest, -np.min(derivative, axis=-1, initial=-1.0))
         bounded = (abs(drift) <= 1e-8 * scale) & (scale < math.inf)
         checks.append((ConsistencyError, f"sum of {name} = {{!r}} is not 0", ~bounded, drift))
     return checks
@@ -166,14 +174,52 @@ def direct_imaging_model(
     Positions are measured from the centroid, with the sources at -+theta2/2;
     the Fisher information does not depend on that choice of origin.  The
     grid is a composite Gauss-Legendre half-grid on [0, theta2/2 + R sigma]
-    (``ceil(panel_count / 2)`` panels) whose nodes and weights are reflected
-    bitwise, so outcome i and outcome n-1-i are mirror images.
+    whose nodes and weights are reflected bitwise, so outcome i and outcome
+    n-1-i are mirror images.  The half-grid climbs the passes of
+    ``quadrature_ladder(quad)``, and the model is the finer pass's of the
+    first pair of passes (h, 2h) whose models both pass their own and
+    ``fim``'s checks and whose F_jj drift by at most ``abs_tolerance`` times
+    QFIM_jj, the QFIM of ``overlap_integrals``.  At the top pair a failure
+    raises: the coarser pass's, the finer pass's, then the drift's
+    (ConvergenceError).
     """
+    quantum = np.diagonal(qfim(overlap_integrals(psf, geometry, quad)).matrix)
     window = centroid_half_window(psf, geometry.theta2, quad)
-    grid = quadrature_grid(0.0, window, (quad.panel_count + 1) // 2, quad.nodes_per_panel)
-    positions, weights = _reflected(*grid)
-    fields = _intensity_and_derivatives(psf, geometry.theta2, positions)
-    return ProbabilityModel(CONTINUUM_GRID, *fields, weights=weights)
+    counts, previous = quadrature_ladder(quad), None
+    for index, count in enumerate(counts):
+        grid = quadrature_grid(0.0, window, count, quad.nodes_per_panel)
+        positions, weights = _reflected(*grid)
+        fields = _intensity_and_derivatives(psf, geometry.theta2, positions)
+        try:
+            model = ProbabilityModel(CONTINUUM_GRID, *fields, weights=weights)
+            fisher = fim(model)
+        except (ConsistencyError, DegenerateOutcomeError):
+            if index >= len(counts) - 2:  # A pass of the top pair.
+                raise
+            previous = None
+            continue
+        if previous is not None:
+            checks = _fim_drift_checks(fisher, previous, quantum, quad)
+            if index == len(counts) - 1 or not any(check[2] for check in checks):
+                raise_first_failure(checks, "")
+                return model
+        previous = fisher
+
+
+def _fim_drift_checks(fishers, previous, quantum, quad):
+    """The checks that each F_jj drifts from ``previous`` by at most abs_tolerance x QFIM_jj.
+
+    ``quantum`` holds the QFIM diagonals, shaped like the FIMs' diagonals.
+    """
+    drift = np.abs(np.diagonal(fishers, 0, -2, -1) - np.diagonal(previous, 0, -2, -1))
+    bound = quad.abs_tolerance * quantum
+    message = "direct-imaging F{0}{0} drift {{:.3e}} exceeds abs_tolerance x QFIM{0}{0} = {{:.3e}}"
+    return [
+        # Written as `~(... <= bound)` so that a NaN drift fails the check.
+        (ConvergenceError, message.format(j + 1), ~(drift[..., j] <= bound[..., j]),
+         drift[..., j], bound[..., j])
+        for j in range(2)
+    ]
 
 
 def overlaps_and_direct_fims(psf, geometries, quad=QuadratureSpec()):
@@ -181,35 +227,72 @@ def overlaps_and_direct_fims(psf, geometries, quad=QuadratureSpec()):
 
     Entry i is ``overlap_integrals(psf, geometries[i], quad)`` and row i
     ``fim(direct_imaging_model(psf, geometries[i], quad))``, bit for bit; a
-    failed check raises that route's error, naming its sweep row.  A PSF not
-    known to be even takes that route, overlaps first.  For an even PSF the
-    reflected ceil(P/2)-panel grid's fields come from each block's overlap
-    samples, in descending u (its left half), each outcome standing for its
-    mirror image too: F11 and F22 sum doubled products and F12 is 0.0, as
-    ``fim`` pairs the reflected grid; the model checks' sums equal its own to
-    rounding.  Block by block, the overlap checks run first, then the model
-    and FIM checks of each row.
+    failed check raises that route's error, naming its sweep row.  The
+    overlaps' checks of every row run first, then the model and FIM checks.
+    A PSF not known to be even takes the scalar route.  For an even PSF each
+    pass of the overlaps' ladder (``overlap_passes``) also gives the FIMs of
+    its rows, from the same half-grid samples, in descending u (the reflected
+    grid's left half), each outcome standing for its mirror image too: F11 and
+    F22 sum doubled products and F12 is 0.0, as ``fim`` pairs the reflected
+    grid; the model checks' sums equal its own to rounding.  A row's FIM takes
+    the first pair of passes whose checks pass once its overlaps, and so its
+    QFIM, have settled.  The first row whose FIM fails at the top pair raises
+    the error of its scalar route, run again for that row.
     """
     fishers = np.empty((len(geometries), 2, 2))
     if not psf.even:
         overlaps = overlap_integrals(psf, geometries, quad)
-        for row, geometry in enumerate(geometries):
-            try:
-                fishers[row] = fim(direct_imaging_model(psf, geometry, quad))
-            except (ConsistencyError, DegenerateOutcomeError) as error:
-                raise type(error)(f"row {row}: {error}") from None
+        for row in range(len(geometries)):
+            fishers[row] = _direct_fim(psf, geometries, row, quad)
         return overlaps, fishers
-    overlaps = []
-    for first, block, (w, *samples) in overlap_blocks(psf, geometries, quad):
-        work, weights = samples[4:], w[:, ::-1]  # The fields, then fim's work.
-        probabilities, *derivatives = _fields(*(a[:, ::-1] for a in samples[:4]), work[:5])
+    if not geometries:
+        return [], fishers
+    count, passes = len(geometries), len(quadrature_ladder(quad))
+    overlaps = [None] * count
+    # Rows whose FIM is unsettled; rows whose overlaps, and so QFIM diagonals, are known.
+    wanted, known, quantum = np.ones(count, bool), np.zeros(count, bool), np.empty((count, 2))
+    # Each pass's FIM of each row, and whether it passed its checks.
+    history, valid = np.empty((passes, count, 2, 2)), np.zeros((passes, count), bool)
+    blocks = overlap_passes(psf, geometries, quad, overlaps, wanted, spare=2)
+    for index, rows, (x, w, a1, d1, a2, d2, *fields) in blocks:
+        # The fields, in descending u, land in x and the spare arrays and the
+        # weights in a2, all in order in memory; a1, d1 and d2 are fim's work.
+        amplitudes = (a[:, ::-1] for a in (a1, d1, a2, d2))
+        probabilities, *derivatives = _fields(*amplitudes, (x, *fields))
+        weights = a2
+        weights[...] = w[:, ::-1]
         checks = _model_checks(probabilities, derivatives, weights, mirrored=True)
-        fishers[first : first + len(block)], fisher_checks = _fisher_information(
-            probabilities, derivatives, weights, work[3:], mirrored=True
+        history[index, rows], fisher_checks = _fisher_information(
+            probabilities, derivatives, weights, (a1, d1, d2), mirrored=True
         )
-        raise_first_failure(checks + fisher_checks, "row {}: ", first)
-        overlaps += block
+        valid[index, rows] = ~np.any([check[2] for check in checks + fisher_checks], axis=0)
+        fresh = [row for row in rows.tolist() if not known[row] and overlaps[row] is not None]
+        if fresh:
+            known[fresh] = True
+            quantum[fresh] = qfim_stack([overlaps[row] for row in fresh])[:, [0, 1], [0, 1]]
+        # A row with known QFIM takes the first pair of passes so far whose checks pass.
+        ready = rows[wanted[rows] & known[rows]]
+        if index and ready.size:
+            past = history[: index + 1, ready]
+            drift_checks = _fim_drift_checks(past[1:], past[:-1], quantum[ready], quad)
+            drifted = np.any([check[2] for check in drift_checks], axis=0)
+            passed = valid[1 : index + 1, ready] & valid[:index, ready] & ~drifted
+            hit = passed.any(axis=0)
+            settled, pair = ready[hit], passed.argmax(axis=0)[hit] + 1
+            fishers[settled], wanted[settled] = history[pair, settled], False
+    if wanted.any():  # The first row that failed at the top pair raises its scalar route's error.
+        row = int(wanted.argmax())
+        _direct_fim(psf, geometries, row, quad)
+        raise ConsistencyError(f"row {row}: the sweep's direct-imaging FIM failed where fim passed")
     return overlaps, fishers
+
+
+def _direct_fim(psf, geometries, row, quad):
+    """``fim(direct_imaging_model(...))`` of one sweep row, an error naming the row."""
+    try:
+        return fim(direct_imaging_model(psf, geometries[row], quad))
+    except (ConsistencyError, ConvergenceError, DegenerateOutcomeError) as error:
+        raise type(error)(f"row {row}: {error}") from None
 
 
 def direct_imaging_pixelated_model(
@@ -260,21 +343,23 @@ def _intensity_and_derivatives(psf, theta2, offsets):
     half = 0.5 * theta2
     amplitudes = [*psf.amplitude_and_derivative(offsets + half)]
     amplitudes += psf.amplitude_and_derivative(offsets - half)
-    return _fields(*amplitudes, [np.empty(offsets.shape) for _ in range(5)])
+    return _fields(*amplitudes, (amplitudes[0], amplitudes[2], np.empty(offsets.shape)))
 
 
 def _fields(amp1, damp1, amp2, damp2, out):
-    """p, dp/dtheta1, dp/dtheta2 from psi, psi' of each source into out[:3]; out[3:] is work."""
-    probabilities, dp_dtheta1, dp_dtheta2, work1, work2 = out
-    np.add(np.square(amp1, out=probabilities), np.square(amp2, out=dp_dtheta1), out=probabilities)
-    np.multiply(probabilities, 0.5, out=probabilities)
+    """p, dp/dtheta1, dp/dtheta2 from psi, psi' of each source, into the three arrays ``out``.
+
+    The four inputs are overwritten; ``out`` may reuse amp1 and amp2.
+    """
+    probabilities, dp_dtheta1, dp_dtheta2 = out
     # d(x - X_j)/dtheta1 = -1 for both sources; for theta2 the two sources
     # move apart, so the signs split.
-    np.multiply(amp1, damp1, out=work1)
-    np.multiply(amp2, damp2, out=work2)
+    work1, work2 = np.multiply(amp1, damp1, out=damp1), np.multiply(amp2, damp2, out=damp2)
+    np.add(np.square(amp1, out=amp1), np.square(amp2, out=amp2), out=probabilities)
+    np.multiply(probabilities, 0.5, out=probabilities)
     np.negative(np.add(work1, work2, out=dp_dtheta1), out=dp_dtheta1)
     np.multiply(np.subtract(work1, work2, out=dp_dtheta2), 0.5, out=dp_dtheta2)
-    return probabilities, dp_dtheta1, dp_dtheta2
+    return out
 
 
 def _gammaln(x):

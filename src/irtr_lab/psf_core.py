@@ -22,12 +22,17 @@ u +- theta2/2 in centroid coordinates u:
     int psi^2: a1^2 + a2^2      kappa: d1^2 + d2^2      gamma: d1 a2 - d2 a1
     beta:      2 d1 d2          delta: 2 a1 a2
 
-on 2 ceil(P/2) panels and again on ceil(P/2), P = ``panel_count``, so the
-overlaps depend on theta2 alone, bit for bit, and a sweep is evaluated in
-stacked blocks of geometries (``overlap_blocks``), whose ceil(P/2)-panel
-samples also give the direct-imaging FIMs.  Any other PSF is integrated over
-the full window on P and 2P panels.  Either way the two values must agree to
-``abs_tolerance`` or a ConvergenceError is raised.
+and each geometry climbs a ladder of passes on h, 2h, 4h, ... panels of the
+half-window (``quadrature_ladder``), up to 2 ceil(P/2), P = ``panel_count``,
+which caps the ladder.  A geometry takes the finer value of the first pair of
+passes (h, 2h) whose checks pass: the two must agree to ``abs_tolerance``,
+int psi^2 must be 1 within 10x that, and the overlaps must be consistent.  A
+failure at the top pair, (ceil(P/2), 2 ceil(P/2)), raises.  The rung depends
+on theta2 and the rule alone, so the overlaps do too, bit for bit, and a sweep
+runs each pass over blocks of the geometries still climbing
+(``overlap_passes``), whose samples also give the direct-imaging FIMs, which
+settle on the same ladder by checks of their own.  Any other PSF is
+integrated over the full window on P and 2P panels, with the same checks.
 """
 
 from __future__ import annotations
@@ -111,9 +116,14 @@ class SourceGeometry:
 class QuadratureSpec:
     """Composite Gauss-Legendre settings.
 
-    ``panel_count`` panels span the integration window, so the default pair
-    (32 panels, radius 12) keeps panels near one sigma wide for the largest
-    default separations and finer elsewhere.
+    ``panel_count`` (P) caps the panels that span the integration window: an
+    even PSF's half-window climbs by doublings to 2 ceil(P/2) panels and takes
+    the first pair of passes whose checks pass (``quadrature_ladder``).  The
+    default cap (32 panels, radius 12) keeps panels near one sigma wide for
+    the largest default separations; every default separation settles on 4
+    and 8.  ``abs_tolerance`` bounds the drift of the overlaps between the
+    passes of a pair, and that of each direct-imaging F_jj as a fraction of
+    QFIM_jj.
     """
 
     truncation_radius: float = 12.0
@@ -165,10 +175,6 @@ def gaussian_psf(sigma: float = 1.0) -> PointSpreadFunction:
     inv_4s2 = 1.0 / (4.0 * sigma**2)
     inv_2s2 = 1.0 / (2.0 * sigma**2)
 
-    def amplitude(x):
-        x = np.asarray(x, dtype=float)
-        return norm * np.exp(-(x**2) * inv_4s2)
-
     def joint(x, out=None):
         x = np.asarray(x, dtype=float)
         if out is None:
@@ -183,6 +189,9 @@ def gaussian_psf(sigma: float = 1.0) -> PointSpreadFunction:
         np.multiply(slope, amplitude, out=slope)
         np.multiply(amplitude, norm, out=amplitude)
         return out
+
+    def amplitude(x):
+        return joint(x)[0]
 
     def derivative(x):
         return joint(x)[1]
@@ -255,42 +264,69 @@ def _drift_check(drift, lo, hi, quad):
     return ConvergenceError, message, ~(drift <= quad.abs_tolerance), drift, lo, hi
 
 
-# Samples per stacked (geometries, samples) array: a sweep's folded overlaps,
-# and the direct-imaging FIMs formed from their samples, work in blocks of this
-# many, 16 geometries at the default quadrature.  Smaller blocks pay more
-# overhead per block; larger ones hold more memory for little gain.
+# Samples per stacked (geometries, samples) array: each pass of a sweep's folded
+# overlaps, and of the direct-imaging FIMs formed from their samples, works in
+# blocks of this many: 128 geometries on 4 half-window panels of 32 nodes, 16
+# on 32.  Smaller blocks pay more overhead per block; larger ones hold
+# more memory for little gain.
 BLOCK_SAMPLES = 16384
 
 
-def block_size(quad: QuadratureSpec) -> int:
-    """Geometries per stacked block, each 2 ceil(P/2) n samples in the refined rule."""
-    return max(1, BLOCK_SAMPLES // (2 * ((quad.panel_count + 1) // 2) * quad.nodes_per_panel))
+def quadrature_ladder(quad: QuadratureSpec) -> tuple[int, ...]:
+    """Half-window panel counts of an even PSF's passes, ascending.
 
-
-def _folded_blocks(psf, theta2, window, quad):
-    """Yield (first row, integrals, drift, samples) for each block of an even PSF's separations.
-
-    ``integrals`` has rows (int psi^2, kappa, gamma, beta, delta) and a
-    column per theta2 of the block, ``drift`` each column's largest drift,
-    ``samples`` are as in ``overlap_blocks``.  u -> -u maps a1 <-> a2 and
-    d1 <-> -d2, which folds each integral over [-W, W] onto [0, W],
-    W = ``window``.  Every block-sized array lives in buffers allocated once
-    per sweep: blocks that allocate their own leave the heap top free after
-    each block, and glibc then trims it and faults it back in on the next
-    block, at a cost set by the process's heap history.
+    Each pass doubles the one before; the top pair is (ceil(P/2), 2 ceil(P/2)),
+    P = ``panel_count``, and the pairs below halve it while it stays an integer
+    of at least 4.  Wider panels leave errors near 1e-15 in the overlaps, which
+    the state model's eta3^2 amplifies by about 4/theta2^2 near coincidence.
     """
-    size, nodes = min(block_size(quad), len(theta2)), quad.nodes_per_panel
-    panels = (quad.panel_count + 1) // 2
-    # Nodes (shifted in place, then products), weights, a1, d1, a2 (first u + theta2/2), d2.
-    buffers = [np.empty(size * 2 * panels * nodes) for _ in range(6)]
-    for first in range(0, len(theta2), size):
-        half = 0.5 * theta2[first : first + size, np.newaxis]
-        results = []
-        for count in (2 * panels, panels):
-            x, w, a1, d1, a2, d2 = (
-                buffer[: half.size * count * nodes].reshape(half.size, -1) for buffer in buffers
-            )
-            quadrature_grid(0.0, window[first : first + size], count, nodes, out=(x, w))
+    counts = [(quad.panel_count + 1) // 2]
+    while counts[0] % 2 == 0 and counts[0] >= 8:
+        counts.insert(0, counts[0] // 2)
+    return (*counts, 2 * counts[-1])
+
+
+def block_size(quad: QuadratureSpec, panels: int) -> int:
+    """Geometries per stacked block of a pass on ``panels`` half-window panels."""
+    return max(1, BLOCK_SAMPLES // (panels * quad.nodes_per_panel))
+
+
+def overlap_passes(psf, geometries, quad, overlaps, wanted, label="row {}: ", spare=0):
+    """Yield (pass, rows, samples) for each block of each pass of an even PSF's ladder,
+    once the block's overlaps have settled where they can.
+
+    Pass k runs on ``quadrature_ladder(quad)[k]`` panels of the half-window
+    [0, W], W = theta2/2 + R sigma, for the rows (ascending indices into
+    ``geometries``) still climbing as it starts: a row climbs while its
+    overlaps are unsettled or its entry of ``wanted``, a mask the caller
+    updates as it goes, is set.  Row i's overlaps go to ``overlaps[i]`` from
+    the first pair of passes whose checks pass (``_settle``); at the top pair
+    a failure raises, the row named by ``label``.  ``samples`` are the block's
+    (x, w, a1, d1, a2, d2), a row per geometry in ascending u, x free for
+    reuse, then ``spare`` arrays of their shape.  u -> -u maps a1 <-> a2 and
+    d1 <-> -d2, which folds each integral over [-W, W] onto [0, W].  Every
+    block-sized array lives in buffers allocated once per call: blocks that
+    allocate their own leave the heap top free after each block, and glibc
+    then trims it and faults it back in on the next block, at a cost set by
+    the process's heap history.
+    """
+    theta1, theta2 = np.array([(g.theta1, g.theta2) for g in geometries]).T
+    window = centroid_half_window(psf, theta2, quad)
+    with np.errstate(over="ignore"):  # The bounds only label errors: +-inf will do.
+        lo, hi = theta1 - window, theta1 + window
+    counts, nodes = quadrature_ladder(quad), quad.nodes_per_panel
+    length = max(min(block_size(quad, count), len(theta2)) * count for count in counts) * nodes
+    buffers = [np.empty(length) for _ in range(6 + spare)]
+    unsettled, previous = np.ones(len(theta2), dtype=bool), np.empty((5, len(theta2)))
+    for index, count in enumerate(counts):
+        climbing, size = np.flatnonzero(unsettled | wanted), block_size(quad, count)
+        for start in range(0, len(climbing), size):
+            rows = climbing[start : start + size]
+            samples = [buffer[: rows.size * count * nodes] for buffer in buffers]
+            samples = [sample.reshape(rows.size, -1) for sample in samples]
+            x, w, a1, d1, a2, d2 = samples[:6]
+            half = 0.5 * theta2[rows, np.newaxis]
+            quadrature_grid(0.0, window[rows], count, nodes, out=(x, w))
             psf.amplitude_and_derivative(np.add(x, half, out=a2), out=(a1, d1))
             psf.amplitude_and_derivative(np.subtract(x, half, out=x), out=(a2, d2))
 
@@ -299,82 +335,55 @@ def _folded_blocks(psf, theta2, window, quad):
             def integral(u, v):
                 return np.vecdot(np.multiply(u, v, out=x), w)
 
-            results.append((
+            integrals = np.array([
                 integral(a1, a1) + integral(a2, a2),
                 integral(d1, d1) + integral(d2, d2),
                 integral(d1, a2) - integral(d2, a1),
                 2.0 * integral(d1, d2),
                 2.0 * integral(a1, a2),
-            ))
-        # The coarse rule ran last, in the first half of each buffer: the second halves are spare.
-        spare = (buffer[w.size : 2 * w.size].reshape(w.shape) for buffer in buffers)
-        fine, coarse = np.array(results)
-        yield first, fine, np.max(np.abs(fine - coarse), axis=0), (w, a1, d1, a2, d2, *spare)
+            ])
+            if index:
+                drift = np.max(np.abs(integrals - previous[:, rows]), axis=0)
+                open_rows = unsettled[rows]
+                settling = (integrals[:, open_rows], drift[open_rows], lo, hi, quad, label)
+                settled = _settle(overlaps, rows[open_rows], *settling, index == len(counts) - 1)
+                unsettled[rows[open_rows][settled]] = False
+            previous[:, rows] = integrals
+            yield index, rows, samples
 
 
-def _full_window_blocks(psf, geometries, lo, hi, quad):
-    """Yield (row, integrals, drift, None) for each geometry of any PSF, on [lo, hi] of its row.
+def _settle(overlaps, rows, integrals, drift, lo, hi, quad, label, final):
+    """Store the overlaps of each row whose checks pass; return the mask of those rows.
 
-    ``integrals`` is the column (int psi^2, kappa, gamma, beta, delta).
+    ``integrals`` has rows (int psi^2, kappa, gamma, beta, delta) and a column
+    per entry of ``rows``, ``drift`` each column's largest drift from the
+    coarser pass; ``lo`` and ``hi`` are the windows of all rows.  A row meets
+    the drift check, the normalization check, then ``OverlapIntegrals``'s own.
+    When ``final``, the first failing row raises its error, named by ``label``.
     """
-    for row, geometry in enumerate(geometries):
-
-        def evaluate(x):
-            a1, d1 = psf.amplitude_and_derivative(x - geometry.x1)
-            a2, d2 = psf.amplitude_and_derivative(x - geometry.x2)
-            products = np.empty((5, x.size))
-            for out, left, right in zip(products, (a1, d1, d1, d1, a1), (a1, d1, a2, d2, a2)):
-                np.multiply(left, right, out=out)
-            return products
-
-        integrals, drift = _refined_batch(evaluate, lo[row], hi[row], quad)
-        yield row, integrals[:, np.newaxis], np.array([drift]), None
-
-
-def overlap_blocks(psf, geometries, quad=QuadratureSpec(), label="row {}: "):
-    """Yield (first row, overlaps, samples) for each block of a sweep, after its checks.
-
-    A failed check raises as in ``overlap_integrals``, ``label`` naming the row.
-    An even PSF's ``samples`` are the block's (w, a1, d1, a2, d2) of the
-    ceil(P/2)-panel rule, a row per geometry in ascending u, then six spare
-    arrays of their shape, all reused by the next block; other PSFs give None.
-    """
-    if not geometries:  # An empty sweep has no blocks.
-        return
-    if psf.even:
-        theta1, theta2 = np.array([(g.theta1, g.theta2) for g in geometries]).T
-        window = centroid_half_window(psf, theta2, quad)
-        with np.errstate(over="ignore"):  # The bounds only label errors: +-inf will do.
-            lo, hi = theta1 - window, theta1 + window
-        blocks = _folded_blocks(psf, theta2, window, quad)
-    else:
-        radius = quad.truncation_radius * psf.sigma
-        lo = np.array([g.x1 - radius for g in geometries])
-        hi = np.array([g.x2 + radius for g in geometries])
-        blocks = _full_window_blocks(psf, geometries, lo, hi, quad)
-    for first, integrals, drift, samples in blocks:
-        rows = slice(first, first + len(drift))
-        norm = integrals[0]
-        raise_first_failure(
-            [
-                _drift_check(drift, lo[rows], hi[rows], quad),
-                (
-                    NormalizationError,
-                    "int psi^2 = {!r} deviates from 1 beyond 10x quadrature tolerance",
-                    ~(abs(norm - 1.0) <= 10.0 * quad.abs_tolerance),
-                    norm,
-                ),
-            ],
-            label,
-            first,
-        )
-        overlaps = []
-        for row, values in enumerate(integrals[1:].T.tolist(), first):
-            try:
-                overlaps.append(OverlapIntegrals(*values))
-            except ConsistencyError as error:
-                raise ConsistencyError(label.format(row) + str(error)) from None
-        yield first, overlaps, samples
+    norm = integrals[0]
+    checks = [
+        _drift_check(drift, lo[rows], hi[rows], quad),
+        (
+            NormalizationError,
+            "int psi^2 = {!r} deviates from 1 beyond 10x quadrature tolerance",
+            ~(abs(norm - 1.0) <= 10.0 * quad.abs_tolerance),
+            norm,
+        ),
+    ]
+    passed = ~np.any([check[2] for check in checks], axis=0)
+    for position, values in enumerate(integrals[1:].T.tolist()):
+        if not passed[position]:
+            if final:
+                raise_first_failure(checks, label, rows)
+            continue
+        try:
+            overlaps[rows[position]] = OverlapIntegrals(*values)
+        except ConsistencyError as error:
+            if final:
+                raise ConsistencyError(label.format(rows[position]) + str(error)) from None
+            passed[position] = False
+    return passed
 
 
 def overlap_integrals(
@@ -386,23 +395,59 @@ def overlap_integrals(
 
     For an even PSF (``psf.even``) the folded integrands of the module
     docstring are integrated over the centroid half-window [0, W],
-    W = theta2/2 + R sigma, on 2 ceil(P/2) panels and on ceil(P/2)
-    (P = ``panel_count``), so the overlaps depend on theta2 alone, bit for
-    bit.  Any other PSF is integrated over the full window
-    [X1 - R sigma, X2 + R sigma] on P and 2P panels.  The two rules must
-    agree to ``abs_tolerance`` (ConvergenceError), and int psi^2 must be 1
-    within 10x that (NormalizationError).
+    W = theta2/2 + R sigma, on the passes of ``quadrature_ladder(quad)``, and
+    the overlaps are the finer values of the first pair of passes whose checks
+    pass, so they depend on theta2 alone, bit for bit.  Any other PSF is
+    integrated over the full window [X1 - R sigma, X2 + R sigma] on P and 2P
+    panels (P = ``panel_count``).  The two rules of the pair must agree to
+    ``abs_tolerance`` (ConvergenceError), int psi^2 must be 1 within 10x that
+    (NormalizationError), and the overlaps must pass ``OverlapIntegrals``'s
+    checks (ConsistencyError); at the top pair a failure raises.
 
     A sequence of geometries gives a list, element i equal bit for bit to
     ``overlap_integrals(psf, geometry[i], quad)``: an even PSF's geometries
-    are evaluated in stacked blocks of ``block_size(quad)``, and an error
-    names the first failing row.
+    climb together, in stacked blocks, and an error names the first failing
+    row, with that row's first failing check.
     """
     stacked = not isinstance(geometry, SourceGeometry)
     geometries = list(geometry) if stacked else [geometry]
-    blocks = overlap_blocks(psf, geometries, quad, "row {}: " if stacked else "")
-    overlaps = [overlap for _, block, _ in blocks for overlap in block]
+    if not geometries:  # An empty sweep has no rows.
+        return []
+    label, overlaps = "row {}: " if stacked else "", [None] * len(geometries)
+    if psf.even:
+        wanted = np.zeros(len(geometries), dtype=bool)
+        for _ in overlap_passes(psf, geometries, quad, overlaps, wanted, label):
+            pass
+    else:
+        radius = quad.truncation_radius * psf.sigma
+        lo = np.array([g.x1 - radius for g in geometries])
+        hi = np.array([g.x2 + radius for g in geometries])
+        columns = [
+            _refined_batch(_products(psf, g), lo[row], hi[row], quad)
+            for row, g in enumerate(geometries)
+        ]
+        integrals = np.array([column[0] for column in columns]).T
+        drift = np.array([column[1] for column in columns])
+        _settle(overlaps, np.arange(len(geometries)), integrals, drift, lo, hi, quad, label, True)
     return overlaps if stacked else overlaps[0]
+
+
+def _products(psf, geometry):
+    """``_refined_batch``'s ``evaluate`` for the full-window integrands of ``geometry``.
+
+    They are a1^2, d1^2, d1 a2, d1 d2 and a1 a2, with a_j, d_j = psi, psi' at
+    x - X_j: int psi^2, kappa, gamma, beta and delta.
+    """
+
+    def evaluate(x):
+        a1, d1 = psf.amplitude_and_derivative(x - geometry.x1)
+        a2, d2 = psf.amplitude_and_derivative(x - geometry.x2)
+        products = np.empty((5, x.size))
+        for out, left, right in zip(products, (a1, d1, d1, d1, a1), (a1, d1, a2, d2, a2)):
+            np.multiply(left, right, out=out)
+        return products
+
+    return evaluate
 
 
 def displaced_overlaps(

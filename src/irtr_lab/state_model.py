@@ -158,6 +158,12 @@ def qfim(overlaps: OverlapIntegrals) -> Qfim:
     return Qfim(matrix=np.diag([centroid_info, overlaps.kappa]))
 
 
+def qfim_stack(overlaps) -> np.ndarray:
+    """(n, 2, 2) QFIMs of a sequence of overlaps, row i ``qfim(overlaps[i]).matrix`` bitwise."""
+    # A float's ** can be 1 ulp from numpy's x * x.
+    return np.array([((4.0 * (o.kappa - o.gamma**2), 0.0), (0.0, o.kappa)) for o in overlaps])
+
+
 def c_tilde_from_overlaps(overlaps: OverlapIntegrals) -> float:
     """c_tilde = |beta| / sqrt(kappa (kappa - gamma^2)), without a state model."""
     centroid_quarter = overlaps.kappa - overlaps.gamma**2

@@ -22,7 +22,7 @@ from irtr_lab.experiments import (
     inclusive_grid,
 )
 from irtr_lab.measurements import regret_rows, spade_cutoff
-from irtr_lab.state_model import c_tilde_from_overlaps
+from irtr_lab.state_model import c_tilde_from_overlaps, qfim_stack
 
 
 def read_table(path):
@@ -595,13 +595,13 @@ class TestRunnersMatchScalarRoute:
         points = [(0.0, t) for t in np.geomspace(1e-3, 40.0, 400)]
         geometries = [lab.SourceGeometry(*point) for point in points]
         overlaps = lab.overlap_integrals(psf, geometries, self.quad)
-        quantum = experiments._qfims(overlaps)
+        quantum = qfim_stack(overlaps)
         scalar = np.array([lab.qfim(overlap).matrix for overlap in overlaps])
         assert quantum.tobytes() == scalar.tobytes()
         # The fused pass gives the same overlaps, plus the direct-imaging FIMs.
         fused, fishers = lab.overlaps_and_direct_fims(psf, geometries, self.quad)
         assert fused == overlaps
-        assert experiments._qfims(fused).tobytes() == scalar.tobytes()
+        assert qfim_stack(fused).tobytes() == scalar.tobytes()
         models = (lab.direct_imaging_model(psf, g, self.quad) for g in geometries)
         expected = np.array([lab.fim(model) for model in models])
         assert fishers.tobytes() == expected.tobytes()

@@ -29,6 +29,7 @@ from irtr_lab.measurements import (
     spade_cutoff,
     spawned_pools,
 )
+from irtr_lab.experiments import DEFAULT_SEPARATION_GRID
 from irtr_lab.psf_core import USER_DEFINED, quadrature_grid
 
 
@@ -168,23 +169,29 @@ class TestStackedModels:
 
     def test_direct_imaging_fims_name_the_failing_sweep_row(self):
         # A PSF not known to be even takes the scalar route.  With this rule its
-        # overlaps pass at every separation, but the direct-imaging total first
-        # misses 1 at theta2 = 8, row 6.
+        # overlaps pass at every separation, but the direct-imaging FIM first
+        # drifts beyond tolerance at theta2 = 4, row 4, and from theta2 = 8 on
+        # the total of its coarser pass misses 1.
         psf = lab.PointSpreadFunction(
             USER_DEFINED, 1.0, self.psf.amplitude, self.psf.amplitude_derivative
         )
         quad = lab.QuadratureSpec(panel_count=6, nodes_per_panel=12, abs_tolerance=1e-6)
         geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in (0.5, 1, 2, 3, 4, 6, 8, 12)]
         assert len(lab.overlap_integrals(psf, geometries, quad)) == len(geometries)
-        for geometry in geometries[:6]:
+        for geometry in geometries[:4]:
             lab.fim(lab.direct_imaging_model(psf, geometry, quad))
-        with pytest.raises(ValueError) as single:
-            lab.direct_imaging_model(psf, geometries[6], quad)
-        with pytest.raises(ValueError) as stacked:
-            measurements.overlaps_and_direct_fims(psf, geometries, quad)
-        assert type(stacked.value) is type(single.value) is lab.ConsistencyError
-        assert str(stacked.value) == "row 6: " + str(single.value)
-        assert str(single.value).startswith("total probability 0.99999")
+        cases = (
+            (geometries, 4, lab.ConvergenceError, "direct-imaging F11 drift 1.245e-06 "),
+            (geometries[6:], 0, lab.ConsistencyError, "total probability 0.99999"),
+        )
+        for sweep, row, error, text in cases:
+            with pytest.raises(lab.IrtrLabError) as single:
+                lab.direct_imaging_model(psf, sweep[row], quad)
+            with pytest.raises(lab.IrtrLabError) as stacked:
+                measurements.overlaps_and_direct_fims(psf, sweep, quad)
+            assert type(stacked.value) is type(single.value) is error
+            assert str(stacked.value) == f"row {row}: " + str(single.value)
+            assert str(single.value).startswith(text)
 
     def test_bad_total_names_its_row(self):
         singles = [lab.direct_imaging_model(self.psf, geometry) for geometry in self.geometries]
@@ -248,17 +255,23 @@ class TestStackedModels:
 
 
 class TestOverlapsAndDirectFims:
-    """An even PSF's direct-imaging FIMs come from its overlaps' own half-grid samples."""
+    """An even PSF's direct-imaging FIMs climb the overlaps' ladder of half-grid passes."""
 
     psf = lab.gaussian_psf(1.0)
-    geometries = [
-        lab.SourceGeometry(0.3 * index - 4.0, float(theta2))
-        for index, theta2 in enumerate(np.geomspace(1e-3, 40.0, 100))
+    # Rules and the widest separation each one converges at.
+    rules = [
+        (lab.QuadratureSpec(), 400.0),
+        (lab.QuadratureSpec(panel_count=7, nodes_per_panel=24, abs_tolerance=1e-10), 40.0),
+        (lab.QuadratureSpec(panel_count=24, nodes_per_panel=16), 40.0),
     ]
-    quads = [
-        lab.QuadratureSpec(),
-        lab.QuadratureSpec(panel_count=7, nodes_per_panel=24, abs_tolerance=1e-10),
-    ]
+    quads = [quad for quad, _ in rules]
+
+    @staticmethod
+    def sweep(widest, count=100):
+        return [
+            lab.SourceGeometry(0.3 * index - 4.0, float(theta2))
+            for index, theta2 in enumerate(np.geomspace(1e-3, widest, count))
+        ]
 
     @staticmethod
     def assert_rows_equal_the_scalar_routes(psf, quad, geometries, lengths):
@@ -276,14 +289,29 @@ class TestOverlapsAndDirectFims:
                 np.testing.assert_array_equal(fused, fishers[chunk])
                 # Bit for bit, down to the sign of each zero.
                 assert fused.tobytes() == fishers[chunk].tobytes()
+        return models
 
-    @pytest.mark.parametrize("quad", quads)
-    @pytest.mark.parametrize("block_samples", [1, psf_core.BLOCK_SAMPLES])
-    def test_rows_equal_the_scalar_routes(self, quad, block_samples, monkeypatch):
+    @pytest.mark.parametrize("quad, widest", rules)
+    @pytest.mark.parametrize("block_samples", [1, 1100, psf_core.BLOCK_SAMPLES])
+    def test_rows_equal_the_scalar_routes(
+        self, quad, widest, block_samples, monkeypatch, rung_log
+    ):
         monkeypatch.setattr(psf_core, "BLOCK_SAMPLES", block_samples)
-        size = psf_core.block_size(quad)
-        assert size == 1 or len(self.geometries) % size
-        self.assert_rows_equal_the_scalar_routes(self.psf, quad, self.geometries, (1, 7, 37))
+        geometries = self.sweep(widest)
+        # With smaller blocks, the sweep spans blocks of its first pass and ends in a ragged one.
+        size = psf_core.block_size(quad, psf_core.quadrature_ladder(quad)[0])
+        assert block_samples == 16384 or size == 1 or len(geometries) % size
+        models = self.assert_rows_equal_the_scalar_routes(self.psf, quad, geometries, (1, 7, 37))
+        # The scalar models settled on rungs of every pair of the ladder (the
+        # finer pass of each pair), and in the whole-sweep call each row
+        # climbed to the higher of its overlap and FIM rungs, no further.
+        ladder = psf_core.quadrature_ladder(quad)
+        panels = [model.probabilities.size // (2 * quad.nodes_per_panel) for model in models]
+        fim_rungs = np.array([ladder.index(count) for count in panels])
+        assert set(fim_rungs.tolist()) == set(range(1, len(ladder)))
+        lab.overlap_integrals(self.psf, geometries, quad)
+        overlap_rungs = rung_log[-1]
+        np.testing.assert_array_equal(rung_log[-2], np.maximum(overlap_rungs, fim_rungs))
 
     def test_a_psf_not_known_to_be_even_takes_the_scalar_route(self, monkeypatch):
         psf = lab.PointSpreadFunction(
@@ -291,11 +319,11 @@ class TestOverlapsAndDirectFims:
         )
         for quad, block_samples in itertools.product(self.quads, (1, psf_core.BLOCK_SAMPLES)):
             monkeypatch.setattr(psf_core, "BLOCK_SAMPLES", block_samples)
-            self.assert_rows_equal_the_scalar_routes(psf, quad, self.geometries[::9], (1, 5))
+            self.assert_rows_equal_the_scalar_routes(psf, quad, self.sweep(40.0)[::9], (1, 5))
 
-    @pytest.mark.parametrize("quad", quads)
-    def test_f12_is_exactly_zero(self, quad):
-        _, fishers = measurements.overlaps_and_direct_fims(self.psf, self.geometries, quad)
+    @pytest.mark.parametrize("quad, widest", rules)
+    def test_f12_is_exactly_zero(self, quad, widest):
+        _, fishers = measurements.overlaps_and_direct_fims(self.psf, self.sweep(widest), quad)
         assert np.all(fishers[:, 0, 1] == 0.0) and np.all(fishers[:, 1, 0] == 0.0)
         assert not np.signbit(fishers[:, [0, 1], [1, 0]]).any()
         assert np.all(fishers[:, [0, 1], [0, 1]] > 0.0)
@@ -309,31 +337,88 @@ class TestOverlapsAndDirectFims:
             overlaps, fishers = measurements.overlaps_and_direct_fims(psf, [])
             assert overlaps == [] and fishers.shape == (0, 2, 2)
 
-    def test_overlap_checks_run_first_within_a_block(self, monkeypatch):
-        # With this rule the direct-imaging total misses 1 by ~1e-7 for
-        # theta2 <= 1 while the overlaps pass; from theta2 = 2 on the overlap
-        # drift check fails.  Two geometries per block.
+    def test_overlap_checks_of_every_row_run_first(self, monkeypatch):
+        # This rule's ladder is one pair, on 2 and 4 half-window panels.  The
+        # direct-imaging total on 2 misses 1 by ~1e-7 for theta2 <= 1 while the
+        # overlaps pass; from theta2 = 2 on the overlap drift check fails.
         quad = lab.QuadratureSpec(panel_count=4, nodes_per_panel=10, abs_tolerance=1e-6)
-        monkeypatch.setattr(psf_core, "BLOCK_SAMPLES", 80)
-        assert psf_core.block_size(quad) == 2
+        assert psf_core.quadrature_ladder(quad) == (2, 4)
         geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in (0.1, 0.5, 1.0, 4.0)]
         with pytest.raises(ValueError, match="^total probability") as single:
             lab.fim(lab.direct_imaging_model(self.psf, geometries[2], quad))
         with pytest.raises(lab.ConvergenceError) as drift:
             lab.overlap_integrals(self.psf, geometries[3], quad)
-        # One block: row 1's overlap check wins over row 0's model check.
-        with pytest.raises(lab.ConvergenceError) as fused:
-            measurements.overlaps_and_direct_fims(self.psf, geometries[2:], quad)
-        assert str(fused.value) == "row 1: " + str(drift.value)
-        # An earlier block's model check wins over a later block's overlap check.
-        with pytest.raises(ValueError, match=r"^row 0: total probability 0\.99999"):
-            measurements.overlaps_and_direct_fims(self.psf, geometries, quad)
+        # Two geometries per block on the top pass, then one, then all four:
+        # row 3's overlap check wins over the model checks of rows 0 to 2.
+        for block_samples, size in ((80, 2), (1, 1), (psf_core.BLOCK_SAMPLES, 409)):
+            monkeypatch.setattr(psf_core, "BLOCK_SAMPLES", block_samples)
+            assert psf_core.block_size(quad, 4) == size
+            with pytest.raises(lab.ConvergenceError) as fused:
+                measurements.overlaps_and_direct_fims(self.psf, geometries, quad)
+            assert str(fused.value) == "row 3: " + str(drift.value)
+            # Without it, the first row's model check.
+            with pytest.raises(ValueError, match=r"^row 0: total probability 0\.99999"):
+                measurements.overlaps_and_direct_fims(self.psf, geometries[:3], quad)
         with pytest.raises(ValueError, match=r"^row 0: total probability") as fused:
             measurements.overlaps_and_direct_fims(self.psf, geometries[2:3], quad)
         # The doubled half-grid sum equals the reflected grid's to rounding.
         fused_total = float(str(fused.value).split()[4])
         single_total = float(str(single.value).split()[2])
         assert fused_total == pytest.approx(single_total, rel=1e-15, abs=0.0)
+
+    def test_a_row_whose_coarse_passes_miss_the_total_climbs(self, rung_log):
+        # At 150 sigma the model on 1, 2 or 4 half-window panels misses total
+        # probability 1, so the pair (4, 8) fails; (8, 16) passes every check.
+        theta2 = 150.0
+        window = psf_core.centroid_half_window(self.psf, theta2, lab.QuadratureSpec())
+        for panels, total in ((1, "1.12"), (2, "1.0003"), (4, "0.99999989")):
+            positions, weights = measurements._reflected(*quadrature_grid(0.0, window, panels, 32))
+            fields = measurements._intensity_and_derivatives(self.psf, theta2, positions)
+            with pytest.raises(lab.ConsistencyError, match=f"^total probability {total}"):
+                lab.ProbabilityModel(CONTINUUM_GRID, *fields, weights=weights)
+        geometry = lab.SourceGeometry(0.0, theta2)
+        model = lab.direct_imaging_model(self.psf, geometry)
+        assert model.probabilities.size == 2 * 16 * 32
+        _, fishers = measurements.overlaps_and_direct_fims(self.psf, [geometry])
+        assert rung_log[-1].tolist() == [2]
+        assert fishers[0].tobytes() == lab.fim(model).tobytes()
+        quantum = lab.qfim(lab.gaussian_overlap_integrals(1.0, theta2)).matrix
+        np.testing.assert_allclose(np.diag(fishers[0]), np.diag(quantum), rtol=1e-12)
+
+    def test_a_fim_settles_below_overlaps_that_settle_later(self, monkeypatch, rung_log):
+        # With every row's overlaps held back to the top pair, each FIM still
+        # takes its own first passing pair, (4, 8), once its QFIM is known.
+        original = psf_core._settle
+
+        def top_pair_only(overlaps, rows, *args):
+            final = args[-1]
+            return original(overlaps, rows, *args) if final else np.zeros(len(rows), bool)
+
+        monkeypatch.setattr(psf_core, "_settle", top_pair_only)
+        geometries = self.sweep(40.0, 20)
+        overlaps, fishers = measurements.overlaps_and_direct_fims(self.psf, geometries)
+        assert rung_log[0].tolist() == [3] * len(geometries)
+        models = [lab.direct_imaging_model(self.psf, geometry) for geometry in geometries]
+        assert {model.probabilities.size for model in models} == {2 * 8 * 32}
+        assert fishers.tobytes() == np.array([lab.fim(model) for model in models]).tobytes()
+        assert overlaps == [lab.overlap_integrals(self.psf, geometry) for geometry in geometries]
+
+    def test_fim_drift_beyond_tolerance_names_its_row(self):
+        # On 4 and 8 half-window panels of 16 nodes the overlaps converge over
+        # the default grid, but the direct-imaging F11 first drifts by more than
+        # 1e-12 x QFIM11 at theta2 = 2.45, row 48.
+        quad = lab.QuadratureSpec(panel_count=8, nodes_per_panel=16)
+        geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in DEFAULT_SEPARATION_GRID]
+        assert len(lab.overlap_integrals(self.psf, geometries, quad)) == len(geometries)
+        measurements.overlaps_and_direct_fims(self.psf, geometries[:48], quad)
+        with pytest.raises(lab.ConvergenceError) as single:
+            lab.direct_imaging_model(self.psf, geometries[48], quad)
+        with pytest.raises(lab.ConvergenceError) as stacked:
+            measurements.overlaps_and_direct_fims(self.psf, geometries, quad)
+        assert str(stacked.value) == "row 48: " + str(single.value)
+        assert str(single.value) == (
+            "direct-imaging F11 drift 6.757e-13 exceeds abs_tolerance x QFIM11 = 6.654e-13"
+        )
 
 
 class TestDirectImagingPixelated:
@@ -790,7 +875,8 @@ class TestFisherInformation:
         grads = (model.dp_dtheta1, model.dp_dtheta2)
         for j in range(2):
             for k in range(2):
-                expected[j, k] = np.sum(
+                # Correctly rounded, so the mirror-image terms of F12 cancel exactly.
+                expected[j, k] = math.fsum(
                     model.weights[keep]
                     * grads[j][keep]
                     * grads[k][keep]

@@ -8,13 +8,20 @@ expressions before these tests were written.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import irtr_lab as lab
 from irtr_lab import psf_core
-from irtr_lab.psf_core import USER_DEFINED, block_size, displaced_overlaps, quadrature_grid
+from irtr_lab.psf_core import (
+    USER_DEFINED,
+    block_size,
+    displaced_overlaps,
+    quadrature_grid,
+    quadrature_ladder,
+)
 
 # Closed-form references for sigma = 1 (kappa = 1/4 regardless of theta2).
 GAMMA_SIGMA1_SEP2 = -0.3032653298563167
@@ -44,14 +51,25 @@ class TestGaussianPsf:
         psf = lab.gaussian_psf(sigma)
         x = np.linspace(-40.0 * sigma, 40.0 * sigma, 200_001)
         amplitude, derivative = psf.amplitude_and_derivative(x)
-        # psi' with its own exponential, as the PSF computed it before the joint form.
+        # psi and psi' each with its own exponential, as the PSF computed them
+        # before the joint form.
         norm = (2.0 * np.pi * sigma**2) ** -0.25
         inv_2s2, inv_4s2 = 1.0 / (2.0 * sigma**2), 1.0 / (4.0 * sigma**2)
+        envelope = norm * np.exp(-(x**2) * inv_4s2)
         separate = -x * inv_2s2 * norm * np.exp(-(x**2) * inv_4s2)
-        np.testing.assert_array_equal(amplitude, psf.amplitude(x))
+        np.testing.assert_array_equal(amplitude, envelope)
+        np.testing.assert_array_equal(psf.amplitude(x), envelope)
         np.testing.assert_array_equal(derivative, separate)
         np.testing.assert_array_equal(psf.amplitude_derivative(x), separate)
         assert amplitude[0] * derivative[0] == 0.0 < amplitude[0]
+
+    def test_far_out_amplitude_is_zero_without_an_overflow_warning(self):
+        # x^2 overflows to inf beyond |x| ~ 1.3e154; the envelope takes its limit 0.
+        psf = lab.gaussian_psf(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert psf.amplitude(np.array([1e200])).tolist() == [0.0]
+            assert psf.amplitude_derivative(np.array([-1e200])).tolist() == [0.0]
 
     def test_evaluation_into_given_arrays_is_bitwise_the_allocating_one(self):
         gaussian = lab.gaussian_psf(0.8)
@@ -307,8 +325,11 @@ class TestGaussianClosedForms:
 
 
 class TestOverlapQuadrature:
-    @pytest.mark.parametrize("theta2", [0.1, 0.5, 1.0, 2.0, 4.0, 8.0])
+    @pytest.mark.parametrize(
+        "theta2", [0.1, 0.5, 1.0, 2.0, 4.0, 8.0, *np.geomspace(1e-3, 40.0, 25).tolist()]
+    )
     def test_matches_closed_forms(self, theta2):
+        # Every rung of the ladder a separation settles on is within tolerance.
         psf = lab.gaussian_psf(1.0)
         quad_ov = lab.overlap_integrals(psf, lab.SourceGeometry(0.0, theta2))
         closed = lab.gaussian_overlap_integrals(1.0, theta2)
@@ -390,26 +411,46 @@ class TestFoldedOverlaps:
         # Derived from the kind, not a field a caller could set.
         assert "even" not in {field.name for field in dataclasses.fields(fields)}
 
-    @pytest.mark.parametrize(
-        "quad",
-        [
-            lab.QuadratureSpec(),
-            lab.QuadratureSpec(panel_count=7, nodes_per_panel=24, abs_tolerance=1e-10),
-        ],
-    )
-    def test_stacked_rows_equal_single_calls(self, quad):
+    # Rules and the widest separation each one converges at.
+    rules = [
+        (lab.QuadratureSpec(), 400.0),
+        (lab.QuadratureSpec(panel_count=7, nodes_per_panel=24, abs_tolerance=1e-10), 60.0),
+        (lab.QuadratureSpec(panel_count=24, nodes_per_panel=16), 60.0),
+    ]
+
+    def test_the_ladder_doubles_up_to_the_top_pair(self):
+        ladders = {
+            1: (1, 2), 2: (1, 2), 3: (2, 4), 4: (2, 4), 6: (3, 6), 7: (4, 8), 8: (4, 8),
+            12: (6, 12), 16: (4, 8, 16), 24: (6, 12, 24), 32: (4, 8, 16, 32), 33: (17, 34),
+            64: (4, 8, 16, 32, 64),
+        }
+        for panel_count, ladder in ladders.items():
+            assert quadrature_ladder(lab.QuadratureSpec(panel_count=panel_count)) == ladder
+
+    @pytest.mark.parametrize("quad, widest", rules)
+    @pytest.mark.parametrize("block_samples", [1, 1100, psf_core.BLOCK_SAMPLES])
+    def test_stacked_rows_equal_single_calls(
+        self, quad, widest, block_samples, monkeypatch, rung_log
+    ):
+        monkeypatch.setattr(psf_core, "BLOCK_SAMPLES", block_samples)
         geometries = [
             lab.SourceGeometry(0.3 * index - 4.0, float(theta2))
-            for index, theta2 in enumerate(np.geomspace(3e-6, 60.0, 100))
+            for index, theta2 in enumerate(np.geomspace(3e-6, widest, 100))
         ]
-        lengths, size = (1, 2, 4, 6, len(geometries)), block_size(quad)
-        # Some call spans more than one block and ends in a ragged one.
-        assert any(length > size and length % size for length in lengths)
         singles = [lab.overlap_integrals(self.psf, geometry, quad) for geometry in geometries]
+        single_rungs = np.concatenate(rung_log)
+        lengths = (1, 2, 4, 6, len(geometries))
+        # With smaller blocks, the sweep spans blocks of its first pass and ends in a ragged one.
+        size = block_size(quad, quadrature_ladder(quad)[0])
+        assert block_samples == 16384 or size == 1 or len(geometries) % size
         for length in lengths:
             for start in range(0, len(geometries), length):
                 chunk = slice(start, start + length)
                 assert lab.overlap_integrals(self.psf, geometries[chunk], quad) == singles[chunk]
+                # Each row settles on its own rung, whatever rows share its blocks.
+                np.testing.assert_array_equal(rung_log[-1], single_rungs[chunk])
+        # Rows of different rungs share the sweep wherever the ladder has more than one pair.
+        assert len(set(single_rungs.tolist())) == len(quadrature_ladder(quad)) - 1
 
     def test_folded_and_full_window_routes_agree(self):
         # The same Gaussian under a kind not known to be even is integrated
@@ -446,10 +487,10 @@ class TestFoldedOverlaps:
         assert messages[0] == messages[1]
 
     def test_stacked_drift_failure_names_its_sweep_row(self):
-        # 64 samples per geometry with this rule: the first failing geometry,
-        # two rows past the first block, lies in the second.
+        # 64 samples per geometry on the top pass of this rule: the first failing
+        # geometry, two rows past the first block, lies in the second.
         quad = lab.QuadratureSpec(panel_count=4, nodes_per_panel=16)
-        size = block_size(quad)
+        size = block_size(quad, quadrature_ladder(quad)[-1])
         assert size == psf_core.BLOCK_SAMPLES // 64
         separations = [*np.linspace(0.1, 1.0, size + 2).tolist(), 5.0, 10.0]
         geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in separations]
@@ -458,6 +499,38 @@ class TestFoldedOverlaps:
         with pytest.raises(lab.ConvergenceError) as stacked:
             lab.overlap_integrals(self.psf, geometries, quad)
         assert str(stacked.value) == f"row {size + 2}: " + str(single.value)
+
+    def test_a_row_that_climbs_is_named_by_its_sweep_row(self, rung_log):
+        # Rows settle on rungs 1, 2 and 3; the failing row is the second of the
+        # rows left on the top pass, six rows into the sweep.
+        separations = (0.1, 1.0, 150.0, 4.0, 300.0, 8.0, 1000.0, 2000.0)
+        geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in separations]
+        lab.overlap_integrals(self.psf, geometries[:6])
+        assert rung_log[-1].tolist() == [1, 1, 2, 1, 3, 1]
+        with pytest.raises(lab.ConvergenceError) as single:
+            lab.overlap_integrals(self.psf, geometries[6])
+        with pytest.raises(lab.ConvergenceError) as stacked:
+            lab.overlap_integrals(self.psf, geometries)
+        assert str(stacked.value) == "row 6: " + str(single.value)
+        # The top pair is the rule every row took before the ladder: the same message.
+        assert str(single.value) == (
+            "quadrature drift 1.374e-03 exceeds tolerance 1.000e-12 on [-512, 512]"
+        )
+
+    def test_a_row_climbs_past_pairs_that_fail_its_checks(self, rung_log):
+        # At 150 sigma the pair (4, 8) drifts beyond tolerance; (8, 16) agrees.
+        geometry = lab.SourceGeometry(0.0, 150.0)
+        coarse = lab.QuadratureSpec(panel_count=8)
+        assert quadrature_ladder(coarse) == (4, 8)
+        with pytest.raises(lab.ConvergenceError, match="^quadrature drift"):
+            lab.overlap_integrals(self.psf, geometry, coarse)
+        settled = lab.overlap_integrals(self.psf, geometry)
+        assert rung_log[-1].tolist() == [2]
+        top = lab.QuadratureSpec(panel_count=16)
+        assert settled == lab.overlap_integrals(self.psf, geometry, top)
+        closed = lab.gaussian_overlap_integrals(1.0, 150.0)
+        for name in ("kappa", "gamma", "beta", "delta"):
+            assert abs(getattr(settled, name) - getattr(closed, name)) <= 1e-12
 
 
 class TestDisplacedOverlaps:
