@@ -41,12 +41,14 @@ from .psf_core import (
     QuadratureSpec,
     SourceGeometry,
     centroid_half_window,
+    first_passes,
+    folded_integrals,
     overlap_integrals,
     overlap_passes,
     quadrature_grid,
     quadrature_ladder,
 )
-from .state_model import Qfim, StateModel4, qfim, qfim_stack
+from .state_model import Qfim, StateModel4
 from .tradeoff import RESIDUAL_FLOOR
 
 CONTINUUM_GRID = "continuum_grid"
@@ -176,22 +178,27 @@ def direct_imaging_model(
     grid is a composite Gauss-Legendre half-grid on [0, theta2/2 + R sigma]
     whose nodes and weights are reflected bitwise, so outcome i and outcome
     n-1-i are mirror images.  The half-grid climbs the passes of
-    ``quadrature_ladder(quad)``, and the model is the finer pass's of the
-    first pair of passes (h, 2h) whose models both pass their own and
-    ``fim``'s checks and whose F_jj drift by at most ``abs_tolerance`` times
-    QFIM_jj, the QFIM of ``overlap_integrals``.  At the top pair a failure
-    raises: the coarser pass's, the finer pass's, then the drift's
-    (ConvergenceError).
+    ``quadrature_ladder(quad)`` from ``first_passes``, and the model is the
+    finer pass's of the first pair of passes (h, 2h) whose models both pass
+    their own and ``fim``'s checks and whose F_jj drift by at most
+    ``abs_tolerance`` times QFIM_jj, the QFIM of the finer pass's kappa and
+    gamma.  At the top pair a failure raises: the coarser pass's, the finer
+    pass's, then the drift's (ConvergenceError).
     """
-    quantum = np.diagonal(qfim(overlap_integrals(psf, geometry, quad)).matrix)
     window = centroid_half_window(psf, geometry.theta2, quad)
     counts, previous = quadrature_ladder(quad), None
-    for index, count in enumerate(counts):
-        grid = quadrature_grid(0.0, window, count, quad.nodes_per_panel)
-        positions, weights = _reflected(*grid)
-        fields = _intensity_and_derivatives(psf, geometry.theta2, positions)
+    for index in range(int(first_passes(psf, geometry.theta2, quad)), len(counts)):
+        half_x, half_w = quadrature_grid(0.0, window, counts[index], quad.nodes_per_panel)
+        positions, weights = _reflected(half_x, half_w)
+        amplitudes = _amplitudes(psf, geometry.theta2, positions)
+        if psf.even:  # The sweep's folded sums, over the right half.
+            right = [a[half_x.size :] for a in amplitudes]
+            kappa, gamma = folded_integrals(*right, half_w, np.empty(half_w.shape))[1:3]
+        else:
+            a1, d1, a2, _ = amplitudes
+            kappa, gamma = np.vecdot(d1 * d1, weights), np.vecdot(d1 * a2, weights)
         try:
-            model = ProbabilityModel(CONTINUUM_GRID, *fields, weights=weights)
+            model = ProbabilityModel(CONTINUUM_GRID, *_fields(*amplitudes), weights=weights)
             fisher = fim(model)
         except (ConsistencyError, DegenerateOutcomeError):
             if index >= len(counts) - 2:  # A pass of the top pair.
@@ -199,26 +206,26 @@ def direct_imaging_model(
             previous = None
             continue
         if previous is not None:
-            checks = _fim_drift_checks(fisher, previous, quantum, quad)
+            checks = _fim_drift_checks(fisher, previous, kappa, gamma, quad)
             if index == len(counts) - 1 or not any(check[2] for check in checks):
                 raise_first_failure(checks, "")
                 return model
         previous = fisher
 
 
-def _fim_drift_checks(fishers, previous, quantum, quad):
+def _fim_drift_checks(fishers, previous, kappa, gamma, quad):
     """The checks that each F_jj drifts from ``previous`` by at most abs_tolerance x QFIM_jj.
 
-    ``quantum`` holds the QFIM diagonals, shaped like the FIMs' diagonals.
+    The QFIM diagonals are 4 (kappa - gamma^2) and kappa, from ``kappa`` and
+    ``gamma``, shaped like the FIMs' diagonals' first axes.
     """
     drift = np.abs(np.diagonal(fishers, 0, -2, -1) - np.diagonal(previous, 0, -2, -1))
-    bound = quad.abs_tolerance * quantum
+    bounds = [quad.abs_tolerance * 4.0 * (kappa - gamma * gamma), quad.abs_tolerance * kappa]
     message = "direct-imaging F{0}{0} drift {{:.3e}} exceeds abs_tolerance x QFIM{0}{0} = {{:.3e}}"
     return [
         # Written as `~(... <= bound)` so that a NaN drift fails the check.
-        (ConvergenceError, message.format(j + 1), ~(drift[..., j] <= bound[..., j]),
-         drift[..., j], bound[..., j])
-        for j in range(2)
+        (ConvergenceError, message.format(j + 1), ~(drift[..., j] <= bound), drift[..., j], bound)
+        for j, bound in enumerate(bounds)
     ]
 
 
@@ -234,10 +241,10 @@ def overlaps_and_direct_fims(psf, geometries, quad=QuadratureSpec()):
     its rows, from the same half-grid samples, in descending u (the reflected
     grid's left half), each outcome standing for its mirror image too: F11 and
     F22 sum doubled products and F12 is 0.0, as ``fim`` pairs the reflected
-    grid; the model checks' sums equal its own to rounding.  A row's FIM takes
-    the first pair of passes whose checks pass once its overlaps, and so its
-    QFIM, have settled.  The first row whose FIM fails at the top pair raises
-    the error of its scalar route, run again for that row.
+    grid; the model checks' sums equal its own to rounding.  A row's FIM
+    takes the first pair of passes whose checks pass, its drift bound from
+    the pass's own kappa and gamma.  A row whose FIM fails at the top pair
+    runs its scalar route, which raises that route's error.
     """
     fishers = np.empty((len(geometries), 2, 2))
     if not psf.even:
@@ -247,14 +254,11 @@ def overlaps_and_direct_fims(psf, geometries, quad=QuadratureSpec()):
         return overlaps, fishers
     if not geometries:
         return [], fishers
-    count, passes = len(geometries), len(quadrature_ladder(quad))
-    overlaps = [None] * count
-    # Rows whose FIM is unsettled; rows whose overlaps, and so QFIM diagonals, are known.
-    wanted, known, quantum = np.ones(count, bool), np.zeros(count, bool), np.empty((count, 2))
-    # Each pass's FIM of each row, and whether it passed its checks.
-    history, valid = np.empty((passes, count, 2, 2)), np.zeros((passes, count), bool)
+    overlaps, wanted = [None] * len(geometries), np.ones(len(geometries), bool)
+    # Each row's FIM on its latest pass, and whether that pass met its checks.
+    previous, passed = np.zeros_like(fishers), np.zeros(len(geometries), bool)
     blocks = overlap_passes(psf, geometries, quad, overlaps, wanted, spare=2)
-    for index, rows, (x, w, a1, d1, a2, d2, *fields) in blocks:
+    for _, rows, integrals, (x, w, a1, d1, a2, d2, *fields) in blocks:
         # The fields, in descending u, land in x and the spare arrays and the
         # weights in a2, all in order in memory; a1, d1 and d2 are fim's work.
         amplitudes = (a[:, ::-1] for a in (a1, d1, a2, d2))
@@ -262,28 +266,17 @@ def overlaps_and_direct_fims(psf, geometries, quad=QuadratureSpec()):
         weights = a2
         weights[...] = w[:, ::-1]
         checks = _model_checks(probabilities, derivatives, weights, mirrored=True)
-        history[index, rows], fisher_checks = _fisher_information(
+        fisher, fisher_checks = _fisher_information(
             probabilities, derivatives, weights, (a1, d1, d2), mirrored=True
         )
-        valid[index, rows] = ~np.any([check[2] for check in checks + fisher_checks], axis=0)
-        fresh = [row for row in rows.tolist() if not known[row] and overlaps[row] is not None]
-        if fresh:
-            known[fresh] = True
-            quantum[fresh] = qfim_stack([overlaps[row] for row in fresh])[:, [0, 1], [0, 1]]
-        # A row with known QFIM takes the first pair of passes so far whose checks pass.
-        ready = rows[wanted[rows] & known[rows]]
-        if index and ready.size:
-            past = history[: index + 1, ready]
-            drift_checks = _fim_drift_checks(past[1:], past[:-1], quantum[ready], quad)
-            drifted = np.any([check[2] for check in drift_checks], axis=0)
-            passed = valid[1 : index + 1, ready] & valid[:index, ready] & ~drifted
-            hit = passed.any(axis=0)
-            settled, pair = ready[hit], passed.argmax(axis=0)[hit] + 1
-            fishers[settled], wanted[settled] = history[pair, settled], False
-    if wanted.any():  # The first row that failed at the top pair raises its scalar route's error.
-        row = int(wanted.argmax())
-        _direct_fim(psf, geometries, row, quad)
-        raise ConsistencyError(f"row {row}: the sweep's direct-imaging FIM failed where fim passed")
+        valid = ~np.any([check[2] for check in checks + fisher_checks], axis=0)
+        drift_checks = _fim_drift_checks(fisher, previous[rows], *integrals[1:3], quad)
+        drifted = np.any([check[2] for check in drift_checks], axis=0)
+        settled = wanted[rows] & passed[rows] & valid & ~drifted
+        fishers[rows[settled]], wanted[rows[settled]] = fisher[settled], False
+        previous[rows], passed[rows] = fisher, valid
+    for row in np.flatnonzero(wanted).tolist():
+        fishers[row] = _direct_fim(psf, geometries, row, quad)
     return overlaps, fishers
 
 
@@ -338,19 +331,27 @@ def _reflected(nodes, weights):
 
 def _intensity_and_derivatives(psf, theta2, offsets):
     """p = (a1^2 + a2^2) / 2, dp/dtheta1 and dp/dtheta2 at ``offsets``."""
+    return _fields(*_amplitudes(psf, theta2, offsets))
+
+
+def _amplitudes(psf, theta2, offsets):
+    """psi, psi' of each source at ``offsets``, in four arrays of their own."""
     # Offsets from the centroid: source j sits at -+theta2/2, so for an even
     # PSF p is even and dp/dtheta1 odd, bit for bit.
     half = 0.5 * theta2
-    amplitudes = [*psf.amplitude_and_derivative(offsets + half)]
-    amplitudes += psf.amplitude_and_derivative(offsets - half)
-    return _fields(*amplitudes, (amplitudes[0], amplitudes[2], np.empty(offsets.shape)))
+    amplitudes = [np.empty(np.shape(offsets)) for _ in range(4)]
+    psf.amplitude_and_derivative(offsets + half, out=amplitudes[:2])
+    psf.amplitude_and_derivative(offsets - half, out=amplitudes[2:])
+    return amplitudes
 
 
-def _fields(amp1, damp1, amp2, damp2, out):
+def _fields(amp1, damp1, amp2, damp2, out=None):
     """p, dp/dtheta1, dp/dtheta2 from psi, psi' of each source, into the three arrays ``out``.
 
-    The four inputs are overwritten; ``out`` may reuse amp1 and amp2.
+    The four inputs are overwritten; ``out`` may reuse amp1 and amp2, as it does by default.
     """
+    if out is None:
+        out = amp1, amp2, np.empty(np.shape(amp1))
     probabilities, dp_dtheta1, dp_dtheta2 = out
     # d(x - X_j)/dtheta1 = -1 for both sources; for theta2 the two sources
     # move apart, so the signs split.
@@ -359,7 +360,7 @@ def _fields(amp1, damp1, amp2, damp2, out):
     np.multiply(probabilities, 0.5, out=probabilities)
     np.negative(np.add(work1, work2, out=dp_dtheta1), out=dp_dtheta1)
     np.multiply(np.subtract(work1, work2, out=dp_dtheta2), 0.5, out=dp_dtheta2)
-    return out
+    return probabilities, dp_dtheta1, dp_dtheta2
 
 
 def _gammaln(x):

@@ -27,9 +27,10 @@ half-window (``quadrature_ladder``), up to 2 ceil(P/2), P = ``panel_count``,
 which caps the ladder.  A geometry takes the finer value of the first pair of
 passes (h, 2h) whose checks pass: the two must agree to ``abs_tolerance``,
 int psi^2 must be 1 within 10x that, and the overlaps must be consistent.  A
-failure at the top pair, (ceil(P/2), 2 ceil(P/2)), raises.  The rung depends
-on theta2 and the rule alone, so the overlaps do too, bit for bit, and a sweep
-runs each pass over blocks of the geometries still climbing
+failure at the top pair, (ceil(P/2), 2 ceil(P/2)), raises.  Separations below
+``NEAR_COINCIDENCE`` sigma start on the top pair (``first_passes``).  The rung
+depends on theta2/sigma and the rule alone, so the overlaps do too, bit for
+bit, and a sweep runs each pass over blocks of the geometries still climbing
 (``overlap_passes``), whose samples also give the direct-imaging FIMs, which
 settle on the same ladder by checks of their own.  Any other PSF is
 integrated over the full window on P and 2P panels, with the same checks.
@@ -286,40 +287,83 @@ def quadrature_ladder(quad: QuadratureSpec) -> tuple[int, ...]:
     return (*counts, 2 * counts[-1])
 
 
+# Separations below this many sigma start on the top pair of the ladder.  Near
+# coincidence eta3^2 = kappa + beta - gamma^2 / (1 - delta) shrinks as theta2^4
+# while an error in delta enters it times about 4 sigma^2 / theta2^2, so the
+# coarser pairs' overlaps leave it negative (a DegenerateStateError) at some
+# separations below 0.0075 sigma where the top pair's do not.
+NEAR_COINCIDENCE = 0.02
+
+
+def first_passes(psf: PointSpreadFunction, theta2, quad: QuadratureSpec) -> np.ndarray:
+    """Index into ``quadrature_ladder(quad)`` of the first pass of each separation.
+
+    It is 0, or the top pair's coarser pass below ``NEAR_COINCIDENCE`` sigma.
+    """
+    top = len(quadrature_ladder(quad)) - 2
+    return np.where(np.asarray(theta2) < NEAR_COINCIDENCE * psf.sigma, top, 0)
+
+
 def block_size(quad: QuadratureSpec, panels: int) -> int:
     """Geometries per stacked block of a pass on ``panels`` half-window panels."""
     return max(1, BLOCK_SAMPLES // (panels * quad.nodes_per_panel))
 
 
+def folded_integrals(a1, d1, a2, d2, w, work):
+    """(int psi^2, kappa, gamma, beta, delta) of the folded integrands, a column per row.
+
+    a_j, d_j are psi, psi' at u +- theta2/2 on a half-window grid of weights
+    ``w``, a row per geometry (or one 1-D row); ``work``, of their shape, is
+    overwritten.
+    """
+
+    # A dot product per row (BLAS where available): as accurate as the
+    # full-window route's matrix product, which a plain running sum is not.
+    def integral(u, v):
+        return np.vecdot(np.multiply(u, v, out=work), w)
+
+    return np.array([
+        integral(a1, a1) + integral(a2, a2),
+        integral(d1, d1) + integral(d2, d2),
+        integral(d1, a2) - integral(d2, a1),
+        2.0 * integral(d1, d2),
+        2.0 * integral(a1, a2),
+    ])
+
+
 def overlap_passes(psf, geometries, quad, overlaps, wanted, label="row {}: ", spare=0):
-    """Yield (pass, rows, samples) for each block of each pass of an even PSF's ladder,
-    once the block's overlaps have settled where they can.
+    """Yield (pass, rows, integrals, samples) for each block of each pass of an even
+    PSF's ladder, once the block's overlaps have settled where they can.
 
     Pass k runs on ``quadrature_ladder(quad)[k]`` panels of the half-window
     [0, W], W = theta2/2 + R sigma, for the rows (ascending indices into
-    ``geometries``) still climbing as it starts: a row climbs while its
-    overlaps are unsettled or its entry of ``wanted``, a mask the caller
-    updates as it goes, is set.  Row i's overlaps go to ``overlaps[i]`` from
-    the first pair of passes whose checks pass (``_settle``); at the top pair
-    a failure raises, the row named by ``label``.  ``samples`` are the block's
-    (x, w, a1, d1, a2, d2), a row per geometry in ascending u, x free for
-    reuse, then ``spare`` arrays of their shape.  u -> -u maps a1 <-> a2 and
-    d1 <-> -d2, which folds each integral over [-W, W] onto [0, W].  Every
-    block-sized array lives in buffers allocated once per call: blocks that
-    allocate their own leave the heap top free after each block, and glibc
-    then trims it and faults it back in on the next block, at a cost set by
-    the process's heap history.
+    ``geometries``) still climbing as it starts, each from its first pass
+    (``first_passes``) on: a row climbs while its overlaps are unsettled or
+    its entry of ``wanted``, a mask the caller updates as it goes, is set.
+    Row i's overlaps go to ``overlaps[i]`` from the first pair of passes whose
+    checks pass (``_settle``); at the top pair a failure raises, the row named
+    by ``label``.  ``integrals`` are the block's ``folded_integrals`` on this
+    pass.  ``samples`` are its (x, w, a1, d1, a2, d2), a row per geometry in
+    ascending u, x free for reuse, then ``spare`` arrays of their shape.
+    u -> -u maps a1 <-> a2 and d1 <-> -d2, which folds each integral over
+    [-W, W] onto [0, W].  Every block-sized array lives in buffers allocated
+    once per call: blocks that allocate their own leave the heap top free
+    after each block, and glibc then trims it and faults it back in on the
+    next block, at a cost set by the process's heap history.
     """
     theta1, theta2 = np.array([(g.theta1, g.theta2) for g in geometries]).T
     window = centroid_half_window(psf, theta2, quad)
     with np.errstate(over="ignore"):  # The bounds only label errors: +-inf will do.
         lo, hi = theta1 - window, theta1 + window
     counts, nodes = quadrature_ladder(quad), quad.nodes_per_panel
+    first = first_passes(psf, theta2, quad)
     length = max(min(block_size(quad, count), len(theta2)) * count for count in counts) * nodes
     buffers = [np.empty(length) for _ in range(6 + spare)]
-    unsettled, previous = np.ones(len(theta2), dtype=bool), np.empty((5, len(theta2)))
+    # A row's first pass has no drift to check; zeros keep its drift finite.
+    unsettled, previous = np.ones(len(theta2), dtype=bool), np.zeros((5, len(theta2)))
     for index, count in enumerate(counts):
-        climbing, size = np.flatnonzero(unsettled | wanted), block_size(quad, count)
+        climbing = np.flatnonzero((unsettled | wanted) & (first <= index))
+        size = block_size(quad, count)
         for start in range(0, len(climbing), size):
             rows = climbing[start : start + size]
             samples = [buffer[: rows.size * count * nodes] for buffer in buffers]
@@ -329,27 +373,15 @@ def overlap_passes(psf, geometries, quad, overlaps, wanted, label="row {}: ", sp
             quadrature_grid(0.0, window[rows], count, nodes, out=(x, w))
             psf.amplitude_and_derivative(np.add(x, half, out=a2), out=(a1, d1))
             psf.amplitude_and_derivative(np.subtract(x, half, out=x), out=(a2, d2))
-
-            # A dot product per row (BLAS where available): as accurate as the
-            # full-window route's matrix product, which a plain running sum is not.
-            def integral(u, v):
-                return np.vecdot(np.multiply(u, v, out=x), w)
-
-            integrals = np.array([
-                integral(a1, a1) + integral(a2, a2),
-                integral(d1, d1) + integral(d2, d2),
-                integral(d1, a2) - integral(d2, a1),
-                2.0 * integral(d1, d2),
-                2.0 * integral(a1, a2),
-            ])
-            if index:
-                drift = np.max(np.abs(integrals - previous[:, rows]), axis=0)
-                open_rows = unsettled[rows]
-                settling = (integrals[:, open_rows], drift[open_rows], lo, hi, quad, label)
-                settled = _settle(overlaps, rows[open_rows], *settling, index == len(counts) - 1)
-                unsettled[rows[open_rows][settled]] = False
+            integrals = folded_integrals(a1, d1, a2, d2, w, x)
+            # Rows past their first pass settle on the pair this pass closes.
+            drift = np.max(np.abs(integrals - previous[:, rows]), axis=0)
+            open_rows = unsettled[rows] & (first[rows] < index)
+            settling = (integrals[:, open_rows], drift[open_rows], lo, hi, quad, label)
+            settled = _settle(overlaps, rows[open_rows], *settling, index == len(counts) - 1)
+            unsettled[rows[open_rows][settled]] = False
             previous[:, rows] = integrals
-            yield index, rows, samples
+            yield index, rows, integrals, samples
 
 
 def _settle(overlaps, rows, integrals, drift, lo, hi, quad, label, final):

@@ -18,9 +18,9 @@ def rung_log(monkeypatch):
     def recording(psf, geometries, *args, **kwargs):
         rungs = np.full(len(geometries), -1)
         calls.append(rungs)
-        for index, rows, samples in original(psf, geometries, *args, **kwargs):
+        for index, rows, *block in original(psf, geometries, *args, **kwargs):
             rungs[rows] = index
-            yield index, rows, samples
+            yield index, rows, *block
 
     monkeypatch.setattr(psf_core, "overlap_passes", recording)
     monkeypatch.setattr(measurements, "overlap_passes", recording)

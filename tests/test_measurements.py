@@ -385,23 +385,42 @@ class TestOverlapsAndDirectFims:
         quantum = lab.qfim(lab.gaussian_overlap_integrals(1.0, theta2)).matrix
         np.testing.assert_allclose(np.diag(fishers[0]), np.diag(quantum), rtol=1e-12)
 
-    def test_a_fim_settles_below_overlaps_that_settle_later(self, monkeypatch, rung_log):
-        # With every row's overlaps held back to the top pair, each FIM still
-        # takes its own first passing pair, (4, 8), once its QFIM is known.
-        original = psf_core._settle
+    def test_near_coincident_fims_take_the_top_pair(self):
+        # Like their overlaps, rows below NEAR_COINCIDENCE sigma run the top
+        # pair, (16, 32), and its FIM drift check passes there.
+        separations = np.geomspace(1e-5, 0.03, 1500)
+        geometries = [lab.SourceGeometry(0.0, float(theta2)) for theta2 in separations]
+        _, fishers = measurements.overlaps_and_direct_fims(self.psf, geometries)
+        for theta2, panels in ((1e-5, 32), (0.0199, 32), (0.0201, 8), (0.03, 8)):
+            model = lab.direct_imaging_model(self.psf, lab.SourceGeometry(0.0, theta2))
+            assert model.probabilities.size == 2 * panels * 32
+        for row in (0, -1):
+            model = lab.direct_imaging_model(self.psf, geometries[row])
+            assert fishers[row].tobytes() == lab.fim(model).tobytes()
 
-        def top_pair_only(overlaps, rows, *args):
-            final = args[-1]
-            return original(overlaps, rows, *args) if final else np.zeros(len(rows), bool)
+    def test_psf_values_are_read_not_written(self):
+        # A PSF's callables may hand back arrays the caller must not write to.
+        def read_only(function):
+            def evaluate(x):
+                values = function(x)
+                values.flags.writeable = False
+                return values
 
-        monkeypatch.setattr(psf_core, "_settle", top_pair_only)
-        geometries = self.sweep(40.0, 20)
-        overlaps, fishers = measurements.overlaps_and_direct_fims(self.psf, geometries)
-        assert rung_log[0].tolist() == [3] * len(geometries)
-        models = [lab.direct_imaging_model(self.psf, geometry) for geometry in geometries]
-        assert {model.probabilities.size for model in models} == {2 * 8 * 32}
-        assert fishers.tobytes() == np.array([lab.fim(model) for model in models]).tobytes()
-        assert overlaps == [lab.overlap_integrals(self.psf, geometry) for geometry in geometries]
+            return evaluate
+
+        plain = lab.PointSpreadFunction(
+            USER_DEFINED, 1.0, self.psf.amplitude, self.psf.amplitude_derivative
+        )
+        guarded = dataclasses.replace(
+            plain,
+            amplitude=read_only(plain.amplitude),
+            amplitude_derivative=read_only(plain.amplitude_derivative),
+        )
+        geometry = lab.SourceGeometry(0.3, 1.0)
+        for model in (lab.direct_imaging_model, measurements.direct_imaging_pixelated_model):
+            arguments = (geometry, 0.25) if model is not lab.direct_imaging_model else (geometry,)
+            expected = lab.fim(model(plain, *arguments))
+            assert lab.fim(model(guarded, *arguments)).tobytes() == expected.tobytes()
 
     def test_fim_drift_beyond_tolerance_names_its_row(self):
         # On 4 and 8 half-window panels of 16 nodes the overlaps converge over

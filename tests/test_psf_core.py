@@ -533,6 +533,40 @@ class TestFoldedOverlaps:
             assert abs(getattr(settled, name) - getattr(closed, name)) <= 1e-12
 
 
+    def test_near_coincident_separations_start_on_the_top_pair(self, monkeypatch):
+        # Below NEAR_COINCIDENCE sigma a row runs the top pair only, the rule
+        # every row took before the ladder, so its overlaps are that rule's;
+        # the rest of this scan runs the pair (4, 8) and settles there.
+        quad = lab.QuadratureSpec()
+        separations = np.geomspace(1e-5, 0.03, 1500)
+        near = separations < psf_core.NEAR_COINCIDENCE
+        first = psf_core.first_passes(self.psf, separations, quad)
+        np.testing.assert_array_equal(first, np.where(near, 2, 0))
+        taken, original = np.zeros((4, separations.size), bool), psf_core.overlap_passes
+
+        def recording(*args, **kwargs):
+            for index, rows, *block in original(*args, **kwargs):
+                taken[index, rows] = True
+                yield index, rows, *block
+
+        monkeypatch.setattr(psf_core, "overlap_passes", recording)
+        geometries = [lab.SourceGeometry(0.0, float(theta2)) for theta2 in separations]
+        overlaps = lab.overlap_integrals(self.psf, geometries, quad)
+        assert (taken[:, near].T == [False, False, True, True]).all()
+        assert (taken[:, ~near].T == [True, True, False, False]).all()
+        # eta3^2 = kappa + beta - gamma^2/(1 - delta) cancels near coincidence,
+        # and the overlaps' rounding, times about 4/theta2^2, can leave it
+        # negative: the top pair's do at a few separations below 0.007 sigma,
+        # and none of the separations above NEAR_COINCIDENCE does.
+        degenerate = []
+        for theta2, overlap in zip(separations.tolist(), overlaps):
+            try:
+                lab.incompatibility(overlap)
+            except lab.DegenerateStateError:
+                degenerate.append(theta2)
+        assert max(degenerate, default=0.0) < psf_core.NEAR_COINCIDENCE
+
+
 class TestDisplacedOverlaps:
     def test_reduces_to_named_overlaps_at_separation(self):
         psf = lab.gaussian_psf(1.0)
