@@ -10,15 +10,17 @@ configuration and seed give byte-identical CSVs: every random sample draws
 from its own spawned SeedSequence child, the children's states computed in
 one vectorised pass per run.  fig2 to fig5 and custom name their (theta1,
 theta2) points and measurements, and one kernel, ``_sweep``, evaluates
-them: the overlaps of each distinct separation (with the direct-imaging
-FIMs from their own samples, by ``overlaps_and_direct_fims``), their QFIM
-stack and c_tilde values, then one stacked regret step per measurement:
-``regret_rows`` over the direct-imaging or SPADE FIMs (from one stacked
-model per mode cutoff), ``projective_regrets`` over blocks of Haar-random
-bases.  Tables stay columns of sweep-wide arrays up to the CSV writer,
-which formats each column by its dtype.
+them: the overlaps of each distinct separation as (4, n) columns (with the
+direct-imaging FIMs from their own samples, by ``overlaps_and_direct_fims``),
+their QFIM stack and c_tilde column, then one stacked regret step per
+measurement: ``regret_rows`` over the direct-imaging or SPADE FIMs (from one
+stacked model per mode cutoff), ``projective_regrets`` over blocks of
+Haar-random bases.  From the quadrature to the CSV writer, which formats each
+column by its dtype, a sweep is columns of arrays, the frontier tables too
+(``irtr_frontier``): per-row objects are built only where a scalar route
+needs them, the SPADE geometries and the random samples' state models.
 
-Runs compute in units of sigma, on ``gaussian_psf()`` and geometries at the
+Runs compute in units of sigma, on ``gaussian_psf()`` and points at the
 grid ratios: ``sigma`` is a label, written to the CSVs and the manifest.
 """
 
@@ -46,14 +48,16 @@ from .measurements import (
     spawned_pools,
 )
 from .psf_core import (
+    OverlapIntegrals,
     QuadratureSpec,
     SourceGeometry,
     gaussian_psf,
-    overlap_integrals,
+    overlap_columns,
+    sweep_points,
 )
 from .state_model import (
     build_state_model,
-    c_tilde_from_overlaps,
+    c_tilde_column,
     gaussian_incompatibility,
     qfim_stack,
 )
@@ -257,27 +261,26 @@ def _sweep(config, psf, points, measurements, prefixes=None):
     ``SeedSequence(seed, spawn_key=(*prefixes[p], k))``.  The overlaps, the
     QFIM, the state model and the direct-imaging FIM depend on theta2 alone,
     bit for bit, so each distinct separation is evaluated once, at its first
-    point; an overlap or direct-imaging error names its row among them.
+    point, as a column of the sweep's overlaps; an overlap, direct-imaging or
+    c_tilde error names its row among them.
     """
-    geometries = [SourceGeometry(r1, r2) for r1, r2 in points]
-    _, first, separation = np.unique(
-        [geometry.theta2 for geometry in geometries], return_index=True, return_inverse=True
-    )
-    distinct = [geometries[index] for index in first]
+    points = sweep_points(points)
+    _, first, separation = np.unique(points[:, 1], return_index=True, return_inverse=True)
     if "direct" in measurements:
-        overlaps, fishers = overlaps_and_direct_fims(psf, distinct, config.quad)
+        overlaps, fishers = overlaps_and_direct_fims(psf, points[first], config.quad)
     else:
-        overlaps = overlap_integrals(psf, distinct, config.quad)
+        overlaps = overlap_columns(psf, points[first], config.quad)
     quantum = qfim_stack(overlaps)[separation]
-    c_tilde = np.array([c_tilde_from_overlaps(o) for o in overlaps])[separation].tolist()
+    c_tilde = c_tilde_column(overlaps)[separation].tolist()
     blocks = []
     if "direct" in measurements:
         blocks.append(regret_rows(fishers[separation], quantum, c_tilde)[..., None])
     if "spade" in measurements:
+        geometries = [SourceGeometry(*point) for point in points.tolist()]
         blocks.append(regret_rows(_spade_fims(config, geometries), quantum, c_tilde)[..., None])
     if "random" in measurements:
         pools = spawned_pools(config.seed, prefixes, 0, config.n_random)
-        states = [build_state_model(overlap) for overlap in overlaps]
+        states = [build_state_model(OverlapIntegrals(*column)) for column in overlaps.T.tolist()]
         randoms = np.empty((3, len(points), config.n_random))
         for point, (index, point_pools) in enumerate(zip(separation, pools)):
             for k in range(0, config.n_random, _SAMPLE_BLOCK):
@@ -310,8 +313,8 @@ def _spade_fims(config, geometries):
 
 def _frontier_table(name, metadata, coefficient, samples):
     no_constraint = coefficient <= _NO_CONSTRAINT_THRESHOLD
-    frontier = [] if no_constraint else irtr_frontier(coefficient, samples)
-    columns = dict(delta1=[p.delta1 for p in frontier], delta2=[p.delta2 for p in frontier])
+    frontier = (np.empty(0),) * 2 if no_constraint else irtr_frontier(coefficient, samples)
+    columns = dict(zip(("delta1", "delta2"), frontier))
     return name, [*metadata, ("no_constraint", no_constraint)], columns
 
 
@@ -319,11 +322,11 @@ def _frontier_table(name, metadata, coefficient, samples):
 def run_fig1(config, psf):
     """Incompatibility coefficient versus separation, both computation routes."""
     ratios = config.theta2_grid
-    overlaps = overlap_integrals(psf, [SourceGeometry(0.0, r) for r in ratios], config.quad)
+    overlaps = overlap_columns(psf, [(0.0, r) for r in ratios], config.quad)
     columns = dict(
         theta2_over_sigma=ratios,
         c_tilde_closed_form=[gaussian_incompatibility(1.0, r) for r in ratios],
-        c_tilde_quadrature=[c_tilde_from_overlaps(o) for o in overlaps],
+        c_tilde_quadrature=c_tilde_column(overlaps),
     )
     return [("fig1.csv", [("sigma", config.sigma)], columns)], {}
 

@@ -16,8 +16,8 @@ classical Fisher information matrix and ``regret_report`` the normalized
 square-root information regrets against the quantum bound.  These single
 models are the reference route.  ``regret_rows`` does the same for a stack
 of FIMs and ``projective_regrets`` for a stack of projective measurements;
-``overlaps_and_direct_fims`` gives a sweep's overlaps and direct-imaging
-FIMs, for an even PSF from the same passes' half-grid samples.  Each is bit
+``overlaps_and_direct_fims`` gives a sweep's overlap columns and
+direct-imaging FIMs, for an even PSF from the same passes' half-grid samples.  Each is bit
 for bit equal to the reference route and keeps its checks.
 """
 
@@ -43,10 +43,12 @@ from .psf_core import (
     centroid_half_window,
     first_passes,
     folded_integrals,
-    overlap_integrals,
+    overlap_columns,
     overlap_passes,
+    pow_squares,
     quadrature_grid,
     quadrature_ladder,
+    sweep_points,
 )
 from .state_model import Qfim, StateModel4
 from .tradeoff import RESIDUAL_FLOOR
@@ -229,35 +231,35 @@ def _fim_drift_checks(fishers, previous, kappa, gamma, quad):
     ]
 
 
-def overlaps_and_direct_fims(psf, geometries, quad=QuadratureSpec()):
-    """A sweep's overlaps and (n, 2, 2) direct-imaging Fisher information, from one pass.
+def overlaps_and_direct_fims(psf, points, quad=QuadratureSpec()):
+    """A sweep's (4, n) overlap columns and (n, 2, 2) direct-imaging FIMs, from one pass.
 
-    Entry i is ``overlap_integrals(psf, geometries[i], quad)`` and row i
-    ``fim(direct_imaging_model(psf, geometries[i], quad))``, bit for bit; a
-    failed check raises that route's error, naming its sweep row.  The
-    overlaps' checks of every row run first, then the model and FIM checks.
-    A PSF not known to be even takes the scalar route.  For an even PSF each
-    pass of the overlaps' ladder (``overlap_passes``) also gives the FIMs of
-    its rows, from the same half-grid samples, in descending u (the reflected
-    grid's left half), each outcome standing for its mirror image too: F11 and
-    F22 sum doubled products and F12 is 0.0, as ``fim`` pairs the reflected
-    grid; the model checks' sums equal its own to rounding.  A row's FIM
-    takes the first pair of passes whose checks pass, its drift bound from
+    ``points`` are (theta1, theta2) pairs.  The overlaps are
+    ``overlap_columns(psf, points, quad)`` and row i of the FIMs
+    ``fim(direct_imaging_model(psf, SourceGeometry(*points[i]), quad))``, bit
+    for bit; a failed check raises that route's error, naming its sweep row.
+    The overlaps' checks of every row run first, then the model and FIM
+    checks.  A PSF not known to be even takes the scalar route.  For an even
+    PSF each pass of the overlaps' ladder (``overlap_passes``) also gives the
+    FIMs of its rows, from the same half-grid samples, in descending u (the
+    reflected grid's left half), each outcome standing for its mirror image
+    too: F11 and F22 sum doubled products and F12 is 0.0, as ``fim`` pairs the
+    reflected grid; the model checks' sums equal its own to rounding.  A row's
+    FIM takes the first pair of passes whose checks pass, its drift bound from
     the pass's own kappa and gamma.  A row whose FIM fails at the top pair
     runs its scalar route, which raises that route's error.
     """
-    fishers = np.empty((len(geometries), 2, 2))
+    points = sweep_points(points)
+    fishers = np.empty((len(points), 2, 2))
     if not psf.even:
-        overlaps = overlap_integrals(psf, geometries, quad)
-        for row in range(len(geometries)):
-            fishers[row] = _direct_fim(psf, geometries, row, quad)
+        overlaps = overlap_columns(psf, points, quad)
+        for row in range(len(points)):
+            fishers[row] = _direct_fim(psf, points, row, quad)
         return overlaps, fishers
-    if not geometries:
-        return [], fishers
-    overlaps, wanted = [None] * len(geometries), np.ones(len(geometries), bool)
+    overlaps, wanted = np.empty((4, len(points))), np.ones(len(points), bool)
     # Each row's FIM on its latest pass, and whether that pass met its checks.
-    previous, passed = np.zeros_like(fishers), np.zeros(len(geometries), bool)
-    blocks = overlap_passes(psf, geometries, quad, overlaps, wanted, spare=2)
+    previous, passed = np.zeros_like(fishers), np.zeros(len(points), bool)
+    blocks = overlap_passes(psf, points, quad, overlaps, wanted, spare=2)
     for _, rows, integrals, (x, w, a1, d1, a2, d2, *fields) in blocks:
         # The fields, in descending u, land in x and the spare arrays and the
         # weights in a2, all in order in memory; a1, d1 and d2 are fim's work.
@@ -276,14 +278,14 @@ def overlaps_and_direct_fims(psf, geometries, quad=QuadratureSpec()):
         fishers[rows[settled]], wanted[rows[settled]] = fisher[settled], False
         previous[rows], passed[rows] = fisher, valid
     for row in np.flatnonzero(wanted).tolist():
-        fishers[row] = _direct_fim(psf, geometries, row, quad)
+        fishers[row] = _direct_fim(psf, points, row, quad)
     return overlaps, fishers
 
 
-def _direct_fim(psf, geometries, row, quad):
+def _direct_fim(psf, points, row, quad):
     """``fim(direct_imaging_model(...))`` of one sweep row, an error naming the row."""
     try:
-        return fim(direct_imaging_model(psf, geometries[row], quad))
+        return fim(direct_imaging_model(psf, SourceGeometry(*points[row].tolist()), quad))
     except (ConsistencyError, ConvergenceError, DegenerateOutcomeError) as error:
         raise type(error)(f"row {row}: {error}") from None
 
@@ -817,9 +819,7 @@ def _regrets_and_checks(fishers, quantum, c_tilde):
     lowest = np.linalg.eigvalsh(regret)[:, 0]
     diagonals = regret[:, [0, 1], [0, 1]].T
     delta1, delta2 = deltas = np.sqrt(np.where(diagonals < 0.0, 0.0, diagonals) / bound)
-    # Squared as irtr_residual squares it: a float's ** goes through pow,
-    # which can be 1 ulp away from numpy's x * x.
-    squares = np.array([value**2 for value in c_tilde.tolist()])
+    squares = pow_squares(c_tilde)  # As irtr_residual squares it.
     cross = 2.0 * np.sqrt(np.maximum(1.0 - squares, 0.0))
     residual = delta1 * delta1 + delta2 * delta2 + cross * delta1 * delta2 - squares
 

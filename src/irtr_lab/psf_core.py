@@ -32,7 +32,9 @@ failure at the top pair, (ceil(P/2), 2 ceil(P/2)), raises.  Separations below
 depends on theta2/sigma and the rule alone, so the overlaps do too, bit for
 bit, and a sweep runs each pass over blocks of the geometries still climbing
 (``overlap_passes``), whose samples also give the direct-imaging FIMs, which
-settle on the same ladder by checks of their own.  Any other PSF is
+settle on the same ladder by checks of their own.  A sweep's overlaps are
+(4, n) columns (``overlap_columns``), checked as ``OverlapIntegrals`` checks
+one row (``overlap_checks``).  Any other PSF is
 integrated over the full window on P and 2P panels, with the same checks.
 """
 
@@ -113,6 +115,25 @@ class SourceGeometry:
         return self.x1 + self.theta2
 
 
+def sweep_points(points) -> np.ndarray:
+    """The (n, 2) float array of (theta1, theta2) ``points``.
+
+    Each point is checked as ``SourceGeometry`` checks it, with its messages;
+    the first failing point raises its error.
+    """
+    points = np.array(points, dtype=float).reshape(len(points), 2)
+    theta1, theta2 = points.T
+    raise_first_failure(
+        [
+            (ValueError, "theta1 must be finite, got {!r}", ~np.isfinite(theta1), theta1),
+            (ValueError, "theta2 must be finite, got {!r}", ~np.isfinite(theta2), theta2),
+            (ValueError, "separation theta2 must be strictly positive", ~(theta2 > 0.0)),
+        ],
+        "",
+    )
+    return points
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Composite Gauss-Legendre settings.
@@ -166,6 +187,37 @@ class OverlapIntegrals:
             raise ConsistencyError("kappa - gamma^2 must be nonnegative")
         if self.beta**2 > self.kappa * max(fisher_11, 0.0) + 1e-9 * self.kappa**2:
             raise ConsistencyError("beta^2 cannot exceed kappa*(kappa - gamma^2)")
+
+
+def pow_squares(values) -> np.ndarray:
+    """x**2 of each float in ``values``, by Python's float pow, as the scalar routes square.
+
+    A float's ** goes through pow, which can be 1 ulp away from numpy's x * x.
+    """
+    return np.array([value**2 for value in np.asarray(values, dtype=float).tolist()])
+
+
+def overlap_checks(overlaps):
+    """``OverlapIntegrals``'s checks of each column of (4, n) ``overlaps``.
+
+    The columns are (kappa, gamma, beta, delta); the checks, with the
+    dataclass's errors and messages, come in the order a row meets them.  The
+    dataclass keeps its own scalar checks, the reference these are tested
+    against.
+    """
+    kappa, gamma, beta, delta = overlaps
+    with np.errstate(invalid="ignore", over="ignore"):
+        fisher_11 = kappa - pow_squares(gamma)
+        bound = kappa * np.where(fisher_11 < 0.0, 0.0, fisher_11) + 1e-9 * pow_squares(kappa)
+        return [
+            (ConsistencyError, "overlap integrals must be finite, got ({!r}, {!r}, {!r}, {!r})",
+             ~np.isfinite(overlaps).all(axis=0), *overlaps),
+            (ConsistencyError, "kappa must be positive", ~(kappa > 0.0)),
+            (ConsistencyError, "|delta| cannot exceed 1", abs(delta) > 1.0 + 1e-12),
+            (ConsistencyError, "kappa - gamma^2 must be nonnegative", fisher_11 < -1e-9 * kappa),
+            (ConsistencyError, "beta^2 cannot exceed kappa*(kappa - gamma^2)",
+             pow_squares(beta) > bound),
+        ]
 
 
 def gaussian_psf(sigma: float = 1.0) -> PointSpreadFunction:
@@ -331,18 +383,19 @@ def folded_integrals(a1, d1, a2, d2, w, work):
     ])
 
 
-def overlap_passes(psf, geometries, quad, overlaps, wanted, label="row {}: ", spare=0):
+def overlap_passes(psf, points, quad, overlaps, wanted, label="row {}: ", spare=0):
     """Yield (pass, rows, integrals, samples) for each block of each pass of an even
     PSF's ladder, once the block's overlaps have settled where they can.
 
     Pass k runs on ``quadrature_ladder(quad)[k]`` panels of the half-window
-    [0, W], W = theta2/2 + R sigma, for the rows (ascending indices into
-    ``geometries``) still climbing as it starts, each from its first pass
-    (``first_passes``) on: a row climbs while its overlaps are unsettled or
-    its entry of ``wanted``, a mask the caller updates as it goes, is set.
-    Row i's overlaps go to ``overlaps[i]`` from the first pair of passes whose
-    checks pass (``_settle``); at the top pair a failure raises, the row named
-    by ``label``.  ``integrals`` are the block's ``folded_integrals`` on this
+    [0, W], W = theta2/2 + R sigma, for the rows (ascending indices into the
+    (n, 2) array of (theta1, theta2) ``points``) still climbing as it starts,
+    each from its first pass (``first_passes``) on: a row climbs while its
+    overlaps are unsettled or its entry of ``wanted``, a mask the caller
+    updates as it goes, is set.  Row i's overlaps go to column i of the
+    (4, n) ``overlaps`` from the first pair of passes whose checks pass
+    (``_settle``); at the top pair a failure raises, the row named by
+    ``label``.  ``integrals`` are the block's ``folded_integrals`` on this
     pass.  ``samples`` are its (x, w, a1, d1, a2, d2), a row per geometry in
     ascending u, x free for reuse, then ``spare`` arrays of their shape.
     u -> -u maps a1 <-> a2 and d1 <-> -d2, which folds each integral over
@@ -351,7 +404,7 @@ def overlap_passes(psf, geometries, quad, overlaps, wanted, label="row {}: ", sp
     after each block, and glibc then trims it and faults it back in on the
     next block, at a cost set by the process's heap history.
     """
-    theta1, theta2 = np.array([(g.theta1, g.theta2) for g in geometries]).T
+    theta1, theta2 = points.T
     window = centroid_half_window(psf, theta2, quad)
     with np.errstate(over="ignore"):  # The bounds only label errors: +-inf will do.
         lo, hi = theta1 - window, theta1 + window
@@ -390,8 +443,10 @@ def _settle(overlaps, rows, integrals, drift, lo, hi, quad, label, final):
     ``integrals`` has rows (int psi^2, kappa, gamma, beta, delta) and a column
     per entry of ``rows``, ``drift`` each column's largest drift from the
     coarser pass; ``lo`` and ``hi`` are the windows of all rows.  A row meets
-    the drift check, the normalization check, then ``OverlapIntegrals``'s own.
-    When ``final``, the first failing row raises its error, named by ``label``.
+    the drift check, the normalization check, then ``OverlapIntegrals``'s own
+    (``overlap_checks``), and its overlaps go to column ``rows[i]`` of the
+    (4, n) ``overlaps``.  When ``final``, the first failing row raises its
+    error, named by ``label``.
     """
     norm = integrals[0]
     checks = [
@@ -402,20 +457,42 @@ def _settle(overlaps, rows, integrals, drift, lo, hi, quad, label, final):
             ~(abs(norm - 1.0) <= 10.0 * quad.abs_tolerance),
             norm,
         ),
+        *overlap_checks(integrals[1:]),
     ]
+    if final:
+        raise_first_failure(checks, label, rows)
     passed = ~np.any([check[2] for check in checks], axis=0)
-    for position, values in enumerate(integrals[1:].T.tolist()):
-        if not passed[position]:
-            if final:
-                raise_first_failure(checks, label, rows)
-            continue
-        try:
-            overlaps[rows[position]] = OverlapIntegrals(*values)
-        except ConsistencyError as error:
-            if final:
-                raise ConsistencyError(label.format(rows[position]) + str(error)) from None
-            passed[position] = False
+    overlaps[:, rows[passed]] = integrals[1:, passed]
     return passed
+
+
+def overlap_columns(psf: PointSpreadFunction, points, quad=QuadratureSpec(), label="row {}: "):
+    """(4, n) columns (kappa, gamma, beta, delta) of a sweep of (theta1, theta2) ``points``.
+
+    Column i equals, bit for bit, the fields of ``overlap_integrals(psf,
+    SourceGeometry(*points[i]), quad)``, and every check of that route is
+    kept: the first failing row raises its error, named by ``label``.  The
+    points are checked first (``sweep_points``).
+    """
+    points = sweep_points(points)
+    overlaps = np.empty((4, len(points)))
+    if psf.even:
+        wanted = np.zeros(len(points), dtype=bool)
+        for _ in overlap_passes(psf, points, quad, overlaps, wanted, label):
+            pass
+    elif len(points):
+        radius = quad.truncation_radius * psf.sigma
+        geometries = [SourceGeometry(*point) for point in points.tolist()]
+        lo = np.array([g.x1 - radius for g in geometries])
+        hi = np.array([g.x2 + radius for g in geometries])
+        columns = [
+            _refined_batch(_products(psf, g), lo[row], hi[row], quad)
+            for row, g in enumerate(geometries)
+        ]
+        integrals = np.array([column[0] for column in columns]).T
+        drift = np.array([column[1] for column in columns])
+        _settle(overlaps, np.arange(len(points)), integrals, drift, lo, hi, quad, label, True)
+    return overlaps
 
 
 def overlap_integrals(
@@ -437,30 +514,15 @@ def overlap_integrals(
     checks (ConsistencyError); at the top pair a failure raises.
 
     A sequence of geometries gives a list, element i equal bit for bit to
-    ``overlap_integrals(psf, geometry[i], quad)``: an even PSF's geometries
-    climb together, in stacked blocks, and an error names the first failing
-    row, with that row's first failing check.
+    ``overlap_integrals(psf, geometry[i], quad)``: the geometries climb
+    together, as the columns of ``overlap_columns``, and an error names the
+    first failing row, with that row's first failing check.
     """
     stacked = not isinstance(geometry, SourceGeometry)
     geometries = list(geometry) if stacked else [geometry]
-    if not geometries:  # An empty sweep has no rows.
-        return []
-    label, overlaps = "row {}: " if stacked else "", [None] * len(geometries)
-    if psf.even:
-        wanted = np.zeros(len(geometries), dtype=bool)
-        for _ in overlap_passes(psf, geometries, quad, overlaps, wanted, label):
-            pass
-    else:
-        radius = quad.truncation_radius * psf.sigma
-        lo = np.array([g.x1 - radius for g in geometries])
-        hi = np.array([g.x2 + radius for g in geometries])
-        columns = [
-            _refined_batch(_products(psf, g), lo[row], hi[row], quad)
-            for row, g in enumerate(geometries)
-        ]
-        integrals = np.array([column[0] for column in columns]).T
-        drift = np.array([column[1] for column in columns])
-        _settle(overlaps, np.arange(len(geometries)), integrals, drift, lo, hi, quad, label, True)
+    points = [(g.theta1, g.theta2) for g in geometries]
+    columns = overlap_columns(psf, points, quad, "row {}: " if stacked else "")
+    overlaps = [OverlapIntegrals(*column) for column in columns.T.tolist()]
     return overlaps if stacked else overlaps[0]
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError
+from .errors import DegenerateStateError, raise_first_failure
 from .psf_core import (
     OverlapIntegrals,
     PointSpreadFunction,
@@ -35,6 +35,7 @@ from .psf_core import (
     SourceGeometry,
     displaced_overlaps,
     overlap_integrals,
+    pow_squares,
     quadrature_grid,
 )
 
@@ -159,9 +160,38 @@ def qfim(overlaps: OverlapIntegrals) -> Qfim:
 
 
 def qfim_stack(overlaps) -> np.ndarray:
-    """(n, 2, 2) QFIMs of a sequence of overlaps, row i ``qfim(overlaps[i]).matrix`` bitwise."""
-    # A float's ** can be 1 ulp from numpy's x * x.
-    return np.array([((4.0 * (o.kappa - o.gamma**2), 0.0), (0.0, o.kappa)) for o in overlaps])
+    """(n, 2, 2) QFIMs of (4, n) overlap columns (kappa, gamma, beta, delta).
+
+    Row i is ``qfim(OverlapIntegrals(*overlaps[:, i])).matrix``, bit for bit.
+    """
+    kappa, gamma = overlaps[:2]
+    stack = np.zeros((kappa.size, 2, 2))
+    stack[:, 0, 0] = 4.0 * (kappa - pow_squares(gamma))
+    stack[:, 1, 1] = kappa
+    return stack
+
+
+def c_tilde_column(overlaps) -> np.ndarray:
+    """c_tilde of each column of (4, n) overlaps (kappa, gamma, beta, delta).
+
+    Entry i is ``c_tilde_from_overlaps(OverlapIntegrals(*overlaps[:, i]))``,
+    bit for bit, with its checks: the first failing row raises that route's
+    error, prefixed ``row i: ``.
+    """
+    kappa, gamma, beta, _ = overlaps
+    centroid_quarter = kappa - pow_squares(gamma)
+    degenerate = centroid_quarter <= 0.0
+    c_tilde = abs(beta) / np.sqrt(kappa * np.where(degenerate, 1.0, centroid_quarter))
+    raise_first_failure(
+        [
+            (DegenerateStateError, "kappa - gamma^2 must be positive to define c_tilde",
+             degenerate),
+            (DegenerateStateError, "c_tilde = {!r} above 1: overlap scalars are inconsistent",
+             c_tilde > 1.0 + 1e-9, c_tilde),
+        ],
+        "row {}: ",
+    )
+    return np.where(c_tilde > 1.0, 1.0, c_tilde)
 
 
 def c_tilde_from_overlaps(overlaps: OverlapIntegrals) -> float:

@@ -16,7 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleBudgetError
+import numpy as np
+
+from .errors import InfeasibleBudgetError, raise_first_failure
+from .psf_core import pow_squares
 
 # Residuals below this are bound violations, not roundoff.
 RESIDUAL_FLOOR = -1e-9
@@ -77,8 +80,8 @@ def irtr_residual(point: TradeoffPoint, c_tilde: float) -> float:
     )
 
 
-def irtr_frontier(c_tilde: float, n: int) -> list[TradeoffPoint]:
-    """Boundary of the regret tradeoff, sampled at n points.
+def irtr_frontier(c_tilde: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary of the regret tradeoff, sampled at n points: columns (delta1, delta2).
 
     delta1 runs uniformly over [0, c_tilde]; delta2 is the nonnegative root
     of the boundary quadratic,
@@ -86,7 +89,8 @@ def irtr_frontier(c_tilde: float, n: int) -> list[TradeoffPoint]:
         delta2 = c_tilde sqrt(1 - delta1^2) - delta1 sqrt(1 - c_tilde^2),
 
     which satisfies the residual identically.  Pairs below the curve are
-    infeasible for every measurement.
+    infeasible for every measurement.  Each point meets ``TradeoffPoint``'s
+    range check; the first point outside raises its error.
     """
     _check_coefficient(c_tilde)
     if not c_tilde > 0.0:
@@ -94,12 +98,16 @@ def irtr_frontier(c_tilde: float, n: int) -> list[TradeoffPoint]:
     if n < 2:
         raise ValueError("n must be at least 2")
     tail = math.sqrt(max(1.0 - c_tilde**2, 0.0))
-    points = []
-    for index in range(n):
-        delta1 = c_tilde * index / (n - 1)
-        delta2 = c_tilde * math.sqrt(1.0 - delta1**2) - delta1 * tail
-        points.append(TradeoffPoint(delta1=delta1, delta2=max(delta2, 0.0)))
-    return points
+    delta1 = c_tilde * np.arange(n) / (n - 1)
+    delta2 = c_tilde * np.sqrt(1.0 - pow_squares(delta1)) - delta1 * tail
+    delta2 = np.where(delta2 < 0.0, 0.0, delta2)
+    checks = [
+        (ValueError, f"{name} = {{!r}} is outside [0, 1]",
+         ~((-1e-12 <= delta) & (delta <= 1.0 + 1e-12)), delta)
+        for name, delta in (("delta1", delta1), ("delta2", delta2))
+    ]
+    raise_first_failure(checks, "")
+    return delta1, delta2
 
 
 def error_tradeoff_residual(budget: ErrorBudget, c_tilde: float) -> float:

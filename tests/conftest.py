@@ -15,10 +15,10 @@ def rung_log(monkeypatch):
     calls = []
     original = psf_core.overlap_passes
 
-    def recording(psf, geometries, *args, **kwargs):
-        rungs = np.full(len(geometries), -1)
+    def recording(psf, points, *args, **kwargs):
+        rungs = np.full(len(points), -1)
         calls.append(rungs)
-        for index, rows, *block in original(psf, geometries, *args, **kwargs):
+        for index, rows, *block in original(psf, points, *args, **kwargs):
             rungs[rows] = index
             yield index, rows, *block
 

@@ -234,7 +234,8 @@ def test_criterion_11_frontier_matches_bisection():
     worst_residual = 0.0
     worst_gap = 0.0
     for c_tilde in (0.2, 0.5, 0.9, 1.0):
-        for point in lab.irtr_frontier(c_tilde, 33):
+        delta1, delta2 = lab.irtr_frontier(c_tilde, 33)
+        for point in map(lab.TradeoffPoint, delta1.tolist(), delta2.tolist()):
             worst_residual = max(
                 worst_residual, abs(lab.irtr_residual(point, c_tilde))
             )

@@ -362,6 +362,32 @@ class TestRunFig2:
             assert 0.0 <= float(row[2]) <= 1.0
 
 
+    @pytest.mark.parametrize("figure", ["fig1", "fig2", "custom"])
+    def test_an_undefined_c_tilde_names_its_sweep_row(self, tmp_path, monkeypatch, figure):
+        # kappa - gamma^2 = 0 passes the overlap checks but leaves c_tilde undefined.
+        def degenerate(route):
+            def run(*args, **kwargs):
+                result = route(*args, **kwargs)
+                overlaps = result[0] if isinstance(result, tuple) else result
+                overlaps[:, 2] = (0.25, 0.5, 0.0, 0.3)
+                return result
+
+            return run
+
+        for name in ("overlap_columns", "overlaps_and_direct_fims"):
+            monkeypatch.setattr(experiments, name, degenerate(getattr(experiments, name)))
+        config = lab.ExperimentConfig(
+            figure_id=figure,
+            theta1_grid=(0.0,),
+            theta2_grid=(0.5, 1.0, 2.0, 4.0),
+            measurements=("spade",),
+            output_dir=str(tmp_path),
+        )
+        message = r"^row 2: kappa - gamma\^2 must be positive to define c_tilde$"
+        with pytest.raises(lab.DegenerateStateError, match=message):
+            experiments.RUNNERS[figure](config)
+        assert not list(tmp_path.iterdir())
+
     def test_fim_above_the_qfim_names_its_sweep_row(self, tmp_path, monkeypatch):
         fused = experiments.overlaps_and_direct_fims
 
@@ -595,12 +621,13 @@ class TestRunnersMatchScalarRoute:
         points = [(0.0, t) for t in np.geomspace(1e-3, 40.0, 400)]
         geometries = [lab.SourceGeometry(*point) for point in points]
         overlaps = lab.overlap_integrals(psf, geometries, self.quad)
-        quantum = qfim_stack(overlaps)
+        fields = np.array([[o.kappa, o.gamma, o.beta, o.delta] for o in overlaps]).T
+        quantum = qfim_stack(fields)
         scalar = np.array([lab.qfim(overlap).matrix for overlap in overlaps])
         assert quantum.tobytes() == scalar.tobytes()
-        # The fused pass gives the same overlaps, plus the direct-imaging FIMs.
-        fused, fishers = lab.overlaps_and_direct_fims(psf, geometries, self.quad)
-        assert fused == overlaps
+        # The fused pass gives the same overlap columns, plus the direct-imaging FIMs.
+        fused, fishers = lab.overlaps_and_direct_fims(psf, points, self.quad)
+        assert fused.tobytes() == fields.tobytes()
         assert qfim_stack(fused).tobytes() == scalar.tobytes()
         models = (lab.direct_imaging_model(psf, g, self.quad) for g in geometries)
         expected = np.array([lab.fim(model) for model in models])
@@ -610,7 +637,8 @@ class TestRunnersMatchScalarRoute:
         c_tilde = [c_tilde_from_overlaps(overlap) for overlap in overlaps]
         config = lab.ExperimentConfig(figure_id="custom", quad=self.quad)
         kernel_c_tilde, regrets = experiments._sweep(config, psf, points, ("direct",))
-        assert kernel_c_tilde == c_tilde and regrets.shape == (3, len(points), 1)
+        assert np.array(kernel_c_tilde).tobytes() == np.array(c_tilde).tobytes()
+        assert regrets.shape == (3, len(points), 1)
         direct = regret_rows(expected, scalar, c_tilde)
         assert regrets[..., 0].tobytes() == direct.tobytes()
 

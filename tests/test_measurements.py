@@ -33,6 +33,16 @@ from irtr_lab.experiments import DEFAULT_SEPARATION_GRID
 from irtr_lab.psf_core import USER_DEFINED, quadrature_grid
 
 
+def points(geometries):
+    """The (theta1, theta2) points of ``geometries``, as the sweep routes take them."""
+    return [(g.theta1, g.theta2) for g in geometries]
+
+
+def overlap_fields(overlaps):
+    """The (4, n) columns (kappa, gamma, beta, delta) of a list of ``OverlapIntegrals``."""
+    return np.array([[o.kappa, o.gamma, o.beta, o.delta] for o in overlaps]).reshape(-1, 4).T
+
+
 def gaussian_setup(theta1, theta2, sigma=1.0):
     psf = lab.gaussian_psf(sigma)
     geo = lab.SourceGeometry(theta1, theta2)
@@ -188,7 +198,7 @@ class TestStackedModels:
             with pytest.raises(lab.IrtrLabError) as single:
                 lab.direct_imaging_model(psf, sweep[row], quad)
             with pytest.raises(lab.IrtrLabError) as stacked:
-                measurements.overlaps_and_direct_fims(psf, sweep, quad)
+                measurements.overlaps_and_direct_fims(psf, points(sweep), quad)
             assert type(stacked.value) is type(single.value) is error
             assert str(stacked.value) == f"row {row}: " + str(single.value)
             assert str(single.value).startswith(text)
@@ -283,9 +293,9 @@ class TestOverlapsAndDirectFims:
             for start in range(0, len(geometries), length):
                 chunk = slice(start, start + length)
                 overlaps, fused = measurements.overlaps_and_direct_fims(
-                    psf, geometries[chunk], quad
+                    psf, points(geometries[chunk]), quad
                 )
-                assert overlaps == singles[chunk]
+                assert overlaps.tobytes() == overlap_fields(singles[chunk]).tobytes()
                 np.testing.assert_array_equal(fused, fishers[chunk])
                 # Bit for bit, down to the sign of each zero.
                 assert fused.tobytes() == fishers[chunk].tobytes()
@@ -323,7 +333,8 @@ class TestOverlapsAndDirectFims:
 
     @pytest.mark.parametrize("quad, widest", rules)
     def test_f12_is_exactly_zero(self, quad, widest):
-        _, fishers = measurements.overlaps_and_direct_fims(self.psf, self.sweep(widest), quad)
+        sweep = points(self.sweep(widest))
+        _, fishers = measurements.overlaps_and_direct_fims(self.psf, sweep, quad)
         assert np.all(fishers[:, 0, 1] == 0.0) and np.all(fishers[:, 1, 0] == 0.0)
         assert not np.signbit(fishers[:, [0, 1], [1, 0]]).any()
         assert np.all(fishers[:, [0, 1], [0, 1]] > 0.0)
@@ -335,7 +346,7 @@ class TestOverlapsAndDirectFims:
         for psf in (self.psf, user):
             assert lab.overlap_integrals(psf, []) == []
             overlaps, fishers = measurements.overlaps_and_direct_fims(psf, [])
-            assert overlaps == [] and fishers.shape == (0, 2, 2)
+            assert overlaps.shape == (4, 0) and fishers.shape == (0, 2, 2)
 
     def test_overlap_checks_of_every_row_run_first(self, monkeypatch):
         # This rule's ladder is one pair, on 2 and 4 half-window panels.  The
@@ -354,13 +365,13 @@ class TestOverlapsAndDirectFims:
             monkeypatch.setattr(psf_core, "BLOCK_SAMPLES", block_samples)
             assert psf_core.block_size(quad, 4) == size
             with pytest.raises(lab.ConvergenceError) as fused:
-                measurements.overlaps_and_direct_fims(self.psf, geometries, quad)
+                measurements.overlaps_and_direct_fims(self.psf, points(geometries), quad)
             assert str(fused.value) == "row 3: " + str(drift.value)
             # Without it, the first row's model check.
             with pytest.raises(ValueError, match=r"^row 0: total probability 0\.99999"):
-                measurements.overlaps_and_direct_fims(self.psf, geometries[:3], quad)
+                measurements.overlaps_and_direct_fims(self.psf, points(geometries[:3]), quad)
         with pytest.raises(ValueError, match=r"^row 0: total probability") as fused:
-            measurements.overlaps_and_direct_fims(self.psf, geometries[2:3], quad)
+            measurements.overlaps_and_direct_fims(self.psf, points(geometries[2:3]), quad)
         # The doubled half-grid sum equals the reflected grid's to rounding.
         fused_total = float(str(fused.value).split()[4])
         single_total = float(str(single.value).split()[2])
@@ -379,7 +390,7 @@ class TestOverlapsAndDirectFims:
         geometry = lab.SourceGeometry(0.0, theta2)
         model = lab.direct_imaging_model(self.psf, geometry)
         assert model.probabilities.size == 2 * 16 * 32
-        _, fishers = measurements.overlaps_and_direct_fims(self.psf, [geometry])
+        _, fishers = measurements.overlaps_and_direct_fims(self.psf, points([geometry]))
         assert rung_log[-1].tolist() == [2]
         assert fishers[0].tobytes() == lab.fim(model).tobytes()
         quantum = lab.qfim(lab.gaussian_overlap_integrals(1.0, theta2)).matrix
@@ -390,7 +401,7 @@ class TestOverlapsAndDirectFims:
         # pair, (16, 32), and its FIM drift check passes there.
         separations = np.geomspace(1e-5, 0.03, 1500)
         geometries = [lab.SourceGeometry(0.0, float(theta2)) for theta2 in separations]
-        _, fishers = measurements.overlaps_and_direct_fims(self.psf, geometries)
+        _, fishers = measurements.overlaps_and_direct_fims(self.psf, points(geometries))
         for theta2, panels in ((1e-5, 32), (0.0199, 32), (0.0201, 8), (0.03, 8)):
             model = lab.direct_imaging_model(self.psf, lab.SourceGeometry(0.0, theta2))
             assert model.probabilities.size == 2 * panels * 32
@@ -429,11 +440,11 @@ class TestOverlapsAndDirectFims:
         quad = lab.QuadratureSpec(panel_count=8, nodes_per_panel=16)
         geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in DEFAULT_SEPARATION_GRID]
         assert len(lab.overlap_integrals(self.psf, geometries, quad)) == len(geometries)
-        measurements.overlaps_and_direct_fims(self.psf, geometries[:48], quad)
+        measurements.overlaps_and_direct_fims(self.psf, points(geometries[:48]), quad)
         with pytest.raises(lab.ConvergenceError) as single:
             lab.direct_imaging_model(self.psf, geometries[48], quad)
         with pytest.raises(lab.ConvergenceError) as stacked:
-            measurements.overlaps_and_direct_fims(self.psf, geometries, quad)
+            measurements.overlaps_and_direct_fims(self.psf, points(geometries), quad)
         assert str(stacked.value) == "row 48: " + str(single.value)
         assert str(single.value) == (
             "direct-imaging F11 drift 6.757e-13 exceeds abs_tolerance x QFIM11 = 6.654e-13"

@@ -134,6 +134,19 @@ class TestSourceGeometry:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             lab.SourceGeometry(theta1, theta2)
 
+    @pytest.mark.parametrize(
+        "bad", [(0.0, math.nan), (math.inf, 1.0), (math.nan, -1.0), (0.0, 0.0), (2.0, -1.0)]
+    )
+    def test_sweep_points_are_checked_as_geometries(self, bad):
+        # One mask over the sweep, the first failing point's first failing check.
+        with pytest.raises(ValueError) as single:
+            lab.SourceGeometry(*bad)
+        with pytest.raises(ValueError) as stacked:
+            psf_core.sweep_points([(0.0, 1.0), bad, (math.nan, 0.0)])
+        assert type(stacked.value) is type(single.value)
+        assert str(stacked.value) == str(single.value)
+        assert psf_core.sweep_points([]).shape == (0, 2)
+
 
 class TestQuadratureSpec:
     def test_defaults(self):
@@ -266,6 +279,77 @@ class TestOverlapIntegralsContainer:
                 lab.OverlapIntegrals(**{**values, field: bad})
 
 
+class TestStackedOverlapChecks:
+    """``_settle`` runs ``OverlapIntegrals``'s checks on columns, naming the first failing row."""
+
+    # A row breaking each of the checks in turn, and the dataclass's message for it.
+    broken = {
+        "finite": (
+            (0.25, math.nan, 0.0, 0.5),
+            "overlap integrals must be finite, got (0.25, nan, 0.0, 0.5)",
+        ),
+        "kappa": ((0.0, 0.0, 0.0, 0.0), "kappa must be positive"),
+        "delta": ((0.25, 0.0, 0.0, 1.5), "|delta| cannot exceed 1"),
+        "fisher": ((0.25, 0.6, 0.0, 0.5), "kappa - gamma^2 must be nonnegative"),
+        "beta": ((0.25, 0.3, 0.25, 0.5), "beta^2 cannot exceed kappa*(kappa - gamma^2)"),
+    }
+    good = dataclasses.astuple(lab.gaussian_overlap_integrals(1.0, 0.7))
+    quad = lab.QuadratureSpec()
+
+    def settle(self, columns, final):
+        """``_settle`` on sweep rows 10, 11, ... with int psi^2 = 1 and no drift."""
+        count = columns.shape[1]
+        overlaps = np.full((4, 10 + count), np.nan)
+        integrals = np.vstack([np.ones(count), columns])
+        rows, window = np.arange(10, 10 + count), np.zeros(10 + count)
+        settle = (rows, integrals, np.zeros(count), window, window, self.quad, "row {}: ", final)
+        return overlaps, psf_core._settle(overlaps, *settle)
+
+    @pytest.mark.parametrize("check", list(broken))
+    def test_the_dataclass_error_names_the_first_failing_row(self, check):
+        values, message = self.broken[check]
+        with pytest.raises(lab.ConsistencyError) as single:
+            lab.OverlapIntegrals(*values)
+        assert str(single.value) == message
+        # Every later row fails a check too; row 12 is the first.
+        columns = np.array([self.good, self.good, values, *(v for v, _ in self.broken.values())]).T
+        with pytest.raises(lab.IrtrLabError) as stacked:
+            self.settle(columns, final=True)
+        assert type(stacked.value) is lab.ConsistencyError
+        assert str(stacked.value) == "row 12: " + message
+
+    def test_rows_failing_below_the_top_pair_are_left_to_climb(self):
+        columns = np.array([self.good, *(v for v, _ in self.broken.values()), self.good]).T
+        overlaps, passed = self.settle(columns, final=False)
+        assert passed.tolist() == [True, False, False, False, False, False, True]
+        assert overlaps[:, [10, 16]].T.tolist() == [list(self.good)] * 2
+        assert np.isnan(overlaps[:, 11:16]).all()
+
+    def test_a_row_failing_the_overlap_checks_climbs(self, monkeypatch, rung_log):
+        # Row 1's gamma is made to break kappa - gamma^2 >= 0 on every pass
+        # but the last: its drift and total still pass, and it climbs to the
+        # top pair, while rows 0 and 2 settle on (4, 8) as they do alone.
+        psf = lab.gaussian_psf(1.0)
+        points = [(0.0, 0.5), (0.0, 1.0), (0.0, 2.0)]
+        singles = lab.overlap_integrals(psf, [lab.SourceGeometry(*p) for p in points])
+        original, final_values = psf_core._settle, {}
+
+        def corrupting(overlaps, rows, integrals, *rest):
+            integrals, final = integrals.copy(), rest[-1]
+            if final:
+                final_values.update(zip(rows.tolist(), integrals[1:].T.tolist()))
+            else:
+                integrals[2, rows == 1] = 1.0
+            return original(overlaps, rows, integrals, *rest)
+
+        monkeypatch.setattr(psf_core, "_settle", corrupting)
+        overlaps = psf_core.overlap_columns(psf, points)
+        assert rung_log[-1].tolist() == [1, 3, 1]
+        assert overlaps[:, 1].tolist() == final_values[1]
+        for row in (0, 2):
+            assert overlaps[:, row].tolist() == list(dataclasses.astuple(singles[row]))
+
+
 class TestNonFiniteIntegrands:
     """A PSF that turns to NaN beyond 30 sigma fails the checks instead of passing NaN on."""
 
@@ -288,7 +372,7 @@ class TestNonFiniteIntegrands:
         with pytest.raises(lab.ConvergenceError, match="^row 2: quadrature drift nan"):
             lab.overlap_integrals(psf, geometries)
         with pytest.raises(lab.ConvergenceError, match="^row 2: quadrature drift nan"):
-            lab.overlaps_and_direct_fims(psf, geometries)
+            lab.overlaps_and_direct_fims(psf, [(g.theta1, g.theta2) for g in geometries])
 
     def test_displaced_overlaps_raise_a_nan_drift(self):
         with pytest.raises(lab.ConvergenceError, match="^quadrature drift nan"):

@@ -6,12 +6,16 @@ either the quadrature or the matrix assembly surface as value drift.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import irtr_lab as lab
-from irtr_lab.state_model import c_tilde_from_overlaps
+from irtr_lab import psf_core
+from irtr_lab.measurements import overlaps_and_direct_fims
+from irtr_lab.psf_core import overlap_columns
+from irtr_lab.state_model import c_tilde_column, c_tilde_from_overlaps, qfim_stack
 
 DELTA_SIGMA1_SEP2 = 0.6065306597126334
 F11_SIGMA1_SEP2 = 0.6321205588285577  # 1 - exp(-1)
@@ -289,3 +293,45 @@ class TestSubspaceBasis:
         grid = lab.subspace_basis_wavefunctions(psf, lab.SourceGeometry(0.0, 2.0))
         assert grid.functions.shape == (4, grid.positions.size)
         assert grid.weights.shape == grid.positions.shape
+
+
+class TestOverlapColumns:
+    """A sweep's overlap columns, QFIM stack and c_tilde column: the scalar route's, bit for bit."""
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.6])
+    @pytest.mark.parametrize("block_samples", [1100, psf_core.BLOCK_SAMPLES])
+    def test_columns_equal_the_scalar_route(self, sigma, block_samples, monkeypatch):
+        monkeypatch.setattr(psf_core, "BLOCK_SAMPLES", block_samples)
+        psf, quad = lab.gaussian_psf(sigma), lab.QuadratureSpec()
+        # 301 separations end in a ragged block on every pass they take, from
+        # the near-coincident ones on the top pair to the widest on (4, 8).
+        ratios = np.geomspace(3e-6, 60.0, 301)
+        points = [(0.1 * index - 7.0, sigma * ratio) for index, ratio in enumerate(ratios)]
+        for count in psf_core.quadrature_ladder(quad):
+            size = psf_core.block_size(quad, count)
+            assert size == 1 or len(points) % size
+        geometries = [lab.SourceGeometry(*point) for point in points]
+        # One call per geometry: each row settles in its own one-row block.
+        singles = [lab.overlap_integrals(psf, geometry, quad) for geometry in geometries]
+        fields = np.array([[o.kappa, o.gamma, o.beta, o.delta] for o in singles]).T
+        overlaps = overlap_columns(psf, points, quad)
+        fused, _ = overlaps_and_direct_fims(psf, points, quad)
+        assert overlaps.tobytes() == fields.tobytes()
+        assert fused.tobytes() == fields.tobytes()
+        quantum = np.array([lab.qfim(overlap).matrix for overlap in singles])
+        assert qfim_stack(overlaps).tobytes() == quantum.tobytes()
+        c_tilde = np.array([c_tilde_from_overlaps(overlap) for overlap in singles])
+        assert c_tilde_column(overlaps).tobytes() == c_tilde.tobytes()
+
+    def test_c_tilde_errors_name_their_row(self):
+        good = lab.gaussian_overlap_integrals(1.0, 0.7)
+        good = [good.kappa, good.gamma, good.beta, good.delta]
+        # kappa - gamma^2 = 0 passes the overlap checks but leaves c_tilde
+        # undefined; beta just beyond Cauchy-Schwarz puts c_tilde above 1.
+        for bad in ([0.25, 0.5, 0.0, 0.3], [0.25, 0.0, 0.25 * (1.0 + 1e-6), 0.3]):
+            fields = SimpleNamespace(kappa=bad[0], gamma=bad[1], beta=bad[2], delta=bad[3])
+            with pytest.raises(lab.DegenerateStateError) as single:
+                c_tilde_from_overlaps(fields)
+            with pytest.raises(lab.DegenerateStateError) as stacked:
+                c_tilde_column(np.array([good, good, bad, bad]).T)
+            assert str(stacked.value) == "row 2: " + str(single.value)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import irtr_lab as lab
+from irtr_lab import tradeoff
 
 
 def bisect_frontier_delta2(c_tilde, delta1):
@@ -78,37 +79,64 @@ class TestIrtrResidual:
         assert lab.irtr_residual(lab.TradeoffPoint(0.0, x), 0.0) == x * x
 
 
+def frontier_points(c_tilde, n):
+    """``irtr_frontier``'s columns as ``TradeoffPoint``s."""
+    delta1, delta2 = lab.irtr_frontier(c_tilde, n)
+    return [lab.TradeoffPoint(*point) for point in zip(delta1.tolist(), delta2.tolist())]
+
+
 class TestIrtrFrontier:
     @pytest.mark.parametrize("c_tilde", [0.2, 0.5, 0.9, 1.0])
     def test_every_point_sits_on_the_boundary(self, c_tilde):
-        for point in lab.irtr_frontier(c_tilde, 64):
+        for point in frontier_points(c_tilde, 64):
             assert abs(lab.irtr_residual(point, c_tilde)) <= 1e-12
 
     def test_endpoints_are_exact(self):
-        points = lab.irtr_frontier(0.37, 16)
+        points = frontier_points(0.37, 16)
         assert points[0].delta1 == 0.0 and points[0].delta2 == 0.37
         assert points[-1].delta1 == 0.37 and points[-1].delta2 == 0.0
 
     def test_monotone_exchange(self):
-        points = lab.irtr_frontier(0.8, 128)
+        points = frontier_points(0.8, 128)
         d1 = [p.delta1 for p in points]
         d2 = [p.delta2 for p in points]
         assert all(b > a for a, b in zip(d1, d1[1:]))
         assert all(b < a for a, b in zip(d2, d2[1:]))
 
     def test_full_incompatibility_is_unit_circle(self):
-        for point in lab.irtr_frontier(1.0, 32):
+        for point in frontier_points(1.0, 32):
             np.testing.assert_allclose(
                 point.delta1**2 + point.delta2**2, 1.0, atol=1e-14
             )
 
     @pytest.mark.parametrize("c_tilde", [0.2, 0.5, 0.9, 1.0])
     def test_matches_bisection_solver(self, c_tilde):
-        for point in lab.irtr_frontier(c_tilde, 9):
+        for point in frontier_points(c_tilde, 9):
             if point.delta2 == 0.0:
                 continue
             solved = bisect_frontier_delta2(c_tilde, point.delta1)
             assert abs(solved - point.delta2) <= 1e-10
+
+    @pytest.mark.parametrize("c_tilde", [1e-9, 0.37, 1.0])
+    @pytest.mark.parametrize("n", [2, 9, 512])
+    def test_columns_equal_the_per_point_formula(self, c_tilde, n):
+        # The frontier as it was computed one TradeoffPoint at a time.
+        tail = math.sqrt(max(1.0 - c_tilde**2, 0.0))
+        delta1 = [c_tilde * index / (n - 1) for index in range(n)]
+        delta2 = [max(c_tilde * math.sqrt(1.0 - d**2) - d * tail, 0.0) for d in delta1]
+        columns = lab.irtr_frontier(c_tilde, n)
+        assert [column.shape for column in columns] == [(n,), (n,)]
+        assert columns[0].tobytes() == np.array(delta1).tobytes()
+        assert columns[1].tobytes() == np.array(delta2).tobytes()
+
+    def test_a_point_outside_the_unit_interval_raises_as_a_tradeoff_point(self, monkeypatch):
+        # Squares of -3 put the first point at delta2 = 2 c_tilde = 1.8.
+        monkeypatch.setattr(tradeoff, "pow_squares", lambda values: np.full(len(values), -3.0))
+        with pytest.raises(ValueError) as single:
+            lab.TradeoffPoint(0.0, 1.8)
+        with pytest.raises(ValueError) as stacked:
+            lab.irtr_frontier(0.9, 5)
+        assert str(stacked.value) == str(single.value) == "delta2 = 1.8 is outside [0, 1]"
 
     def test_rejects_degenerate_requests(self):
         with pytest.raises(ValueError):
