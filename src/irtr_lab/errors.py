@@ -59,10 +59,15 @@ def raise_first_failure(checks, label, first=0):
     ``label``, given the row's number, prefixes the message.  Row i's number is
     ``first + i``, or ``first[i]`` when ``first`` is an array of row numbers.
     """
-    failed = np.array([check[2] for check in checks]).reshape(len(checks), -1)
+    failed = failure_flags(checks)
     if failed.any():
         row = int(failed.any(axis=0).argmax())
         error, message, _, *values = checks[int(failed[:, row].argmax())]
         cells = (float(np.atleast_1d(value)[row]) for value in values)
         number = int(first[row]) if np.ndim(first) else first + row
         raise error(label.format(number) + message.format(*cells))
+
+
+def failure_flags(checks):
+    """(checks, rows) flags: which row fails which check, as ``raise_first_failure`` reads them."""
+    return np.array([check[2] for check in checks]).reshape(len(checks), -1)

@@ -14,9 +14,10 @@ them: the overlaps of each distinct separation as (4, n) columns (with the
 direct-imaging FIMs from their own samples, by ``overlaps_and_direct_fims``),
 their QFIM stack and c_tilde column, then one stacked regret step per
 measurement: ``regret_rows`` over the direct-imaging or SPADE FIMs (from one
-stacked model per mode cutoff), ``projective_regrets`` over blocks of
-Haar-random bases.  From the quadrature to the CSV writer, which formats each
-column by its dtype, a sweep is columns of arrays, the frontier tables too
+stacked model per mode cutoff), ``projective_regrets_and_checks`` over blocks
+of Haar-random bases, once per separation for the samples of all its points.
+From the quadrature to the CSV writer, which formats each column by its
+dtype, a sweep is columns of arrays, the frontier tables too
 (``irtr_frontier``): per-row objects are built only where a scalar route
 needs them, the SPADE geometries and the random samples' state models.
 
@@ -36,12 +37,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, failure_flags, raise_first_failure
 from .measurements import (
     fim,
     haar_random_bases,
     overlaps_and_direct_fims,
-    projective_regrets,
+    projective_regrets_and_checks,
     regret_rows,
     spade_cutoff,
     spade_model,
@@ -262,7 +263,9 @@ def _sweep(config, psf, points, measurements, prefixes=None):
     QFIM, the state model and the direct-imaging FIM depend on theta2 alone,
     bit for bit, so each distinct separation is evaluated once, at its first
     point, as a column of the sweep's overlaps; an overlap, direct-imaging or
-    c_tilde error names its row among them.
+    c_tilde error names its row among them.  The random samples of all the
+    points at one separation run together, in sweep order; a sample error
+    names the first failing sample in the sweep, numbered within its point.
     """
     points = sweep_points(points)
     _, first, separation = np.unique(points[:, 1], return_index=True, return_inverse=True)
@@ -279,15 +282,35 @@ def _sweep(config, psf, points, measurements, prefixes=None):
         geometries = [SourceGeometry(*point) for point in points.tolist()]
         blocks.append(regret_rows(_spade_fims(config, geometries), quantum, c_tilde)[..., None])
     if "random" in measurements:
-        pools = spawned_pools(config.seed, prefixes, 0, config.n_random)
+        count = config.n_random
+        pools = spawned_pools(config.seed, prefixes, 0, count)
         states = [build_state_model(OverlapIntegrals(*column)) for column in overlaps.T.tolist()]
-        randoms = np.empty((3, len(points), config.n_random))
-        for point, (index, point_pools) in enumerate(zip(separation, pools)):
-            for k in range(0, config.n_random, _SAMPLE_BLOCK):
-                bases = haar_random_bases(point_pools[k : k + _SAMPLE_BLOCK])
-                randoms[:, point, k : k + _SAMPLE_BLOCK] = projective_regrets(
-                    states[index], bases, quantum[point], c_tilde[point], k
+        randoms, failures = np.empty((3, len(points), count)), []
+        for index, state in enumerate(states):
+            # The points at one separation share its state, QFIM and c_tilde:
+            # their samples run in sweep order, in blocks that may span points.
+            members = np.flatnonzero(separation == index)
+            samples = pools[members].reshape(-1, 4)
+            rows = np.empty((3, len(samples)))
+            for k in range(0, len(samples), _SAMPLE_BLOCK):
+                block = slice(k, k + _SAMPLE_BLOCK)
+                bases = haar_random_bases(samples[block])
+                rows[:, block], checks = projective_regrets_and_checks(
+                    state, bases, quantum[members[0]], c_tilde[members[0]]
                 )
+                failed = failure_flags(checks).any(axis=0)
+                if failed.any():
+                    # The first failing sample's place in the sweep, and each
+                    # sample's number within its point.
+                    row = k + int(failed.argmax())
+                    place = members[row // count] * count + row % count
+                    failures.append((place, checks, np.arange(k, k + len(failed)) % count))
+                    break
+            randoms[:, members] = rows.reshape(3, len(members), count)
+        if failures:
+            # The first failing sample in sweep order raises, numbered within its point.
+            _, checks, numbers = min(failures, key=lambda failure: failure[0])
+            raise_first_failure(checks, "sample {}: ", numbers)
         blocks.append(randoms)
     return c_tilde, np.concatenate(blocks, axis=-1)
 

@@ -182,19 +182,33 @@ class OverlapIntegrals:
             raise ConsistencyError("kappa must be positive")
         if abs(self.delta) > 1.0 + 1e-12:
             raise ConsistencyError("|delta| cannot exceed 1")
-        fisher_11 = self.kappa - self.gamma**2
+        fisher_11 = self.kappa - _square(self.gamma)
         if fisher_11 < -1e-9 * self.kappa:
             raise ConsistencyError("kappa - gamma^2 must be nonnegative")
-        if self.beta**2 > self.kappa * max(fisher_11, 0.0) + 1e-9 * self.kappa**2:
+        if _square(self.beta) > self.kappa * max(fisher_11, 0.0) + 1e-9 * _square(self.kappa):
             raise ConsistencyError("beta^2 cannot exceed kappa*(kappa - gamma^2)")
 
 
-def pow_squares(values) -> np.ndarray:
-    """x**2 of each float in ``values``, by Python's float pow, as the scalar routes square.
+def _square(value) -> float:
+    """float(value)**2 by Python's float pow, or inf where that overflows, as numpy's square.
 
-    A float's ** goes through pow, which can be 1 ulp away from numpy's x * x.
+    A float's ** goes through pow, which can be 1 ulp away from numpy's x * x;
+    past about 1.3e154 it raises OverflowError.
     """
-    return np.array([value**2 for value in np.asarray(values, dtype=float).tolist()])
+    try:
+        return float(value) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def pow_squares(values) -> np.ndarray:
+    """``_square`` of each float in ``values``, in their shape, as the scalar routes square."""
+    values = np.asarray(values, dtype=float)
+    try:
+        squares = [value**2 for value in values.ravel().tolist()]
+    except OverflowError:  # Only then a call per value.
+        squares = [_square(value) for value in values.ravel().tolist()]
+    return np.array(squares).reshape(values.shape)
 
 
 def overlap_checks(overlaps):

@@ -21,7 +21,7 @@ from irtr_lab.experiments import (
     DEFAULT_SEPARATION_GRID,
     inclusive_grid,
 )
-from irtr_lab.measurements import regret_rows, spade_cutoff
+from irtr_lab.measurements import regret_rows, spade_cutoff, spawned_pools
 from irtr_lab.state_model import c_tilde_from_overlaps, qfim_stack
 
 
@@ -791,28 +791,73 @@ class TestRunnersMatchScalarRoute:
             expected = scalar_row(model, self.overlaps(ratio1, ratio2))
             assert tuple(float(cell) for cell in row[4:]) == expected
 
-    def test_custom_every_random_row(self, tmp_path):
+    @pytest.mark.parametrize(
+        "theta1_grid, theta2_grid, n_random",
+        [
+            ((0.0, 1.3), (0.15, 2.2), 600),
+            # Each separation's five points hold 1000 samples, run in blocks
+            # of 512 and 488: the boundary falls inside its point 2.
+            ((-0.5, 0.0, 1.2, 2.0, 3.0), (0.1, 1.0), 200),
+            # One theta1: each separation holds one point.
+            ((0.4,), (0.1, 1.0, 3.0), 600),
+        ],
+    )
+    def test_custom_every_random_row(self, tmp_path, theta1_grid, theta2_grid, n_random):
         config = lab.ExperimentConfig(
             figure_id="custom",
-            theta1_grid=(0.0, 1.3),
-            theta2_grid=(0.15, 2.2),
+            theta1_grid=theta1_grid,
+            theta2_grid=theta2_grid,
             measurements=("random",),
-            n_random=600,
+            n_random=n_random,
             seed=11,
             output_dir=str(tmp_path),
         )
         _, _, rows = read_table(lab.run_custom(config)[0])
-        points = [(0.0, 0.15), (0.0, 2.2), (1.3, 0.15), (1.3, 2.2)]
+        points = [(ratio1, ratio2) for ratio1 in theta1_grid for ratio2 in theta2_grid]
+        assert len(rows) == n_random * len(points)
         children = np.random.SeedSequence(11).spawn(len(points))
         for index, ((ratio1, ratio2), child) in enumerate(zip(points, children)):
-            point_rows = rows[600 * index : 600 * (index + 1)]
+            point_rows = rows[n_random * index : n_random * (index + 1)]
             assert {(float(r[0]), float(r[1]), r[2]) for r in point_rows} == {
                 (ratio1, ratio2, "random")
             }
             overlaps = self.overlaps(ratio1, ratio2)
             self.assert_random_rows(
-                [row[3:] for row in point_rows], overlaps, child.spawn(600)
+                [row[3:] for row in point_rows], overlaps, child.spawn(n_random)
             )
+
+    def test_the_first_failing_sample_in_sweep_order_raises(self, tmp_path, monkeypatch):
+        # Separation 0.5 runs first, with points 0 and 2; separation 2.0 holds
+        # points 1 and 3.  Point 1's sample 250 (in the second block of its
+        # separation) and point 2's sample 4 get a skewed basis: point 1 comes
+        # first in the sweep, though its separation runs second.
+        skewed = {
+            tuple(spawned_pools(8, (point,), 0, 300)[sample].tolist())
+            for point, sample in ((1, 250), (2, 4))
+        }
+        draw = experiments.haar_random_bases
+
+        def skewing(pools):
+            bases = draw(pools)
+            for basis, pool in zip(bases, pools.tolist()):
+                if tuple(pool) in skewed:
+                    basis *= 1.001
+            return bases
+
+        monkeypatch.setattr(experiments, "haar_random_bases", skewing)
+        config = lab.ExperimentConfig(
+            figure_id="custom",
+            theta1_grid=(0.0, 1.0),
+            theta2_grid=(0.5, 2.0),
+            measurements=("random",),
+            n_random=300,
+            seed=8,
+            output_dir=str(tmp_path),
+        )
+        message = r"^sample 250: basis is not orthogonal within 1e-12$"
+        with pytest.raises(lab.ConsistencyError, match=message):
+            lab.run_custom(config)
+        assert not list(tmp_path.iterdir())
 
 
 class TestRunnersShareTheKernel:

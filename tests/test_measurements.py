@@ -29,6 +29,7 @@ from irtr_lab.measurements import (
     spade_cutoff,
     spawned_pools,
 )
+from irtr_lab.errors import failure_flags
 from irtr_lab.experiments import DEFAULT_SEPARATION_GRID
 from irtr_lab.psf_core import USER_DEFINED, quadrature_grid
 
@@ -1040,6 +1041,19 @@ class TestRegretRows:
         text = f"row 18: IRTR residual {residual:.3e} is negative beyond tolerance"
         with pytest.raises(lab.BoundViolationError, match=f"^{text}$"):
             regret_rows(fishers, np.array([quantum.matrix] * 19), [c_tilde] * 19)
+
+    def test_a_shared_c_tilde_is_squared_as_a_column_of_it(self):
+        # The stacked step squares a shared c_tilde once, before broadcasting it.
+        quantum = self.quanta[1].matrix
+        fishers = np.array([f * quantum for f in np.linspace(0.05, 0.95, 19)])
+        c_tildes = [0.0, 0.5402238995537649, 1.0, *np.random.default_rng(6).uniform(size=40)]
+        for c_tilde in c_tildes:
+            shared, shared_checks = measurements._regrets_and_checks(fishers, quantum, c_tilde)
+            column, column_checks = measurements._regrets_and_checks(
+                fishers, quantum, [c_tilde] * len(fishers)
+            )
+            assert shared.tobytes() == column.tobytes()
+            assert np.array_equal(failure_flags(shared_checks), failure_flags(column_checks))
 
     def test_shared_qfim_and_c_tilde(self):
         quantum = self.quanta[0]

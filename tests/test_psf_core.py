@@ -15,6 +15,7 @@ import pytest
 
 import irtr_lab as lab
 from irtr_lab import psf_core
+from irtr_lab.errors import failure_flags
 from irtr_lab.psf_core import (
     USER_DEFINED,
     block_size,
@@ -270,6 +271,17 @@ class TestOverlapIntegralsContainer:
     def test_accepts_boundary_values(self):
         lab.OverlapIntegrals(kappa=0.25, gamma=0.0, beta=0.25, delta=1.0)
         lab.OverlapIntegrals(kappa=0.25, gamma=0.5, beta=0.0, delta=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_square_is_inf(self):
+        # kappa = 2.5e159, whose square overflows: Python's float ** raises
+        # OverflowError there, numpy's square is inf, and so are the checks'.
+        overlaps = lab.gaussian_overlap_integrals(1e-80, 1e-80)
+        assert overlaps.kappa == 2.5e159
+        columns = np.array([dataclasses.astuple(overlaps)]).T
+        assert not failure_flags(psf_core.overlap_checks(columns)).any()
+        values = [2e154, -3e200, 1.3e154, 0.1]
+        assert psf_core.pow_squares(values).tolist() == [math.inf, math.inf, 1.3e154**2, 0.1**2]
 
     @pytest.mark.parametrize("field", ["kappa", "gamma", "beta", "delta"])
     def test_rejects_non_finite_values(self, field):
