@@ -14,12 +14,12 @@ them: the overlaps of each distinct separation as (4, n) columns (with the
 direct-imaging FIMs from their own samples, by ``overlaps_and_direct_fims``),
 their QFIM stack and c_tilde column, then one stacked regret step per
 measurement: ``regret_rows`` over the direct-imaging or SPADE FIMs (from one
-stacked model per mode cutoff), ``projective_regrets_and_checks`` over blocks
-of Haar-random bases, once per separation for the samples of all its points.
-From the quadrature to the CSV writer, which formats each column by its
-dtype, a sweep is columns of arrays, the frontier tables too
-(``irtr_frontier``): per-row objects are built only where a scalar route
-needs them, the SPADE geometries and the random samples' state models.
+stacked model of the points per mode cutoff), ``projective_regrets_and_checks``
+over blocks of Haar-random bases, once per separation for the samples of all
+its points.  From the quadrature to the CSV writer, which formats each column
+by its dtype, a sweep is columns of arrays, the frontier tables too
+(``irtr_frontier``): the only per-row objects are the random samples' state
+models, one per separation.
 
 Runs compute in units of sigma, on ``gaussian_psf()`` and points at the
 grid ratios: ``sigma`` is a label, written to the CSVs and the manifest.
@@ -51,7 +51,6 @@ from .measurements import (
 from .psf_core import (
     OverlapIntegrals,
     QuadratureSpec,
-    SourceGeometry,
     gaussian_psf,
     overlap_columns,
     sweep_points,
@@ -279,8 +278,7 @@ def _sweep(config, psf, points, measurements, prefixes=None):
     if "direct" in measurements:
         blocks.append(regret_rows(fishers[separation], quantum, c_tilde)[..., None])
     if "spade" in measurements:
-        geometries = [SourceGeometry(*point) for point in points.tolist()]
-        blocks.append(regret_rows(_spade_fims(config, geometries), quantum, c_tilde)[..., None])
+        blocks.append(regret_rows(_spade_fims(config, points), quantum, c_tilde)[..., None])
     if "random" in measurements:
         count = config.n_random
         pools = spawned_pools(config.seed, prefixes, 0, count)
@@ -315,8 +313,8 @@ def _sweep(config, psf, points, measurements, prefixes=None):
     return c_tilde, np.concatenate(blocks, axis=-1)
 
 
-def _spade_fims(config, geometries):
-    """SPADE FIM of each geometry, bit for bit its own, from one stacked model per cutoff.
+def _spade_fims(config, points):
+    """SPADE FIM of each (theta1, theta2) point, bit for bit its own, from one model per cutoff.
 
     The adaptive cutoffs of the sweep are bisected together.  A model or FIM
     error names its row within the cutoff group; with an explicit
@@ -324,13 +322,12 @@ def _spade_fims(config, geometries):
     """
     cutoffs = config.mode_cutoff
     if cutoffs is None:
-        cutoffs = spade_cutoff(1.0, geometries)
-    cutoffs = np.broadcast_to(cutoffs, len(geometries))
-    sweep = np.array(geometries, dtype=object)
-    fishers = np.empty((len(geometries), 2, 2))
+        cutoffs = spade_cutoff(1.0, points)
+    cutoffs = np.broadcast_to(cutoffs, len(points))
+    fishers = np.empty((len(points), 2, 2))
     for cutoff in np.unique(cutoffs):
         members = cutoffs == cutoff
-        fishers[members] = fim(spade_model(1.0, sweep[members], int(cutoff)))
+        fishers[members] = fim(spade_model(1.0, points[members], int(cutoff)))
     return fishers
 
 

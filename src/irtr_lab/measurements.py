@@ -14,11 +14,12 @@ Each model carries the outcome probabilities together with their derivatives
 with respect to centroid and separation, from which ``fim`` computes the
 classical Fisher information matrix and ``regret_report`` the normalized
 square-root information regrets against the quantum bound.  These single
-models are the reference route.  ``regret_rows`` does the same for a stack
-of FIMs and ``projective_regrets`` for a stack of projective measurements;
-``overlaps_and_direct_fims`` gives a sweep's overlap columns and
-direct-imaging FIMs, for an even PSF from the same passes' half-grid samples.  Each is bit
-for bit equal to the reference route and keeps its checks.
+models are the reference route.  The stacked routes, each bit for bit equal
+to it and keeping its checks, are ``regret_rows`` for FIMs,
+``projective_regrets_and_checks`` for projective measurements, ``spade_model``
+for (theta1, theta2) points, and ``overlaps_and_direct_fims`` for a sweep's
+overlap columns and direct-imaging FIMs, for an even PSF from the same
+passes' half-grid samples.
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ from .psf_core import (
     pow_squares,
     quadrature_grid,
     quadrature_ladder,
+    source_positions,
     sweep_points,
 )
 from .state_model import Qfim, StateModel4
-from .tradeoff import RESIDUAL_FLOOR
+from .tradeoff import RESIDUAL_FLOOR, delta_range_checks
 
 CONTINUUM_GRID = "continuum_grid"
 DISCRETE_MODES = "discrete_modes"
@@ -416,16 +418,16 @@ def _tail_bounds(sigma, means, cutoffs):
     return 0.5 * (mass[..., 0] + mass[..., 1]), (fisher[..., 0] + fisher[..., 1]) / sigma**2
 
 
-def _source_alphas(sigma, geometries):
-    """alpha_j = X_j / 2 sigma of each geometry's two sources, a row per geometry."""
+def _source_alphas(sigma, geometry):
+    """alpha_j = X_j / 2 sigma, a row per point, and whether ``geometry`` is a stack of points."""
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
-    return np.array([(g.x1, g.x2) for g in geometries], dtype=float) / (2.0 * sigma)
+    stacked = not isinstance(geometry, SourceGeometry)
+    points = geometry if stacked else [(geometry.theta1, geometry.theta2)]
+    return source_positions(points) / (2.0 * sigma), stacked
 
 
-def spade_cutoff(
-    sigma: float, geometry: SourceGeometry | list[SourceGeometry]
-) -> int | np.ndarray:
+def spade_cutoff(sigma: float, geometry: SourceGeometry | np.ndarray) -> int | np.ndarray:
     """The adaptive SPADE cutoff of ``spade_model(sigma, geometry)``.
 
     It is the smallest cutoff Q >= 2 whose truncated mass bound is below
@@ -433,13 +435,12 @@ def spade_cutoff(
     CutoffError is raised when no Q up to 512 meets both.  Each Poisson tail
     bound is 1 while the mean is at least Q + 2 and only shrinks after that,
     so every cutoff above one that meets both criteria meets them too, and
-    bisection finds the smallest.  A sequence of geometries gives an array
-    of their cutoffs, bisected together: each row takes the midpoints its
-    own bisection would, and the first row without a cutoff raises the same
-    error, naming that row.
+    bisection finds the smallest.  (n, 2) (theta1, theta2) points give an
+    array of their cutoffs, bisected together: each row takes the midpoints
+    its own bisection would, and the first row without a cutoff raises the
+    same error, naming that row.
     """
-    stacked = not isinstance(geometry, SourceGeometry)
-    alphas = _source_alphas(sigma, geometry if stacked else [geometry])
+    alphas, stacked = _source_alphas(sigma, geometry)
     with np.errstate(over="ignore"):  # An inf mean has no cutoff, as a huge one has none.
         means = alphas * alphas
     low, high = np.full(len(means), 2), np.full(len(means), _MODE_CAP + 1)
@@ -457,7 +458,7 @@ def spade_cutoff(
 
 def spade_model(
     sigma: float,
-    geometry: SourceGeometry | list[SourceGeometry],
+    geometry: SourceGeometry | np.ndarray,
     mode_cutoff: int | None = None,
 ) -> ProbabilityModel:
     """Hermite-Gaussian mode-sorting model for a Gaussian PSF of width sigma.
@@ -467,13 +468,12 @@ def spade_model(
     whose discarded Fisher information is at most 1e-13/sigma^2
     (``spade_cutoff``); an explicit cutoff must satisfy the mass criterion
     or a CutoffError is raised.  The model reports both tail bounds.
-    A sequence of geometries and an explicit cutoff give a stacked model,
-    row i equal bit for bit to the model of ``geometry[i]`` alone; the tail
-    bounds of all rows are evaluated together, one pair per row, and an
-    error names the first failing row.
+    (n, 2) (theta1, theta2) points and an explicit cutoff give a stacked
+    model, row i equal bit for bit to the model of ``SourceGeometry(*points[i])``
+    alone; the tail bounds of all rows are evaluated together, one pair per
+    row, and an error names the first failing row.
     """
-    stacked = not isinstance(geometry, SourceGeometry)
-    alphas = _source_alphas(sigma, geometry if stacked else [geometry])
+    alphas, stacked = _source_alphas(sigma, geometry)
     if mode_cutoff is None:
         if stacked:
             raise ValueError("a stacked SPADE model needs an explicit mode_cutoff")
@@ -826,7 +826,7 @@ def _regrets_and_checks(fishers, quantum, c_tilde):
     scale = np.maximum(1.0, np.max(np.abs(quantum), axis=(1, 2)))
     lowest = np.linalg.eigvalsh(regret)[:, 0]
     diagonals = regret[:, [0, 1], [0, 1]].T
-    delta1, delta2 = deltas = np.sqrt(np.where(diagonals < 0.0, 0.0, diagonals) / bound)
+    delta1, delta2 = np.sqrt(np.where(diagonals < 0.0, 0.0, diagonals) / bound)
     cross = 2.0 * np.sqrt(np.maximum(1.0 - squares, 0.0))
     residual = delta1 * delta1 + delta2 * delta2 + cross * delta1 * delta2 - squares
 
@@ -836,9 +836,7 @@ def _regrets_and_checks(fishers, quantum, c_tilde):
          lowest < -1e-6 * scale, lowest),
         *((BoundViolationError, "diagonal regret {:.3e} is negative beyond tolerance",
            diagonal < -1e-9 * scale, diagonal) for diagonal in diagonals),
-        *((ConsistencyError, f"delta{index} = {{!r}} is outside [0, 1]",
-           ~((-1e-12 <= delta) & (delta <= 1.0 + 1e-12)), delta)
-          for index, delta in enumerate(deltas, start=1)),
+        *delta_range_checks(delta1, delta2, ConsistencyError),
         (ConsistencyError, "c_tilde must lie in [0, 1]", ~((0.0 <= c_tilde) & (c_tilde <= 1.0))),
         (BoundViolationError, "IRTR residual {:.3e} is negative beyond tolerance",
          residual < RESIDUAL_FLOOR, residual),
@@ -846,23 +844,14 @@ def _regrets_and_checks(fishers, quantum, c_tilde):
     return np.stack([delta1, delta2, residual]), checks
 
 
-def projective_regrets(
-    state: StateModel4, bases, quantum: Qfim, c_tilde: float, first_sample: int = 0
-) -> np.ndarray:
-    """Rows (delta1, delta2, irtr_residual) of stacked projective measurements.
-
-    Column k of the (3, n) result equals, bit for bit, ``projective_model`` ->
-    ``fim`` -> ``regret_report`` -> ``irtr_residual`` for basis k.  Every check
-    of that route is kept; a failure raises the error the route would raise
-    first, naming the sample ``first_sample + k``.
-    """
-    rows, checks = projective_regrets_and_checks(state, bases, quantum, c_tilde)
-    raise_first_failure(checks, "sample {}: ", first_sample)
-    return rows
-
-
 def projective_regrets_and_checks(state: StateModel4, bases, quantum: Qfim, c_tilde: float):
-    """The rows of ``projective_regrets`` and its checks, in the order a sample meets them."""
+    """Rows (delta1, delta2, irtr_residual) of stacked projective measurements, and their checks.
+
+    Column k of the (3, n) rows equals, bit for bit, ``projective_model`` ->
+    ``fim`` -> ``regret_report`` -> ``irtr_residual`` for basis k.  Every check
+    of that route is kept, in the order a sample meets them:
+    ``raise_first_failure`` raises the error the route would raise first.
+    """
     bases = np.asarray(bases, dtype=float)
     probabilities, *derivatives = _born_rule(state, bases)
     fishers, fisher_checks = _fisher_information(probabilities, derivatives)

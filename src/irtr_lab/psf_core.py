@@ -33,8 +33,9 @@ depends on theta2/sigma and the rule alone, so the overlaps do too, bit for
 bit, and a sweep runs each pass over blocks of the geometries still climbing
 (``overlap_passes``), whose samples also give the direct-imaging FIMs, which
 settle on the same ladder by checks of their own.  A sweep's overlaps are
-(4, n) columns (``overlap_columns``), checked as ``OverlapIntegrals`` checks
-one row (``overlap_checks``).  Any other PSF is
+(4, n) columns (``overlap_columns``) of (theta1, theta2) points, checked by
+``sweep_points`` and ``overlap_checks``, which ``SourceGeometry`` and
+``OverlapIntegrals`` run on their one point and column.  Any other PSF is
 integrated over the full window on P and 2P panels, with the same checks.
 """
 
@@ -98,12 +99,7 @@ class SourceGeometry:
     theta2: float
 
     def __post_init__(self):
-        for name, value in (("theta1", self.theta1), ("theta2", self.theta2)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not self.theta2 > 0.0:
-            # theta2 = 0 makes the state rank-1 and the 4D basis degenerate.
-            raise ValueError("separation theta2 must be strictly positive")
+        sweep_points([(self.theta1, self.theta2)])
 
     @property
     def x1(self) -> float:
@@ -116,10 +112,10 @@ class SourceGeometry:
 
 
 def sweep_points(points) -> np.ndarray:
-    """The (n, 2) float array of (theta1, theta2) ``points``.
+    """The (n, 2) float array of checked (theta1, theta2) ``points``.
 
-    Each point is checked as ``SourceGeometry`` checks it, with its messages;
-    the first failing point raises its error.
+    Both coordinates must be finite and theta2 positive (theta2 = 0 makes the
+    state rank-1 and the 4D basis degenerate); the first failing point raises.
     """
     points = np.array(points, dtype=float).reshape(len(points), 2)
     theta1, theta2 = points.T
@@ -132,6 +128,13 @@ def sweep_points(points) -> np.ndarray:
         "",
     )
     return points
+
+
+def source_positions(points) -> np.ndarray:
+    """(n, 2) positions (X1, X2) of checked (theta1, theta2) ``points``, as ``SourceGeometry``'s."""
+    theta1, theta2 = sweep_points(points).T
+    x1 = theta1 - 0.5 * theta2
+    return np.stack([x1, x1 + theta2], axis=1)
 
 
 @dataclass(frozen=True)
@@ -175,49 +178,37 @@ class OverlapIntegrals:
     delta: float
 
     def __post_init__(self):
-        values = (self.kappa, self.gamma, self.beta, self.delta)
-        if not all(map(math.isfinite, values)):
-            raise ConsistencyError(f"overlap integrals must be finite, got {values!r}")
-        if not self.kappa > 0.0:
-            raise ConsistencyError("kappa must be positive")
-        if abs(self.delta) > 1.0 + 1e-12:
-            raise ConsistencyError("|delta| cannot exceed 1")
-        fisher_11 = self.kappa - _square(self.gamma)
-        if fisher_11 < -1e-9 * self.kappa:
-            raise ConsistencyError("kappa - gamma^2 must be nonnegative")
-        if _square(self.beta) > self.kappa * max(fisher_11, 0.0) + 1e-9 * _square(self.kappa):
-            raise ConsistencyError("beta^2 cannot exceed kappa*(kappa - gamma^2)")
+        raise_first_failure(overlap_checks(overlap_column(self)), "")
 
 
-def _square(value) -> float:
-    """float(value)**2 by Python's float pow, or inf where that overflows, as numpy's square.
-
-    A float's ** goes through pow, which can be 1 ulp away from numpy's x * x;
-    past about 1.3e154 it raises OverflowError.
-    """
-    try:
-        return float(value) ** 2
-    except OverflowError:
-        return math.inf
+def overlap_column(overlaps) -> np.ndarray:
+    """The (4, 1) column (kappa, gamma, beta, delta) of one set of ``overlaps``."""
+    fields = (overlaps.kappa, overlaps.gamma, overlaps.beta, overlaps.delta)
+    return np.array(fields, dtype=float).reshape(4, 1)
 
 
 def pow_squares(values) -> np.ndarray:
-    """``_square`` of each float in ``values``, in their shape, as the scalar routes square."""
+    """Each float of ``values`` squared by Python's float ``**``, in their shape.
+
+    A float's ** goes through pow, which can be 1 ulp away from numpy's x * x;
+    past about 1.3e154 it raises OverflowError, and the square is inf there,
+    as numpy's is.
+    """
     values = np.asarray(values, dtype=float)
-    try:
-        squares = [value**2 for value in values.ravel().tolist()]
-    except OverflowError:  # Only then a call per value.
-        squares = [_square(value) for value in values.ravel().tolist()]
+    squares = []
+    for value in values.ravel().tolist():
+        try:
+            squares.append(value**2)
+        except OverflowError:
+            squares.append(math.inf)
     return np.array(squares).reshape(values.shape)
 
 
 def overlap_checks(overlaps):
-    """``OverlapIntegrals``'s checks of each column of (4, n) ``overlaps``.
+    """The overlap checks of each column of (4, n) ``overlaps`` (kappa, gamma, beta, delta).
 
-    The columns are (kappa, gamma, beta, delta); the checks, with the
-    dataclass's errors and messages, come in the order a row meets them.  The
-    dataclass keeps its own scalar checks, the reference these are tested
-    against.
+    They come in the order a column meets them; ``OverlapIntegrals`` runs them
+    on its own one column.
     """
     kappa, gamma, beta, delta = overlaps
     with np.errstate(invalid="ignore", over="ignore"):
@@ -457,10 +448,9 @@ def _settle(overlaps, rows, integrals, drift, lo, hi, quad, label, final):
     ``integrals`` has rows (int psi^2, kappa, gamma, beta, delta) and a column
     per entry of ``rows``, ``drift`` each column's largest drift from the
     coarser pass; ``lo`` and ``hi`` are the windows of all rows.  A row meets
-    the drift check, the normalization check, then ``OverlapIntegrals``'s own
-    (``overlap_checks``), and its overlaps go to column ``rows[i]`` of the
-    (4, n) ``overlaps``.  When ``final``, the first failing row raises its
-    error, named by ``label``.
+    the drift check, the normalization check, then ``overlap_checks``, and
+    its overlaps go to column ``rows[i]`` of the (4, n) ``overlaps``.  When
+    ``final``, the first failing row raises its error, named by ``label``.
     """
     norm = integrals[0]
     checks = [
@@ -481,12 +471,19 @@ def _settle(overlaps, rows, integrals, drift, lo, hi, quad, label, final):
 
 
 def overlap_columns(psf: PointSpreadFunction, points, quad=QuadratureSpec(), label="row {}: "):
-    """(4, n) columns (kappa, gamma, beta, delta) of a sweep of (theta1, theta2) ``points``.
+    """(4, n) columns (kappa, gamma, beta, delta) of (theta1, theta2) ``points``, by quadrature.
 
-    Column i equals, bit for bit, the fields of ``overlap_integrals(psf,
-    SourceGeometry(*points[i]), quad)``, and every check of that route is
-    kept: the first failing row raises its error, named by ``label``.  The
-    points are checked first (``sweep_points``).
+    For an even PSF (``psf.even``) the folded integrands of the module
+    docstring are integrated over the centroid half-window [0, W],
+    W = theta2/2 + R sigma, on the passes of ``quadrature_ladder(quad)``, and
+    the overlaps are the finer values of the first pair of passes whose checks
+    pass, so they depend on theta2 alone, bit for bit.  Any other PSF is
+    integrated over the full window [X1 - R sigma, X2 + R sigma] on P and 2P
+    panels (P = ``panel_count``).  The two rules of the pair must agree to
+    ``abs_tolerance`` (ConvergenceError), int psi^2 must be 1 within 10x that
+    (NormalizationError), and the overlaps must pass ``overlap_checks``
+    (ConsistencyError).  The points are checked first (``sweep_points``);
+    at the top pair the first failing row raises its error, named by ``label``.
     """
     points = sweep_points(points)
     overlaps = np.empty((4, len(points)))
@@ -496,12 +493,11 @@ def overlap_columns(psf: PointSpreadFunction, points, quad=QuadratureSpec(), lab
             pass
     elif len(points):
         radius = quad.truncation_radius * psf.sigma
-        geometries = [SourceGeometry(*point) for point in points.tolist()]
-        lo = np.array([g.x1 - radius for g in geometries])
-        hi = np.array([g.x2 + radius for g in geometries])
+        sources = source_positions(points)
+        lo, hi = sources[:, 0] - radius, sources[:, 1] + radius
         columns = [
-            _refined_batch(_products(psf, g), lo[row], hi[row], quad)
-            for row, g in enumerate(geometries)
+            _refined_batch(_products(psf, *pair), lo[row], hi[row], quad)
+            for row, pair in enumerate(sources.tolist())
         ]
         integrals = np.array([column[0] for column in columns]).T
         drift = np.array([column[1] for column in columns])
@@ -514,42 +510,29 @@ def overlap_integrals(
     geometry: SourceGeometry | list[SourceGeometry],
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> OverlapIntegrals | list[OverlapIntegrals]:
-    """Compute (kappa, gamma, beta, delta) by quadrature.
-
-    For an even PSF (``psf.even``) the folded integrands of the module
-    docstring are integrated over the centroid half-window [0, W],
-    W = theta2/2 + R sigma, on the passes of ``quadrature_ladder(quad)``, and
-    the overlaps are the finer values of the first pair of passes whose checks
-    pass, so they depend on theta2 alone, bit for bit.  Any other PSF is
-    integrated over the full window [X1 - R sigma, X2 + R sigma] on P and 2P
-    panels (P = ``panel_count``).  The two rules of the pair must agree to
-    ``abs_tolerance`` (ConvergenceError), int psi^2 must be 1 within 10x that
-    (NormalizationError), and the overlaps must pass ``OverlapIntegrals``'s
-    checks (ConsistencyError); at the top pair a failure raises.
+    """The ``overlap_columns`` of ``geometry``, as ``OverlapIntegrals``, an error unnamed.
 
     A sequence of geometries gives a list, element i equal bit for bit to
     ``overlap_integrals(psf, geometry[i], quad)``: the geometries climb
-    together, as the columns of ``overlap_columns``, and an error names the
-    first failing row, with that row's first failing check.
+    together, and an error names the first failing row.
     """
     stacked = not isinstance(geometry, SourceGeometry)
-    geometries = list(geometry) if stacked else [geometry]
-    points = [(g.theta1, g.theta2) for g in geometries]
+    points = [(g.theta1, g.theta2) for g in (geometry if stacked else [geometry])]
     columns = overlap_columns(psf, points, quad, "row {}: " if stacked else "")
     overlaps = [OverlapIntegrals(*column) for column in columns.T.tolist()]
     return overlaps if stacked else overlaps[0]
 
 
-def _products(psf, geometry):
-    """``_refined_batch``'s ``evaluate`` for the full-window integrands of ``geometry``.
+def _products(psf, x1, x2):
+    """``_refined_batch``'s ``evaluate`` for the full-window integrands of sources at x1, x2.
 
     They are a1^2, d1^2, d1 a2, d1 d2 and a1 a2, with a_j, d_j = psi, psi' at
     x - X_j: int psi^2, kappa, gamma, beta and delta.
     """
 
     def evaluate(x):
-        a1, d1 = psf.amplitude_and_derivative(x - geometry.x1)
-        a2, d2 = psf.amplitude_and_derivative(x - geometry.x2)
+        a1, d1 = psf.amplitude_and_derivative(x - x1)
+        a2, d2 = psf.amplitude_and_derivative(x - x2)
         products = np.empty((5, x.size))
         for out, left, right in zip(products, (a1, d1, d1, d1, a1), (a1, d1, a2, d2, a2)):
             np.multiply(left, right, out=out)
@@ -591,16 +574,17 @@ def gaussian_overlap_integrals(sigma: float, theta2: float) -> OverlapIntegrals:
     delta = exp(-theta2^2 / 8 sigma^2)
 
     The delta closed form is validated against the quadrature path in the
-    test suite rather than taken on faith.
+    test suite rather than taken on faith.  All four are Python floats,
+    whatever float type sigma and theta2 are.
     """
     if not (sigma > 0.0 and theta2 > 0.0):
         raise ValueError("sigma and theta2 must be positive")
-    envelope = np.exp(-(theta2**2) / (8.0 * sigma**2))
+    envelope = float(np.exp(-(theta2**2) / (8.0 * sigma**2)))
     return OverlapIntegrals(
-        kappa=1.0 / (4.0 * sigma**2),
-        gamma=-(theta2 / (4.0 * sigma**2)) * envelope,
-        beta=-(theta2**2 - 4.0 * sigma**2) / (16.0 * sigma**4) * envelope,
-        delta=float(envelope),
+        kappa=float(1.0 / (4.0 * sigma**2)),
+        gamma=float(-(theta2 / (4.0 * sigma**2)) * envelope),
+        beta=float(-(theta2**2 - 4.0 * sigma**2) / (16.0 * sigma**4) * envelope),
+        delta=envelope,
     )
 
 

@@ -34,9 +34,9 @@ from .psf_core import (
     QuadratureSpec,
     SourceGeometry,
     displaced_overlaps,
+    overlap_column,
     overlap_integrals,
     pow_squares,
-    quadrature_grid,
 )
 
 
@@ -95,20 +95,6 @@ class IncompatibilityCoefficients:
             raise ValueError("c cannot exceed c_tilde")
 
 
-@dataclass(frozen=True)
-class SubspaceBasisGrid:
-    """Samples of the four basis wavefunctions on a quadrature grid.
-
-    ``functions[m]`` holds basis function m at ``positions``; ``weights`` are
-    the matching quadrature weights, so Gram-matrix entries are
-    ``(functions[m] * functions[n]) @ weights``.
-    """
-
-    positions: np.ndarray
-    weights: np.ndarray
-    functions: np.ndarray
-
-
 def _gram_schmidt_norms(overlaps: OverlapIntegrals) -> tuple[float, float]:
     one_minus = 1.0 - overlaps.delta
     one_plus = 1.0 + overlaps.delta
@@ -154,16 +140,12 @@ def build_state_model(overlaps: OverlapIntegrals) -> StateModel4:
 
 
 def qfim(overlaps: OverlapIntegrals) -> Qfim:
-    """QFIM diag(4 kappa - 4 gamma^2, kappa) for (centroid, separation)."""
-    centroid_info = 4.0 * (overlaps.kappa - overlaps.gamma**2)
-    return Qfim(matrix=np.diag([centroid_info, overlaps.kappa]))
+    """QFIM diag(4 kappa - 4 gamma^2, kappa) for (centroid, separation): ``qfim_stack``'s."""
+    return Qfim(qfim_stack(overlap_column(overlaps))[0])
 
 
 def qfim_stack(overlaps) -> np.ndarray:
-    """(n, 2, 2) QFIMs of (4, n) overlap columns (kappa, gamma, beta, delta).
-
-    Row i is ``qfim(OverlapIntegrals(*overlaps[:, i])).matrix``, bit for bit.
-    """
+    """(n, 2, 2) QFIMs diag(4 kappa - 4 gamma^2, kappa) of (4, n) overlap columns."""
     kappa, gamma = overlaps[:2]
     stack = np.zeros((kappa.size, 2, 2))
     stack[:, 0, 0] = 4.0 * (kappa - pow_squares(gamma))
@@ -171,12 +153,12 @@ def qfim_stack(overlaps) -> np.ndarray:
     return stack
 
 
-def c_tilde_column(overlaps) -> np.ndarray:
-    """c_tilde of each column of (4, n) overlaps (kappa, gamma, beta, delta).
+def c_tilde_column(overlaps, label="row {}: ") -> np.ndarray:
+    """c_tilde = |beta| / sqrt(kappa (kappa - gamma^2)) of each column of (4, n) overlaps.
 
-    Entry i is ``c_tilde_from_overlaps(OverlapIntegrals(*overlaps[:, i]))``,
-    bit for bit, with its checks: the first failing row raises that route's
-    error, prefixed ``row i: ``.
+    No state model is needed.  kappa - gamma^2 must be positive and c_tilde
+    at most 1 + 1e-9; the first failing row raises its error, named by
+    ``label``.  Values just above 1 are clamped to 1.
     """
     kappa, gamma, beta, _ = overlaps
     centroid_quarter = kappa - pow_squares(gamma)
@@ -189,24 +171,14 @@ def c_tilde_column(overlaps) -> np.ndarray:
             (DegenerateStateError, "c_tilde = {!r} above 1: overlap scalars are inconsistent",
              c_tilde > 1.0 + 1e-9, c_tilde),
         ],
-        "row {}: ",
+        label,
     )
     return np.where(c_tilde > 1.0, 1.0, c_tilde)
 
 
 def c_tilde_from_overlaps(overlaps: OverlapIntegrals) -> float:
-    """c_tilde = |beta| / sqrt(kappa (kappa - gamma^2)), without a state model."""
-    centroid_quarter = overlaps.kappa - overlaps.gamma**2
-    if centroid_quarter <= 0.0:
-        raise DegenerateStateError(
-            "kappa - gamma^2 must be positive to define c_tilde"
-        )
-    c_tilde = abs(overlaps.beta) / math.sqrt(overlaps.kappa * centroid_quarter)
-    if c_tilde > 1.0 + 1e-9:
-        raise DegenerateStateError(
-            f"c_tilde = {c_tilde!r} above 1: overlap scalars are inconsistent"
-        )
-    return min(c_tilde, 1.0)
+    """c_tilde of one set of overlaps: ``c_tilde_column``'s, its errors unnamed."""
+    return float(c_tilde_column(overlap_column(overlaps), label="")[0])
 
 
 def incompatibility(overlaps: OverlapIntegrals) -> IncompatibilityCoefficients:
@@ -346,26 +318,3 @@ def verify_sld(
         predicted = 0.5 * (sld @ model.rho + model.rho @ sld)
         residuals.append(np.linalg.norm(derivative - predicted, "fro"))
     return float(max(residuals))
-
-
-def subspace_basis_wavefunctions(
-    psf: PointSpreadFunction,
-    geometry: SourceGeometry,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> SubspaceBasisGrid:
-    """Sample the four orthonormal basis wavefunctions on a quadrature grid.
-
-    The Gram matrix of the returned samples under the returned weights is the
-    identity up to quadrature error.
-    """
-    overlaps = overlap_integrals(psf, geometry, quad)
-    coeffs = _basis_coefficients(overlaps)
-    lo = geometry.x1 - quad.truncation_radius * psf.sigma
-    hi = geometry.x2 + quad.truncation_radius * psf.sigma
-    positions, weights = quadrature_grid(lo, hi, quad.panel_count, quad.nodes_per_panel)
-    a1, d1 = psf.amplitude_and_derivative(positions - geometry.x1)
-    a2, d2 = psf.amplitude_and_derivative(positions - geometry.x2)
-    generators = np.stack([a1, a2, -d1, -d2])
-    return SubspaceBasisGrid(
-        positions=positions, weights=weights, functions=coeffs @ generators
-    )

@@ -33,10 +33,17 @@ class TradeoffPoint:
     delta2: float
 
     def __post_init__(self):
-        for name in ("delta1", "delta2"):
-            value = getattr(self, name)
-            if not (-1e-12 <= value <= 1.0 + 1e-12):
-                raise ValueError(f"{name} = {value!r} is outside [0, 1]")
+        raise_first_failure(delta_range_checks(self.delta1, self.delta2), "")
+
+
+def delta_range_checks(delta1, delta2, error=ValueError):
+    """Checks, raising ``error``, that each delta1, then each delta2, lies in [0, 1] to 1e-12."""
+    # `~(...)` fails a NaN; numpy's comparisons give flags `~` negates, of Python floats too.
+    return [
+        (error, f"{name} = {{!r}} is outside [0, 1]",
+         ~(np.greater_equal(delta, -1e-12) & np.less_equal(delta, 1.0 + 1e-12)), delta)
+        for name, delta in (("delta1", delta1), ("delta2", delta2))
+    ]
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,7 @@ def irtr_frontier(c_tilde: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     which satisfies the residual identically.  Pairs below the curve are
     infeasible for every measurement.  Each point meets ``TradeoffPoint``'s
-    range check; the first point outside raises its error.
+    range checks; the first point outside raises its error.
     """
     _check_coefficient(c_tilde)
     if not c_tilde > 0.0:
@@ -101,12 +108,7 @@ def irtr_frontier(c_tilde: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     delta1 = c_tilde * np.arange(n) / (n - 1)
     delta2 = c_tilde * np.sqrt(1.0 - pow_squares(delta1)) - delta1 * tail
     delta2 = np.where(delta2 < 0.0, 0.0, delta2)
-    checks = [
-        (ValueError, f"{name} = {{!r}} is outside [0, 1]",
-         ~((-1e-12 <= delta) & (delta <= 1.0 + 1e-12)), delta)
-        for name, delta in (("delta1", delta1), ("delta2", delta2))
-    ]
-    raise_first_failure(checks, "")
+    raise_first_failure(delta_range_checks(delta1, delta2), "")
     return delta1, delta2
 
 

@@ -19,6 +19,7 @@ from irtr_lab.experiments import (
     DEFAULT_MISALIGNMENT_GRID,
     DEFAULT_PANELS,
     DEFAULT_SEPARATION_GRID,
+    MEASUREMENT_NAMES,
     inclusive_grid,
 )
 from irtr_lab.measurements import regret_rows, spade_cutoff, spawned_pools
@@ -692,9 +693,10 @@ class TestRunnersMatchScalarRoute:
         _, _, rows = read_table(lab.run_fig4(config)[0])
         assert tuple(float(row[0]) for row in rows) == grid
         overlaps = self.overlaps(0.0, 0.1)
-        geometries = [lab.SourceGeometry(float(row[0]), 0.1) for row in rows]
+        points = [(float(row[0]), 0.1) for row in rows]
+        geometries = [lab.SourceGeometry(*point) for point in points]
         assert any(0.0 in (geometry.x1, geometry.x2) for geometry in geometries)
-        assert len(set(spade_cutoff(1.0, geometries).tolist())) > 30
+        assert len(set(spade_cutoff(1.0, points).tolist())) > 30
         for row, geometry in zip(rows, geometries):
             expected = scalar_row(lab.spade_model(1.0, geometry, None), overlaps)
             assert (float(row[1]), float(row[2])) == expected[:2]
@@ -922,6 +924,24 @@ class TestRunnersShareTheKernel:
         monkeypatch.setattr(experiments, "_sweep", counted)
         self.tables(tmp_path, figure, **SMALL_CONFIGS[figure])
         assert len(calls) == 1
+
+    def test_spade_sweeps_build_no_source_geometries(self, tmp_path, monkeypatch):
+        # SPADE takes the kernel's checked points, as the other routes do: a
+        # default fig4 run once built one SourceGeometry per row, 101.
+        built, check = [], lab.SourceGeometry.__post_init__
+
+        def counted(geometry):
+            built.append(geometry)
+            check(geometry)
+
+        monkeypatch.setattr(lab.SourceGeometry, "__post_init__", counted)
+        lab.SourceGeometry(0.0, 1.0)
+        assert len(built) == 1
+        built.clear()
+        self.tables(tmp_path, "fig4")
+        grids = {"theta1_grid": (-0.5, 0.0, 1.2), "theta2_grid": (0.1, 1.0, 3.0)}
+        self.tables(tmp_path, "custom", **grids, measurements=MEASUREMENT_NAMES, n_random=8)
+        assert built == []
 
 
 class TestCli:

@@ -24,12 +24,12 @@ from irtr_lab.measurements import (
     DISCRETE_MODES,
     SUBSPACE_PROJECTORS,
     haar_random_bases,
-    projective_regrets,
+    projective_regrets_and_checks,
     regret_rows,
     spade_cutoff,
     spawned_pools,
 )
-from irtr_lab.errors import failure_flags
+from irtr_lab.errors import failure_flags, raise_first_failure
 from irtr_lab.experiments import DEFAULT_SEPARATION_GRID
 from irtr_lab.psf_core import USER_DEFINED, quadrature_grid
 
@@ -235,7 +235,7 @@ class TestStackedModels:
         # theta1 = -+0.15 at theta2 = 0.3 has a source on the axis (alpha = 0).
         geometries = [lab.SourceGeometry(t1, 0.3) for t1 in (-2.0, -0.15, 0.0, 0.15, 3.1)]
         for sigma, cutoff in ((1.0, 40), (0.37, 300)):
-            stacked = lab.spade_model(sigma, geometries, cutoff)
+            stacked = lab.spade_model(sigma, points(geometries), cutoff)
             fisher = lab.fim(stacked)
             assert fisher.shape == (5, 2, 2)
             for row, geometry in enumerate(geometries):
@@ -248,7 +248,7 @@ class TestStackedModels:
                 np.testing.assert_array_equal(fisher[row], lab.fim(single))
 
     def test_stacked_spade_model_needs_an_explicit_cutoff(self):
-        pair = [lab.SourceGeometry(-0.8, 0.5), lab.SourceGeometry(0.8, 0.5)]
+        pair = [(-0.8, 0.5), (0.8, 0.5)]
         with pytest.raises(ValueError, match="needs an explicit mode_cutoff"):
             lab.spade_model(1.0, pair)
 
@@ -257,7 +257,7 @@ class TestStackedModels:
         cutoff = spade_cutoff(1.0, near)
         message = rf"^row 1: cutoff {cutoff} leaves truncated mass"
         with pytest.raises(lab.CutoffError, match=message):
-            lab.spade_model(1.0, [near, far, far], mode_cutoff=cutoff)
+            lab.spade_model(1.0, points([near, far, far]), mode_cutoff=cutoff)
 
     def test_discrete_rows_equal_the_single_models(self):
         fisher = lab.fim(self.discrete_stack(self.good, self.good))
@@ -600,7 +600,7 @@ class TestAdaptiveCutoff:
             for theta1 in [*theta1s, -0.5 * theta2, 0.5 * theta2]:
                 geometries.append(lab.SourceGeometry(theta1, theta2))
         assert len(geometries) == 9 * 123
-        for geometry, stacked in zip(geometries, spade_cutoff(sigma, geometries).tolist()):
+        for geometry, stacked in zip(geometries, spade_cutoff(sigma, points(geometries)).tolist()):
             cutoff, mass, fisher = linear_scan_cutoff(sigma, geometry)
             model = lab.spade_model(sigma, geometry)
             assert stacked == cutoff
@@ -610,7 +610,7 @@ class TestAdaptiveCutoff:
     def test_stacked_cutoffs_are_the_single_ones(self):
         # A 500-point misalignment sweep at theta2 = 0.1 sigma.
         sweep = [lab.SourceGeometry(r, 0.1) for r in np.linspace(-20.0, 20.0, 500).tolist()]
-        assert spade_cutoff(1.0, sweep).tolist() == [spade_cutoff(1.0, g) for g in sweep]
+        assert spade_cutoff(1.0, points(sweep)).tolist() == [spade_cutoff(1.0, g) for g in sweep]
 
     @pytest.mark.parametrize("sigma", [0.37, 1.0, 2.3])
     def test_stacked_cutoffs_with_a_source_on_the_axis(self, sigma):
@@ -618,7 +618,9 @@ class TestAdaptiveCutoff:
         theta2s = [float(r) * sigma for r in np.geomspace(1e-4, 8.0, 9)]
         sweep = [lab.SourceGeometry(s * 0.5 * t, t) for t in theta2s for s in (-1.0, 1.0)]
         assert all(0.0 in (geometry.x1, geometry.x2) for geometry in sweep)
-        assert spade_cutoff(sigma, sweep).tolist() == [spade_cutoff(sigma, g) for g in sweep]
+        assert spade_cutoff(sigma, points(sweep)).tolist() == [
+            spade_cutoff(sigma, g) for g in sweep
+        ]
 
     def test_no_cutoff_raises_as_the_linear_scan(self):
         geometry = lab.SourceGeometry(60.0, 0.5)
@@ -626,7 +628,7 @@ class TestAdaptiveCutoff:
             linear_scan_cutoff(1.0, geometry)
         def in_a_sweep(sigma, far):
             near = lab.SourceGeometry(1.0, 0.5)
-            return spade_cutoff(sigma, [near, far, near])
+            return spade_cutoff(sigma, points([near, far, near]))
 
         # A sweep names the failing row; the scalar routes keep the scan's text.
         for route, label in ((spade_cutoff, ""), (lab.spade_model, ""), (in_a_sweep, "row 1: ")):
@@ -1109,9 +1111,11 @@ class TestProjectiveRegrets:
 
     def batch(self, *bases, c_tilde=None, first_sample=0):
         c_tilde = self.c_tilde if c_tilde is None else c_tilde
-        return projective_regrets(
-            self.state, np.stack(bases), self.quantum, c_tilde, first_sample
+        rows, checks = projective_regrets_and_checks(
+            self.state, np.stack(bases), self.quantum, c_tilde
         )
+        raise_first_failure(checks, "sample {}: ", first_sample)
+        return rows
 
     @staticmethod
     def near_null(eps):

@@ -136,17 +136,30 @@ class TestSourceGeometry:
             lab.SourceGeometry(theta1, theta2)
 
     @pytest.mark.parametrize(
-        "bad", [(0.0, math.nan), (math.inf, 1.0), (math.nan, -1.0), (0.0, 0.0), (2.0, -1.0)]
+        "bad, message",
+        [
+            ((0.0, math.nan), "theta2 must be finite, got nan"),
+            ((math.inf, 1.0), "theta1 must be finite, got inf"),
+            ((math.nan, -1.0), "theta1 must be finite, got nan"),
+            ((0.0, 0.0), "separation theta2 must be strictly positive"),
+            ((2.0, -1.0), "separation theta2 must be strictly positive"),
+        ],
     )
-    def test_sweep_points_are_checked_as_geometries(self, bad):
-        # One mask over the sweep, the first failing point's first failing check.
-        with pytest.raises(ValueError) as single:
-            lab.SourceGeometry(*bad)
+    def test_sweep_points_raise_the_first_failing_points_error(self, bad, message):
+        # One mask over the sweep, the first failing point's first failing
+        # check, unnamed, as a single geometry raises it.
         with pytest.raises(ValueError) as stacked:
             psf_core.sweep_points([(0.0, 1.0), bad, (math.nan, 0.0)])
-        assert type(stacked.value) is type(single.value)
-        assert str(stacked.value) == str(single.value)
+        assert type(stacked.value) is ValueError
+        assert str(stacked.value) == message
         assert psf_core.sweep_points([]).shape == (0, 2)
+
+    def test_sweep_points_place_the_sources_as_geometries_do(self):
+        points = [(0.6, 1.0), (0.0, 0.05), (-2.3, 7.0), (3.7, 1e-3)]
+        positions = psf_core.source_positions(points)
+        for (theta1, theta2), (x1, x2) in zip(points, positions.tolist()):
+            geometry = lab.SourceGeometry(theta1, theta2)
+            assert (x1, x2) == (geometry.x1, geometry.x2)
 
 
 class TestQuadratureSpec:
@@ -283,6 +296,17 @@ class TestOverlapIntegralsContainer:
         values = [2e154, -3e200, 1.3e154, 0.1]
         assert psf_core.pow_squares(values).tolist() == [math.inf, math.inf, 1.3e154**2, 0.1**2]
 
+    @pytest.mark.filterwarnings("error")
+    def test_float64_closed_form_arguments_give_python_floats_quietly(self):
+        # numpy scalars in, Python floats out: the checks square and multiply
+        # kappa = 2.5e159 in arrays that go quietly to inf, not in numpy
+        # scalars that warn on overflow.
+        overlaps = lab.gaussian_overlap_integrals(np.float64(1e-80), np.float64(1e-80))
+        fields = dataclasses.astuple(overlaps)
+        assert [type(field) for field in fields] == [float] * 4
+        assert overlaps.kappa == 2.5e159
+        assert fields == dataclasses.astuple(lab.gaussian_overlap_integrals(1e-80, 1e-80))
+
     @pytest.mark.parametrize("field", ["kappa", "gamma", "beta", "delta"])
     def test_rejects_non_finite_values(self, field):
         values = dict(kappa=0.25, gamma=0.0, beta=0.25, delta=1.0)
@@ -292,9 +316,9 @@ class TestOverlapIntegralsContainer:
 
 
 class TestStackedOverlapChecks:
-    """``_settle`` runs ``OverlapIntegrals``'s checks on columns, naming the first failing row."""
+    """``_settle`` runs the overlap checks on columns, naming the first failing row."""
 
-    # A row breaking each of the checks in turn, and the dataclass's message for it.
+    # A row breaking each of the checks in turn, and its message.
     broken = {
         "finite": (
             (0.25, math.nan, 0.0, 0.5),

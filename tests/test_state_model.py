@@ -6,13 +6,12 @@ either the quadrature or the matrix assembly surface as value drift.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import irtr_lab as lab
-from irtr_lab import psf_core
+from irtr_lab import psf_core, state_model
 from irtr_lab.measurements import overlaps_and_direct_fims
 from irtr_lab.psf_core import overlap_columns
 from irtr_lab.state_model import c_tilde_column, c_tilde_from_overlaps, qfim_stack
@@ -270,33 +269,29 @@ class TestVerifySld:
             lab.verify_sld(psf, geo, h=1e-2)
 
 
-class TestSubspaceBasis:
-    def test_gram_matrix_is_identity(self):
-        psf = lab.gaussian_psf(1.0)
-        grid = lab.subspace_basis_wavefunctions(psf, lab.SourceGeometry(0.0, 1.0))
-        gram = (grid.functions * grid.weights) @ grid.functions.T
-        np.testing.assert_allclose(gram, np.eye(4), atol=1e-8)
+class TestBasisCoefficients:
+    """``verify_sld``'s Gram-Schmidt expansion, its generators sampled here on a quadrature grid."""
 
-    def test_first_function_is_normalized_difference(self):
-        psf = lab.gaussian_psf(1.0)
-        geo = lab.SourceGeometry(0.3, 1.2)
-        overlaps = lab.overlap_integrals(psf, geo)
-        grid = lab.subspace_basis_wavefunctions(psf, geo)
-        expected = (
-            psf.amplitude(grid.positions - geo.x1)
-            - psf.amplitude(grid.positions - geo.x2)
-        ) / math.sqrt(2.0 * (1.0 - overlaps.delta))
-        np.testing.assert_allclose(grid.functions[0], expected, atol=1e-12)
-
-    def test_shapes_agree(self):
-        psf = lab.gaussian_psf(1.0)
-        grid = lab.subspace_basis_wavefunctions(psf, lab.SourceGeometry(0.0, 2.0))
-        assert grid.functions.shape == (4, grid.positions.size)
-        assert grid.weights.shape == grid.positions.shape
+    @pytest.mark.parametrize("theta1, theta2", [(0.0, 1.0), (0.3, 1.2), (0.0, 2.0)])
+    def test_gram_matrix_is_identity(self, theta1, theta2):
+        psf, quad = lab.gaussian_psf(1.0), lab.QuadratureSpec()
+        geometry = lab.SourceGeometry(theta1, theta2)
+        overlaps = lab.overlap_integrals(psf, geometry, quad)
+        coeffs = state_model._basis_coefficients(overlaps)
+        # The first basis function is the normalized difference of the sources.
+        root = math.sqrt(2.0 * (1.0 - overlaps.delta))
+        np.testing.assert_allclose(coeffs[0], np.array([1.0, -1.0, 0.0, 0.0]) / root, rtol=1e-15)
+        radius = quad.truncation_radius * psf.sigma
+        lo, hi = geometry.x1 - radius, geometry.x2 + radius
+        x, w = psf_core.quadrature_grid(lo, hi, quad.panel_count, quad.nodes_per_panel)
+        a1, d1 = psf.amplitude_and_derivative(x - geometry.x1)
+        a2, d2 = psf.amplitude_and_derivative(x - geometry.x2)
+        functions = coeffs @ np.stack([a1, a2, -d1, -d2])
+        np.testing.assert_allclose((functions * w) @ functions.T, np.eye(4), atol=1e-8)
 
 
 class TestOverlapColumns:
-    """A sweep's overlap columns, QFIM stack and c_tilde column: the scalar route's, bit for bit."""
+    """A sweep's overlap columns, QFIM stack and c_tilde column, bit for bit."""
 
     @pytest.mark.parametrize("sigma", [1.0, 0.6])
     @pytest.mark.parametrize("block_samples", [1100, psf_core.BLOCK_SAMPLES])
@@ -318,20 +313,32 @@ class TestOverlapColumns:
         fused, _ = overlaps_and_direct_fims(psf, points, quad)
         assert overlaps.tobytes() == fields.tobytes()
         assert fused.tobytes() == fields.tobytes()
-        quantum = np.array([lab.qfim(overlap).matrix for overlap in singles])
-        assert qfim_stack(overlaps).tobytes() == quantum.tobytes()
-        c_tilde = np.array([c_tilde_from_overlaps(overlap) for overlap in singles])
-        assert c_tilde_column(overlaps).tobytes() == c_tilde.tobytes()
+        # The QFIMs and c_tilde of each row by their formulas, in Python floats.
+        rows = fields.T.tolist()
+        quantum = [[[4.0 * (kappa - gamma**2), 0.0], [0.0, kappa]] for kappa, gamma, _, _ in rows]
+        assert qfim_stack(overlaps).tobytes() == np.array(quantum).tobytes()
+        c_tilde = [
+            min(abs(beta) / math.sqrt(kappa * (kappa - gamma**2)), 1.0)
+            for kappa, gamma, beta, _ in rows
+        ]
+        assert c_tilde_column(overlaps).tobytes() == np.array(c_tilde).tobytes()
 
     def test_c_tilde_errors_name_their_row(self):
         good = lab.gaussian_overlap_integrals(1.0, 0.7)
         good = [good.kappa, good.gamma, good.beta, good.delta]
         # kappa - gamma^2 = 0 passes the overlap checks but leaves c_tilde
         # undefined; beta just beyond Cauchy-Schwarz puts c_tilde above 1.
-        for bad in ([0.25, 0.5, 0.0, 0.3], [0.25, 0.0, 0.25 * (1.0 + 1e-6), 0.3]):
-            fields = SimpleNamespace(kappa=bad[0], gamma=bad[1], beta=bad[2], delta=bad[3])
-            with pytest.raises(lab.DegenerateStateError) as single:
-                c_tilde_from_overlaps(fields)
+        cases = [
+            ([0.25, 0.5, 0.0, 0.3], "kappa - gamma^2 must be positive to define c_tilde"),
+            (
+                [0.25, 0.0, 0.25 * (1.0 + 1e-6), 0.3],
+                "c_tilde = 1.000001 above 1: overlap scalars are inconsistent",
+            ),
+        ]
+        for bad, message in cases:
             with pytest.raises(lab.DegenerateStateError) as stacked:
                 c_tilde_column(np.array([good, good, bad, bad]).T)
-            assert str(stacked.value) == "row 2: " + str(single.value)
+            assert str(stacked.value) == "row 2: " + message
+            with pytest.raises(lab.DegenerateStateError) as unnamed:
+                c_tilde_column(np.array([bad]).T, label="")
+            assert str(unnamed.value) == message

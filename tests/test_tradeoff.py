@@ -130,13 +130,16 @@ class TestIrtrFrontier:
         assert columns[1].tobytes() == np.array(delta2).tobytes()
 
     def test_a_point_outside_the_unit_interval_raises_as_a_tradeoff_point(self, monkeypatch):
-        # Squares of -3 put the first point at delta2 = 2 c_tilde = 1.8.
+        # Squares of -3 put every point's delta2 beyond 1, the first at
+        # 2 c_tilde = 1.8: it raises, unnamed, with TradeoffPoint's check.
         monkeypatch.setattr(tradeoff, "pow_squares", lambda values: np.full(len(values), -3.0))
-        with pytest.raises(ValueError) as single:
-            lab.TradeoffPoint(0.0, 1.8)
         with pytest.raises(ValueError) as stacked:
             lab.irtr_frontier(0.9, 5)
-        assert str(stacked.value) == str(single.value) == "delta2 = 1.8 is outside [0, 1]"
+        assert type(stacked.value) is ValueError
+        assert str(stacked.value) == "delta2 = 1.8 is outside [0, 1]"
+        checks = tradeoff.delta_range_checks([0.5, -0.1, 1.2], [0.5, 0.5, 2.0])
+        flags = [check[2].tolist() for check in checks]
+        assert flags == [[False, True, True], [False, False, True]]
 
     def test_rejects_degenerate_requests(self):
         with pytest.raises(ValueError):
