@@ -1,0 +1,110 @@
+#!/usr/bin/env bash
+# Smoke runs of the irtr-lab console script found on PATH.
+#
+#   scripts/smoke.sh OUT_DIR [SIGMA]
+#
+# Runs every figure on the edge cases below, each into its own directory
+# under OUT_DIR, beside the configs it reads and the stderr and exit status of
+# the runs that must fail.  It exits nonzero if a run does not end as
+# expected or a check below fails.  With SIGMA, every run gets --sigma SIGMA.
+#
+# Two calls must write the same bytes but for each run's manifest.json:
+#
+#   scripts/smoke.sh smoke/first && scripts/smoke.sh smoke/second
+#   diff -r -x manifest.json smoke/first smoke/second
+#
+# Runs compute in units of sigma, so a call at another SIGMA writes the same
+# bytes but for the '# sigma=' line (diff -I '^# sigma=').
+set -euo pipefail
+
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+  echo "usage: $0 OUT_DIR [SIGMA]" >&2
+  exit 2
+fi
+out=$1
+sigma=${2:-}
+mkdir -p "$out"
+
+lab() {
+  irtr-lab "$@" ${sigma:+--sigma "$sigma"}
+}
+
+# A run that must exit 3 with the direct-imaging drift error, naming its row.
+# Its stderr, then its exit status, go to OUT_DIR/NAME.err.
+drift_failure() {
+  local name=$1 status=0
+  shift
+  lab "$@" --out "$out/$name" 2> "$out/$name.err" || status=$?
+  echo "exit status $status" >> "$out/$name.err"
+  cat "$out/$name.err"
+  if [ "$status" -ne 3 ] || ! grep -Eq '^error: row [0-9]+: direct-imaging F(11|22) drift ' "$out/$name.err"; then
+    echo "$name: expected exit status 3 and a drift error" >&2
+    exit 1
+  fi
+}
+
+# An odd panel count, whose ladder is the single pair of 4 and 8 half-window
+# panels, with another node count, at the default tolerance.
+printf '[common]\npanel_count = 7\nnodes_per_panel = 28\n' > "$out/p7n28.ini"
+# On 24 nodes the direct-imaging FIMs of 4 and 8 panels drift apart by up to
+# 2.3e-12 x QFIM: fig2 and fig3 exit 3.
+printf '[common]\npanel_count = 7\nnodes_per_panel = 24\n' > "$out/p7n24.ini"
+# On 4 and 8 half-window panels of 16 nodes the overlaps converge but the
+# direct-imaging FIM drifts beyond abs_tolerance x QFIM: fig2 exits 3.
+printf '[common]\npanel_count = 8\nnodes_per_panel = 16\n' > "$out/p8n16.ini"
+# Two-point frontiers: at 0.2 sigma panel 1 writes both endpoints; at 60 sigma
+# c_tilde is 3.3e-193, below the threshold, and panel 2 writes the empty
+# no_constraint=true table.
+printf '[common]\nfrontier_samples = 2\n' > "$out/frontier2.ini"
+
+drift_failure fig2-p8n16 fig2 --config "$out/p8n16.ini"
+drift_failure fig2-p7n24 fig2 --config "$out/p7n24.ini"
+drift_failure fig3-p7n24 fig3 --config "$out/p7n24.ini"
+
+for figure in fig1 fig2 fig3 fig4; do
+  lab "$figure" --out "$out/$figure"
+done
+# 161 separations: the stacked overlap and direct-imaging passes end in a
+# ragged block.
+for figure in fig1 fig2; do
+  lab "$figure" --grid 0.05:8.05:0.05 --out "$out/$figure-ragged"
+done
+for figure in fig2 fig3; do
+  lab "$figure" --config "$out/p7n28.ini" --out "$out/$figure-p7n28"
+done
+lab fig3 --grid 0.2,60 --config "$out/frontier2.ini" --out "$out/fig3-frontier2"
+# SPADE over many cutoff groups, then the default grid (theta1 = 0.05 puts a
+# source on the axis) at one explicit cutoff.
+lab fig4 --grid -20:20:0.05 --out "$out/fig4-wide"
+lab fig4 --mode-cutoff 80 --out "$out/fig4-cutoff"
+lab fig5 --seed 1 --n-random 2000 --out "$out/fig5"
+# Seeding edge cases: 2**64 - 1 fills two 32-bit entropy words, and 0 is one
+# zero word that the spawned pools pad to four.
+lab fig5 --seed 18446744073709551615 --n-random 600 --out "$out/fig5-seed-max"
+lab custom --theta1-grid -0.5,0,1.2 --theta2-grid 0.1,1,3 \
+  --measurements random --n-random 600 --seed 0 --out "$out/custom-random-seed0"
+lab custom --theta1-grid -0.5,0,1.2 --theta2-grid 0.1,1,3 \
+  --measurements direct,spade,random --n-random 64 --seed 3 --out "$out/custom"
+# Random listed first, with samples across two blocks; then one single
+# measurement and no random rows.
+lab custom --theta1-grid -0.5,0,1.2 --theta2-grid 0.1,1,3 \
+  --measurements random,spade --n-random 600 --seed 3 --out "$out/custom-random-spade"
+lab custom --theta1-grid -0.5,0,1.2 --theta2-grid 0.1,1,3 \
+  --measurements direct --out "$out/custom-direct"
+# Each separation's five points hold 1000 random samples, run in blocks of 512
+# and 488: a block boundary falls inside a point.
+lab custom --theta1-grid -0.5,0,1.2,2,3 --theta2-grid 0.1,1 \
+  --measurements random --n-random 200 --seed 5 --out "$out/custom-random-5x2"
+
+# fig2 and custom share one sweep kernel: custom's direct rows at theta1 = 0
+# hold fig2's delta1 and delta2 column bytes.
+lab custom --theta1-grid 0 --theta2-grid 0.05:8.05:0.05 --measurements direct \
+  --out "$out/custom-fig2"
+diff <(grep -v '^#' "$out/fig2-ragged/fig2.csv" | cut -d, -f2,3) \
+  <(grep -v '^#' "$out/custom-fig2/custom.csv" | cut -d, -f5,6)
+# fig4 and custom share the SPADE route: custom's SPADE rows at theta2 = 0.1
+# hold fig4's delta1 and delta2 column bytes.
+lab custom --theta1-grid -20:20:0.05 --theta2-grid 0.1 --measurements spade \
+  --out "$out/custom-fig4"
+diff <(grep -v '^#' "$out/fig4-wide/fig4.csv" | cut -d, -f2,3) \
+  <(grep -v '^#' "$out/custom-fig4/custom.csv" | cut -d, -f5,6)

@@ -46,7 +46,6 @@ from .psf_core import (
     folded_integrals,
     overlap_columns,
     overlap_passes,
-    pow_squares,
     quadrature_grid,
     quadrature_ladder,
     source_positions,
@@ -816,8 +815,9 @@ def _regrets_and_checks(fishers, quantum, c_tilde):
         raise ValueError("fishers and quantum must be 2x2 matrices, fishers a stack of them")
     quantum = np.broadcast_to(quantum, fishers.shape)
     c_tilde = np.asarray(c_tilde, dtype=float)
-    # Squared as irtr_residual squares it, once per coefficient, then broadcast.
-    squares = np.broadcast_to(pow_squares(c_tilde), len(fishers))
+    # Squared once per coefficient, then broadcast; a square past the float range is inf.
+    with np.errstate(over="ignore"):
+        squares = np.broadcast_to(c_tilde * c_tilde, len(fishers))
     c_tilde = np.broadcast_to(c_tilde, len(fishers))
 
     regret = quantum - fishers

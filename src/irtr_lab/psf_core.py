@@ -187,23 +187,6 @@ def overlap_column(overlaps) -> np.ndarray:
     return np.array(fields, dtype=float).reshape(4, 1)
 
 
-def pow_squares(values) -> np.ndarray:
-    """Each float of ``values`` squared by Python's float ``**``, in their shape.
-
-    A float's ** goes through pow, which can be 1 ulp away from numpy's x * x;
-    past about 1.3e154 it raises OverflowError, and the square is inf there,
-    as numpy's is.
-    """
-    values = np.asarray(values, dtype=float)
-    squares = []
-    for value in values.ravel().tolist():
-        try:
-            squares.append(value**2)
-        except OverflowError:
-            squares.append(math.inf)
-    return np.array(squares).reshape(values.shape)
-
-
 def overlap_checks(overlaps):
     """The overlap checks of each column of (4, n) ``overlaps`` (kappa, gamma, beta, delta).
 
@@ -212,8 +195,8 @@ def overlap_checks(overlaps):
     """
     kappa, gamma, beta, delta = overlaps
     with np.errstate(invalid="ignore", over="ignore"):
-        fisher_11 = kappa - pow_squares(gamma)
-        bound = kappa * np.where(fisher_11 < 0.0, 0.0, fisher_11) + 1e-9 * pow_squares(kappa)
+        fisher_11 = kappa - gamma * gamma
+        bound = kappa * np.where(fisher_11 < 0.0, 0.0, fisher_11) + 1e-9 * (kappa * kappa)
         return [
             (ConsistencyError, "overlap integrals must be finite, got ({!r}, {!r}, {!r}, {!r})",
              ~np.isfinite(overlaps).all(axis=0), *overlaps),
@@ -221,7 +204,7 @@ def overlap_checks(overlaps):
             (ConsistencyError, "|delta| cannot exceed 1", abs(delta) > 1.0 + 1e-12),
             (ConsistencyError, "kappa - gamma^2 must be nonnegative", fisher_11 < -1e-9 * kappa),
             (ConsistencyError, "beta^2 cannot exceed kappa*(kappa - gamma^2)",
-             pow_squares(beta) > bound),
+             beta * beta > bound),
         ]
 
 

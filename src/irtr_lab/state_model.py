@@ -36,7 +36,6 @@ from .psf_core import (
     displaced_overlaps,
     overlap_column,
     overlap_integrals,
-    pow_squares,
 )
 
 
@@ -102,8 +101,8 @@ def _gram_schmidt_norms(overlaps: OverlapIntegrals) -> tuple[float, float]:
         raise DegenerateStateError(
             f"1 - delta = {one_minus:.3e}: sources are effectively coincident"
         )
-    eta3_sq = overlaps.kappa + overlaps.beta - overlaps.gamma**2 / one_minus
-    eta4_sq = overlaps.kappa - overlaps.beta - overlaps.gamma**2 / one_plus
+    eta3_sq = overlaps.kappa + overlaps.beta - overlaps.gamma * overlaps.gamma / one_minus
+    eta4_sq = overlaps.kappa - overlaps.beta - overlaps.gamma * overlaps.gamma / one_plus
     # Severe cancellation makes tiny negatives possible at small separations.
     floor = -1e-12 * max(1.0, overlaps.kappa)
     if eta3_sq < floor or eta4_sq < floor:
@@ -148,7 +147,8 @@ def qfim_stack(overlaps) -> np.ndarray:
     """(n, 2, 2) QFIMs diag(4 kappa - 4 gamma^2, kappa) of (4, n) overlap columns."""
     kappa, gamma = overlaps[:2]
     stack = np.zeros((kappa.size, 2, 2))
-    stack[:, 0, 0] = 4.0 * (kappa - pow_squares(gamma))
+    with np.errstate(over="ignore"):  # A square past the float range is inf.
+        stack[:, 0, 0] = 4.0 * (kappa - gamma * gamma)
     stack[:, 1, 1] = kappa
     return stack
 
@@ -161,7 +161,8 @@ def c_tilde_column(overlaps, label="row {}: ") -> np.ndarray:
     ``label``.  Values just above 1 are clamped to 1.
     """
     kappa, gamma, beta, _ = overlaps
-    centroid_quarter = kappa - pow_squares(gamma)
+    with np.errstate(over="ignore"):  # A square past the float range is inf.
+        centroid_quarter = kappa - gamma * gamma
     degenerate = centroid_quarter <= 0.0
     c_tilde = abs(beta) / np.sqrt(kappa * np.where(degenerate, 1.0, centroid_quarter))
     raise_first_failure(

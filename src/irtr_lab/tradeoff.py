@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleBudgetError, raise_first_failure
-from .psf_core import pow_squares
 
 # Residuals below this are bound violations, not roundoff.
 RESIDUAL_FLOOR = -1e-9
@@ -77,13 +76,13 @@ def _check_coefficient(c_tilde: float) -> float:
 def irtr_residual(point: TradeoffPoint, c_tilde: float) -> float:
     """Slack of the regret tradeoff at ``point``; >= 0 means feasible."""
     _check_coefficient(c_tilde)
-    cross = 2.0 * math.sqrt(max(1.0 - c_tilde**2, 0.0))
+    cross = 2.0 * math.sqrt(max(1.0 - c_tilde * c_tilde, 0.0))
     # x * x, not x**2: float ** goes through pow, which can be 1 ulp off.
     return (
         point.delta1 * point.delta1
         + point.delta2 * point.delta2
         + cross * point.delta1 * point.delta2
-        - c_tilde**2
+        - c_tilde * c_tilde
     )
 
 
@@ -104,9 +103,9 @@ def irtr_frontier(c_tilde: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("the frontier is empty at c_tilde = 0")
     if n < 2:
         raise ValueError("n must be at least 2")
-    tail = math.sqrt(max(1.0 - c_tilde**2, 0.0))
+    tail = math.sqrt(max(1.0 - c_tilde * c_tilde, 0.0))
     delta1 = c_tilde * np.arange(n) / (n - 1)
-    delta2 = c_tilde * np.sqrt(1.0 - pow_squares(delta1)) - delta1 * tail
+    delta2 = c_tilde * np.sqrt(1.0 - delta1 * delta1) - delta1 * tail
     delta2 = np.where(delta2 < 0.0, 0.0, delta2)
     raise_first_failure(delta_range_checks(delta1, delta2), "")
     return delta1, delta2

@@ -17,10 +17,11 @@ from irtr_lab import tradeoff
 from irtr_lab.state_model import c_tilde_from_overlaps
 
 
-def frontier_with_squares_of_minus_three(monkeypatch):
-    # Squares of -3 put the first point at delta2 = 2 c_tilde = 1.8.
-    monkeypatch.setattr(tradeoff, "pow_squares", lambda values: np.full(len(values), -3.0))
-    lab.irtr_frontier(0.9, 5)
+def frontier_with_roots_of_two(monkeypatch):
+    # Roots of 2 for sqrt(1 - delta1^2) put the first point at delta2 = 2 c_tilde = 1.8.
+    with monkeypatch.context() as patch:
+        patch.setattr(tradeoff.np, "sqrt", lambda values: np.full(len(values), 2.0))
+        lab.irtr_frontier(0.9, 5)
 
 
 CASES = {
@@ -92,7 +93,7 @@ CASES = {
         "delta2 = 1.2 is outside [0, 1]",
     ),
     "frontier-delta2": (
-        frontier_with_squares_of_minus_three,
+        frontier_with_roots_of_two,
         ValueError,
         "delta2 = 1.8 is outside [0, 1]",
     ),

@@ -5,6 +5,7 @@ byte-identical CSVs, the frontier files must not depend on the seed at all,
 and every runner row must equal the scalar reference route bit for bit.
 """
 
+import argparse
 import hashlib
 import inspect
 import json
@@ -945,6 +946,23 @@ class TestRunnersShareTheKernel:
 
 
 class TestCli:
+    def test_parser_shape(self):
+        # The figure names and each figure's option strings, in order: what
+        # --help lists, whatever its formatting.
+        parser, _ = cli._build_parser()
+        (figures,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        shape = {
+            name: [a.option_strings for a in sub._actions] for name, sub in figures.choices.items()
+        }
+        common = [["-h", "--help"], ["--config"], ["--seed"], ["--sigma"], ["--out"],
+                  ["--n-random"], ["--grid"], ["--mode-cutoff"]]
+        assert [a.option_strings for a in parser._actions] == [["-h", "--help"], []]
+        assert list(shape) == ["fig1", "fig2", "fig3", "fig4", "fig5", "custom"]
+        assert shape == {
+            **dict.fromkeys(["fig1", "fig2", "fig3", "fig4", "fig5"], common),
+            "custom": [*common, ["--theta1-grid"], ["--theta2-grid"], ["--measurements"]],
+        }
+
     def test_successful_run_prints_paths(self, tmp_path, capsys):
         code = cli.main(
             ["fig1", "--out", str(tmp_path), "--grid", "0.5:1.0:0.25"]

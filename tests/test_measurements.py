@@ -1031,8 +1031,8 @@ class TestRegretRows:
 
     @pytest.mark.parametrize("per_row", [False, True])
     def test_c_tilde_is_squared_as_the_scalar_route_squares_it(self, per_row):
-        # Squaring this c_tilde as x * x instead of x**2 moves the residuals of
-        # f = 0.8, 0.85, 0.9 and 0.95 by 1 ulp; f = 0.95 falls below the floor.
+        # Squaring this c_tilde as pow's x**2 instead of x * x moves the residuals
+        # of f = 0.8, 0.85, 0.9 and 0.95 by 1 ulp; f = 0.95 falls below the floor.
         c_tilde, quantum = 0.5402238995537649, self.quanta[1]
         fishers = np.array([f * quantum.matrix for f in np.linspace(0.05, 0.95, 19)])
         shared = {} if per_row else {"quantum": quantum, "c_tilde": c_tilde}
@@ -1043,6 +1043,13 @@ class TestRegretRows:
         text = f"row 18: IRTR residual {residual:.3e} is negative beyond tolerance"
         with pytest.raises(lab.BoundViolationError, match=f"^{text}$"):
             regret_rows(fishers, np.array([quantum.matrix] * 19), [c_tilde] * 19)
+
+    def test_c_tilde_is_squared_as_a_product(self):
+        # FIM = QFIM leaves no regret, so the residual is -c_tilde^2; through
+        # glibc's pow this c_tilde**2 is 1 ulp off c_tilde * c_tilde.
+        c_tilde, quantum = 0.5284744105594529, self.quanta[1]
+        rows, _ = measurements._regrets_and_checks(quantum.matrix[None], quantum, c_tilde)
+        assert rows[:, 0].tolist() == [0.0, 0.0, -(c_tilde * c_tilde)]
 
     def test_a_shared_c_tilde_is_squared_as_a_column_of_it(self):
         # The stacked step squares a shared c_tilde once, before broadcasting it.
@@ -1159,10 +1166,12 @@ class TestProjectiveRegrets:
 
     def test_coefficient_outside_the_unit_interval_raises(self):
         basis = lab.haar_random_orthogonal(0).matrix
-        with pytest.raises(ValueError):
-            lab.irtr_residual(lab.TradeoffPoint(*self.scalar(basis)[:2]), 1.1)
-        with pytest.raises(ValueError, match="sample 0: c_tilde"):
-            self.batch(basis, c_tilde=1.1)
+        # 1e200 squares past the float range, to inf and without a warning.
+        for c_tilde in (1.1, 1e200):
+            with pytest.raises(ValueError):
+                lab.irtr_residual(lab.TradeoffPoint(*self.scalar(basis)[:2]), c_tilde)
+            with pytest.raises(ValueError, match="sample 0: c_tilde"):
+                self.batch(basis, c_tilde=c_tilde)
 
     def test_errors_carry_the_scalar_routes_text(self):
         good = lab.haar_random_orthogonal(0).matrix

@@ -315,13 +315,32 @@ class TestOverlapColumns:
         assert fused.tobytes() == fields.tobytes()
         # The QFIMs and c_tilde of each row by their formulas, in Python floats.
         rows = fields.T.tolist()
-        quantum = [[[4.0 * (kappa - gamma**2), 0.0], [0.0, kappa]] for kappa, gamma, _, _ in rows]
+        quantum = [
+            [[4.0 * (kappa - gamma * gamma), 0.0], [0.0, kappa]] for kappa, gamma, _, _ in rows
+        ]
         assert qfim_stack(overlaps).tobytes() == np.array(quantum).tobytes()
         c_tilde = [
-            min(abs(beta) / math.sqrt(kappa * (kappa - gamma**2)), 1.0)
+            min(abs(beta) / math.sqrt(kappa * (kappa - gamma * gamma)), 1.0)
             for kappa, gamma, beta, _ in rows
         ]
         assert c_tilde_column(overlaps).tobytes() == np.array(c_tilde).tobytes()
+
+    def test_gamma_is_squared_as_a_product(self):
+        # Python's gamma**2 goes through pow, which glibc's leaves 1 ulp off
+        # gamma * gamma here; kappa - gamma^2 is exact, so the ulp would show.
+        gamma = -0.014098487321536901
+        overlaps = lab.OverlapIntegrals(kappa=2e-4, gamma=gamma, beta=1e-6, delta=0.5)
+        column = psf_core.overlap_column(overlaps)
+        quarter = 2e-4 - gamma * gamma
+        assert qfim_stack(column)[0, 0, 0] == 4.0 * quarter
+        assert qfim_stack(column).tobytes() == lab.qfim(overlaps).matrix[None].tobytes()
+        assert c_tilde_column(column)[0] == 1e-6 / math.sqrt(2e-4 * quarter)
+        assert c_tilde_from_overlaps(overlaps) == c_tilde_column(column)[0]
+        # A gamma^2 past the float range is inf, without a warning.
+        column[1] = 1e200
+        assert qfim_stack(column)[0, 0, 0] == -math.inf
+        with pytest.raises(lab.DegenerateStateError, match="kappa - gamma"):
+            c_tilde_column(column)
 
     def test_c_tilde_errors_name_their_row(self):
         good = lab.gaussian_overlap_integrals(1.0, 0.7)

@@ -72,11 +72,14 @@ class TestIrtrResidual:
             lab.irtr_residual(lab.TradeoffPoint(0.5, 0.5), c_tilde)
 
     def test_squares_are_correctly_rounded(self):
-        # Python's float ** 2 goes through pow, 1 ulp off x * x at this value;
-        # numpy arrays square exactly, and the batched rows must match.
-        x = 0.5402238995537649
+        # Python's float ** 2 goes through pow, 1 ulp off x * x at these values
+        # with glibc (c_tilde**2 is 0.27928520261616113 there); numpy arrays
+        # square exactly, and the batched rows must match.
+        x, c_tilde = 0.5402238995537649, 0.5284744105594529
         assert lab.irtr_residual(lab.TradeoffPoint(x, 0.0), 0.0) == x * x
         assert lab.irtr_residual(lab.TradeoffPoint(0.0, x), 0.0) == x * x
+        assert c_tilde * c_tilde == 0.2792852026161612
+        assert lab.irtr_residual(lab.TradeoffPoint(0.0, 0.0), c_tilde) == -(c_tilde * c_tilde)
 
 
 def frontier_points(c_tilde, n):
@@ -121,19 +124,19 @@ class TestIrtrFrontier:
     @pytest.mark.parametrize("n", [2, 9, 512])
     def test_columns_equal_the_per_point_formula(self, c_tilde, n):
         # The frontier as it was computed one TradeoffPoint at a time.
-        tail = math.sqrt(max(1.0 - c_tilde**2, 0.0))
+        tail = math.sqrt(max(1.0 - c_tilde * c_tilde, 0.0))
         delta1 = [c_tilde * index / (n - 1) for index in range(n)]
-        delta2 = [max(c_tilde * math.sqrt(1.0 - d**2) - d * tail, 0.0) for d in delta1]
+        delta2 = [max(c_tilde * math.sqrt(1.0 - d * d) - d * tail, 0.0) for d in delta1]
         columns = lab.irtr_frontier(c_tilde, n)
         assert [column.shape for column in columns] == [(n,), (n,)]
         assert columns[0].tobytes() == np.array(delta1).tobytes()
         assert columns[1].tobytes() == np.array(delta2).tobytes()
 
     def test_a_point_outside_the_unit_interval_raises_as_a_tradeoff_point(self, monkeypatch):
-        # Squares of -3 put every point's delta2 beyond 1, the first at
-        # 2 c_tilde = 1.8: it raises, unnamed, with TradeoffPoint's check.
-        monkeypatch.setattr(tradeoff, "pow_squares", lambda values: np.full(len(values), -3.0))
-        with pytest.raises(ValueError) as stacked:
+        # Roots of 2 for sqrt(1 - delta1^2) put every point's delta2 beyond 1,
+        # the first at 2 c_tilde = 1.8: it raises, unnamed, with TradeoffPoint's check.
+        with monkeypatch.context() as patch, pytest.raises(ValueError) as stacked:
+            patch.setattr(tradeoff.np, "sqrt", lambda values: np.full(len(values), 2.0))
             lab.irtr_frontier(0.9, 5)
         assert type(stacked.value) is ValueError
         assert str(stacked.value) == "delta2 = 1.8 is outside [0, 1]"
