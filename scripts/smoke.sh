@@ -43,6 +43,20 @@ drift_failure() {
   fi
 }
 
+# A run that must exit 3 with the SPADE error MESSAGE, which names its sweep
+# row.  Its stderr, then its exit status, go to OUT_DIR/NAME.err.
+spade_failure() {
+  local name=$1 message=$2 status=0
+  shift 2
+  lab "$@" --out "$out/$name" 2> "$out/$name.err" || status=$?
+  echo "exit status $status" >> "$out/$name.err"
+  cat "$out/$name.err"
+  if [ "$status" -ne 3 ] || ! grep -Fxq "error: $message" "$out/$name.err"; then
+    echo "$name: expected exit status 3 and 'error: $message'" >&2
+    exit 1
+  fi
+}
+
 # An odd panel count, whose ladder is the single pair of 4 and 8 half-window
 # panels, with another node count, at the default tolerance.
 printf '[common]\npanel_count = 7\nnodes_per_panel = 28\n' > "$out/p7n28.ini"
@@ -60,6 +74,13 @@ printf '[common]\nfrontier_samples = 2\n' > "$out/frontier2.ini"
 drift_failure fig2-p8n16 fig2 --config "$out/p8n16.ini"
 drift_failure fig2-p7n24 fig2 --config "$out/p7n24.ini"
 drift_failure fig3-p7n24 fig3 --config "$out/p7n24.ini"
+# SPADE rows run in padded blocks of 128: row 547, in the fifth block, fails
+# the explicit cutoff's mass criterion; from theta1 = 37.5 no adaptive cutoff
+# up to 512 exists.
+spade_failure fig4-cutoff300 "row 547: cutoff 300 leaves truncated mass bound 1.273e-14" \
+  fig4 --grid 0:30:0.05 --mode-cutoff 300
+spade_failure fig4-no-cutoff "row 3: no cutoff up to 512 meets the truncation criteria" \
+  fig4 --grid 36:40:0.5
 
 for figure in fig1 fig2 fig3 fig4; do
   lab "$figure" --out "$out/$figure"
@@ -73,7 +94,7 @@ for figure in fig2 fig3; do
   lab "$figure" --config "$out/p7n28.ini" --out "$out/$figure-p7n28"
 done
 lab fig3 --grid 0.2,60 --config "$out/frontier2.ini" --out "$out/fig3-frontier2"
-# SPADE over many cutoff groups, then the default grid (theta1 = 0.05 puts a
+# SPADE over many cutoffs and blocks, then the default grid (theta1 = 0.05 puts a
 # source on the axis) at one explicit cutoff.
 lab fig4 --grid -20:20:0.05 --out "$out/fig4-wide"
 lab fig4 --mode-cutoff 80 --out "$out/fig4-cutoff"

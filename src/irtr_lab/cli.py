@@ -41,12 +41,12 @@ def _parse_grid_text(text: str) -> tuple[float, ...]:
         ) from None
 
 
-def _attach_grid_values(argv, figures) -> list[str]:
+def _attach_grid_values(tokens, figures) -> list[str]:
     """Join grid flags to their values; argparse reads a value such as '-1:0' as a flag.
 
-    A grid flag is a token ``figures[argv[0]]`` resolves to a grid option (``--gri``).
+    A grid flag is a token ``figures[tokens[0]]`` resolves to a grid option (``--gri``).
     """
-    tokens = list(sys.argv[1:] if argv is None else argv)
+    tokens = list(tokens)
     sub = figures.get(tokens[0]) if tokens else None
     options = sub._option_string_actions if sub is not None else {}
     for index in reversed(range(len(tokens) - 1)):
@@ -159,7 +159,11 @@ def _build_config(figure: str, settings: dict) -> ExperimentConfig:
     return ExperimentConfig(figure_id=figure, quad=quad, **settings)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def _build_parser(figure: str | None = None) -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subparsers by name, all six; only ``figure``'s gets options, if named.
+
+    argparse builds a help formatter per option: options are the parser's cost.
+    """
     parser = argparse.ArgumentParser(
         prog="irtr-lab",
         description="Reproduce the two-source information-regret datasets.",
@@ -175,6 +179,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     }
     for name in FIGURES:
         sub = subparsers.add_parser(name, help=summaries[name])
+        if figure not in (None, name):
+            continue
         sub.add_argument("--config", type=Path, help="INI config file")
         sub.add_argument("--seed", help="RNG seed (default 0)")
         sub.add_argument("--sigma", help="PSF width, only recorded (default 1.0)")
@@ -202,8 +208,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def main(argv=None) -> int:
-    parser, figures = _build_parser()
-    args = parser.parse_args(_attach_grid_values(argv, figures))
+    tokens = list(sys.argv[1:] if argv is None else argv)
+    parser, figures = _build_parser(tokens[0] if tokens and tokens[0] in FIGURES else None)
+    args = parser.parse_args(_attach_grid_values(tokens, figures))
     try:
         settings: dict = {}
         if args.config is not None:

@@ -14,10 +14,11 @@ them: the overlaps of each distinct separation as (4, n) columns (with the
 direct-imaging FIMs from their own samples, by ``overlaps_and_direct_fims``),
 their QFIM stack and c_tilde column, then one stacked regret step per
 measurement: ``regret_rows`` over the direct-imaging or SPADE FIMs (from one
-stacked model of the points per mode cutoff), ``projective_regrets_and_checks``
-over blocks of Haar-random bases, once per separation for the samples of all
-its points.  From the quadrature to the CSV writer, which formats each column
-by its dtype, a sweep is columns of arrays, the frontier tables too
+stacked model per block of points, each row at its own mode cutoff and padded
+to the block's largest), ``projective_regrets_and_checks`` over blocks of
+Haar-random bases, once per separation for the samples of all its points.
+From the quadrature to the CSV writer, which formats each column by its
+dtype, a sweep is columns of arrays, the frontier tables too
 (``irtr_frontier``): the only per-row objects are the random samples' state
 models, one per separation.
 
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, failure_flags, raise_first_failure
+from .errors import ConfigError, IrtrLabError, failure_flags, raise_first_failure
 from .measurements import (
     fim,
     haar_random_bases,
@@ -51,6 +52,7 @@ from .measurements import (
 from .psf_core import (
     OverlapIntegrals,
     QuadratureSpec,
+    SourceGeometry,
     gaussian_psf,
     overlap_columns,
     sweep_points,
@@ -70,6 +72,8 @@ MEASUREMENT_NAMES = ("direct", "spade", "random")
 _NO_CONSTRAINT_THRESHOLD = 1e-10
 # Random samples per batch, so batch memory does not grow with n_random.
 _SAMPLE_BLOCK = 512
+# SPADE rows per padded model, so its memory does not grow with the sweep.
+_SPADE_BLOCK = 128
 
 
 def inclusive_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -314,20 +318,31 @@ def _sweep(config, psf, points, measurements, prefixes=None):
 
 
 def _spade_fims(config, points):
-    """SPADE FIM of each (theta1, theta2) point, bit for bit its own, from one model per cutoff.
+    """SPADE FIM of each (theta1, theta2) point, bit for bit its own, from one model per block.
 
-    The adaptive cutoffs of the sweep are bisected together.  A model or FIM
-    error names its row within the cutoff group; with an explicit
-    ``mode_cutoff`` the group is the whole sweep.
+    The adaptive cutoffs of the sweep are bisected together.  Each block of
+    up to ``_SPADE_BLOCK`` rows is one stacked model, every row at its own
+    cutoff and padded to the block's largest.  A model or FIM error names its
+    sweep row: the failing block's rows take their scalar route in order, and
+    the first that fails raises.
     """
     cutoffs = config.mode_cutoff
     if cutoffs is None:
         cutoffs = spade_cutoff(1.0, points)
     cutoffs = np.broadcast_to(cutoffs, len(points))
     fishers = np.empty((len(points), 2, 2))
-    for cutoff in np.unique(cutoffs):
-        members = cutoffs == cutoff
-        fishers[members] = fim(spade_model(1.0, points[members], int(cutoff)))
+    for first in range(0, len(points), _SPADE_BLOCK):
+        rows = slice(first, first + _SPADE_BLOCK)
+        try:
+            fishers[rows] = fim(spade_model(1.0, points[rows], cutoffs[rows]))
+        except IrtrLabError:
+            for row in range(first, len(points)):
+                try:
+                    geometry = SourceGeometry(*points[row].tolist())
+                    fim(spade_model(1.0, geometry, int(cutoffs[row])))
+                except IrtrLabError as error:
+                    raise type(error)(f"row {row}: {error}") from None
+            raise
     return fishers
 
 

@@ -17,9 +17,10 @@ square-root information regrets against the quantum bound.  These single
 models are the reference route.  The stacked routes, each bit for bit equal
 to it and keeping its checks, are ``regret_rows`` for FIMs,
 ``projective_regrets_and_checks`` for projective measurements, ``spade_model``
-for (theta1, theta2) points, and ``overlaps_and_direct_fims`` for a sweep's
-overlap columns and direct-imaging FIMs, for an even PSF from the same
-passes' half-grid samples.
+for (theta1, theta2) points, each at its own cutoff and padded with zeros to
+the largest, and ``overlaps_and_direct_fims`` for a sweep's overlap columns
+and direct-imaging FIMs, for an even PSF from the same passes' half-grid
+samples.
 """
 
 from __future__ import annotations
@@ -76,7 +77,10 @@ class ProbabilityModel:
     a mode cutoff discarded (zero where no truncation happens).
     Arrays of shape (m, n) stack m models of n outcomes, each row checked on
     its own (with its own ``truncated_mass``, if that is an array of m);
-    an error names the first failing row.
+    an error names the first failing row.  With ``outcome_counts``, row i
+    of an (m, n) stack has only its first ``outcome_counts[i]`` outcomes and
+    exact zeros past them: its sums, and ``fim``'s pairing, run over its own
+    outcomes, so a row equals the model of its outcomes alone.
     """
 
     outcome_kind: str
@@ -86,6 +90,7 @@ class ProbabilityModel:
     weights: np.ndarray | None = None
     truncated_mass: float = 0.0
     fisher_tail_bound: float = 0.0
+    outcome_counts: np.ndarray | None = None
 
     def __post_init__(self):
         if self.outcome_kind not in _OUTCOME_KINDS:
@@ -100,36 +105,90 @@ class ProbabilityModel:
             if weights.shape != shape:
                 raise ValueError("weights must match the probability shape")
             object.__setattr__(self, "weights", weights)
+        if self.outcome_counts is not None:
+            counts = np.asarray(self.outcome_counts)
+            fits = np.all((0 <= counts) & (counts <= shape[-1])) and counts.dtype.kind in "iu"
+            if not (counts.ndim == 1 and counts.shape == shape[:-1] and fits):
+                raise ValueError("outcome_counts must give each row's count, at most its length")
+            object.__setattr__(self, "outcome_counts", counts)
         weights = self.weights if self.weights is not None else 1.0
         derivatives = (self.dp_dtheta1, self.dp_dtheta2)
-        checks = _model_checks(self.probabilities, derivatives, weights, self.truncated_mass)
+        checks = _model_checks(
+            self.probabilities, derivatives, weights, self.truncated_mass, self.outcome_counts
+        )
         raise_first_failure(checks, "row {}: " if self.probabilities.ndim > 1 else "")
 
 
-def _model_checks(probabilities, derivatives, weights=1.0, truncated_mass=0.0, mirrored=False):
-    """``ProbabilityModel``'s checks of each row, in the order a row meets them."""
+def _model_checks(
+    probabilities, derivatives, weights=1.0, truncated_mass=0.0, lengths=None, mirrored=False
+):
+    """``ProbabilityModel``'s checks of each row, in the order a row meets them.
+
+    ``lengths`` are the rows' ``outcome_counts``, if they have any.
+    """
     # A mirrored row is the left half of a mirror-symmetric one: its sums count each
     # term twice, but odd dp_dtheta1's terms cancel in pairs (NaN stays NaN).
     counts = (2.0, 0.0, 2.0) if mirrored else (1.0, 1.0, 1.0)
 
-    # Weighted sums and the largest |derivative| without a block-sized temporary.
-    def total(values, count):
-        return count * (np.vecdot(weights, values) if np.ndim(weights) else values.sum(axis=-1))
+    # Weighted sums and the largest |derivative| without a block-sized temporary;
+    # unweighted rows are small, and their three sums go stacked.
+    fields = (probabilities, *derivatives)
+    if np.ndim(weights):
+        sums = [np.vecdot(weights, values) for values in fields]
+    else:
+        sums = _row_sums(np.stack(fields), lengths)
 
     # Written as `~(... <= tol)` so that a NaN or inf anywhere fails the check.
-    mass = total(probabilities, counts[0]) + truncated_mass
+    mass = counts[0] * sums[0] + truncated_mass
     negative, off = np.any(probabilities < 0.0, axis=-1), ~(abs(mass - 1.0) <= 1e-10)
     checks = [
         (ConsistencyError, "probabilities must be nonnegative", negative),
         (ConsistencyError, "total probability {!r} deviates from 1", off, mass),
     ]
-    for name, derivative, count in zip(("dp_dtheta1", "dp_dtheta2"), derivatives, counts[1:]):
-        drift = total(derivative, count)
+    names = ("dp_dtheta1", "dp_dtheta2")
+    for name, derivative, count, total in zip(names, derivatives, counts[1:], sums[1:]):
+        drift = count * total
         largest = np.max(derivative, axis=-1, initial=1.0)
         scale = np.maximum(largest, -np.min(derivative, axis=-1, initial=-1.0))
         bounded = (abs(drift) <= 1e-8 * scale) & (scale < math.inf)
         checks.append((ConsistencyError, f"sum of {name} = {{!r}} is not 0", ~bounded, drift))
     return checks
+
+
+def _row_sums(values, lengths=None):
+    """Each row's sum over its first ``lengths[i]`` entries (by default all of them).
+
+    Rows run along the second-to-last axis.  Rows of one length are summed
+    together, in the order numpy sums a row of that length alone: its
+    pairwise order depends on the length, so zeros past it would move the
+    last bit.
+    """
+    if lengths is None:
+        return values.sum(axis=-1)
+    sums = np.empty(values.shape[:-1])
+    for length in np.unique(lengths).tolist():
+        rows = lengths == length
+        sums[..., rows] = values[..., rows, :length].sum(axis=-1)
+    return sums
+
+
+def _paired_sums(products, lengths=None):
+    """``fim``'s sums of ``products`` along the last axis, each row over its own outcomes.
+
+    In a row of n outcomes (``lengths[r]``, by default all), outcome i pairs
+    with n-1-i, the n // 2 pairs sum as one slice, and an odd row's middle
+    outcome comes last.  Rows run along the second-to-last axis.
+    """
+    if lengths is None:
+        half = products.shape[-1] // 2
+        paired = (products[..., :half] + products[..., ::-1][..., :half]).sum(axis=-1)
+        return paired + products[..., half] if products.shape[-1] % 2 else paired
+    halves = lengths // 2
+    # Past a row's first half the mirror index only has to stay in range.
+    mirrors = np.maximum(lengths[:, None] - 1 - np.arange(products.shape[-1]), 0)
+    paired = _row_sums(products + np.take_along_axis(products, mirrors[None], -1), halves)
+    middle = np.take_along_axis(products, halves[None, :, None], -1)[..., 0]
+    return np.where(lengths % 2 == 1, paired + middle, paired)
 
 
 @dataclass(frozen=True)
@@ -376,20 +435,23 @@ def _gammaln(x):
     return gammaln(x)
 
 
-def _mode_weights(modes: np.ndarray, alpha: np.ndarray):
+def _mode_weights(modes: np.ndarray, alpha: np.ndarray, cutoffs: np.ndarray):
     """w(q, alpha) = alpha^(2q) exp(-alpha^2) / q! and dw/dalpha for a column of alphas.
 
     The weights are computed in logs for stability, a row per alpha.  A row
-    with alpha = 0 is the point mass at q = 0 with every derivative 0.
+    with alpha = 0 is the point mass at q = 0 with every derivative 0.  Modes
+    past a row's cutoff are padding: both are exactly 0 there, and no such
+    mode is divided by alpha.
     """
     # math.log, one alpha at a time: numpy's SIMD log can differ from it in the
     # last bit on some CPUs, which would move the last digits of the CSVs.
     log_alpha = [[math.log(abs(a)) if a else 0.0] for a in alpha[:, 0].tolist()]
     weights = np.exp(2.0 * modes * np.array(log_alpha) - alpha * alpha - _gammaln(modes + 1.0))
     # d/dalpha [alpha^(2q) e^(-alpha^2)/q!] = w * 2 (q/alpha - alpha).
-    zero = alpha[:, 0] == 0.0
-    slopes = weights * 2.0 * (modes / np.where(zero[:, None], 1.0, alpha) - alpha)
+    zero, past = alpha[:, 0] == 0.0, modes > cutoffs[:, None]
+    slopes = weights * 2.0 * (modes / np.where(zero[:, None] | past, 1.0, alpha) - alpha)
     weights[zero], slopes[zero] = modes == 0, 0.0
+    weights[past] = slopes[past] = 0.0
     return weights, slopes
 
 
@@ -467,29 +529,32 @@ def spade_model(
     whose discarded Fisher information is at most 1e-13/sigma^2
     (``spade_cutoff``); an explicit cutoff must satisfy the mass criterion
     or a CutoffError is raised.  The model reports both tail bounds.
-    (n, 2) (theta1, theta2) points and an explicit cutoff give a stacked
-    model, row i equal bit for bit to the model of ``SourceGeometry(*points[i])``
-    alone; the tail bounds of all rows are evaluated together, one pair per
-    row, and an error names the first failing row.
+    (n, 2) (theta1, theta2) points and an explicit cutoff, one for all rows
+    or one per row, give a stacked model: every row has the modes up to the
+    largest cutoff, exact zeros past its own (its ``outcome_counts``), and
+    equals bit for bit the model of ``SourceGeometry(*points[i])`` alone at
+    its cutoff, its ``fim`` too.  The tail bounds of all rows are evaluated
+    together, one pair per row, and an error names the first failing row.
+    A single geometry is the one-row case.
     """
     alphas, stacked = _source_alphas(sigma, geometry)
     if mode_cutoff is None:
         if stacked:
             raise ValueError("a stacked SPADE model needs an explicit mode_cutoff")
         mode_cutoff = spade_cutoff(sigma, geometry)
-    cutoff = int(mode_cutoff)
-    if cutoff < 0:
+    cutoffs = np.broadcast_to(np.asarray(mode_cutoff, dtype=int), len(alphas))
+    if np.any(cutoffs < 0):
         raise ValueError("mode_cutoff must be nonnegative")
     with np.errstate(over="ignore"):  # An inf mean's tail bounds are 1, as a huge one's.
         means = alphas * alphas
-    mass_tail, fisher_tail = _tail_bounds(sigma, means, cutoff)
-    message = f"cutoff {cutoff} leaves truncated mass bound {{:.3e}}"
-    checks = [(CutoffError, message, ~(mass_tail < _MASS_TOLERANCE), mass_tail)]
+    mass_tail, fisher_tail = _tail_bounds(sigma, means, cutoffs)
+    message = "cutoff {:.0f} leaves truncated mass bound {:.3e}"
+    checks = [(CutoffError, message, ~(mass_tail < _MASS_TOLERANCE), cutoffs, mass_tail)]
     raise_first_failure(checks, "row {}: " if stacked else "")
 
-    modes = np.arange(cutoff + 1)
-    weights_1, slope_1 = _mode_weights(modes, alphas[:, :1])
-    weights_2, slope_2 = _mode_weights(modes, alphas[:, 1:])
+    modes = np.arange(cutoffs.max(initial=0) + 1)
+    weights_1, slope_1 = _mode_weights(modes, alphas[:, :1], cutoffs)
+    weights_2, slope_2 = _mode_weights(modes, alphas[:, 1:], cutoffs)
     fields = {
         "probabilities": 0.5 * (weights_1 + weights_2),
         # alpha_j = X_j / 2 sigma, so dalpha/dtheta1 = 1/2sigma for both and
@@ -504,6 +569,7 @@ def spade_model(
         outcome_kind=DISCRETE_MODES,
         truncated_mass=mass_tail,
         fisher_tail_bound=fisher_tail,
+        outcome_counts=cutoffs + 1 if stacked else None,
         **fields,
     )
 
@@ -688,23 +754,29 @@ def fim(model: ProbabilityModel) -> np.ndarray:
     raised rather than returning something arbitrary.  A stacked model gives
     one matrix per row, and an error names the first failing row.
 
-    The sum adds outcome i to outcome n-1-i before adding the pairs up.  For
-    the mirror-symmetric direct-imaging models this makes every term that
-    parity makes odd cancel exactly, so F12 of an even PSF is exactly 0.0;
-    for any other model it is only a summation order.
+    The sum adds outcome i to outcome n-1-i before adding the pairs up, n a
+    row's own count of outcomes (its ``outcome_counts``, if it has them).
+    For the mirror-symmetric direct-imaging models this makes every term
+    that parity makes odd cancel exactly, so F12 of an even PSF is exactly
+    0.0; for any other model it is only a summation order.
     """
     weights = model.weights if model.weights is not None else 1.0
     derivatives = (model.dp_dtheta1, model.dp_dtheta2)
-    matrices, checks = _fisher_information(model.probabilities, derivatives, weights)
+    matrices, checks = _fisher_information(
+        model.probabilities, derivatives, weights, lengths=model.outcome_counts
+    )
     raise_first_failure(checks, "row {}: " if model.probabilities.ndim > 1 else "")
     return matrices
 
 
-def _fisher_information(probabilities, derivatives, weights=1.0, buffers=None, mirrored=False):
+def _fisher_information(
+    probabilities, derivatives, weights=1.0, buffers=None, mirrored=False, lengths=None
+):
     """``fim``'s matrices of each row, and its drop-or-raise checks of each row.
 
     ``buffers``, three arrays shaped like ``probabilities``, hold the work;
-    by default they are allocated.  ``mirrored`` is as in ``_model_checks``.
+    by default they are allocated.  ``mirrored`` and ``lengths`` are as in
+    ``_model_checks``.
     """
     if buffers is None:
         buffers = [np.empty(probabilities.shape) for _ in range(3)]
@@ -728,20 +800,20 @@ def _fisher_information(probabilities, derivatives, weights=1.0, buffers=None, m
     np.divide(weights, probabilities, out=inverse_p, where=keep)
     d1, d2 = derivatives
     np.multiply(inverse_p, d1, out=scaled)
-    half = probabilities.shape[-1] // 2
 
-    def total(left, right):
+    def doubled(left, right):  # The mirror image's product is the same: the pair doubles it.
         np.multiply(left, right, out=product)
-        if mirrored:  # The mirror image's product is the same: the pair doubles it.
-            return np.add(product, product, out=product).sum(axis=-1)
-        paired = (product[..., :half] + product[..., ::-1][..., :half]).sum(axis=-1)
-        return paired + product[..., half] if probabilities.shape[-1] % 2 else paired
+        return np.add(product, product, out=product).sum(axis=-1)
 
-    totals = np.array([
-        total(scaled, d1),
-        np.zeros(probabilities.shape[:-1]) if mirrored else total(scaled, d2),  # Pairs cancel.
-        total(np.multiply(inverse_p, d2, out=scaled), d2),
-    ])
+    if mirrored:
+        totals = np.array([
+            doubled(scaled, d1),
+            np.zeros(probabilities.shape[:-1]),  # Pairs cancel.
+            doubled(np.multiply(inverse_p, d2, out=scaled), d2),
+        ])
+    else:
+        products = [scaled * d1, scaled * d2, np.multiply(inverse_p, d2, out=scaled) * d2]
+        totals = _paired_sums(np.stack(products), lengths)
     matrices = totals[[0, 1, 1, 2]].T.reshape(*totals.shape[1:], 2, 2)
     # A row without any kept outcome is exactly zero (not -0.0).
     matrices[~keep.any(axis=-1)] = 0.0

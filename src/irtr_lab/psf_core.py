@@ -553,7 +553,7 @@ def gaussian_overlap_integrals(sigma: float, theta2: float) -> OverlapIntegrals:
 
     kappa = 1/(4 sigma^2)
     gamma = -(theta2 / 4 sigma^2) exp(-theta2^2 / 8 sigma^2)
-    beta  = -(theta2^2 - 4 sigma^2) / (16 sigma^4) exp(-theta2^2 / 8 sigma^2)
+    beta  = kappa (1 - theta2^2 / 4 sigma^2) exp(-theta2^2 / 8 sigma^2)
     delta = exp(-theta2^2 / 8 sigma^2)
 
     The delta closed form is validated against the quadrature path in the
@@ -563,10 +563,12 @@ def gaussian_overlap_integrals(sigma: float, theta2: float) -> OverlapIntegrals:
     if not (sigma > 0.0 and theta2 > 0.0):
         raise ValueError("sigma and theta2 must be positive")
     envelope = float(np.exp(-(theta2**2) / (8.0 * sigma**2)))
+    kappa = float(1.0 / (4.0 * sigma**2))
+    # beta as kappa (1 - u): 16 sigma^4 would leave the normal floats for sigma below 1e-77.
     return OverlapIntegrals(
-        kappa=float(1.0 / (4.0 * sigma**2)),
+        kappa=kappa,
         gamma=float(-(theta2 / (4.0 * sigma**2)) * envelope),
-        beta=float(-(theta2**2 - 4.0 * sigma**2) / (16.0 * sigma**4) * envelope),
+        beta=float(kappa * (1.0 - theta2**2 / (4.0 * sigma**2)) * envelope),
         delta=envelope,
     )
 

@@ -161,10 +161,14 @@ def c_tilde_column(overlaps, label="row {}: ") -> np.ndarray:
     ``label``.  Values just above 1 are clamped to 1.
     """
     kappa, gamma, beta, _ = overlaps
-    with np.errstate(over="ignore"):  # A square past the float range is inf.
+    with np.errstate(over="ignore"):  # A square or product past the float range is inf.
         centroid_quarter = kappa - gamma * gamma
-    degenerate = centroid_quarter <= 0.0
-    c_tilde = abs(beta) / np.sqrt(kappa * np.where(degenerate, 1.0, centroid_quarter))
+        degenerate = centroid_quarter <= 0.0
+        quarter = np.where(degenerate, 1.0, centroid_quarter)
+        product = kappa * quarter
+    # Where the product overflows, its roots multiply: sqrt(kappa) sqrt(kappa - gamma^2).
+    roots = np.where(np.isfinite(product), np.sqrt(product), np.sqrt(kappa) * np.sqrt(quarter))
+    c_tilde = abs(beta) / roots
     raise_first_failure(
         [
             (DegenerateStateError, "kappa - gamma^2 must be positive to define c_tilde",

@@ -739,6 +739,31 @@ class TestRunnersMatchScalarRoute:
             lab.run_fig4(config)
         assert str(raised.value) == label + str(expected.value)
 
+    @pytest.mark.parametrize("mode_cutoff", [None, 120])
+    def test_spade_fims_across_blocks_are_the_scalar_ones(self, mode_cutoff):
+        # 300 rows are three padded blocks of up to 128, their cutoffs odd and even.
+        points = [(theta1, 0.3) for theta1 in np.linspace(-7.0, 7.0, 300).tolist()]
+        config = lab.ExperimentConfig(figure_id="fig4", mode_cutoff=mode_cutoff)
+        fishers = experiments._spade_fims(config, np.array(points))
+        assert experiments._SPADE_BLOCK < len(points) // 2
+        for point, fisher in zip(points, fishers):
+            model = lab.spade_model(1.0, lab.SourceGeometry(*point), mode_cutoff)
+            np.testing.assert_array_equal(fisher, lab.fim(model))
+
+    def test_a_spade_fim_error_names_its_sweep_row(self, tmp_path):
+        # At theta2 = 1e-4 sigma the geometry theta1 = 1e-5 sigma has an outcome
+        # whose probability vanishes but whose derivative does not.  It is row
+        # 150, in the second block; alone at its cutoff, it was once row 0.
+        grid = (*np.linspace(-3.0, -0.5, 150).tolist(), 1e-5, 0.5)
+        config = lab.ExperimentConfig(
+            figure_id="fig4", theta1_grid=grid, theta2_over_sigma=1e-4, output_dir=str(tmp_path)
+        )
+        with pytest.raises(lab.DegenerateOutcomeError) as expected:
+            lab.fim(lab.spade_model(1.0, lab.SourceGeometry(1e-5, 1e-4)))
+        with pytest.raises(lab.DegenerateOutcomeError) as raised:
+            lab.run_fig4(config)
+        assert str(raised.value) == "row 150: " + str(expected.value)
+
     def test_fig5_sample_k_uses_spawned_stream_k(self, tmp_path):
         # 2000 samples span several batches; every row is checked.
         config = lab.ExperimentConfig(
@@ -926,6 +951,24 @@ class TestRunnersShareTheKernel:
         self.tables(tmp_path, figure, **SMALL_CONFIGS[figure])
         assert len(calls) == 1
 
+    def test_spade_models_per_sweep_do_not_grow_with_its_cutoffs(self, tmp_path, monkeypatch):
+        # The benchmark's fig4 grid: 500 seeded misalignments in [0, 5] sigma,
+        # drawn after its custom grids.  Its 32 cutoffs once took 32 models;
+        # padded blocks of 128 rows take 4.
+        rng = np.random.default_rng(1)
+        rng.uniform(0.0, 3.0, 6), rng.uniform(0.1, 4.0, 6)
+        grid = tuple(np.unique(rng.uniform(0.0, 5.0, 500)).tolist())
+        assert len(set(spade_cutoff(1.0, [(theta1, 0.1) for theta1 in grid]).tolist())) == 32
+        calls, model = [], experiments.spade_model
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return model(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "spade_model", counted)
+        self.tables(tmp_path, "fig4", theta1_grid=grid)
+        assert len(calls) <= -(-len(grid) // experiments._SPADE_BLOCK) == 4
+
     def test_spade_sweeps_build_no_source_geometries(self, tmp_path, monkeypatch):
         # SPADE takes the kernel's checked points, as the other routes do: a
         # default fig4 run once built one SourceGeometry per row, 101.
@@ -962,6 +1005,17 @@ class TestCli:
             **dict.fromkeys(["fig1", "fig2", "fig3", "fig4", "fig5"], common),
             "custom": [*common, ["--theta1-grid"], ["--theta2-grid"], ["--measurements"]],
         }
+
+    def test_a_named_figure_gets_only_its_own_options(self):
+        # main builds the options of the figure it runs; the parser lists all
+        # six figures and prints the same help.
+        parser, figures = cli._build_parser("custom")
+        full_parser, full = cli._build_parser()
+        assert list(figures) == list(full)
+        for name, sub in figures.items():
+            expected = full[name]._actions if name == "custom" else full[name]._actions[:1]
+            assert [a.option_strings for a in sub._actions] == [a.option_strings for a in expected]
+        assert parser.format_help() == full_parser.format_help()
 
     def test_successful_run_prints_paths(self, tmp_path, capsys):
         code = cli.main(

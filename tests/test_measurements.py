@@ -247,6 +247,48 @@ class TestStackedModels:
                 assert stacked.fisher_tail_bound[row] == single.fisher_tail_bound
                 np.testing.assert_array_equal(fisher[row], lab.fim(single))
 
+    def test_padded_spade_rows_pair_their_own_outcomes(self):
+        # One cutoff per row, padded to the largest: cutoff 0 leaves no pair,
+        # cutoff 1 one pair, and the adaptive cutoffs mix odd and even counts.
+        sweep = [lab.SourceGeometry(t1, 0.4) for t1 in np.linspace(-5.0, 5.0, 198)]
+        geometries = [lab.SourceGeometry(0.0, 1e-8), lab.SourceGeometry(0.0, 1e-4), *sweep]
+        cutoffs = [0, 1, *spade_cutoff(1.0, points(sweep)).tolist()]
+        assert {cutoff % 2 for cutoff in cutoffs[2:]} == {0, 1}
+        stacked = lab.spade_model(1.0, points(geometries), cutoffs)
+        assert stacked.probabilities.shape == (200, max(cutoffs) + 1)
+        np.testing.assert_array_equal(stacked.outcome_counts, np.add(cutoffs, 1))
+        fisher = lab.fim(stacked)
+
+        def checked_sums(model, lengths=None):
+            # The total probability and the two derivative sums the model checks print.
+            derivatives = (model.dp_dtheta1, model.dp_dtheta2)
+            checks = measurements._model_checks(
+                model.probabilities, derivatives, 1.0, model.truncated_mass, lengths=lengths
+            )
+            return [check[3] for check in checks[1:]]
+
+        sums = checked_sums(stacked, stacked.outcome_counts)
+        for row, (geometry, cutoff) in enumerate(zip(geometries, cutoffs)):
+            single = lab.spade_model(1.0, geometry, cutoff)
+            for name in ("probabilities", "dp_dtheta1", "dp_dtheta2"):
+                own, padding = np.split(getattr(stacked, name)[row], [cutoff + 1])
+                np.testing.assert_array_equal(own, getattr(single, name))
+                assert not padding.any()
+            assert stacked.truncated_mass[row] == single.truncated_mass
+            assert [values[row] for values in sums] == checked_sums(single)
+            np.testing.assert_array_equal(fisher[row], lab.fim(single))
+
+    def test_outcome_counts_must_fit_their_rows(self):
+        rows = ([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]], np.zeros((2, 3)), np.zeros((2, 3)))
+        model = lab.ProbabilityModel(DISCRETE_MODES, *rows, outcome_counts=np.array([2, 1]))
+        np.testing.assert_array_equal(lab.fim(model), np.zeros((2, 2, 2)))
+        for counts in ([2, 4], [2], [2.0, 1.0], [-1, 1]):
+            with pytest.raises(ValueError, match="^outcome_counts must give each row's count"):
+                lab.ProbabilityModel(DISCRETE_MODES, *rows, outcome_counts=np.array(counts))
+        single = [values[0] for values in rows]  # An unstacked model has no rows to count.
+        with pytest.raises(ValueError, match="^outcome_counts must give each row's count"):
+            lab.ProbabilityModel(DISCRETE_MODES, *single, outcome_counts=np.array(2))
+
     def test_stacked_spade_model_needs_an_explicit_cutoff(self):
         pair = [(-0.8, 0.5), (0.8, 0.5)]
         with pytest.raises(ValueError, match="needs an explicit mode_cutoff"):

@@ -180,6 +180,15 @@ class TestIncompatibility:
         expected = lab.gaussian_incompatibility(1.0, 1e-3)
         assert abs(c_tilde_from_overlaps(overlaps) - expected) <= 1e-12
 
+    @pytest.mark.parametrize("sigma", [1e-80, 1e-150])
+    def test_c_tilde_where_kappa_times_kappa_overflows(self, sigma):
+        # kappa = 1 / (4 sigma^2) is 2.5e159 or more: kappa (kappa - gamma^2)
+        # is past the float range, while the roots of its factors are not.  The
+        # suite turns warnings into errors, so an overflow warning would fail.
+        overlaps = lab.gaussian_overlap_integrals(sigma, sigma)
+        expected = lab.gaussian_incompatibility(sigma, sigma)
+        assert abs(c_tilde_from_overlaps(overlaps) - expected) <= 1e-12
+
     def test_commutator_expectation_vanishes_for_real_psf(self):
         rng = np.random.default_rng(20240817)
         for theta2 in rng.uniform(0.05, 8.0, size=20):
