@@ -195,8 +195,11 @@ def incompatibility(overlaps: OverlapIntegrals) -> IncompatibilityCoefficients:
     """
     c_tilde = c_tilde_from_overlaps(overlaps)
     model = build_state_model(overlaps)
-    fisher = qfim(overlaps).matrix
-    scale = 2.0 * math.sqrt(fisher[0, 0] * fisher[1, 1])
+    f00, f11 = qfim(overlaps).matrix.diagonal().tolist()
+    # Where the product overflows, its roots multiply, as in c_tilde_column.
+    product = f00 * f11
+    root = math.sqrt(product) if math.isfinite(product) else math.sqrt(f00) * math.sqrt(f11)
+    scale = 2.0 * root
 
     commutator = model.L1 @ model.L2 - model.L2 @ model.L1
     c = float(abs(np.trace(commutator @ model.rho))) / scale

@@ -790,16 +790,49 @@ class TestHaarRandomOrthogonal:
             lab.ProjectiveMeasurement4(matrix=np.eye(4) * 1.001, seed=0)
 
 
+def assert_scalar_draws(bases, children):
+    """Each basis is the scalar route's draw from its child stream, strides included."""
+    for basis, child in zip(bases, children, strict=True):
+        expected = lab.haar_random_orthogonal(np.random.default_rng(child)).matrix
+        np.testing.assert_array_equal(basis, expected)
+        # The layout fixes the summation order of everything downstream.
+        assert basis.strides == expected.strides
+
+
+@pytest.fixture
+def state_sets(monkeypatch):
+    """The PCG64 states set on Generators made while the test runs."""
+    pcg64, sets = np.random.PCG64, []
+
+    class Counting(pcg64):
+        @property
+        def state(self):
+            return pcg64.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            sets.append(value)
+            pcg64.state.__set__(self, value)
+
+    Counting.__name__ = "PCG64"  # The state setter checks the class name.
+    monkeypatch.setattr(np.random, "PCG64", Counting)
+    return sets
+
+
+@pytest.fixture
+def fresh_tables():
+    """The ziggurat tables probed anew in the test, and again after it."""
+    measurements._ziggurat_tables.cache_clear()
+    yield
+    measurements._ziggurat_tables.cache_clear()
+
+
 class TestHaarRandomBases:
     def test_basis_k_is_the_scalar_draw_from_stream_k(self):
         streams = np.random.SeedSequence(8).spawn(300)
         bases = haar_random_bases(spawned_pools(8, (), 0, 300))
         assert bases.shape == (300, 4, 4)
-        for basis, stream in zip(bases, streams):
-            expected = lab.haar_random_orthogonal(np.random.default_rng(stream)).matrix
-            np.testing.assert_array_equal(basis, expected)
-            # The layout fixes the summation order of everything downstream.
-            assert basis.strides == expected.strides
+        assert_scalar_draws(bases, streams)
 
     # One- and two-word seeds, each side of a word boundary, and the largest.
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
@@ -812,11 +845,103 @@ class TestHaarRandomBases:
         children = parent.spawn(first + count)[first:]
         pools = spawned_pools(seed, prefix, first, count)
         np.testing.assert_array_equal(pools, [child.pool for child in children])
-        bases = haar_random_bases(pools)
-        for basis, child in zip(bases, children):
-            expected = lab.haar_random_orthogonal(np.random.default_rng(child)).matrix
-            np.testing.assert_array_equal(basis, expected)
-            assert basis.strides == expected.strides
+        assert_scalar_draws(haar_random_bases(pools), children)
+
+    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513])
+    def test_counts_about_one_block(self, count):
+        bases = haar_random_bases(spawned_pools(1, (), 0, count))
+        assert bases.shape == (count, 4, 4)
+        assert_scalar_draws(bases, np.random.SeedSequence(1).spawn(count))
+
+    def test_words_are_numpys(self):
+        seed, prefix = 2**64 - 1, (5,)
+        seeded, increment, words = measurements._seeded_words(spawned_pools(seed, prefix, 0, 40))
+        for k, child in enumerate(np.random.SeedSequence(seed, spawn_key=prefix).spawn(40)):
+            bits = np.random.default_rng(child).bit_generator
+            state = bits.state["state"]
+            assert state["state"] == int(seeded[0][k, 0]) << 64 | int(seeded[1][k, 0])
+            assert state["inc"] == int(increment[0][k, 0]) << 64 | int(increment[1][k, 0])
+            np.testing.assert_array_equal(words[k], bits.random_raw(16))
+
+    @pytest.mark.parametrize("route", ["fast", "tail", "index 1", "wedge"])
+    def test_samples_picked_by_their_words(self, route):
+        # The first draw off the fast path decides how numpy goes on: the
+        # idx 0 tail, idx 1 (whose every word is rejected), or a wedge test.
+        seed, count = 4, 3000
+        words = measurements._seeded_words(spawned_pools(seed, (), 0, count))[2]
+        fast = measurements._ziggurat_draws(words)[1]
+        first_index = (words & 0xFF)[np.arange(count), np.argmin(fast, axis=1)]
+        picked = {
+            "fast": fast.all(axis=1),
+            "tail": ~fast.all(axis=1) & (first_index == 0),
+            "index 1": ~fast.all(axis=1) & (first_index == 1),
+            "wedge": ~fast.all(axis=1) & (first_index >= 2),
+        }[route]
+        samples = np.flatnonzero(picked)[:8]
+        assert len(samples) == 8
+        bases = haar_random_bases(spawned_pools(seed, (), 0, count)[samples])
+        children = [np.random.SeedSequence(seed, spawn_key=(k,)) for k in samples.tolist()]
+        assert_scalar_draws(bases, children)
+
+    def test_probed_tables_reproduce_numpy_on_crafted_words(self):
+        wi, ki = measurements._ziggurat_tables()
+        generator = np.random.default_rng(0)
+        inverse = pow(measurements._PCG64_MULT, -1, 1 << 128)
+
+        def draw(index, magnitude, sign):
+            # The state before one whose high half is 0: its next word is the
+            # low half, rotated by 0.
+            word = magnitude << 9 | sign << 8 | index
+            start = (word - 3) * inverse % (1 << 128)
+            generator.bit_generator.state = {
+                "bit_generator": "PCG64", "state": {"state": start, "inc": 3},
+                "has_uint32": 0, "uinteger": 0,
+            }
+            value = generator.standard_normal()
+            return value, generator.bit_generator.state["state"]["state"] == word
+
+        def route(index, magnitude, sign):
+            word = np.array([magnitude << 9 | sign << 8 | index], dtype=np.uint64)
+            value, fast = measurements._ziggurat_draws(word)
+            return value[0], fast[0]
+
+        # Only idx 1 rejects every word; each other ki is the first rabs
+        # rejected, and the route takes the fast path exactly where numpy does.
+        assert np.flatnonzero(ki == 0).tolist() == [1]
+        assert draw(1, 1, 0)[1] is False and not route(1, 1, 0)[1]
+        for index in np.flatnonzero(ki).tolist():
+            last = int(ki[index]) - 1
+            assert draw(index, 1, 0) == (wi[index], True) == route(index, 1, 0)
+            for sign in (0, 1):
+                value, accepted = draw(index, last, sign)
+                assert accepted and value == (-1) ** sign * (last * wi[index])
+                assert route(index, last, sign) == (value, True)
+                if ki[index] < 2**52:
+                    assert draw(index, last + 1, sign)[1] is False
+                    assert not route(index, last + 1, sign)[1]
+
+    def test_fallback_share(self, state_sets):
+        # Samples with a draw off the fast path set one Generator each: 22.4 %.
+        measurements._ziggurat_tables()
+        state_sets.clear()
+        haar_random_bases(spawned_pools(1, (), 0, 5000))
+        assert 0 < len(state_sets) <= 0.25 * 5000
+
+    def test_misbehaving_probe_sends_every_sample_to_the_generator(
+        self, monkeypatch, state_sets, fresh_tables
+    ):
+        probe = measurements._probe
+
+        def one_ulp_off(generator, index, magnitude, sign):
+            value, accepted = probe(generator, index, magnitude, sign)
+            return (np.nextafter(value, np.inf) if magnitude > 1 else value), accepted
+
+        monkeypatch.setattr(measurements, "_probe", one_ulp_off)
+        assert not measurements._ziggurat_tables()[1].any()
+        state_sets.clear()
+        bases = haar_random_bases(spawned_pools(1, (), 0, 300))
+        assert len(state_sets) == 300
+        assert_scalar_draws(bases, np.random.SeedSequence(1).spawn(300))
 
     def test_prefix_array_gives_each_prefix_its_children(self):
         # The custom runner's layout: point p's sample k is spawn(4)[p].spawn(5)[k].

@@ -189,6 +189,15 @@ class TestIncompatibility:
         expected = lab.gaussian_incompatibility(sigma, sigma)
         assert abs(c_tilde_from_overlaps(overlaps) - expected) <= 1e-12
 
+    @pytest.mark.parametrize("sigma", [1e-80, 1e-150])
+    def test_c_where_qfim_product_overflows(self, sigma):
+        # F00 F11 is past the float range here, so c's scale is the product of
+        # their roots; an overflow warning would be an error in this suite.
+        coefficients = lab.incompatibility(lab.gaussian_overlap_integrals(sigma, sigma))
+        expected = lab.gaussian_incompatibility(sigma, sigma)
+        assert abs(coefficients.c_tilde - expected) <= 1e-12
+        assert coefficients.c == 0.0
+
     def test_commutator_expectation_vanishes_for_real_psf(self):
         rng = np.random.default_rng(20240817)
         for theta2 in rng.uniform(0.05, 8.0, size=20):
