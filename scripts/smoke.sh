@@ -98,6 +98,9 @@ lab fig3 --grid 0.2,60 --config "$out/frontier2.ini" --out "$out/fig3-frontier2"
 # source on the axis) at one explicit cutoff.
 lab fig4 --grid -20:20:0.05 --out "$out/fig4-wide"
 lab fig4 --mode-cutoff 80 --out "$out/fig4-cutoff"
+# An explicit cutoff above the adaptive cap of 512: the log-factorial table
+# grows past the adaptive range.
+lab fig4 --grid 0:2:0.5 --mode-cutoff 600 --out "$out/fig4-cutoff600"
 lab fig5 --seed 1 --n-random 2000 --out "$out/fig5"
 # Seeding edge cases: 2**64 - 1 fills two 32-bit entropy words, and 0 is one
 # zero word that the spawned pools pad to four.

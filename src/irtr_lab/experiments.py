@@ -152,8 +152,9 @@ class ExperimentConfig:
             raise ConfigError("n_random must be at least 1 and below 2**32")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit an unsigned 64-bit integer")
-        if self.mode_cutoff is not None and self.mode_cutoff < 0:
-            raise ConfigError("mode_cutoff must be nonnegative or adaptive")
+        if self.mode_cutoff is not None and not 0 <= self.mode_cutoff < 2**63:
+            # The SPADE models hold their cutoffs as int64.
+            raise ConfigError("mode_cutoff must be adaptive or nonnegative and below 2**63")
         chosen = tuple(self.measurements)
         if not 0 < len(chosen) == len(set(MEASUREMENT_NAMES).intersection(chosen)):
             raise ConfigError(f"measurements must be distinct names from {MEASUREMENT_NAMES}")

@@ -426,14 +426,60 @@ def _fields(amp1, damp1, amp2, damp2, out=None):
     return probabilities, dp_dtheta1, dp_dtheta2
 
 
-def _gammaln(x):
-    """``scipy.special.gammaln``, imported on use.
+# cephes ``lgam``'s series coefficients for 13 <= x < 1000, and log sqrt(2 pi).
+_LGAM_SERIES = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LOG_SQRT_2PI = 0.91893853320467274178
+# log Gamma(n) at n = 0, 1, ...: built at first use by ``_log_gamma``.
+_LOG_GAMMA = np.empty(0)
 
-    scipy.special dominates the package's import time and only SPADE needs it.
+
+def _lgam(n: int) -> float:
+    """log Gamma(n) at an integer n >= 0, inf at 0: cephes ``lgam`` on integers.
+
+    This is the routine behind ``scipy.special.gammaln``, ported step for
+    step with ``math.log`` (see ``_mode_weights``); the tests check it against
+    scipy bit for bit.  Below 13 cephes takes the log of (n-1)!, which a
+    double holds exactly there.
     """
-    from scipy.special import gammaln
+    if n < 13:
+        return math.log(float(math.factorial(n - 1))) if n else math.inf
+    x = float(n)
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        series = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+        return q + (series + 0.0833333333333333333333) / x
+    series = _LGAM_SERIES[0]
+    for coefficient in _LGAM_SERIES[1:]:
+        series = series * p + coefficient
+    return q + series / x
 
-    return gammaln(x)
+
+def _log_gamma(n: np.ndarray) -> np.ndarray:
+    """log Gamma at the nonnegative integers ``n``, gathered from one table of ``_lgam``.
+
+    The table covers the adaptive cutoffs' range, 0 ... _MODE_CAP + 2, from
+    its first use, and grows to the largest ``n`` asked for beyond it.
+    """
+    global _LOG_GAMMA
+    try:
+        return _LOG_GAMMA[n]
+    except IndexError:
+        built, top = len(_LOG_GAMMA), max(int(n.max()), _MODE_CAP + 2)
+        # A cutoff too large to allocate fails here, before any entry is computed.
+        table = np.empty(top + 1)
+        table[:built] = _LOG_GAMMA
+        table[built:] = [_lgam(k) for k in range(built, top + 1)]
+        _LOG_GAMMA = table
+    return _LOG_GAMMA[n]
 
 
 def _mode_weights(modes: np.ndarray, alpha: np.ndarray, cutoffs: np.ndarray):
@@ -447,7 +493,7 @@ def _mode_weights(modes: np.ndarray, alpha: np.ndarray, cutoffs: np.ndarray):
     # math.log, one alpha at a time: numpy's SIMD log can differ from it in the
     # last bit on some CPUs, which would move the last digits of the CSVs.
     log_alpha = [[math.log(abs(a)) if a else 0.0] for a in alpha[:, 0].tolist()]
-    weights = np.exp(2.0 * modes * np.array(log_alpha) - alpha * alpha - _gammaln(modes + 1.0))
+    weights = np.exp(2.0 * modes * np.array(log_alpha) - alpha * alpha - _log_gamma(modes + 1))
     # d/dalpha [alpha^(2q) e^(-alpha^2)/q!] = w * 2 (q/alpha - alpha).
     zero, past = alpha[:, 0] == 0.0, modes > cutoffs[:, None]
     slopes = weights * 2.0 * (modes / np.where(zero[:, None] | past, 1.0, alpha) - alpha)
@@ -472,7 +518,7 @@ def _tail_bounds(sigma, means, cutoffs):
     beyond = np.asarray(cutoffs)[..., np.newaxis, np.newaxis] + np.array([[0], [-2], [-1]])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = means / (beyond + 2.0)
-        log_first = (beyond + 1.0) * np.log(means) - means - _gammaln(beyond + 2.0)
+        log_first = (beyond + 1.0) * np.log(means) - means - _log_gamma(beyond + 2)
         tails = np.exp(log_first) / (1.0 - ratio)
     tails = np.where(means == 0.0, 0.0, np.where((beyond < 0) | (ratio >= 1.0), 1.0, tails))
     mass, below_2, below_1 = tails[..., 0, :], tails[..., 1, :], tails[..., 2, :]

@@ -104,6 +104,7 @@ class TestExperimentConfig:
             {"figure_id": "fig1", "seed": 1.0},
             {"figure_id": "fig1", "frontier_samples": 32.0},
             {"figure_id": "fig4", "mode_cutoff": 3.5},
+            {"figure_id": "fig4", "mode_cutoff": 2**63},
             {"figure_id": "fig5", "n_random": 2**32},
         ],
     )
@@ -129,6 +130,7 @@ class TestExperimentConfig:
 
     def test_accepts_the_edges_of_the_ranges(self):
         assert lab.ExperimentConfig(figure_id="fig5", n_random=2**32 - 1).n_random == 2**32 - 1
+        assert lab.ExperimentConfig(figure_id="fig4", mode_cutoff=2**63 - 1).mode_cutoff == 2**63 - 1
 
     def test_accepts_numpy_integers(self):
         config = lab.ExperimentConfig(
@@ -1083,6 +1085,13 @@ class TestCli:
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["config"][field] == expected
+
+    def test_cutoff_beyond_int64_is_config_error(self, tmp_path, capsys):
+        argv = ["fig4", "--grid", "0,1", "--mode-cutoff", "99999999999999999999"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        message = "config error: mode_cutoff must be adaptive or nonnegative and below 2**63\n"
+        assert capsys.readouterr().err == message
+        assert not tmp_path.joinpath("manifest.json").exists()
 
     def test_ambiguous_grid_prefix_exits_two(self, tmp_path, capsys):
         argv = ["custom", "--theta", "-2,0", "--theta2-grid", "1", "--out", str(tmp_path)]

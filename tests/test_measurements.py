@@ -1,8 +1,9 @@
 """Tests for the measurement models and the classical-information pipeline.
 
 Independent oracles used here: scipy's Poisson pmf for the mode-sorting
-probabilities, the Gaussian closed-form QFIM for regret baselines, and
-direct Gauss-Legendre sums for mode orthonormality.
+probabilities, scipy's ``gammaln`` for the log-factorial table, the Gaussian
+closed-form QFIM for regret baselines, and direct Gauss-Legendre sums for mode
+orthonormality.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import poisson
 
 import irtr_lab as lab
@@ -686,7 +688,7 @@ class TestAdaptiveCutoff:
             lab.spade_model(1.0, geometry, mode_cutoff=6)
 
     def test_cli_import_leaves_scipy_special_unloaded(self):
-        # scipy.special is imported on first SPADE use, not with the package.
+        # Neither the package nor a SPADE model imports scipy.special.
         source = str(Path(lab.__file__).resolve().parents[1])
         code = (
             "import sys, irtr_lab.cli; print('scipy.special' in sys.modules); "
@@ -700,7 +702,67 @@ class TestAdaptiveCutoff:
             check=True,
             env={**os.environ, "PYTHONPATH": source},
         )
-        assert result.stdout.split() == ["False", "True"]
+        assert result.stdout.split() == ["False", "False"]
+
+    def test_spade_runs_load_no_scipy(self, tmp_path):
+        # The log-factorial table is built on first SPADE use, not at import,
+        # and no runner imports any scipy module.
+        source = str(Path(lab.__file__).resolve().parents[1])
+        code = (
+            "import sys; from irtr_lab import cli, measurements; "
+            "print(len(measurements._LOG_GAMMA)); "
+            f"cli.main(['fig4', '--grid', '0:2:0.5', '--out', {str(tmp_path / 'fig4')!r}]); "
+            "cli.main(['custom', '--theta1-grid', '0,1', '--theta2-grid', '0.5', "
+            "'--measurements', 'direct,spade,random', '--n-random', '4', "
+            f"'--out', {str(tmp_path / 'custom')!r}]); "
+            "print(len(measurements._LOG_GAMMA)); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": source},
+        )
+        # cli.main prints the paths it wrote between the first line and the last two.
+        lines = result.stdout.splitlines()
+        assert [lines[0], *lines[-2:]] == ["0", str(measurements._MODE_CAP + 3), "[]"]
+        assert (tmp_path / "fig4" / "fig4.csv").exists()
+        assert (tmp_path / "custom" / "custom.csv").exists()
+
+
+class TestLogGammaTable:
+    """The log-factorial table against scipy.special.gammaln, bit for bit."""
+
+    @staticmethod
+    def assert_is_gammaln(arguments, values):
+        expected = gammaln(np.asarray(arguments, dtype=float))
+        assert np.asarray(values).view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_adaptive_range(self, monkeypatch):
+        monkeypatch.setattr(measurements, "_LOG_GAMMA", np.empty(0))
+        arguments = np.arange(measurements._MODE_CAP + 3)
+        values = measurements._log_gamma(arguments)
+        assert len(measurements._LOG_GAMMA) == measurements._MODE_CAP + 3
+        assert values[0] == math.inf
+        self.assert_is_gammaln(arguments, values)
+
+    def test_branch_edges(self, monkeypatch):
+        # cephes multiplies out (n-1)! below 13 and sums a short series below 1000.
+        monkeypatch.setattr(measurements, "_LOG_GAMMA", np.empty(0))
+        edges = np.array([12, 13, 999, 1000, 1001])
+        self.assert_is_gammaln(edges, measurements._log_gamma(edges))
+        assert len(measurements._LOG_GAMMA) == 1002
+
+    def test_grows_for_an_explicit_cutoff_above_the_cap(self, monkeypatch):
+        monkeypatch.setattr(measurements, "_LOG_GAMMA", np.empty(0))
+        lab.spade_model(1.0, lab.SourceGeometry(0.0, 1.0), mode_cutoff=measurements._MODE_CAP)
+        assert len(measurements._LOG_GAMMA) == measurements._MODE_CAP + 3
+        lab.spade_model(1.0, lab.SourceGeometry(0.0, 1.0), mode_cutoff=3000)
+        # The tail bounds read up to Q + 2.
+        assert len(measurements._LOG_GAMMA) == 3003
+        self.assert_is_gammaln(np.arange(3003), measurements._LOG_GAMMA)
 
 
 class TestHermiteGaussianModes:
