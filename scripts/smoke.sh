@@ -43,9 +43,9 @@ drift_failure() {
   fi
 }
 
-# A run that must exit 3 with the SPADE error MESSAGE, which names its sweep
-# row.  Its stderr, then its exit status, go to OUT_DIR/NAME.err.
-spade_failure() {
+# A run that must exit 3 with the error MESSAGE, which names its sweep row.
+# Its stderr, then its exit status, go to OUT_DIR/NAME.err.
+expect_failure() {
   local name=$1 message=$2 status=0
   shift 2
   lab "$@" --out "$out/$name" 2> "$out/$name.err" || status=$?
@@ -77,10 +77,15 @@ drift_failure fig3-p7n24 fig3 --config "$out/p7n24.ini"
 # SPADE rows run in padded blocks of 128: row 547, in the fifth block, fails
 # the explicit cutoff's mass criterion; from theta1 = 37.5 no adaptive cutoff
 # up to 512 exists.
-spade_failure fig4-cutoff300 "row 547: cutoff 300 leaves truncated mass bound 1.273e-14" \
+expect_failure fig4-cutoff300 "row 547: cutoff 300 leaves truncated mass bound 1.273e-14" \
   fig4 --grid 0:30:0.05 --mode-cutoff 300
-spade_failure fig4-no-cutoff "row 3: no cutoff up to 512 meets the truncation criteria" \
+expect_failure fig4-no-cutoff "row 3: no cutoff up to 512 meets the truncation criteria" \
   fig4 --grid 36:40:0.5
+# At 1000 sigma the overlaps of the top pair, 16 and 32 panels, still drift
+# apart: row 1 raises before row 2 is checked.
+expect_failure fig2-drift-top \
+  "row 1: quadrature drift 1.374e-03 exceeds tolerance 1.000e-12 on [-512, 512]" \
+  fig2 --grid 1,1000,2000
 
 for figure in fig1 fig2 fig3 fig4; do
   lab "$figure" --out "$out/$figure"
@@ -89,6 +94,12 @@ done
 # ragged block.
 for figure in fig1 fig2; do
   lab "$figure" --grid 0.05:8.05:0.05 --out "$out/$figure-ragged"
+done
+# One sweep over every rung: the first three rows start on the top pair, and
+# the others settle on (4, 8), (8, 16) and (16, 32).
+for figure in fig1 fig2; do
+  lab "$figure" --grid 1e-4,3e-3,0.0199,0.02,12,40,100,150,200,250,300,400 \
+    --out "$out/$figure-rungs"
 done
 for figure in fig2 fig3; do
   lab "$figure" --config "$out/p7n28.ini" --out "$out/$figure-p7n28"

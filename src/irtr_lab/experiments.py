@@ -253,7 +253,8 @@ def _run(figure: str, compute, config: ExperimentConfig) -> list[Path]:
         "extras": extras,
     }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
+    # One line: json's C encoder takes no indent.
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n", "utf-8")
     return [*paths, manifest_path]
 
 
@@ -336,6 +337,9 @@ def _spade_fims(config, points):
         rows = slice(first, first + _SPADE_BLOCK)
         try:
             fishers[rows] = fim(spade_model(1.0, points[rows], cutoffs[rows]))
+        except MemoryError as error:
+            cutoff = int(cutoffs[rows].max())
+            raise ConfigError(f"mode_cutoff {cutoff} is too large: {error}") from None
         except IrtrLabError:
             for row in range(first, len(points)):
                 try:

@@ -320,8 +320,8 @@ def overlaps_and_direct_fims(psf, points, quad=QuadratureSpec()):
     overlaps, wanted = np.empty((4, len(points))), np.ones(len(points), bool)
     # Each row's FIM on its latest pass, and whether that pass met its checks.
     previous, passed = np.zeros_like(fishers), np.zeros(len(points), bool)
-    blocks = overlap_passes(psf, points, quad, overlaps, wanted, spare=2)
-    for _, rows, integrals, (x, w, a1, d1, a2, d2, *fields) in blocks:
+    blocks, parts = overlap_passes(psf, points, quad, overlaps, wanted, spare=2), []
+    for _, rows, integrals, (x, w, a1, d1, a2, d2, *fields), last in blocks:
         # The fields, in descending u, land in x and the spare arrays and the
         # weights in a2, all in order in memory; a1, d1 and d2 are fim's work.
         amplitudes = (a[:, ::-1] for a in (a1, d1, a2, d2))
@@ -333,10 +333,19 @@ def overlaps_and_direct_fims(psf, points, quad=QuadratureSpec()):
             probabilities, derivatives, weights, (a1, d1, d2), mirrored=True
         )
         valid = ~np.any([check[2] for check in checks + fisher_checks], axis=0)
-        drift_checks = _fim_drift_checks(fisher, previous[rows], *integrals[1:3], quad)
-        drifted = np.any([check[2] for check in drift_checks], axis=0)
-        settled = wanted[rows] & passed[rows] & valid & ~drifted
-        fishers[rows[settled]], wanted[rows[settled]] = fisher[settled], False
+        parts.append((rows, fisher, valid, integrals[1:3].T))
+        if not last:
+            continue
+        # The pass's FIMs settle before the next pass picks the rows still
+        # wanted: a wanted row whose last two passes met their checks settles
+        # unless it drifts.
+        rows, fisher, valid, kappa_gamma = map(np.concatenate, zip(*parts))
+        parts = []
+        settled = wanted[rows] & passed[rows] & valid
+        if settled.any():
+            drift_checks = _fim_drift_checks(fisher, previous[rows], *kappa_gamma.T, quad)
+            settled &= ~np.any([check[2] for check in drift_checks], axis=0)
+            fishers[rows[settled]], wanted[rows[settled]] = fisher[settled], False
         previous[rows], passed[rows] = fisher, valid
     for row in np.flatnonzero(wanted).tolist():
         fishers[row] = _direct_fim(psf, points, row, quad)
@@ -475,7 +484,11 @@ def _log_gamma(n: np.ndarray) -> np.ndarray:
     except IndexError:
         built, top = len(_LOG_GAMMA), max(int(n.max()), _MODE_CAP + 2)
         # A cutoff too large to allocate fails here, before any entry is computed.
-        table = np.empty(top + 1)
+        try:
+            table = np.empty(top + 1)
+        except ValueError:  # Too many entries for numpy to shape at all.
+            message = "the log-factorial table would exceed numpy's largest array"
+            raise MemoryError(message) from None
         table[:built] = _LOG_GAMMA
         table[built:] = [_lgam(k) for k in range(built, top + 1)]
         _LOG_GAMMA = table

@@ -262,10 +262,18 @@ def quadrature_grid(lo, hi, panel_count: int, nodes_per_panel: int, out=None):
     ``out``, a pair of arrays of the result's shape with contiguous rows,
     receives the nodes and weights and is returned.
     """
-    base_x, base_w = _gauss_legendre(nodes_per_panel)
+    return _panel_nodes(*_panels(lo, hi, panel_count), nodes_per_panel, out)
+
+
+def _panels(lo, hi, panel_count: int):
+    """Half-widths and midpoints of the ``panel_count`` panels of [lo, hi], a row per interval."""
     edges = np.linspace(lo, hi, panel_count + 1).T
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    return 0.5 * np.diff(edges), 0.5 * (edges[..., :-1] + edges[..., 1:])
+
+
+def _panel_nodes(half, mid, nodes_per_panel: int, out=None):
+    """``quadrature_grid``'s nodes and weights on the panels of ``_panels``."""
+    base_x, base_w = _gauss_legendre(nodes_per_panel)
     if out is None:
         shape = (*mid.shape[:-1], mid.shape[-1] * nodes_per_panel)
         out = np.empty(shape), np.empty(shape)
@@ -372,25 +380,30 @@ def folded_integrals(a1, d1, a2, d2, w, work):
 
 
 def overlap_passes(psf, points, quad, overlaps, wanted, label="row {}: ", spare=0):
-    """Yield (pass, rows, integrals, samples) for each block of each pass of an even
-    PSF's ladder, once the block's overlaps have settled where they can.
+    """Yield (pass, rows, integrals, samples, last) for each block of each pass of an
+    even PSF's ladder.
 
     Pass k runs on ``quadrature_ladder(quad)[k]`` panels of the half-window
     [0, W], W = theta2/2 + R sigma, for the rows (ascending indices into the
     (n, 2) array of (theta1, theta2) ``points``) still climbing as it starts,
     each from its first pass (``first_passes``) on: a row climbs while its
     overlaps are unsettled or its entry of ``wanted``, a mask the caller
-    updates as it goes, is set.  Row i's overlaps go to column i of the
-    (4, n) ``overlaps`` from the first pair of passes whose checks pass
-    (``_settle``); at the top pair a failure raises, the row named by
-    ``label``.  ``integrals`` are the block's ``folded_integrals`` on this
-    pass.  ``samples`` are its (x, w, a1, d1, a2, d2), a row per geometry in
-    ascending u, x free for reuse, then ``spare`` arrays of their shape.
+    updates as it goes, is set.  ``integrals`` are the block's
+    ``folded_integrals`` on this pass.  ``samples`` are its (x, w, a1, d1,
+    a2, d2), a row per geometry in ascending u, x free for reuse, then
+    ``spare`` arrays of their shape.  ``last`` marks the pass's last block:
+    the caller settles its own rows of the pass before it resumes the
+    generator, which then settles the pass's overlaps and picks the next
+    pass's rows.  Row i's overlaps go to column i of the (4, n) ``overlaps``
+    from the first pair of passes whose checks pass (``_settle``); at the
+    top pair a failure raises, the first failing row named by ``label``.
     u -> -u maps a1 <-> a2 and d1 <-> -d2, which folds each integral over
-    [-W, W] onto [0, W].  Every block-sized array lives in buffers allocated
-    once per call: blocks that allocate their own leave the heap top free
-    after each block, and glibc then trims it and faults it back in on the
-    next block, at a cost set by the process's heap history.
+    [-W, W] onto [0, W].  A pass's panels, drift and settling are computed
+    once, over all its rows; its blocks only sample and integrate.  Every
+    block-sized array lives in buffers allocated once per call: blocks that
+    allocate their own leave the heap top free after each block, and glibc
+    then trims it and faults it back in on the next block, at a cost set by
+    the process's heap history.
     """
     theta1, theta2 = points.T
     window = centroid_half_window(psf, theta2, quad)
@@ -404,25 +417,31 @@ def overlap_passes(psf, points, quad, overlaps, wanted, label="row {}: ", spare=
     unsettled, previous = np.ones(len(theta2), dtype=bool), np.zeros((5, len(theta2)))
     for index, count in enumerate(counts):
         climbing = np.flatnonzero((unsettled | wanted) & (first <= index))
+        if not climbing.size:
+            continue
+        half_widths, midpoints = _panels(0.0, window[climbing], count)
+        halves, integrals = 0.5 * theta2[climbing, np.newaxis], np.empty((5, climbing.size))
         size = block_size(quad, count)
-        for start in range(0, len(climbing), size):
-            rows = climbing[start : start + size]
+        for start in range(0, climbing.size, size):
+            block = slice(start, start + size)
+            rows = climbing[block]
             samples = [buffer[: rows.size * count * nodes] for buffer in buffers]
             samples = [sample.reshape(rows.size, -1) for sample in samples]
             x, w, a1, d1, a2, d2 = samples[:6]
-            half = 0.5 * theta2[rows, np.newaxis]
-            quadrature_grid(0.0, window[rows], count, nodes, out=(x, w))
-            psf.amplitude_and_derivative(np.add(x, half, out=a2), out=(a1, d1))
-            psf.amplitude_and_derivative(np.subtract(x, half, out=x), out=(a2, d2))
-            integrals = folded_integrals(a1, d1, a2, d2, w, x)
-            # Rows past their first pass settle on the pair this pass closes.
-            drift = np.max(np.abs(integrals - previous[:, rows]), axis=0)
-            open_rows = unsettled[rows] & (first[rows] < index)
-            settling = (integrals[:, open_rows], drift[open_rows], lo, hi, quad, label)
-            settled = _settle(overlaps, rows[open_rows], *settling, index == len(counts) - 1)
-            unsettled[rows[open_rows][settled]] = False
-            previous[:, rows] = integrals
-            yield index, rows, integrals, samples
+            _panel_nodes(half_widths[block], midpoints[block], nodes, out=(x, w))
+            psf.amplitude_and_derivative(np.add(x, halves[block], out=a2), out=(a1, d1))
+            psf.amplitude_and_derivative(np.subtract(x, halves[block], out=x), out=(a2, d2))
+            integrals[:, block] = folded_integrals(a1, d1, a2, d2, w, x)
+            yield index, rows, integrals[:, block], samples, start + size >= climbing.size
+        # Rows past their first pass settle on the pair this pass closes.
+        open_rows = unsettled[climbing] & (first[climbing] < index)
+        if open_rows.any():
+            rows, settling = climbing[open_rows], integrals[:, open_rows]
+            drift = np.max(np.abs(settling - previous[:, rows]), axis=0)
+            final = index == len(counts) - 1
+            settled = _settle(overlaps, rows, settling, drift, lo, hi, quad, label, final)
+            unsettled[rows[settled]] = False
+        previous[:, climbing] = integrals
 
 
 def _settle(overlaps, rows, integrals, drift, lo, hi, quad, label, final):

@@ -277,6 +277,38 @@ class TestRunScaffold:
 
 
 class TestManifest:
+    def test_one_line_of_sorted_keys(self, tmp_path):
+        config = lab.ExperimentConfig(
+            figure_id="fig2", theta2_grid=(0.5, 1.0, 2.0), output_dir=str(tmp_path)
+        )
+        csv_path, manifest_path = lab.run_fig2(config)
+        text = manifest_path.read_text(encoding="utf-8")
+        manifest = json.loads(text)
+        assert text.count("\n") == 1
+        assert text == json.dumps(manifest, sort_keys=True) + "\n"
+        assert manifest.pop("wall_time_seconds") >= 0.0
+        data = csv_path.read_bytes()
+        assert manifest == {
+            "config": {
+                "figure_id": "fig2", "frontier_samples": 512,
+                "measurements": ["direct", "spade", "random"], "mode_cutoff": "adaptive",
+                "n_random": 10000, "output_dir": str(tmp_path), "panels": list(DEFAULT_PANELS),
+                "quad": {
+                    "abs_tolerance": 1e-12, "nodes_per_panel": 32, "panel_count": 32,
+                    "truncation_radius": 12.0,
+                },
+                "seed": 0, "sigma": 1.0, "theta1_grid": None, "theta2_grid": [0.5, 1.0, 2.0],
+                "theta2_over_sigma": 0.1,
+            },
+            "extras": {},
+            "figure": "fig2",
+            "files": {
+                "fig2.csv": {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+            },
+            "seed": 0,
+            "version": lab.__version__,
+        }
+
     def test_keys_are_pinned(self, tmp_path):
         config = lab.ExperimentConfig(
             figure_id="fig1", theta2_grid=(1.0,), output_dir=str(tmp_path)
@@ -1091,6 +1123,34 @@ class TestCli:
         assert cli.main([*argv, "--out", str(tmp_path)]) == 2
         message = "config error: mode_cutoff must be adaptive or nonnegative and below 2**63\n"
         assert capsys.readouterr().err == message
+        assert not tmp_path.joinpath("manifest.json").exists()
+
+    def test_cutoff_numpy_cannot_shape_is_config_error(self, tmp_path, capsys):
+        # 2**63 - 1 passes the config check, and numpy rejects the shape of
+        # its log-factorial table before it allocates anything.
+        argv = ["fig4", "--grid", "0,1", "--mode-cutoff", str(2**63 - 1)]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: mode_cutoff {2**63 - 1} is too large: "
+            "the log-factorial table would exceed numpy's largest array\n"
+        )
+        assert not tmp_path.joinpath("manifest.json").exists()
+
+    def test_cutoff_too_large_to_allocate_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # The table of 10**12 + 3 entries is refused as numpy refuses 7.28 TiB,
+        # without asking for the memory.
+        allocate, message = np.empty, "Unable to allocate 7.28 TiB for an array"
+
+        def refusing(shape, *args, **kwargs):
+            if np.prod(shape) > 10**9:
+                raise MemoryError(message)
+            return allocate(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refusing)
+        argv = ["fig4", "--grid", "0,1", "--mode-cutoff", str(10**12)]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        expected = f"config error: mode_cutoff {10**12} is too large: {message}\n"
+        assert capsys.readouterr().err == expected
         assert not tmp_path.joinpath("manifest.json").exists()
 
     def test_ambiguous_grid_prefix_exits_two(self, tmp_path, capsys):

@@ -46,6 +46,16 @@ def overlap_fields(overlaps):
     return np.array([[o.kappa, o.gamma, o.beta, o.delta] for o in overlaps]).reshape(-1, 4).T
 
 
+def spy(function, calls):
+    """``function``, appending its name to ``calls`` at each call."""
+
+    def recording(*args, **kwargs):
+        calls.append(function.__name__)
+        return function(*args, **kwargs)
+
+    return recording
+
+
 def gaussian_setup(theta1, theta2, sigma=1.0):
     psf = lab.gaussian_psf(sigma)
     geo = lab.SourceGeometry(theta1, theta2)
@@ -477,6 +487,32 @@ class TestOverlapsAndDirectFims:
             arguments = (geometry, 0.25) if model is not lab.direct_imaging_model else (geometry,)
             expected = lab.fim(model(plain, *arguments))
             assert lab.fim(model(guarded, *arguments)).tobytes() == expected.tobytes()
+
+    def test_a_pass_settles_once_over_all_its_blocks(self, monkeypatch):
+        # 800 separations run in 7 blocks of 128 on 4 panels and 13 of 64 on 8,
+        # where all of them settle: the FIMs, then the overlaps, of the second
+        # pass settle in one call each over all its rows, not one per block,
+        # and the first pass has nothing to settle.  One row makes as many calls.
+        calls, blocks, original = [], [], psf_core.overlap_passes
+        for module, name in ((psf_core, "_settle"), (measurements, "_fim_drift_checks")):
+            monkeypatch.setattr(module, name, spy(getattr(module, name), calls))
+
+        def recording(*args, **kwargs):
+            for block in original(*args, **kwargs):
+                blocks.append(block[0])
+                yield block
+
+        monkeypatch.setattr(psf_core, "overlap_passes", recording)
+        monkeypatch.setattr(measurements, "overlap_passes", recording)
+        geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in np.linspace(0.05, 8.0, 800)]
+        for count, passes in ((800, [0] * 7 + [1] * 13), (1, [0, 1])):
+            calls.clear(), blocks.clear()
+            measurements.overlaps_and_direct_fims(self.psf, points(geometries[:count]))
+            assert blocks == passes
+            assert calls == ["_fim_drift_checks", "_settle"]
+            calls.clear()
+            lab.overlap_integrals(self.psf, geometries[:count])
+            assert calls == ["_settle"]
 
     def test_fim_drift_beyond_tolerance_names_its_row(self):
         # On 4 and 8 half-window panels of 16 nodes the overlaps converge over
