@@ -32,6 +32,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -176,14 +177,262 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _encode_csv(metadata, columns) -> bytes:
-    arrays = [np.asarray(column) for column in columns.values()]
-    # One cell format per column, by its dtype; "%.17g" % x == format(x, ".17g").
-    template = ",".join({"f": "%.17g", "i": "%d", "U": "%s"}[array.dtype.kind] for array in arrays)
+# The CSV writer works on arrays.  Each cell is a fixed slot of bytes, zero
+# bytes where it has no character; a table is its rows' slots with "," and
+# "\n" between them, and its text is those bytes without the zeros.  A float
+# cell holds "%.17g" % x: for 1e-11 <= |x| < 1e17 its 17 correctly rounded
+# digits come from integer arithmetic, as in Adams, "Ryu revisited: printf
+# floating point conversion" (OOPSLA 2019), and Python formats the others.
+_U64 = np.uint64
+_MASK32 = _U64(0xFFFFFFFF)
+_K_LOW = -11  # The fast route's decimal exponents k = floor(log10 |x|): -11 ... 16.
+# The biased binary exponent of 1e-11: 2**-37 <= 1e-11 < 2**-36.
+_EXPONENT_LOW = 986
+
+
+def _ceil_power_of_ten(j: int) -> float:
+    """The smallest double at or above 10**j."""
+    value = 10.0**j if j >= 0 else 1.0 / 10**-j
+    numerator, denominator = value.as_integer_ratio()
+    if j < 0 and numerator * 10**-j < denominator:
+        value = math.nextafter(value, math.inf)
+    return value
+
+
+def _scale_tables():
+    """k, m 5**p's scale and shift for each binary exponent of the fast route and each k step.
+
+    Row 2 (E - _EXPONENT_LOW) + step is |x| in [2**E, 2**(E+1)), biased E:
+    there k = floor(log10 |x|) is k0 = floor((E - 1023) log10 2) plus step,
+    1 where |x| >= 10**(k0 + 1) (``thresholds``).  With p = 16 - k, N =
+    round(|x| 10**p) is 2m 5**p scaled by 2**-(1060 + k - E), the doubled
+    mantissa keeping every shift at 1 or more; a shift past 0 goes into the
+    scale, exactly.  Rows of a k outside -11 ... 16 are never read.
+    """
+    exponent = np.arange(_EXPONENT_LOW, 1080)  # 2**56 <= 1e17 < 2**57.
+    low = (exponent - 1023) * 78913 >> 18
+    powers = np.array([_ceil_power_of_ten(j) for j in range(_K_LOW - 1, 19)])
+    k = (low[:, None] + [0, 1]).ravel()
+    shift = 1060 + k - exponent.repeat(2)
+    fives = np.array([5**p for p in range(16 - _K_LOW + 1)], _U64)
+    scale = np.where(k >= _K_LOW, fives[np.clip(16 - k, 0, 16 - _K_LOW)], _U64(0))
+    scale <<= np.maximum(1 - shift, 0).astype(_U64)
+    shift = np.maximum(shift, 1).astype(_U64)
+    halves = (_U64(1) << shift - _U64(1)) - _U64(1)
+    return powers[low + 2 - _K_LOW], k, scale & _MASK32, scale >> _U64(32), shift, halves
+
+
+_THRESHOLDS, _K_ROWS, _SCALE_LOW, _SCALE_HIGH, _SHIFTS, _HALVES = _scale_tables()
+_FAST_LOW = _ceil_power_of_ten(_K_LOW)
+
+
+def _digit_table():
+    """The 4 ASCII digits of 0 ... 9999 as uint32 words, then the same with trailing zeros as 0."""
+    digits = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
+    nonzero = np.zeros((), bool)  # Whether a digit from each place on is not 0.
+    for place in (3, 2, 1, 0):
+        digit = np.arange(10, dtype=np.uint8).reshape([-1 if p == place else 1 for p in range(4)])
+        nonzero = nonzero | (digit != 0)
+        digits[0, ..., place] = digit + 48
+        digits[1, ..., place] = (digit + 48) * nonzero
+    return digits.view(np.uint32).ravel()
+
+
+_DIGITS = _digit_table()
+
+
+def _slot_tables():
+    """Each layout code's slot constants, and its masks of the digits kept in place and shifted.
+
+    A slot is 32 bytes: the sign, 5 lead bytes ("0." and the zeros of 1e-4
+    <= |x| < 0.1), a spare byte, 18 body bytes (the 17 digits and the point
+    where it goes) and 4 exponent bytes, then zeros.  The 17 digits arrive
+    in bytes 7 ... 23; the shifted copy, one byte on, fills the body past
+    the point.  A cell's code is 4 (k + 11) + 2 has_fraction + negative.
+    Integer digits that lost their trailing zeros get them back from the
+    constants' "0" bits.
+    """
+    tables = []
+    for k in range(_K_LOW, 17):
+        for fraction in (0, 1):
+            constants, keep, shift = bytearray(32), bytearray(32), bytearray(32)
+            keep[7:24] = b"\xff" * 17
+            if -4 <= k < 0:
+                lead = b"0." + b"0" * (-k - 1)
+                constants[1 : 1 + len(lead)] = lead
+            else:
+                point = k + 1 if k >= 0 else 1
+                if k < 0:
+                    constants[25:29] = b"e-%02d" % -k
+                constants[7 : 7 + point] = b"0" * point
+                if fraction and point < 17:
+                    constants[7 + point] = 46
+                    keep[7 + point :] = bytes(25 - point)
+                    shift[8 + point : 25] = b"\xff" * (17 - point)
+            negative = bytearray(constants)
+            negative[0] = 45
+            tables += [constants, keep, shift, negative, keep, shift]
+    return np.frombuffer(b"".join(tables), np.uint8).reshape(-1, 3, 32).transpose(1, 0, 2).copy()
+
+
+_SLOT_CONSTANTS, _SLOT_KEEP, _SLOT_SHIFT = _slot_tables()
+# The digit after a layout's point, whose being nonzero decides the point (0: unused).
+_FRACTION_DIGIT = np.array([k + 1 if 0 <= k < 16 else int(k < -4) for k in range(_K_LOW, 17)])
+_FLOAT_WIDTH = _SLOT_CONSTANTS.shape[1]
+# Float cells per kernel call, so its temporaries do not grow with the run.
+_CELL_BLOCK = 2048
+
+
+def _digit_groups(values, out):
+    """Fill the (n, groups) ``out`` with the last 4-digit groups of uint64 ``values``, in order."""
+    for column in range(out.shape[1] - 1, -1, -1):
+        quotient = values // _U64(10_000)
+        out[:, column] = values - quotient * _U64(10_000)
+        values = quotient
+    return out
+
+
+def _decimal_digits(magnitude):
+    """N and k of ``magnitude`` in [1e-11, 1e17): "%.17e" reads N / 10**16 "e" k.
+
+    N = round(|x| 10**(16 - k)), ties to even, and 10**16 <= N < 10**17:
+    where |x| rounds up to 10**(k + 1), N is 10**16 and k one more.
+    """
+    bits = magnitude.view(_U64)
+    row = (bits >> _U64(52)).astype(np.intp) - _EXPONENT_LOW
+    row = 2 * row + (magnitude >= _THRESHOLDS[row])
+    mantissa = (bits << _U64(1)) & _U64(2**53 - 2) | _U64(2**53)
+    # 2m scale in (high, low) uint64 limbs: 2m < 2**54 and scale < 2**63 in
+    # 32-bit halves, so the two cross products sum below 2**64.
+    scale_low, scale_high = _SCALE_LOW[row], _SCALE_HIGH[row]
+    m_low, m_high = mantissa & _MASK32, mantissa >> _U64(32)
+    cross = m_low * scale_high + m_high * scale_low
+    product = m_low * scale_low
+    low = product + (cross << _U64(32))
+    high = m_high * scale_high + (cross >> _U64(32)) + (low < product)
+    # Ties to even: add half the last place less one, and the kept last bit.
+    shift = _SHIFTS[row]
+    rounded = low + _HALVES[row] + ((low >> shift) & _U64(1))
+    high += rounded < low
+    number = high << (_U64(64) - shift) | rounded >> shift
+    carry = number == _U64(10**17)
+    number -= carry * _U64(9 * 10**16)
+    return number, _K_ROWS[row] + carry
+
+
+def _float_slots(values):
+    """Slots of "%.17g" % x for a block of float64 ``values``, (n, _FLOAT_WIDTH) uint8."""
+    magnitude = np.abs(values)
+    fast = (magnitude >= _FAST_LOW) & (magnitude < 1e17)
+    np.copyto(magnitude, 1.0, where=~fast)
+    number, k = _decimal_digits(magnitude)
+    # The digits' 4-byte words, at slot words 1 ... 5 (digits in bytes 7 ...
+    # 23), from the table half that writes trailing zeros as 0 bytes where
+    # every later group is 0.
+    words = np.full((len(values), 8), 10_000)
+    _digit_groups(number, words[:, 1:6])
+    words[:, 5] += 10_000
+    ending = np.flatnonzero(words[:, 5] == 10_000)
+    if ending.size:  # The last group is 0: so may be the groups before it.
+        trailing, ends = np.ones(ending.size, bool), words[ending]
+        for column in (4, 3, 2):
+            trailing &= ends[:, column + 1] == 10_000
+            ends[:, column] += trailing * 10_000
+        words[ending] = ends
+    digits = _DIGITS.take(words).view(np.uint8).ravel()
+    del words
+    layout = k - _K_LOW
+    after_point = np.arange(7, digits.size, _FLOAT_WIDTH) + _FRACTION_DIGIT[layout]
+    code = 4 * layout + 2 * (digits.take(after_point) != 0) + (values < 0)
+    slots = _SLOT_CONSTANTS.take(code, axis=0)
+    masked = _SLOT_KEEP.take(code, axis=0)
+    masked &= digits.reshape(masked.shape)
+    slots |= masked
+    # The copy one byte on: byte i of the flat slots takes digit byte i - 1.
+    flat, masked = slots.ravel(), np.take(_SLOT_SHIFT, code, axis=0, out=masked).ravel()
+    masked[1:] &= digits[:-1]
+    flat |= masked
+    others = np.flatnonzero(~fast)
+    if others.size:
+        texts = b"".join((b"%.17g" % x).ljust(_FLOAT_WIDTH, b"\0") for x in values[others].tolist())
+        slots[others] = np.frombuffer(texts, np.uint8).reshape(-1, _FLOAT_WIDTH)
+    return slots
+
+
+def _integer_slots(values):
+    """Slots of int64 ``values``: the sign, then as many digits as the widest cell's."""
+    values = np.asarray(values, dtype=np.int64)
+    negative, magnitude = values < 0, values.astype(_U64)
+    magnitude[negative] = ~magnitude[negative] + _U64(1)
+    width = len(str(int(magnitude.max(initial=0))))
+    groups = _digit_groups(magnitude, np.empty((len(values), -(-width // 4)), np.intp))
+    slots = np.empty((len(values), width + 1), np.uint8)
+    slots[:, 0] = 45 * negative
+    slots[:, 1:] = _DIGITS.take(groups).view(np.uint8)[:, -width:]
+    # Leading zeros become 0 bytes, all but the last digit's.
+    seen = np.zeros(len(values), bool)
+    for column in range(1, width):
+        seen |= slots[:, column] != 48
+        slots[:, column] *= seen
+    return slots
+
+
+def _text_slots(values):
+    """Slots of strings: their UTF-8 bytes, padded with 0 bytes.
+
+    ASCII text is its code points, as bytes; other text goes through
+    ``np.char.encode``.
+    """
+    values = np.asarray(values, dtype=str)
+    points = values.view(np.uint32).reshape(len(values), values.itemsize // 4)
+    if points.max(initial=0) < 128:
+        return points.astype(np.uint8)
+    encoded = np.char.encode(values, "utf-8")
+    return encoded.view(np.uint8).reshape(len(encoded), encoded.itemsize)
+
+
+def _encode_csvs(tables) -> list:
+    """Each ``(metadata, columns)`` table's CSV bytes, as an iterator of pieces per table.
+
+    Each column's cells are one slot array, by its dtype (float, integer or
+    string).  The float cells of all the tables are formatted together,
+    ``_CELL_BLOCK`` at a time, before any piece is made.  A table's pieces
+    are its metadata and header lines, then its rows in chunks of about
+    ``_CELL_BLOCK`` cells, so no piece grows with the table.
+    """
+    arrays = [[np.asarray(column) for column in columns.values()] for _, columns in tables]
+    floats = [array for table in arrays for array in table if array.dtype.kind == "f"]
+    values = np.concatenate([np.empty(0), *floats])
+    cells = np.empty((len(values), _FLOAT_WIDTH), np.uint8)
+    for first in range(0, len(values), _CELL_BLOCK):
+        block = slice(first, first + _CELL_BLOCK)
+        cells[block] = _float_slots(values[block])
+    makers, pieces, first = {"i": _integer_slots, "U": _text_slots}, [], 0
+    for (metadata, columns), table in zip(tables, arrays):
+        slots = []
+        for array in table:
+            if array.dtype.kind == "f":
+                slots.append(cells[first : first + len(array)])
+                first += len(array)
+            else:
+                slots.append(makers[array.dtype.kind](array))
+        pieces.append(_csv_pieces(metadata, list(columns), slots))
+    return pieces
+
+
+def _csv_pieces(metadata, names, slots):
+    """The metadata and header lines, then the bytes of the rows of ``slots``, a chunk at a time."""
     lines = [f"# {key}={_format_cell(value)}" for key, value in metadata]
-    lines.append(",".join(columns))
-    lines.extend(template % row for row in zip(*(array.tolist() for array in arrays)))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    lines.append(",".join(names))
+    yield ("\n".join(lines) + "\n").encode("utf-8")
+    step = max(1, _CELL_BLOCK // len(slots))
+    separators = np.full((step, len(slots)), 44, np.uint8)
+    separators[:, -1] = 10
+    for first in range(0, len(slots[0]), step):
+        count, parts = min(step, len(slots[0]) - first), []
+        for index, cells in enumerate(slots):
+            parts += [cells[first : first + count], separators[:count, index : index + 1]]
+        yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -234,12 +483,16 @@ def _run(figure: str, compute, config: ExperimentConfig) -> list[Path]:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths, files = [], {}
-    for name, metadata, columns in tables:
-        data = _encode_csv([("figure", figure), *metadata], columns)
-        path = out_dir / name
-        path.write_bytes(data)
+    encoded = _encode_csvs([([("figure", figure), *meta], columns) for _, meta, columns in tables])
+    for (name, _, _), pieces in zip(tables, encoded):
+        path, digest, size = out_dir / name, hashlib.sha256(), 0
+        with path.open("wb") as handle:
+            for piece in pieces:
+                handle.write(piece)
+                digest.update(piece)
+                size += len(piece)
         paths.append(path)
-        files[name] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+        files[name] = {"sha256": digest.hexdigest(), "bytes": size}
     from . import __version__
 
     # What was run, with what inputs, and the checksums of what it wrote.

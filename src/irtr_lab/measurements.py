@@ -479,6 +479,8 @@ def _log_gamma(n: np.ndarray) -> np.ndarray:
     its first use, and grows to the largest ``n`` asked for beyond it.
     """
     global _LOG_GAMMA
+    if np.min(n, initial=0) < 0:  # A negative index would read the table from its end.
+        raise ValueError("log Gamma is tabulated at nonnegative integers only")
     try:
         return _LOG_GAMMA[n]
     except IndexError:
@@ -528,10 +530,13 @@ def _tail_bounds(sigma, means, cutoffs):
     """
     means = np.asarray(means, dtype=float)[..., np.newaxis, :]
     # Poisson tails beyond Q, Q-2 and Q-1 for both means: shape (..., 3, 2).
-    beyond = np.asarray(cutoffs)[..., np.newaxis, np.newaxis] + np.array([[0], [-2], [-1]])
+    cutoffs = np.asarray(cutoffs)[..., np.newaxis, np.newaxis]
+    beyond = cutoffs + np.array([[0], [-2], [-1]])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = means / (beyond + 2.0)
-        log_first = (beyond + 1.0) * np.log(means) - means - _log_gamma(beyond + 2)
+        # log Gamma(beyond + 2) in uint64, where a cutoff near 2**63 does not wrap.
+        factorials = _log_gamma(cutoffs.astype(np.uint64) + np.array([[2], [0], [1]], np.uint64))
+        log_first = (beyond + 1.0) * np.log(means) - means - factorials
         tails = np.exp(log_first) / (1.0 - ratio)
     tails = np.where(means == 0.0, 0.0, np.where((beyond < 0) | (ratio >= 1.0), 1.0, tails))
     mass, below_2, below_1 = tails[..., 0, :], tails[..., 1, :], tails[..., 2, :]

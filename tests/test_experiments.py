@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import irtr_lab as lab
-from irtr_lab import cli, experiments
+from irtr_lab import cli, experiments, measurements
 from irtr_lab.experiments import (
     DEFAULT_MISALIGNMENT_GRID,
     DEFAULT_PANELS,
@@ -328,6 +328,130 @@ class TestManifest:
         }
         assert manifest["config"]["panels"] == list(DEFAULT_PANELS)
         assert manifest["config"]["theta1_grid"] is None
+
+
+def per_row_csv(metadata, columns):
+    """One table's CSV bytes by Python's own formatting, row by row: the writer's oracle."""
+    arrays = [np.asarray(column) for column in columns.values()]
+    template = ",".join({"f": "%.17g", "i": "%d", "U": "%s"}[array.dtype.kind] for array in arrays)
+    lines = [f"# {key}={experiments._format_cell(value)}" for key, value in metadata]
+    lines.append(",".join(columns))
+    lines.extend(template % row for row in zip(*(array.tolist() for array in arrays)))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def encode(tables):
+    """The writer's bytes of each ``(metadata, columns)`` table."""
+    return [b"".join(pieces) for pieces in experiments._encode_csvs(tables)]
+
+
+def float_cases(seed=0):
+    """float64 values of every "%.17g" layout and every route, with their negatives."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(float)
+    scaled = rng.random(20_000) * 10.0 ** rng.integers(-13, 19, 20_000)
+    powers = np.array([10.0**j for j in range(-15, 20)] + [float(f"1e{j}") for j in range(-15, 20)])
+    neighbours = [np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+    # m / 2**j with 18 significant digits, the last a 5: ties that round to even.
+    ties = []
+    for j in range(2, 40):
+        low, high = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        if low < high:
+            ties.append(np.ldexp((rng.integers(low, high, 200) | 1).astype(float), -j))
+    special = [0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 1e-11, 1e17]
+    special.append(np.finfo(float).max)
+    values = np.concatenate([bits, scaled, powers, *neighbours, *ties, special, [100.0, 0.5]])
+    return np.concatenate([values, -values])
+
+
+class TestCsvWriter:
+    """The array writer against Python's per-row formatting, byte for byte."""
+
+    @staticmethod
+    def assert_matches_per_row(metadata, columns):
+        assert encode([(metadata, columns)]) == [per_row_csv(metadata, columns)]
+
+    def test_float_cells(self):
+        values = float_cases()
+        finite = values[np.isfinite(values)]
+        magnitude = np.abs(finite)
+        # Every layout and route is covered: exponent form below 1e-4, leading
+        # zeros, integer digits with a point, no point, and Python's own.
+        assert np.any((magnitude >= 1e-11) & (magnitude < 1e-4))
+        assert np.any((magnitude >= 1e-4) & (magnitude < 0.1))
+        assert np.any((magnitude >= 10) & (magnitude < 1e16) & (np.floor(finite) != finite))
+        assert np.any((magnitude < 1e-11) | (magnitude >= 1e17)) and len(finite) < len(values)
+        self.assert_matches_per_row([("sigma", 1.0)], {"x": values})
+        self.assert_matches_per_row([], {"x": values[::-1], "y": values})
+
+    def test_cells_of_each_digit_count(self):
+        # Every count of significant digits 1 ... 17 at every decimal exponent
+        # of the arithmetic route, -11 ... 16.
+        values = np.array(
+            [
+                float(f"{'12345678901234567'[:count]}e{k - count + 1}")
+                for k in range(-11, 17)
+                for count in range(1, 18)
+            ]
+        )
+        self.assert_matches_per_row([], {"x": values, "y": -values})
+
+    def test_integer_cells(self):
+        extremes = np.array([0, -1, 1, 9, 10, -10, 99999, 10**18, -(10**18), 2**63 - 1, -(2**63)])
+        self.assert_matches_per_row([("seed", 2**64 - 1)], {"sample_index": extremes})
+        self.assert_matches_per_row([], {"sample_index": np.array([-1, -1, 0, 1, 2, 1000])})
+        self.assert_matches_per_row([], {"sample_index": np.zeros(3, int)})
+
+    def test_mixed_columns(self):
+        values = float_cases(1)[:600]
+        columns = dict(
+            theta1_over_sigma=values[:200],
+            measurement=np.tile(["direct", "spade", "random", "ünïcode"], 50),
+            sample_index=np.tile([-1, -1, 0, 1], 50),
+            delta1=values[200:400],
+            delta2=values[400:],
+        )
+        self.assert_matches_per_row([("measurements", "direct+spade"), ("sigma", 0.37)], columns)
+        # ASCII names alone take their code points' route, the others np.char.encode's.
+        columns["measurement"] = np.tile(["direct", "spade", "random", ""], 50)
+        self.assert_matches_per_row([], columns)
+
+    def test_empty_table(self):
+        # fig3's frontier without constraint: metadata and header, no rows.
+        metadata = [("panel", 2), ("c_tilde", 3.3e-193), ("no_constraint", True)]
+        self.assert_matches_per_row(metadata, {"delta1": np.empty(0), "delta2": np.empty(0)})
+
+    def test_tables_of_a_run_share_blocks(self):
+        # Blocks of float cells span tables: each table is still its own bytes.
+        values = float_cases(2)
+        sizes = [0, 1, experiments._CELL_BLOCK - 1, 3, experiments._CELL_BLOCK + 5, 0, 17]
+        tables, first = [], 0
+        for size in sizes:
+            table = values[first : first + 2 * size]
+            tables.append(([("rows", size)], {"a": table[:size], "b": table[size:]}))
+            first += 2 * size
+        assert encode(tables) == [per_row_csv(*table) for table in tables]
+
+    def test_a_run_formats_its_float_cells_together(self, tmp_path, monkeypatch):
+        # Eight frontier tables, seven of 512 rows (no constraint at 2 sigma),
+        # make 7168 float cells: one kernel call per block of the run's cells,
+        # not one per table.
+        calls = []
+        original = experiments._float_slots
+
+        def recording(values):
+            calls.append(len(values))
+            return original(values)
+
+        monkeypatch.setattr(experiments, "_float_slots", recording)
+        config = lab.ExperimentConfig(figure_id="fig3", output_dir=str(tmp_path))
+        paths = lab.run_fig3(config)
+        assert len(paths) == len(DEFAULT_PANELS) + 1
+        cells = sum(2 * len(read_table(path)[2]) for path in paths[:-1])
+        assert cells == 7168
+        block = experiments._CELL_BLOCK
+        assert calls == [min(block, cells - first) for first in range(0, cells, block)]
+        assert len(calls) < len(DEFAULT_PANELS)
 
 
 def test_every_public_name_resolves():
@@ -1134,6 +1258,28 @@ class TestCli:
             f"config error: mode_cutoff {2**63 - 1} is too large: "
             "the log-factorial table would exceed numpy's largest array\n"
         )
+        assert not tmp_path.joinpath("manifest.json").exists()
+
+    @pytest.mark.parametrize("cutoff", [2**63 - 2, 2**63 - 1])
+    def test_cutoff_near_int64_max_does_not_wrap(self, tmp_path, capsys, monkeypatch, cutoff):
+        # The tail bounds read log Gamma at Q + 2, past 2**63 - 1: formed in
+        # uint64, the argument asks for a table numpy cannot shape, and never
+        # wraps to a negative index that reads the table from its end.
+        arguments = []
+        log_gamma = measurements._log_gamma
+
+        def recording(n):
+            arguments.append(int(np.max(n)))
+            return log_gamma(n)
+
+        monkeypatch.setattr(measurements, "_log_gamma", recording)
+        argv = ["fig4", "--grid", "0,1", "--mode-cutoff", str(cutoff), "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: mode_cutoff {cutoff} is too large: "
+            "the log-factorial table would exceed numpy's largest array\n"
+        )
+        assert arguments == [cutoff + 2]
         assert not tmp_path.joinpath("manifest.json").exists()
 
     def test_cutoff_too_large_to_allocate_is_config_error(self, tmp_path, capsys, monkeypatch):

@@ -791,6 +791,14 @@ class TestLogGammaTable:
         self.assert_is_gammaln(edges, measurements._log_gamma(edges))
         assert len(measurements._LOG_GAMMA) == 1002
 
+    def test_refuses_negative_arguments(self, monkeypatch):
+        # A negative index would read log Gamma(_MODE_CAP + 2) from the table's end.
+        monkeypatch.setattr(measurements, "_LOG_GAMMA", np.empty(0))
+        measurements._log_gamma(np.arange(measurements._MODE_CAP + 3))
+        for arguments in (np.array([-1]), np.array([[3, -2], [0, 1]])):
+            with pytest.raises(ValueError, match="nonnegative integers only"):
+                measurements._log_gamma(arguments)
+
     def test_grows_for_an_explicit_cutoff_above_the_cap(self, monkeypatch):
         monkeypatch.setattr(measurements, "_LOG_GAMMA", np.empty(0))
         lab.spade_model(1.0, lab.SourceGeometry(0.0, 1.0), mode_cutoff=measurements._MODE_CAP)
