@@ -126,10 +126,14 @@ lab custom --theta1-grid -0.5,0,1.2 --theta2-grid 0.1,1,3 \
   --measurements random,spade --n-random 600 --seed 3 --out "$out/custom-random-spade"
 lab custom --theta1-grid -0.5,0,1.2 --theta2-grid 0.1,1,3 \
   --measurements direct --out "$out/custom-direct"
-# Each separation's five points hold 1000 random samples, run in blocks of 512
-# and 488: a block boundary falls inside a point.
+# Each separation's five points hold 1500 random samples, run in blocks of 1024
+# and 476: a block boundary falls inside a point.
 lab custom --theta1-grid -0.5,0,1.2,2,3 --theta2-grid 0.1,1 \
-  --measurements random --n-random 200 --seed 5 --out "$out/custom-random-5x2"
+  --measurements random --n-random 300 --seed 5 --out "$out/custom-random-5x2"
+# Random rows at both ends of the separation range: at 0.006 sigma rho's
+# eigenvalues are 2.2e-6 and 0.999998, at 12 sigma they are balanced.
+lab custom --theta1-grid 0,0.7 --theta2-grid 0.006,0.01,12 \
+  --measurements random --n-random 300 --seed 2 --out "$out/custom-random-extremes"
 
 # fig2 and custom share one sweep kernel: custom's direct rows at theta1 = 0
 # hold fig2's delta1 and delta2 column bytes.

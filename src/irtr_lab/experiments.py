@@ -72,7 +72,7 @@ MEASUREMENT_NAMES = ("direct", "spade", "random")
 # Flag-free below-threshold c_tilde means the inequality carries no content.
 _NO_CONSTRAINT_THRESHOLD = 1e-10
 # Random samples per batch, so batch memory does not grow with n_random.
-_SAMPLE_BLOCK = 512
+_SAMPLE_BLOCK = 1024
 # SPADE rows per padded model, so its memory does not grow with the sweep.
 _SPADE_BLOCK = 128
 

@@ -212,9 +212,18 @@ class ProjectiveMeasurement4:
 
 
 def _orthogonality_check(matrices):
-    """The check that each square matrix of a stack is orthogonal."""
-    product = np.swapaxes(matrices, -1, -2) @ matrices - np.eye(matrices.shape[-1])
-    skew = np.max(np.abs(product), axis=(-2, -1))
+    """The check that each square matrix of a stack is orthogonal.
+
+    Row i of O^T O, from its diagonal on, holds the dot products of column i
+    with columns i, i+1, ...: elementwise arithmetic over the stack.
+    """
+    # columns[i, k] is O[..., k, i]
+    columns = np.ascontiguousarray(np.moveaxis(matrices, (-1, -2), (0, 1)))
+    skew = np.zeros(matrices.shape[:-2])
+    for i, column in enumerate(columns):
+        gram = (column * columns[i:]).sum(axis=1)
+        gram[0] -= 1.0
+        skew = np.maximum(skew, np.max(np.abs(gram), axis=0))
     return ConsistencyError, "basis is not orthogonal within 1e-12", skew > 1e-12
 
 
@@ -917,14 +926,25 @@ def projective_model(
 
 
 def _born_rule(state, basis):
-    """Probabilities and their two derivatives for one basis or a stack of them."""
+    """Probabilities and their two derivatives for one basis or a stack of them.
+
+    A stack's fields are stored outcome-major, (n, 4) views of contiguous
+    (4, n) arrays, so that sums and checks over a sample's outcomes run as
+    elementwise arithmetic over the samples.
+    """
     # rho is diagonal, so p(k) = sum_m O[k,m]^2 rho[m,m] is a sum of
     # nonnegative terms and never goes negative by roundoff.
-    probabilities = basis**2 @ np.diag(state.rho)
+    probabilities = np.ascontiguousarray((basis**2 @ np.diag(state.rho)).T).T
+    transposed = np.ascontiguousarray(basis.T)
 
     def derivative(sld):
         d_rho = 0.5 * (sld @ state.rho + state.rho @ sld)
-        return ((basis @ d_rho) * basis).sum(axis=-1)
+        # Term m of outcome k, (basis @ d_rho)[k, m] basis[k, m], stored
+        # term-major: the sum over the leading axis adds ((t0 + t1) + t2) + t3,
+        # as a row's .sum(axis=-1) does.
+        terms = np.ascontiguousarray((basis @ d_rho).T)
+        terms *= transposed
+        return terms.sum(axis=0).T
 
     return probabilities, derivative(state.L1), derivative(state.L2)
 
@@ -964,7 +984,7 @@ def _fisher_information(
     ``_model_checks``.
     """
     if buffers is None:
-        buffers = [np.empty(probabilities.shape) for _ in range(3)]
+        buffers = [np.empty_like(probabilities) for _ in range(3)]
     inverse_p, scaled, product = buffers
     peak = np.max(probabilities, axis=-1, keepdims=True, initial=0.0)
     keep = probabilities > 1e-15 * peak
@@ -1009,9 +1029,9 @@ def regret_report(fim_matrix, qfim_value) -> RegretReport:
     """Information regret of a measurement against the quantum bound.
 
     Negative regret diagonals within -1e-9 are roundoff and clamped to 0;
-    anything more negative, or a regret eigenvalue below -1e-6, means the
-    classical information exceeded the quantum bound and raises
-    BoundViolationError.
+    anything more negative, or a regret eigenvalue below -1e-6 (or not a
+    number, as from a non-finite FIM), means the classical information
+    exceeded the quantum bound and raises BoundViolationError.
     """
     fim_matrix = np.asarray(fim_matrix, dtype=float)
     qfim_matrix = qfim_value.matrix if isinstance(qfim_value, Qfim) else np.asarray(
@@ -1026,8 +1046,8 @@ def regret_report(fim_matrix, qfim_value) -> RegretReport:
     # Tolerances are absolute at unit scale and grow with the QFIM so that
     # roundoff in large-information regimes is not misread as a violation.
     scale = max(1.0, float(np.max(np.abs(qfim_matrix))))
-    lowest = float(np.linalg.eigvalsh(regret)[0])
-    if lowest < -1e-6 * scale:
+    lowest = float(_lowest_eigenvalue(regret))
+    if not lowest >= -1e-6 * scale:
         raise BoundViolationError(
             f"regret eigenvalue {lowest:.3e} is negative beyond tolerance"
         )
@@ -1051,6 +1071,19 @@ def regret_report(fim_matrix, qfim_value) -> RegretReport:
     )
 
 
+def _lowest_eigenvalue(matrices):
+    """The lower eigenvalue of each symmetric 2x2 matrix, from its lower triangle.
+
+    It is (a + c)/2 - hypot((a - c)/2, b) as elementwise arithmetic, within
+    1e-15 of the largest |entry| of ``np.linalg.eigvalsh``'s.  Halving first
+    keeps the sum finite up to the float range.  A non-finite entry gives
+    NaN or -inf.
+    """
+    a, b, c = matrices[..., 0, 0], matrices[..., 1, 0], matrices[..., 1, 1]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN
+        return (0.5 * a + 0.5 * c) - np.hypot(0.5 * a - 0.5 * c, b)
+
+
 def regret_rows(fishers, quantum, c_tilde) -> np.ndarray:
     """Rows (delta1, delta2, irtr_residual) of an (n, 2, 2) stack of FIMs.
 
@@ -1070,6 +1103,13 @@ def _regrets_and_checks(fishers, quantum, c_tilde):
     quantum = np.asarray(quantum.matrix if isinstance(quantum, Qfim) else quantum, dtype=float)
     if fishers.ndim != 3 or fishers.shape[1:] != (2, 2) or quantum.shape[-2:] != (2, 2):
         raise ValueError("fishers and quantum must be 2x2 matrices, fishers a stack of them")
+    # Tolerances as in regret_report: absolute at unit scale, growing with the QFIM.
+    absolute = np.abs(quantum)
+    scale = np.maximum(
+        np.maximum(absolute[..., 0, 0], absolute[..., 0, 1]),
+        np.maximum(absolute[..., 1, 0], absolute[..., 1, 1]),
+    )
+    scale = np.broadcast_to(np.maximum(1.0, scale), len(fishers))
     quantum = np.broadcast_to(quantum, fishers.shape)
     c_tilde = np.asarray(c_tilde, dtype=float)
     # Squared once per coefficient, then broadcast; a square past the float range is inf.
@@ -1079,9 +1119,7 @@ def _regrets_and_checks(fishers, quantum, c_tilde):
 
     regret = quantum - fishers
     bound = quantum[:, [0, 1], [0, 1]].T
-    # Tolerances as in regret_report: absolute at unit scale, growing with the QFIM.
-    scale = np.maximum(1.0, np.max(np.abs(quantum), axis=(1, 2)))
-    lowest = np.linalg.eigvalsh(regret)[:, 0]
+    lowest = _lowest_eigenvalue(regret)
     diagonals = regret[:, [0, 1], [0, 1]].T
     delta1, delta2 = np.sqrt(np.where(diagonals < 0.0, 0.0, diagonals) / bound)
     cross = 2.0 * np.sqrt(np.maximum(1.0 - squares, 0.0))
@@ -1089,8 +1127,9 @@ def _regrets_and_checks(fishers, quantum, c_tilde):
 
     checks = [
         (ConsistencyError, "qfim diagonal must be positive", ~np.all(bound > 0.0, axis=0)),
+        # Written as `~(... >= tol)` so that a NaN eigenvalue fails the check.
         (BoundViolationError, "regret eigenvalue {:.3e} is negative beyond tolerance",
-         lowest < -1e-6 * scale, lowest),
+         ~(lowest >= -1e-6 * scale), lowest),
         *((BoundViolationError, "diagonal regret {:.3e} is negative beyond tolerance",
            diagonal < -1e-9 * scale, diagonal) for diagonal in diagonals),
         *delta_range_checks(delta1, delta2, ConsistencyError),

@@ -981,11 +981,14 @@ class TestRunnersMatchScalarRoute:
         "theta1_grid, theta2_grid, n_random",
         [
             ((0.0, 1.3), (0.15, 2.2), 600),
-            # Each separation's five points hold 1000 samples, run in blocks
-            # of 512 and 488: the boundary falls inside its point 2.
+            # Each separation's five points hold 1000 samples, one block
+            # spanning them all.
             ((-0.5, 0.0, 1.2, 2.0, 3.0), (0.1, 1.0), 200),
             # One theta1: each separation holds one point.
             ((0.4,), (0.1, 1.0, 3.0), 600),
+            # Each separation's five points hold 1500 samples, run in blocks
+            # of 1024 and 476: the boundary falls inside its point 3.
+            ((-0.5, 0.0, 1.2, 2.0, 3.0), (0.1, 1.0), 300),
         ],
     )
     def test_custom_every_random_row(self, tmp_path, theta1_grid, theta2_grid, n_random):
@@ -1014,9 +1017,9 @@ class TestRunnersMatchScalarRoute:
 
     def test_the_first_failing_sample_in_sweep_order_raises(self, tmp_path, monkeypatch):
         # Separation 0.5 runs first, with points 0 and 2; separation 2.0 holds
-        # points 1 and 3.  Point 1's sample 250 (in the second block of its
-        # separation) and point 2's sample 4 get a skewed basis: point 1 comes
-        # first in the sweep, though its separation runs second.
+        # points 1 and 3.  Point 1's sample 250 and point 2's sample 4 get a
+        # skewed basis: point 1 comes first in the sweep, though its
+        # separation runs second.
         skewed = {
             tuple(spawned_pools(8, (point,), 0, 300)[sample].tolist())
             for point, sample in ((1, 250), (2, 4))

@@ -20,7 +20,7 @@ from scipy.special import gammaln
 from scipy.stats import poisson
 
 import irtr_lab as lab
-from irtr_lab import measurements, psf_core
+from irtr_lab import experiments, measurements, psf_core
 from irtr_lab.measurements import (
     CONTINUUM_GRID,
     DISCRETE_MODES,
@@ -943,8 +943,8 @@ class TestHaarRandomBases:
     # One- and two-word seeds, each side of a word boundary, and the largest.
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     @pytest.mark.parametrize("prefix", [(), (0,), (7,)])
-    # Samples on each side of the runners' 512-sample block boundary.
-    @pytest.mark.parametrize("first", [0, 511, 512])
+    # Samples on each side of a 512-sample block boundary, and of the runners'.
+    @pytest.mark.parametrize("first", [0, 511, 512, experiments._SAMPLE_BLOCK - 1])
     @pytest.mark.parametrize("count", [1, 513])
     def test_bases_follow_numpy_seed_sequence(self, seed, prefix, first, count):
         parent = np.random.SeedSequence(seed, spawn_key=prefix)
@@ -953,7 +953,9 @@ class TestHaarRandomBases:
         np.testing.assert_array_equal(pools, [child.pool for child in children])
         assert_scalar_draws(haar_random_bases(pools), children)
 
-    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513])
+    @pytest.mark.parametrize(
+        "count", [0, 1, 511, 512, 513, *(experiments._SAMPLE_BLOCK + k for k in (-1, 0, 1))]
+    )
     def test_counts_about_one_block(self, count):
         bases = haar_random_bases(spawned_pools(1, (), 0, count))
         assert bases.shape == (count, 4, 4)
@@ -1135,6 +1137,20 @@ class TestProjectiveModel:
             second.dp_dtheta1, first.dp_dtheta1[order], rtol=0, atol=1e-15
         )
 
+    @pytest.mark.parametrize("theta2", [0.006, 1.0, 12.0])
+    def test_stacked_fields_are_the_row_sums(self, theta2):
+        # The stacked Born rule stores its fields outcome-major; they equal,
+        # bit for bit, the row-major products and each row's .sum(axis=-1).
+        state = lab.build_state_model(lab.gaussian_overlap_integrals(1.0, theta2))
+        bases = haar_random_bases(spawned_pools(3, (), 0, 1100))
+        expected = [bases**2 @ np.diag(state.rho)]
+        for sld in (state.L1, state.L2):
+            d_rho = 0.5 * (sld @ state.rho + state.rho @ sld)
+            expected.append(((bases @ d_rho) * bases).sum(axis=-1))
+        for field, row_major in zip(measurements._born_rule(state, bases), expected):
+            assert field.shape == (1100, 4) and field.T.flags.c_contiguous
+            assert field.tobytes() == row_major.tobytes()
+
     def test_dimension_mismatch_raises(self):
         state = lab.build_state_model(lab.gaussian_overlap_integrals(1.0, 1.0))
         with pytest.raises(ValueError):
@@ -1256,6 +1272,17 @@ class TestRegretReport:
         with pytest.raises(lab.BoundViolationError):
             lab.regret_report(skew, self.qfim)
 
+    # F11 not a number, F12 not a number, and an infinite F11.
+    @pytest.mark.parametrize("fisher, lowest", [
+        ([[math.nan, 0.0], [0.0, 0.1]], "nan"),
+        ([[0.1, math.nan], [math.nan, 0.1]], "nan"),
+        ([[math.inf, 0.0], [0.0, 0.1]], "-inf"),
+    ])
+    def test_non_finite_fim_raises(self, fisher, lowest):
+        text = f"^regret eigenvalue {lowest} is negative beyond tolerance$"
+        with pytest.raises(lab.BoundViolationError, match=text):
+            lab.regret_report(np.array(fisher), self.qfim)
+
     def test_rejects_bad_qfim(self):
         with pytest.raises(ValueError):
             lab.regret_report(np.zeros((2, 2)), np.diag([1.0, 0.0]))
@@ -1344,6 +1371,21 @@ class TestRegretRows:
             fishers, [quantum] * 3, [0.9] * 3, quantum=quantum.matrix, c_tilde=0.9
         )
 
+    def test_non_finite_fim_raises_as_the_scalar_route(self):
+        quantum = self.quanta[1].matrix
+        for entry in ((0, 0), (0, 1), (1, 1)):
+            for value in (math.nan, math.inf, -math.inf):
+                fisher = 0.5 * quantum
+                fisher[entry] = fisher[entry[::-1]] = value
+                with pytest.raises(lab.BoundViolationError) as scalar:
+                    lab.regret_report(fisher, quantum)
+                fishers = np.array([0.5 * quantum, fisher, fisher])
+                with pytest.raises(lab.BoundViolationError, match="^row 1: regret eigenvalue"):
+                    regret_rows(fishers, quantum, 0.5)
+                with pytest.raises(lab.BoundViolationError) as stacked:
+                    regret_rows(fisher[None], quantum, 0.5)
+                assert str(stacked.value) == f"row 0: {scalar.value}"
+
     def test_rejects_a_single_matrix(self):
         quantum = self.quanta[0].matrix
         with pytest.raises(ValueError, match="fishers a stack of them"):
@@ -1361,12 +1403,63 @@ class TestRegretRows:
             regret_rows(fishers, quanta, 0.5)
 
 
+class TestLowestEigenvalue:
+    """The regret check's lower eigenvalue against ``np.linalg.eigvalsh``."""
+
+    @staticmethod
+    def symmetric(a, b, c):
+        """Symmetric 2x2 matrices [[a, b], [b, c]], stacked along axis 0."""
+        return np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
+
+    @staticmethod
+    def assert_parity(matrices):
+        lowest = measurements._lowest_eigenvalue(matrices)
+        expected = np.linalg.eigvalsh(matrices)[:, 0]
+        scale = np.max(np.abs(matrices), axis=(1, 2))
+        assert np.all(np.abs(lowest - expected) <= 1e-15 * scale)
+        # The regret check at each matrix's own scale flags the same rows.
+        np.testing.assert_array_equal(lowest < -1e-6 * scale, expected < -1e-6 * scale)
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(28)
+        entries = rng.standard_normal((3, 100_000))
+        self.assert_parity(self.symmetric(*entries))
+        # Each matrix at its own scale, from 1e-300 to 1e300.
+        self.assert_parity(self.symmetric(*entries * 10.0 ** rng.uniform(-300, 300, 100_000)))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
+    def test_crafted_matrices(self, scale):
+        rng = np.random.default_rng(29)
+        a, c = rng.standard_normal((2, 1000))
+        zero = np.zeros(1000)
+        # Rank one u u^T, and each of its entries moved by an ulp or two.
+        u = rng.standard_normal((2, 1000))
+        rank_one = (u[0] * u[0], u[0] * u[1], u[1] * u[1])
+        nudged = [np.nextafter(x, rng.choice([-np.inf, np.inf], 1000)) for x in rank_one]
+        for matrices in (
+            self.symmetric(a, zero, c),  # diagonal
+            self.symmetric(a, c, a),  # equal diagonals
+            self.symmetric(a, a, zero),
+            self.symmetric(*rank_one),
+            self.symmetric(*nudged),
+        ):
+            self.assert_parity(scale * matrices)
+
+
 def givens(i, j, angle):
     """Rotation by ``angle`` in the (i, j) plane of the 4-dimensional subspace."""
     rotation = np.eye(4)
     rotation[i, i] = rotation[j, j] = math.cos(angle)
     rotation[i, j], rotation[j, i] = -math.sin(angle), math.sin(angle)
     return rotation
+
+
+def scalar_projective_row(state, basis, quantum, c_tilde):
+    """(delta1, delta2, irtr_residual) of one basis through the scalar route."""
+    model = lab.projective_model(state, lab.ProjectiveMeasurement4(basis, 0))
+    report = lab.regret_report(lab.fim(model), quantum)
+    point = lab.TradeoffPoint(report.delta1, report.delta2)
+    return report.delta1, report.delta2, lab.irtr_residual(point, c_tilde)
 
 
 class TestProjectiveRegrets:
@@ -1384,10 +1477,7 @@ class TestProjectiveRegrets:
     c_tilde = lab.incompatibility(overlaps).c_tilde
 
     def scalar(self, basis):
-        model = lab.projective_model(self.state, lab.ProjectiveMeasurement4(basis, 0))
-        report = lab.regret_report(lab.fim(model), self.quantum)
-        point = lab.TradeoffPoint(report.delta1, report.delta2)
-        return report.delta1, report.delta2, lab.irtr_residual(point, self.c_tilde)
+        return scalar_projective_row(self.state, basis, self.quantum, self.c_tilde)
 
     def batch(self, *bases, c_tilde=None, first_sample=0):
         c_tilde = self.c_tilde if c_tilde is None else c_tilde
@@ -1425,6 +1515,25 @@ class TestProjectiveRegrets:
         rows = self.batch(*bases)
         for k, basis in enumerate(bases):
             assert tuple(rows[:, k]) == self.scalar(basis)
+        # Both extremes of the separation range and stacks on either side of
+        # the runners' sample block; each stack is a prefix of the same draws.
+        block = experiments._SAMPLE_BLOCK
+        for seed, theta2 in enumerate((0.006, 0.05, 1.0, 6.0, 12.0)):
+            overlaps = lab.overlap_integrals(
+                lab.gaussian_psf(1.0), lab.SourceGeometry(0.0, theta2), lab.QuadratureSpec()
+            )
+            state, quantum = lab.build_state_model(overlaps), lab.qfim(overlaps)
+            c_tilde = lab.incompatibility(overlaps).c_tilde
+            bases = haar_random_bases(spawned_pools(seed, (), 0, block + 1))
+            expected = [
+                scalar_projective_row(state, basis, quantum, c_tilde) for basis in bases
+            ]
+            for count in (1, 3, block - 1, block + 1):
+                rows, checks = projective_regrets_and_checks(
+                    state, bases[:count], quantum, c_tilde
+                )
+                raise_first_failure(checks, "sample {}: ")
+                assert list(zip(*rows.tolist())) == expected[:count]
 
     def test_error_names_the_first_failing_sample(self):
         good = lab.haar_random_orthogonal(0).matrix
@@ -1448,15 +1557,24 @@ class TestProjectiveRegrets:
 
     def test_errors_carry_the_scalar_routes_text(self):
         good = lab.haar_random_orthogonal(0).matrix
-        cases = [(1.001 * good, self.c_tilde), (self.near_null(1e-8), self.c_tilde)]
-        for basis, c_tilde in [*cases, (good, 1.1)]:
+        # The last bound is a thousandth of the QFIM, far below this basis's
+        # FIM: its regret eigenvalue fails.
+        cases = [
+            (1.001 * good, self.quantum, self.c_tilde),
+            (self.near_null(1e-8), self.quantum, self.c_tilde),
+            (good, self.quantum, 1.1),
+            (good, 1e-3 * self.quantum.matrix, self.c_tilde),
+        ]
+        for basis, quantum, c_tilde in cases:
             with pytest.raises((ValueError, lab.IrtrLabError)) as scalar:
-                model = lab.projective_model(self.state, lab.ProjectiveMeasurement4(basis, 0))
-                report = lab.regret_report(lab.fim(model), self.quantum)
-                lab.irtr_residual(lab.TradeoffPoint(report.delta1, report.delta2), c_tilde)
+                scalar_projective_row(self.state, basis, quantum, c_tilde)
             with pytest.raises(scalar.type) as batch:
-                self.batch(basis, c_tilde=c_tilde, first_sample=5)
+                rows, checks = projective_regrets_and_checks(
+                    self.state, basis[None], quantum, c_tilde
+                )
+                raise_first_failure(checks, "sample {}: ", 5)
             assert str(batch.value) == f"sample 5: {scalar.value}"
+        assert str(scalar.value).startswith("regret eigenvalue ")
 
     def test_an_earlier_sample_fails_first_whatever_its_check(self):
         # At c_tilde = 1 the first Haar basis (delta1^2 + delta2^2 = 0.90)
