@@ -113,8 +113,8 @@ lab fig4 --mode-cutoff 80 --out "$out/fig4-cutoff"
 # grows past the adaptive range.
 lab fig4 --grid 0:2:0.5 --mode-cutoff 600 --out "$out/fig4-cutoff600"
 lab fig5 --seed 1 --n-random 2000 --out "$out/fig5"
-# Seeding edge cases: 2**64 - 1 fills two 32-bit entropy words, and 0 is one
-# zero word that the spawned pools pad to four.
+# Seeding edge cases, the largest seed and 0: fig5 draws from default_rng(seed),
+# custom point p from default_rng(SeedSequence(seed).spawn(points)[p]).
 lab fig5 --seed 18446744073709551615 --n-random 600 --out "$out/fig5-seed-max"
 lab custom --theta1-grid -0.5,0,1.2 --theta2-grid 0.1,1,3 \
   --measurements random --n-random 600 --seed 0 --out "$out/custom-random-seed0"

@@ -6,9 +6,9 @@ figure's default sweep from ``SWEEPS``, writes one CSV per table (17
 significant digits, '#'-prefixed key=value metadata lines before the
 header), and finishes with a JSON manifest carrying the resolved
 configuration and the checksum and size of the bytes it wrote.  Identical
-configuration and seed give byte-identical CSVs: every random sample draws
-from its own spawned SeedSequence child, the children's states computed in
-one vectorised pass per run.  fig2 to fig5 and custom name their (theta1,
+configuration and seed give byte-identical CSVs: the random samples of each
+(theta1, theta2) point draw in turn from that point's own numpy Generator,
+seeded from ``seed``.  fig2 to fig5 and custom name their (theta1,
 theta2) points and measurements, and one kernel, ``_sweep``, evaluates
 them: the overlaps of each distinct separation as (4, n) columns (with the
 direct-imaging FIMs from their own samples, by ``overlaps_and_direct_fims``),
@@ -48,7 +48,6 @@ from .measurements import (
     regret_rows,
     spade_cutoff,
     spade_model,
-    spawned_pools,
 )
 from .psf_core import (
     OverlapIntegrals,
@@ -149,7 +148,8 @@ class ExperimentConfig:
             if not (adaptive or np.issubdtype(type(value), np.integer)):
                 raise ConfigError(f"{name} must be an integer")
         if not 1 <= self.n_random < 2**32:
-            # Sample k's spawn key word must fit 32 bits (``spawned_pools``).
+            # A point's samples share one stream, so this is not a seeding limit: it
+            # keeps the accepted range, and 2**32 samples would need 96 GiB a point.
             raise ConfigError("n_random must be at least 1 and below 2**32")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit an unsigned 64-bit integer")
@@ -511,19 +511,24 @@ def _run(figure: str, compute, config: ExperimentConfig) -> list[Path]:
     return [*paths, manifest_path]
 
 
-def _sweep(config, psf, points, measurements, prefixes=None):
+def _sweep(config, psf, points, measurements, seeds=None):
     """c_tilde of each (theta1, theta2) point and its (3, points, rows) regrets.
 
     The regrets are delta1, delta2 and irtr_residual; a point's rows are
     direct imaging, SPADE, then the random samples, of those named in
-    ``measurements``.  Random sample k of point p draws from
-    ``SeedSequence(seed, spawn_key=(*prefixes[p], k))``.  The overlaps, the
+    ``measurements``.  Random sample k of point p is the k-th basis that
+    ``haar_random_orthogonal(rng)`` draws from the point's stream, ``rng =
+    default_rng(seeds[p])``, whatever ``n_random`` is and wherever a block
+    boundary falls.  The overlaps, the
     QFIM, the state model and the direct-imaging FIM depend on theta2 alone,
     bit for bit, so each distinct separation is evaluated once, at its first
     point, as a column of the sweep's overlaps; an overlap, direct-imaging or
     c_tilde error names its row among them.  The random samples of all the
-    points at one separation run together, in sweep order; a sample error
-    names the first failing sample in the sweep, numbered within its point.
+    points at one separation run together, in sweep order, in blocks that
+    may span points; a block takes its normals from each point it covers in
+    turn, and numpy fills them as it would one draw at a time.  A sample
+    error names the first failing sample in the sweep, numbered within its
+    point.
     """
     points = sweep_points(points)
     _, first, separation = np.unique(points[:, 1], return_index=True, return_inverse=True)
@@ -540,20 +545,24 @@ def _sweep(config, psf, points, measurements, prefixes=None):
         blocks.append(regret_rows(_spade_fims(config, points), quantum, c_tilde)[..., None])
     if "random" in measurements:
         count = config.n_random
-        pools = spawned_pools(config.seed, prefixes, 0, count)
         states = [build_state_model(OverlapIntegrals(*column)) for column in overlaps.T.tolist()]
         randoms, failures = np.empty((3, len(points), count)), []
         for index, state in enumerate(states):
             # The points at one separation share its state, QFIM and c_tilde:
             # their samples run in sweep order, in blocks that may span points.
             members = np.flatnonzero(separation == index)
-            samples = pools[members].reshape(-1, 4)
-            rows = np.empty((3, len(samples)))
-            for k in range(0, len(samples), _SAMPLE_BLOCK):
-                block = slice(k, k + _SAMPLE_BLOCK)
-                bases = haar_random_bases(samples[block])
-                rows[:, block], checks = projective_regrets_and_checks(
-                    state, bases, quantum[members[0]], c_tilde[members[0]]
+            streams = [np.random.default_rng(seeds[p]) for p in members.tolist()]
+            total = len(members) * count
+            rows = np.empty((3, total))
+            for k in range(0, total, _SAMPLE_BLOCK):
+                stop = min(k + _SAMPLE_BLOCK, total)
+                normals = np.empty((stop - k, 4, 4))
+                # Each point the block covers fills its part from its own stream.
+                for point in range(k // count, (stop - 1) // count + 1):
+                    part = slice(max(k, point * count) - k, min(stop, point * count + count) - k)
+                    streams[point].standard_normal(out=normals[part])
+                rows[:, k:stop], checks = projective_regrets_and_checks(
+                    state, haar_random_bases(normals), quantum[members[0]], c_tilde[members[0]]
                 )
                 failed = failure_flags(checks).any(axis=0)
                 if failed.any():
@@ -675,8 +684,8 @@ def run_fig4(config, psf):
 @_runner("fig5")
 def run_fig5(config, psf):
     """Haar-random projective measurements at fixed geometry."""
-    # Sample k draws from SeedSequence(seed).spawn(n_random)[k].
-    (c_tilde,), regrets = _sweep(config, psf, [(0.0, config.theta2_over_sigma)], ("random",), [()])
+    points, seeds = [(0.0, config.theta2_over_sigma)], [config.seed]
+    (c_tilde,), regrets = _sweep(config, psf, points, ("random",), seeds)
     delta1, delta2, residual = regrets[:, 0]
     metadata = [
         ("sigma", config.sigma),
@@ -704,9 +713,10 @@ def run_custom(config, psf):
     if config.theta1_grid is None or config.theta2_grid is None:
         raise ConfigError("custom runs require explicit theta1_grid and theta2_grid")
     points = list(itertools.product(config.theta1_grid, config.theta2_grid))
-    # Sample k of point p draws from SeedSequence(seed).spawn(points)[p].spawn(n_random)[k].
-    prefixes = np.arange(len(points))[:, np.newaxis]
-    _, regrets = _sweep(config, psf, points, config.measurements, prefixes)
+    seeds = None
+    if "random" in config.measurements:
+        seeds = np.random.SeedSequence(config.seed).spawn(len(points))
+    _, regrets = _sweep(config, psf, points, config.measurements, seeds)
     names = [name for name in ("direct", "spade") if name in config.measurements]
     indices = [-1] * len(names)
     if "random" in config.measurements:

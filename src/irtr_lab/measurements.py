@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -224,7 +223,8 @@ def _orthogonality_check(matrices):
         gram = (column * columns[i:]).sum(axis=1)
         gram[0] -= 1.0
         skew = np.maximum(skew, np.max(np.abs(gram), axis=0))
-    return ConsistencyError, "basis is not orthogonal within 1e-12", skew > 1e-12
+    # Written as `~(... <= tol)` so that a NaN entry fails the check.
+    return ConsistencyError, "basis is not orthogonal within 1e-12", ~(skew <= 1e-12)
 
 
 @dataclass(frozen=True)
@@ -692,226 +692,15 @@ def haar_random_orthogonal(rng_stream, dim: int = 4, seed: int | None = None):
     return ProjectiveMeasurement4(matrix=oriented.T, seed=tag)
 
 
-# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants.
-_MASK32 = 0xFFFFFFFF
-_MIX_INIT, _MIX_MULT = 0x43B0D7E5, 0x931E8875
-_STATE_INIT, _STATE_MULT = 0x8B51F9DD, 0x58F38DED
-_MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-_PCG64_INVERSE = pow(_PCG64_MULT, -1, 1 << 128)
+def haar_random_bases(normals) -> np.ndarray:
+    """Haar-random 4x4 bases stacked along axis 0, basis k from the normals ``normals[k]``.
 
-
-def _hashmix(constant, multiplier):
-    """SeedSequence's word hash; each call advances the shared hash constant."""
-
-    def hashmix(value):
-        nonlocal constant
-        value = value ^ constant
-        constant = constant * multiplier & _MASK32
-        value = value * constant & _MASK32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x, y):
-    result = ((_MIX_LEFT * x & _MASK32) - (_MIX_RIGHT * y & _MASK32)) & _MASK32
-    return result ^ result >> 16
-
-
-def spawned_pools(seed: int, spawn_prefix, first: int, count: int) -> np.ndarray:
-    """Entropy pools of ``SeedSequence(seed, spawn_key=(*prefix, first + k))``, k < count.
-
-    Returns uint32 words of shape (..., count, 4), row k equal to that child's
-    ``pool``.  ``spawn_prefix`` is one prefix (a sequence of ints) or an array
-    (..., L) of prefixes; ``(p,)`` names the children of ``spawn()[p]``.
-    The seed's words are mixed once, as Python ints; each spawn-key word is
-    mixed into every child's pool by the same few numpy ops.  Each spawn-key
-    entry must fit one 32-bit word.
+    ``normals`` is an (n, 4, 4) stack of standard normals.  One stacked QR
+    factors them a matrix at a time, with the R-diagonal signs folded into
+    Q, so basis k equals, bit for bit, the ``haar_random_orthogonal`` draw
+    whose ``standard_normal((4, 4))`` gave ``normals[k]``.
     """
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError("seed must be a nonnegative integer")
-    prefix = np.asarray(spawn_prefix, dtype=object)
-    words = [entry for entry in prefix.flat if isinstance(entry, (int, np.integer))]
-    if len(words) < prefix.size or not all(0 <= word <= _MASK32 for word in words):
-        raise ValueError("spawn prefix entries must be integers below 2**32")
-    if not 0 <= first <= first + count <= _MASK32 + 1:
-        raise ValueError("spawn indices must lie in [0, 2**32)")
-    # The seed's 32-bit words, low first, padded to the pool size as numpy
-    # pads entropy followed by a spawn key.
-    seed, entropy = int(seed), []
-    while seed or not entropy:
-        entropy.append(seed & _MASK32)
-        seed >>= 32
-    entropy += [0] * (4 - len(entropy))
-    key = np.moveaxis(prefix.astype(np.uint32), -1, 0)[..., np.newaxis]
-    entropy += [*key, np.arange(first, first + count, dtype=np.uint32)]
-    hashmix = _hashmix(_MIX_INIT, _MIX_MULT)
-    pool = [hashmix(word) for word in entropy[:4]]
-    for source in range(4):
-        for target in range(4):
-            if source != target:
-                pool[target] = _mix(pool[target], hashmix(pool[source]))
-    for word in entropy[4:]:
-        for target in range(4):
-            pool[target] = _mix(pool[target], hashmix(word))
-    return np.stack([np.broadcast_to(word, (*prefix.shape[:-1], count)) for word in pool], -1)
-
-
-# A sample's PCG64 words as array operations, on (high, low) uint64 limbs of
-# its 128-bit states.  The limb arithmetic stays on arrays: numpy's scalar
-# uint64 products warn when they wrap, and the test suite makes warnings errors.
-def _limbs(values):
-    """(high, low) uint64 limbs of 128-bit Python ints."""
-    values = np.array(values, dtype=object)
-    return (values >> 64).astype(np.uint64), (values % (1 << 64)).astype(np.uint64)
-
-
-# With M - 1 = 4u, u odd, and D_j = (M^j - 1) / 4, state j after a start state
-# s is M^j s + (1 + M + ... + M^(j-1)) inc = s + D_j (4 s + inc / u) mod 2**128:
-# one product per state.  These are 1/u and D_j for j = 1..17, the seeded
-# state and the states of a sample's 16 words.
-_INCREMENT_SCALE = _limbs([pow(_PCG64_MULT >> 2, -1, 1 << 128)])
-_JUMPS = _limbs([(pow(_PCG64_MULT, j, 1 << 130) - 1) >> 2 for j in range(1, 18)])
-
-
-def _product128(a_high, a_low, b_high, b_low):
-    """Limbs of a * b mod 2**128; the low limbs' product is split in 32-bit halves."""
-    a0, a1, b0, b1 = a_low & _MASK32, a_low >> 32, b_low & _MASK32, b_low >> 32
-    cross0, cross1 = a0 * b1, a1 * b0
-    middle = (a0 * b0 >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
-    carry = a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (middle >> 32)
-    return carry + a_low * b_high + a_high * b_low, a_low * b_low
-
-
-def _sum128(a_high, a_low, b_high, b_low):
-    """Limbs of a + b mod 2**128."""
-    low = a_low + b_low
-    return a_high + b_high + (low < a_low), low
-
-
-def _probe(generator, index, magnitude, sign):
-    """One ``standard_normal`` draw from the state whose next word is
-    (index, sign, magnitude); the value, and whether it used that word alone.
-
-    The next state's high half is 0, so XSL-RR rotates by 0 and the word is
-    its low half; the state set is one LCG step back, with increment 1.
-    """
-    word = magnitude << 9 | sign << 8 | index
-    start = (word - 1) * _PCG64_INVERSE & _MASK128
-    generator.bit_generator.state = {
-        "bit_generator": "PCG64", "state": {"state": start, "inc": 1},
-        "has_uint32": 0, "uinteger": 0,
-    }
-    value = generator.standard_normal()
-    return value, generator.bit_generator.state["state"]["state"] == word
-
-
-@cache
-def _ziggurat_tables():
-    """numpy's ziggurat tables wi (float64) and ki (uint64), probed from numpy.
-
-    ``standard_normal`` reads a word w as idx = w & 0xff, sign = bit 8 and
-    rabs = w >> 9 & (2**52 - 1), and returns +-rabs wi[idx] from that word
-    alone when rabs < ki[idx].  wi[idx] is the value drawn at rabs = 1, and
-    ki[idx] the first rabs rejected, searched from floor(2**52 wi[idx-1] /
-    wi[idx]).  Only accepted probes give values, and every accepted probe
-    must return +-rabs wi[idx]; an idx whose rabs = 1 is rejected (idx 1)
-    gets ki = 0.  If any probe disagrees, ki is all 0 and every draw takes
-    the Generator route.  Probed once per process, at first use.
-    """
-    generator = np.random.Generator(np.random.PCG64(0))
-    wi, ki, sound = [0.0] * 256, [0] * 256, True
-    for index in range(256):
-        value, accepted = _probe(generator, index, 1, 0)
-        if not accepted:
-            continue
-        sound &= 0.0 < value < math.inf
-        if not sound:
-            break
-        wi[index] = value
-        # The hint is 0, and the search a bisection, where wi[idx-1] is not known yet.
-        guess = int(min(2.0**52 * wi[index - 1] / value, 2.0**52))
-        accepted_below, rejected = 1, 1 << 52  # 2**52 lies past every rabs
-        while rejected - accepted_below > 1:
-            tries = guess, guess + 1, guess - 1, (accepted_below + rejected) // 2
-            magnitude = next(m for m in tries if accepted_below < m < rejected)
-            value, accepted = _probe(generator, index, magnitude, 1)
-            sound &= not accepted or value == -(magnitude * wi[index])
-            if accepted:
-                accepted_below = magnitude
-            else:
-                rejected = magnitude
-        ki[index] = rejected
-    tables = np.array(wi), np.array(ki if sound else [0] * 256, dtype=np.uint64)
-    for table in tables:
-        table.flags.writeable = False  # the cache hands one copy to every caller
-    return tables
-
-
-def _seeded_words(pools):
-    """PCG64 states, increments and first 16 words of the Generators seeded by ``pools``.
-
-    Returns the (high, low) limbs, each (n, 1), of each sample's seeded state
-    and increment, and its words, (n, 16) uint64.  The pools give the words
-    ``generate_state(4, np.uint64)`` would, PCG64's seeding turns them into
-    the increment and a start state, each of the 17 states after the start
-    takes one product (``_JUMPS``), and XSL-RR makes the last 16 the words.
-    """
-    pools = np.asarray(pools, dtype=np.uint32)
-    hashmix = _hashmix(_STATE_INIT, _STATE_MULT)
-    halves = np.stack([hashmix(pools[:, i % 4]) for i in range(8)], axis=-1)
-    halves = halves.astype(np.uint64)
-    seeds = halves[:, 0::2] | halves[:, 1::2] << 32
-    # The increment is the sequence words shifted in a 1, and the start state
-    # the state words plus the increment.
-    increment = seeds[:, 2:3] << 1 | seeds[:, 3:4] >> 63, seeds[:, 3:4] << 1 | 1
-    start = _sum128(*seeds[:, :2].T[..., np.newaxis], *increment)
-    scaled = _product128(*increment, *_INCREMENT_SCALE)
-    scaled = _sum128(start[0] << 2 | start[1] >> 62, start[1] << 2, *scaled)
-    high, low = _sum128(*start, *_product128(*scaled, *_JUMPS))
-    mixed, rotation = high[:, 1:] ^ low[:, 1:], high[:, 1:] >> 58
-    return (high[:, :1], low[:, :1]), increment, mixed >> rotation | mixed << (64 - rotation & 63)
-
-
-def _ziggurat_draws(words):
-    """numpy's standard normal from each word on its ziggurat fast path, and
-    whether the word takes that path; where it does not, the value is void."""
-    wi, ki = _ziggurat_tables()
-    index, magnitude = words & 0xFF, words >> 9 & (1 << 52) - 1
-    values = (magnitude * wi[index]).view(np.uint64) | (words >> 8 & 1) << 63
-    return values.view(np.float64), magnitude < ki[index]
-
-
-def haar_random_bases(pools) -> np.ndarray:
-    """Haar-random 4x4 bases stacked along axis 0, basis k seeded by pool ``pools[k]``.
-
-    With ``pools = spawned_pools(seed, prefix, first, count)`` basis k equals
-    ``haar_random_orthogonal(np.random.default_rng(child))`` bit for bit, for
-    ``child = SeedSequence(seed, spawn_key=prefix).spawn(first + count)[first + k]``.
-
-    ``_seeded_words`` gives every sample's first 16 PCG64 words at once.  A
-    sample whose 16 words all take numpy's ziggurat fast path
-    (``_ziggurat_draws``) gets its normals from them as array operations.
-    About 22 % of samples miss it in some draw (the idx 0 tail, idx 1, or a
-    wedge test); one Generator, set to each of those samples' seeded state in
-    turn, draws their normals itself.  One stacked QR then factors all of
-    them a matrix at a time, with the R-diagonal signs folded into Q.
-    """
-    seeded, increment, words = _seeded_words(pools)
-    values, fast = _ziggurat_draws(words)
-    normal = values.reshape(-1, 4, 4)
-    slow = np.flatnonzero(~fast.all(axis=1))
-    limbs = np.concatenate([part[slow] for part in (*seeded, *increment)], axis=1)
-    generator = np.random.Generator(np.random.PCG64(0))
-    bits, pcg = generator.bit_generator, {}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for sample, (state_high, state_low, inc_high, inc_low) in zip(slow.tolist(), limbs.tolist()):
-        pcg["state"], pcg["inc"] = state_high << 64 | state_low, inc_high << 64 | inc_low
-        bits.state = state
-        generator.standard_normal(out=normal[sample])
-    q_factor, r_factor = np.linalg.qr(normal)
+    q_factor, r_factor = np.linalg.qr(normals)
     q_factor *= np.sign(np.diagonal(r_factor, axis1=1, axis2=2))[:, np.newaxis, :]
     return q_factor.transpose(0, 2, 1)
 

@@ -23,7 +23,7 @@ from irtr_lab.experiments import (
     MEASUREMENT_NAMES,
     inclusive_grid,
 )
-from irtr_lab.measurements import regret_rows, spade_cutoff, spawned_pools
+from irtr_lab.measurements import regret_rows, spade_cutoff
 from irtr_lab.state_model import c_tilde_from_overlaps, qfim_stack
 
 
@@ -760,18 +760,16 @@ class TestRunnersMatchScalarRoute:
         geometry = lab.SourceGeometry(theta1, theta2)
         return lab.overlap_integrals(self.psf, geometry, self.quad)
 
-    def random_model(self, overlaps, stream, sample_index, state=None):
-        rng = np.random.default_rng(stream)
-        measurement = lab.haar_random_orthogonal(rng, dim=4, seed=sample_index)
-        state = lab.build_state_model(overlaps) if state is None else state
-        return lab.projective_model(state, measurement)
+    def assert_random_rows(self, rows, overlaps, stream):
+        """Row k (sample_index, delta1, delta2, residual) is the scalar route's on draw k.
 
-    def assert_random_rows(self, rows, overlaps, streams):
-        """Every row (sample_index, delta1, delta2, residual) is the scalar route's."""
-        state = lab.build_state_model(overlaps)
-        assert len(rows) == len(streams)
-        for k, (row, stream) in enumerate(zip(rows, streams)):
-            model = self.random_model(overlaps, stream, k, state)
+        Draw k is the k-th ``haar_random_orthogonal`` draw from
+        ``default_rng(stream)``.
+        """
+        state, rng = lab.build_state_model(overlaps), np.random.default_rng(stream)
+        for k, row in enumerate(rows):
+            measurement = lab.haar_random_orthogonal(rng, dim=4, seed=k)
+            model = lab.projective_model(state, measurement)
             assert int(row[0]) == k
             assert tuple(float(cell) for cell in row[1:]) == scalar_row(model, overlaps)
 
@@ -922,14 +920,45 @@ class TestRunnersMatchScalarRoute:
             lab.run_fig4(config)
         assert str(raised.value) == "row 150: " + str(expected.value)
 
-    def test_fig5_sample_k_uses_spawned_stream_k(self, tmp_path):
+    def test_fig5_sample_k_is_draw_k_of_the_seed_stream(self, tmp_path):
         # 2000 samples span several batches; every row is checked.
         config = lab.ExperimentConfig(
             figure_id="fig5", n_random=2000, seed=3, output_dir=str(tmp_path)
         )
         _, _, rows = read_table(lab.run_fig5(config)[0])
-        streams = np.random.SeedSequence(3).spawn(2000)
-        self.assert_random_rows(rows, self.overlaps(0.0, 0.1), streams)
+        assert len(rows) == 2000
+        self.assert_random_rows(rows, self.overlaps(0.0, 0.1), np.random.SeedSequence(3))
+
+    def test_fig5_rows_are_a_prefix_of_a_longer_run(self, tmp_path):
+        # Sample k does not depend on n_random: 1100 samples run in blocks of
+        # 1024 and 76, 300 in one block.
+        tables = []
+        for n_random in (300, 1100):
+            out = tmp_path / str(n_random)
+            config = lab.ExperimentConfig(
+                figure_id="fig5", n_random=n_random, seed=9, output_dir=str(out)
+            )
+            tables.append(read_table(lab.run_fig5(config)[0])[2])
+        assert experiments._SAMPLE_BLOCK < 1100
+        assert tables[0] == tables[1][:300]
+
+    @pytest.mark.parametrize("block", [1, 7, 100, 149])
+    def test_block_boundaries_do_not_move_the_samples(self, tmp_path, monkeypatch, block):
+        # Three points share each separation, 50 samples each: the blocks'
+        # boundaries fall inside points and between them, and each point's
+        # stream gives the same samples wherever they fall.
+        config = dict(
+            figure_id="custom",
+            theta1_grid=(-0.5, 0.0, 1.2),
+            theta2_grid=(0.1, 1.0),
+            measurements=("random", "direct"),
+            n_random=50,
+            seed=4,
+        )
+        expected = lab.run_custom(lab.ExperimentConfig(**config, output_dir=str(tmp_path / "a")))
+        monkeypatch.setattr(experiments, "_SAMPLE_BLOCK", block)
+        paths = lab.run_custom(lab.ExperimentConfig(**config, output_dir=str(tmp_path / "b")))
+        assert paths[0].read_bytes() == expected[0].read_bytes()
 
     def test_custom_direct_spade_and_random_rows(self, tmp_path):
         config = lab.ExperimentConfig(
@@ -941,21 +970,24 @@ class TestRunnersMatchScalarRoute:
             output_dir=str(tmp_path),
         )
         _, _, rows = read_table(lab.run_custom(config)[0])
-        # Second grid point: theta1 = 0.4, theta2 = 0.7, spawned child 1.
-        direct, spade, *randoms = rows[5:]
-        geometry = lab.SourceGeometry(0.4, 0.7)
-        overlaps = self.overlaps(0.4, 0.7)
-        stream = np.random.SeedSequence(5).spawn(2)[1].spawn(3)[2]
-        direct_model = lab.direct_imaging_model(self.psf, geometry, self.quad)
-        cases = [
-            (direct, "direct", -1, direct_model),
-            (spade, "spade", -1, lab.spade_model(1.0, geometry, None)),
-            (randoms[2], "random", 2, self.random_model(overlaps, stream, 2)),
-        ]
-        for row, name, sample_index, model in cases:
-            assert (float(row[0]), float(row[1]), row[2]) == (0.4, 0.7, name)
-            assert int(row[3]) == sample_index
-            assert tuple(float(cell) for cell in row[4:]) == scalar_row(model, overlaps)
+        assert len(rows) == 10
+        # Grid point p's random rows draw from SeedSequence(5).spawn(2)[p].
+        streams = np.random.SeedSequence(5).spawn(2)
+        for point, (theta1, stream) in enumerate(zip((0.0, 0.4), streams)):
+            direct, spade, *randoms = rows[5 * point : 5 * point + 5]
+            geometry = lab.SourceGeometry(theta1, 0.7)
+            overlaps = self.overlaps(theta1, 0.7)
+            direct_model = lab.direct_imaging_model(self.psf, geometry, self.quad)
+            cases = [
+                (direct, "direct", -1, direct_model),
+                (spade, "spade", -1, lab.spade_model(1.0, geometry, None)),
+            ]
+            for row, name, sample_index, model in cases:
+                assert (float(row[0]), float(row[1]), row[2]) == (theta1, 0.7, name)
+                assert int(row[3]) == sample_index
+                assert tuple(float(cell) for cell in row[4:]) == scalar_row(model, overlaps)
+            assert {(float(r[0]), float(r[1]), r[2]) for r in randoms} == {(theta1, 0.7, "random")}
+            self.assert_random_rows([row[3:] for row in randoms], overlaps, stream)
 
 
     def test_custom_every_direct_row(self, tmp_path):
@@ -1004,32 +1036,33 @@ class TestRunnersMatchScalarRoute:
         _, _, rows = read_table(lab.run_custom(config)[0])
         points = [(ratio1, ratio2) for ratio1 in theta1_grid for ratio2 in theta2_grid]
         assert len(rows) == n_random * len(points)
+        # Point p's stream is SeedSequence(11).spawn(points)[p], which is
+        # SeedSequence(11, spawn_key=(p,)).
         children = np.random.SeedSequence(11).spawn(len(points))
         for index, ((ratio1, ratio2), child) in enumerate(zip(points, children)):
+            assert child.spawn_key == (index,)
             point_rows = rows[n_random * index : n_random * (index + 1)]
             assert {(float(r[0]), float(r[1]), r[2]) for r in point_rows} == {
                 (ratio1, ratio2, "random")
             }
             overlaps = self.overlaps(ratio1, ratio2)
-            self.assert_random_rows(
-                [row[3:] for row in point_rows], overlaps, child.spawn(n_random)
-            )
+            self.assert_random_rows([row[3:] for row in point_rows], overlaps, child)
 
     def test_the_first_failing_sample_in_sweep_order_raises(self, tmp_path, monkeypatch):
         # Separation 0.5 runs first, with points 0 and 2; separation 2.0 holds
         # points 1 and 3.  Point 1's sample 250 and point 2's sample 4 get a
         # skewed basis: point 1 comes first in the sweep, though its
         # separation runs second.
-        skewed = {
-            tuple(spawned_pools(8, (point,), 0, 300)[sample].tolist())
-            for point, sample in ((1, 250), (2, 4))
-        }
+        skewed = []
+        for point, sample in ((1, 250), (2, 4)):
+            rng = np.random.default_rng(np.random.SeedSequence(8, spawn_key=(point,)))
+            skewed.append(rng.standard_normal((300, 4, 4))[sample])
         draw = experiments.haar_random_bases
 
-        def skewing(pools):
-            bases = draw(pools)
-            for basis, pool in zip(bases, pools.tolist()):
-                if tuple(pool) in skewed:
+        def skewing(normals):
+            bases = draw(normals)
+            for basis, normal in zip(bases, normals):
+                if any(np.array_equal(normal, other) for other in skewed):
                     basis *= 1.001
             return bases
 

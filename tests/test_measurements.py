@@ -29,7 +29,6 @@ from irtr_lab.measurements import (
     projective_regrets_and_checks,
     regret_rows,
     spade_cutoff,
-    spawned_pools,
 )
 from irtr_lab.errors import failure_flags, raise_first_failure
 from irtr_lab.experiments import DEFAULT_SEPARATION_GRID
@@ -895,207 +894,59 @@ class TestHaarRandomOrthogonal:
         with pytest.raises(ValueError):
             lab.ProjectiveMeasurement4(matrix=np.eye(4) * 1.001, seed=0)
 
+    def test_container_rejects_a_nan_matrix(self):
+        with pytest.raises(lab.ConsistencyError, match="^basis is not orthogonal within 1e-12$"):
+            lab.ProjectiveMeasurement4(np.full((4, 4), np.nan), 0)
 
-def assert_scalar_draws(bases, children):
-    """Each basis is the scalar route's draw from its child stream, strides included."""
-    for basis, child in zip(bases, children, strict=True):
-        expected = lab.haar_random_orthogonal(np.random.default_rng(child)).matrix
+
+def assert_scalar_draws(bases, rng):
+    """Each basis is the scalar route's next draw from ``rng``, strides included."""
+    for basis in bases:
+        expected = lab.haar_random_orthogonal(rng).matrix
         np.testing.assert_array_equal(basis, expected)
         # The layout fixes the summation order of everything downstream.
         assert basis.strides == expected.strides
 
 
-@pytest.fixture
-def state_sets(monkeypatch):
-    """The PCG64 states set on Generators made while the test runs."""
-    pcg64, sets = np.random.PCG64, []
-
-    class Counting(pcg64):
-        @property
-        def state(self):
-            return pcg64.state.__get__(self)
-
-        @state.setter
-        def state(self, value):
-            sets.append(value)
-            pcg64.state.__set__(self, value)
-
-    Counting.__name__ = "PCG64"  # The state setter checks the class name.
-    monkeypatch.setattr(np.random, "PCG64", Counting)
-    return sets
-
-
-@pytest.fixture
-def fresh_tables():
-    """The ziggurat tables probed anew in the test, and again after it."""
-    measurements._ziggurat_tables.cache_clear()
-    yield
-    measurements._ziggurat_tables.cache_clear()
-
-
 class TestHaarRandomBases:
-    def test_basis_k_is_the_scalar_draw_from_stream_k(self):
-        streams = np.random.SeedSequence(8).spawn(300)
-        bases = haar_random_bases(spawned_pools(8, (), 0, 300))
+    def test_basis_k_is_the_scalar_draw_k_from_the_stream(self):
+        normals = np.random.default_rng(8).standard_normal((300, 4, 4))
+        bases = haar_random_bases(normals)
         assert bases.shape == (300, 4, 4)
-        assert_scalar_draws(bases, streams)
-
-    # One- and two-word seeds, each side of a word boundary, and the largest.
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
-    @pytest.mark.parametrize("prefix", [(), (0,), (7,)])
-    # Samples on each side of a 512-sample block boundary, and of the runners'.
-    @pytest.mark.parametrize("first", [0, 511, 512, experiments._SAMPLE_BLOCK - 1])
-    @pytest.mark.parametrize("count", [1, 513])
-    def test_bases_follow_numpy_seed_sequence(self, seed, prefix, first, count):
-        parent = np.random.SeedSequence(seed, spawn_key=prefix)
-        children = parent.spawn(first + count)[first:]
-        pools = spawned_pools(seed, prefix, first, count)
-        np.testing.assert_array_equal(pools, [child.pool for child in children])
-        assert_scalar_draws(haar_random_bases(pools), children)
+        assert_scalar_draws(bases, np.random.default_rng(8))
 
     @pytest.mark.parametrize(
         "count", [0, 1, 511, 512, 513, *(experiments._SAMPLE_BLOCK + k for k in (-1, 0, 1))]
     )
     def test_counts_about_one_block(self, count):
-        bases = haar_random_bases(spawned_pools(1, (), 0, count))
+        bases = haar_random_bases(np.random.default_rng(1).standard_normal((count, 4, 4)))
         assert bases.shape == (count, 4, 4)
-        assert_scalar_draws(bases, np.random.SeedSequence(1).spawn(count))
+        assert_scalar_draws(bases, np.random.default_rng(1))
 
-    def test_words_are_numpys(self):
-        seed, prefix = 2**64 - 1, (5,)
-        seeded, increment, words = measurements._seeded_words(spawned_pools(seed, prefix, 0, 40))
-        for k, child in enumerate(np.random.SeedSequence(seed, spawn_key=prefix).spawn(40)):
-            bits = np.random.default_rng(child).bit_generator
-            state = bits.state["state"]
-            assert state["state"] == int(seeded[0][k, 0]) << 64 | int(seeded[1][k, 0])
-            assert state["inc"] == int(increment[0][k, 0]) << 64 | int(increment[1][k, 0])
-            np.testing.assert_array_equal(words[k], bits.random_raw(16))
+    # One- and two-word seeds, the largest, and a spawned child's stream.
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("spawn_key", [(), (0,), (7,)])
+    def test_blocks_of_any_size_are_the_scalar_draws(self, seed, spawn_key):
+        # numpy fills a block as it draws one normal at a time, so the bases
+        # do not depend on where the blocks of one stream begin.
+        stream = np.random.SeedSequence(seed, spawn_key=spawn_key)
+        for sizes in ([1] * 5, [3, 1024, 2], [1030]):
+            rng = np.random.default_rng(stream)
+            normals = np.concatenate([rng.standard_normal((size, 4, 4)) for size in sizes])
+            assert_scalar_draws(haar_random_bases(normals), np.random.default_rng(stream))
 
-    @pytest.mark.parametrize("route", ["fast", "tail", "index 1", "wedge"])
-    def test_samples_picked_by_their_words(self, route):
-        # The first draw off the fast path decides how numpy goes on: the
-        # idx 0 tail, idx 1 (whose every word is rejected), or a wedge test.
-        seed, count = 4, 3000
-        words = measurements._seeded_words(spawned_pools(seed, (), 0, count))[2]
-        fast = measurements._ziggurat_draws(words)[1]
-        first_index = (words & 0xFF)[np.arange(count), np.argmin(fast, axis=1)]
-        picked = {
-            "fast": fast.all(axis=1),
-            "tail": ~fast.all(axis=1) & (first_index == 0),
-            "index 1": ~fast.all(axis=1) & (first_index == 1),
-            "wedge": ~fast.all(axis=1) & (first_index >= 2),
-        }[route]
-        samples = np.flatnonzero(picked)[:8]
-        assert len(samples) == 8
-        bases = haar_random_bases(spawned_pools(seed, (), 0, count)[samples])
-        children = [np.random.SeedSequence(seed, spawn_key=(k,)) for k in samples.tolist()]
-        assert_scalar_draws(bases, children)
-
-    def test_probed_tables_reproduce_numpy_on_crafted_words(self):
-        wi, ki = measurements._ziggurat_tables()
-        generator = np.random.default_rng(0)
-        inverse = pow(measurements._PCG64_MULT, -1, 1 << 128)
-
-        def draw(index, magnitude, sign):
-            # The state before one whose high half is 0: its next word is the
-            # low half, rotated by 0.
-            word = magnitude << 9 | sign << 8 | index
-            start = (word - 3) * inverse % (1 << 128)
-            generator.bit_generator.state = {
-                "bit_generator": "PCG64", "state": {"state": start, "inc": 3},
-                "has_uint32": 0, "uinteger": 0,
-            }
-            value = generator.standard_normal()
-            return value, generator.bit_generator.state["state"]["state"] == word
-
-        def route(index, magnitude, sign):
-            word = np.array([magnitude << 9 | sign << 8 | index], dtype=np.uint64)
-            value, fast = measurements._ziggurat_draws(word)
-            return value[0], fast[0]
-
-        # Only idx 1 rejects every word; each other ki is the first rabs
-        # rejected, and the route takes the fast path exactly where numpy does.
-        assert np.flatnonzero(ki == 0).tolist() == [1]
-        assert draw(1, 1, 0)[1] is False and not route(1, 1, 0)[1]
-        for index in np.flatnonzero(ki).tolist():
-            last = int(ki[index]) - 1
-            assert draw(index, 1, 0) == (wi[index], True) == route(index, 1, 0)
-            for sign in (0, 1):
-                value, accepted = draw(index, last, sign)
-                assert accepted and value == (-1) ** sign * (last * wi[index])
-                assert route(index, last, sign) == (value, True)
-                if ki[index] < 2**52:
-                    assert draw(index, last + 1, sign)[1] is False
-                    assert not route(index, last + 1, sign)[1]
-
-    def test_fallback_share(self, state_sets):
-        # Samples with a draw off the fast path set one Generator each: 22.4 %.
-        measurements._ziggurat_tables()
-        state_sets.clear()
-        haar_random_bases(spawned_pools(1, (), 0, 5000))
-        assert 0 < len(state_sets) <= 0.25 * 5000
-
-    def test_misbehaving_probe_sends_every_sample_to_the_generator(
-        self, monkeypatch, state_sets, fresh_tables
-    ):
-        probe = measurements._probe
-
-        def one_ulp_off(generator, index, magnitude, sign):
-            value, accepted = probe(generator, index, magnitude, sign)
-            return (np.nextafter(value, np.inf) if magnitude > 1 else value), accepted
-
-        monkeypatch.setattr(measurements, "_probe", one_ulp_off)
-        assert not measurements._ziggurat_tables()[1].any()
-        state_sets.clear()
-        bases = haar_random_bases(spawned_pools(1, (), 0, 300))
-        assert len(state_sets) == 300
-        assert_scalar_draws(bases, np.random.SeedSequence(1).spawn(300))
-
-    def test_prefix_array_gives_each_prefix_its_children(self):
-        # The custom runner's layout: point p's sample k is spawn(4)[p].spawn(5)[k].
-        pools = spawned_pools(11, np.arange(4)[:, np.newaxis], 0, 5)
-        assert pools.shape == (4, 5, 4) and pools.dtype == np.uint32
-        for point, parent in enumerate(np.random.SeedSequence(11).spawn(4)):
-            np.testing.assert_array_equal(pools[point], [c.pool for c in parent.spawn(5)])
-
-    @pytest.mark.parametrize("shape", [(0,), (1, 0), (3, 0), (2, 1), (2, 3, 1)])
-    def test_prefix_array_keeps_its_leading_axes(self, shape):
-        # Empty prefixes too: fig5's [()] is one prefix, the root's children.
-        prefixes = np.arange(np.prod(shape), dtype=np.int64).reshape(shape) + 4
-        pools = spawned_pools(9, prefixes, 2, 3)
-        assert pools.shape == (*shape[:-1], 3, 4) and pools.dtype == np.uint32
-        for index in np.ndindex(shape[:-1]):
-            prefix = tuple(prefixes[index].tolist())
-            children = [np.random.SeedSequence(9, spawn_key=(*prefix, k)) for k in (2, 3, 4)]
-            np.testing.assert_array_equal(pools[index], [child.pool for child in children])
-
-    def test_seed_wider_than_the_pool(self):
-        seed, prefix = 2**130 + 3, (2, 9)
-        children = np.random.SeedSequence(seed, spawn_key=prefix).spawn(3)
-        np.testing.assert_array_equal(
-            spawned_pools(seed, prefix, 0, 3), [child.pool for child in children]
-        )
-
-    @pytest.mark.parametrize(
-        "seed, prefix, first, count",
-        [
-            (0, (2**32,), 0, 1),
-            (0, (-1,), 0, 1),
-            (0, (1.5,), 0, 1),
-            (0, (), 2**32, 1),
-            (0, (), 2**32 - 1, 2),
-            (0, (), -1, 1),
-            (-1, (), 0, 1),
-            (1.0, (), 0, 1),
-        ],
-    )
-    def test_rejects_keys_beyond_one_word(self, seed, prefix, first, count):
-        with pytest.raises(ValueError):
-            spawned_pools(seed, prefix, first, count)
-
-    def test_last_one_word_index(self):
-        child = np.random.SeedSequence(5, spawn_key=(2**32 - 1,))
-        np.testing.assert_array_equal(spawned_pools(5, (), 2**32 - 1, 1), [child.pool])
+    def test_the_bases_are_haar(self):
+        # Haar columns are uniform on S^3: each O_ij has mean 0 and variance
+        # 1/4, O_ij^2 is Beta(1/2, 3/2), of variance 1/16, and det O is +1 or
+        # -1 with equal odds; each within 5 standard errors.  The sign fold is
+        # what centres the diagonal and balances the determinant.  (A
+        # transposed Haar matrix is Haar too: the bitwise tests pin the layout.)
+        count = 20_000
+        bases = haar_random_bases(np.random.default_rng(2026).standard_normal((count, 4, 4)))
+        assert np.all(np.abs(np.mean(bases, axis=0)) <= 5.0 * math.sqrt(0.25 / count))
+        assert np.all(np.abs(np.mean(bases**2, axis=0) - 0.25) <= 5.0 * math.sqrt(1 / 16 / count))
+        positive = np.count_nonzero(np.linalg.det(bases) > 0.0) / count
+        assert abs(positive - 0.5) <= 5.0 * math.sqrt(0.25 / count)
 
 
 class TestProjectiveModel:
@@ -1142,7 +993,7 @@ class TestProjectiveModel:
         # The stacked Born rule stores its fields outcome-major; they equal,
         # bit for bit, the row-major products and each row's .sum(axis=-1).
         state = lab.build_state_model(lab.gaussian_overlap_integrals(1.0, theta2))
-        bases = haar_random_bases(spawned_pools(3, (), 0, 1100))
+        bases = haar_random_bases(np.random.default_rng(3).standard_normal((1100, 4, 4)))
         expected = [bases**2 @ np.diag(state.rho)]
         for sld in (state.L1, state.L2):
             d_rho = 0.5 * (sld @ state.rho + state.rho @ sld)
@@ -1524,16 +1375,29 @@ class TestProjectiveRegrets:
             )
             state, quantum = lab.build_state_model(overlaps), lab.qfim(overlaps)
             c_tilde = lab.incompatibility(overlaps).c_tilde
-            bases = haar_random_bases(spawned_pools(seed, (), 0, block + 1))
-            expected = [
-                scalar_projective_row(state, basis, quantum, c_tilde) for basis in bases
-            ]
+            normals = np.random.default_rng(seed).standard_normal((block + 1, 4, 4))
+            bases = haar_random_bases(normals)
+            # The scalar route draws its own bases, one at a time, from the same stream.
+            rng = np.random.default_rng(seed)
+            draws = (lab.haar_random_orthogonal(rng).matrix for _ in range(block + 1))
+            expected = [scalar_projective_row(state, basis, quantum, c_tilde) for basis in draws]
             for count in (1, 3, block - 1, block + 1):
                 rows, checks = projective_regrets_and_checks(
                     state, bases[:count], quantum, c_tilde
                 )
                 raise_first_failure(checks, "sample {}: ")
                 assert list(zip(*rows.tolist())) == expected[:count]
+
+    def test_a_nan_basis_fails_the_orthogonality_check(self):
+        # The orthogonality check comes first, so it names the basis; the
+        # probability total, NaN too, is not the error raised.
+        good = lab.haar_random_orthogonal(0).matrix
+        bad = good.copy()
+        bad[2, 1] = np.nan
+        with pytest.raises(lab.ConsistencyError, match="^sample 1: basis is not orthogonal"):
+            self.batch(good, bad)
+        with pytest.raises(lab.ConsistencyError, match="^sample 0: basis is not orthogonal"):
+            self.batch(np.full((4, 4), np.nan))
 
     def test_error_names_the_first_failing_sample(self):
         good = lab.haar_random_orthogonal(0).matrix
