@@ -929,20 +929,23 @@ class TestRunnersMatchScalarRoute:
         assert len(rows) == 2000
         self.assert_random_rows(rows, self.overlaps(0.0, 0.1), np.random.SeedSequence(3))
 
-    def test_fig5_rows_are_a_prefix_of_a_longer_run(self, tmp_path):
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+    def test_fig5_rows_are_a_prefix_of_a_longer_run(self, tmp_path, seed):
         # Sample k does not depend on n_random: 1100 samples run in blocks of
         # 1024 and 76, 300 in one block.
         tables = []
         for n_random in (300, 1100):
             out = tmp_path / str(n_random)
             config = lab.ExperimentConfig(
-                figure_id="fig5", n_random=n_random, seed=9, output_dir=str(out)
+                figure_id="fig5", n_random=n_random, seed=seed, output_dir=str(out)
             )
             tables.append(read_table(lab.run_fig5(config)[0])[2])
         assert experiments._SAMPLE_BLOCK < 1100
         assert tables[0] == tables[1][:300]
 
-    @pytest.mark.parametrize("block", [1, 7, 100, 149])
+    # Blocks that end inside points, on the points' edges (50) and at the end
+    # of a separation's 150 samples (150), or one that holds them all (151).
+    @pytest.mark.parametrize("block", [1, 2, 7, 49, 50, 51, 100, 149, 150, 151])
     def test_block_boundaries_do_not_move_the_samples(self, tmp_path, monkeypatch, block):
         # Three points share each separation, 50 samples each: the blocks'
         # boundaries fall inside points and between them, and each point's

@@ -7,6 +7,7 @@ orthonormality.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -908,6 +909,14 @@ def assert_scalar_draws(bases, rng):
         assert basis.strides == expected.strides
 
 
+@functools.lru_cache(maxsize=None)
+def scalar_stream_draws(seed, spawn_key, count):
+    """The scalar route's first ``count`` bases from one stream, stacked, and their strides."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
+    matrices = [lab.haar_random_orthogonal(rng).matrix for _ in range(count)]
+    return np.stack(matrices), matrices[0].strides
+
+
 class TestHaarRandomBases:
     def test_basis_k_is_the_scalar_draw_k_from_the_stream(self):
         normals = np.random.default_rng(8).standard_normal((300, 4, 4))
@@ -923,17 +932,25 @@ class TestHaarRandomBases:
         assert bases.shape == (count, 4, 4)
         assert_scalar_draws(bases, np.random.default_rng(1))
 
-    # One- and two-word seeds, the largest, and a spawned child's stream.
-    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+    # One- and two-word seeds, each side of a word boundary, and the largest;
+    # the root stream and two spawned children's.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     @pytest.mark.parametrize("spawn_key", [(), (0,), (7,)])
-    def test_blocks_of_any_size_are_the_scalar_draws(self, seed, spawn_key):
+    # A block boundary on each side of 512 samples and of the runners' block.
+    @pytest.mark.parametrize("first", [0, 511, 512, experiments._SAMPLE_BLOCK - 1])
+    @pytest.mark.parametrize("count", [1, 513])
+    def test_blocks_of_any_size_are_the_scalar_draws(self, seed, spawn_key, first, count):
         # numpy fills a block as it draws one normal at a time, so the bases
         # do not depend on where the blocks of one stream begin.
         stream = np.random.SeedSequence(seed, spawn_key=spawn_key)
-        for sizes in ([1] * 5, [3, 1024, 2], [1030]):
+        expected, strides = scalar_stream_draws(seed, spawn_key, experiments._SAMPLE_BLOCK + 513)
+        for sizes in ([first, count], [1] * 5, [3, 1024, 2], [first + count]):
             rng = np.random.default_rng(stream)
             normals = np.concatenate([rng.standard_normal((size, 4, 4)) for size in sizes])
-            assert_scalar_draws(haar_random_bases(normals), np.random.default_rng(stream))
+            bases = haar_random_bases(normals)
+            np.testing.assert_array_equal(bases, expected[: sum(sizes)])
+            # The layout fixes the summation order of everything downstream.
+            assert bases.strides[1:] == strides
 
     def test_the_bases_are_haar(self):
         # Haar columns are uniform on S^3: each O_ij has mean 0 and variance
