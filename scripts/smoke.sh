@@ -5,8 +5,11 @@
 #
 # Runs every figure on the edge cases below, each into its own directory
 # under OUT_DIR, beside the configs it reads and the stderr and exit status of
-# the runs that must fail.  It exits nonzero if a run does not end as
-# expected or a check below fails.  With SIGMA, every run gets --sigma SIGMA.
+# the runs that must fail.  It also records the command-line surface: the
+# help of irtr-lab and of each figure at 80 columns, and the stderr and exit
+# status of configuration errors.  It exits nonzero if a run does not end as
+# expected or a check below fails.  With SIGMA, every run that computes gets
+# --sigma SIGMA; the help and configuration errors do not depend on it.
 #
 # Two calls must write the same bytes but for each run's manifest.json:
 #
@@ -56,6 +59,53 @@ expect_failure() {
     exit 1
   fi
 }
+
+# The help of irtr-lab (no arguments) or of one figure, at 80 columns, then its
+# exit status, go to OUT_DIR/help.txt or OUT_DIR/help-FIGURE.txt.
+record_help() {
+  local name=help${1:+-$1} status=0
+  COLUMNS=80 irtr-lab "$@" --help > "$out/$name.txt" || status=$?
+  echo "exit status $status" >> "$out/$name.txt"
+  if [ "$status" -ne 0 ]; then
+    echo "$name: expected exit status 0" >&2
+    exit 1
+  fi
+}
+
+# A run that must exit 2 with the configuration error MESSAGE.  It runs in
+# OUT_DIR, so config files are named by relative paths, and without SIGMA.
+# Its stderr, then its exit status, go to OUT_DIR/NAME.err.
+config_failure() {
+  local name=$1 message=$2 status=0
+  shift 2
+  (cd "$out" && irtr-lab "$@" --out "$name") 2> "$out/$name.err" || status=$?
+  echo "exit status $status" >> "$out/$name.err"
+  cat "$out/$name.err"
+  if [ "$status" -ne 2 ] || ! grep -Fxq "config error: $message" "$out/$name.err"; then
+    echo "$name: expected exit status 2 and 'config error: $message'" >&2
+    exit 1
+  fi
+}
+
+record_help
+for figure in fig1 fig2 fig3 fig4 fig5 custom; do
+  record_help "$figure"
+done
+printf '[fig1]\nbogus = 1\n' > "$out/unknown-key.ini"
+printf '[fig7]\nseed = 1\n' > "$out/unknown-section.ini"
+printf '[common]\nsigma = y\n' > "$out/sigma-not-a-number.ini"
+config_failure seed-not-an-integer "--seed: 'x' is not an integer" fig2 --seed x
+config_failure unknown-key "config file unknown-key.ini, [fig1] bogus: unknown setting" \
+  fig1 --config unknown-key.ini
+config_failure unknown-section "config file unknown-section.ini: unknown section [fig7]" \
+  fig1 --config unknown-section.ini
+config_failure sigma-not-a-number \
+  "config file sigma-not-a-number.ini, [common] sigma: 'y' is not a number" \
+  fig3 --config sigma-not-a-number.ini
+config_failure fig5-grid "--grid does not apply to fig5: it sweeps random samples, not a grid" \
+  fig5 --grid 0.5:1:0.5
+config_failure mode-cutoff-zz "mode_cutoff 'zz' must be an integer or 'adaptive'" \
+  fig4 --mode-cutoff zz
 
 # An odd panel count, whose ladder is the single pair of 4 and 8 half-window
 # panels, with another node count, at the default tolerance.

@@ -19,10 +19,8 @@ from .errors import ConfigError, IrtrLabError
 from .experiments import FIGURES, RUNNERS, SWEEPS, ExperimentConfig, inclusive_grid
 from .psf_core import QuadratureSpec
 
-_QUAD_KEYS = ("truncation_radius", "panel_count", "nodes_per_panel", "abs_tolerance")
 
-
-def _parse_grid_text(text: str) -> tuple[float, ...]:
+def _grid(text: str) -> tuple[float, ...]:
     """Parse 'START:STOP:STEP' or a comma-separated list of values."""
     text = text.strip()
     try:
@@ -36,55 +34,79 @@ def _parse_grid_text(text: str) -> tuple[float, ...]:
             raise ValueError
         return values
     except ValueError:
-        raise ConfigError(
-            f"grid {text!r} is neither START:STOP:STEP nor a comma-separated list"
-        ) from None
+        message = f"grid {text!r} is neither START:STOP:STEP nor a comma-separated list"
+        raise ConfigError(message) from None
 
 
 def _attach_grid_values(tokens, figures) -> list[str]:
     """Join grid flags to their values; argparse reads a value such as '-1:0' as a flag.
 
-    A grid flag is a token ``figures[tokens[0]]`` resolves to a grid option (``--gri``).
+    A grid flag is a token ``figures[tokens[0]]`` resolves to a grid setting's option (``--gri``).
     """
+    grid_flags = [_flag(key) for key, entry in _SETTINGS.items() if entry[1] is _grid]
     tokens = list(tokens)
     sub = figures.get(tokens[0]) if tokens else None
     options = sub._option_string_actions if sub is not None else {}
     for index in reversed(range(len(tokens) - 1)):
         token = tokens[index]
         matches = [token] if token in options else [o for o in options if o.startswith(token)]
-        if matches in (["--grid"], ["--theta1-grid"], ["--theta2-grid"]):
+        if len(matches) == 1 and matches[0] in grid_flags:
             tokens[index : index + 2] = [f"{token}={tokens[index + 1]}"]
     return tokens
 
 
-def _parse_mode_cutoff(text: str) -> int | None:
+def _cutoff(text: str) -> int | None:
     text = text.strip().lower()
     if text == "adaptive":
         return None
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(
-            f"mode_cutoff {text!r} must be an integer or 'adaptive'"
-        ) from None
+        raise ConfigError(f"mode_cutoff {text!r} must be an integer or 'adaptive'") from None
 
 
-def _parse_measurements(text: str) -> tuple[str, ...]:
+def _names(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _parse_int(text: str, context: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{context}: {text!r} is not an integer") from None
+# Each setting once, by INI key: (the field it sets, how its text converts, its
+# flag's help or None for an INI-only key, whether only custom has the flag).
+# A field is ExperimentConfig's, or its QuadratureSpec's after "quad."; 'grid'
+# sets the figure's primary sweep.  A flag is its key with dashes, in this order.
+_SETTINGS = {
+    "seed": ("seed", int, "RNG seed (default 0)", False),
+    "sigma": ("sigma", float, "PSF width, only recorded (default 1.0)", False),
+    "out": ("output_dir", str, "output directory (default .)", False),
+    "n_random": ("n_random", int, "random measurement draws", False),
+    "grid": ("grid", _grid, "primary sweep as START:STOP:STEP or comma-separated values", False),
+    "mode_cutoff": ("mode_cutoff", _cutoff, "SPADE mode cutoff: an integer or 'adaptive'", False),
+    "theta1_grid": ("theta1_grid", _grid, "misalignments, units of sigma", True),
+    "theta2_grid": ("theta2_grid", _grid, "separations, units of sigma", True),
+    "measurements": ("measurements", _names, "comma-separated subset of direct,spade,random", True),
+    "panels": ("panels", _grid, None, False),
+    "frontier_samples": ("frontier_samples", int, None, False),
+    "theta2_over_sigma": ("theta2_over_sigma", float, None, False),
+    "truncation_radius": ("quad.truncation_radius", float, None, False),
+    "panel_count": ("quad.panel_count", int, None, False),
+    "nodes_per_panel": ("quad.nodes_per_panel", int, None, False),
+    "abs_tolerance": ("quad.abs_tolerance", float, None, False),
+}
 
 
-def _parse_float(text: str, context: str) -> float:
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _set(settings: dict, key: str, raw: str, context: str) -> None:
+    """Convert ``raw`` into the field setting ``key`` sets; ``context`` opens an error."""
+    if key not in _SETTINGS:
+        raise ConfigError(f"{context}: unknown setting")
+    field, convert = _SETTINGS[key][:2]
     try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{context}: {text!r} is not a number") from None
+        settings[field] = convert(raw)
+    except ValueError:  # Only int and float raise it.
+        kind = "an integer" if convert is int else "a number"
+        raise ConfigError(f"{context}: {raw!r} is not {kind}") from None
 
 
 def _apply_config_file(settings: dict, path: Path, figure: str) -> None:
@@ -95,65 +117,29 @@ def _apply_config_file(settings: dict, path: Path, figure: str) -> None:
         parser.read(path, encoding="utf-8")
     except configparser.Error as error:
         raise ConfigError(f"config file {path}: {error}") from None
-    known_sections = {"common", *FIGURES}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in ("common", *FIGURES):
             raise ConfigError(f"config file {path}: unknown section [{section}]")
     for section in ("common", figure):
         if not parser.has_section(section):
             continue
         for key, raw in parser.items(section):
-            context = f"config file {path}, [{section}] {key}"
-            settings.update(_converted_setting(key, raw, context))
-
-
-def _converted_setting(key: str, raw: str, context: str) -> dict:
-    if key == "seed":
-        return {"seed": _parse_int(raw, context)}
-    if key == "sigma":
-        return {"sigma": _parse_float(raw, context)}
-    if key == "out":
-        return {"output_dir": raw}
-    if key == "n_random":
-        return {"n_random": _parse_int(raw, context)}
-    if key in ("grid", "theta1_grid", "theta2_grid", "panels"):
-        return {key: _parse_grid_text(raw)}
-    if key == "measurements":
-        return {"measurements": _parse_measurements(raw)}
-    if key == "mode_cutoff":
-        return {"mode_cutoff": _parse_mode_cutoff(raw)}
-    if key == "frontier_samples":
-        return {"frontier_samples": _parse_int(raw, context)}
-    if key == "theta2_over_sigma":
-        return {"theta2_over_sigma": _parse_float(raw, context)}
-    if key in ("truncation_radius", "abs_tolerance"):
-        return {key: _parse_float(raw, context)}
-    if key in ("panel_count", "nodes_per_panel"):
-        return {key: _parse_int(raw, context)}
-    raise ConfigError(f"{context}: unknown setting")
-
-
-def _apply_flags(settings: dict, args: argparse.Namespace) -> None:
-    for key, raw in vars(args).items():
-        if key not in ("figure", "config") and raw is not None:
-            flag = "--" + key.replace("_", "-")
-            settings.update(_converted_setting(key, raw, flag))
+            _set(settings, key, raw, f"config file {path}, [{section}] {key}")
 
 
 def _build_config(figure: str, settings: dict) -> ExperimentConfig:
     settings = dict(settings)
-    quad_kwargs = {key: settings.pop(key) for key in _QUAD_KEYS if key in settings}
+    quad_fields = [field for field in settings if field.startswith("quad.")]
+    quad_kwargs = {field[len("quad.") :]: settings.pop(field) for field in quad_fields}
     try:
         quad = QuadratureSpec(**quad_kwargs)
     except ValueError as error:
         raise ConfigError(str(error)) from None
     if "grid" in settings:
         if figure not in SWEEPS:
-            hint = (
-                "use --theta1-grid/--theta2-grid"
-                if figure == "custom"
-                else "it sweeps random samples, not a grid"
-            )
+            hint = "it sweeps random samples, not a grid"
+            if figure == "custom":
+                hint = "use --theta1-grid/--theta2-grid"
             raise ConfigError(f"--grid does not apply to {figure}: {hint}")
         settings[SWEEPS[figure][0]] = settings.pop("grid")
     return ExperimentConfig(figure_id=figure, quad=quad, **settings)
@@ -164,10 +150,8 @@ def _build_parser(figure: str | None = None) -> tuple[argparse.ArgumentParser, d
 
     argparse builds a help formatter per option: options are the parser's cost.
     """
-    parser = argparse.ArgumentParser(
-        prog="irtr-lab",
-        description="Reproduce the two-source information-regret datasets.",
-    )
+    description = "Reproduce the two-source information-regret datasets."
+    parser = argparse.ArgumentParser(prog="irtr-lab", description=description)
     subparsers = parser.add_subparsers(dest="figure", required=True, metavar="figure")
     summaries = {
         "fig1": "incompatibility coefficient versus separation",
@@ -182,28 +166,9 @@ def _build_parser(figure: str | None = None) -> tuple[argparse.ArgumentParser, d
         if figure not in (None, name):
             continue
         sub.add_argument("--config", type=Path, help="INI config file")
-        sub.add_argument("--seed", help="RNG seed (default 0)")
-        sub.add_argument("--sigma", help="PSF width, only recorded (default 1.0)")
-        sub.add_argument("--out", help="output directory (default .)")
-        sub.add_argument("--n-random", dest="n_random", help="random measurement draws")
-        sub.add_argument(
-            "--grid", help="primary sweep as START:STOP:STEP or comma-separated values"
-        )
-        sub.add_argument(
-            "--mode-cutoff",
-            dest="mode_cutoff",
-            help="SPADE mode cutoff: an integer or 'adaptive'",
-        )
-        if name == "custom":
-            sub.add_argument(
-                "--theta1-grid", dest="theta1_grid", help="misalignments, units of sigma"
-            )
-            sub.add_argument(
-                "--theta2-grid", dest="theta2_grid", help="separations, units of sigma"
-            )
-            sub.add_argument(
-                "--measurements", help="comma-separated subset of direct,spade,random"
-            )
+        for key, (_, _, help_text, custom_only) in _SETTINGS.items():
+            if help_text is not None and (name == "custom" or not custom_only):
+                sub.add_argument(_flag(key), help=help_text)
     return parser, subparsers.choices
 
 
@@ -215,7 +180,9 @@ def main(argv=None) -> int:
         settings: dict = {}
         if args.config is not None:
             _apply_config_file(settings, args.config, args.figure)
-        _apply_flags(settings, args)
+        for key in _SETTINGS:
+            if getattr(args, key, None) is not None:
+                _set(settings, key, getattr(args, key), _flag(key))
         config = _build_config(args.figure, settings)
         paths = RUNNERS[args.figure](config)
     except ConfigError as error:

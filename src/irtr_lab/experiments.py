@@ -546,7 +546,10 @@ def _sweep(config, psf, points, measurements, seeds=None):
     if "random" in measurements:
         count = config.n_random
         states = [build_state_model(OverlapIntegrals(*column)) for column in overlaps.T.tolist()]
-        randoms, failures = np.empty((3, len(points), count)), []
+        try:
+            randoms, failures = np.empty((3, len(points), count)), []
+        except MemoryError as error:
+            raise ConfigError(f"n_random {count} is too large: {error}") from None
         for index, state in enumerate(states):
             # The points at one separation share its state, QFIM and c_tilde:
             # their samples run in sweep order, in blocks that may span points.

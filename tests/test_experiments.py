@@ -10,6 +10,7 @@ import hashlib
 import inspect
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1338,6 +1339,32 @@ class TestCli:
         assert capsys.readouterr().err == expected
         assert not tmp_path.joinpath("manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["fig5"], 2**32 - 1),
+            (["custom", "--theta1-grid", "0,1", "--theta2-grid", "1", "--measurements", "random"],
+             3 * 10**8),
+        ],
+    )
+    def test_n_random_too_large_to_allocate_is_config_error(
+        self, tmp_path, capsys, monkeypatch, argv, count
+    ):
+        # The (3, points, n_random) regrets are refused as numpy refuses them,
+        # without asking for the memory.
+        allocate, message = np.empty, "Unable to allocate 96.0 GiB for an array"
+
+        def refusing(shape, *args, **kwargs):
+            if np.prod(shape) > 10**9:
+                raise MemoryError(message)
+            return allocate(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refusing)
+        assert cli.main([*argv, "--n-random", str(count), "--out", str(tmp_path)]) == 2
+        expected = f"config error: n_random {count} is too large: {message}\n"
+        assert capsys.readouterr().err == expected
+        assert not tmp_path.joinpath("manifest.json").exists()
+
     def test_ambiguous_grid_prefix_exits_two(self, tmp_path, capsys):
         argv = ["custom", "--theta", "-2,0", "--theta2-grid", "1", "--out", str(tmp_path)]
         with pytest.raises(SystemExit) as exit_info:
@@ -1452,25 +1479,77 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not tmp_path.joinpath("manifest.json").exists()
 
-    @pytest.mark.parametrize(
-        "ini, argv, keys, expected",
-        [
-            ("frontier_samples = 9", [], ["frontier_samples"], 9),
-            ("theta2_over_sigma = 0.3", [], ["theta2_over_sigma"], 0.3),
-            ("truncation_radius = 11.5", [], ["quad", "truncation_radius"], 11.5),
-            ("abs_tolerance = 2e-12", [], ["quad", "abs_tolerance"], 2e-12),
-            ("mode_cutoff = 17", ["--mode-cutoff", "adaptive"], ["mode_cutoff"], "adaptive"),
-        ],
-    )
-    def test_setting_reaches_the_manifest(self, tmp_path, ini, argv, keys, expected):
+    # Every setting of the CLI: (INI key, figure, text, manifest config path,
+    # value there).
+    SETTINGS = [
+        ("seed", "fig4", "7", ["seed"], 7),
+        ("sigma", "fig4", "0.37", ["sigma"], 0.37),
+        ("out", "fig4", "chosen", ["output_dir"], "chosen"),
+        ("n_random", "fig4", "5", ["n_random"], 5),
+        ("grid", "fig4", "-0.5:0.5:0.5", ["theta1_grid"], [-0.5, 0.0, 0.5]),
+        ("mode_cutoff", "fig4", "17", ["mode_cutoff"], 17),
+        ("theta1_grid", "custom", "-1,0", ["theta1_grid"], [-1.0, 0.0]),
+        ("theta2_grid", "custom", "0.5:1:0.5", ["theta2_grid"], [0.5, 1.0]),
+        ("measurements", "custom", "spade, direct", ["measurements"], ["spade", "direct"]),
+        ("panels", "fig4", "0.3,0.6", ["panels"], [0.3, 0.6]),
+        ("frontier_samples", "fig4", "9", ["frontier_samples"], 9),
+        ("theta2_over_sigma", "fig4", "0.3", ["theta2_over_sigma"], 0.3),
+        ("truncation_radius", "fig4", "11.5", ["quad", "truncation_radius"], 11.5),
+        ("panel_count", "fig4", "7", ["quad", "panel_count"], 7),
+        ("nodes_per_panel", "fig4", "28", ["quad", "nodes_per_panel"], 28),
+        ("abs_tolerance", "fig4", "2e-12", ["quad", "abs_tolerance"], 2e-12),
+    ]
+
+    def test_every_setting_is_tested(self):
+        assert [key for key, *_ in self.SETTINGS] == list(cli._SETTINGS)
+
+    def test_readme_lists_every_setting(self):
+        # The README's table of settings: each INI key, its flag or none, and
+        # whether only custom has the flag, in the order of the CLI's table.
+        readme = Path(__file__).parents[1].joinpath("README.md").read_text(encoding="utf-8")
+        rows = [line.split("|")[1:4] for line in readme.splitlines() if line.startswith("| `")]
+        listed = [tuple(cell.strip(" `") for cell in row) for row in rows]
+        _, full = cli._build_parser()
+        on_fig1, on_custom = (full[name]._option_string_actions for name in ("fig1", "custom"))
+        expected = []
+        for key in cli._SETTINGS:
+            flag = "--" + key.replace("_", "-")
+            on = "every figure" if flag in on_fig1 else "custom" if flag in on_custom else ""
+            expected.append((key, flag if on else "none", on))
+        assert listed == expected
+
+    @pytest.mark.parametrize("key, figure, text, path, expected", SETTINGS)
+    def test_setting_reaches_the_manifest(
+        self, tmp_path, monkeypatch, key, figure, text, path, expected
+    ):
+        # Set once in the figure's INI section and, where the figure has the
+        # flag, once by the flag; [common] holds the other settings the run needs.
+        monkeypatch.chdir(tmp_path)
+        common = {
+            "fig4": "out = out\ngrid = 0.0,\n",
+            "custom": "out = out\ntheta1_grid = 0\ntheta2_grid = 1\nmeasurements = direct\n",
+        }[figure]
+        flag = "--" + key.replace("_", "-")
+        routes = [(f"{key} = {text}\n", [])]
+        if flag in cli._build_parser(figure)[1][figure]._option_string_actions:
+            routes.append(("", [flag, text]))
+        for section, flags in routes:
+            ini = f"[common]\n{common}[{figure}]\n{section}"
+            tmp_path.joinpath("settings.ini").write_text(ini, encoding="utf-8")
+            assert cli.main([figure, "--config", "settings.ini", *flags]) == 0
+            manifest = tmp_path / (text if key == "out" else "out") / "manifest.json"
+            echo = json.loads(manifest.read_text(encoding="utf-8"))["config"]
+            for part in path:
+                echo = echo[part]
+            assert echo == expected, flags
+
+    def test_flag_overrides_the_files_cutoff(self, tmp_path):
         path = tmp_path / "settings.ini"
-        path.write_text(f"[fig4]\n{ini}\n", encoding="utf-8")
-        argv = ["fig4", "--config", str(path), "--grid", "0.0,", *argv, "--out", str(tmp_path)]
-        assert cli.main(argv) == 0
+        path.write_text("[fig4]\nmode_cutoff = 17\n", encoding="utf-8")
+        argv = ["fig4", "--config", str(path), "--grid", "0.0,", "--mode-cutoff", "adaptive"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
         echo = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["config"]
-        for key in keys:
-            echo = echo[key]
-        assert echo == expected
+        assert echo["mode_cutoff"] == "adaptive"
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(
