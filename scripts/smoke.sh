@@ -104,7 +104,7 @@ config_failure sigma-not-a-number \
   fig3 --config sigma-not-a-number.ini
 config_failure fig5-grid "--grid does not apply to fig5: it sweeps random samples, not a grid" \
   fig5 --grid 0.5:1:0.5
-config_failure mode-cutoff-zz "mode_cutoff 'zz' must be an integer or 'adaptive'" \
+config_failure mode-cutoff-zz "--mode-cutoff: 'zz' must be an integer or 'adaptive'" \
   fig4 --mode-cutoff zz
 
 # An odd panel count, whose ladder is the single pair of 4 and 8 half-window

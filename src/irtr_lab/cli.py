@@ -22,7 +22,6 @@ from .psf_core import QuadratureSpec
 
 def _grid(text: str) -> tuple[float, ...]:
     """Parse 'START:STOP:STEP' or a comma-separated list of values."""
-    text = text.strip()
     try:
         if ":" in text:
             parts = [float(part) for part in text.split(":")]
@@ -34,8 +33,7 @@ def _grid(text: str) -> tuple[float, ...]:
             raise ValueError
         return values
     except ValueError:
-        message = f"grid {text!r} is neither START:STOP:STEP nor a comma-separated list"
-        raise ConfigError(message) from None
+        raise ValueError("is neither START:STOP:STEP nor a comma-separated list") from None
 
 
 def _attach_grid_values(tokens, figures) -> list[str]:
@@ -56,13 +54,12 @@ def _attach_grid_values(tokens, figures) -> list[str]:
 
 
 def _cutoff(text: str) -> int | None:
-    text = text.strip().lower()
-    if text == "adaptive":
+    if text.strip().lower() == "adaptive":
         return None
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"mode_cutoff {text!r} must be an integer or 'adaptive'") from None
+        raise ValueError("must be an integer or 'adaptive'") from None
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -97,16 +94,21 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _set(settings: dict, key: str, raw: str, context: str) -> None:
-    """Convert ``raw`` into the field setting ``key`` sets; ``context`` opens an error."""
+def _set(settings: dict, figure: str, key: str, raw: str, context: str) -> None:
+    """Convert ``raw`` into the field ``key`` sets for ``figure``; ``context`` opens an error."""
     if key not in _SETTINGS:
         raise ConfigError(f"{context}: unknown setting")
     field, convert = _SETTINGS[key][:2]
     try:
         settings[field] = convert(raw)
-    except ValueError:  # Only int and float raise it.
-        kind = "an integer" if convert is int else "a number"
-        raise ConfigError(f"{context}: {raw!r} is not {kind}") from None
+    except ValueError as error:  # The other converters' errors say what the text is not.
+        reason = {int: "is not an integer", float: "is not a number"}.get(convert, error)
+        raise ConfigError(f"{context}: {raw!r} {reason}") from None
+    if field == "grid" and figure not in SWEEPS:
+        hint = "it sweeps random samples, not a grid"
+        if figure == "custom":
+            hint = "use --theta1-grid/--theta2-grid"
+        raise ConfigError(f"{context} does not apply to {figure}: {hint}")
 
 
 def _apply_config_file(settings: dict, path: Path, figure: str) -> None:
@@ -124,7 +126,7 @@ def _apply_config_file(settings: dict, path: Path, figure: str) -> None:
         if not parser.has_section(section):
             continue
         for key, raw in parser.items(section):
-            _set(settings, key, raw, f"config file {path}, [{section}] {key}")
+            _set(settings, figure, key, raw, f"config file {path}, [{section}] {key}")
 
 
 def _build_config(figure: str, settings: dict) -> ExperimentConfig:
@@ -136,11 +138,6 @@ def _build_config(figure: str, settings: dict) -> ExperimentConfig:
     except ValueError as error:
         raise ConfigError(str(error)) from None
     if "grid" in settings:
-        if figure not in SWEEPS:
-            hint = "it sweeps random samples, not a grid"
-            if figure == "custom":
-                hint = "use --theta1-grid/--theta2-grid"
-            raise ConfigError(f"--grid does not apply to {figure}: {hint}")
         settings[SWEEPS[figure][0]] = settings.pop("grid")
     return ExperimentConfig(figure_id=figure, quad=quad, **settings)
 
@@ -182,7 +179,7 @@ def main(argv=None) -> int:
             _apply_config_file(settings, args.config, args.figure)
         for key in _SETTINGS:
             if getattr(args, key, None) is not None:
-                _set(settings, key, getattr(args, key), _flag(key))
+                _set(settings, args.figure, key, getattr(args, key), _flag(key))
         config = _build_config(args.figure, settings)
         paths = RUNNERS[args.figure](config)
     except ConfigError as error:

@@ -206,23 +206,44 @@ class ProjectiveMeasurement4:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
-        raise_first_failure([_orthogonality_check(matrix)], "")
+        raise_first_failure([_orthogonality_check(_entry_products(matrix))], "")
         object.__setattr__(self, "matrix", matrix)
 
 
-def _orthogonality_check(matrices):
-    """The check that each square matrix of a stack is orthogonal.
+def _ordered_sum(terms):
+    """The sum along axis 0, halves added pairwise: elementwise, so in one order for any stack."""
+    while len(terms) > 1:
+        half = len(terms) // 2
+        paired = terms[:half] + terms[half : 2 * half]
+        if len(terms) % 2:
+            paired[-1] += terms[-1]
+        terms = paired
+    return terms[0]
 
-    Row i of O^T O, from its diagonal on, holds the dot products of column i
-    with columns i, i+1, ...: elementwise arithmetic over the stack.
+
+def _pairs(dim):
+    """The entries (i, j), i <= j, of a dim x dim upper triangle, row by row."""
+    return [(i, j) for i in range(dim) for j in range(i, dim)]
+
+
+def _entry_products(matrices):
+    """Products O[k, i] O[k, j] of a d x d matrix, or an (n, d, d) stack, as (pairs, d, n)."""
+    dim = matrices.shape[-1]
+    rows = np.reshape(matrices, (-1, dim, dim)).transpose(1, 2, 0)
+    products = np.empty((len(_pairs(dim)), dim, rows.shape[-1]))
+    for product, (i, j) in zip(products, _pairs(dim)):
+        np.multiply(rows[:, i], rows[:, j], out=product)
+    return products
+
+
+def _orthogonality_check(products):
+    """The check that each matrix of ``_entry_products`` is orthogonal.
+
+    Entry (i, j) of O^T O sums pair (i, j)'s products over the rows.
     """
-    # columns[i, k] is O[..., k, i]
-    columns = np.ascontiguousarray(np.moveaxis(matrices, (-1, -2), (0, 1)))
-    skew = np.zeros(matrices.shape[:-2])
-    for i, column in enumerate(columns):
-        gram = (column * columns[i:]).sum(axis=1)
-        gram[0] -= 1.0
-        skew = np.maximum(skew, np.max(np.abs(gram), axis=0))
+    identity = [float(i == j) for i, j in _pairs(products.shape[1])]
+    gram = _ordered_sum(np.swapaxes(products, 0, 1)) - np.array(identity)[:, np.newaxis]
+    skew = np.max(np.abs(gram), axis=0)
     # Written as `~(... <= tol)` so that a NaN entry fails the check.
     return ConsistencyError, "basis is not orthogonal within 1e-12", ~(skew <= 1e-12)
 
@@ -674,9 +695,8 @@ def hermite_gaussian_wavefunction(q: int, sigma: float, x) -> np.ndarray:
 def haar_random_orthogonal(rng_stream, dim: int = 4, seed: int | None = None):
     """Draw a Haar-distributed orthogonal measurement basis.
 
-    ``rng_stream`` is either an integer seed or a numpy Generator.  The
-    construction is QR of a standard-normal matrix with the R-diagonal signs
-    folded into Q, which makes the distribution exactly Haar.
+    ``rng_stream`` is either an integer seed or a numpy Generator.  The basis
+    is ``haar_random_bases`` of one ``standard_normal((dim, dim))`` draw.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
@@ -687,22 +707,29 @@ def haar_random_orthogonal(rng_stream, dim: int = 4, seed: int | None = None):
         tag = -1 if seed is None else int(seed)
         rng = rng_stream
     normal = rng.standard_normal((dim, dim))
-    q_factor, r_factor = np.linalg.qr(normal)
-    oriented = q_factor * np.sign(np.diag(r_factor))
-    return ProjectiveMeasurement4(matrix=oriented.T, seed=tag)
+    return ProjectiveMeasurement4(matrix=haar_random_bases(normal[np.newaxis])[0], seed=tag)
 
 
 def haar_random_bases(normals) -> np.ndarray:
-    """Haar-random 4x4 bases stacked along axis 0, basis k from the normals ``normals[k]``.
+    """Haar-random d x d bases stacked along axis 0, basis k from the normals ``normals[k]``.
 
-    ``normals`` is an (n, 4, 4) stack of standard normals.  One stacked QR
-    factors them a matrix at a time, with the R-diagonal signs folded into
-    Q, so basis k equals, bit for bit, the ``haar_random_orthogonal`` draw
-    whose ``standard_normal((4, 4))`` gave ``normals[k]``.
+    Row i is column i of Q from a QR of the normals with R's diagonal positive,
+    so exactly Haar (Mezzadri, Notices AMS 54, 592 (2007)).  Classical
+    Gram-Schmidt, each column made orthogonal to the earlier ones twice, runs
+    elementwise over a (row, entry, sample) array, of which the bases are
+    views: the same Q as LAPACK's up to rounding, and basis k is, bit for bit,
+    the basis of ``normals[k]`` alone.  A column that vanishes comes out NaN.
     """
-    q_factor, r_factor = np.linalg.qr(normals)
-    q_factor *= np.sign(np.diagonal(r_factor, axis1=1, axis2=2))[:, np.newaxis, :]
-    return q_factor.transpose(0, 2, 1)
+    columns = np.ascontiguousarray(np.transpose(normals, (2, 1, 0)))
+    bases = np.full_like(columns, np.nan)
+    for i, vector in enumerate(columns):
+        earlier = bases[:i]
+        for _ in range(2 if i else 0):
+            dots = _ordered_sum(np.swapaxes(earlier * vector, 0, 1))
+            vector = vector - _ordered_sum(dots[:, np.newaxis] * earlier)
+        norm = np.sqrt(_ordered_sum(vector * vector))
+        np.divide(vector, norm, out=bases[i], where=norm > 0.0)
+    return bases.transpose(2, 0, 1)
 
 
 def projective_model(
@@ -711,31 +738,29 @@ def projective_model(
     """Born-rule probabilities of an orthogonal measurement on the subspace."""
     if meas.matrix.shape != state.rho.shape:
         raise ValueError("measurement dimension does not match the state")
-    return ProbabilityModel(SUBSPACE_PROJECTORS, *_born_rule(state, meas.matrix))
+    fields = _born_rule(state, _entry_products(meas.matrix))
+    return ProbabilityModel(SUBSPACE_PROJECTORS, *(field[0] for field in fields))
 
 
-def _born_rule(state, basis):
-    """Probabilities and their two derivatives for one basis or a stack of them.
+def _born_rule(state, products):
+    """Probabilities and their two derivatives from the ``_entry_products`` of n bases.
 
-    A stack's fields are stored outcome-major, (n, 4) views of contiguous
-    (4, n) arrays, so that sums and checks over a sample's outcomes run as
-    elementwise arithmetic over the samples.
+    Each is O_k^T K O_k for row k, K = rho or (L_j rho + rho L_j) / 2: K[i, j]
+    (doubled off the diagonal) times O[k, i] O[k, j], summed in pair order over
+    the pairs where K is not 0.  rho is diagonal, so p is never negative.  The
+    fields are (n, d) views of contiguous (d, n) arrays, outcome-major, so that
+    sums over a sample's outcomes run elementwise over the samples.
     """
-    # rho is diagonal, so p(k) = sum_m O[k,m]^2 rho[m,m] is a sum of
-    # nonnegative terms and never goes negative by roundoff.
-    probabilities = np.ascontiguousarray((basis**2 @ np.diag(state.rho)).T).T
-    transposed = np.ascontiguousarray(basis.T)
-
-    def derivative(sld):
-        d_rho = 0.5 * (sld @ state.rho + state.rho @ sld)
-        # Term m of outcome k, (basis @ d_rho)[k, m] basis[k, m], stored
-        # term-major: the sum over the leading axis adds ((t0 + t1) + t2) + t3,
-        # as a row's .sum(axis=-1) does.
-        terms = np.ascontiguousarray((basis @ d_rho).T)
-        terms *= transposed
-        return terms.sum(axis=0).T
-
-    return probabilities, derivative(state.L1), derivative(state.L2)
+    pairs = _pairs(products.shape[1])
+    derivatives = (0.5 * (sld @ state.rho + state.rho @ sld) for sld in (state.L1, state.L2))
+    fields = []
+    for form in (state.rho.tolist(), *(d_rho.tolist() for d_rho in derivatives)):
+        field = np.zeros(products.shape[1:])
+        for product, (i, j) in zip(products, pairs):
+            if form[i][j]:
+                field += (form[i][j] if i == j else 2.0 * form[i][j]) * product
+        fields.append(field.T)
+    return fields
 
 
 def fim(model: ProbabilityModel) -> np.ndarray:
@@ -937,10 +962,10 @@ def projective_regrets_and_checks(state: StateModel4, bases, quantum: Qfim, c_ti
     of that route is kept, in the order a sample meets them:
     ``raise_first_failure`` raises the error the route would raise first.
     """
-    bases = np.asarray(bases, dtype=float)
-    probabilities, *derivatives = _born_rule(state, bases)
+    products = _entry_products(np.asarray(bases, dtype=float))
+    probabilities, *derivatives = _born_rule(state, products)
     fishers, fisher_checks = _fisher_information(probabilities, derivatives)
     rows, regret_checks = _regrets_and_checks(fishers, quantum, c_tilde)
     # All stages' checks are raised together, so the first failing sample wins.
-    checks = [_orthogonality_check(bases), *_model_checks(probabilities, derivatives)]
+    checks = [_orthogonality_check(products), *_model_checks(probabilities, derivatives)]
     return rows, checks + fisher_checks + regret_checks

@@ -1479,6 +1479,36 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not tmp_path.joinpath("manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "figure, ini, argv, message",
+        [
+            ("custom", "", ["--theta2-grid", "q"],
+             "--theta2-grid: 'q' is neither START:STOP:STEP nor a comma-separated list"),
+            ("custom", "[custom]\ntheta2_grid = q\n", [],
+             "{}, [custom] theta2_grid: 'q' is neither START:STOP:STEP nor a comma-separated list"),
+            ("fig3", "[common]\npanels = 1:2\n", [],
+             "{}, [common] panels: '1:2' is neither START:STOP:STEP nor a comma-separated list"),
+            ("fig4", "", ["--mode-cutoff", "zz"],
+             "--mode-cutoff: 'zz' must be an integer or 'adaptive'"),
+            ("fig4", "[fig4]\nmode_cutoff = ZZ\n", [],
+             "{}, [fig4] mode_cutoff: 'ZZ' must be an integer or 'adaptive'"),
+            ("custom", "[custom]\ngrid = 1,2\n", [],
+             "{}, [custom] grid does not apply to custom: use --theta1-grid/--theta2-grid"),
+            ("fig5", "[fig5]\ngrid = 1,2\n", [],
+             "{}, [fig5] grid does not apply to fig5: it sweeps random samples, not a grid"),
+        ],
+    )
+    def test_config_errors_name_their_source(self, tmp_path, capsys, figure, ini, argv, message):
+        # Each error opens with the flag, or the file, section and key, that
+        # set the value, and quotes the text as given.
+        path = tmp_path / "settings.ini"
+        path.write_text(ini, encoding="utf-8")
+        code = cli.main([figure, "--config", str(path), *argv, "--out", str(tmp_path)])
+        assert code == 2
+        source = f"config file {path}"
+        assert capsys.readouterr().err == f"config error: {message.format(source)}\n"
+        assert not tmp_path.joinpath("manifest.json").exists()
+
     # Every setting of the CLI: (INI key, figure, text, manifest config path,
     # value there).
     SETTINGS = [

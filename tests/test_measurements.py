@@ -900,21 +900,58 @@ class TestHaarRandomOrthogonal:
             lab.ProjectiveMeasurement4(np.full((4, 4), np.nan), 0)
 
 
+def assert_component_major(bases):
+    """The stack is one (row, entry, sample) array, so each entry runs along the samples."""
+    assert bases.transpose(1, 2, 0).flags.c_contiguous
+
+
 def assert_scalar_draws(bases, rng):
-    """Each basis is the scalar route's next draw from ``rng``, strides included."""
+    """Each basis is the scalar route's next draw from ``rng``; the stack is component-major."""
     for basis in bases:
         expected = lab.haar_random_orthogonal(rng).matrix
         np.testing.assert_array_equal(basis, expected)
-        # The layout fixes the summation order of everything downstream.
-        assert basis.strides == expected.strides
+    assert_component_major(bases)
 
 
 @functools.lru_cache(maxsize=None)
 def scalar_stream_draws(seed, spawn_key, count):
-    """The scalar route's first ``count`` bases from one stream, stacked, and their strides."""
+    """The scalar route's first ``count`` bases from one stream, stacked."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
-    matrices = [lab.haar_random_orthogonal(rng).matrix for _ in range(count)]
-    return np.stack(matrices), matrices[0].strides
+    return np.stack([lab.haar_random_orthogonal(rng).matrix for _ in range(count)])
+
+
+# Normals at the edges of a QR; those of the second tuple vanish to NaN.
+DEGENERATE_CASES = ("repeated column", "dependent to 1e-13")
+FAILING_CASES = ("zero column", "all zero", "column scaled by 1e-200", "NaN entry")
+
+
+def degenerate_normal(normal, case):
+    """A copy of ``normal`` made degenerate as ``case`` names."""
+    normal = normal.copy()
+    if case == "zero column":
+        normal[:, 1] = 0.0
+    elif case == "repeated column":
+        normal[:, 1] = normal[:, 0]
+    elif case == "dependent to 1e-13":
+        normal[:, 1] = normal[:, 0] + 1e-13 * normal[:, 1]
+    elif case == "all zero":
+        normal[:] = 0.0
+    elif case == "column scaled by 1e-200":
+        normal[:, 0] *= 1e-200
+    elif case == "NaN entry":
+        normal[1, 1] = np.nan
+    return normal
+
+
+class FixedNormals:
+    """Stands in for a Generator whose next ``standard_normal`` draw is ``normal``."""
+
+    def __init__(self, normal):
+        self.normal = normal
+
+    def standard_normal(self, shape):
+        assert shape == self.normal.shape
+        return self.normal.copy()
 
 
 class TestHaarRandomBases:
@@ -943,14 +980,13 @@ class TestHaarRandomBases:
         # numpy fills a block as it draws one normal at a time, so the bases
         # do not depend on where the blocks of one stream begin.
         stream = np.random.SeedSequence(seed, spawn_key=spawn_key)
-        expected, strides = scalar_stream_draws(seed, spawn_key, experiments._SAMPLE_BLOCK + 513)
+        expected = scalar_stream_draws(seed, spawn_key, experiments._SAMPLE_BLOCK + 513)
         for sizes in ([first, count], [1] * 5, [3, 1024, 2], [first + count]):
             rng = np.random.default_rng(stream)
             normals = np.concatenate([rng.standard_normal((size, 4, 4)) for size in sizes])
             bases = haar_random_bases(normals)
             np.testing.assert_array_equal(bases, expected[: sum(sizes)])
-            # The layout fixes the summation order of everything downstream.
-            assert bases.strides[1:] == strides
+            assert_component_major(bases)
 
     def test_the_bases_are_haar(self):
         # Haar columns are uniform on S^3: each O_ij has mean 0 and variance
@@ -964,6 +1000,57 @@ class TestHaarRandomBases:
         assert np.all(np.abs(np.mean(bases**2, axis=0) - 0.25) <= 5.0 * math.sqrt(1 / 16 / count))
         positive = np.count_nonzero(np.linalg.det(bases) > 0.0) / count
         assert abs(positive - 0.5) <= 5.0 * math.sqrt(0.25 / count)
+
+    def test_the_bases_are_lapacks_sign_folded_q(self):
+        # numpy's QR with the R-diagonal signs folded into Q is the oracle:
+        # any QR with a positive R diagonal gives the same Q up to rounding.
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            normals = rng.standard_normal((10_000, 4, 4))
+            q_factor, r_factor = np.linalg.qr(normals)
+            signs = np.sign(np.diagonal(r_factor, axis1=1, axis2=2))[:, np.newaxis, :]
+            oracle = (q_factor * signs).transpose(0, 2, 1)
+            assert np.max(np.abs(haar_random_bases(normals) - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_small_dimensions_through_the_scalar_route(self, dim):
+        rng, oracle_rng = np.random.default_rng(dim), np.random.default_rng(dim)
+        for _ in range(200):
+            basis = lab.haar_random_orthogonal(rng, dim=dim).matrix
+            q_factor, r_factor = np.linalg.qr(oracle_rng.standard_normal((dim, dim)))
+            oracle = (q_factor * np.sign(np.diag(r_factor))).T
+            assert basis.shape == (dim, dim)
+            assert np.max(np.abs(basis - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("case", DEGENERATE_CASES + FAILING_CASES)
+    def test_degenerate_normals_give_a_basis_or_a_consistency_error(self, dim, case):
+        # On both routes alike: a basis that passes the orthogonality check,
+        # orthogonal by an independent product too, or a ConsistencyError.
+        # A repeated column leaves rounding noise, which may normalize to an
+        # orthogonal column (dim 3) or cancel exactly to NaN (dims 2 and 4).
+        normal = degenerate_normal(np.random.default_rng(dim).standard_normal((dim, dim)), case)
+        bases = haar_random_bases(normal[np.newaxis])
+        products = measurements._entry_products(bases)
+        failed = failure_flags([measurements._orthogonality_check(products)])[0, 0]
+        if case != "repeated column":
+            assert failed == (case in FAILING_CASES)
+        if failed:
+            with pytest.raises(lab.ConsistencyError, match="^basis is not orthogonal within 1e-12$"):
+                lab.haar_random_orthogonal(FixedNormals(normal), dim=dim)
+        else:
+            basis = lab.haar_random_orthogonal(FixedNormals(normal), dim=dim).matrix
+            assert basis.tobytes() == np.ascontiguousarray(bases[0]).tobytes()
+            for gram in (basis @ basis.T, basis.T @ basis):
+                assert np.max(np.abs(gram - np.eye(dim))) <= 1e-12
+        if dim == 4:
+            # The runners' route, the basis between two good draws.
+            good = np.random.default_rng(0).standard_normal((2, 4, 4))
+            state = lab.build_state_model(lab.gaussian_overlap_integrals(1.0, 1.0))
+            rows, checks = projective_regrets_and_checks(
+                state, haar_random_bases(np.stack([good[0], normal, good[1]])), np.eye(2), 0.5
+            )
+            assert failure_flags(checks)[0].tolist() == [False, failed, False]
 
 
 class TestProjectiveModel:
@@ -1007,17 +1094,23 @@ class TestProjectiveModel:
 
     @pytest.mark.parametrize("theta2", [0.006, 1.0, 12.0])
     def test_stacked_fields_are_the_row_sums(self, theta2):
-        # The stacked Born rule stores its fields outcome-major; they equal,
-        # bit for bit, the row-major products and each row's .sum(axis=-1).
+        # The stacked Born rule stores its fields outcome-major; sample k's
+        # equal, bit for bit, the scalar route's on basis k, and they stay
+        # within 1e-15 of the BLAS products and each row's .sum(axis=-1).
         state = lab.build_state_model(lab.gaussian_overlap_integrals(1.0, theta2))
         bases = haar_random_bases(np.random.default_rng(3).standard_normal((1100, 4, 4)))
+        fields = measurements._born_rule(state, measurements._entry_products(bases))
         expected = [bases**2 @ np.diag(state.rho)]
         for sld in (state.L1, state.L2):
             d_rho = 0.5 * (sld @ state.rho + state.rho @ sld)
             expected.append(((bases @ d_rho) * bases).sum(axis=-1))
-        for field, row_major in zip(measurements._born_rule(state, bases), expected):
+        for field, row_major in zip(fields, expected):
             assert field.shape == (1100, 4) and field.T.flags.c_contiguous
-            assert field.tobytes() == row_major.tobytes()
+            assert np.max(np.abs(field - row_major)) <= 1e-15
+        for k, basis in enumerate(bases):
+            model = lab.projective_model(state, lab.ProjectiveMeasurement4(basis, 0))
+            scalar = (model.probabilities, model.dp_dtheta1, model.dp_dtheta2)
+            assert [field[k].tobytes() for field in fields] == [x.tobytes() for x in scalar]
 
     def test_dimension_mismatch_raises(self):
         state = lab.build_state_model(lab.gaussian_overlap_integrals(1.0, 1.0))
