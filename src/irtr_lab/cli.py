@@ -15,6 +15,8 @@ import configparser
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, IrtrLabError
 from .experiments import FIGURES, RUNNERS, SWEEPS, ExperimentConfig, inclusive_grid
 from .psf_core import QuadratureSpec
@@ -28,10 +30,10 @@ def _grid(text: str) -> tuple[float, ...]:
             if len(parts) != 3:
                 raise ValueError
             return inclusive_grid(*parts)
-        values = tuple(float(part) for part in text.split(",") if part.strip())
-        if not values:
+        values = np.array([part for part in text.split(",") if part.strip()], dtype=float)
+        if not values.size:
             raise ValueError
-        return values
+        return tuple(values.tolist())
     except ValueError:
         raise ValueError("is neither START:STOP:STEP nor a comma-separated list") from None
 
@@ -143,9 +145,11 @@ def _build_config(figure: str, settings: dict) -> ExperimentConfig:
 
 
 def _build_parser(figure: str | None = None) -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subparsers by name, all six; only ``figure``'s gets options, if named.
+    """The parser and its subparsers by name: only ``figure``'s if it names one, else all six.
 
-    argparse builds a help formatter per option: options are the parser's cost.
+    A named figure's parser parses its arguments and prints its help as the
+    full one does.  argparse builds a help formatter per subparser and per
+    option, which is the parser's cost.
     """
     description = "Reproduce the two-source information-regret datasets."
     parser = argparse.ArgumentParser(prog="irtr-lab", description=description)
@@ -158,10 +162,8 @@ def _build_parser(figure: str | None = None) -> tuple[argparse.ArgumentParser, d
         "fig5": "Haar-random projective measurement cloud",
         "custom": "generic sweep over explicit grids",
     }
-    for name in FIGURES:
+    for name in [figure] if figure in FIGURES else FIGURES:
         sub = subparsers.add_parser(name, help=summaries[name])
-        if figure not in (None, name):
-            continue
         sub.add_argument("--config", type=Path, help="INI config file")
         for key, (_, _, help_text, custom_only) in _SETTINGS.items():
             if help_text is not None and (name == "custom" or not custom_only):
@@ -171,7 +173,7 @@ def _build_parser(figure: str | None = None) -> tuple[argparse.ArgumentParser, d
 
 def main(argv=None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
-    parser, figures = _build_parser(tokens[0] if tokens and tokens[0] in FIGURES else None)
+    parser, figures = _build_parser(tokens[0] if tokens else None)
     args = parser.parse_args(_attach_grid_values(tokens, figures))
     try:
         settings: dict = {}

@@ -77,15 +77,24 @@ _SPADE_BLOCK = 128
 
 
 def inclusive_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """Uniform grid including both endpoints (stop adjusted to the step)."""
+    """Uniform grid including both endpoints (stop adjusted to the step).
+
+    Value k is start + k step, k = 0 .. round((stop - start) / step), as
+    Python floats; a grid too large to allocate raises ConfigError.
+    """
     if not np.isfinite([start, stop, step]).all():
         raise ConfigError("grid start, stop and step must be finite")
     if not step > 0.0:
         raise ConfigError("grid step must be positive")
-    count = int(round((stop - start) / step))
-    if count < 0:
+    steps = (stop - start) / step
+    if steps < -0.5:
         raise ConfigError("grid stop must not precede start")
-    return tuple(start + index * step for index in range(count + 1))
+    # numpy refuses the largest counts, but np.arange(n) is empty for some n near 2**63.
+    count = round(steps) + 1 if steps < 2.0**62 else math.inf
+    try:
+        return tuple((start + np.arange(count) * step).tolist())
+    except (MemoryError, ValueError) as error:
+        raise ConfigError(f"grid of {steps + 1:.3g} values is too large: {error}") from None
 
 
 DEFAULT_SEPARATION_GRID = inclusive_grid(0.05, 8.0, 0.05)
@@ -103,16 +112,16 @@ SWEEPS = {
 
 
 def _validated_grid(name: str, values, positive: bool) -> tuple[float, ...]:
-    grid = tuple(float(v) for v in values)
-    if not grid:
+    grid = np.fromiter(values, dtype=float)
+    if not grid.size:
         raise ConfigError(f"{name} must not be empty")
-    if not all(np.isfinite(grid)):
+    if not np.isfinite(grid).all():
         raise ConfigError(f"{name} must contain finite values")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if not (grid[1:] > grid[:-1]).all():
         raise ConfigError(f"{name} must be strictly increasing")
-    if positive and grid[0] <= 0.0:
+    if positive and not grid[0] > 0.0:
         raise ConfigError(f"{name} values must be positive")
-    return grid
+    return tuple(grid.tolist())
 
 
 @dataclass(frozen=True)

@@ -119,17 +119,11 @@ class ProbabilityModel:
         raise_first_failure(checks, "row {}: " if self.probabilities.ndim > 1 else "")
 
 
-def _model_checks(
-    probabilities, derivatives, weights=1.0, truncated_mass=0.0, lengths=None, mirrored=False
-):
+def _model_checks(probabilities, derivatives, weights=1.0, truncated_mass=0.0, lengths=None):
     """``ProbabilityModel``'s checks of each row, in the order a row meets them.
 
     ``lengths`` are the rows' ``outcome_counts``, if they have any.
     """
-    # A mirrored row is the left half of a mirror-symmetric one: its sums count each
-    # term twice, but odd dp_dtheta1's terms cancel in pairs (NaN stays NaN).
-    counts = (2.0, 0.0, 2.0) if mirrored else (1.0, 1.0, 1.0)
-
     # Weighted sums and the largest |derivative| without a block-sized temporary;
     # unweighted rows are small, and their three sums go stacked.
     fields = (probabilities, *derivatives)
@@ -139,15 +133,14 @@ def _model_checks(
         sums = _row_sums(np.stack(fields), lengths)
 
     # Written as `~(... <= tol)` so that a NaN or inf anywhere fails the check.
-    mass = counts[0] * sums[0] + truncated_mass
+    mass = sums[0] + truncated_mass
     negative, off = np.any(probabilities < 0.0, axis=-1), ~(abs(mass - 1.0) <= 1e-10)
     checks = [
         (ConsistencyError, "probabilities must be nonnegative", negative),
         (ConsistencyError, "total probability {!r} deviates from 1", off, mass),
     ]
     names = ("dp_dtheta1", "dp_dtheta2")
-    for name, derivative, count, total in zip(names, derivatives, counts[1:], sums[1:]):
-        drift = count * total
+    for name, derivative, drift in zip(names, derivatives, sums[1:]):
         largest = np.max(derivative, axis=-1, initial=1.0)
         scale = np.maximum(largest, -np.min(derivative, axis=-1, initial=-1.0))
         bounded = (abs(drift) <= 1e-8 * scale) & (scale < math.inf)
@@ -332,13 +325,11 @@ def overlaps_and_direct_fims(psf, points, quad=QuadratureSpec()):
     The overlaps' checks of every row run first, then the model and FIM
     checks.  A PSF not known to be even takes the scalar route.  For an even
     PSF each pass of the overlaps' ladder (``overlap_passes``) also gives the
-    FIMs of its rows, from the same half-grid samples, in descending u (the
-    reflected grid's left half), each outcome standing for its mirror image
-    too: F11 and F22 sum doubled products and F12 is 0.0, as ``fim`` pairs the
-    reflected grid; the model checks' sums equal its own to rounding.  A row's
-    FIM takes the first pair of passes whose checks pass, its drift bound from
-    the pass's own kappa and gamma.  A row whose FIM fails at the top pair
-    runs its scalar route, which raises that route's error.
+    FIMs of its rows, and whether they meet the model and FIM checks, from
+    the same half-grid samples, in their buffers (``_mirrored_fims``).  A
+    row's FIM takes the first pair of passes whose checks pass, its drift
+    bound from the pass's own kappa and gamma.  A row whose FIM fails at the
+    top pair runs its scalar route, which raises that route's error.
     """
     points = sweep_points(points)
     fishers = np.empty((len(points), 2, 2))
@@ -351,19 +342,8 @@ def overlaps_and_direct_fims(psf, points, quad=QuadratureSpec()):
     # Each row's FIM on its latest pass, and whether that pass met its checks.
     previous, passed = np.zeros_like(fishers), np.zeros(len(points), bool)
     blocks, parts = overlap_passes(psf, points, quad, overlaps, wanted, spare=2), []
-    for _, rows, integrals, (x, w, a1, d1, a2, d2, *fields), last in blocks:
-        # The fields, in descending u, land in x and the spare arrays and the
-        # weights in a2, all in order in memory; a1, d1 and d2 are fim's work.
-        amplitudes = (a[:, ::-1] for a in (a1, d1, a2, d2))
-        probabilities, *derivatives = _fields(*amplitudes, (x, *fields))
-        weights = a2
-        weights[...] = w[:, ::-1]
-        checks = _model_checks(probabilities, derivatives, weights, mirrored=True)
-        fisher, fisher_checks = _fisher_information(
-            probabilities, derivatives, weights, (a1, d1, d2), mirrored=True
-        )
-        valid = ~np.any([check[2] for check in checks + fisher_checks], axis=0)
-        parts.append((rows, fisher, valid, integrals[1:3].T))
+    for _, rows, integrals, samples, last in blocks:
+        parts.append((rows, *_mirrored_fims(*samples), integrals[1:3].T))
         if not last:
             continue
         # The pass's FIMs settle before the next pass picks the rows still
@@ -380,6 +360,56 @@ def overlaps_and_direct_fims(psf, points, quad=QuadratureSpec()):
     for row in np.flatnonzero(wanted).tolist():
         fishers[row] = _direct_fim(psf, points, row, quad)
     return overlaps, fishers
+
+
+def _mirrored_fims(x, w, a1, d1, a2, d2, spare1, spare2):
+    """The (m, 2, 2) FIMs of a block of half-grid rows, and which rows meet every check.
+
+    The arguments are ``overlap_passes``'s samples, m rows in ascending u, and
+    two spare arrays of their shape; all but ``w`` are overwritten.  Row i's
+    FIM is ``fim``'s of its reflected grid's model and its flag is set if that
+    model passes its own and ``fim``'s checks.  The row's half, read in
+    descending u, is the reflected grid's left half, each outcome standing for
+    its mirror image too: the total and the dp_dtheta2 sum are doubled, the
+    dp_dtheta1 sum (odd) cancels, F11 and F22 double the half's sums and F12
+    is 0.0, as ``fim``'s pairing gives.  The checks' sums equal the full
+    grid's to rounding.  p = (a1^2 + a2^2) / 2 is never negative, so it has
+    no sign check.
+    """
+    # The fields in ascending u, in place, then a reversed copy of each, with
+    # the weights, in order in memory: the sums run in the scalar route's order.
+    work1, work2 = np.multiply(a1, d1, out=d1), np.multiply(a2, d2, out=d2)
+    np.add(np.square(a1, out=a1), np.square(a2, out=a2), out=a1)
+    probabilities = np.multiply(a1[:, ::-1], 0.5, out=a2)
+    dp_dtheta1 = np.negative(np.add(work1, work2, out=x)[:, ::-1], out=spare1)
+    dp_dtheta2 = np.multiply(np.subtract(work1, work2, out=d1)[:, ::-1], 0.5, out=spare2)
+    weights, inverse_p, magnitude = d2, a1, x
+    np.copyto(weights, w[:, ::-1])
+
+    mass = 2.0 * np.vecdot(weights, probabilities)
+    drift = [0.0 * np.vecdot(weights, dp_dtheta1), 2.0 * np.vecdot(weights, dp_dtheta2)]
+    # Written as `~(... <= tol)` so that a NaN or inf anywhere fails the checks.
+    failed = ~(abs(mass - 1.0) <= 1e-10)
+    peak = np.max(probabilities, axis=-1, keepdims=True, initial=0.0)
+    keep = probabilities > 1e-15 * peak
+    for derivative, total in zip((dp_dtheta1, dp_dtheta2), drift):
+        largest = np.max(np.abs(derivative, out=magnitude), axis=-1, initial=0.0)
+        scale = np.maximum(largest, 1.0)
+        failed |= ~((abs(total) <= 1e-8 * scale) & (scale < math.inf))
+        np.copyto(magnitude, 0.0, where=keep)
+        failed |= np.max(magnitude, axis=-1, initial=0.0) > 1e-9 * largest
+
+    with np.errstate(all="ignore"):  # Dropped outcomes may divide by 0 or a subnormal.
+        np.divide(weights, probabilities, out=inverse_p)
+    np.copyto(inverse_p, 0.0, where=~keep)
+    fishers = np.zeros((len(probabilities), 2, 2))
+    for j, derivative in enumerate((dp_dtheta1, dp_dtheta2)):
+        # Doubling the sum doubles each term exactly, as the mirror pairs do.
+        product = np.multiply(np.multiply(inverse_p, derivative, out=x), derivative, out=x)
+        fishers[:, j, j] = 2.0 * product.sum(axis=-1)
+    # A row without any kept outcome is exactly zero (not -0.0 or NaN).
+    fishers[~((0.0 < peak[:, 0]) & (peak[:, 0] < math.inf))] = 0.0
+    return fishers, ~failed
 
 
 def _direct_fim(psf, points, row, quad):
@@ -447,14 +477,9 @@ def _amplitudes(psf, theta2, offsets):
     return amplitudes
 
 
-def _fields(amp1, damp1, amp2, damp2, out=None):
-    """p, dp/dtheta1, dp/dtheta2 from psi, psi' of each source, into the three arrays ``out``.
-
-    The four inputs are overwritten; ``out`` may reuse amp1 and amp2, as it does by default.
-    """
-    if out is None:
-        out = amp1, amp2, np.empty(np.shape(amp1))
-    probabilities, dp_dtheta1, dp_dtheta2 = out
+def _fields(amp1, damp1, amp2, damp2):
+    """p, dp/dtheta1, dp/dtheta2 from psi, psi' of each source; the four inputs are overwritten."""
+    probabilities, dp_dtheta1, dp_dtheta2 = amp1, amp2, np.empty(np.shape(amp1))
     # d(x - X_j)/dtheta1 = -1 for both sources; for theta2 the two sources
     # move apart, so the signs split.
     work1, work2 = np.multiply(amp1, damp1, out=damp1), np.multiply(amp2, damp2, out=damp2)
@@ -788,18 +813,12 @@ def fim(model: ProbabilityModel) -> np.ndarray:
     return matrices
 
 
-def _fisher_information(
-    probabilities, derivatives, weights=1.0, buffers=None, mirrored=False, lengths=None
-):
+def _fisher_information(probabilities, derivatives, weights=1.0, lengths=None):
     """``fim``'s matrices of each row, and its drop-or-raise checks of each row.
 
-    ``buffers``, three arrays shaped like ``probabilities``, hold the work;
-    by default they are allocated.  ``mirrored`` and ``lengths`` are as in
-    ``_model_checks``.
+    ``lengths`` are as in ``_model_checks``.
     """
-    if buffers is None:
-        buffers = [np.empty_like(probabilities) for _ in range(3)]
-    inverse_p, scaled, product = buffers
+    inverse_p, scaled, product = (np.empty_like(probabilities) for _ in range(3))
     peak = np.max(probabilities, axis=-1, keepdims=True, initial=0.0)
     keep = probabilities > 1e-15 * peak
     checks = []
@@ -819,20 +838,8 @@ def _fisher_information(
     np.divide(weights, probabilities, out=inverse_p, where=keep)
     d1, d2 = derivatives
     np.multiply(inverse_p, d1, out=scaled)
-
-    def doubled(left, right):  # The mirror image's product is the same: the pair doubles it.
-        np.multiply(left, right, out=product)
-        return np.add(product, product, out=product).sum(axis=-1)
-
-    if mirrored:
-        totals = np.array([
-            doubled(scaled, d1),
-            np.zeros(probabilities.shape[:-1]),  # Pairs cancel.
-            doubled(np.multiply(inverse_p, d2, out=scaled), d2),
-        ])
-    else:
-        products = [scaled * d1, scaled * d2, np.multiply(inverse_p, d2, out=scaled) * d2]
-        totals = _paired_sums(np.stack(products), lengths)
+    products = [scaled * d1, scaled * d2, np.multiply(inverse_p, d2, out=scaled) * d2]
+    totals = _paired_sums(np.stack(products), lengths)
     matrices = totals[[0, 1, 1, 2]].T.reshape(*totals.shape[1:], 2, 2)
     # A row without any kept outcome is exactly zero (not -0.0).
     matrices[~keep.any(axis=-1)] = 0.0

@@ -8,6 +8,7 @@ and every runner row must equal the scalar reference route bit for bit.
 import argparse
 import hashlib
 import inspect
+import itertools
 import json
 import warnings
 from pathlib import Path
@@ -1205,15 +1206,18 @@ class TestCli:
         }
 
     def test_a_named_figure_gets_only_its_own_options(self):
-        # main builds the options of the figure it runs; the parser lists all
-        # six figures and prints the same help.
-        parser, figures = cli._build_parser("custom")
+        # main builds only the parser of the figure it runs: it parses that
+        # figure's flags to the full parser's Namespace and prints its help.
         full_parser, full = cli._build_parser()
-        assert list(figures) == list(full)
-        for name, sub in figures.items():
-            expected = full[name]._actions if name == "custom" else full[name]._actions[:1]
-            assert [a.option_strings for a in sub._actions] == [a.option_strings for a in expected]
-        assert parser.format_help() == full_parser.format_help()
+        for name, full_sub in full.items():
+            parser, figures = cli._build_parser(name)
+            assert list(figures) == [name]
+            assert figures[name].format_help() == full_sub.format_help()
+            flags = [a.option_strings[-1] for a in full_sub._actions if a.dest != "help"]
+            argv = [name, *itertools.chain(*((f, f"{f[2:]}-value") for f in flags))]
+            for args in ([name], argv):
+                assert parser.parse_args(args) == full_parser.parse_args(args)
+            assert vars(parser.parse_args(argv))["seed"] == "seed-value"
 
     def test_successful_run_prints_paths(self, tmp_path, capsys):
         code = cli.main(
@@ -1453,6 +1457,23 @@ class TestCli:
         message = "config error: grid start, stop and step must be finite\n"
         assert capsys.readouterr().err == message
         assert not tmp_path.joinpath("manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "grid, count",
+        [
+            ("0.05:1e12:1e-6", "1e+18"),
+            ("0:9223372036854775808:1", "9.22e+18"),
+            ("-1e308:1e308:1", "inf"),
+        ],
+    )
+    def test_grid_too_large_to_allocate_is_config_error(self, tmp_path, capsys, grid, count):
+        # numpy refuses 1e18 values (6.94 EiB) without asking for the memory.
+        # np.arange(2**63 + 1) is empty, not refused, and the span of the last
+        # grid overflows to inf.
+        assert cli.main(["fig1", "--grid", grid, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: grid of {count} values is too large: ")
+        assert err.count("\n") == 1 and not tmp_path.joinpath("manifest.json").exists()
 
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
         blocker = tmp_path / "taken"

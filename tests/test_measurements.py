@@ -514,6 +514,63 @@ class TestOverlapsAndDirectFims:
             lab.overlap_integrals(self.psf, geometries[:count])
             assert calls == ["_settle"]
 
+    @staticmethod
+    def crafted_block():
+        """Twelve half-grid rows of nine outcomes in ascending u, each a variant of row 0.
+
+        Row 0 is valid: total probability 1, derivative sums 0 and a dropped
+        last outcome whose dp_dtheta1, 1.8e-12, is below 1e-9 x the largest,
+        0.5.  The largest |dp_dtheta2| is 0.4.
+        """
+        w = np.full(9, 1 / 16)
+        a = np.array([1.0] * 8 + [2.0**-30])
+        d1 = np.array([0.1, -0.3, 0.2, 0.45, -0.25, 0.05, -0.15, -0.1, 2.0**-10])
+        d2 = np.array([-0.2, 0.1, 0.3, -0.35, 0.15, 0.05, -0.05, 0.0, 2.0**-10])
+        rows = [[w, a.copy(), d1.copy(), a.copy(), d2.copy()] for _ in range(12)]
+        rows[1][1][3] = np.nan  # A NaN amplitude.
+        rows[2][4][3] = np.inf  # An inf derivative on a kept outcome.
+        for row, factor in ((3, 1 + 2.0**-32), (4, 1 + 2.0**-36)):  # Mass off by 4.7e-10, 2.9e-11.
+            rows[row][1] *= factor
+            rows[row][3] *= factor
+        for row, tail in ((5, 0.3), (6, 0.25)):  # A dropped |dp_dtheta1| of 5.6e-10, 4.7e-10.
+            rows[row][2][8] = rows[row][4][8] = tail
+        rows[7][1][:] = rows[7][3][:] = 0.0  # No kept outcome.
+        rows[8][1][:] = rows[8][3][:] = 0.0
+        rows[8][2][2] = np.inf  # No kept outcome, and 0 x inf = NaN.
+        rows[9][4][8] = np.inf  # An inf derivative on a dropped outcome.
+        # The dp_dtheta2 sum 5e-9, within 1e-8 x max(1, 0.4), and 1.5e-8, beyond it.
+        rows[10][2][0] += 8e-8
+        rows[11][2][0] += 2.4e-7
+        w, a1, d1, a2, d2 = (np.array(field) for field in zip(*rows))
+        return [np.empty_like(w), w, a1, d1, a2, d2, np.empty_like(w), np.empty_like(w)]
+
+    def test_crafted_blocks_keep_the_model_and_fim_verdicts(self):
+        # Pinned from the chain this routine replaced (p, dp/dtheta1 and
+        # dp/dtheta2 in descending u, the model checks and fim's, each row's
+        # sums counted for both halves), run on this block.
+        with np.errstate(all="ignore"):
+            fishers, valid = measurements._mirrored_fims(*self.crafted_block())
+        expected_valid = [True, False, False, False, True, False, True, False, False, False]
+        expected_valid += [True, False]
+        diagonals = [
+            (0.0475, 0.03375000000000001),
+            (0.0, 0.0),  # The NaN peak keeps no outcome.
+            (math.inf, math.inf),
+            (0.0475, 0.03375),
+            (0.0475, 0.03375),
+            (0.0475, 0.03375000000000001),
+            (0.0475, 0.03375000000000001),
+            (0.0, 0.0),
+            (0.0, 0.0),
+            (math.nan, math.nan),
+            (0.0474999980000008, 0.03375000150000021),
+            (0.0474999940000072, 0.033750004500001804),
+        ]
+        assert valid.tolist() == expected_valid
+        np.testing.assert_array_equal(fishers, [np.diag(pair) for pair in diagonals])
+        # Every zero is +0.0: F12, and each row without a kept outcome.
+        assert not np.signbit(fishers[fishers == 0.0]).any()
+
     def test_fim_drift_beyond_tolerance_names_its_row(self):
         # On 4 and 8 half-window panels of 16 nodes the overlaps converge over
         # the default grid, but the direct-imaging F11 first drifts by more than
