@@ -143,9 +143,10 @@ printf '[common]\nfrontier_samples = 2\n' > "$out/frontier2.ini"
 drift_failure fig2-p8n16 fig2 --config "$out/p8n16.ini"
 drift_failure fig2-p7n24 fig2 --config "$out/p7n24.ini"
 drift_failure fig3-p7n24 fig3 --config "$out/p7n24.ini"
-# SPADE rows run in padded blocks of 128: row 547, in the fifth block, fails
-# the explicit cutoff's mass criterion; from theta1 = 37.5 no adaptive cutoff
-# up to 512 exists.
+# SPADE rows run in padded blocks of 128, in cutoff order, which one explicit
+# cutoff leaves in sweep order: row 547, in the fifth block, is the first row
+# in sweep order to fail the cutoff's mass criterion, and it alone runs again
+# for the message.  From theta1 = 37.5 no adaptive cutoff up to 512 exists.
 expect_failure fig4-cutoff300 "row 547: cutoff 300 leaves truncated mass bound 1.273e-14" \
   fig4 --grid 0:30:0.05 --mode-cutoff 300
 expect_failure fig4-no-cutoff "row 3: no cutoff up to 512 meets the truncation criteria" \

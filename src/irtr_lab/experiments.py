@@ -14,13 +14,14 @@ them: the overlaps of each distinct separation as (4, n) columns (with the
 direct-imaging FIMs from their own samples, by ``overlaps_and_direct_fims``),
 their QFIM stack and c_tilde column, then one stacked regret step per
 measurement: ``regret_rows`` over the direct-imaging or SPADE FIMs (from one
-stacked model per block of points, each row at its own mode cutoff and padded
-to the block's largest), ``projective_regrets_and_checks`` over blocks of
-Haar-random bases, once per separation for the samples of all its points.
-From the quadrature to the CSV writer, which formats each column by its
-dtype, a sweep is columns of arrays, the frontier tables too
-(``irtr_frontier``): the only per-row objects are the random samples' state
-models, one per separation.
+stacked model per block of points in cutoff order, each row at its own mode
+cutoff and padded to the block's largest), ``projective_regrets_and_checks``
+over blocks of Haar-random bases in sweep order, each sample with its
+separation's Born-rule coefficients.  From the quadrature to the CSV writer,
+which formats each column by its dtype, a sweep is columns of arrays, the
+frontier tables too (``irtr_frontier``): the only per-row objects are the
+state models, one per separation, that the random samples' coefficients
+come from.
 
 Runs compute in units of sigma, on ``gaussian_psf()`` and points at the
 grid ratios: ``sigma`` is a label, written to the CSVs and the manifest.
@@ -39,20 +40,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IrtrLabError, failure_flags, raise_first_failure
+from .errors import ConfigError, raise_first_failure
 from .measurements import (
-    fim,
+    adaptive_cutoffs,
+    born_coefficients,
     haar_random_bases,
     overlaps_and_direct_fims,
     projective_regrets_and_checks,
     regret_rows,
-    spade_cutoff,
-    spade_model,
+    spade_fims,
+    spade_sources,
 )
 from .psf_core import (
     OverlapIntegrals,
     QuadratureSpec,
-    SourceGeometry,
     gaussian_psf,
     overlap_columns,
     sweep_points,
@@ -528,16 +529,15 @@ def _sweep(config, psf, points, measurements, seeds=None):
     ``measurements``.  Random sample k of point p is the k-th basis that
     ``haar_random_orthogonal(rng)`` draws from the point's stream, ``rng =
     default_rng(seeds[p])``, whatever ``n_random`` is and wherever a block
-    boundary falls.  The overlaps, the
-    QFIM, the state model and the direct-imaging FIM depend on theta2 alone,
-    bit for bit, so each distinct separation is evaluated once, at its first
-    point, as a column of the sweep's overlaps; an overlap, direct-imaging or
-    c_tilde error names its row among them.  The random samples of all the
-    points at one separation run together, in sweep order, in blocks that
-    may span points; a block takes its normals from each point it covers in
-    turn, and numpy fills them as it would one draw at a time.  A sample
-    error names the first failing sample in the sweep, numbered within its
-    point.
+    boundary falls.  The overlaps, the QFIM, the state model and the
+    direct-imaging FIM depend on theta2 alone, bit for bit, so each distinct
+    separation is evaluated once, at its first point, as a column of the
+    sweep's overlaps; an overlap, direct-imaging or c_tilde error names its row
+    among them.  The random samples run in sweep order, in blocks that may span
+    points and separations; a block takes its normals from each point it
+    covers in turn, as numpy fills them one draw at a time, and each sample
+    its separation's Born-rule coefficients, QFIM and c_tilde.  The first
+    failing sample in the sweep raises, numbered within its point.
     """
     points = sweep_points(points)
     _, first, separation = np.unique(points[:, 1], return_index=True, return_inverse=True)
@@ -545,84 +545,66 @@ def _sweep(config, psf, points, measurements, seeds=None):
         overlaps, fishers = overlaps_and_direct_fims(psf, points[first], config.quad)
     else:
         overlaps = overlap_columns(psf, points[first], config.quad)
-    quantum = qfim_stack(overlaps)[separation]
-    c_tilde = c_tilde_column(overlaps)[separation].tolist()
+    quanta, tildes = qfim_stack(overlaps), c_tilde_column(overlaps)
+    quantum, c_tilde = quanta[separation], tildes[separation].tolist()
     blocks = []
     if "direct" in measurements:
         blocks.append(regret_rows(fishers[separation], quantum, c_tilde)[..., None])
     if "spade" in measurements:
         blocks.append(regret_rows(_spade_fims(config, points), quantum, c_tilde)[..., None])
     if "random" in measurements:
-        count = config.n_random
+        count, total = config.n_random, len(points) * config.n_random
         states = [build_state_model(OverlapIntegrals(*column)) for column in overlaps.T.tolist()]
         try:
-            randoms, failures = np.empty((3, len(points), count)), []
+            randoms = np.empty((3, total))
         except MemoryError as error:
             raise ConfigError(f"n_random {count} is too large: {error}") from None
-        for index, state in enumerate(states):
-            # The points at one separation share its state, QFIM and c_tilde:
-            # their samples run in sweep order, in blocks that may span points.
-            members = np.flatnonzero(separation == index)
-            streams = [np.random.default_rng(seeds[p]) for p in members.tolist()]
-            total = len(members) * count
-            rows = np.empty((3, total))
-            for k in range(0, total, _SAMPLE_BLOCK):
-                stop = min(k + _SAMPLE_BLOCK, total)
-                normals = np.empty((stop - k, 4, 4))
-                # Each point the block covers fills its part from its own stream.
-                for point in range(k // count, (stop - 1) // count + 1):
-                    part = slice(max(k, point * count) - k, min(stop, point * count + count) - k)
-                    streams[point].standard_normal(out=normals[part])
-                rows[:, k:stop], checks = projective_regrets_and_checks(
-                    state, haar_random_bases(normals), quantum[members[0]], c_tilde[members[0]]
-                )
-                failed = failure_flags(checks).any(axis=0)
-                if failed.any():
-                    # The first failing sample's place in the sweep, and each
-                    # sample's number within its point.
-                    row = k + int(failed.argmax())
-                    place = members[row // count] * count + row % count
-                    failures.append((place, checks, np.arange(k, k + len(failed)) % count))
-                    break
-            randoms[:, members] = rows.reshape(3, len(members), count)
-        if failures:
-            # The first failing sample in sweep order raises, numbered within its point.
-            _, checks, numbers = min(failures, key=lambda failure: failure[0])
-            raise_first_failure(checks, "sample {}: ", numbers)
-        blocks.append(randoms)
+        coefficients = np.stack([born_coefficients(state) for state in states], axis=-1)
+        streams, gathered = [np.random.default_rng(seed) for seed in seeds], None
+        for k in range(0, total, _SAMPLE_BLOCK):
+            stop = min(k + _SAMPLE_BLOCK, total)
+            covered = range(k // count, (stop - 1) // count + 1)
+            normals = np.empty((stop - k, 4, 4))
+            # Each point the block covers fills its part from its own stream.
+            for point in covered:
+                part = slice(max(k, point * count) - k, min(stop, point * count + count) - k)
+                streams[point].standard_normal(out=normals[part])
+            # A block within one separation takes its values once and
+            # broadcasts them; one across separations gathers each sample's.
+            at = separation[covered.start : covered.stop]
+            if (at == at[0]).all():
+                at = slice(at[0], at[0] + 1)
+                forms = coefficients[..., at]
+            else:
+                # Into one buffer for all such blocks: a block-sized array of
+                # its own would be freed and faulted back in block by block.
+                if gathered is None:
+                    gathered = np.empty((*coefficients.shape[:2], _SAMPLE_BLOCK))
+                at, forms = separation[np.arange(k, stop) // count], gathered[..., : stop - k]
+                np.take(coefficients, at, axis=-1, out=forms, mode="clip")
+            randoms[:, k:stop], checks = projective_regrets_and_checks(
+                forms, haar_random_bases(normals), quanta[at], tildes[at]
+            )
+            raise_first_failure(checks, "sample {}: ", np.arange(k, stop) % count)
+        blocks.append(randoms.reshape(3, len(points), count))
     return c_tilde, np.concatenate(blocks, axis=-1)
 
 
 def _spade_fims(config, points):
-    """SPADE FIM of each (theta1, theta2) point, bit for bit its own, from one model per block.
+    """SPADE FIM of each checked (theta1, theta2) point, bit for bit its own (``spade_fims``).
 
-    The adaptive cutoffs of the sweep are bisected together.  Each block of
-    up to ``_SPADE_BLOCK`` rows is one stacked model, every row at its own
-    cutoff and padded to the block's largest.  A model or FIM error names its
-    sweep row: the failing block's rows take their scalar route in order, and
-    the first that fails raises.
+    The points' sources are formed once (``spade_sources``) and their adaptive
+    cutoffs bisected together; the models stack up to ``_SPADE_BLOCK`` rows,
+    in cutoff order.
     """
+    sources = spade_sources(1.0, points)
     cutoffs = config.mode_cutoff
     if cutoffs is None:
-        cutoffs = spade_cutoff(1.0, points)
-    cutoffs = np.broadcast_to(cutoffs, len(points))
-    fishers = np.empty((len(points), 2, 2))
-    for first in range(0, len(points), _SPADE_BLOCK):
-        rows = slice(first, first + _SPADE_BLOCK)
-        try:
-            fishers[rows] = fim(spade_model(1.0, points[rows], cutoffs[rows]))
-        except MemoryError as error:
-            cutoff = int(cutoffs[rows].max())
-            raise ConfigError(f"mode_cutoff {cutoff} is too large: {error}") from None
-        except IrtrLabError:
-            for row in range(first, len(points)):
-                try:
-                    geometry = SourceGeometry(*points[row].tolist())
-                    fim(spade_model(1.0, geometry, int(cutoffs[row])))
-                except IrtrLabError as error:
-                    raise type(error)(f"row {row}: {error}") from None
-            raise
-    return fishers
+        cutoffs = adaptive_cutoffs(1.0, sources)
+    try:
+        return spade_fims(1.0, sources, np.broadcast_to(cutoffs, len(points)), _SPADE_BLOCK)
+    except MemoryError as error:
+        raise ConfigError(f"mode_cutoff {int(np.max(cutoffs))} is too large: {error}") from None
 
 
 def _frontier_table(name, metadata, coefficient, samples):

@@ -18,9 +18,10 @@ models are the reference route.  The stacked routes, each bit for bit equal
 to it and keeping its checks, are ``regret_rows`` for FIMs,
 ``projective_regrets_and_checks`` for projective measurements, ``spade_model``
 for (theta1, theta2) points, each at its own cutoff and padded with zeros to
-the largest, and ``overlaps_and_direct_fims`` for a sweep's overlap columns
-and direct-imaging FIMs, for an even PSF from the same passes' half-grid
-samples.
+the largest, ``spade_fims`` for a sweep's SPADE FIMs from its
+``spade_sources``, and ``overlaps_and_direct_fims`` for a sweep's overlap
+columns and direct-imaging FIMs, for an even PSF from the same passes'
+half-grid samples.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
     ConvergenceError,
     CutoffError,
     DegenerateOutcomeError,
+    failure_flags,
     raise_first_failure,
 )
 from .psf_core import (
@@ -151,16 +153,15 @@ def _model_checks(probabilities, derivatives, weights=1.0, truncated_mass=0.0, l
 def _row_sums(values, lengths=None):
     """Each row's sum over its first ``lengths[i]`` entries (by default all of them).
 
-    Rows run along the second-to-last axis.  Rows of one length are summed
-    together, in the order numpy sums a row of that length alone: its
-    pairwise order depends on the length, so zeros past it would move the
-    last bit.
+    Rows run along the second-to-last axis.  Each run of rows of one length
+    is summed as one slice, in the order numpy sums a row of that length
+    alone: its pairwise order depends on the length, so zeros past it would
+    move the last bit.  Rows sorted by length make one run per length.
     """
     if lengths is None:
         return values.sum(axis=-1)
     sums = np.empty(values.shape[:-1])
-    for length in np.unique(lengths).tolist():
-        rows = lengths == length
+    for rows, length in _runs(lengths):
         sums[..., rows] = values[..., rows, :length].sum(axis=-1)
     return sums
 
@@ -170,18 +171,23 @@ def _paired_sums(products, lengths=None):
 
     In a row of n outcomes (``lengths[r]``, by default all), outcome i pairs
     with n-1-i, the n // 2 pairs sum as one slice, and an odd row's middle
-    outcome comes last.  Rows run along the second-to-last axis.
+    outcome comes last.  Rows run along the second-to-last axis; each run of
+    one length (``_runs``) is one slice, its mirror that slice reversed.
     """
     if lengths is None:
         half = products.shape[-1] // 2
         paired = (products[..., :half] + products[..., ::-1][..., :half]).sum(axis=-1)
         return paired + products[..., half] if products.shape[-1] % 2 else paired
-    halves = lengths // 2
-    # Past a row's first half the mirror index only has to stay in range.
-    mirrors = np.maximum(lengths[:, None] - 1 - np.arange(products.shape[-1]), 0)
-    paired = _row_sums(products + np.take_along_axis(products, mirrors[None], -1), halves)
-    middle = np.take_along_axis(products, halves[None, :, None], -1)[..., 0]
-    return np.where(lengths % 2 == 1, paired + middle, paired)
+    sums = np.empty(products.shape[:-1])
+    for rows, length in _runs(lengths):
+        sums[..., rows] = _paired_sums(products[..., rows, :length])
+    return sums
+
+
+def _runs(lengths):
+    """Each run of equal ``lengths`` as (rows, length), ``rows`` a slice."""
+    bounds = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), len(lengths)]
+    return [(slice(a, b), int(lengths[a])) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 @dataclass(frozen=True)
@@ -552,60 +558,90 @@ def _log_gamma(n: np.ndarray) -> np.ndarray:
     return _LOG_GAMMA[n]
 
 
-def _mode_weights(modes: np.ndarray, alpha: np.ndarray, cutoffs: np.ndarray):
-    """w(q, alpha) = alpha^(2q) exp(-alpha^2) / q! and dw/dalpha for a column of alphas.
+def _mode_weights(modes, alpha, log_alpha, cutoffs):
+    """w(q, alpha) = alpha^(2q) exp(-alpha^2) / q! and dw/dalpha for columns of alphas.
 
-    The weights are computed in logs for stability, a row per alpha.  A row
-    with alpha = 0 is the point mass at q = 0 with every derivative 0.  Modes
-    past a row's cutoff are padding: both are exactly 0 there, and no such
-    mode is divided by alpha.
+    The weights are computed in logs for stability, a row per alpha, from
+    ``log_alpha``, the alphas' log |alpha| (``spade_sources``); ``alpha`` may
+    stack columns, one per source.  A row with alpha = 0 is the point mass at
+    q = 0 with every derivative 0.  Modes past a row's cutoff are padding:
+    both are exactly 0 there, and no such mode is divided by alpha.
     """
-    # math.log, one alpha at a time: numpy's SIMD log can differ from it in the
-    # last bit on some CPUs, which would move the last digits of the CSVs.
-    log_alpha = [[math.log(abs(a)) if a else 0.0] for a in alpha[:, 0].tolist()]
-    weights = np.exp(2.0 * modes * np.array(log_alpha) - alpha * alpha - _log_gamma(modes + 1))
+    weights = np.exp(2.0 * modes * log_alpha - alpha * alpha - _log_gamma(modes + 1))
     # d/dalpha [alpha^(2q) e^(-alpha^2)/q!] = w * 2 (q/alpha - alpha).
-    zero, past = alpha[:, 0] == 0.0, modes > cutoffs[:, None]
-    slopes = weights * 2.0 * (modes / np.where(zero[:, None] | past, 1.0, alpha) - alpha)
-    weights[zero], slopes[zero] = modes == 0, 0.0
-    weights[past] = slopes[past] = 0.0
+    zero, past = alpha == 0.0, modes > cutoffs[:, np.newaxis]
+    undivided = zero | past
+    slopes = weights * 2.0 * (modes / np.where(undivided, 1.0, alpha) - alpha)
+    np.copyto(weights, modes == 0, where=zero)
+    np.copyto(weights, 0.0, where=past)
+    np.copyto(slopes, 0.0, where=undivided)
     return weights, slopes
 
 
-def _tail_bounds(sigma, means, cutoffs):
+def _tail_bounds(sigma, means, log_means, cutoffs):
     """(truncated mass bound, Fisher tail bound) of SPADE models cut at ``cutoffs``.
 
-    ``means`` holds the two Poisson means alpha_j^2 of a model along its last
-    axis; its other axes broadcast against ``cutoffs``.  The Poisson(mean)
-    mass beyond Q is bounded by a geometric series whose terms shrink by at
-    least mean/(Q+2), and 1 where that ratio is not below 1.  Per mode, every
-    FIM entry is bounded by sum_j w_j (q - mu_j)^2 / (mu_j sigma^2); the tail
-    of that series is bounded by mu_j times the mass beyond Q-2 plus the mass
-    beyond Q-1 (the Poisson factorial moments).
+    ``means`` holds the two Poisson means alpha_j^2 of a model along its first
+    axis, and ``log_means`` their logs (``spade_sources``); their other axes,
+    the rows', broadcast against ``cutoffs`` and come last in every
+    operation.  The Poisson(mean) mass beyond Q is bounded by a geometric
+    series whose terms shrink by at least mean/(Q+2), and 1 where that ratio
+    is not below 1.  Per mode, every FIM entry is bounded by
+    sum_j w_j (q - mu_j)^2 / (mu_j sigma^2); the tail of that series is
+    bounded by mu_j times the mass beyond Q-2 plus the mass beyond Q-1 (the
+    Poisson factorial moments).
     """
-    means = np.asarray(means, dtype=float)[..., np.newaxis, :]
-    # Poisson tails beyond Q, Q-2 and Q-1 for both means: shape (..., 3, 2).
-    cutoffs = np.asarray(cutoffs)[..., np.newaxis, np.newaxis]
-    beyond = cutoffs + np.array([[0], [-2], [-1]])
+    cutoffs = np.asarray(cutoffs)
+    rows = max(means.ndim - 1, cutoffs.ndim)
+    # Axes: the tails beyond Q, Q-2 and Q-1, the two sources, then the rows'.
+    shape = (2,) + (1,) * (rows + 1 - means.ndim) + means.shape[1:]
+    means, log_means = np.reshape(means, shape), np.reshape(log_means, shape)
+    offsets = np.array([0, -2, -1]).reshape(3, 1, *(1,) * rows)
+    beyond = cutoffs + offsets
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = means / (beyond + 2.0)
         # log Gamma(beyond + 2) in uint64, where a cutoff near 2**63 does not wrap.
-        factorials = _log_gamma(cutoffs.astype(np.uint64) + np.array([[2], [0], [1]], np.uint64))
-        log_first = (beyond + 1.0) * np.log(means) - means - factorials
-        tails = np.exp(log_first) / (1.0 - ratio)
-    tails = np.where(means == 0.0, 0.0, np.where((beyond < 0) | (ratio >= 1.0), 1.0, tails))
-    mass, below_2, below_1 = tails[..., 0, :], tails[..., 1, :], tails[..., 2, :]
-    fisher = means[..., 0, :] * below_2 + below_1
-    return 0.5 * (mass[..., 0] + mass[..., 1]), (fisher[..., 0] + fisher[..., 1]) / sigma**2
+        factorials = _log_gamma(cutoffs.astype(np.uint64) + (offsets + 2).astype(np.uint64))
+        # The first term's log, then the series' sum, in place.
+        tails = (beyond + 1.0) * log_means
+        tails -= means
+        tails -= factorials
+        np.exp(tails, out=tails)
+        tails /= 1.0 - ratio
+    np.copyto(tails, 1.0, where=(beyond < 0) | (ratio >= 1.0))
+    np.copyto(tails, 0.0, where=means == 0.0)
+    mass, below_2, below_1 = tails
+    fisher = means * below_2 + below_1
+    return 0.5 * (mass[0] + mass[1]), (fisher[0] + fisher[1]) / sigma**2
 
 
-def _source_alphas(sigma, geometry):
-    """alpha_j = X_j / 2 sigma, a row per point, and whether ``geometry`` is a stack of points."""
+def spade_sources(sigma, points):
+    """(alpha, log |alpha|, mean, log mean) of each point's two sources, as a (4, 2, n) array.
+
+    ``points`` are (theta1, theta2) points that ``sweep_points`` has checked.
+    alpha_j = X_j / 2 sigma, and its square is the Poisson mean of source j's
+    mode weights; log |alpha| is 0.0 where alpha is 0.  They are all that the
+    cutoff rule and the mode weights read of a point, so a sweep forms them once.
+    """
+    alphas = source_positions(points).T / (2.0 * sigma)
+    # An inf mean has no cutoff, as a huge one has none; log 0 is -inf.
+    with np.errstate(over="ignore", divide="ignore"):
+        means = alphas * alphas
+        log_means = np.log(means)
+    # math.log, one alpha at a time: numpy's SIMD log can differ from it in the
+    # last bit on some CPUs, which would move the last digits of the CSVs.
+    magnitudes = np.where(alphas == 0.0, 1.0, np.abs(alphas)).ravel().tolist()
+    log_alphas = np.reshape(list(map(math.log, magnitudes)), alphas.shape)
+    return np.stack([alphas, log_alphas, means, log_means])
+
+
+def _checked_sources(sigma, geometry):
+    """``spade_sources`` of ``geometry``, checked here, and whether it is a stack of points."""
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     stacked = not isinstance(geometry, SourceGeometry)
     points = geometry if stacked else [(geometry.theta1, geometry.theta2)]
-    return source_positions(points) / (2.0 * sigma), stacked
+    return spade_sources(sigma, sweep_points(points)), stacked
 
 
 def spade_cutoff(sigma: float, geometry: SourceGeometry | np.ndarray) -> int | np.ndarray:
@@ -617,24 +653,31 @@ def spade_cutoff(sigma: float, geometry: SourceGeometry | np.ndarray) -> int | n
     bound is 1 while the mean is at least Q + 2 and only shrinks after that,
     so every cutoff above one that meets both criteria meets them too, and
     bisection finds the smallest.  (n, 2) (theta1, theta2) points give an
-    array of their cutoffs, bisected together: each row takes the midpoints
-    its own bisection would, and the first row without a cutoff raises the
-    same error, naming that row.
+    array of their cutoffs, bisected together (``adaptive_cutoffs``).
     """
-    alphas, stacked = _source_alphas(sigma, geometry)
-    with np.errstate(over="ignore"):  # An inf mean has no cutoff, as a huge one has none.
-        means = alphas * alphas
-    low, high = np.full(len(means), 2), np.full(len(means), _MODE_CAP + 1)
+    sources, stacked = _checked_sources(sigma, geometry)
+    cutoffs = adaptive_cutoffs(sigma, sources, "row {}: " if stacked else "")
+    return cutoffs if stacked else int(cutoffs[0])
+
+
+def adaptive_cutoffs(sigma, sources, label="row {}: "):
+    """``spade_cutoff`` of each row of ``spade_sources(sigma, points)``, bisected together.
+
+    Each row takes the midpoints its own bisection would, and the first row
+    without a cutoff raises the CutoffError, named by ``label``.
+    """
+    means, log_means = sources[2], sources[3]
+    low, high = np.full(means.shape[-1], 2), np.full(means.shape[-1], _MODE_CAP + 1)
     while (low < high).any():
         # A converged row evaluates its accepted cutoff again and keeps it.
         active, middle = low < high, (low + high) // 2
-        mass, fisher = _tail_bounds(sigma, means, middle)
+        mass, fisher = _tail_bounds(sigma, means, log_means, middle)
         met = (mass < _MASS_TOLERANCE) & (fisher <= 1e-13 / sigma**2)
         high = np.where(active & met, middle, high)
         low = np.where(active & ~met, middle + 1, low)
     message = f"no cutoff up to {_MODE_CAP} meets the truncation criteria"
-    raise_first_failure([(CutoffError, message, low > _MODE_CAP)], "row {}: " if stacked else "")
-    return low if stacked else int(low[0])
+    raise_first_failure([(CutoffError, message, low > _MODE_CAP)], label)
+    return low
 
 
 def spade_model(
@@ -657,31 +700,20 @@ def spade_model(
     together, one pair per row, and an error names the first failing row.
     A single geometry is the one-row case.
     """
-    alphas, stacked = _source_alphas(sigma, geometry)
+    sources, stacked = _checked_sources(sigma, geometry)
+    label = "row {}: " if stacked else ""
     if mode_cutoff is None:
         if stacked:
             raise ValueError("a stacked SPADE model needs an explicit mode_cutoff")
-        mode_cutoff = spade_cutoff(sigma, geometry)
-    cutoffs = np.broadcast_to(np.asarray(mode_cutoff, dtype=int), len(alphas))
+        mode_cutoff = adaptive_cutoffs(sigma, sources, label)
+    cutoffs = np.broadcast_to(np.asarray(mode_cutoff, dtype=int), sources.shape[-1])
     if np.any(cutoffs < 0):
         raise ValueError("mode_cutoff must be nonnegative")
-    with np.errstate(over="ignore"):  # An inf mean's tail bounds are 1, as a huge one's.
-        means = alphas * alphas
-    mass_tail, fisher_tail = _tail_bounds(sigma, means, cutoffs)
-    message = "cutoff {:.0f} leaves truncated mass bound {:.3e}"
-    checks = [(CutoffError, message, ~(mass_tail < _MASS_TOLERANCE), cutoffs, mass_tail)]
-    raise_first_failure(checks, "row {}: " if stacked else "")
+    mass_tail, fisher_tail = _tail_bounds(sigma, sources[2], sources[3], cutoffs)
+    raise_first_failure([_mass_check(cutoffs, mass_tail)], label)
 
-    modes = np.arange(cutoffs.max(initial=0) + 1)
-    weights_1, slope_1 = _mode_weights(modes, alphas[:, :1], cutoffs)
-    weights_2, slope_2 = _mode_weights(modes, alphas[:, 1:], cutoffs)
-    fields = {
-        "probabilities": 0.5 * (weights_1 + weights_2),
-        # alpha_j = X_j / 2 sigma, so dalpha/dtheta1 = 1/2sigma for both and
-        # dalpha/dtheta2 = -+ 1/4sigma.
-        "dp_dtheta1": (slope_1 + slope_2) / (4.0 * sigma),
-        "dp_dtheta2": (slope_2 - slope_1) / (8.0 * sigma),
-    }
+    names = ("probabilities", "dp_dtheta1", "dp_dtheta2")
+    fields = dict(zip(names, _spade_fields(sigma, sources, cutoffs)))
     if not stacked:
         fields = {name: values[0] for name, values in fields.items()}
         mass_tail, fisher_tail = float(mass_tail[0]), float(fisher_tail[0])
@@ -692,6 +724,71 @@ def spade_model(
         outcome_counts=cutoffs + 1 if stacked else None,
         **fields,
     )
+
+
+def _mass_check(cutoffs, mass_tail):
+    """The check that each row's truncated mass bound is below 1e-14."""
+    message = "cutoff {:.0f} leaves truncated mass bound {:.3e}"
+    return CutoffError, message, ~(mass_tail < _MASS_TOLERANCE), cutoffs, mass_tail
+
+
+def _spade_fields(sigma, sources, cutoffs):
+    """p, dp/dtheta1, dp/dtheta2 of ``spade_sources`` rows to the largest cutoff, 0 past theirs."""
+    modes = np.arange(cutoffs.max(initial=0) + 1)
+    # Both sources' weights together, a (rows, modes) slab each.
+    weights, slopes = _mode_weights(
+        modes, sources[0, ..., np.newaxis], sources[1, ..., np.newaxis], cutoffs
+    )
+    return (
+        0.5 * (weights[0] + weights[1]),
+        # alpha_j = X_j / 2 sigma, so dalpha/dtheta1 = 1/2sigma for both and
+        # dalpha/dtheta2 = -+ 1/4sigma.
+        (slopes[0] + slopes[1]) / (4.0 * sigma),
+        (slopes[1] - slopes[0]) / (8.0 * sigma),
+    )
+
+
+def spade_fims(sigma, sources, cutoffs, block):
+    """(n, 2, 2) FIMs of the SPADE models of ``spade_sources`` rows at ``cutoffs``.
+
+    Row i's FIM is, bit for bit, ``fim(spade_model(sigma, SourceGeometry(*point),
+    cutoffs[i]))``, with every check of that route.  The rows' tail bounds
+    are evaluated together.  The rows then run in stable cutoff order,
+    ``block`` at a time, each block one stacked model padded to its largest
+    cutoff: its cutoffs are near-equal, and each run of one cutoff sums as one
+    slice (``_row_sums``).  The first failing row in sweep order raises its
+    route's error, named by its row; it alone runs again for the message.
+    """
+    mass_tail, _ = _tail_bounds(sigma, sources[2], sources[3], cutoffs)
+    order = np.argsort(cutoffs, kind="stable")
+    fishers, failed = np.empty((len(cutoffs), 2, 2)), np.zeros(len(cutoffs), bool)
+    for first in range(0, len(cutoffs), block):
+        rows = order[first : first + block]
+        fishers[rows], checks = _spade_block(sigma, sources, cutoffs, mass_tail, rows)
+        failed[rows] = failure_flags(checks).any(axis=0)
+    if failed.any():
+        row = int(failed.argmax())
+        _, checks = _spade_block(sigma, sources, cutoffs, mass_tail, [row])
+        raise_first_failure(checks, "row {}: ", row)
+    return fishers
+
+
+def _spade_block(sigma, sources, cutoffs, mass_tail, rows):
+    """The FIMs of ``rows`` as one stacked model, and each row's checks in its route's order.
+
+    The checks are the mass criterion, the model's, then ``fim``'s.
+    """
+    sources, cutoffs, mass_tail = sources[..., rows], cutoffs[rows], mass_tail[rows]
+    mass_check = _mass_check(cutoffs, mass_tail)
+    # A row that fails the mass criterion fails that check first, as the route
+    # raises it before any mode: it takes mode 0 alone, however large its
+    # cutoff, and may overflow there, as a row at an inf mean does.
+    kept = np.where(mass_check[2], 0, cutoffs)
+    with np.errstate(all="ignore"):
+        probabilities, *derivatives = _spade_fields(sigma, sources, kept)
+        checks = _model_checks(probabilities, derivatives, 1.0, mass_tail, kept + 1)
+        fishers, fisher_checks = _fisher_information(probabilities, derivatives, lengths=kept + 1)
+    return fishers, [mass_check, *checks, *fisher_checks]
 
 
 def hermite_gaussian_wavefunction(q: int, sigma: float, x) -> np.ndarray:
@@ -763,27 +860,41 @@ def projective_model(
     """Born-rule probabilities of an orthogonal measurement on the subspace."""
     if meas.matrix.shape != state.rho.shape:
         raise ValueError("measurement dimension does not match the state")
-    fields = _born_rule(state, _entry_products(meas.matrix))
+    fields = _born_rule(born_coefficients(state), _entry_products(meas.matrix))
     return ProbabilityModel(SUBSPACE_PROJECTORS, *(field[0] for field in fields))
 
 
-def _born_rule(state, products):
+def born_coefficients(state: StateModel4) -> np.ndarray:
+    """The (3, pairs) coefficients of p, dp/dtheta1 and dp/dtheta2 in a basis's entry products.
+
+    Row K is rho or (L_j rho + rho L_j) / 2: entry (i, j) of its upper
+    triangle (``_pairs``), doubled off the diagonal.
+    """
+    derivatives = (0.5 * (sld @ state.rho + state.rho @ sld) for sld in (state.L1, state.L2))
+    forms = [state.rho.tolist(), *(d_rho.tolist() for d_rho in derivatives)]
+    pairs = _pairs(len(state.rho))
+    return np.array([[(1.0 if i == j else 2.0) * form[i][j] for i, j in pairs] for form in forms])
+
+
+def _born_rule(coefficients, products):
     """Probabilities and their two derivatives from the ``_entry_products`` of n bases.
 
-    Each is O_k^T K O_k for row k, K = rho or (L_j rho + rho L_j) / 2: K[i, j]
-    (doubled off the diagonal) times O[k, i] O[k, j], summed in pair order over
-    the pairs where K is not 0.  rho is diagonal, so p is never negative.  The
-    fields are (n, d) views of contiguous (d, n) arrays, outcome-major, so that
-    sums over a sample's outcomes run elementwise over the samples.
+    ``coefficients`` are ``born_coefficients``, for all the bases or (3, pairs,
+    n) for each.  Each field is O_k^T K O_k for row k: K's coefficients times
+    O[k, i] O[k, j], summed in pair order over the pairs whose coefficient is
+    not 0 for some basis.  A 0.0 term leaves a finite sum as it is, so each
+    basis's field is the one it has alone.  rho is diagonal, so p is never
+    negative.  The fields are (n, d) views of contiguous (d, n) arrays,
+    outcome-major, so that sums over a sample's outcomes run elementwise over
+    the samples.
     """
-    pairs = _pairs(products.shape[1])
-    derivatives = (0.5 * (sld @ state.rho + state.rho @ sld) for sld in (state.L1, state.L2))
+    coefficients = np.reshape(coefficients, (*np.shape(coefficients)[:2], -1))
     fields = []
-    for form in (state.rho.tolist(), *(d_rho.tolist() for d_rho in derivatives)):
+    for form, terms in zip(coefficients, coefficients.any(axis=-1).tolist()):
         field = np.zeros(products.shape[1:])
-        for product, (i, j) in zip(products, pairs):
-            if form[i][j]:
-                field += (form[i][j] if i == j else 2.0 * form[i][j]) * product
+        for product, coefficient, term in zip(products, form, terms):
+            if term:
+                field += coefficient * product
         fields.append(field.T)
     return fields
 
@@ -961,16 +1072,19 @@ def _regrets_and_checks(fishers, quantum, c_tilde):
     return np.stack([delta1, delta2, residual]), checks
 
 
-def projective_regrets_and_checks(state: StateModel4, bases, quantum: Qfim, c_tilde: float):
+def projective_regrets_and_checks(coefficients, bases, quantum, c_tilde):
     """Rows (delta1, delta2, irtr_residual) of stacked projective measurements, and their checks.
 
-    Column k of the (3, n) rows equals, bit for bit, ``projective_model`` ->
-    ``fim`` -> ``regret_report`` -> ``irtr_residual`` for basis k.  Every check
-    of that route is kept, in the order a sample meets them:
-    ``raise_first_failure`` raises the error the route would raise first.
+    ``coefficients`` are the state's ``born_coefficients``, or (3, pairs, n)
+    for each basis; ``quantum`` is one QFIM or one per basis, and ``c_tilde``
+    one coefficient or one per basis.  Column k of the (3, n) rows equals, bit
+    for bit, ``projective_model`` -> ``fim`` -> ``regret_report`` ->
+    ``irtr_residual`` for basis k.  Every check of that route is kept, in the
+    order a sample meets them: ``raise_first_failure`` raises the error the
+    route would raise first.
     """
     products = _entry_products(np.asarray(bases, dtype=float))
-    probabilities, *derivatives = _born_rule(state, products)
+    probabilities, *derivatives = _born_rule(coefficients, products)
     fishers, fisher_checks = _fisher_information(probabilities, derivatives)
     rows, regret_checks = _regrets_and_checks(fishers, quantum, c_tilde)
     # All stages' checks are raised together, so the first failing sample wins.

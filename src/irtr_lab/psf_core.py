@@ -131,8 +131,11 @@ def sweep_points(points) -> np.ndarray:
 
 
 def source_positions(points) -> np.ndarray:
-    """(n, 2) positions (X1, X2) of checked (theta1, theta2) ``points``, as ``SourceGeometry``'s."""
-    theta1, theta2 = sweep_points(points).T
+    """(n, 2) positions (X1, X2) of (theta1, theta2) ``points``, as ``SourceGeometry``'s.
+
+    The points are not checked again: ``sweep_points`` has checked them.
+    """
+    theta1, theta2 = np.asarray(points, dtype=float).T
     x1 = theta1 - 0.5 * theta2
     return np.stack([x1, x1 + theta2], axis=1)
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import irtr_lab as lab
-from irtr_lab import cli, experiments, measurements
+from irtr_lab import cli, experiments, measurements, psf_core
 from irtr_lab.experiments import (
     DEFAULT_MISALIGNMENT_GRID,
     DEFAULT_PANELS,
@@ -897,6 +897,26 @@ class TestRunnersMatchScalarRoute:
             lab.run_fig4(config)
         assert str(raised.value) == label + str(expected.value)
 
+    def test_a_row_failing_the_mass_criterion_forms_no_modes(self, tmp_path, monkeypatch):
+        # At theta1 = 1e4 sigma the cutoff 20000 fails its mass criterion,
+        # which the scalar route raises before it forms any mode: the sweep's
+        # block gives that row mode 0 alone, not 20001 modes.
+        monkeypatch.setattr(measurements, "_LOG_GAMMA", np.empty(0))
+        widths, weights = [], measurements._mode_weights
+
+        def recording(modes, *args):
+            widths.append(len(modes))
+            return weights(modes, *args)
+
+        monkeypatch.setattr(measurements, "_mode_weights", recording)
+        config = lab.ExperimentConfig(
+            figure_id="fig4", theta1_grid=(1e4,), mode_cutoff=20000, output_dir=str(tmp_path)
+        )
+        message = r"^row 0: cutoff 20000 leaves truncated mass bound 1\.000e\+00$"
+        with pytest.raises(lab.CutoffError, match=message):
+            lab.run_fig4(config)
+        assert max(widths, default=1) == 1
+
     @pytest.mark.parametrize("mode_cutoff", [None, 120])
     def test_spade_fims_across_blocks_are_the_scalar_ones(self, mode_cutoff):
         # 300 rows are three padded blocks of up to 128, their cutoffs odd and even.
@@ -907,6 +927,73 @@ class TestRunnersMatchScalarRoute:
         for point, fisher in zip(points, fishers):
             model = lab.spade_model(1.0, lab.SourceGeometry(*point), mode_cutoff)
             np.testing.assert_array_equal(fisher, lab.fim(model))
+
+    @pytest.mark.parametrize("mode_cutoff", [None, 250])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # custom's theta1-major points: the cutoffs climb with theta2
+            # inside each theta1 and fall back at the next.
+            list(itertools.product(np.linspace(-9.0, 9.0, 65).tolist(), (0.05, 0.7, 3.0, 6.5))),
+            # A symmetric fig4 grid: the cutoffs fall to the axis, then climb.
+            [(theta1, 0.4) for theta1 in np.linspace(-20.0, 20.0, 401).tolist()],
+        ],
+        ids=["custom", "fig4"],
+    )
+    def test_spade_fims_in_cutoff_order_are_the_scalar_ones(self, points, mode_cutoff):
+        # The rows run in cutoff order across three or four blocks of 128; each
+        # FIM goes back to its sweep row.
+        config = lab.ExperimentConfig(figure_id="fig4", mode_cutoff=mode_cutoff)
+        fishers = experiments._spade_fims(config, np.array(points))
+        cutoffs = spade_cutoff(1.0, points)
+        assert np.any(np.diff(cutoffs) < 0) and len(points) > 2 * experiments._SPADE_BLOCK
+        for point, cutoff, fisher in zip(points, cutoffs.tolist(), fishers):
+            geometry = lab.SourceGeometry(*point)
+            model = lab.spade_model(1.0, geometry, cutoff if mode_cutoff is None else mode_cutoff)
+            assert fisher.tobytes() == lab.fim(model).tobytes()
+
+    def test_a_later_row_failing_in_an_earlier_block_names_its_row(self, tmp_path, monkeypatch):
+        # At theta2 = 1e-4 sigma, theta1 = 1e-5 sigma fails fim with cutoff 2.
+        # It is sweep row 300, after 300 rows of cutoffs 58 down to 12, so it
+        # runs in the first block in cutoff order; only it runs again.
+        grid = (*np.linspace(-8.0, -1.0, 300).tolist(), 1e-5)
+        config = lab.ExperimentConfig(
+            figure_id="fig4", theta1_grid=grid, theta2_over_sigma=1e-4, output_dir=str(tmp_path)
+        )
+        calls, block = [], measurements._spade_block
+
+        def counted(sigma, sources, cutoffs, mass_tail, rows):
+            calls.append(cutoffs[rows].tolist())
+            return block(sigma, sources, cutoffs, mass_tail, rows)
+
+        monkeypatch.setattr(measurements, "_spade_block", counted)
+        with pytest.raises(lab.DegenerateOutcomeError) as expected:
+            lab.fim(lab.spade_model(1.0, lab.SourceGeometry(1e-5, 1e-4)))
+        with pytest.raises(lab.DegenerateOutcomeError) as raised:
+            lab.run_fig4(config)
+        assert str(raised.value) == "row 300: " + str(expected.value)
+        assert calls[0][0] == 2 and min(calls[1]) >= 12 and len(calls) == 4
+        assert calls[-1] == [2]
+
+    def test_the_first_failing_row_in_sweep_order_raises_across_blocks(self, monkeypatch):
+        # Rows 10 (cutoff 47, the third block) and 150 (cutoff 6, the first)
+        # fail a crafted check; row 10 comes first in the sweep.
+        points = np.array([(theta1, 0.3) for theta1 in np.linspace(-7.0, 7.0, 300).tolist()])
+        block = measurements._spade_block
+
+        def crafted(sigma, sources, cutoffs, mass_tail, rows):
+            fishers, checks = block(sigma, sources, cutoffs, mass_tail, rows)
+            flags = np.isin(rows, (10, 150))
+            crafted_check = (lab.ConsistencyError, "cutoff {:.0f}", flags, cutoffs[rows])
+            return fishers, [*checks, crafted_check]
+
+        monkeypatch.setattr(measurements, "_spade_block", crafted)
+        cutoffs = spade_cutoff(1.0, points)
+        order = np.argsort(cutoffs, kind="stable").tolist()
+        assert order.index(10) // 128 == 2 and order.index(150) // 128 == 0
+        config = lab.ExperimentConfig(figure_id="fig4")
+        with pytest.raises(lab.ConsistencyError, match=f"^row 10: cutoff {cutoffs[10]}$"):
+            experiments._spade_fims(config, points)
 
     def test_a_spade_fim_error_names_its_sweep_row(self, tmp_path):
         # At theta2 = 1e-4 sigma the geometry theta1 = 1e-5 sigma has an outcome
@@ -945,25 +1032,68 @@ class TestRunnersMatchScalarRoute:
         assert experiments._SAMPLE_BLOCK < 1100
         assert tables[0] == tables[1][:300]
 
-    # Blocks that end inside points, on the points' edges (50) and at the end
-    # of a separation's 150 samples (150), or one that holds them all (151).
-    @pytest.mark.parametrize("block", [1, 2, 7, 49, 50, 51, 100, 149, 150, 151])
-    def test_block_boundaries_do_not_move_the_samples(self, tmp_path, monkeypatch, block):
-        # Three points share each separation, 50 samples each: the blocks'
-        # boundaries fall inside points and between them, and each point's
-        # stream gives the same samples wherever they fall.
+    def assert_blocks_keep_the_samples(self, tmp_path, monkeypatch, block, theta2_grid, n_random):
+        # Three points share each separation, in custom's theta1-major order,
+        # so the separations alternate point by point, and the default block
+        # covers points of every separation.  A block of ``block`` samples
+        # must give the same rows: each point's stream gives the same samples
+        # wherever the boundaries fall.
         config = dict(
             figure_id="custom",
             theta1_grid=(-0.5, 0.0, 1.2),
-            theta2_grid=(0.1, 1.0),
+            theta2_grid=theta2_grid,
             measurements=("random", "direct"),
-            n_random=50,
+            n_random=n_random,
             seed=4,
         )
         expected = lab.run_custom(lab.ExperimentConfig(**config, output_dir=str(tmp_path / "a")))
+        assert experiments._SAMPLE_BLOCK > len(theta2_grid) * n_random
         monkeypatch.setattr(experiments, "_SAMPLE_BLOCK", block)
         paths = lab.run_custom(lab.ExperimentConfig(**config, output_dir=str(tmp_path / "b")))
         assert paths[0].read_bytes() == expected[0].read_bytes()
+
+    # Blocks that end inside points, on the points' edges (50, 100, 150) or
+    # hold several points whole (151).
+    @pytest.mark.parametrize("block", [1, 2, 7, 49, 50, 51, 100, 149, 150, 151])
+    def test_block_boundaries_do_not_move_the_samples(self, tmp_path, monkeypatch, block):
+        # Six points of 50 samples: the default block holds all 300.
+        self.assert_blocks_keep_the_samples(tmp_path, monkeypatch, block, (0.1, 1.0), 50)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 149, 150, 151, 300, 449, 450, 451])
+    def test_block_boundaries_across_three_separations_do_not_move_the_samples(
+        self, tmp_path, monkeypatch, block
+    ):
+        # Nine points of 150 samples: the default block holds the first 1024
+        # of 1350, from points of all three separations.
+        self.assert_blocks_keep_the_samples(tmp_path, monkeypatch, block, (0.1, 1.0, 3.0), 150)
+
+    def test_a_block_within_one_separation_broadcasts_its_values(self, tmp_path, monkeypatch):
+        # A block takes one set of Born-rule coefficients, one QFIM and one
+        # c_tilde if all its samples share a separation, and one per sample
+        # if not.
+        shapes, regrets = [], experiments.projective_regrets_and_checks
+
+        def spied(coefficients, bases, quantum, c_tilde):
+            shapes.append((len(bases), coefficients.shape[-1], len(quantum), len(c_tilde)))
+            return regrets(coefficients, bases, quantum, c_tilde)
+
+        monkeypatch.setattr(experiments, "projective_regrets_and_checks", spied)
+        out = str(tmp_path / "fig5")
+        lab.run_fig5(lab.ExperimentConfig(figure_id="fig5", n_random=2000, output_dir=out))
+        assert shapes == [(1024, 1, 1, 1), (976, 1, 1, 1)]
+        shapes.clear()
+        # Points (0, 0.5), (0, 2), (1, 0.5) and (1, 2), 300 samples each: the
+        # second block holds point 3's last 176 samples alone.
+        config = lab.ExperimentConfig(
+            figure_id="custom",
+            theta1_grid=(0.0, 1.0),
+            theta2_grid=(0.5, 2.0),
+            measurements=("random",),
+            n_random=300,
+            output_dir=str(tmp_path / "custom"),
+        )
+        lab.run_custom(config)
+        assert shapes == [(1024, 1024, 1024, 1024), (176, 1, 1, 1)]
 
     def test_custom_direct_spade_and_random_rows(self, tmp_path):
         config = lab.ExperimentConfig(
@@ -1053,21 +1183,21 @@ class TestRunnersMatchScalarRoute:
             overlaps = self.overlaps(ratio1, ratio2)
             self.assert_random_rows([row[3:] for row in point_rows], overlaps, child)
 
-    def test_the_first_failing_sample_in_sweep_order_raises(self, tmp_path, monkeypatch):
-        # Separation 0.5 runs first, with points 0 and 2; separation 2.0 holds
-        # points 1 and 3.  Point 1's sample 250 and point 2's sample 4 get a
-        # skewed basis: point 1 comes first in the sweep, though its
-        # separation runs second.
-        skewed = []
-        for point, sample in ((1, 250), (2, 4)):
+    def assert_the_first_failing_sample_raises(self, tmp_path, monkeypatch, skewed, first):
+        # Points (0, 0.5), (0, 2), (1, 0.5) and (1, 2), 300 samples each, run
+        # in sweep order: the first block holds samples 0 to 1023, across
+        # both separations, the second point 3's last 176.  Each listed
+        # sample of a point gets a skewed basis.
+        normals = []
+        for point, sample in skewed:
             rng = np.random.default_rng(np.random.SeedSequence(8, spawn_key=(point,)))
-            skewed.append(rng.standard_normal((300, 4, 4))[sample])
+            normals.append(rng.standard_normal((300, 4, 4))[sample])
         draw = experiments.haar_random_bases
 
-        def skewing(normals):
-            bases = draw(normals)
-            for basis, normal in zip(bases, normals):
-                if any(np.array_equal(normal, other) for other in skewed):
+        def skewing(block):
+            bases = draw(block)
+            for basis, normal in zip(bases, block):
+                if any(np.array_equal(normal, other) for other in normals):
                     basis *= 1.001
             return bases
 
@@ -1081,10 +1211,30 @@ class TestRunnersMatchScalarRoute:
             seed=8,
             output_dir=str(tmp_path),
         )
-        message = r"^sample 250: basis is not orthogonal within 1e-12$"
+        message = rf"^sample {first}: basis is not orthogonal within 1e-12$"
         with pytest.raises(lab.ConsistencyError, match=message):
             lab.run_custom(config)
         assert not list(tmp_path.iterdir())
+
+    def test_the_first_failing_sample_in_sweep_order_raises(self, tmp_path, monkeypatch):
+        # Point 1's sample 250 fails first, in the first block's second
+        # separation; point 2's sample 4 fails later in the same block.
+        self.assert_the_first_failing_sample_raises(tmp_path, monkeypatch, [(1, 250), (2, 4)], 250)
+
+    @pytest.mark.parametrize(
+        "skewed, first",
+        [
+            # Point 2 (separation 0.5) follows point 1 (separation 2.0).
+            ([(2, 4), (3, 10)], 4),
+            # Point 3's sample 200 lies in the second block, of one separation.
+            ([(3, 200), (0, 299)], 299),
+            ([(3, 200)], 200),
+        ],
+    )
+    def test_the_first_failing_sample_raises_wherever_its_block_falls(
+        self, tmp_path, monkeypatch, skewed, first
+    ):
+        self.assert_the_first_failing_sample_raises(tmp_path, monkeypatch, skewed, first)
 
 
 class TestRunnersShareTheKernel:
@@ -1158,13 +1308,13 @@ class TestRunnersShareTheKernel:
         rng.uniform(0.0, 3.0, 6), rng.uniform(0.1, 4.0, 6)
         grid = tuple(np.unique(rng.uniform(0.0, 5.0, 500)).tolist())
         assert len(set(spade_cutoff(1.0, [(theta1, 0.1) for theta1 in grid]).tolist())) == 32
-        calls, model = [], experiments.spade_model
+        calls, model = [], measurements._spade_block
 
         def counted(*args, **kwargs):
             calls.append(args)
             return model(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "spade_model", counted)
+        monkeypatch.setattr(measurements, "_spade_block", counted)
         self.tables(tmp_path, "fig4", theta1_grid=grid)
         assert len(calls) <= -(-len(grid) // experiments._SPADE_BLOCK) == 4
 
@@ -1185,6 +1335,23 @@ class TestRunnersShareTheKernel:
         grids = {"theta1_grid": (-0.5, 0.0, 1.2), "theta2_grid": (0.1, 1.0, 3.0)}
         self.tables(tmp_path, "custom", **grids, measurements=MEASUREMENT_NAMES, n_random=8)
         assert built == []
+
+    @pytest.mark.parametrize("mode_cutoff", [None, 120])
+    def test_the_spade_route_checks_no_point_again(self, monkeypatch, mode_cutoff):
+        # The kernel has checked the points: the SPADE route forms their
+        # sources once, for the cutoffs and every block, and checks none again.
+        calls, check = [], psf_core.sweep_points
+
+        def counted(points):
+            calls.append(len(points))
+            return check(points)
+
+        for module in (psf_core, measurements, experiments):
+            monkeypatch.setattr(module, "sweep_points", counted)
+        points = np.array([(theta1, 0.3) for theta1 in np.linspace(-7.0, 7.0, 300).tolist()])
+        config = lab.ExperimentConfig(figure_id="fig4", mode_cutoff=mode_cutoff)
+        experiments._spade_fims(config, points)
+        assert calls == []
 
 
 class TestCli:

@@ -26,6 +26,7 @@ from irtr_lab.measurements import (
     CONTINUUM_GRID,
     DISCRETE_MODES,
     SUBSPACE_PROJECTORS,
+    born_coefficients,
     haar_random_bases,
     projective_regrets_and_checks,
     regret_rows,
@@ -682,8 +683,8 @@ class TestSpadeModel:
         # alpha = 0 is the point mass at q = 0, so it adds no tail at any cutoff,
         # even where Q-2 or Q-1 is negative and the tail of a source off the axis is 1.
         cutoffs = np.arange(6)
-        on_axis = measurements._tail_bounds(1.0, [0.0, mean], cutoffs)
-        both = measurements._tail_bounds(1.0, [mean, mean], cutoffs)
+        on_axis = tail_bounds(1.0, [0.0, mean], cutoffs)
+        both = tail_bounds(1.0, [mean, mean], cutoffs)
         for half, full in zip(on_axis, both):
             np.testing.assert_array_equal(half, 0.5 * full)
         assert both[1][0] == 2.0 * (mean + 1.0)
@@ -705,6 +706,35 @@ class TestSpadeModel:
         assert model.outcome_kind == DISCRETE_MODES
 
 
+def tail_bounds(sigma, means, cutoffs):
+    """``measurements._tail_bounds`` of the two Poisson means ``means``, given their logs."""
+    means = np.asarray(means, dtype=float)
+    with np.errstate(divide="ignore"):  # log 0 is -inf, for a source on the axis.
+        return measurements._tail_bounds(sigma, means, np.log(means), cutoffs)
+
+
+def reference_tail_bounds(sigma, means, cutoff):
+    """The (mass, Fisher) tail bounds of ``_tail_bounds`` at one cutoff, in Python floats."""
+
+    def beyond(mean, k):  # The Poisson(mean) mass beyond k, or its bound 1.
+        if mean == 0.0:
+            return 0.0
+        if k < 0 or mean >= k + 2:
+            return 1.0
+        first = math.exp((k + 1) * math.log(mean) - mean - math.lgamma(k + 2))
+        return first / (1.0 - mean / (k + 2))
+
+    mass = 0.5 * sum(beyond(mean, cutoff) for mean in means)
+    fisher = sum(mean * beyond(mean, cutoff - 2) + beyond(mean, cutoff - 1) for mean in means)
+    return mass, fisher / sigma**2
+
+
+def reference_meets(sigma, means, cutoff, slack):
+    """Whether ``cutoff`` meets both truncation criteria, each bound scaled by ``slack``."""
+    mass, fisher = reference_tail_bounds(sigma, means, cutoff)
+    return mass < 1e-14 * slack and fisher <= 1e-13 / sigma**2 * slack
+
+
 def linear_scan_cutoff(sigma, geometry):
     """(cutoff, mass bound, Fisher bound) of the adaptive rule by a scan from Q = 2 up.
 
@@ -715,7 +745,7 @@ def linear_scan_cutoff(sigma, geometry):
     alphas = np.array([geometry.x1, geometry.x2]) / (2.0 * sigma)
     means = alphas * alphas
     cutoffs = np.arange(2, 513)
-    mass, fisher = measurements._tail_bounds(sigma, means, cutoffs)
+    mass, fisher = tail_bounds(sigma, means, cutoffs)
     met = (mass < 1e-14) & (fisher <= 1e-13 / sigma**2)
     if not met.any():
         raise lab.CutoffError("no cutoff up to 512 meets the truncation criteria")
@@ -743,6 +773,50 @@ class TestAdaptiveCutoff:
             assert stacked == cutoff
             assert model.probabilities.size == cutoff + 1
             assert (model.truncated_mass, model.fisher_tail_bound) == (mass, fisher)
+
+    @pytest.mark.parametrize("sigma, seed", [(0.37, 1), (1.0, 2), (2.3, 3)])
+    def test_bisection_is_the_linear_scan_on_seeded_points(self, sigma, seed):
+        # 667 seeded points per sigma: theta1 uniform in [-60, 60] sigma and
+        # theta2 log-uniform in [1e-4, 10] sigma; every eighth point puts a
+        # source on the axis (mu = 0).  Far points have no cutoff.
+        rng = np.random.default_rng(seed)
+        theta2 = sigma * np.exp(rng.uniform(math.log(1e-4), math.log(10.0), 667))
+        theta1 = sigma * rng.uniform(-60.0, 60.0, 667)
+        theta1[::8] = 0.5 * theta2[::8] * rng.choice([-1.0, 1.0], len(theta1[::8]))
+        sweep = np.stack([theta1, theta2], axis=1)
+        scans = []
+        for point in sweep.tolist():
+            try:
+                scans.append(linear_scan_cutoff(sigma, lab.SourceGeometry(*point)))
+            except lab.CutoffError:
+                scans.append(None)
+        found = [row for row, scan in enumerate(scans) if scan is not None]
+        missing = [row for row, scan in enumerate(scans) if scan is None]
+        sources = measurements.spade_sources(sigma, sweep[found])
+        assert len(found) > 300 and len(missing) > 100
+        assert np.count_nonzero(sources[2] == 0.0) > 30
+        # The rows with a cutoff, bisected together, take the scan's cutoffs,
+        # and the stacked bounds at them are the scan's, bit for bit: the
+        # (2, n) means against (n,) cutoffs and the (2,) means against (k,).
+        cutoffs = spade_cutoff(sigma, sweep[found])
+        assert cutoffs.tolist() == [scans[row][0] for row in found]
+        mass, fisher = measurements._tail_bounds(sigma, sources[2], sources[3], cutoffs)
+        assert mass.tolist() == [scans[row][1] for row in found]
+        assert fisher.tolist() == [scans[row][2] for row in found]
+        # The rule itself, term by term in Python floats: each cutoff meets
+        # both criteria and the one below it does not, up to near-ties.
+        for row, cutoff, means in zip(found, cutoffs.tolist(), sources[2].T.tolist()):
+            reference = reference_tail_bounds(sigma, means, cutoff)
+            assert np.allclose(reference, scans[row][1:], rtol=1e-9, atol=0.0)
+            assert reference_meets(sigma, means, cutoff, 1.0 + 1e-9)
+            assert cutoff == 2 or not reference_meets(sigma, means, cutoff - 1, 1.0 - 1e-9)
+        alphas = psf_core.source_positions(sweep[missing]) / (2.0 * sigma)
+        for means in (alphas * alphas).tolist():
+            assert not reference_meets(sigma, means, 512, 1.0 - 1e-9)
+        # The whole sweep names its first row without a cutoff.
+        message = f"^row {missing[0]}: no cutoff up to 512 meets the truncation criteria$"
+        with pytest.raises(lab.CutoffError, match=message):
+            spade_cutoff(sigma, sweep)
 
     def test_stacked_cutoffs_are_the_single_ones(self):
         # A 500-point misalignment sweep at theta2 = 0.1 sigma.
@@ -1104,8 +1178,9 @@ class TestHaarRandomBases:
             # The runners' route, the basis between two good draws.
             good = np.random.default_rng(0).standard_normal((2, 4, 4))
             state = lab.build_state_model(lab.gaussian_overlap_integrals(1.0, 1.0))
+            stack = haar_random_bases(np.stack([good[0], normal, good[1]]))
             rows, checks = projective_regrets_and_checks(
-                state, haar_random_bases(np.stack([good[0], normal, good[1]])), np.eye(2), 0.5
+                born_coefficients(state), stack, np.eye(2), 0.5
             )
             assert failure_flags(checks)[0].tolist() == [False, failed, False]
 
@@ -1156,7 +1231,8 @@ class TestProjectiveModel:
         # within 1e-15 of the BLAS products and each row's .sum(axis=-1).
         state = lab.build_state_model(lab.gaussian_overlap_integrals(1.0, theta2))
         bases = haar_random_bases(np.random.default_rng(3).standard_normal((1100, 4, 4)))
-        fields = measurements._born_rule(state, measurements._entry_products(bases))
+        products = measurements._entry_products(bases)
+        fields = measurements._born_rule(born_coefficients(state), products)
         expected = [bases**2 @ np.diag(state.rho)]
         for sld in (state.L1, state.L2):
             d_rho = 0.5 * (sld @ state.rho + state.rho @ sld)
@@ -1168,6 +1244,24 @@ class TestProjectiveModel:
             model = lab.projective_model(state, lab.ProjectiveMeasurement4(basis, 0))
             scalar = (model.probabilities, model.dp_dtheta1, model.dp_dtheta2)
             assert [field[k].tobytes() for field in fields] == [x.tobytes() for x in scalar]
+
+    def test_a_coefficient_zero_for_some_bases_leaves_their_fields(self):
+        # Bases 0-2 take one state's coefficients, with three of them set to
+        # 0.0 or -0.0, and bases 3-5 another's.  Those pairs still run for the
+        # block, as 0.0 terms for bases 0-2, whose fields stay their own.
+        bases = haar_random_bases(np.random.default_rng(5).standard_normal((6, 4, 4)))
+        products = measurements._entry_products(bases)
+        first, second = (
+            born_coefficients(lab.build_state_model(lab.gaussian_overlap_integrals(1.0, t)))
+            for t in (0.3, 2.0)
+        )
+        assert first[0, 0] and first[1, 1] and first[2, 2]
+        first[0, 0], first[1, 1], first[2, 2] = 0.0, -0.0, 0.0
+        mixed = np.repeat(np.stack([first, second], axis=-1), 3, axis=-1)
+        fields = measurements._born_rule(mixed, products)
+        for k in range(6):
+            alone = measurements._born_rule(first if k < 3 else second, products[..., k : k + 1])
+            assert [field[k].tobytes() for field in fields] == [f[0].tobytes() for f in alone]
 
     def test_dimension_mismatch_raises(self):
         state = lab.build_state_model(lab.gaussian_overlap_integrals(1.0, 1.0))
@@ -1500,7 +1594,7 @@ class TestProjectiveRegrets:
     def batch(self, *bases, c_tilde=None, first_sample=0):
         c_tilde = self.c_tilde if c_tilde is None else c_tilde
         rows, checks = projective_regrets_and_checks(
-            self.state, np.stack(bases), self.quantum, c_tilde
+            born_coefficients(self.state), np.stack(bases), self.quantum, c_tilde
         )
         raise_first_failure(checks, "sample {}: ", first_sample)
         return rows
@@ -1550,7 +1644,7 @@ class TestProjectiveRegrets:
             expected = [scalar_projective_row(state, basis, quantum, c_tilde) for basis in draws]
             for count in (1, 3, block - 1, block + 1):
                 rows, checks = projective_regrets_and_checks(
-                    state, bases[:count], quantum, c_tilde
+                    born_coefficients(state), bases[:count], quantum, c_tilde
                 )
                 raise_first_failure(checks, "sample {}: ")
                 assert list(zip(*rows.tolist())) == expected[:count]
@@ -1601,7 +1695,7 @@ class TestProjectiveRegrets:
                 scalar_projective_row(self.state, basis, quantum, c_tilde)
             with pytest.raises(scalar.type) as batch:
                 rows, checks = projective_regrets_and_checks(
-                    self.state, basis[None], quantum, c_tilde
+                    born_coefficients(self.state), basis[None], quantum, c_tilde
                 )
                 raise_first_failure(checks, "sample {}: ", 5)
             assert str(batch.value) == f"sample 5: {scalar.value}"
