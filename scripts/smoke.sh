@@ -104,6 +104,7 @@ done
 printf '[fig1]\nbogus = 1\n' > "$out/unknown-key.ini"
 printf '[fig7]\nseed = 1\n' > "$out/unknown-section.ini"
 printf '[common]\nsigma = y\n' > "$out/sigma-not-a-number.ini"
+printf '[fig3]\nfrontier_samples = 1000000000000\n' > "$out/frontier-too-large.ini"
 config_failure seed-not-an-integer "--seed: 'x' is not an integer" fig2 --seed x
 config_failure unknown-key "config file unknown-key.ini, [fig1] bogus: unknown setting" \
   fig1 --config unknown-key.ini
@@ -124,6 +125,13 @@ config_failure mode-cutoff-zz "--mode-cutoff: 'zz' must be an integer or 'adapti
     config_failure grid-too-large "grid of 1e+18 values is too large: Unable to allocate \
 6.94 EiB for an array with shape (999999999999949952,) and data type int64" \
       fig1 --grid 0.05:1e12:1e-6
+)
+# A frontier of 1e12 samples, under the same cap.
+(
+  ulimit -v 2000000 && export OPENBLAS_NUM_THREADS=1 &&
+    config_failure frontier-too-large "frontier_samples 1000000000000 is too large: Unable to \
+allocate 7.28 TiB for an array with shape (1000000000000,) and data type int64" \
+      fig3 --config frontier-too-large.ini
 )
 
 # An odd panel count, whose ladder is the single pair of 4 and 8 half-window

@@ -609,7 +609,10 @@ def _spade_fims(config, points):
 
 def _frontier_table(name, metadata, coefficient, samples):
     no_constraint = coefficient <= _NO_CONSTRAINT_THRESHOLD
-    frontier = (np.empty(0),) * 2 if no_constraint else irtr_frontier(coefficient, samples)
+    try:
+        frontier = (np.empty(0),) * 2 if no_constraint else irtr_frontier(coefficient, samples)
+    except MemoryError as error:
+        raise ConfigError(f"frontier_samples {samples} is too large: {error}") from None
     columns = dict(zip(("delta1", "delta2"), frontier))
     return name, [*metadata, ("no_constraint", no_constraint)], columns
 

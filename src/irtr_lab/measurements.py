@@ -14,14 +14,14 @@ Each model carries the outcome probabilities together with their derivatives
 with respect to centroid and separation, from which ``fim`` computes the
 classical Fisher information matrix and ``regret_report`` the normalized
 square-root information regrets against the quantum bound.  These single
-models are the reference route.  The stacked routes, each bit for bit equal
-to it and keeping its checks, are ``regret_rows`` for FIMs,
-``projective_regrets_and_checks`` for projective measurements, ``spade_model``
-for (theta1, theta2) points, each at its own cutoff and padded with zeros to
-the largest, ``spade_fims`` for a sweep's SPADE FIMs from its
-``spade_sources``, and ``overlaps_and_direct_fims`` for a sweep's overlap
-columns and direct-imaging FIMs, for an even PSF from the same passes'
-half-grid samples.
+models, one geometry each, are the reference route.  The sweep routes, each
+bit for bit equal to it and keeping its checks, are ``regret_rows`` for FIMs,
+``projective_regrets_and_checks`` for projective measurements,
+``adaptive_cutoffs`` and ``spade_fims`` for a sweep's SPADE cutoffs and FIMs
+from its ``spade_sources``, each model at its own cutoff and padded with
+zeros to the largest of its block, and ``overlaps_and_direct_fims`` for a
+sweep's overlap columns and direct-imaging FIMs, for an even PSF from the
+same passes' half-grid samples.
 """
 
 from __future__ import annotations
@@ -76,13 +76,9 @@ class ProbabilityModel:
     ``weights`` holds the matching quadrature weights; sums below mean
     weighted sums.  Discrete models leave ``weights`` as None.
     ``truncated_mass`` and ``fisher_tail_bound`` report upper bounds on what
-    a mode cutoff discarded (zero where no truncation happens).
-    Arrays of shape (m, n) stack m models of n outcomes, each row checked on
-    its own (with its own ``truncated_mass``, if that is an array of m);
-    an error names the first failing row.  With ``outcome_counts``, row i
-    of an (m, n) stack has only its first ``outcome_counts[i]`` outcomes and
-    exact zeros past them: its sums, and ``fim``'s pairing, run over its own
-    outcomes, so a row equals the model of its outcomes alone.
+    a mode cutoff discarded (zero where no truncation happens).  A model is
+    one 1-D array of outcomes; a sweep's models run stacked through
+    ``_model_checks`` and ``_fisher_information`` (``spade_fims``).
     """
 
     outcome_kind: str
@@ -92,7 +88,6 @@ class ProbabilityModel:
     weights: np.ndarray | None = None
     truncated_mass: float = 0.0
     fisher_tail_bound: float = 0.0
-    outcome_counts: np.ndarray | None = None
 
     def __post_init__(self):
         if self.outcome_kind not in _OUTCOME_KINDS:
@@ -100,31 +95,24 @@ class ProbabilityModel:
         for name in ("probabilities", "dp_dtheta1", "dp_dtheta2"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         shape = self.probabilities.shape
-        if self.dp_dtheta1.shape != shape or self.dp_dtheta2.shape != shape:
-            raise ValueError("probabilities and derivatives must share one shape")
+        if len(shape) != 1 or self.dp_dtheta1.shape != shape or self.dp_dtheta2.shape != shape:
+            raise ValueError("probabilities and derivatives must be 1-D arrays of one shape")
         if self.weights is not None:
             weights = np.asarray(self.weights, dtype=float)
             if weights.shape != shape:
                 raise ValueError("weights must match the probability shape")
             object.__setattr__(self, "weights", weights)
-        if self.outcome_counts is not None:
-            counts = np.asarray(self.outcome_counts)
-            fits = np.all((0 <= counts) & (counts <= shape[-1])) and counts.dtype.kind in "iu"
-            if not (counts.ndim == 1 and counts.shape == shape[:-1] and fits):
-                raise ValueError("outcome_counts must give each row's count, at most its length")
-            object.__setattr__(self, "outcome_counts", counts)
         weights = self.weights if self.weights is not None else 1.0
         derivatives = (self.dp_dtheta1, self.dp_dtheta2)
-        checks = _model_checks(
-            self.probabilities, derivatives, weights, self.truncated_mass, self.outcome_counts
-        )
-        raise_first_failure(checks, "row {}: " if self.probabilities.ndim > 1 else "")
+        checks = _model_checks(self.probabilities, derivatives, weights, self.truncated_mass)
+        raise_first_failure(checks, "")
 
 
 def _model_checks(probabilities, derivatives, weights=1.0, truncated_mass=0.0, lengths=None):
     """``ProbabilityModel``'s checks of each row, in the order a row meets them.
 
-    ``lengths`` are the rows' ``outcome_counts``, if they have any.
+    Row i has only its first ``lengths[i]`` outcomes (by default all of them)
+    and exact zeros past them, so its sums equal those of its outcomes alone.
     """
     # Weighted sums and the largest |derivative| without a block-sized temporary;
     # unweighted rows are small, and their three sums go stacked.
@@ -636,15 +624,13 @@ def spade_sources(sigma, points):
 
 
 def _checked_sources(sigma, geometry):
-    """``spade_sources`` of ``geometry``, checked here, and whether it is a stack of points."""
+    """``spade_sources`` of ``geometry``'s one point, sigma checked here."""
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
-    stacked = not isinstance(geometry, SourceGeometry)
-    points = geometry if stacked else [(geometry.theta1, geometry.theta2)]
-    return spade_sources(sigma, sweep_points(points)), stacked
+    return spade_sources(sigma, [(geometry.theta1, geometry.theta2)])
 
 
-def spade_cutoff(sigma: float, geometry: SourceGeometry | np.ndarray) -> int | np.ndarray:
+def spade_cutoff(sigma: float, geometry: SourceGeometry) -> int:
     """The adaptive SPADE cutoff of ``spade_model(sigma, geometry)``.
 
     It is the smallest cutoff Q >= 2 whose truncated mass bound is below
@@ -652,12 +638,9 @@ def spade_cutoff(sigma: float, geometry: SourceGeometry | np.ndarray) -> int | n
     CutoffError is raised when no Q up to 512 meets both.  Each Poisson tail
     bound is 1 while the mean is at least Q + 2 and only shrinks after that,
     so every cutoff above one that meets both criteria meets them too, and
-    bisection finds the smallest.  (n, 2) (theta1, theta2) points give an
-    array of their cutoffs, bisected together (``adaptive_cutoffs``).
+    bisection finds the smallest.  A sweep's cutoffs are ``adaptive_cutoffs``.
     """
-    sources, stacked = _checked_sources(sigma, geometry)
-    cutoffs = adaptive_cutoffs(sigma, sources, "row {}: " if stacked else "")
-    return cutoffs if stacked else int(cutoffs[0])
+    return int(adaptive_cutoffs(sigma, _checked_sources(sigma, geometry), "")[0])
 
 
 def adaptive_cutoffs(sigma, sources, label="row {}: "):
@@ -682,7 +665,7 @@ def adaptive_cutoffs(sigma, sources, label="row {}: "):
 
 def spade_model(
     sigma: float,
-    geometry: SourceGeometry | np.ndarray,
+    geometry: SourceGeometry,
     mode_cutoff: int | None = None,
 ) -> ProbabilityModel:
     """Hermite-Gaussian mode-sorting model for a Gaussian PSF of width sigma.
@@ -690,40 +673,23 @@ def spade_model(
     The outcome is the mode index q = 0..Q.  With ``mode_cutoff=None`` the
     cutoff Q is the smallest one whose discarded mass is below 1e-14 and
     whose discarded Fisher information is at most 1e-13/sigma^2
-    (``spade_cutoff``); an explicit cutoff must satisfy the mass criterion
-    or a CutoffError is raised.  The model reports both tail bounds.
-    (n, 2) (theta1, theta2) points and an explicit cutoff, one for all rows
-    or one per row, give a stacked model: every row has the modes up to the
-    largest cutoff, exact zeros past its own (its ``outcome_counts``), and
-    equals bit for bit the model of ``SourceGeometry(*points[i])`` alone at
-    its cutoff, its ``fim`` too.  The tail bounds of all rows are evaluated
-    together, one pair per row, and an error names the first failing row.
-    A single geometry is the one-row case.
+    (``spade_cutoff``); an explicit cutoff must be a nonnegative integer
+    (ValueError) that meets the mass criterion (CutoffError).  The model
+    reports both tail bounds.  A sweep's SPADE FIMs are ``spade_fims``.
     """
-    sources, stacked = _checked_sources(sigma, geometry)
-    label = "row {}: " if stacked else ""
+    sources = _checked_sources(sigma, geometry)
     if mode_cutoff is None:
-        if stacked:
-            raise ValueError("a stacked SPADE model needs an explicit mode_cutoff")
-        mode_cutoff = adaptive_cutoffs(sigma, sources, label)
-    cutoffs = np.broadcast_to(np.asarray(mode_cutoff, dtype=int), sources.shape[-1])
-    if np.any(cutoffs < 0):
+        mode_cutoff = adaptive_cutoffs(sigma, sources, "")[0]
+    elif not np.issubdtype(type(mode_cutoff), np.integer):
+        raise ValueError("mode_cutoff must be an integer")
+    if mode_cutoff < 0:
         raise ValueError("mode_cutoff must be nonnegative")
+    cutoffs = np.array([mode_cutoff], dtype=int)
     mass_tail, fisher_tail = _tail_bounds(sigma, sources[2], sources[3], cutoffs)
-    raise_first_failure([_mass_check(cutoffs, mass_tail)], label)
-
-    names = ("probabilities", "dp_dtheta1", "dp_dtheta2")
-    fields = dict(zip(names, _spade_fields(sigma, sources, cutoffs)))
-    if not stacked:
-        fields = {name: values[0] for name, values in fields.items()}
-        mass_tail, fisher_tail = float(mass_tail[0]), float(fisher_tail[0])
-    return ProbabilityModel(
-        outcome_kind=DISCRETE_MODES,
-        truncated_mass=mass_tail,
-        fisher_tail_bound=fisher_tail,
-        outcome_counts=cutoffs + 1 if stacked else None,
-        **fields,
-    )
+    raise_first_failure([_mass_check(cutoffs, mass_tail)], "")
+    fields = (values[0] for values in _spade_fields(sigma, sources, cutoffs))
+    tails = dict(truncated_mass=float(mass_tail[0]), fisher_tail_bound=float(fisher_tail[0]))
+    return ProbabilityModel(DISCRETE_MODES, *fields, **tails)
 
 
 def _mass_check(cutoffs, mass_tail):
@@ -906,22 +872,18 @@ def fim(model: ProbabilityModel) -> np.ndarray:
     the sum; such an outcome must also carry a negligible derivative
     (below 1e-9 of the maximum derivative magnitude), otherwise the model
     sits at a formally divergent point and a DegenerateOutcomeError is
-    raised rather than returning something arbitrary.  A stacked model gives
-    one matrix per row, and an error names the first failing row.
+    raised rather than returning something arbitrary.
 
-    The sum adds outcome i to outcome n-1-i before adding the pairs up, n a
-    row's own count of outcomes (its ``outcome_counts``, if it has them).
-    For the mirror-symmetric direct-imaging models this makes every term
-    that parity makes odd cancel exactly, so F12 of an even PSF is exactly
-    0.0; for any other model it is only a summation order.
+    The sum adds outcome i to outcome n-1-i before adding the pairs up.  For
+    the mirror-symmetric direct-imaging models this makes every term that
+    parity makes odd cancel exactly, so F12 of an even PSF is exactly 0.0;
+    for any other model it is only a summation order.
     """
     weights = model.weights if model.weights is not None else 1.0
     derivatives = (model.dp_dtheta1, model.dp_dtheta2)
-    matrices, checks = _fisher_information(
-        model.probabilities, derivatives, weights, lengths=model.outcome_counts
-    )
-    raise_first_failure(checks, "row {}: " if model.probabilities.ndim > 1 else "")
-    return matrices
+    matrix, checks = _fisher_information(model.probabilities, derivatives, weights)
+    raise_first_failure(checks, "")
+    return matrix
 
 
 def _fisher_information(probabilities, derivatives, weights=1.0, lengths=None):

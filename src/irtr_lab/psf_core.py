@@ -167,8 +167,8 @@ class QuadratureSpec:
             raise ValueError("panel_count and nodes_per_panel must be integers")
         if self.panel_count < 1 or self.nodes_per_panel < 1:
             raise ValueError("panel_count and nodes_per_panel must be positive")
-        if not self.abs_tolerance > 0.0:
-            raise ValueError("abs_tolerance must be positive")
+        if not 0.0 < self.abs_tolerance < math.inf:
+            raise ValueError("abs_tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -512,20 +512,12 @@ def overlap_columns(psf: PointSpreadFunction, points, quad=QuadratureSpec(), lab
 
 def overlap_integrals(
     psf: PointSpreadFunction,
-    geometry: SourceGeometry | list[SourceGeometry],
+    geometry: SourceGeometry,
     quad: QuadratureSpec = QuadratureSpec(),
-) -> OverlapIntegrals | list[OverlapIntegrals]:
-    """The ``overlap_columns`` of ``geometry``, as ``OverlapIntegrals``, an error unnamed.
-
-    A sequence of geometries gives a list, element i equal bit for bit to
-    ``overlap_integrals(psf, geometry[i], quad)``: the geometries climb
-    together, and an error names the first failing row.
-    """
-    stacked = not isinstance(geometry, SourceGeometry)
-    points = [(g.theta1, g.theta2) for g in (geometry if stacked else [geometry])]
-    columns = overlap_columns(psf, points, quad, "row {}: " if stacked else "")
-    overlaps = [OverlapIntegrals(*column) for column in columns.T.tolist()]
-    return overlaps if stacked else overlaps[0]
+) -> OverlapIntegrals:
+    """The ``overlap_columns`` of ``geometry``'s one point, as ``OverlapIntegrals``."""
+    column = overlap_columns(psf, [(geometry.theta1, geometry.theta2)], quad, "")
+    return OverlapIntegrals(*column[:, 0].tolist())
 
 
 def _products(psf, x1, x2):

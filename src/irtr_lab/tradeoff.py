@@ -60,7 +60,7 @@ class ErrorBudget:
     qf22: float
 
     def __post_init__(self):
-        if self.nu < 1:
+        if not (np.issubdtype(type(self.nu), np.integer) and self.nu >= 1):
             raise ValueError("nu must be a positive integer")
         for name in ("e11", "e22", "qf11", "qf22"):
             if not getattr(self, name) > 0.0:
@@ -96,7 +96,8 @@ def irtr_frontier(c_tilde: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     which satisfies the residual identically.  Pairs below the curve are
     infeasible for every measurement.  Each point meets ``TradeoffPoint``'s
-    range checks; the first point outside raises its error.
+    range checks; the first point outside raises its error.  An n too large
+    to allocate raises MemoryError.
     """
     _check_coefficient(c_tilde)
     if not c_tilde > 0.0:
@@ -104,7 +105,12 @@ def irtr_frontier(c_tilde: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 2:
         raise ValueError("n must be at least 2")
     tail = math.sqrt(max(1.0 - c_tilde * c_tilde, 0.0))
-    delta1 = c_tilde * np.arange(n) / (n - 1)
+    try:
+        # numpy refuses the largest counts, but np.arange(n) is empty for some n near 2**63.
+        steps = np.arange(n if n < 2**62 else math.inf)
+    except ValueError as error:
+        raise MemoryError(error) from None
+    delta1 = c_tilde * steps / (n - 1)
     delta2 = c_tilde * np.sqrt(1.0 - delta1 * delta1) - delta1 * tail
     delta2 = np.where(delta2 < 0.0, 0.0, delta2)
     raise_first_failure(delta_range_checks(delta1, delta2), "")
@@ -142,7 +148,7 @@ def small_separation_error_bound(nu: int, e11: float, e22: float, kappa: float) 
     In the limit of coincident sources the tradeoff forces
     1/(4 nu kappa e11) + 1/(nu kappa e22) <= 1 regardless of measurement.
     """
-    if nu < 1:
+    if not (np.issubdtype(type(nu), np.integer) and nu >= 1):
         raise ValueError("nu must be a positive integer")
     for name, value in (("e11", e11), ("e22", e22), ("kappa", kappa)):
         if not value > 0.0:

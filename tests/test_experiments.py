@@ -25,8 +25,13 @@ from irtr_lab.experiments import (
     MEASUREMENT_NAMES,
     inclusive_grid,
 )
-from irtr_lab.measurements import regret_rows, spade_cutoff
+from irtr_lab.measurements import adaptive_cutoffs, regret_rows, spade_sources
 from irtr_lab.state_model import c_tilde_from_overlaps, qfim_stack
+
+
+def sweep_cutoffs(points):
+    """The adaptive SPADE cutoffs at sigma = 1 of (theta1, theta2) ``points``, as a sweep's."""
+    return adaptive_cutoffs(1.0, spade_sources(1.0, psf_core.sweep_points(points)))
 
 
 def read_table(path):
@@ -780,8 +785,8 @@ class TestRunnersMatchScalarRoute:
         psf = lab.gaussian_psf(sigma)
         points = [(0.0, t) for t in np.geomspace(1e-3, 40.0, 400)]
         geometries = [lab.SourceGeometry(*point) for point in points]
-        overlaps = lab.overlap_integrals(psf, geometries, self.quad)
-        fields = np.array([[o.kappa, o.gamma, o.beta, o.delta] for o in overlaps]).T
+        fields = psf_core.overlap_columns(psf, points, self.quad)
+        overlaps = [lab.OverlapIntegrals(*column) for column in fields.T.tolist()]
         quantum = qfim_stack(fields)
         scalar = np.array([lab.qfim(overlap).matrix for overlap in overlaps])
         assert quantum.tobytes() == scalar.tobytes()
@@ -855,7 +860,7 @@ class TestRunnersMatchScalarRoute:
         points = [(float(row[0]), 0.1) for row in rows]
         geometries = [lab.SourceGeometry(*point) for point in points]
         assert any(0.0 in (geometry.x1, geometry.x2) for geometry in geometries)
-        assert len(set(spade_cutoff(1.0, points).tolist())) > 30
+        assert len(set(sweep_cutoffs(points).tolist())) > 30
         for row, geometry in zip(rows, geometries):
             expected = scalar_row(lab.spade_model(1.0, geometry, None), overlaps)
             assert (float(row[1]), float(row[2])) == expected[:2]
@@ -945,7 +950,7 @@ class TestRunnersMatchScalarRoute:
         # FIM goes back to its sweep row.
         config = lab.ExperimentConfig(figure_id="fig4", mode_cutoff=mode_cutoff)
         fishers = experiments._spade_fims(config, np.array(points))
-        cutoffs = spade_cutoff(1.0, points)
+        cutoffs = sweep_cutoffs(points)
         assert np.any(np.diff(cutoffs) < 0) and len(points) > 2 * experiments._SPADE_BLOCK
         for point, cutoff, fisher in zip(points, cutoffs.tolist(), fishers):
             geometry = lab.SourceGeometry(*point)
@@ -988,7 +993,7 @@ class TestRunnersMatchScalarRoute:
             return fishers, [*checks, crafted_check]
 
         monkeypatch.setattr(measurements, "_spade_block", crafted)
-        cutoffs = spade_cutoff(1.0, points)
+        cutoffs = sweep_cutoffs(points)
         order = np.argsort(cutoffs, kind="stable").tolist()
         assert order.index(10) // 128 == 2 and order.index(150) // 128 == 0
         config = lab.ExperimentConfig(figure_id="fig4")
@@ -1307,7 +1312,7 @@ class TestRunnersShareTheKernel:
         rng = np.random.default_rng(1)
         rng.uniform(0.0, 3.0, 6), rng.uniform(0.1, 4.0, 6)
         grid = tuple(np.unique(rng.uniform(0.0, 5.0, 500)).tolist())
-        assert len(set(spade_cutoff(1.0, [(theta1, 0.1) for theta1 in grid]).tolist())) == 32
+        assert len(set(sweep_cutoffs([(theta1, 0.1) for theta1 in grid]).tolist())) == 32
         calls, model = [], measurements._spade_block
 
         def counted(*args, **kwargs):
@@ -1535,6 +1540,51 @@ class TestCli:
         expected = f"config error: n_random {count} is too large: {message}\n"
         assert capsys.readouterr().err == expected
         assert not tmp_path.joinpath("manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "figure, samples, message",
+        [
+            ("fig3", 10**12, "Unable to allocate 7.28 TiB for an array"),
+            ("fig4", 10**20, "Maximum allowed size exceeded"),
+        ],
+    )
+    def test_frontier_samples_too_large_is_config_error(
+        self, tmp_path, capsys, monkeypatch, figure, samples, message
+    ):
+        # 10**12 samples are refused as numpy refuses 7.28 TiB, without asking
+        # for the memory; numpy refuses 10**20 itself.
+        arange = np.arange
+
+        def refusing(stop, *args, **kwargs):
+            if 10**9 < stop < float("inf"):
+                raise MemoryError(message)
+            return arange(stop, *args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", refusing)
+        config = tmp_path / "frontier.ini"
+        config.write_text(f"[{figure}]\nfrontier_samples = {samples}\n", encoding="utf-8")
+        argv = [figure, "--config", str(config), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        expected = f"config error: frontier_samples {samples} is too large: {message}\n"
+        assert capsys.readouterr().err == expected
+        assert not tmp_path.joinpath("out", "manifest.json").exists()
+
+    def test_a_frontier_range_error_is_not_a_config_error(self, monkeypatch):
+        # Roots of 2 put the frontier's delta2 beyond 1 (see test_tradeoff).
+        monkeypatch.setattr(np, "sqrt", lambda values: np.full(len(values), 2.0))
+        with pytest.raises(ValueError) as raised:
+            experiments._frontier_table("fig4_frontier.csv", [], 0.9, 5)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "delta2 = 1.8 is outside [0, 1]"
+
+    def test_infinite_abs_tolerance_is_config_error(self, tmp_path, capsys):
+        # Every drift and normalization check would pass at any rule.
+        config = tmp_path / "tolerance.ini"
+        config.write_text("[common]\nabs_tolerance = inf\n", encoding="utf-8")
+        argv = ["fig2", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        expected = "config error: abs_tolerance must be positive and finite\n"
+        assert capsys.readouterr().err == expected
 
     def test_ambiguous_grid_prefix_exits_two(self, tmp_path, capsys):
         argv = ["custom", "--theta", "-2,0", "--theta2-grid", "1", "--out", str(tmp_path)]

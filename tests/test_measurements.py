@@ -42,6 +42,12 @@ def points(geometries):
     return [(g.theta1, g.theta2) for g in geometries]
 
 
+def sweep_cutoffs(sigma, points):
+    """The adaptive SPADE cutoffs of (theta1, theta2) ``points``, bisected together."""
+    sources = measurements.spade_sources(sigma, psf_core.sweep_points(points))
+    return measurements.adaptive_cutoffs(sigma, sources)
+
+
 def overlap_fields(overlaps):
     """The (4, n) columns (kappa, gamma, beta, delta) of a list of ``OverlapIntegrals``."""
     return np.array([[o.kappa, o.gamma, o.beta, o.delta] for o in overlaps]).reshape(-1, 4).T
@@ -179,6 +185,16 @@ class TestDirectImaging:
             )
 
 
+def stack(*rows):
+    """(probabilities, dp_dtheta1, dp_dtheta2) of single models' ``rows``, as (rows, n) arrays."""
+    return [np.array(field) for field in zip(*rows)]
+
+
+def raise_stacked(checks):
+    """Raise the first failing row's error of stacked ``checks``, as a sweep names it."""
+    raise_first_failure(checks, "row {}: ")
+
+
 class TestStackedModels:
     """A stack of models is checked and reduced row by row, like single models."""
 
@@ -187,9 +203,6 @@ class TestStackedModels:
     # Two outcomes carry the mass; the third has probability 0.
     good = ([0.5, 0.5, 0.0], [0.05, -0.05, 0.0], [0.1, -0.1, 0.0])
     divergent = ([0.5, 0.5, 0.0], [0.05, -0.1, 0.05], [0.1, -0.1, 0.0])
-
-    def discrete_stack(self, *rows):
-        return lab.ProbabilityModel(DISCRETE_MODES, *(np.array(field) for field in zip(*rows)))
 
     def test_direct_imaging_fims_name_the_failing_sweep_row(self):
         # A PSF not known to be even takes the scalar route.  With this rule its
@@ -201,7 +214,7 @@ class TestStackedModels:
         )
         quad = lab.QuadratureSpec(panel_count=6, nodes_per_panel=12, abs_tolerance=1e-6)
         geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in (0.5, 1, 2, 3, 4, 6, 8, 12)]
-        assert len(lab.overlap_integrals(psf, geometries, quad)) == len(geometries)
+        assert psf_core.overlap_columns(psf, points(geometries), quad).shape == (4, 8)
         for geometry in geometries[:4]:
             lab.fim(lab.direct_imaging_model(psf, geometry, quad))
         cases = (
@@ -219,105 +232,120 @@ class TestStackedModels:
 
     def test_bad_total_names_its_row(self):
         singles = [lab.direct_imaging_model(self.psf, geometry) for geometry in self.geometries]
-        names = ("probabilities", "dp_dtheta1", "dp_dtheta2", "weights")
-        fields = {name: np.stack([getattr(single, name) for single in singles]) for name in names}
-        stacked = lab.ProbabilityModel(CONTINUUM_GRID, **fields)
-        probabilities = stacked.probabilities.copy()
+        names = ("probabilities", "dp_dtheta1", "dp_dtheta2")
+        probabilities, *derivatives = (
+            np.stack([getattr(single, name) for single in singles]) for name in names
+        )
+        weights = np.stack([single.weights for single in singles])
         probabilities[1] *= 1.01
-        with pytest.raises(ValueError, match=r"^row 1: total probability"):
-            dataclasses.replace(stacked, probabilities=probabilities)
-        with pytest.raises(ValueError, match=r"^total probability"):
+        with pytest.raises(ValueError) as stacked:
+            raise_stacked(measurements._model_checks(probabilities, derivatives, weights))
+        with pytest.raises(ValueError, match=r"^total probability") as single:
             dataclasses.replace(singles[1], probabilities=probabilities[1])
+        assert str(stacked.value) == "row 1: " + str(single.value)
 
     def test_derivative_on_a_dropped_outcome_names_its_row(self):
-        stacked = self.discrete_stack(self.good, self.divergent, self.good)
-        with pytest.raises(lab.DegenerateOutcomeError, match=r"^row 1: .*dp_dtheta1"):
-            lab.fim(stacked)
-        with pytest.raises(lab.DegenerateOutcomeError, match=r"^an outcome .*dp_dtheta1"):
+        probabilities, *derivatives = stack(self.good, self.divergent, self.good)
+        _, checks = measurements._fisher_information(probabilities, derivatives)
+        with pytest.raises(lab.DegenerateOutcomeError) as stacked:
+            raise_stacked(checks)
+        with pytest.raises(lab.DegenerateOutcomeError, match=r"^an outcome .*dp_dtheta1") as single:
             lab.fim(lab.ProbabilityModel(DISCRETE_MODES, *self.divergent))
+        assert str(stacked.value) == "row 1: " + str(single.value)
 
     def test_first_failing_row_wins_whatever_its_check(self):
         drifting = ([0.5, 0.5, 0.0], [0.1, 0.1, 0.0], [0.0, 0.0, 0.0])
         negative = ([1.1, -0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match=r"^row 1: sum of dp_dtheta1"):
-            self.discrete_stack(self.good, drifting, negative)
-        with pytest.raises(ValueError, match=r"^row 1: probabilities must be nonnegative"):
-            self.discrete_stack(self.good, negative, drifting)
+        for rows, message in (
+            ((self.good, drifting, negative), r"^row 1: sum of dp_dtheta1"),
+            ((self.good, negative, drifting), r"^row 1: probabilities must be nonnegative"),
+        ):
+            probabilities, *derivatives = stack(*rows)
+            with pytest.raises(ValueError, match=message):
+                raise_stacked(measurements._model_checks(probabilities, derivatives))
 
     def test_spade_rows_equal_the_single_models(self):
         # theta1 = -+0.15 at theta2 = 0.3 has a source on the axis (alpha = 0).
         geometries = [lab.SourceGeometry(t1, 0.3) for t1 in (-2.0, -0.15, 0.0, 0.15, 3.1)]
         for sigma, cutoff in ((1.0, 40), (0.37, 300)):
-            stacked = lab.spade_model(sigma, points(geometries), cutoff)
-            fisher = lab.fim(stacked)
-            assert fisher.shape == (5, 2, 2)
+            sources = measurements.spade_sources(sigma, points(geometries))
+            cutoffs = np.full(len(geometries), cutoff)
+            fields = measurements._spade_fields(sigma, sources, cutoffs)
+            mass, fisher_tail = measurements._tail_bounds(sigma, sources[2], sources[3], cutoffs)
+            # Blocks of two rows, the last one ragged.
+            fishers = measurements.spade_fims(sigma, sources, cutoffs, 2)
             for row, geometry in enumerate(geometries):
                 single = lab.spade_model(sigma, geometry, cutoff)
-                for name in ("probabilities", "dp_dtheta1", "dp_dtheta2"):
-                    stacked_row = getattr(stacked, name)[row]
-                    np.testing.assert_array_equal(stacked_row, getattr(single, name))
-                assert stacked.truncated_mass[row] == single.truncated_mass
-                assert stacked.fisher_tail_bound[row] == single.fisher_tail_bound
-                np.testing.assert_array_equal(fisher[row], lab.fim(single))
+                for field, name in zip(fields, ("probabilities", "dp_dtheta1", "dp_dtheta2")):
+                    np.testing.assert_array_equal(field[row], getattr(single, name))
+                assert mass[row] == single.truncated_mass
+                assert fisher_tail[row] == single.fisher_tail_bound
+                assert fishers[row].tobytes() == lab.fim(single).tobytes()
 
     def test_padded_spade_rows_pair_their_own_outcomes(self):
         # One cutoff per row, padded to the largest: cutoff 0 leaves no pair,
         # cutoff 1 one pair, and the adaptive cutoffs mix odd and even counts.
         sweep = [lab.SourceGeometry(t1, 0.4) for t1 in np.linspace(-5.0, 5.0, 198)]
         geometries = [lab.SourceGeometry(0.0, 1e-8), lab.SourceGeometry(0.0, 1e-4), *sweep]
-        cutoffs = [0, 1, *spade_cutoff(1.0, points(sweep)).tolist()]
-        assert {cutoff % 2 for cutoff in cutoffs[2:]} == {0, 1}
-        stacked = lab.spade_model(1.0, points(geometries), cutoffs)
-        assert stacked.probabilities.shape == (200, max(cutoffs) + 1)
-        np.testing.assert_array_equal(stacked.outcome_counts, np.add(cutoffs, 1))
-        fisher = lab.fim(stacked)
+        cutoffs = np.array([0, 1, *sweep_cutoffs(1.0, points(sweep)).tolist()])
+        assert {cutoff % 2 for cutoff in cutoffs[2:].tolist()} == {0, 1}
+        sources = measurements.spade_sources(1.0, points(geometries))
+        mass, _ = measurements._tail_bounds(1.0, sources[2], sources[3], cutoffs)
+        # The padded block in sweep order, whose lengths are not sorted.
+        probabilities, *derivatives = measurements._spade_fields(1.0, sources, cutoffs)
+        assert probabilities.shape == (200, cutoffs.max() + 1)
+        fishers = measurements.spade_fims(1.0, sources, cutoffs, 64)
 
-        def checked_sums(model, lengths=None):
+        def checked_sums(probabilities, derivatives, mass, lengths=None):
             # The total probability and the two derivative sums the model checks print.
-            derivatives = (model.dp_dtheta1, model.dp_dtheta2)
-            checks = measurements._model_checks(
-                model.probabilities, derivatives, 1.0, model.truncated_mass, lengths=lengths
-            )
+            checks = measurements._model_checks(probabilities, derivatives, 1.0, mass, lengths)
             return [check[3] for check in checks[1:]]
 
-        sums = checked_sums(stacked, stacked.outcome_counts)
-        for row, (geometry, cutoff) in enumerate(zip(geometries, cutoffs)):
+        sums = checked_sums(probabilities, derivatives, mass, cutoffs + 1)
+        padded, _ = measurements._fisher_information(probabilities, derivatives, 1.0, cutoffs + 1)
+        for row, (geometry, cutoff) in enumerate(zip(geometries, cutoffs.tolist())):
             single = lab.spade_model(1.0, geometry, cutoff)
-            for name in ("probabilities", "dp_dtheta1", "dp_dtheta2"):
-                own, padding = np.split(getattr(stacked, name)[row], [cutoff + 1])
-                np.testing.assert_array_equal(own, getattr(single, name))
+            fields = (single.probabilities, single.dp_dtheta1, single.dp_dtheta2)
+            for values, own_values in zip((probabilities, *derivatives), fields):
+                own, padding = np.split(values[row], [cutoff + 1])
+                np.testing.assert_array_equal(own, own_values)
                 assert not padding.any()
-            assert stacked.truncated_mass[row] == single.truncated_mass
-            assert [values[row] for values in sums] == checked_sums(single)
-            np.testing.assert_array_equal(fisher[row], lab.fim(single))
+            assert mass[row] == single.truncated_mass
+            assert [values[row] for values in sums] == checked_sums(
+                fields[0], fields[1:], single.truncated_mass
+            )
+            assert padded[row].tobytes() == fishers[row].tobytes() == lab.fim(single).tobytes()
 
-    def test_outcome_counts_must_fit_their_rows(self):
+    def test_a_model_holds_one_row_of_outcomes(self):
+        # A stack of models is checked by _model_checks and _fisher_information,
+        # each row over its own outcomes; a row without a kept outcome is zero.
         rows = ([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]], np.zeros((2, 3)), np.zeros((2, 3)))
-        model = lab.ProbabilityModel(DISCRETE_MODES, *rows, outcome_counts=np.array([2, 1]))
-        np.testing.assert_array_equal(lab.fim(model), np.zeros((2, 2, 2)))
-        for counts in ([2, 4], [2], [2.0, 1.0], [-1, 1]):
-            with pytest.raises(ValueError, match="^outcome_counts must give each row's count"):
-                lab.ProbabilityModel(DISCRETE_MODES, *rows, outcome_counts=np.array(counts))
-        single = [values[0] for values in rows]  # An unstacked model has no rows to count.
-        with pytest.raises(ValueError, match="^outcome_counts must give each row's count"):
-            lab.ProbabilityModel(DISCRETE_MODES, *single, outcome_counts=np.array(2))
-
-    def test_stacked_spade_model_needs_an_explicit_cutoff(self):
-        pair = [(-0.8, 0.5), (0.8, 0.5)]
-        with pytest.raises(ValueError, match="needs an explicit mode_cutoff"):
-            lab.spade_model(1.0, pair)
+        for fields in (rows, [values[0][0] for values in rows]):
+            with pytest.raises(ValueError, match="^probabilities and derivatives must be 1-D"):
+                lab.ProbabilityModel(DISCRETE_MODES, *fields)
+        lengths = np.array([2, 1])
+        probabilities, *derivatives = (np.asarray(values) for values in rows)
+        raise_stacked(measurements._model_checks(probabilities, derivatives, lengths=lengths))
+        fishers, _ = measurements._fisher_information(probabilities, derivatives, lengths=lengths)
+        assert fishers.tobytes() == np.zeros((2, 2, 2)).tobytes()
 
     def test_failing_spade_row_names_its_row(self):
         near, far = lab.SourceGeometry(0.0, 0.5), lab.SourceGeometry(10.0, 0.5)
         cutoff = spade_cutoff(1.0, near)
-        message = rf"^row 1: cutoff {cutoff} leaves truncated mass"
-        with pytest.raises(lab.CutoffError, match=message):
-            lab.spade_model(1.0, points([near, far, far]), mode_cutoff=cutoff)
+        with pytest.raises(lab.CutoffError) as single:
+            lab.spade_model(1.0, far, mode_cutoff=cutoff)
+        sources = measurements.spade_sources(1.0, points([near, far, far]))
+        with pytest.raises(lab.CutoffError) as stacked:
+            measurements.spade_fims(1.0, sources, np.full(3, cutoff), 2)
+        assert str(stacked.value) == "row 1: " + str(single.value)
+        assert str(single.value).startswith(f"cutoff {cutoff} leaves truncated mass")
 
     def test_discrete_rows_equal_the_single_models(self):
-        fisher = lab.fim(self.discrete_stack(self.good, self.good))
+        probabilities, *derivatives = stack(self.good, self.good)
+        fishers, checks = measurements._fisher_information(probabilities, derivatives)
+        raise_stacked(checks)
         single = lab.fim(lab.ProbabilityModel(DISCRETE_MODES, *self.good))
-        np.testing.assert_array_equal(fisher, [single, single])
+        np.testing.assert_array_equal(fishers, [single, single])
 
 
 class TestOverlapsAndDirectFims:
@@ -375,7 +403,7 @@ class TestOverlapsAndDirectFims:
         panels = [model.probabilities.size // (2 * quad.nodes_per_panel) for model in models]
         fim_rungs = np.array([ladder.index(count) for count in panels])
         assert set(fim_rungs.tolist()) == set(range(1, len(ladder)))
-        lab.overlap_integrals(self.psf, geometries, quad)
+        psf_core.overlap_columns(self.psf, points(geometries), quad)
         overlap_rungs = rung_log[-1]
         np.testing.assert_array_equal(rung_log[-2], np.maximum(overlap_rungs, fim_rungs))
 
@@ -400,7 +428,7 @@ class TestOverlapsAndDirectFims:
             USER_DEFINED, 1.0, self.psf.amplitude, self.psf.amplitude_derivative
         )
         for psf in (self.psf, user):
-            assert lab.overlap_integrals(psf, []) == []
+            assert psf_core.overlap_columns(psf, []).shape == (4, 0)
             overlaps, fishers = measurements.overlaps_and_direct_fims(psf, [])
             assert overlaps.shape == (4, 0) and fishers.shape == (0, 2, 2)
 
@@ -512,7 +540,7 @@ class TestOverlapsAndDirectFims:
             assert blocks == passes
             assert calls == ["_fim_drift_checks", "_settle"]
             calls.clear()
-            lab.overlap_integrals(self.psf, geometries[:count])
+            psf_core.overlap_columns(self.psf, points(geometries[:count]))
             assert calls == ["_settle"]
 
     @staticmethod
@@ -578,7 +606,7 @@ class TestOverlapsAndDirectFims:
         # 1e-12 x QFIM11 at theta2 = 2.45, row 48.
         quad = lab.QuadratureSpec(panel_count=8, nodes_per_panel=16)
         geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in DEFAULT_SEPARATION_GRID]
-        assert len(lab.overlap_integrals(self.psf, geometries, quad)) == len(geometries)
+        assert psf_core.overlap_columns(self.psf, points(geometries), quad).shape == (4, 160)
         measurements.overlaps_and_direct_fims(self.psf, points(geometries[:48]), quad)
         with pytest.raises(lab.ConvergenceError) as single:
             lab.direct_imaging_model(self.psf, geometries[48], quad)
@@ -701,6 +729,17 @@ class TestSpadeModel:
         with pytest.raises(ValueError, match="^mode_cutoff must be nonnegative$"):
             lab.spade_model(1.0, lab.SourceGeometry(0.0, 1.0), mode_cutoff=-1)
 
+    def test_rejects_a_cutoff_that_is_not_an_integer(self):
+        # 30.9 once ran at cutoff 30, and '30' was read as 30.
+        geometry = lab.SourceGeometry(0.0, 0.1)
+        for cutoff in (30.9, 30.0, "30", True, np.array(30)):
+            with pytest.raises(ValueError, match="^mode_cutoff must be an integer$"):
+                lab.spade_model(1.0, geometry, mode_cutoff=cutoff)
+        model = lab.spade_model(1.0, geometry, mode_cutoff=30)
+        numpy_cutoff = lab.spade_model(1.0, geometry, mode_cutoff=np.uint8(30))
+        assert model.probabilities.size == numpy_cutoff.probabilities.size == 31
+        assert lab.fim(model).tobytes() == lab.fim(numpy_cutoff).tobytes()
+
     def test_outcome_kind(self):
         model = lab.spade_model(1.0, lab.SourceGeometry(0.0, 0.5))
         assert model.outcome_kind == DISCRETE_MODES
@@ -767,7 +806,7 @@ class TestAdaptiveCutoff:
             for theta1 in [*theta1s, -0.5 * theta2, 0.5 * theta2]:
                 geometries.append(lab.SourceGeometry(theta1, theta2))
         assert len(geometries) == 9 * 123
-        for geometry, stacked in zip(geometries, spade_cutoff(sigma, points(geometries)).tolist()):
+        for geometry, stacked in zip(geometries, sweep_cutoffs(sigma, points(geometries)).tolist()):
             cutoff, mass, fisher = linear_scan_cutoff(sigma, geometry)
             model = lab.spade_model(sigma, geometry)
             assert stacked == cutoff
@@ -798,7 +837,7 @@ class TestAdaptiveCutoff:
         # The rows with a cutoff, bisected together, take the scan's cutoffs,
         # and the stacked bounds at them are the scan's, bit for bit: the
         # (2, n) means against (n,) cutoffs and the (2,) means against (k,).
-        cutoffs = spade_cutoff(sigma, sweep[found])
+        cutoffs = sweep_cutoffs(sigma, sweep[found])
         assert cutoffs.tolist() == [scans[row][0] for row in found]
         mass, fisher = measurements._tail_bounds(sigma, sources[2], sources[3], cutoffs)
         assert mass.tolist() == [scans[row][1] for row in found]
@@ -816,12 +855,12 @@ class TestAdaptiveCutoff:
         # The whole sweep names its first row without a cutoff.
         message = f"^row {missing[0]}: no cutoff up to 512 meets the truncation criteria$"
         with pytest.raises(lab.CutoffError, match=message):
-            spade_cutoff(sigma, sweep)
+            sweep_cutoffs(sigma, sweep)
 
     def test_stacked_cutoffs_are_the_single_ones(self):
         # A 500-point misalignment sweep at theta2 = 0.1 sigma.
         sweep = [lab.SourceGeometry(r, 0.1) for r in np.linspace(-20.0, 20.0, 500).tolist()]
-        assert spade_cutoff(1.0, points(sweep)).tolist() == [spade_cutoff(1.0, g) for g in sweep]
+        assert sweep_cutoffs(1.0, points(sweep)).tolist() == [spade_cutoff(1.0, g) for g in sweep]
 
     @pytest.mark.parametrize("sigma", [0.37, 1.0, 2.3])
     def test_stacked_cutoffs_with_a_source_on_the_axis(self, sigma):
@@ -829,7 +868,7 @@ class TestAdaptiveCutoff:
         theta2s = [float(r) * sigma for r in np.geomspace(1e-4, 8.0, 9)]
         sweep = [lab.SourceGeometry(s * 0.5 * t, t) for t in theta2s for s in (-1.0, 1.0)]
         assert all(0.0 in (geometry.x1, geometry.x2) for geometry in sweep)
-        assert spade_cutoff(sigma, points(sweep)).tolist() == [
+        assert sweep_cutoffs(sigma, points(sweep)).tolist() == [
             spade_cutoff(sigma, g) for g in sweep
         ]
 
@@ -839,7 +878,7 @@ class TestAdaptiveCutoff:
             linear_scan_cutoff(1.0, geometry)
         def in_a_sweep(sigma, far):
             near = lab.SourceGeometry(1.0, 0.5)
-            return spade_cutoff(sigma, points([near, far, near]))
+            return sweep_cutoffs(sigma, points([near, far, near]))
 
         # A sweep names the failing row; the scalar routes keep the scan's text.
         for route, label in ((spade_cutoff, ""), (lab.spade_model, ""), (in_a_sweep, "row 1: ")):

@@ -182,6 +182,8 @@ class TestQuadratureSpec:
             {"nodes_per_panel": 0},
             {"nodes_per_panel": 2.5},
             {"abs_tolerance": 0.0},
+            {"abs_tolerance": float("nan")},
+            {"abs_tolerance": float("inf")},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -365,7 +367,7 @@ class TestStackedOverlapChecks:
         # top pair, while rows 0 and 2 settle on (4, 8) as they do alone.
         psf = lab.gaussian_psf(1.0)
         points = [(0.0, 0.5), (0.0, 1.0), (0.0, 2.0)]
-        singles = lab.overlap_integrals(psf, [lab.SourceGeometry(*p) for p in points])
+        singles = [lab.overlap_integrals(psf, lab.SourceGeometry(*p)) for p in points]
         original, final_values = psf_core._settle, {}
 
         def corrupting(overlaps, rows, integrals, *rest):
@@ -402,11 +404,11 @@ class TestNonFiniteIntegrands:
         with pytest.raises(lab.ConvergenceError, match="^quadrature drift nan"):
             lab.overlap_integrals(psf, lab.SourceGeometry(0.0, 40.0))
         # Only the widest separation samples the NaN region.
-        geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in (0.5, 4.0, 40.0, 1.0)]
+        points = [(0.0, theta2) for theta2 in (0.5, 4.0, 40.0, 1.0)]
         with pytest.raises(lab.ConvergenceError, match="^row 2: quadrature drift nan"):
-            lab.overlap_integrals(psf, geometries)
+            psf_core.overlap_columns(psf, points)
         with pytest.raises(lab.ConvergenceError, match="^row 2: quadrature drift nan"):
-            lab.overlaps_and_direct_fims(psf, [(g.theta1, g.theta2) for g in geometries])
+            lab.overlaps_and_direct_fims(psf, points)
 
     def test_displaced_overlaps_raise_a_nan_drift(self):
         with pytest.raises(lab.ConvergenceError, match="^quadrature drift nan"):
@@ -551,20 +553,24 @@ class TestFoldedOverlaps:
         self, quad, widest, block_samples, monkeypatch, rung_log
     ):
         monkeypatch.setattr(psf_core, "BLOCK_SAMPLES", block_samples)
-        geometries = [
-            lab.SourceGeometry(0.3 * index - 4.0, float(theta2))
-            for index, theta2 in enumerate(np.geomspace(3e-6, widest, 100))
+        points = [
+            (0.3 * index - 4.0, theta2)
+            for index, theta2 in enumerate(np.geomspace(3e-6, widest, 100).tolist())
         ]
-        singles = [lab.overlap_integrals(self.psf, geometry, quad) for geometry in geometries]
+        singles = [
+            list(dataclasses.astuple(lab.overlap_integrals(self.psf, lab.SourceGeometry(*p), quad)))
+            for p in points
+        ]
         single_rungs = np.concatenate(rung_log)
-        lengths = (1, 2, 4, 6, len(geometries))
+        lengths = (1, 2, 4, 6, len(points))
         # With smaller blocks, the sweep spans blocks of its first pass and ends in a ragged one.
         size = block_size(quad, quadrature_ladder(quad)[0])
-        assert block_samples == 16384 or size == 1 or len(geometries) % size
+        assert block_samples == 16384 or size == 1 or len(points) % size
         for length in lengths:
-            for start in range(0, len(geometries), length):
+            for start in range(0, len(points), length):
                 chunk = slice(start, start + length)
-                assert lab.overlap_integrals(self.psf, geometries[chunk], quad) == singles[chunk]
+                columns = psf_core.overlap_columns(self.psf, points[chunk], quad)
+                assert columns.T.tolist() == singles[chunk]
                 # Each row settles on its own rung, whatever rows share its blocks.
                 np.testing.assert_array_equal(rung_log[-1], single_rungs[chunk])
         # Rows of different rungs share the sweep wherever the ladder has more than one pair.
@@ -611,24 +617,23 @@ class TestFoldedOverlaps:
         size = block_size(quad, quadrature_ladder(quad)[-1])
         assert size == psf_core.BLOCK_SAMPLES // 64
         separations = [*np.linspace(0.1, 1.0, size + 2).tolist(), 5.0, 10.0]
-        geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in separations]
         with pytest.raises(lab.ConvergenceError) as single:
-            lab.overlap_integrals(self.psf, geometries[size + 2], quad)
+            lab.overlap_integrals(self.psf, lab.SourceGeometry(0.0, separations[size + 2]), quad)
         with pytest.raises(lab.ConvergenceError) as stacked:
-            lab.overlap_integrals(self.psf, geometries, quad)
+            psf_core.overlap_columns(self.psf, [(0.0, theta2) for theta2 in separations], quad)
         assert str(stacked.value) == f"row {size + 2}: " + str(single.value)
 
     def test_a_row_that_climbs_is_named_by_its_sweep_row(self, rung_log):
         # Rows settle on rungs 1, 2 and 3; the failing row is the second of the
         # rows left on the top pass, six rows into the sweep.
         separations = (0.1, 1.0, 150.0, 4.0, 300.0, 8.0, 1000.0, 2000.0)
-        geometries = [lab.SourceGeometry(0.0, theta2) for theta2 in separations]
-        lab.overlap_integrals(self.psf, geometries[:6])
+        points = [(0.0, theta2) for theta2 in separations]
+        psf_core.overlap_columns(self.psf, points[:6])
         assert rung_log[-1].tolist() == [1, 1, 2, 1, 3, 1]
         with pytest.raises(lab.ConvergenceError) as single:
-            lab.overlap_integrals(self.psf, geometries[6])
+            lab.overlap_integrals(self.psf, lab.SourceGeometry(*points[6]))
         with pytest.raises(lab.ConvergenceError) as stacked:
-            lab.overlap_integrals(self.psf, geometries)
+            psf_core.overlap_columns(self.psf, points)
         assert str(stacked.value) == "row 6: " + str(single.value)
         # The top pair is the rule every row took before the ladder: the same message.
         assert str(single.value) == (
@@ -668,8 +673,7 @@ class TestFoldedOverlaps:
                 yield index, rows, *block
 
         monkeypatch.setattr(psf_core, "overlap_passes", recording)
-        geometries = [lab.SourceGeometry(0.0, float(theta2)) for theta2 in separations]
-        overlaps = lab.overlap_integrals(self.psf, geometries, quad)
+        overlaps = psf_core.overlap_columns(self.psf, [(0.0, t) for t in separations], quad)
         assert (taken[:, near].T == [False, False, True, True]).all()
         assert (taken[:, ~near].T == [True, True, False, False]).all()
         # eta3^2 = kappa + beta - gamma^2/(1 - delta) cancels near coincidence,
@@ -677,9 +681,9 @@ class TestFoldedOverlaps:
         # negative: the top pair's do at a few separations below 0.007 sigma,
         # and none of the separations above NEAR_COINCIDENCE does.
         degenerate = []
-        for theta2, overlap in zip(separations.tolist(), overlaps):
+        for theta2, column in zip(separations.tolist(), overlaps.T.tolist()):
             try:
-                lab.incompatibility(overlap)
+                lab.incompatibility(lab.OverlapIntegrals(*column))
             except lab.DegenerateStateError:
                 degenerate.append(theta2)
         assert max(degenerate, default=0.0) < psf_core.NEAR_COINCIDENCE

@@ -144,6 +144,13 @@ class TestIrtrFrontier:
         flags = [check[2].tolist() for check in checks]
         assert flags == [[False, True, True], [False, False, True]]
 
+    @pytest.mark.parametrize("n", [2**62, 2**63 - 1, 10**20])
+    def test_a_count_numpy_cannot_hold_is_a_memory_error(self, n):
+        # numpy refuses such counts, but np.arange(2**63 - 1) is empty: each
+        # is a frontier too large to allocate, never an empty one.
+        with pytest.raises(MemoryError, match="^Maximum allowed size exceeded$"):
+            lab.irtr_frontier(0.5, n)
+
     def test_rejects_degenerate_requests(self):
         with pytest.raises(ValueError):
             lab.irtr_frontier(0.0, 16)
@@ -182,6 +189,9 @@ class TestErrorTradeoff:
         "kwargs",
         [
             {"nu": 0, "e11": 1.0, "e22": 1.0, "qf11": 1.0, "qf22": 1.0},
+            {"nu": 1.5, "e11": 1.0, "e22": 1.0, "qf11": 1.0, "qf22": 1.0},
+            {"nu": 2.0, "e11": 1.0, "e22": 1.0, "qf11": 1.0, "qf22": 1.0},
+            {"nu": True, "e11": 1.0, "e22": 1.0, "qf11": 1.0, "qf22": 1.0},
             {"nu": 1, "e11": 0.0, "e22": 1.0, "qf11": 1.0, "qf22": 1.0},
             {"nu": 1, "e11": 1.0, "e22": -1.0, "qf11": 1.0, "qf22": 1.0},
             {"nu": 1, "e11": 1.0, "e22": 1.0, "qf11": 0.0, "qf22": 1.0},
@@ -202,8 +212,11 @@ class TestSmallSeparationErrorBound:
         np.testing.assert_allclose(value, 0.95, rtol=1e-14)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            lab.small_separation_error_bound(nu=0, e11=1.0, e22=1.0, kappa=0.25)
+        for nu in (0, 2.5, 2.0, True):
+            with pytest.raises(ValueError, match="^nu must be a positive integer$"):
+                lab.small_separation_error_bound(nu=nu, e11=1.0, e22=1.0, kappa=0.25)
+        value = lab.small_separation_error_bound(np.int64(100), 1.0, 1.0, 0.25)
+        assert value == pytest.approx(0.95)
         with pytest.raises(ValueError):
             lab.small_separation_error_bound(nu=1, e11=1.0, e22=1.0, kappa=0.0)
 
