@@ -105,6 +105,7 @@ printf '[fig1]\nbogus = 1\n' > "$out/unknown-key.ini"
 printf '[fig7]\nseed = 1\n' > "$out/unknown-section.ini"
 printf '[common]\nsigma = y\n' > "$out/sigma-not-a-number.ini"
 printf '[fig3]\nfrontier_samples = 1000000000000\n' > "$out/frontier-too-large.ini"
+printf '[fig2]\nnodes_per_panel = 100000\n' > "$out/rule-too-large.ini"
 config_failure seed-not-an-integer "--seed: 'x' is not an integer" fig2 --seed x
 config_failure unknown-key "config file unknown-key.ini, [fig1] bogus: unknown setting" \
   fig1 --config unknown-key.ini
@@ -132,6 +133,15 @@ config_failure mode-cutoff-zz "--mode-cutoff: 'zz' must be an integer or 'adapti
     config_failure frontier-too-large "frontier_samples 1000000000000 is too large: Unable to \
 allocate 7.28 TiB for an array with shape (1000000000000,) and data type int64" \
       fig3 --config frontier-too-large.ini
+)
+# A quadrature rule whose Gauss-Legendre companion matrix numpy refuses to
+# allocate, under the same cap.
+(
+  ulimit -v 2000000 && export OPENBLAS_NUM_THREADS=1 &&
+    config_failure rule-too-large "quadrature rule of panel_count 32 and nodes_per_panel 100000 \
+is too large: Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data \
+type float64" \
+      fig2 --config rule-too-large.ini
 )
 
 # An odd panel count, whose ladder is the single pair of 4 and 8 half-window

@@ -541,10 +541,7 @@ def _sweep(config, psf, points, measurements, seeds=None):
     """
     points = sweep_points(points)
     _, first, separation = np.unique(points[:, 1], return_index=True, return_inverse=True)
-    if "direct" in measurements:
-        overlaps, fishers = overlaps_and_direct_fims(psf, points[first], config.quad)
-    else:
-        overlaps = overlap_columns(psf, points[first], config.quad)
+    overlaps, fishers = _overlaps(config, psf, points[first], "direct" in measurements)
     quanta, tildes = qfim_stack(overlaps), c_tilde_column(overlaps)
     quantum, c_tilde = quanta[separation], tildes[separation].tolist()
     blocks = []
@@ -590,6 +587,21 @@ def _sweep(config, psf, points, measurements, seeds=None):
     return c_tilde, np.concatenate(blocks, axis=-1)
 
 
+def _overlaps(config, psf, points, direct=False):
+    """The (4, n) overlap columns of ``points``, and their direct-imaging FIMs if ``direct``.
+
+    A quadrature rule too large to allocate raises ConfigError.
+    """
+    try:
+        if direct:
+            return overlaps_and_direct_fims(psf, points, config.quad)
+        return overlap_columns(psf, points, config.quad), None
+    except MemoryError as error:
+        quad = config.quad
+        rule = f"panel_count {quad.panel_count} and nodes_per_panel {quad.nodes_per_panel}"
+        raise ConfigError(f"quadrature rule of {rule} is too large: {error}") from None
+
+
 def _spade_fims(config, points):
     """SPADE FIM of each checked (theta1, theta2) point, bit for bit its own (``spade_fims``).
 
@@ -621,7 +633,7 @@ def _frontier_table(name, metadata, coefficient, samples):
 def run_fig1(config, psf):
     """Incompatibility coefficient versus separation, both computation routes."""
     ratios = config.theta2_grid
-    overlaps = overlap_columns(psf, [(0.0, r) for r in ratios], config.quad)
+    overlaps, _ = _overlaps(config, psf, [(0.0, r) for r in ratios])
     columns = dict(
         theta2_over_sigma=ratios,
         c_tilde_closed_form=[gaussian_incompatibility(1.0, r) for r in ratios],

@@ -57,12 +57,6 @@ from .psf_core import (
 from .state_model import Qfim, StateModel4
 from .tradeoff import RESIDUAL_FLOOR, delta_range_checks
 
-CONTINUUM_GRID = "continuum_grid"
-DISCRETE_MODES = "discrete_modes"
-SUBSPACE_PROJECTORS = "subspace_projectors"
-
-_OUTCOME_KINDS = (CONTINUUM_GRID, DISCRETE_MODES, SUBSPACE_PROJECTORS)
-
 # Cap on the adaptive SPADE cutoff; mass criterion per the module contract.
 _MODE_CAP = 512
 _MASS_TOLERANCE = 1e-14
@@ -72,16 +66,15 @@ _MASS_TOLERANCE = 1e-14
 class ProbabilityModel:
     """Outcome probabilities and their parameter derivatives.
 
-    For ``continuum_grid`` models the probabilities are density samples and
-    ``weights`` holds the matching quadrature weights; sums below mean
-    weighted sums.  Discrete models leave ``weights`` as None.
+    Where ``weights`` holds quadrature weights the probabilities are density
+    samples on a grid (direct imaging), and sums below mean weighted sums;
+    discrete outcomes (modes, projectors, pixels) leave ``weights`` as None.
     ``truncated_mass`` and ``fisher_tail_bound`` report upper bounds on what
     a mode cutoff discarded (zero where no truncation happens).  A model is
     one 1-D array of outcomes; a sweep's models run stacked through
     ``_model_checks`` and ``_fisher_information`` (``spade_fims``).
     """
 
-    outcome_kind: str
     probabilities: np.ndarray
     dp_dtheta1: np.ndarray
     dp_dtheta2: np.ndarray
@@ -90,8 +83,6 @@ class ProbabilityModel:
     fisher_tail_bound: float = 0.0
 
     def __post_init__(self):
-        if self.outcome_kind not in _OUTCOME_KINDS:
-            raise ValueError(f"unknown outcome_kind {self.outcome_kind!r}")
         for name in ("probabilities", "dp_dtheta1", "dp_dtheta2"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         shape = self.probabilities.shape
@@ -183,11 +174,10 @@ class ProjectiveMeasurement4:
     """Orthogonal measurement on the 4-dimensional state subspace.
 
     Rows of ``matrix`` are the measurement vectors in the orthonormal basis
-    of the state model; ``seed`` is a provenance tag only.
+    of the state model.
     """
 
     matrix: np.ndarray
-    seed: int
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
@@ -278,7 +268,7 @@ def direct_imaging_model(
             a1, d1, a2, _ = amplitudes
             kappa, gamma = np.vecdot(d1 * d1, weights), np.vecdot(d1 * a2, weights)
         try:
-            model = ProbabilityModel(CONTINUUM_GRID, *_fields(*amplitudes), weights=weights)
+            model = ProbabilityModel(*_fields(*amplitudes), weights=weights)
             fisher = fim(model)
         except (ConsistencyError, DegenerateOutcomeError):
             if index >= len(counts) - 2:  # A pass of the top pair.
@@ -439,7 +429,7 @@ def direct_imaging_pixelated_model(
     rows = (half_count, quad.nodes_per_panel)
     positions, weights = _reflected(half_x.reshape(rows), half_w.reshape(rows))
     fields = _intensity_and_derivatives(psf, geometry.theta2, positions)
-    return ProbabilityModel(DISCRETE_MODES, *((weights * values).sum(axis=1) for values in fields))
+    return ProbabilityModel(*((weights * values).sum(axis=1) for values in fields))
 
 
 def _reflected(nodes, weights):
@@ -466,8 +456,8 @@ def _amplitudes(psf, theta2, offsets):
     # PSF p is even and dp/dtheta1 odd, bit for bit.
     half = 0.5 * theta2
     amplitudes = [np.empty(np.shape(offsets)) for _ in range(4)]
-    psf.amplitude_and_derivative(offsets + half, out=amplitudes[:2])
-    psf.amplitude_and_derivative(offsets - half, out=amplitudes[2:])
+    psf.evaluate(offsets + half, out=amplitudes[:2])
+    psf.evaluate(offsets - half, out=amplitudes[2:])
     return amplitudes
 
 
@@ -689,7 +679,7 @@ def spade_model(
     raise_first_failure([_mass_check(cutoffs, mass_tail)], "")
     fields = (values[0] for values in _spade_fields(sigma, sources, cutoffs))
     tails = dict(truncated_mass=float(mass_tail[0]), fisher_tail_bound=float(fisher_tail[0]))
-    return ProbabilityModel(DISCRETE_MODES, *fields, **tails)
+    return ProbabilityModel(*fields, **tails)
 
 
 def _mass_check(cutoffs, mass_tail):
@@ -780,22 +770,19 @@ def hermite_gaussian_wavefunction(q: int, sigma: float, x) -> np.ndarray:
     return current * envelope
 
 
-def haar_random_orthogonal(rng_stream, dim: int = 4, seed: int | None = None):
+def haar_random_orthogonal(rng_stream, dim: int = 4):
     """Draw a Haar-distributed orthogonal measurement basis.
 
-    ``rng_stream`` is either an integer seed or a numpy Generator.  The basis
+    ``rng_stream`` is either an integer seed, for ``default_rng(seed)``, or
+    anything with numpy's ``standard_normal``, such as a Generator.  The basis
     is ``haar_random_bases`` of one ``standard_normal((dim, dim))`` draw.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
     if isinstance(rng_stream, (int, np.integer)):
-        tag = int(rng_stream) if seed is None else int(seed)
-        rng = np.random.default_rng(int(rng_stream))
-    else:
-        tag = -1 if seed is None else int(seed)
-        rng = rng_stream
-    normal = rng.standard_normal((dim, dim))
-    return ProjectiveMeasurement4(matrix=haar_random_bases(normal[np.newaxis])[0], seed=tag)
+        rng_stream = np.random.default_rng(int(rng_stream))
+    normal = rng_stream.standard_normal((dim, dim))
+    return ProjectiveMeasurement4(haar_random_bases(normal[np.newaxis])[0])
 
 
 def haar_random_bases(normals) -> np.ndarray:
@@ -827,7 +814,7 @@ def projective_model(
     if meas.matrix.shape != state.rho.shape:
         raise ValueError("measurement dimension does not match the state")
     fields = _born_rule(born_coefficients(state), _entry_products(meas.matrix))
-    return ProbabilityModel(SUBSPACE_PROJECTORS, *(field[0] for field in fields))
+    return ProbabilityModel(*(field[0] for field in fields))
 
 
 def born_coefficients(state: StateModel4) -> np.ndarray:

@@ -61,34 +61,18 @@ class PointSpreadFunction:
 
     ``sigma`` is the characteristic length of the PSF and serves as the unit
     of all lengths (quadrature windows, mode scales, default grids).
-    ``joint``, if given, returns both callables' values from one call, sharing
-    work; ``joint(x, out)`` writes them into the pair of arrays ``out`` instead.
+    ``evaluate(x)`` returns (psi(x), psi'(x)); ``evaluate(x, out)`` writes them
+    into the pair of arrays ``out``, shaped like ``x``, and returns it.
     """
 
     kind: str
     sigma: float
-    amplitude: Callable[[np.ndarray], np.ndarray]
-    amplitude_derivative: Callable[[np.ndarray], np.ndarray]
-    joint: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
+    evaluate: Callable[..., tuple[np.ndarray, np.ndarray]]
 
     @property
     def even(self) -> bool:
         """psi(-x) = psi(x) is known to hold; ``overlap_integrals`` then folds its integrals."""
         return self.kind == GAUSSIAN
-
-    def amplitude_and_derivative(self, x, out=None) -> tuple[np.ndarray, np.ndarray]:
-        """(psi(x), psi'(x)), from ``joint`` when the PSF has one.
-
-        ``out``, a pair of arrays shaped like ``x``, receives the values and is returned.
-        """
-        if self.joint is not None:
-            return self.joint(x, out)
-        values = self.amplitude(x), self.amplitude_derivative(x)
-        if out is None:
-            return values
-        for target, value in zip(out, values):
-            target[...] = value
-        return out
 
 
 @dataclass(frozen=True)
@@ -219,7 +203,7 @@ def gaussian_psf(sigma: float = 1.0) -> PointSpreadFunction:
     inv_4s2 = 1.0 / (4.0 * sigma**2)
     inv_2s2 = 1.0 / (2.0 * sigma**2)
 
-    def joint(x, out=None):
+    def evaluate(x, out=None):
         x = np.asarray(x, dtype=float)
         if out is None:
             out = np.empty_like(x), np.empty_like(x)
@@ -234,13 +218,7 @@ def gaussian_psf(sigma: float = 1.0) -> PointSpreadFunction:
         np.multiply(amplitude, norm, out=amplitude)
         return out
 
-    def amplitude(x):
-        return joint(x)[0]
-
-    def derivative(x):
-        return joint(x)[1]
-
-    return PointSpreadFunction(GAUSSIAN, float(sigma), amplitude, derivative, joint)
+    return PointSpreadFunction(GAUSSIAN, float(sigma), evaluate)
 
 
 # Bounded because nodes_per_panel is user input; a run uses a single rule.
@@ -258,14 +236,12 @@ def _gauss_legendre(nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def quadrature_grid(lo, hi, panel_count: int, nodes_per_panel: int, out=None):
+def quadrature_grid(lo, hi, panel_count: int, nodes_per_panel: int):
     """Nodes and weights of composite Gauss-Legendre quadrature on [lo, hi].
 
     1-D arrays ``lo``, ``hi`` stack one grid per interval, each bit for bit its own.
-    ``out``, a pair of arrays of the result's shape with contiguous rows,
-    receives the nodes and weights and is returned.
     """
-    return _panel_nodes(*_panels(lo, hi, panel_count), nodes_per_panel, out)
+    return _panel_nodes(*_panels(lo, hi, panel_count), nodes_per_panel)
 
 
 def _panels(lo, hi, panel_count: int):
@@ -275,12 +251,12 @@ def _panels(lo, hi, panel_count: int):
 
 
 def _panel_nodes(half, mid, nodes_per_panel: int, out=None):
-    """``quadrature_grid``'s nodes and weights on the panels of ``_panels``."""
+    """``quadrature_grid``'s nodes and weights on the panels of ``_panels``, into ``out`` if given."""
     base_x, base_w = _gauss_legendre(nodes_per_panel)
     if out is None:
         shape = (*mid.shape[:-1], mid.shape[-1] * nodes_per_panel)
         out = np.empty(shape), np.empty(shape)
-    # Contiguous rows split into panels as views, so the writes land in ``out``.
+    # ``out``'s rows must be contiguous: they split into panels as views, so the writes land there.
     x, w = (array.reshape(*mid.shape, nodes_per_panel) for array in out)
     np.add(mid[..., None], np.multiply(half[..., None], base_x, out=x), out=x)
     np.multiply(half[..., None], base_w, out=w)
@@ -432,8 +408,8 @@ def overlap_passes(psf, points, quad, overlaps, wanted, label="row {}: ", spare=
             samples = [sample.reshape(rows.size, -1) for sample in samples]
             x, w, a1, d1, a2, d2 = samples[:6]
             _panel_nodes(half_widths[block], midpoints[block], nodes, out=(x, w))
-            psf.amplitude_and_derivative(np.add(x, halves[block], out=a2), out=(a1, d1))
-            psf.amplitude_and_derivative(np.subtract(x, halves[block], out=x), out=(a2, d2))
+            psf.evaluate(np.add(x, halves[block], out=a2), out=(a1, d1))
+            psf.evaluate(np.subtract(x, halves[block], out=x), out=(a2, d2))
             integrals[:, block] = folded_integrals(a1, d1, a2, d2, w, x)
             yield index, rows, integrals[:, block], samples, start + size >= climbing.size
         # Rows past their first pass settle on the pair this pass closes.
@@ -528,8 +504,8 @@ def _products(psf, x1, x2):
     """
 
     def evaluate(x):
-        a1, d1 = psf.amplitude_and_derivative(x - x1)
-        a2, d2 = psf.amplitude_and_derivative(x - x2)
+        a1, d1 = psf.evaluate(x - x1)
+        a2, d2 = psf.evaluate(x - x2)
         products = np.empty((5, x.size))
         for out, left, right in zip(products, (a1, d1, d1, d1, a1), (a1, d1, a2, d2, a2)):
             np.multiply(left, right, out=out)
@@ -553,8 +529,8 @@ def displaced_overlaps(
     hi = max(0.0, shift) + quad.truncation_radius * psf.sigma
 
     def evaluate(x):
-        a0, d0 = psf.amplitude_and_derivative(x)
-        a_s, d_s = psf.amplitude_and_derivative(x - shift)
+        a0, d0 = psf.evaluate(x)
+        a_s, d_s = psf.evaluate(x - shift)
         return np.stack([a0 * a_s, d0 * a_s, d0 * d_s])
 
     (a, b, c), drift = _refined_batch(evaluate, lo, hi, quad)
@@ -593,7 +569,7 @@ def check_normalization(
     """Return |int psi^2 dx - 1| on the symmetric truncation window."""
     radius = quad.truncation_radius * psf.sigma
     x, w = quadrature_grid(-radius, radius, quad.panel_count, quad.nodes_per_panel)
-    return float(abs(psf.amplitude(x) ** 2 @ w - 1.0))
+    return float(abs(psf.evaluate(x)[0] ** 2 @ w - 1.0))
 
 
 # 4th-order finite-difference stencils (interior central, one-sided edges).
@@ -613,21 +589,23 @@ def _finite_difference_derivative(values: np.ndarray, step: float) -> np.ndarray
     return out / step
 
 
-def _clamped_spline(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Cubic interpolant that returns 0 outside the sample window."""
+def _spline_evaluator(x: np.ndarray, y: np.ndarray, dy: np.ndarray):
+    """``evaluate`` of cubic interpolants of psi = ``y`` and psi' = ``dy``, 0 outside ``x``."""
     # Imported here: scipy.interpolate dominates the package's import time,
     # and only user-defined PSFs need it.
     from scipy.interpolate import CubicSpline
 
-    spline = CubicSpline(x, y, extrapolate=False)
-    lo, hi = x[0], x[-1]
+    splines = CubicSpline(x, y, extrapolate=False), CubicSpline(x, dy, extrapolate=False)
 
-    def evaluate(t):
+    def evaluate(t, out=None):
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        inside = (t >= lo) & (t <= hi)
-        if np.any(inside):
-            out[inside] = spline(t[inside])
+        if out is None:
+            out = np.empty(t.shape), np.empty(t.shape)
+        inside = (t >= x[0]) & (t <= x[-1])
+        samples = t[inside]
+        for target, spline in zip(out, splines):
+            np.copyto(target, 0.0, where=~inside)
+            target[inside] = spline(samples)
         return out
 
     return evaluate
@@ -687,9 +665,7 @@ def user_psf_from_samples(
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
 
-    return PointSpreadFunction(
-        USER_DEFINED, float(sigma), _clamped_spline(x, y), _clamped_spline(x, dy)
-    )
+    return PointSpreadFunction(USER_DEFINED, float(sigma), _spline_evaluator(x, y, dy))
 
 
 def load_user_psf(path, sigma: float | None = None) -> PointSpreadFunction:

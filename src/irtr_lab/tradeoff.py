@@ -96,14 +96,15 @@ def irtr_frontier(c_tilde: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     which satisfies the residual identically.  Pairs below the curve are
     infeasible for every measurement.  Each point meets ``TradeoffPoint``'s
-    range checks; the first point outside raises its error.  An n too large
-    to allocate raises MemoryError.
+    range checks; the first point outside raises its error.  An n that is not
+    an integer of at least 2 raises ValueError, and one too large to allocate
+    MemoryError.
     """
     _check_coefficient(c_tilde)
     if not c_tilde > 0.0:
         raise ValueError("the frontier is empty at c_tilde = 0")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not (np.issubdtype(type(n), np.integer) and n >= 2):
+        raise ValueError("n must be an integer of at least 2")
     tail = math.sqrt(max(1.0 - c_tilde * c_tilde, 0.0))
     try:
         # numpy refuses the largest counts, but np.arange(n) is empty for some n near 2**63.

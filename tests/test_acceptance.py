@@ -57,7 +57,7 @@ def bound_sweep(unit_psf):
     c_tilde = lab.incompatibility(overlaps).c_tilde
     haar_rng = np.random.default_rng(np.random.SeedSequence(7))
     for index in range(10_000):
-        measurement = lab.haar_random_orthogonal(haar_rng, seed=index)
+        measurement = lab.haar_random_orthogonal(haar_rng)
         fisher = lab.fim(lab.projective_model(state, measurement))
         lowest = float(np.linalg.eigvalsh(quantum.matrix - fisher)[0])
         summary = lab.regret_report(fisher, quantum)

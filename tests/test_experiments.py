@@ -6,6 +6,7 @@ and every runner row must equal the scalar reference route bit for bit.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -775,7 +776,7 @@ class TestRunnersMatchScalarRoute:
         """
         state, rng = lab.build_state_model(overlaps), np.random.default_rng(stream)
         for k, row in enumerate(rows):
-            measurement = lab.haar_random_orthogonal(rng, dim=4, seed=k)
+            measurement = lab.haar_random_orthogonal(rng, dim=4)
             model = lab.projective_model(state, measurement)
             assert int(row[0]) == k
             assert tuple(float(cell) for cell in row[1:]) == scalar_row(model, overlaps)
@@ -1566,6 +1567,43 @@ class TestCli:
         argv = [figure, "--config", str(config), "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 2
         expected = f"config error: frontier_samples {samples} is too large: {message}\n"
+        assert capsys.readouterr().err == expected
+        assert not tmp_path.joinpath("out", "manifest.json").exists()
+
+    @pytest.mark.parametrize("figure", ["fig1", "fig2", "fig4"])
+    @pytest.mark.parametrize(
+        "setting, value, message",
+        [
+            ("nodes_per_panel", 100000, "Unable to allocate 74.5 GiB for an array"),
+            ("panel_count", 10**12, "Unable to allocate 233. TiB for an array"),
+        ],
+    )
+    def test_a_quadrature_rule_too_large_is_config_error(
+        self, tmp_path, capsys, monkeypatch, figure, setting, value, message
+    ):
+        # leggauss's companion matrix and the passes' buffers are refused as
+        # numpy refuses them, without asking for the memory.
+        allocate, leggauss = np.empty, psf_core.leggauss
+
+        def refusing_empty(shape, *args, **kwargs):
+            if np.prod(shape) > 10**9:
+                raise MemoryError(message)
+            return allocate(shape, *args, **kwargs)
+
+        def refusing_leggauss(nodes):
+            if nodes > 10**4:
+                raise MemoryError(message)
+            return leggauss(nodes)
+
+        monkeypatch.setattr(np, "empty", refusing_empty)
+        monkeypatch.setattr(psf_core, "leggauss", refusing_leggauss)
+        config = tmp_path / "rule.ini"
+        config.write_text(f"[{figure}]\n{setting} = {value}\n", encoding="utf-8")
+        argv = [figure, "--config", str(config), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        quad = dataclasses.replace(lab.QuadratureSpec(), **{setting: value})
+        rule = f"panel_count {quad.panel_count} and nodes_per_panel {quad.nodes_per_panel}"
+        expected = f"config error: quadrature rule of {rule} is too large: {message}\n"
         assert capsys.readouterr().err == expected
         assert not tmp_path.joinpath("out", "manifest.json").exists()
 

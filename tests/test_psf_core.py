@@ -7,6 +7,7 @@ expressions before these tests were written.
 """
 
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -43,25 +44,23 @@ class TestGaussianPsf:
         psf = lab.gaussian_psf(0.7)
         x = np.linspace(-2.0, 2.0, 41)
         h = 1e-6
-        fd = (psf.amplitude(x + h) - psf.amplitude(x - h)) / (2.0 * h)
-        np.testing.assert_allclose(psf.amplitude_derivative(x), fd, atol=1e-8)
+        fd = (psf.evaluate(x + h)[0] - psf.evaluate(x - h)[0]) / (2.0 * h)
+        np.testing.assert_allclose(psf.evaluate(x)[1], fd, atol=1e-8)
 
     @pytest.mark.parametrize("sigma", [0.6, 1.0, 2.3])
-    def test_joint_evaluation_is_bitwise_the_separate_one(self, sigma):
+    def test_shared_envelope_is_bitwise_separate_exponentials(self, sigma):
         # Out to 40 sigma, where products such as psi * psi' underflow to zero.
         psf = lab.gaussian_psf(sigma)
         x = np.linspace(-40.0 * sigma, 40.0 * sigma, 200_001)
-        amplitude, derivative = psf.amplitude_and_derivative(x)
-        # psi and psi' each with its own exponential, as the PSF computed them
-        # before the joint form.
+        amplitude, derivative = psf.evaluate(x)
+        # psi and psi' each with its own exponential, as the PSF once computed
+        # them before they shared the envelope.
         norm = (2.0 * np.pi * sigma**2) ** -0.25
         inv_2s2, inv_4s2 = 1.0 / (2.0 * sigma**2), 1.0 / (4.0 * sigma**2)
         envelope = norm * np.exp(-(x**2) * inv_4s2)
         separate = -x * inv_2s2 * norm * np.exp(-(x**2) * inv_4s2)
         np.testing.assert_array_equal(amplitude, envelope)
-        np.testing.assert_array_equal(psf.amplitude(x), envelope)
         np.testing.assert_array_equal(derivative, separate)
-        np.testing.assert_array_equal(psf.amplitude_derivative(x), separate)
         assert amplitude[0] * derivative[0] == 0.0 < amplitude[0]
 
     def test_far_out_amplitude_is_zero_without_an_overflow_warning(self):
@@ -69,25 +68,26 @@ class TestGaussianPsf:
         psf = lab.gaussian_psf(1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert psf.amplitude(np.array([1e200])).tolist() == [0.0]
-            assert psf.amplitude_derivative(np.array([-1e200])).tolist() == [0.0]
+            assert psf.evaluate(np.array([1e200]))[0].tolist() == [0.0]
+            assert psf.evaluate(np.array([-1e200]))[1].tolist() == [0.0]
 
     def test_evaluation_into_given_arrays_is_bitwise_the_allocating_one(self):
+        # The Gaussian's and a spline PSF's evaluators, the spline's window
+        # ending inside the probes.
         gaussian = lab.gaussian_psf(0.8)
-        fields = lab.PointSpreadFunction(
-            gaussian.kind, gaussian.sigma, gaussian.amplitude, gaussian.amplitude_derivative
-        )
+        samples = np.linspace(-30.0, 30.0, 6001)
+        spline = lab.user_psf_from_samples(samples, gaussian.evaluate(samples)[0])
         x = np.linspace(-40.0, 40.0, 3003).reshape(3, -1)
-        for psf in (gaussian, fields):
+        for psf in (gaussian, spline):
             out = (np.full_like(x, np.nan), np.full_like(x, np.nan))
-            assert psf.amplitude_and_derivative(x, out=out) is out
-            for given, allocated in zip(out, psf.amplitude_and_derivative(x)):
+            assert psf.evaluate(x, out=out) is out
+            for given, allocated in zip(out, psf.evaluate(x)):
                 np.testing.assert_array_equal(given, allocated)
 
     def test_peak_value(self):
         psf = lab.gaussian_psf(1.0)
         expected = (2.0 * math.pi) ** -0.25
-        np.testing.assert_allclose(psf.amplitude(0.0), expected, rtol=1e-15)
+        np.testing.assert_allclose(psf.evaluate(0.0)[0], expected, rtol=1e-15)
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -220,12 +220,13 @@ class TestQuadratureSpec:
             assert np.array_equal(w, (half[:, None] * base_w).ravel())
 
     def test_grid_into_given_arrays_is_bitwise_the_allocating_one(self):
+        # The passes write their panels' nodes into their own buffers.
         lo, hi = np.zeros(3), np.array([12.5, 13.0, 20.0])
         x, w = quadrature_grid(lo, hi, 4, 8)
         # Rows that are contiguous but not adjacent, as in a reflected grid.
         buffers = np.full((2, 3, 2 * x.shape[1]), np.nan)
         out = (buffers[0][:, x.shape[1] :], buffers[1][:, x.shape[1] :])
-        assert quadrature_grid(lo, hi, 4, 8, out=out) is out
+        assert psf_core._panel_nodes(*psf_core._panels(lo, hi, 4), 8, out=out) is out
         np.testing.assert_array_equal(out[0], x)
         np.testing.assert_array_equal(out[1], w)
         assert np.isnan(buffers[:, :, : x.shape[1]]).all()
@@ -392,11 +393,14 @@ class TestNonFiniteIntegrands:
     gaussian = lab.gaussian_psf(1.0)
 
     def psf(self, kind):
-        def masked(values):
-            return lambda x: np.where(abs(x) < 30.0, values(x), np.nan)
+        def evaluate(x, out=None):
+            outside = ~(abs(np.asarray(x)) < 30.0)
+            values = self.gaussian.evaluate(x, out)
+            for value in values:
+                value[outside] = np.nan
+            return values
 
-        amplitude, derivative = self.gaussian.amplitude, self.gaussian.amplitude_derivative
-        return lab.PointSpreadFunction(kind, 1.0, masked(amplitude), masked(derivative))
+        return lab.PointSpreadFunction(kind, 1.0, evaluate)
 
     @pytest.mark.parametrize("kind", [psf_core.GAUSSIAN, USER_DEFINED])
     def test_overlaps_raise_a_nan_drift(self, kind):
@@ -427,6 +431,11 @@ class TestGaussianClosedForms:
         np.testing.assert_allclose(ov.delta, DELTA_SIGMA1_SEP2, rtol=1e-15)
         ov1 = lab.gaussian_overlap_integrals(1.0, 1.0)
         np.testing.assert_allclose(ov1.beta, BETA_SIGMA1_SEP1, rtol=1e-15)
+
+    @pytest.mark.parametrize("sigma, theta2", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, math.nan)])
+    def test_rejects_nonpositive_arguments(self, sigma, theta2):
+        with pytest.raises(ValueError, match="^sigma and theta2 must be positive$"):
+            lab.gaussian_overlap_integrals(sigma, theta2)
 
     def test_beta_changes_sign_at_two_sigma(self):
         # beta is proportional to (4 sigma^2 - theta2^2).
@@ -492,25 +501,16 @@ class TestOverlapQuadrature:
         with pytest.raises(lab.ConvergenceError):
             lab.overlap_integrals(psf, lab.SourceGeometry(0.0, 1.0), coarse)
 
-    def test_psf_from_four_fields_evaluates_separately_to_the_same_overlaps(self):
-        psf = lab.gaussian_psf(0.8)
-        fields = lab.PointSpreadFunction(
-            psf.kind, psf.sigma, psf.amplitude, psf.amplitude_derivative
-        )
-        assert fields.joint is None
-        for geometry in (lab.SourceGeometry(0.0, 0.05), lab.SourceGeometry(-0.4, 2.9)):
-            assert lab.overlap_integrals(fields, geometry) == lab.overlap_integrals(
-                psf, geometry
-            )
-
     def test_unnormalized_psf_raises(self):
         base = lab.gaussian_psf(1.0)
-        scaled = lab.PointSpreadFunction(
-            kind="user_defined",
-            sigma=1.0,
-            amplitude=lambda x: 1.1 * base.amplitude(x),
-            amplitude_derivative=lambda x: 1.1 * base.amplitude_derivative(x),
-        )
+
+        def evaluate(x, out=None):
+            values = base.evaluate(x, out)
+            for value in values:
+                value *= 1.1
+            return values
+
+        scaled = lab.PointSpreadFunction(kind="user_defined", sigma=1.0, evaluate=evaluate)
         with pytest.raises(lab.NormalizationError):
             lab.overlap_integrals(scaled, lab.SourceGeometry(0.0, 1.0))
 
@@ -523,13 +523,12 @@ class TestFoldedOverlaps:
 
     def test_only_psfs_known_to_be_even_fold(self):
         x = np.linspace(-10.0, 10.0, 2001)
-        user = lab.user_psf_from_samples(x, self.psf.amplitude(x))
-        fields = lab.PointSpreadFunction(
-            self.psf.kind, 1.0, self.psf.amplitude, self.psf.amplitude_derivative
-        )
+        user = lab.user_psf_from_samples(x, self.psf.evaluate(x)[0])
+        fields = lab.PointSpreadFunction(self.psf.kind, 1.0, self.psf.evaluate)
         assert self.psf.even and fields.even and not user.even
         # Derived from the kind, not a field a caller could set.
-        assert "even" not in {field.name for field in dataclasses.fields(fields)}
+        names = [field.name for field in dataclasses.fields(fields)]
+        assert names == ["kind", "sigma", "evaluate"]
 
     # Rules and the widest separation each one converges at.
     rules = [
@@ -579,9 +578,7 @@ class TestFoldedOverlaps:
     def test_folded_and_full_window_routes_agree(self):
         # The same Gaussian under a kind not known to be even is integrated
         # over the full window [X1 - R sigma, X2 + R sigma].
-        full = lab.PointSpreadFunction(
-            USER_DEFINED, 1.0, self.psf.amplitude, self.psf.amplitude_derivative
-        )
+        full = lab.PointSpreadFunction(USER_DEFINED, 1.0, self.psf.evaluate)
         for theta2 in self.separations:
             geometry = lab.SourceGeometry(0.0, float(theta2))
             folded = lab.overlap_integrals(self.psf, geometry)
@@ -718,7 +715,7 @@ class TestDisplacedOverlaps:
 class TestUserDefinedPsf:
     def _gaussian_samples(self, step=0.01, half_width=10.0):
         x = np.arange(-half_width, half_width + step / 2, step)
-        return x, lab.gaussian_psf(1.0).amplitude(x)
+        return x, lab.gaussian_psf(1.0).evaluate(x)[0]
 
     def test_round_trip_overlaps(self):
         x, y = self._gaussian_samples()
@@ -732,10 +729,8 @@ class TestUserDefinedPsf:
         np.testing.assert_allclose(ov.delta, closed.delta, atol=1e-8)
 
     def test_spline_overlaps_are_pinned(self):
-        # Values from the two-spline evaluation; a spline PSF has no joint form.
         x, y = self._gaussian_samples()
         user = lab.user_psf_from_samples(x, y)
-        assert user.joint is None
         quad = lab.QuadratureSpec(abs_tolerance=1e-8)
         assert lab.overlap_integrals(user, lab.SourceGeometry(0.3, 1.7), quad) == (
             lab.OverlapIntegrals(
@@ -746,6 +741,25 @@ class TestUserDefinedPsf:
             )
         )
 
+    def test_spline_psf_results_are_the_two_spline_evaluations(self):
+        # A digest of the bits a spline PSF gave when psi and psi' were two
+        # callables, each masking its own window: its overlaps, direct-imaging
+        # FIM and SLD residual at three geometries, then a two-row sweep.
+        x = np.arange(-14.0, 14.0025, 0.005)
+        user = lab.user_psf_from_samples(x, lab.gaussian_psf(1.0).evaluate(x)[0])
+        digest = hashlib.sha256()
+        for point in [(0.0, 0.5), (0.3, 1.7), (-1.0, 3.0)]:
+            geometry = lab.SourceGeometry(*point)
+            overlaps = lab.overlap_integrals(user, geometry)
+            fisher = lab.fim(lab.direct_imaging_model(user, geometry))
+            residual = lab.verify_sld(user, geometry)
+            for values in (dataclasses.astuple(overlaps), fisher, residual):
+                digest.update(np.array(values, dtype=float).tobytes())
+        for values in lab.overlaps_and_direct_fims(user, [(0.0, 0.8), (0.5, 2.5)]):
+            digest.update(np.ascontiguousarray(values).tobytes())
+        expected = "e3b460e24463f7358bbb3e81eea2c0eba6e464d8f20134a996f0597e77f5e8e0"
+        assert digest.hexdigest() == expected
+
     def test_default_sigma_is_rms_width(self):
         x, y = self._gaussian_samples()
         user = lab.user_psf_from_samples(x, y)
@@ -754,13 +768,11 @@ class TestUserDefinedPsf:
 
     def test_explicit_derivative_samples(self):
         x, y = self._gaussian_samples()
-        dy = lab.gaussian_psf(1.0).amplitude_derivative(x)
+        dy = lab.gaussian_psf(1.0).evaluate(x)[1]
         user = lab.user_psf_from_samples(x, y, derivative=dy)
         probe = np.linspace(-3.0, 3.0, 17)
         np.testing.assert_allclose(
-            user.amplitude_derivative(probe),
-            lab.gaussian_psf(1.0).amplitude_derivative(probe),
-            atol=1e-9,
+            user.evaluate(probe)[1], lab.gaussian_psf(1.0).evaluate(probe)[1], atol=1e-9
         )
 
     def test_finite_difference_derivative_accuracy(self):
@@ -768,31 +780,36 @@ class TestUserDefinedPsf:
         user = lab.user_psf_from_samples(x, y)
         probe = np.linspace(-3.0, 3.0, 17)
         np.testing.assert_allclose(
-            user.amplitude_derivative(probe),
-            lab.gaussian_psf(1.0).amplitude_derivative(probe),
-            atol=1e-7,
+            user.evaluate(probe)[1], lab.gaussian_psf(1.0).evaluate(probe)[1], atol=1e-7
         )
 
     def test_zero_outside_sample_window(self):
         x, y = self._gaussian_samples(half_width=5.0)
         user = lab.user_psf_from_samples(x, y)
-        np.testing.assert_allclose(user.amplitude([-7.0, 6.0, 100.0]), 0.0)
-        np.testing.assert_allclose(
-            user.amplitude_derivative([-7.0, 6.0, 100.0]), 0.0
-        )
+        np.testing.assert_allclose(user.evaluate([-7.0, 6.0, 100.0]), 0.0)
 
     @pytest.mark.parametrize(
-        "positions, amplitudes",
+        "positions, amplitudes, options, message",
         [
-            ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]),  # too few samples
-            ([0.0, 1.0, 1.5, 3.0, 4.0], [1.0] * 5),  # nonuniform spacing
-            ([0.0, 1.0, 1.0, 2.0, 3.0], [1.0] * 5),  # not strictly increasing
-            ([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, np.nan, 1.0, 1.0, 1.0]),
+            ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], {}, "need at least 5 samples"),
+            ([0.0, 1.0, 1.5, 3.0, 4.0], [1.0] * 5, {}, "positions must be uniformly spaced"),
+            ([0.0, 1.0, 1.0, 2.0, 3.0], [1.0] * 5, {}, "positions must be strictly increasing"),
+            ([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, np.nan, 1.0, 1.0, 1.0], {}, "samples must be finite"),
+            ([0.0, 1.0, 2.0, 3.0, 4.0], [1.0] * 4, {}, "1-D arrays of equal length"),
+            ([[0.0, 1.0, 2.0, 3.0, 4.0]], [[1.0] * 5], {}, "1-D arrays of equal length"),
+            (
+                [0.0, 1.0, 2.0, 3.0, 4.0],
+                [1.0] * 5,
+                {"derivative": [0.0] * 4},
+                "derivative samples must match amplitude samples",
+            ),
+            ([0.0, 1.0, 2.0, 3.0, 4.0], [1.0] * 5, {"sigma": 0.0}, "sigma must be positive"),
+            ([0.0, 1.0, 2.0, 3.0, 4.0], [1.0] * 5, {"sigma": -1.0}, "sigma must be positive"),
         ],
     )
-    def test_rejects_bad_sample_grids(self, positions, amplitudes):
-        with pytest.raises(ValueError):
-            lab.user_psf_from_samples(positions, amplitudes)
+    def test_rejects_bad_sample_grids(self, positions, amplitudes, options, message):
+        with pytest.raises(ValueError, match=message):
+            lab.user_psf_from_samples(positions, amplitudes, **options)
 
     def test_rejects_all_zero_amplitudes(self):
         x = np.linspace(-1.0, 1.0, 9)
@@ -809,9 +826,7 @@ class TestUserDefinedPsf:
         np.testing.assert_allclose(user.sigma, 1.0, atol=1e-5)
         probe = np.linspace(-2.0, 2.0, 9)
         np.testing.assert_allclose(
-            user.amplitude(probe),
-            lab.gaussian_psf(1.0).amplitude(probe),
-            atol=1e-9,
+            user.evaluate(probe)[0], lab.gaussian_psf(1.0).evaluate(probe)[0], atol=1e-9
         )
 
     def test_load_rejects_wrong_column_count(self, tmp_path):

@@ -107,6 +107,14 @@ class TestStateModelContainer:
                 eta4=model.eta4,
             )
 
+    @pytest.mark.parametrize("name", ["rho", "L1", "L2"])
+    def test_rejects_a_matrix_that_is_not_4x4(self, name):
+        model = model_for(1.0)
+        fields = dict(rho=model.rho, L1=model.L1, L2=model.L2, eta3=model.eta3, eta4=model.eta4)
+        fields[name] = np.eye(3)
+        with pytest.raises(ValueError, match=f"^{name} must be a 4x4 real matrix$"):
+            lab.StateModel4(**fields)
+
     def test_rejects_negative_norms(self):
         model = model_for(1.0)
         with pytest.raises(ValueError):
@@ -140,6 +148,8 @@ class TestQfim:
             lab.Qfim(matrix=np.diag([0.0, 0.25]))
         with pytest.raises(ValueError):
             lab.Qfim(matrix=np.diag([1.0, -0.25]))
+        with pytest.raises(ValueError, match="^matrix must be 2x2$"):
+            lab.Qfim(matrix=np.eye(3))
 
 
 class TestIncompatibility:
@@ -302,10 +312,18 @@ class TestBasisCoefficients:
         radius = quad.truncation_radius * psf.sigma
         lo, hi = geometry.x1 - radius, geometry.x2 + radius
         x, w = psf_core.quadrature_grid(lo, hi, quad.panel_count, quad.nodes_per_panel)
-        a1, d1 = psf.amplitude_and_derivative(x - geometry.x1)
-        a2, d2 = psf.amplitude_and_derivative(x - geometry.x2)
+        a1, d1 = psf.evaluate(x - geometry.x1)
+        a2, d2 = psf.evaluate(x - geometry.x2)
         functions = coeffs @ np.stack([a1, a2, -d1, -d2])
         np.testing.assert_allclose((functions * w) @ functions.T, np.eye(4), atol=1e-8)
+
+    @pytest.mark.parametrize("beta", [-0.25, 0.25])
+    def test_collapsed_derivative_directions_raise(self, beta):
+        # beta = -+kappa with gamma = 0 makes eta3, or eta4, exactly 0.
+        overlaps = lab.OverlapIntegrals(kappa=0.25, gamma=0.0, beta=beta, delta=0.5)
+        message = "^derivative directions collapse onto the sources$"
+        with pytest.raises(lab.DegenerateStateError, match=message):
+            state_model._basis_coefficients(overlaps)
 
 
 class TestOverlapColumns:

@@ -154,8 +154,12 @@ class TestIrtrFrontier:
     def test_rejects_degenerate_requests(self):
         with pytest.raises(ValueError):
             lab.irtr_frontier(0.0, 16)
-        with pytest.raises(ValueError):
-            lab.irtr_frontier(0.5, 1)
+        # A count that is not an integer would run delta1 past c_tilde: 3.5
+        # points would step by c_tilde / 2.5.
+        for n in (1, 3.5, 4.0, True, np.float64(8.0)):
+            with pytest.raises(ValueError, match="^n must be an integer of at least 2$"):
+                lab.irtr_frontier(0.5, n)
+        assert len(lab.irtr_frontier(0.5, np.int64(4))[0]) == 4
 
 
 class TestErrorTradeoff:
