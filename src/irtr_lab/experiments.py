@@ -52,18 +52,12 @@ from .measurements import (
     spade_sources,
 )
 from .psf_core import (
-    OverlapIntegrals,
     QuadratureSpec,
     gaussian_psf,
     overlap_columns,
     sweep_points,
 )
-from .state_model import (
-    build_state_model,
-    c_tilde_column,
-    gaussian_incompatibility,
-    qfim_stack,
-)
+from .state_model import c_tilde_column, gaussian_incompatibility, qfim_stack, state_stacks
 from .tradeoff import irtr_frontier
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "custom")
@@ -551,12 +545,11 @@ def _sweep(config, psf, points, measurements, seeds=None):
         blocks.append(regret_rows(_spade_fims(config, points), quantum, c_tilde)[..., None])
     if "random" in measurements:
         count, total = config.n_random, len(points) * config.n_random
-        states = [build_state_model(OverlapIntegrals(*column)) for column in overlaps.T.tolist()]
+        coefficients = born_coefficients(*state_stacks(overlaps)[:3])
         try:
             randoms = np.empty((3, total))
         except MemoryError as error:
             raise ConfigError(f"n_random {count} is too large: {error}") from None
-        coefficients = np.stack([born_coefficients(state) for state in states], axis=-1)
         streams, gathered = [np.random.default_rng(seed) for seed in seeds], None
         for k in range(0, total, _SAMPLE_BLOCK):
             stop = min(k + _SAMPLE_BLOCK, total)

@@ -813,29 +813,29 @@ def projective_model(
     """Born-rule probabilities of an orthogonal measurement on the subspace."""
     if meas.matrix.shape != state.rho.shape:
         raise ValueError("measurement dimension does not match the state")
-    fields = _born_rule(born_coefficients(state), _entry_products(meas.matrix))
+    coefficients = born_coefficients(state.rho[None], state.L1[None], state.L2[None])
+    fields = _born_rule(coefficients, _entry_products(meas.matrix))
     return ProbabilityModel(*(field[0] for field in fields))
 
 
-def born_coefficients(state: StateModel4) -> np.ndarray:
-    """The (3, pairs) coefficients of p, dp/dtheta1 and dp/dtheta2 in a basis's entry products.
+def born_coefficients(rho, L1, L2) -> np.ndarray:
+    """The (3, pairs, n) coefficients of p, dp/dtheta1 and dp/dtheta2 in a basis's entry products.
 
-    Row K is rho or (L_j rho + rho L_j) / 2: entry (i, j) of its upper
-    triangle (``_pairs``), doubled off the diagonal.
+    Of (n, d, d) stacks rho, L1, L2: form K is rho or (L_j rho + rho L_j) / 2,
+    entry (i, j) of its upper triangle (``_pairs``), doubled off the diagonal.
     """
-    derivatives = (0.5 * (sld @ state.rho + state.rho @ sld) for sld in (state.L1, state.L2))
-    forms = [state.rho.tolist(), *(d_rho.tolist() for d_rho in derivatives)]
-    pairs = _pairs(len(state.rho))
-    return np.array([[(1.0 if i == j else 2.0) * form[i][j] for i, j in pairs] for form in forms])
+    forms = np.stack([rho, *(0.5 * (sld @ rho + rho @ sld) for sld in (L1, L2))])
+    i, j = np.array(_pairs(rho.shape[-1])).T
+    return np.where(i == j, 1.0, 2.0)[:, None] * forms[:, :, i, j].transpose(0, 2, 1)
 
 
 def _born_rule(coefficients, products):
     """Probabilities and their two derivatives from the ``_entry_products`` of n bases.
 
-    ``coefficients`` are ``born_coefficients``, for all the bases or (3, pairs,
-    n) for each.  Each field is O_k^T K O_k for row k: K's coefficients times
-    O[k, i] O[k, j], summed in pair order over the pairs whose coefficient is
-    not 0 for some basis.  A 0.0 term leaves a finite sum as it is, so each
+    ``coefficients`` are ``born_coefficients``, (3, pairs, 1) for all the
+    bases or (3, pairs, n) for each.  Each field is O_k^T K O_k for row k: K's
+    coefficients times O[k, i] O[k, j], summed in pair order over the pairs
+    whose coefficient is not 0 for some basis.  A 0.0 term leaves a finite sum as it is, so each
     basis's field is the one it has alone.  rho is diagonal, so p is never
     negative.  The fields are (n, d) views of contiguous (d, n) arrays,
     outcome-major, so that sums over a sample's outcomes run elementwise over
@@ -1024,9 +1024,9 @@ def _regrets_and_checks(fishers, quantum, c_tilde):
 def projective_regrets_and_checks(coefficients, bases, quantum, c_tilde):
     """Rows (delta1, delta2, irtr_residual) of stacked projective measurements, and their checks.
 
-    ``coefficients`` are the state's ``born_coefficients``, or (3, pairs, n)
-    for each basis; ``quantum`` is one QFIM or one per basis, and ``c_tilde``
-    one coefficient or one per basis.  Column k of the (3, n) rows equals, bit
+    ``coefficients`` are ``born_coefficients``, of one state for all the
+    bases or of one per basis; ``quantum`` is one QFIM or one per basis, and
+    ``c_tilde`` one coefficient or one per basis.  Column k of the (3, n) rows equals, bit
     for bit, ``projective_model`` -> ``fim`` -> ``regret_report`` ->
     ``irtr_residual`` for basis k.  Every check of that route is kept, in the
     order a sample meets them: ``raise_first_failure`` raises the error the

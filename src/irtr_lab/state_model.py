@@ -10,7 +10,8 @@ basis in which
 
 and both symmetric logarithmic derivatives (SLDs) are sparse real matrices
 assembled from the overlap scalars and the two Gram-Schmidt norms eta3, eta4
-with
+(``state_stacks``, for (4, n) overlap columns; ``build_state_model`` is its
+one column) with
 
     eta3^2 = kappa + beta - gamma^2 / (1 - delta)
     eta4^2 = kappa - beta - gamma^2 / (1 + delta).
@@ -41,26 +42,30 @@ from .psf_core import (
 
 @dataclass(frozen=True)
 class StateModel4:
-    """Density matrix and SLDs in the 4-dimensional orthonormal basis."""
+    """Density matrix and SLDs in the 4-dimensional orthonormal basis: ``state_stacks``' one row."""
 
     rho: np.ndarray
     L1: np.ndarray
     L2: np.ndarray
-    eta3: float
-    eta4: float
 
     def __post_init__(self):
         for name in ("rho", "L1", "L2"):
             matrix = np.asarray(getattr(self, name), dtype=float)
             if matrix.shape != (4, 4):
                 raise ValueError(f"{name} must be a 4x4 real matrix")
-            if not np.array_equal(matrix, matrix.T):
-                raise ValueError(f"{name} must be symmetric")
             object.__setattr__(self, name, matrix)
-        if abs(np.trace(self.rho) - 1.0) > 1e-12:
-            raise ValueError("rho must have unit trace")
-        if self.eta3 < 0.0 or self.eta4 < 0.0:
-            raise ValueError("eta3 and eta4 must be nonnegative")
+        raise_first_failure(state_checks(self.rho[None], self.L1[None], self.L2[None]), "")
+
+
+def state_checks(rho, L1, L2):
+    """The symmetry and unit-trace checks of (n, 4, 4) stacks of rho, L1 and L2, in order."""
+    forms = np.array([rho, L1, L2])
+    symmetric = (forms == forms.swapaxes(2, 3)).all(axis=(2, 3))
+    return [
+        *((ValueError, f"{name} must be symmetric", ~flags)
+          for name, flags in zip(("rho", "L1", "L2"), symmetric)),
+        (ValueError, "rho must have unit trace", abs(rho.trace(axis1=1, axis2=2) - 1.0) > 1e-12),
+    ]
 
 
 @dataclass(frozen=True)
@@ -94,48 +99,46 @@ class IncompatibilityCoefficients:
             raise ValueError("c cannot exceed c_tilde")
 
 
-def _gram_schmidt_norms(overlaps: OverlapIntegrals) -> tuple[float, float]:
-    one_minus = 1.0 - overlaps.delta
-    one_plus = 1.0 + overlaps.delta
-    if one_minus <= 1e-12:
-        raise DegenerateStateError(
-            f"1 - delta = {one_minus:.3e}: sources are effectively coincident"
-        )
-    eta3_sq = overlaps.kappa + overlaps.beta - overlaps.gamma * overlaps.gamma / one_minus
-    eta4_sq = overlaps.kappa - overlaps.beta - overlaps.gamma * overlaps.gamma / one_plus
+def state_stacks(overlaps, label="row {}: "):
+    """(n, 4, 4) stacks of rho, L1 and L2 of (4, n) overlap columns, and the columns eta3, eta4.
+
+    1 - delta must exceed 1e-12 and eta3^2, eta4^2 must not be negative
+    beyond roundoff, and the matrices must pass ``state_checks``; the first
+    failing row raises its error, named by ``label``.
+    """
+    kappa, gamma, beta, delta = overlaps
+    one_minus, one_plus = 1.0 - delta, 1.0 + delta
+    rho, L1, L2 = np.zeros((3, len(delta), 4, 4))
+    # A failing row may divide by 0 or take a negative root; it raises below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta3_sq = kappa + beta - gamma * gamma / one_minus
+        eta4_sq = kappa - beta - gamma * gamma / one_plus
+        eta3, eta4 = (np.sqrt(np.where(square < 0.0, 0.0, square)) for square in (eta3_sq, eta4_sq))
+        root_minus, root_plus = np.sqrt(one_minus), np.sqrt(one_plus)
+        rho[:, 0, 0], rho[:, 1, 1] = 0.5 * one_minus, 0.5 * one_plus
+        L1[:, 0, 1] = L1[:, 1, 0] = 2.0 * gamma * delta / np.sqrt(one_minus * one_plus)
+        L1[:, 0, 3] = L1[:, 3, 0] = 2.0 * eta4 / root_minus
+        L1[:, 1, 2] = L1[:, 2, 1] = 2.0 * eta3 / root_plus
+        L2[:, 0, 0], L2[:, 1, 1] = -gamma / one_minus, gamma / one_plus
+        L2[:, 0, 2] = L2[:, 2, 0] = -eta3 / root_minus
+        L2[:, 1, 3] = L2[:, 3, 1] = -eta4 / root_plus
     # Severe cancellation makes tiny negatives possible at small separations.
-    floor = -1e-12 * max(1.0, overlaps.kappa)
-    if eta3_sq < floor or eta4_sq < floor:
-        raise DegenerateStateError(
-            f"negative squared norms eta3^2 = {eta3_sq:.3e}, eta4^2 = {eta4_sq:.3e}: "
-            "overlap scalars are mutually inconsistent"
-        )
-    return math.sqrt(max(eta3_sq, 0.0)), math.sqrt(max(eta4_sq, 0.0))
+    floor = -1e-12 * np.maximum(1.0, kappa)
+    checks = [
+        (DegenerateStateError, "1 - delta = {:.3e}: sources are effectively coincident",
+         one_minus <= 1e-12, one_minus),
+        (DegenerateStateError, "negative squared norms eta3^2 = {:.3e}, eta4^2 = {:.3e}: "
+         "overlap scalars are mutually inconsistent", (eta3_sq < floor) | (eta4_sq < floor),
+         eta3_sq, eta4_sq),
+    ]
+    raise_first_failure(checks + state_checks(rho, L1, L2), label)
+    return rho, L1, L2, eta3, eta4
 
 
 def build_state_model(overlaps: OverlapIntegrals) -> StateModel4:
-    """Assemble rho and the two SLD matrices from the overlap scalars."""
-    eta3, eta4 = _gram_schmidt_norms(overlaps)
-    gamma, delta = overlaps.gamma, overlaps.delta
-    one_minus = 1.0 - delta
-    one_plus = 1.0 + delta
-
-    rho = np.diag([0.5 * one_minus, 0.5 * one_plus, 0.0, 0.0])
-
-    sld_centroid = np.zeros((4, 4))
-    sld_centroid[0, 1] = sld_centroid[1, 0] = 2.0 * gamma * delta / math.sqrt(
-        one_minus * one_plus
-    )
-    sld_centroid[0, 3] = sld_centroid[3, 0] = 2.0 * eta4 / math.sqrt(one_minus)
-    sld_centroid[1, 2] = sld_centroid[2, 1] = 2.0 * eta3 / math.sqrt(one_plus)
-
-    sld_separation = np.zeros((4, 4))
-    sld_separation[0, 0] = -gamma / one_minus
-    sld_separation[1, 1] = gamma / one_plus
-    sld_separation[0, 2] = sld_separation[2, 0] = -eta3 / math.sqrt(one_minus)
-    sld_separation[1, 3] = sld_separation[3, 1] = -eta4 / math.sqrt(one_plus)
-
-    return StateModel4(rho=rho, L1=sld_centroid, L2=sld_separation, eta3=eta3, eta4=eta4)
+    """Assemble rho and the two SLD matrices from the overlap scalars: ``state_stacks``' one row."""
+    rho, L1, L2, _, _ = state_stacks(overlap_column(overlaps), label="")
+    return StateModel4(rho=rho[0], L1=L1[0], L2=L2[0])
 
 
 def qfim(overlaps: OverlapIntegrals) -> Qfim:
@@ -242,7 +245,7 @@ def _basis_coefficients(overlaps: OverlapIntegrals) -> np.ndarray:
     functions, following Gram-Schmidt in the order (difference, sum,
     derivative sum, derivative difference).
     """
-    eta3, eta4 = _gram_schmidt_norms(overlaps)
+    eta3, eta4 = (float(eta[0]) for eta in state_stacks(overlap_column(overlaps), label="")[3:])
     if eta3 == 0.0 or eta4 == 0.0:
         raise DegenerateStateError("derivative directions collapse onto the sources")
     delta, gamma = overlaps.delta, overlaps.gamma

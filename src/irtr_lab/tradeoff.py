@@ -138,9 +138,9 @@ def error_tradeoff_residual(budget: ErrorBudget, c_tilde: float) -> float:
             )
     gamma1 = min(gamma1, 1.0)
     gamma2 = min(gamma2, 1.0)
-    cross = 2.0 * math.sqrt(max(1.0 - c_tilde**2, 0.0))
+    cross = 2.0 * math.sqrt(max(1.0 - c_tilde * c_tilde, 0.0))
     joint = gamma1 + gamma2 - cross * math.sqrt((1.0 - gamma1) * (1.0 - gamma2))
-    return (2.0 - c_tilde**2) - joint
+    return (2.0 - c_tilde * c_tilde) - joint
 
 
 def small_separation_error_bound(nu: int, e11: float, e22: float, kappa: float) -> float:

@@ -1695,6 +1695,24 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: row 0: {message}")
         assert not tmp_path.joinpath("manifest.json").exists()
 
+    def test_a_random_rows_state_error_names_its_row(self, tmp_path, capsys):
+        # eta3^2 cancels to a negative at the first separation: the random
+        # rows' state model fails there, named by its row among the distinct
+        # separations.  Without random rows no state model is formed.
+        argv = ["custom", "--theta1-grid", "0,1", "--theta2-grid", "0.0011312598077980358,0.5"]
+        random = ["--measurements", "direct,random", "--n-random", "4"]
+        assert cli.main([*argv, *random, "--out", str(tmp_path / "random")]) == 3
+        assert capsys.readouterr().err == (
+            "error: row 0: negative squared norms eta3^2 = -8.465e-11, eta4^2 = 7.998e-08: "
+            "overlap scalars are mutually inconsistent\n"
+        )
+        assert not tmp_path.joinpath("random", "manifest.json").exists()
+        out = tmp_path / "spade"
+        assert cli.main([*argv, "--measurements", "direct,spade", "--out", str(out)]) == 0
+        data = out.joinpath("custom.csv").read_bytes()
+        expected = "c0d2b6d3738fb6734440e0384abcc0cd62c174bdb3cb311cb220437a4e74a1e5"
+        assert hashlib.sha256(data).hexdigest() == expected
+
     def test_fig1_at_a_milli_sigma_exits_zero(self, tmp_path):
         # abs_tolerance is in units of sigma, so a small sigma no longer fails.
         assert cli.main(["fig1", "--sigma", "0.001", "--out", str(tmp_path)]) == 0
@@ -1760,6 +1778,8 @@ class TestCli:
         [
             ("custom", "", ["--theta2-grid", "q"],
              "--theta2-grid: 'q' is neither START:STOP:STEP nor a comma-separated list"),
+            ("custom", "", ["--theta2-grid", ","],
+             "--theta2-grid: ',' is neither START:STOP:STEP nor a comma-separated list"),
             ("custom", "[custom]\ntheta2_grid = q\n", [],
              "{}, [custom] theta2_grid: 'q' is neither START:STOP:STEP nor a comma-separated list"),
             ("fig3", "[common]\npanels = 1:2\n", [],

@@ -50,6 +50,11 @@ def overlap_fields(overlaps):
     return np.array([[o.kappa, o.gamma, o.beta, o.delta] for o in overlaps]).reshape(-1, 4).T
 
 
+def state_coefficients(state):
+    """The ``born_coefficients`` of one ``StateModel4``, as a stack of one."""
+    return born_coefficients(state.rho[None], state.L1[None], state.L2[None])
+
+
 def spy(function, calls):
     """``function``, appending its name to ``calls`` at each call."""
 
@@ -1192,7 +1197,7 @@ class TestHaarRandomBases:
             state = lab.build_state_model(lab.gaussian_overlap_integrals(1.0, 1.0))
             stack = haar_random_bases(np.stack([good[0], normal, good[1]]))
             rows, checks = projective_regrets_and_checks(
-                born_coefficients(state), stack, np.eye(2), 0.5
+                state_coefficients(state), stack, np.eye(2), 0.5
             )
             assert failure_flags(checks)[0].tolist() == [False, failed, False]
 
@@ -1241,7 +1246,7 @@ class TestProjectiveModel:
         state = lab.build_state_model(lab.gaussian_overlap_integrals(1.0, theta2))
         bases = haar_random_bases(np.random.default_rng(3).standard_normal((1100, 4, 4)))
         products = measurements._entry_products(bases)
-        fields = measurements._born_rule(born_coefficients(state), products)
+        fields = measurements._born_rule(state_coefficients(state), products)
         expected = [bases**2 @ np.diag(state.rho)]
         for sld in (state.L1, state.L2):
             d_rho = 0.5 * (sld @ state.rho + state.rho @ sld)
@@ -1261,12 +1266,12 @@ class TestProjectiveModel:
         bases = haar_random_bases(np.random.default_rng(5).standard_normal((6, 4, 4)))
         products = measurements._entry_products(bases)
         first, second = (
-            born_coefficients(lab.build_state_model(lab.gaussian_overlap_integrals(1.0, t)))
+            state_coefficients(lab.build_state_model(lab.gaussian_overlap_integrals(1.0, t)))
             for t in (0.3, 2.0)
         )
         assert first[0, 0] and first[1, 1] and first[2, 2]
         first[0, 0], first[1, 1], first[2, 2] = 0.0, -0.0, 0.0
-        mixed = np.repeat(np.stack([first, second], axis=-1), 3, axis=-1)
+        mixed = np.repeat(np.concatenate([first, second], axis=-1), 3, axis=-1)
         fields = measurements._born_rule(mixed, products)
         for k in range(6):
             alone = measurements._born_rule(first if k < 3 else second, products[..., k : k + 1])
@@ -1599,7 +1604,7 @@ class TestProjectiveRegrets:
     def batch(self, *bases, c_tilde=None, first_sample=0):
         c_tilde = self.c_tilde if c_tilde is None else c_tilde
         rows, checks = projective_regrets_and_checks(
-            born_coefficients(self.state), np.stack(bases), self.quantum, c_tilde
+            state_coefficients(self.state), np.stack(bases), self.quantum, c_tilde
         )
         raise_first_failure(checks, "sample {}: ", first_sample)
         return rows
@@ -1649,7 +1654,7 @@ class TestProjectiveRegrets:
             expected = [scalar_projective_row(state, basis, quantum, c_tilde) for basis in draws]
             for count in (1, 3, block - 1, block + 1):
                 rows, checks = projective_regrets_and_checks(
-                    born_coefficients(state), bases[:count], quantum, c_tilde
+                    state_coefficients(state), bases[:count], quantum, c_tilde
                 )
                 raise_first_failure(checks, "sample {}: ")
                 assert list(zip(*rows.tolist())) == expected[:count]
@@ -1700,7 +1705,7 @@ class TestProjectiveRegrets:
                 scalar_projective_row(self.state, basis, quantum, c_tilde)
             with pytest.raises(scalar.type) as batch:
                 rows, checks = projective_regrets_and_checks(
-                    born_coefficients(self.state), basis[None], quantum, c_tilde
+                    state_coefficients(self.state), basis[None], quantum, c_tilde
                 )
                 raise_first_failure(checks, "sample {}: ", 5)
             assert str(batch.value) == f"sample 5: {scalar.value}"

@@ -5,6 +5,8 @@ Frozen reference numbers were evaluated from the Gaussian closed forms
 either the quadrature or the matrix assembly surface as value drift.
 """
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -12,9 +14,16 @@ import pytest
 
 import irtr_lab as lab
 from irtr_lab import psf_core, state_model
-from irtr_lab.measurements import overlaps_and_direct_fims
+from irtr_lab.errors import failure_flags
+from irtr_lab.measurements import born_coefficients, overlaps_and_direct_fims
 from irtr_lab.psf_core import overlap_columns
-from irtr_lab.state_model import c_tilde_column, c_tilde_from_overlaps, qfim_stack
+from irtr_lab.state_model import (
+    c_tilde_column,
+    c_tilde_from_overlaps,
+    qfim_stack,
+    state_checks,
+    state_stacks,
+)
 
 DELTA_SIGMA1_SEP2 = 0.6065306597126334
 F11_SIGMA1_SEP2 = 0.6321205588285577  # 1 - exp(-1)
@@ -87,40 +96,116 @@ class TestBuildStateModel:
 
 
 class TestStateModelContainer:
-    def test_rejects_asymmetric_sld(self):
+    def test_holds_rho_and_the_two_slds(self):
+        assert [field.name for field in dataclasses.fields(lab.StateModel4)] == ["rho", "L1", "L2"]
+
+    @pytest.mark.parametrize("name", ["rho", "L1", "L2"])
+    def test_rejects_an_asymmetric_matrix(self, name):
         model = model_for(1.0)
-        bad = model.L1.copy()
-        bad[0, 1] += 1e-6
-        with pytest.raises(ValueError):
-            lab.StateModel4(
-                rho=model.rho, L1=bad, L2=model.L2, eta3=model.eta3, eta4=model.eta4
-            )
+        fields = dict(rho=model.rho, L1=model.L1, L2=model.L2)
+        fields[name] = fields[name].copy()
+        fields[name][0, 1] += 1e-6
+        with pytest.raises(ValueError, match=f"^{name} must be symmetric$"):
+            lab.StateModel4(**fields)
 
     def test_rejects_wrong_trace(self):
         model = model_for(1.0)
-        with pytest.raises(ValueError):
-            lab.StateModel4(
-                rho=2.0 * model.rho,
-                L1=model.L1,
-                L2=model.L2,
-                eta3=model.eta3,
-                eta4=model.eta4,
-            )
+        with pytest.raises(ValueError, match="^rho must have unit trace$"):
+            lab.StateModel4(rho=2.0 * model.rho, L1=model.L1, L2=model.L2)
 
     @pytest.mark.parametrize("name", ["rho", "L1", "L2"])
     def test_rejects_a_matrix_that_is_not_4x4(self, name):
         model = model_for(1.0)
-        fields = dict(rho=model.rho, L1=model.L1, L2=model.L2, eta3=model.eta3, eta4=model.eta4)
+        fields = dict(rho=model.rho, L1=model.L1, L2=model.L2)
         fields[name] = np.eye(3)
         with pytest.raises(ValueError, match=f"^{name} must be a 4x4 real matrix$"):
             lab.StateModel4(**fields)
 
-    def test_rejects_negative_norms(self):
-        model = model_for(1.0)
-        with pytest.raises(ValueError):
-            lab.StateModel4(
-                rho=model.rho, L1=model.L1, L2=model.L2, eta3=-0.1, eta4=model.eta4
-            )
+
+def state_columns():
+    """Seeded overlaps: 600 by quadrature and 150 closed-form in [2e-3, 60] sigma, then 5 edges."""
+    rng = np.random.default_rng(36)
+    theta2 = np.exp(rng.uniform(np.log(2e-3), np.log(60.0), 600))
+    points = np.stack([np.zeros(600), theta2], axis=1)
+    quadrature = overlap_columns(lab.gaussian_psf(1.0), points)
+    overlaps = [lab.OverlapIntegrals(*column) for column in quadrature.T.tolist()]
+    for sigma in (0.37, 1.0, 2.3):
+        for ratio in np.exp(rng.uniform(np.log(2e-3), np.log(60.0), 50)).tolist():
+            overlaps.append(lab.gaussian_overlap_integrals(sigma, ratio * sigma))
+    # Coincident, collapsed derivative directions (eta3 or eta4 = 0), eta3^2 < 0.
+    edges = [(0.25, 0.0, 0.25, 1.0), (0.25, 0.0, 0.0, 1.0 - 1e-13), (0.25, 0.0, 0.25, 0.5),
+             (0.25, 0.0, -0.25, 0.5), (0.25, 0.3, -0.071, 0.5)]
+    return overlaps + [lab.OverlapIntegrals(*edge) for edge in edges]
+
+
+class TestStateStacks:
+    """The column route of the state model, bit for bit its one-column route."""
+
+    def test_one_column_route_keeps_its_bits(self):
+        # A digest, taken before the state model had a column route, of each
+        # column's rho, L1, L2, Born-rule coefficients and basis expansion,
+        # or of the error each raised.
+        digest, errors = hashlib.sha256(), 0
+        for overlaps in state_columns():
+            try:
+                state = lab.build_state_model(overlaps)
+                born = born_coefficients(state.rho[None], state.L1[None], state.L2[None])
+                for values in (state.rho, state.L1, state.L2, born):
+                    digest.update(np.ascontiguousarray(values).tobytes())
+            except lab.DegenerateStateError as error:
+                errors += 1
+                digest.update(str(error).encode())
+            try:
+                digest.update(state_model._basis_coefficients(overlaps).tobytes())
+            except lab.DegenerateStateError as error:
+                digest.update(str(error).encode())
+        expected = "628997252c48ec8a12a6c718814dfdd4dfd442da4a09d896b3f7f986addc35b1"
+        assert (digest.hexdigest(), errors) == (expected, 8)
+
+    def test_stacks_equal_each_columns_state_model(self):
+        overlaps = []
+        for candidate in state_columns():
+            try:
+                lab.build_state_model(candidate)
+                overlaps.append(candidate)
+            except lab.DegenerateStateError:
+                pass
+        columns = np.array([dataclasses.astuple(o) for o in overlaps]).T
+        rho, L1, L2, eta3, eta4 = state_stacks(columns)
+        born = born_coefficients(rho, L1, L2)
+        for k, column in enumerate(overlaps):
+            state = lab.build_state_model(column)
+            assert [rho[k].tobytes(), L1[k].tobytes(), L2[k].tobytes()] == [
+                state.rho.tobytes(), state.L1.tobytes(), state.L2.tobytes()]
+            alone = born_coefficients(state.rho[None], state.L1[None], state.L2[None])
+            assert born[..., k : k + 1].tobytes() == alone.tobytes()
+            one = state_stacks(psf_core.overlap_column(column), label="")
+            assert (eta3[k], eta4[k]) == (one[3][0], one[4][0])
+
+    def test_state_errors_name_their_row(self):
+        good = dataclasses.astuple(lab.gaussian_overlap_integrals(1.0, 0.7))
+        cases = [
+            ([0.25, 0.0, 0.0, 1.0 - 1e-13], "1 - delta = 1.000e-13: sources are effectively "
+             "coincident"),
+            ([0.25, 0.3, -0.071, 0.5], "negative squared norms eta3^2 = -1.000e-03, "
+             "eta4^2 = 2.610e-01: overlap scalars are mutually inconsistent"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(lab.DegenerateStateError) as stacked:
+                state_stacks(np.array([good, good, bad, bad]).T)
+            assert str(stacked.value) == "row 2: " + message
+            with pytest.raises(lab.DegenerateStateError) as unnamed:
+                lab.build_state_model(lab.OverlapIntegrals(*bad))
+            assert str(unnamed.value) == message
+
+    def test_state_checks_flag_each_row(self):
+        rho, L1, L2, _, _ = state_stacks(np.array([dataclasses.astuple(
+            lab.gaussian_overlap_integrals(1.0, t)) for t in (0.5, 1.0, 2.0)]).T)
+        L2[1, 0, 3] += 1e-6
+        rho[2] *= 2.0
+        flags = failure_flags(state_checks(rho, L1, L2))
+        assert flags.tolist() == [[False] * 3, [False] * 3, [False, True, False],
+                                  [False, False, True]]
 
 
 class TestQfim:

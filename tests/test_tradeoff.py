@@ -182,6 +182,13 @@ class TestErrorTradeoff:
         with pytest.raises(lab.InfeasibleBudgetError):
             lab.error_tradeoff_residual(budget, 0.5)
 
+    def test_c_tilde_is_squared_as_a_product(self):
+        # c_tilde**2 goes through pow, 1 ulp off c_tilde * c_tilde here; the
+        # product is the square irtr_residual and the column routes take.
+        budget = lab.ErrorBudget(nu=100, e11=0.02, e22=0.09, qf11=0.8, qf22=0.25)
+        value = lab.error_tradeoff_residual(budget, 0.923854799557242)
+        assert value == 0.42644294849349784
+
     def test_more_repetitions_relax_the_budget(self):
         tight = lab.ErrorBudget(nu=1, e11=2.0, e22=2.0, qf11=1.0, qf22=1.0)
         relaxed = lab.ErrorBudget(nu=10, e11=2.0, e22=2.0, qf11=1.0, qf22=1.0)
